@@ -28,7 +28,7 @@
 use std::cell::RefCell;
 
 use pip_netsim::trace::{Trace, TraceOp};
-use pip_runtime::{TaskCtx, Topology};
+use pip_runtime::{ScopeHandle, TaskCtx, Topology};
 use pip_transport::cost::IntranodeMechanism;
 
 /// A commutative reduction operator over raw bytes.
@@ -154,17 +154,6 @@ pub trait Comm {
     /// under PiP no additional copy is needed to "collect" it.
     fn shared_collect(&self, name: &str, len: usize) -> Vec<u8>;
 
-    /// As [`Comm::shared_collect`] but depositing the bytes into `out`
-    /// (cleared and filled to `len`), so callers holding a reusable buffer —
-    /// the plan executor's arena — avoid the allocation.  The default
-    /// forwards to [`Comm::shared_collect`] and copies; live implementations
-    /// override it to read in place.
-    fn shared_collect_into(&self, name: &str, len: usize, out: &mut Vec<u8>) {
-        let data = self.shared_collect(name, len);
-        out.clear();
-        out.extend_from_slice(&data);
-    }
-
     /// Store `data` into the buffer `name` owned by local rank
     /// `owner_local`, starting at `offset` (one copy, performed by the
     /// caller).
@@ -174,23 +163,6 @@ pub trait Comm {
     /// `owner_local`, starting at `offset` (one copy, performed by the
     /// caller).
     fn shared_read(&self, owner_local: usize, name: &str, offset: usize, len: usize) -> Vec<u8>;
-
-    /// As [`Comm::shared_read`] but depositing the bytes into `out` (cleared
-    /// and filled to `len`) — the allocation-free twin used by the plan
-    /// executor's arena.  The default forwards to [`Comm::shared_read`] and
-    /// copies; live implementations override it to read in place.
-    fn shared_read_into(
-        &self,
-        owner_local: usize,
-        name: &str,
-        offset: usize,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) {
-        let data = self.shared_read(owner_local, name, offset, len);
-        out.clear();
-        out.extend_from_slice(&data);
-    }
 
     /// Send `len` bytes straight out of a peer's exposed buffer (zero-copy:
     /// only the message itself is charged).
@@ -217,6 +189,19 @@ pub trait Comm {
 
     /// Barrier across the tasks of this node.
     fn node_barrier(&self);
+
+    /// Enter the node-local scope of the plan invocation tagged `tag`: the
+    /// one place the plan interpreters resolve a plan's shared-region ops
+    /// and (the cursor) its node barriers, by index into `names` — see
+    /// [`pip_runtime::scope`].  Every rank of a node enters every
+    /// invocation once and leaves by dropping the handle.
+    ///
+    /// Only live communicators have a node address space to execute plans
+    /// in; the default panics.
+    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
+        let _ = (tag, names);
+        panic!("this communicator cannot execute plans: it has no node address space");
+    }
 
     // -- local work annotations ------------------------------------------
 
@@ -342,11 +327,6 @@ impl Comm for ThreadComm<'_> {
         region.read_vec(0, len).expect("shared_collect in bounds")
     }
 
-    fn shared_collect_into(&self, name: &str, len: usize, out: &mut Vec<u8>) {
-        let region = self.ctx.attach(self.local_rank(), name);
-        region.read_into_vec(0, len, out);
-    }
-
     fn shared_write(&self, owner_local: usize, name: &str, offset: usize, data: &[u8]) {
         let region = self.ctx.attach(owner_local, name);
         region.write(offset, data);
@@ -355,18 +335,6 @@ impl Comm for ThreadComm<'_> {
     fn shared_read(&self, owner_local: usize, name: &str, offset: usize, len: usize) -> Vec<u8> {
         let region = self.ctx.attach(owner_local, name);
         region.read_vec(offset, len).expect("shared_read in bounds")
-    }
-
-    fn shared_read_into(
-        &self,
-        owner_local: usize,
-        name: &str,
-        offset: usize,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) {
-        let region = self.ctx.attach(owner_local, name);
-        region.read_into_vec(offset, len, out);
     }
 
     fn send_from_shared(
@@ -404,6 +372,10 @@ impl Comm for ThreadComm<'_> {
 
     fn node_barrier(&self) {
         self.ctx.node_barrier();
+    }
+
+    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
+        self.ctx.enter_scope(tag, names)
     }
 
     fn charge_copy(&self, _bytes: usize) {}

@@ -18,15 +18,14 @@
 //!   through [`PlanCursor::into_output`] once finished.  Persistent handles
 //!   reuse exactly this: the same buffers travel into a fresh cursor on
 //!   every `start()`.
-//! * **Node barriers go through the fabric.**  The runtime's node barrier
-//!   blocks the calling thread and is shared by all collectives on a node,
-//!   so out-of-order progress of interleaved collectives could pair
-//!   arrivals from *different* collectives.  The cursor instead runs each
-//!   [`PlanOp::NodeBarrier`] as a centralized message barrier in the
-//!   invocation's own tag space (non-leaders send an arrival to the node
-//!   leader, the leader answers with releases), which is pollable and
-//!   isolated per invocation exactly like message tags and shared-region
-//!   names.
+//! * **Nothing parks the thread.**  Shared regions and node barriers live in
+//!   the invocation's node-local scope ([`pip_runtime::scope`], entered on
+//!   the first step and left when the program drains or the cursor is
+//!   dropped).  A region a peer has not exposed yet and a barrier a peer has
+//!   not reached are both *polled* — one table lookup, one atomic load —
+//!   and the scope is keyed by the invocation tag, so out-of-order progress
+//!   of interleaved collectives cannot pair arrivals or regions of
+//!   different collectives.
 
 use std::rc::Rc;
 
@@ -34,14 +33,8 @@ use crate::comm::{NonBlockingComm, ReduceFn};
 use crate::compress::{compress, decompress};
 use crate::plan::arena::{shared_arena, SharedArena};
 use crate::plan::exec::{materialize_into, store_val};
-use crate::plan::ir::{Fidelity, PlanOp, RankPlan, Src};
-
-/// Tag offset (within one invocation's tag space) where the cursor's
-/// node-barrier messages live: arrival at `BARRIER_TAG_OFFSET + 2 * episode`,
-/// release one above it.  Collective algorithms encode rounds and phases as
-/// small offsets, far below this; [`PlanCursor::new`] asserts the plan
-/// respects the split.
-pub const BARRIER_TAG_OFFSET: u64 = 1 << 14;
+use crate::plan::ir::{Fidelity, NameId, PlanOp, RankPlan, Src};
+use pip_runtime::{ExposedRegion, ScopeHandle};
 
 /// What one [`PlanCursor::step`] call achieved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,23 +42,12 @@ pub enum StepOutcome {
     /// At least one operation (or barrier arrival) completed; more work may
     /// remain.
     Advanced,
-    /// The cursor is waiting on a peer (unarrived message or barrier); no
-    /// state changed.
+    /// The cursor is waiting on a peer (unarrived message, unexposed region
+    /// or barrier); no state changed.
     Blocked,
     /// The whole program has executed and the output buffer holds the
     /// collective's result.
     Done,
-}
-
-/// Sub-state of an in-progress [`PlanOp::NodeBarrier`].
-#[derive(Debug)]
-enum BarrierPhase {
-    /// Not currently inside a barrier.
-    Idle,
-    /// Leader: collecting arrivals; `arrived[l]` records local rank `l`.
-    Collecting { arrived: Vec<bool> },
-    /// Non-leader: arrival sent, waiting for the leader's release.
-    AwaitingRelease,
 }
 
 /// A resumable execution of one rank's compiled plan.
@@ -83,8 +65,9 @@ enum BarrierPhase {
 pub struct PlanCursor {
     plan: Rc<RankPlan>,
     tag: u64,
-    /// Shared-region names, pre-namespaced for this invocation.
-    names: Vec<String>,
+    /// This rank's membership of the invocation's node-local scope; `None`
+    /// before the first step and after the program drained.
+    scope: Option<ScopeHandle>,
     pc: usize,
     vals: Vec<Option<Vec<u8>>>,
     pending_out: Vec<(usize, Vec<u8>)>,
@@ -103,9 +86,8 @@ pub struct PlanCursor {
     /// invocations reuse each other's buffers — see
     /// [`crate::plan::arena::BufferArena`].
     arena: SharedArena,
-    barrier: BarrierPhase,
-    barriers_done: u64,
-    checked_coords: bool,
+    /// Arrival count that completes the node barrier at `pc`, once arrived.
+    barrier_target: Option<usize>,
     finished: bool,
 }
 
@@ -129,10 +111,9 @@ impl PlanCursor {
     ///
     /// # Panics
     ///
-    /// Panics when the plan is schedule-fidelity, the buffer lengths
-    /// disagree with the plan's [`crate::plan::ir::IoShape`], or the plan
-    /// uses tag offsets that would collide with the cursor's barrier
-    /// messages — all caller bugs, not data-dependent failures.
+    /// Panics when the plan is schedule-fidelity or the buffer lengths
+    /// disagree with the plan's [`crate::plan::ir::IoShape`] — caller bugs,
+    /// not data-dependent failures.
     pub fn new(
         plan: Rc<RankPlan>,
         sendbuf: Option<Vec<u8>>,
@@ -175,31 +156,6 @@ impl PlanCursor {
                 .map(|len| plan.io.recv_layout.map_or(len, |l| l.extent())),
             "receive buffer does not match the plan's shape"
         );
-        // The tag-range split is a property of the *plan*, fixed when the
-        // algorithm was compiled — not of this invocation — so the O(ops)
-        // scan guards debug builds only and stays off the per-start hot
-        // path persistent handles exist for.
-        #[cfg(debug_assertions)]
-        {
-            let max_tag = plan
-                .ops
-                .iter()
-                .filter_map(|op| match op {
-                    PlanOp::Send { tag, .. }
-                    | PlanOp::Recv { tag, .. }
-                    | PlanOp::Compress { tag, .. }
-                    | PlanOp::Decompress { tag, .. }
-                    | PlanOp::SendFromShared { tag, .. }
-                    | PlanOp::RecvIntoShared { tag, .. } => Some(*tag),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            assert!(
-                max_tag < BARRIER_TAG_OFFSET,
-                "plan tag offset {max_tag} collides with the barrier tag range"
-            );
-        }
         // Pack strided caller buffers into contiguous staging: the plan body
         // was recorded against packed bytes and never sees a gap byte. The
         // originals are stashed and restored (with staged output unpacked
@@ -227,12 +183,11 @@ impl PlanCursor {
                 }
             }
         }
-        let names = plan.names.iter().map(|n| format!("pl{tag}.{n}")).collect();
         let vals = vec![None; plan.val_lens.len()];
         Self {
             plan,
             tag,
-            names,
+            scope: None,
             pc: 0,
             vals,
             pending_out: Vec::new(),
@@ -241,9 +196,7 @@ impl PlanCursor {
             caller_send,
             caller_recv,
             arena,
-            barrier: BarrierPhase::Idle,
-            barriers_done: 0,
-            checked_coords: false,
+            barrier_target: None,
             finished: false,
         }
     }
@@ -289,7 +242,7 @@ impl PlanCursor {
         if self.finished {
             return StepOutcome::Done;
         }
-        if !self.checked_coords {
+        if self.scope.is_none() {
             assert_eq!(
                 comm.rank(),
                 self.plan.rank,
@@ -300,7 +253,7 @@ impl PlanCursor {
                 self.plan.topology,
                 "plan compiled for a different topology"
             );
-            self.checked_coords = true;
+            self.scope = Some(comm.enter_scope(self.tag, &self.plan.names));
         }
         let mut advanced = false;
         while self.pc < self.plan.ops.len() {
@@ -316,8 +269,10 @@ impl PlanCursor {
                 StepOutcome::Done => unreachable!("step_one never reports Done"),
             }
         }
-        // Program drained: flush the deferred output writes and return every
-        // scratch buffer to the arena for the next invocation.
+        // Program drained: leave the scope, flush the deferred output writes
+        // and return every scratch buffer to the arena for the next
+        // invocation.
+        self.scope = None;
         let mut arena = self.arena.borrow_mut();
         if let Some(out) = self.recvbuf.as_mut() {
             for (offset, data) in self.pending_out.drain(..) {
@@ -356,16 +311,19 @@ impl PlanCursor {
     fn step_one<C: NonBlockingComm>(&mut self, comm: &C, op: Option<&ReduceFn<'_>>) -> StepOutcome {
         match &self.plan.ops[self.pc] {
             PlanOp::SharedAlloc { name, len } => {
-                comm.shared_alloc(&self.names[*name as usize], *len);
+                self.expose(*name, *len);
             }
             PlanOp::SharedPublish { name, src } => {
                 let data = self.materialize(src);
-                comm.shared_publish(&self.names[*name as usize], &data);
+                self.expose(*name, data.len()).write(0, &data);
                 self.arena.borrow_mut().release(data);
             }
             PlanOp::SharedCollect { name, len, dst } => {
+                let Some(region) = self.region(self.scope().local_rank(), *name) else {
+                    return StepOutcome::Blocked;
+                };
                 let mut data = self.arena.borrow_mut().acquire(*len);
-                comm.shared_collect_into(&self.names[*name as usize], *len, &mut data);
+                region.read_into_vec(0, *len, &mut data);
                 self.store_val(*dst, data);
             }
             PlanOp::SharedWrite {
@@ -374,8 +332,11 @@ impl PlanCursor {
                 offset,
                 src,
             } => {
+                let Some(region) = self.region(*owner_local, *name) else {
+                    return StepOutcome::Blocked;
+                };
                 let data = self.materialize(src);
-                comm.shared_write(*owner_local, &self.names[*name as usize], *offset, &data);
+                region.write(*offset, &data);
                 self.arena.borrow_mut().release(data);
             }
             PlanOp::SharedRead {
@@ -385,14 +346,11 @@ impl PlanCursor {
                 len,
                 dst,
             } => {
+                let Some(region) = self.region(*owner_local, *name) else {
+                    return StepOutcome::Blocked;
+                };
                 let mut data = self.arena.borrow_mut().acquire(*len);
-                comm.shared_read_into(
-                    *owner_local,
-                    &self.names[*name as usize],
-                    *offset,
-                    *len,
-                    &mut data,
-                );
+                region.read_into_vec(*offset, *len, &mut data);
                 self.store_val(*dst, data);
             }
             PlanOp::Send { dest, tag: t, src } => {
@@ -442,14 +400,14 @@ impl PlanCursor {
                 dest,
                 tag: t,
             } => {
-                comm.send_from_shared(
-                    *owner_local,
-                    &self.names[*name as usize],
-                    *offset,
-                    *len,
-                    *dest,
-                    self.tag + t,
-                );
+                let Some(region) = self.region(*owner_local, *name) else {
+                    return StepOutcome::Blocked;
+                };
+                // The single copy out of the shared region is the only one;
+                // the buffer then moves into the fabric.
+                let mut data = self.arena.borrow_mut().acquire(*len);
+                region.read_into_vec(*offset, *len, &mut data);
+                comm.send_owned(*dest, self.tag + t, data);
             }
             PlanOp::RecvIntoShared {
                 owner_local,
@@ -458,16 +416,29 @@ impl PlanCursor {
                 source,
                 tag: t,
                 len,
-            } => match comm.try_recv(*source, self.tag + t, *len) {
-                // The message is in hand, so depositing it in the peer's
-                // region is the same single write `recv_into_shared` does.
-                Some(data) => {
-                    comm.shared_write(*owner_local, &self.names[*name as usize], *offset, &data);
-                    self.arena.borrow_mut().release(data);
+            } => {
+                // Look the region up first: a message taken off the fabric
+                // cannot be put back.
+                let Some(region) = self.region(*owner_local, *name) else {
+                    return StepOutcome::Blocked;
+                };
+                let Some(data) = comm.try_recv(*source, self.tag + t, *len) else {
+                    return StepOutcome::Blocked;
+                };
+                region.write(*offset, &data);
+                self.arena.borrow_mut().release(data);
+            }
+            PlanOp::NodeBarrier => {
+                let Some(target) = self.barrier_target else {
+                    // Arriving is progress even while peers are missing.
+                    self.barrier_target = Some(self.scope().barrier_arrive());
+                    return StepOutcome::Advanced;
+                };
+                if !self.scope().barrier_passed(target) {
+                    return StepOutcome::Blocked;
                 }
-                None => return StepOutcome::Blocked,
-            },
-            PlanOp::NodeBarrier => return self.step_barrier(comm),
+                self.barrier_target = None;
+            }
             PlanOp::Reduce { dst, acc, other } => {
                 let mut acc_bytes = self.materialize(acc);
                 let other_bytes = self.materialize(other);
@@ -493,60 +464,20 @@ impl PlanCursor {
         store_val(&mut self.vals, &mut self.arena.borrow_mut(), dst, data);
     }
 
-    /// Drive the pollable message barrier replacing [`PlanOp::NodeBarrier`].
-    fn step_barrier<C: NonBlockingComm>(&mut self, comm: &C) -> StepOutcome {
-        let ppn = comm.ppn();
-        if ppn == 1 {
-            return self.barrier_passed();
-        }
-        let leader = comm.rank() - comm.local_rank();
-        let arrive_tag = self.tag + BARRIER_TAG_OFFSET + 2 * self.barriers_done;
-        let release_tag = arrive_tag + 1;
-        if comm.is_node_root() {
-            if matches!(self.barrier, BarrierPhase::Idle) {
-                self.barrier = BarrierPhase::Collecting {
-                    arrived: vec![false; ppn],
-                };
-            }
-            let BarrierPhase::Collecting { arrived } = &mut self.barrier else {
-                unreachable!("leader barriers only collect");
-            };
-            let mut progressed = false;
-            for (local, seen) in arrived.iter_mut().enumerate().skip(1) {
-                if !*seen && comm.try_recv(leader + local, arrive_tag, 0).is_some() {
-                    *seen = true;
-                    progressed = true;
-                }
-            }
-            if arrived[1..].iter().all(|&a| a) {
-                for local in 1..ppn {
-                    comm.send_owned(leader + local, release_tag, Vec::new());
-                }
-                return self.barrier_passed();
-            }
-            if progressed {
-                StepOutcome::Advanced
-            } else {
-                StepOutcome::Blocked
-            }
-        } else {
-            if matches!(self.barrier, BarrierPhase::Idle) {
-                comm.send_owned(leader, arrive_tag, Vec::new());
-                self.barrier = BarrierPhase::AwaitingRelease;
-            }
-            if comm.try_recv(leader, release_tag, 0).is_some() {
-                self.barrier_passed()
-            } else {
-                StepOutcome::Blocked
-            }
-        }
+    fn scope(&self) -> &ScopeHandle {
+        self.scope.as_ref().expect("step entered the scope")
     }
 
-    fn barrier_passed(&mut self) -> StepOutcome {
-        self.barrier = BarrierPhase::Idle;
-        self.barriers_done += 1;
-        self.pc += 1;
-        StepOutcome::Advanced
+    /// Expose this rank's region `name` in the invocation's scope.
+    fn expose(&self, name: NameId, len: usize) -> ExposedRegion {
+        self.scope()
+            .expose(name, len)
+            .expect("a plan exposes each region with one length")
+    }
+
+    /// A peer's region, `None` (the op blocks) until its owner exposed it.
+    fn region(&self, owner_local: usize, name: NameId) -> Option<ExposedRegion> {
+        self.scope().try_region(owner_local, name)
     }
 
     /// Resolve a symbolic source against the owned buffers and runtime
@@ -572,7 +503,7 @@ mod tests {
     use crate::comm::{Comm, ThreadComm};
     use crate::plan::ir::IoShape;
     use crate::plan::record::{assemble, PlanComm, EXEC_PASSES};
-    use pip_runtime::{Cluster, Topology};
+    use pip_runtime::{Cluster, Fabric, NodeSpace, TaskCtx, Topology};
 
     fn compile_exchange(rank: usize, topo: Topology) -> RankPlan {
         let passes = (0..EXEC_PASSES as u32)
@@ -631,6 +562,52 @@ mod tests {
         assert_eq!(results[1], vec![10; 4]);
     }
 
+    /// A consumer stepped before its producer reports `Blocked` on the
+    /// unexposed region instead of parking: one thread steps both ranks of
+    /// a node, consumer first, and the exchange still completes.
+    #[test]
+    fn unexposed_region_blocks_the_cursor_not_the_thread() {
+        let topo = Topology::new(1, 2);
+        let compile = |rank: usize| {
+            let passes = (0..EXEC_PASSES as u32)
+                .map(|pass| {
+                    let comm = PlanComm::new(rank, topo, pass, Fidelity::Exec);
+                    let mut sendbuf = vec![0u8; 4];
+                    comm.fill_sendbuf(&mut sendbuf);
+                    let got = if rank == 0 {
+                        comm.shared_publish("box", &sendbuf);
+                        sendbuf
+                    } else {
+                        comm.shared_read(0, "box", 0, 4)
+                    };
+                    comm.finish(Some(got))
+                })
+                .collect();
+            let io = IoShape {
+                sendbuf: Some(4),
+                recvbuf: Some(4),
+                ..IoShape::default()
+            };
+            Rc::new(assemble(rank, topo, Fidelity::Exec, io, passes))
+        };
+        let node = NodeSpace::new(0, 2);
+        let fabric = Fabric::new(2);
+        let ctxs = [0, 1].map(|rank| TaskCtx::new(rank, topo, node.clone(), fabric.clone()));
+        let comms = [ThreadComm::new(&ctxs[0]), ThreadComm::new(&ctxs[1])];
+        let mut cursors = [0, 1].map(|rank| {
+            let sendbuf = vec![40 + rank as u8; 4];
+            PlanCursor::new(compile(rank), Some(sendbuf), Some(vec![0u8; 4]), 3 << 16)
+        });
+        assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Blocked);
+        assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Blocked);
+        assert_eq!(cursors[0].step(&comms[0], None), StepOutcome::Done);
+        assert_eq!(node.exposed_count(), 1, "the consumer is still inside");
+        assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Done);
+        assert_eq!(node.exposed_count(), 0, "the last leaver retired the scope");
+        let [_, consumer] = cursors;
+        assert_eq!(consumer.into_output().recvbuf.unwrap(), vec![40; 4]);
+    }
+
     #[test]
     #[should_panic(expected = "schedule-fidelity")]
     fn cursor_refuses_schedule_fidelity_plans() {
@@ -653,28 +630,5 @@ mod tests {
         let topo = Topology::new(1, 2);
         let plan = Rc::new(compile_exchange(0, topo));
         let _ = PlanCursor::new(plan, Some(vec![0u8; 2]), Some(vec![0u8; 4]), 1 << 16);
-    }
-
-    // The tag-range scan it exercises is compiled into debug builds only.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "collides with the barrier tag range")]
-    fn cursor_rejects_plans_using_barrier_tag_offsets() {
-        let topo = Topology::new(1, 1);
-        let plan = RankPlan {
-            rank: 0,
-            topology: topo,
-            fidelity: Fidelity::Exec,
-            io: IoShape::default(),
-            names: Vec::new(),
-            val_lens: vec![1],
-            ops: vec![PlanOp::Recv {
-                source: 0,
-                tag: BARRIER_TAG_OFFSET,
-                len: 1,
-                dst: 0,
-            }],
-        };
-        let _ = PlanCursor::new(Rc::new(plan), None, None, 1 << 16);
     }
 }

@@ -3,9 +3,9 @@
 //! The executor replaces per-call algorithm interpretation on the hot path:
 //! peers, tags, offsets and buffer routing were all decided at compile time,
 //! so running a plan is a single linear walk over its ops.  Tags are rebased
-//! by the invocation tag and shared-region names are namespaced per
-//! invocation, so one cached plan can be executed any number of times on the
-//! same communicator without collisions.
+//! by the invocation tag and shared regions live in the invocation's own
+//! node-local scope ([`pip_runtime::scope`]), so one cached plan can be
+//! executed any number of times on the same communicator without collisions.
 //!
 //! Scratch buffers (materialized payloads, value slots, deferred output
 //! writes) come from a [`BufferArena`]: pass one that outlives the call
@@ -15,7 +15,8 @@
 use crate::comm::{Comm, ReduceFn};
 use crate::compress::{compress, decompress};
 use crate::plan::arena::BufferArena;
-use crate::plan::ir::{Fidelity, IoShape, PlanOp, RankPlan, Src, SrcSeg};
+use crate::plan::ir::{Fidelity, IoShape, NameId, PlanOp, RankPlan, Src, SrcSeg};
+use pip_runtime::ExposedRegion;
 
 /// The caller buffers a plan execution operates on.
 ///
@@ -171,10 +172,19 @@ pub fn execute_rank_plan_reusing<C: Comm>(
     let sendbuf = send_stage.as_deref().or(sendbuf);
     let recv_view = recv_stage.as_deref().or(recvbuf.as_deref());
 
-    // Per-invocation namespace for shared regions: deterministic across
-    // ranks (every rank derives the same instance name from the same
-    // recorded name and tag), unique across invocations.
-    let names: Vec<String> = plan.names.iter().map(|n| format!("pl{tag}.{n}")).collect();
+    // The invocation's node-local scope; left when this call returns.  A
+    // region a peer has not exposed yet is waited for (bounded).
+    let scope = comm.enter_scope(tag, &plan.names);
+    let expose = |name: NameId, len: usize| -> ExposedRegion {
+        scope
+            .expose(name, len)
+            .expect("a plan exposes each region with one length")
+    };
+    let region = |owner_local: usize, name: NameId| -> ExposedRegion {
+        scope
+            .region(owner_local, name)
+            .expect("shared region exposed by its owner")
+    };
 
     let mut vals: Vec<Option<Vec<u8>>> = vec![None; plan.val_lens.len()];
     // Output writes are deferred so that SendBuf/RecvInit reads always see
@@ -184,17 +194,17 @@ pub fn execute_rank_plan_reusing<C: Comm>(
     for plan_op in &plan.ops {
         match plan_op {
             PlanOp::SharedAlloc { name, len } => {
-                comm.shared_alloc(&names[*name as usize], *len);
+                expose(*name, *len);
             }
             PlanOp::SharedPublish { name, src } => {
                 let mut data = arena.acquire(src.len());
                 materialize_into(&mut data, src, &plan.io, sendbuf, recv_view, &vals);
-                comm.shared_publish(&names[*name as usize], &data);
+                expose(*name, data.len()).write(0, &data);
                 arena.release(data);
             }
             PlanOp::SharedCollect { name, len, dst } => {
                 let mut data = arena.acquire(*len);
-                comm.shared_collect_into(&names[*name as usize], *len, &mut data);
+                region(scope.local_rank(), *name).read_into_vec(0, *len, &mut data);
                 store_val(&mut vals, arena, *dst, data);
             }
             PlanOp::SharedWrite {
@@ -205,7 +215,7 @@ pub fn execute_rank_plan_reusing<C: Comm>(
             } => {
                 let mut data = arena.acquire(src.len());
                 materialize_into(&mut data, src, &plan.io, sendbuf, recv_view, &vals);
-                comm.shared_write(*owner_local, &names[*name as usize], *offset, &data);
+                region(*owner_local, *name).write(*offset, &data);
                 arena.release(data);
             }
             PlanOp::SharedRead {
@@ -216,13 +226,7 @@ pub fn execute_rank_plan_reusing<C: Comm>(
                 dst,
             } => {
                 let mut data = arena.acquire(*len);
-                comm.shared_read_into(
-                    *owner_local,
-                    &names[*name as usize],
-                    *offset,
-                    *len,
-                    &mut data,
-                );
+                region(*owner_local, *name).read_into_vec(*offset, *len, &mut data);
                 store_val(&mut vals, arena, *dst, data);
             }
             PlanOp::Send { dest, tag: t, src } => {
@@ -276,14 +280,11 @@ pub fn execute_rank_plan_reusing<C: Comm>(
                 dest,
                 tag: t,
             } => {
-                comm.send_from_shared(
-                    *owner_local,
-                    &names[*name as usize],
-                    *offset,
-                    *len,
-                    *dest,
-                    tag + t,
-                );
+                // The single copy out of the shared region is the only one;
+                // the buffer then moves into the fabric.
+                let mut data = arena.acquire(*len);
+                region(*owner_local, *name).read_into_vec(*offset, *len, &mut data);
+                comm.send_owned(*dest, tag + t, data);
             }
             PlanOp::RecvIntoShared {
                 owner_local,
@@ -293,14 +294,9 @@ pub fn execute_rank_plan_reusing<C: Comm>(
                 tag: t,
                 len,
             } => {
-                comm.recv_into_shared(
-                    *owner_local,
-                    &names[*name as usize],
-                    *offset,
-                    *source,
-                    tag + t,
-                    *len,
-                );
+                let data = comm.recv(*source, tag + t, *len);
+                region(*owner_local, *name).write(*offset, &data);
+                arena.release(data);
             }
             PlanOp::NodeBarrier => comm.node_barrier(),
             PlanOp::Reduce { dst, acc, other } => {

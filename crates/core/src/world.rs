@@ -70,23 +70,31 @@ impl WorldBuilder {
     }
 
     /// The topology this builder describes.
+    ///
+    /// # Panics
+    /// Panics when `nodes` or `ppn` is zero ([`WorldBuilder::run`] reports
+    /// that as an error instead).
     pub fn topology(&self) -> Topology {
         Topology::new(self.nodes, self.ppn)
     }
 
-    /// Launch the world and run `f` on every rank.
+    /// Launch the world and run `f` on every rank.  A builder with zero
+    /// nodes or zero processes per node yields
+    /// [`pip_runtime::RuntimeError::InvalidTopology`].
     pub fn run<T, F>(self, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(&Communicator<'_>) -> T + Sync,
     {
-        World::run_with_profile(self.topology(), self.library.profile(), f)
+        let topology = Topology::try_new(self.nodes, self.ppn)?;
+        World::run_with_profile(topology, self.library.profile(), f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pip_runtime::RuntimeError;
 
     #[test]
     fn builder_defaults_are_sane() {
@@ -117,6 +125,21 @@ mod tests {
                 })
                 .unwrap();
             assert!(results.iter().all(|&s| s == 6), "{}", library.name());
+        }
+    }
+
+    #[test]
+    fn empty_dimensions_are_an_error_not_a_panic() {
+        for (nodes, ppn) in [(0, 2), (2, 0), (0, 0)] {
+            let err = World::builder()
+                .nodes(nodes)
+                .ppn(ppn)
+                .run(|comm| comm.rank())
+                .unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::InvalidTopology(_)),
+                "{nodes}x{ppn}: {err}"
+            );
         }
     }
 

@@ -56,6 +56,7 @@ pub mod error;
 pub mod fabric;
 pub mod memory;
 pub mod node;
+pub mod scope;
 pub mod sync;
 pub mod task;
 pub mod topology;
@@ -66,5 +67,6 @@ pub use fabric::{
 };
 pub use memory::{ExposedRegion, RegionKey};
 pub use node::NodeSpace;
+pub use scope::{RegionPoolStats, ScopeHandle};
 pub use task::{Cluster, TaskCtx};
 pub use topology::Topology;

@@ -45,6 +45,8 @@ impl RegionKey {
 #[derive(Debug)]
 struct RegionInner {
     name: String,
+    /// Fixed at allocation, so bounds checks never touch the lock.
+    len: usize,
     data: RwLock<Box<[u8]>>,
 }
 
@@ -64,9 +66,15 @@ impl ExposedRegion {
         Self {
             inner: Arc::new(RegionInner {
                 name: name.into(),
+                len,
                 data: RwLock::new(vec![0u8; len].into_boxed_slice()),
             }),
         }
+    }
+
+    /// Whether no other handle to this region's storage exists.
+    pub(crate) fn is_sole_handle(&self) -> bool {
+        Arc::strong_count(&self.inner) == 1
     }
 
     /// The region's name.
@@ -76,7 +84,7 @@ impl ExposedRegion {
 
     /// The region's capacity in bytes.
     pub fn len(&self) -> usize {
-        self.inner.data.read().len()
+        self.inner.len
     }
 
     /// Whether the region has zero capacity.

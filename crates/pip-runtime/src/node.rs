@@ -11,6 +11,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, RuntimeError};
 use crate::memory::{ExposedRegion, RegionKey};
+use crate::scope::{RegionPoolStats, ScopeRegistry};
 use crate::sync::SenseBarrier;
 
 /// How long [`NodeSpace::attach`] waits for a peer to expose a region before
@@ -25,6 +26,7 @@ pub struct NodeSpace {
     regions: Mutex<HashMap<RegionKey, ExposedRegion>>,
     region_published: Condvar,
     barrier: SenseBarrier,
+    scopes: ScopeRegistry,
 }
 
 impl NodeSpace {
@@ -37,6 +39,7 @@ impl NodeSpace {
             regions: Mutex::new(HashMap::new()),
             region_published: Condvar::new(),
             barrier: SenseBarrier::new(ppn),
+            scopes: ScopeRegistry::default(),
         })
     }
 
@@ -126,9 +129,19 @@ impl NodeSpace {
         self.regions.lock().remove(&key).is_some()
     }
 
-    /// Number of regions currently exposed on the node.
+    /// Number of regions currently exposed on the node: the named ones plus
+    /// those held by live invocation scopes (see [`crate::scope`]).
     pub fn exposed_count(&self) -> usize {
-        self.regions.lock().len()
+        self.regions.lock().len() + self.scopes.exposed_count()
+    }
+
+    /// Accounting of the pool invocation scopes draw their regions from.
+    pub fn pool_stats(&self) -> RegionPoolStats {
+        self.scopes.pool_stats()
+    }
+
+    pub(crate) fn scopes(&self) -> &ScopeRegistry {
+        &self.scopes
     }
 
     /// The node-wide barrier shared by all tasks of this node.

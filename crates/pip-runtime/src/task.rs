@@ -15,6 +15,7 @@ use crate::error::{Result, RuntimeError};
 use crate::fabric::{Fabric, MatchSpec, Message, Payload, Tag};
 use crate::memory::ExposedRegion;
 use crate::node::NodeSpace;
+use crate::scope::ScopeHandle;
 use crate::topology::Topology;
 
 /// Per-task context: everything a PiP task can see.
@@ -122,6 +123,14 @@ impl TaskCtx {
     /// Fallible variant of [`TaskCtx::attach`].
     pub fn try_attach(&self, owner_local_rank: usize, name: &str) -> Result<ExposedRegion> {
         self.node.attach(owner_local_rank, name)
+    }
+
+    /// Enter the node-local scope of the collective invocation tagged `tag`
+    /// (see [`NodeSpace::enter_scope`]); dropping the handle leaves it.
+    pub fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
+        self.node
+            .enter_scope(tag, self.local_rank(), names)
+            .expect("a task's local rank is within its node")
     }
 
     /// Node-wide barrier across this node's tasks; returns the completed
