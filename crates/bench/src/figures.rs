@@ -125,6 +125,16 @@ pub fn collective_comparison(
     cluster: ClusterSpec,
     sizes: &[usize],
 ) -> ComparisonTable {
+    comparison_with_plans(figure_plans(), collective, cluster, sizes)
+}
+
+/// [`collective_comparison`] against the plan cache `plans`.
+fn comparison_with_plans(
+    plans: &Mutex<ClusterPlanCache>,
+    collective: CollectiveKind,
+    cluster: ClusterSpec,
+    sizes: &[usize],
+) -> ComparisonTable {
     let topology = cluster.topology();
     let mut series = Vec::with_capacity(Library::ALL.len());
     for library in Library::ALL {
@@ -132,7 +142,7 @@ pub fn collective_comparison(
         let params = profile.sim_params(cluster.nic);
         let mut time_us = Vec::with_capacity(sizes.len());
         for &bytes in sizes {
-            let trace = record_for(collective, &profile, topology, bytes);
+            let trace = record_for(plans, collective, &profile, topology, bytes);
             let report = simulate(library.name(), &trace, &params)
                 .unwrap_or_else(|e| panic!("{} {collective:?} {bytes} B: {e}", library.name()));
             time_us.push(report.makespan_us);
@@ -158,12 +168,8 @@ fn figure_plans() -> &'static Mutex<ClusterPlanCache> {
     PLANS.get_or_init(|| Mutex::new(ClusterPlanCache::new()))
 }
 
-/// `(hits, misses)` of the process-wide figure plan cache.
-pub fn figure_plan_stats() -> (u64, u64) {
-    figure_plans().lock().unwrap().stats()
-}
-
 fn record_for(
+    plans: &Mutex<ClusterPlanCache>,
     collective: CollectiveKind,
     profile: &pip_mpi_model::LibraryProfile,
     topology: Topology,
@@ -184,10 +190,7 @@ fn record_for(
     };
     // Compile outside the lock so concurrent figure builders never block
     // behind another cell's whole-cluster compile; first inserter wins.
-    let cached = figure_plans()
-        .lock()
-        .unwrap()
-        .lookup(profile, topology, &shape);
+    let cached = plans.lock().unwrap().lookup(profile, topology, &shape);
     let plan = match cached {
         Some(plan) => plan,
         None => {
@@ -197,7 +200,7 @@ fn record_for(
                 &shape,
                 Fidelity::Schedule,
             ));
-            figure_plans()
+            plans
                 .lock()
                 .unwrap()
                 .insert(profile, topology, &shape, compiled)
@@ -307,25 +310,23 @@ mod tests {
     }
 
     /// Rebuilding the same figure cells must be served from the plan cache —
-    /// the point of the plan/execute split for figure generation.  The cache
-    /// (and the stats) are process-wide, so only *deltas* around two
-    /// identical builds are meaningful under parallel test execution.
+    /// the point of the plan/execute split for figure generation.  The test
+    /// owns its cache: sibling tests fill the process-wide one in parallel,
+    /// so its counters say nothing about these two builds.
     #[test]
     fn repeated_tables_hit_the_figure_plan_cache() {
-        let build = || collective_comparison(CollectiveKind::Bcast, ClusterSpec::new(6, 3), &[32]);
+        let plans = Mutex::new(ClusterPlanCache::new());
+        let build =
+            || comparison_with_plans(&plans, CollectiveKind::Bcast, ClusterSpec::new(6, 3), &[32]);
+        let cells = Library::ALL.len() as u64;
         let first = build();
-        let (hits_before, misses_before) = figure_plan_stats();
+        assert_eq!(plans.lock().unwrap().stats(), (0, cells));
         let second = build();
-        let (hits_after, misses_after) = figure_plan_stats();
         assert_eq!(first, second, "cached traces must reproduce the table");
         assert_eq!(
-            misses_after, misses_before,
-            "a repeated table must not recompile any cell"
-        );
-        assert_eq!(
-            hits_after - hits_before,
-            Library::ALL.len() as u64,
-            "every (library, size) cell of the repeat must hit the cache"
+            plans.lock().unwrap().stats(),
+            (cells, cells),
+            "every (library, size) cell of the repeat must hit the cache, none recompile"
         );
     }
 }

@@ -887,9 +887,12 @@ impl std::fmt::Debug for Reduction<'_> {
 
 /// Serialize a typed slice to its little-endian byte representation.
 pub fn to_bytes<T: Datatype>(values: &[T]) -> Vec<u8> {
-    let mut out = vec![0u8; values.len() * T::SIZE];
-    for (value, chunk) in values.iter().zip(out.chunks_exact_mut(T::SIZE)) {
-        value.write_le(chunk);
+    let mut out = Vec::with_capacity(values.len() * T::SIZE);
+    // Scratch for one element; wider than any [`Datatype`].
+    let mut elem = [0u8; 16];
+    for value in values {
+        value.write_le(&mut elem[..T::SIZE]);
+        out.extend_from_slice(&elem[..T::SIZE]);
     }
     out
 }
@@ -902,6 +905,15 @@ pub fn from_bytes<T: Datatype>(bytes: &[u8]) -> Vec<T> {
         "byte length must be a multiple of the element size"
     );
     bytes.chunks_exact(T::SIZE).map(T::read_le).collect()
+}
+
+/// Deserialize a little-endian byte buffer over the elements of `out`: the
+/// read-back half of a [`to_bytes`] → collective → typed-buffer round trip.
+pub fn read_into<T: Datatype>(out: &mut [T], bytes: &[u8]) {
+    debug_assert_eq!(bytes.len(), out.len() * T::SIZE);
+    for (value, chunk) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+        *value = T::read_le(chunk);
+    }
 }
 
 #[cfg(test)]

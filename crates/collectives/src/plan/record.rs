@@ -8,31 +8,48 @@
 //! hands them, so the recorder cannot see where an outgoing payload came
 //! from.  The compiler recovers provenance with **fingerprint taint**:
 //!
-//! * every byte the recorder hands to the algorithm (receives, shared reads,
-//!   the caller's buffers) is a pseudo-random *fingerprint* of its symbolic
-//!   location `(value, offset)`;
+//! * every symbolic location `(value, offset)` has a 64-bit *fingerprint
+//!   key*, `mix64((value << 32 | offset) + C)`, where `mix64` is the
+//!   splitmix64 finaliser — a **bijection** on `u64` with a closed-form
+//!   inverse (`unmix64`);
+//! * an exec-fidelity compile runs the algorithm **eight times**
+//!   ([`EXEC_PASSES`]), and in pass *p* every byte the recorder hands to the
+//!   algorithm (receives, shared reads, the caller's buffers) is byte *p* of
+//!   its location's key.  Running the algorithm repeatedly is sound because
+//!   algorithms never branch on payload contents — the op skeleton is
+//!   asserted identical across passes — and eight passes are exactly what
+//!   it takes to show all 64 key bits through a one-byte window;
 //! * reductions are intercepted by a compiler-provided operator
 //!   ([`PlanComm::reducer`]) that records a [`PlanOp::Reduce`] and rewrites
 //!   the accumulator with the fingerprints of a fresh value, so reduced data
 //!   stays trackable;
 //! * every byte the algorithm passes back (sends, shared writes, the final
-//!   output buffer) is resolved to its source by inverting the fingerprint
-//!   function.
+//!   output buffer) is resolved by stacking the eight bytes its position
+//!   showed into a key and *un-mixing* it: the result either names a
+//!   `(value, offset)` inside a defined value or the byte cannot be
+//!   attributed.  No table of fingerprints exists, and because the key
+//!   function is injective two locations can never be confused.
 //!
-//! One 8-bit fingerprint per byte would collide constantly, so an
-//! exec-fidelity compile runs the algorithm **eight times** with eight
-//! independent fingerprint seeds (sound because algorithms never branch on
-//! payload contents — the op skeleton is asserted identical across passes).
-//! A byte position is then identified by the 64-bit tuple of its observed
-//! bytes, making a mis-resolution as unlikely as a 64-bit hash collision;
-//! bytes that are identical across all eight passes are constants the
-//! algorithm wrote itself and become [`SrcSeg::Lit`].
+//! **Literal rule.**  A byte that is identical in all eight passes is a
+//! constant the algorithm wrote itself and becomes [`SrcSeg::Lit`].  Such a
+//! position stacks to one of the 256 keys `b * 0x0101…01`; the additive
+//! constant `C` is chosen so that none of them decodes to a value id below
+//! `MAX_VALS` = 2²⁰ (checked by enumeration in the tests — without `C`, key 0
+//! would be the send buffer's first byte), and the recorder refuses to define
+//! more values than that, so no fingerprinted position can pass for a
+//! literal.
+//!
+//! **Cost.**  An exec-fidelity compile costs the eight recording passes plus
+//! one linear scan over the captured payload bytes: a resolved position
+//! starts a run that is extended while the following keys equal the keys of
+//! the following offsets, so the work per byte is one `mix64`, independent
+//! of how many values the plan defines.
 //!
 //! Schedule-fidelity compiles skip all of this: one pass, zero-filled
 //! buffers, [`SrcSeg::Opaque`] payloads — exactly the cost of the legacy
 //! `record_trace` replay, but producing a cacheable [`RankPlan`].
 
-use std::collections::HashMap;
+use std::fmt;
 use std::sync::Mutex;
 
 use pip_runtime::Topology;
@@ -40,8 +57,8 @@ use pip_runtime::Topology;
 use crate::comm::Comm;
 use crate::plan::ir::{Fidelity, IoShape, NameId, PlanOp, RankPlan, Src, SrcSeg, ValId};
 
-/// Number of recording passes for an exec-fidelity compile (64 effective
-/// fingerprint bits per byte position).
+/// Number of recording passes for an exec-fidelity compile: pass *p* shows
+/// byte *p* of every 64-bit fingerprint key.
 pub const EXEC_PASSES: usize = 8;
 
 /// Pseudo-value standing for the caller's send buffer in the internal value
@@ -51,39 +68,53 @@ const VAL_SENDBUF: ValId = 0;
 const VAL_RECVINIT: ValId = 1;
 /// First id for values that materialize during execution.
 const FIRST_RUNTIME_VAL: ValId = 2;
+/// Bound on the internal value ids of one exec-fidelity plan; what the
+/// literal rule's enumeration proof quantifies over.
+const MAX_VALS: ValId = 1 << 20;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// Added to a packed `(value, offset)` before mixing so that no in-domain
+/// location's key has eight equal bytes (the bare finaliser maps 0 to 0).
+const KEY_OFFSET: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 finaliser: xor-shifts and odd multiplications, hence a
+/// bijection on `u64`.
+#[inline]
+fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
 
-/// A 64-bit seed unique to `(pass, val)`.
-///
-/// Hashing the pair *before* mixing in the offset is load-bearing: a packed
-/// key like `(pass << 56) ^ (val << 24) ^ offset` would let large offsets
-/// (≥ 2²⁴, i.e. buffers over 16 MiB) spill into the value bits and collide
-/// *identically in every pass*, silently defeating the multi-pass scheme.
-/// With a hashed seed, a cross-location collision needs
-/// `seed_a ^ off_a == seed_b ^ off_b` — a structureless 2⁻⁶⁴ event.
+/// Inverse of [`mix64`]: each step undone in reverse order (the multipliers
+/// are the modular inverses of the finaliser's).
 #[inline]
-fn pass_val_seed(pass: u32, val: ValId) -> u64 {
-    splitmix64(((pass as u64) << 32) | val as u64)
+fn unmix64(mut x: u64) -> u64 {
+    x = x ^ (x >> 31) ^ (x >> 62);
+    x = x.wrapping_mul(0x3196_42b2_d24d_8ec3);
+    x = x ^ (x >> 27) ^ (x >> 54);
+    x = x.wrapping_mul(0x96de_1b17_3f11_9089);
+    x ^ (x >> 30) ^ (x >> 60)
 }
 
-/// The fingerprint byte of `(pass, val, offset)`.
+/// The fingerprint key of `(val, offset)`.  Offsets own the low 32 bits —
+/// every fingerprinted length is checked by [`PlanComm::assert_addressable`]
+/// — so distinct locations have distinct keys, at any offset.
 #[inline]
-fn fingerprint(pass: u32, val: ValId, offset: usize) -> u8 {
-    (splitmix64(pass_val_seed(pass, val) ^ offset as u64) >> 17) as u8
+fn key_of(val: ValId, offset: usize) -> u64 {
+    debug_assert!(offset <= u32::MAX as usize);
+    mix64((((val as u64) << 32) | offset as u64).wrapping_add(KEY_OFFSET))
 }
 
-/// Fill `buf` with the fingerprints of value `val` for `pass`.
-pub(crate) fn fill_fingerprints(pass: u32, val: ValId, buf: &mut [u8]) {
-    let seed = pass_val_seed(pass, val);
-    for (off, byte) in buf.iter_mut().enumerate() {
-        *byte = (splitmix64(seed ^ off as u64) >> 17) as u8;
-    }
+/// The `(val, offset)` whose key is `key`.
+#[inline]
+fn location_of(key: u64) -> (ValId, usize) {
+    let packed = unmix64(key).wrapping_sub(KEY_OFFSET);
+    ((packed >> 32) as ValId, (packed & 0xffff_ffff) as usize)
+}
+
+/// The fingerprint bytes of value `val` in `pass`, offsets `0..len`.
+fn fingerprints(pass: u32, val: ValId, len: usize) -> impl Iterator<Item = u8> {
+    (0..len).map(move |offset| key_of(val, offset).to_le_bytes()[pass as usize])
 }
 
 /// Index of a captured payload within a pass recording.
@@ -163,8 +194,10 @@ enum RecOp {
     },
 }
 
+/// Everything one pass recorded: filled through [`PlanComm`], extracted with
+/// [`PlanComm::finish`].
 #[derive(Debug, Default)]
-struct RecState {
+pub struct PassRecording {
     ops: Vec<RecOp>,
     /// Length of each runtime value (ids offset by [`FIRST_RUNTIME_VAL`]).
     val_lens: Vec<usize>,
@@ -173,6 +206,8 @@ struct RecState {
     sites: Vec<Vec<u8>>,
     /// Length of each resolution site.
     site_lens: Vec<usize>,
+    /// Final contents of the caller-visible output buffer, if any.
+    out: Option<Vec<u8>>,
 }
 
 /// The recording [`Comm`] implementation.  One instance records one pass for
@@ -182,17 +217,7 @@ pub struct PlanComm {
     topology: Topology,
     pass: u32,
     fidelity: Fidelity,
-    state: Mutex<RecState>,
-}
-
-/// Everything one pass recorded, extracted with [`PlanComm::finish`].
-pub struct PassRecording {
-    ops: Vec<RecOp>,
-    val_lens: Vec<usize>,
-    sites: Vec<Vec<u8>>,
-    site_lens: Vec<usize>,
-    /// Final contents of the caller-visible output buffer, if any.
-    out: Option<Vec<u8>>,
+    state: Mutex<PassRecording>,
 }
 
 impl PlanComm {
@@ -203,12 +228,16 @@ impl PlanComm {
             fidelity == Fidelity::Exec || pass == 0,
             "schedule fidelity records a single pass"
         );
+        assert!(
+            (pass as usize) < EXEC_PASSES,
+            "a fingerprint key has a byte for {EXEC_PASSES} passes only"
+        );
         Self {
             rank,
             topology,
             pass,
             fidelity,
-            state: Mutex::new(RecState::default()),
+            state: Mutex::new(PassRecording::default()),
         }
     }
 
@@ -221,19 +250,40 @@ impl PlanComm {
     /// pass (zeroes under schedule fidelity).  The compile driver uses this
     /// to prepare the synthetic input buffers before running the algorithm.
     pub fn fill_sendbuf(&self, buf: &mut [u8]) {
-        match self.fidelity {
-            Fidelity::Exec => fill_fingerprints(self.pass, VAL_SENDBUF, buf),
-            Fidelity::Schedule => buf.fill(0),
-        }
+        self.fill(VAL_SENDBUF, &"the send buffer", buf);
     }
 
     /// As [`PlanComm::fill_sendbuf`] for the receive buffer's initial
     /// contents.
     pub fn fill_recvbuf(&self, buf: &mut [u8]) {
+        self.fill(VAL_RECVINIT, &"the receive buffer", buf);
+    }
+
+    /// Overwrite `buf` with the fingerprints of `val` for this pass (zeroes
+    /// under schedule fidelity).
+    fn fill(&self, val: ValId, what: &dyn fmt::Display, buf: &mut [u8]) {
         match self.fidelity {
-            Fidelity::Exec => fill_fingerprints(self.pass, VAL_RECVINIT, buf),
+            Fidelity::Exec => {
+                let len = buf.len();
+                self.assert_addressable(what, len);
+                for (byte, fingerprint) in buf.iter_mut().zip(fingerprints(self.pass, val, len)) {
+                    *byte = fingerprint;
+                }
+            }
             Fidelity::Schedule => buf.fill(0),
         }
+    }
+
+    /// A fingerprint key has 32 offset bits; a longer buffer would alias its
+    /// own bytes 4 GiB apart, so refuse to fingerprint it.
+    fn assert_addressable(&self, what: &dyn fmt::Display, len: usize) {
+        assert!(
+            len <= u32::MAX as usize,
+            "rank {}: {what} is {len} bytes long, but an exec-fidelity plan can only \
+             fingerprint {} bytes per buffer",
+            self.rank,
+            u32::MAX
+        );
     }
 
     /// A reduction operator that records [`PlanOp::Reduce`] and re-taints
@@ -249,7 +299,7 @@ impl PlanComm {
             let mut state = self.state.lock().unwrap();
             let acc_site = Self::capture(&mut state, acc, self.fidelity);
             let other_site = Self::capture(&mut state, other, self.fidelity);
-            let dst = Self::new_val(&mut state, acc.len());
+            let dst = self.new_val(&mut state, acc.len());
             state.ops.push(RecOp::Reduce {
                 dst,
                 acc: acc_site,
@@ -257,7 +307,7 @@ impl PlanComm {
             });
             drop(state);
             if self.fidelity == Fidelity::Exec {
-                fill_fingerprints(self.pass, dst, acc);
+                self.fill(dst, &format_args!("value {}", dst - FIRST_RUNTIME_VAL), acc);
             }
         }
     }
@@ -266,17 +316,12 @@ impl PlanComm {
     /// caller-visible output buffer (`None` when the rank has none, e.g. a
     /// non-root gather rank or a barrier).
     pub fn finish(self, out: Option<Vec<u8>>) -> PassRecording {
-        let state = self.state.into_inner().unwrap();
-        PassRecording {
-            ops: state.ops,
-            val_lens: state.val_lens,
-            sites: state.sites,
-            site_lens: state.site_lens,
-            out,
-        }
+        let mut recording = self.state.into_inner().unwrap();
+        recording.out = out;
+        recording
     }
 
-    fn capture(state: &mut RecState, data: &[u8], fidelity: Fidelity) -> SiteId {
+    fn capture(state: &mut PassRecording, data: &[u8], fidelity: Fidelity) -> SiteId {
         let id = state.sites.len() as SiteId;
         // Under schedule fidelity only the length matters; never copy (or
         // even allocate for) the payload bytes.
@@ -288,8 +333,16 @@ impl PlanComm {
         id
     }
 
-    fn new_val(state: &mut RecState, len: usize) -> ValId {
+    fn new_val(&self, state: &mut PassRecording, len: usize) -> ValId {
         let id = FIRST_RUNTIME_VAL + state.val_lens.len() as ValId;
+        if self.fidelity == Fidelity::Exec {
+            assert!(
+                id < MAX_VALS,
+                "rank {}: an exec-fidelity plan can define at most {MAX_VALS} values",
+                self.rank
+            );
+            self.assert_addressable(&format_args!("value {}", id - FIRST_RUNTIME_VAL), len);
+        }
         state.val_lens.push(len);
         id
     }
@@ -298,15 +351,14 @@ impl PlanComm {
     /// algorithm.
     fn define_val(&self, len: usize, make_op: impl FnOnce(ValId) -> RecOp) -> Vec<u8> {
         let mut state = self.state.lock().unwrap();
-        let dst = Self::new_val(&mut state, len);
+        let dst = self.new_val(&mut state, len);
         let op = make_op(dst);
         state.ops.push(op);
         drop(state);
-        let mut buf = vec![0u8; len];
-        if self.fidelity == Fidelity::Exec {
-            fill_fingerprints(self.pass, dst, &mut buf);
+        match self.fidelity {
+            Fidelity::Exec => fingerprints(self.pass, dst, len).collect(),
+            Fidelity::Schedule => vec![0u8; len],
         }
-        buf
     }
 
     fn push(&self, op: RecOp) {
@@ -443,115 +495,59 @@ impl Comm for PlanComm {
 // Multi-pass assembly: fingerprint inversion.
 // ---------------------------------------------------------------------------
 
-/// Inverts fingerprints: maps the 64-bit tuple of a byte position's
-/// fingerprints across all passes back to `(value, offset)`.
-struct Resolver {
-    map: HashMap<u64, (ValId, u32)>,
-    /// Rare genuine 64-bit collisions spill here.
-    overflow: HashMap<u64, Vec<(ValId, u32)>>,
+/// The key position `i` of a payload showed: byte `p` is what pass `p`
+/// captured there.
+#[inline]
+fn key_at(passes: &[&[u8]; EXEC_PASSES], i: usize) -> u64 {
+    u64::from_le_bytes(passes.map(|bytes| bytes[i]))
 }
 
-impl Resolver {
-    fn build(val_lens: &[(ValId, usize)]) -> Self {
-        let total: usize = val_lens.iter().map(|(_, len)| len).sum();
-        let mut resolver = Resolver {
-            map: HashMap::with_capacity(total),
-            overflow: HashMap::new(),
-        };
-        for &(val, len) in val_lens {
-            for off in 0..len {
-                let key = Self::key_for(val, off);
-                if let Some(prev) = resolver.map.insert(key, (val, off as u32)) {
-                    resolver.overflow.entry(key).or_default().push(prev);
-                }
-            }
-        }
-        resolver
-    }
-
-    fn key_for(val: ValId, off: usize) -> u64 {
-        let mut key = 0u64;
-        for pass in 0..EXEC_PASSES as u32 {
-            key = (key << 8) | fingerprint(pass, val, off) as u64;
-        }
-        key
-    }
-
-    /// Resolve one byte position observed as `key` across the passes.
-    /// `hint` is the source the previous byte resolved to, used to keep runs
-    /// contiguous when a genuine collision offers multiple candidates.
-    fn lookup(&self, key: u64, hint: Option<(ValId, u32)>) -> Option<(ValId, u32)> {
-        let primary = self.map.get(&key).copied();
-        if let Some(hint) = hint {
-            let continues = |c: &(ValId, u32)| c.0 == hint.0 && c.1 == hint.1 + 1;
-            if let Some(c) = primary.filter(continues) {
-                return Some(c);
-            }
-            if let Some(spill) = self.overflow.get(&key) {
-                if let Some(c) = spill.iter().copied().find(|c| continues(c)) {
-                    return Some(c);
-                }
-            }
-        }
-        primary
-    }
-}
-
-/// Resolve a site (its bytes observed across all passes) into a [`Src`].
-fn resolve_site(passes: &[&[u8]], resolver: &Resolver) -> Result<Src, usize> {
-    let len = passes[0].len();
-    debug_assert!(passes.iter().all(|p| p.len() == len));
+/// Resolve a payload, given as each pass captured it, into a [`Src`].
+/// `lens[val]` is the length of internal value `val` (0 if it does not
+/// exist).  Fails with the index of the first position that is neither a
+/// literal nor inside a value.
+fn resolve_site(passes: &[&[u8]; EXEC_PASSES], lens: &[usize]) -> Result<Src, usize> {
+    let end = passes[0].len();
+    assert!(
+        passes.iter().all(|bytes| bytes.len() == end),
+        "payload length diverged between passes"
+    );
+    // Identical in every pass: a constant the algorithm wrote itself.
+    let is_literal = |key: u64| key == (key & 0xff) * 0x0101_0101_0101_0101;
     let mut segs: Vec<SrcSeg> = Vec::new();
-    let mut prev: Option<(ValId, u32)> = None;
-    for i in 0..len {
-        let first = passes[0][i];
-        if passes.iter().all(|p| p[i] == first) {
-            // Identical across all independent passes: a constant the
-            // algorithm wrote itself.
-            prev = None;
-            match segs.last_mut() {
-                Some(SrcSeg::Lit(bytes)) => bytes.push(first),
-                _ => segs.push(SrcSeg::Lit(vec![first])),
+    let mut i = 0;
+    while i < end {
+        let key = key_at(passes, i);
+        if is_literal(key) {
+            let start = i;
+            while i < end && is_literal(key_at(passes, i)) {
+                i += 1;
             }
+            segs.push(SrcSeg::Lit(passes[0][start..i].to_vec()));
             continue;
         }
-        let mut key = 0u64;
-        for p in passes {
-            key = (key << 8) | p[i] as u64;
-        }
-        let (val, off) = resolver.lookup(key, prev).ok_or(i)?;
-        prev = Some((val, off));
-        let extended = match segs.last_mut() {
-            Some(SrcSeg::Val { id, offset, len })
-                if *id == val && *offset + *len == off as usize =>
-            {
-                *len += 1;
-                true
-            }
-            _ => false,
+        let (val, offset) = location_of(key);
+        let room = match lens.get(val as usize) {
+            Some(&len) if offset < len => len - offset,
+            _ => return Err(i),
         };
-        if !extended {
-            segs.push(SrcSeg::Val {
-                id: val,
-                offset: off as usize,
-                len: 1,
-            });
-        }
-    }
-    // Map the pseudo-values to their caller-buffer segments and shift
-    // runtime ids down to a dense 0-based numbering.
-    for seg in &mut segs {
-        if let SrcSeg::Val { id, offset, len } = *seg {
-            *seg = match id {
-                VAL_SENDBUF => SrcSeg::SendBuf { offset, len },
-                VAL_RECVINIT => SrcSeg::RecvInit { offset, len },
-                _ => SrcSeg::Val {
-                    id: id - FIRST_RUNTIME_VAL,
-                    offset,
-                    len,
-                },
-            };
-        }
+        // The run lasts while successive positions show successive offsets.
+        let len = 1
+            + (1..room.min(end - i))
+                .take_while(|&k| key_at(passes, i + k) == key_of(val, offset + k))
+                .count();
+        // Map the pseudo-values to their caller-buffer segments and shift
+        // runtime ids down to a dense 0-based numbering.
+        segs.push(match val {
+            VAL_SENDBUF => SrcSeg::SendBuf { offset, len },
+            VAL_RECVINIT => SrcSeg::RecvInit { offset, len },
+            _ => SrcSeg::Val {
+                id: val - FIRST_RUNTIME_VAL,
+                offset,
+                len,
+            },
+        });
+        i += len;
     }
     Ok(Src { segs })
 }
@@ -583,34 +579,40 @@ pub fn assemble(
         assert_eq!(pass.val_lens, first.val_lens, "value table diverged");
     }
 
-    let resolver = (fidelity == Fidelity::Exec).then(|| {
-        let mut vals: Vec<(ValId, usize)> = Vec::with_capacity(first.val_lens.len() + 2);
-        if let Some(len) = if io.inout { io.recvbuf } else { io.sendbuf } {
-            vals.push((VAL_SENDBUF, len));
-        }
-        if let Some(len) = io.recvbuf {
-            if !io.inout {
-                vals.push((VAL_RECVINIT, len));
-            }
-        }
-        for (i, &len) in first.val_lens.iter().enumerate() {
-            vals.push((FIRST_RUNTIME_VAL + i as ValId, len));
-        }
-        Resolver::build(&vals)
+    // Length of every internal value, indexed by id: the two pseudo-values
+    // (an in/out buffer is all "send buffer"), then the runtime values.
+    let lens: Option<Vec<usize>> = (fidelity == Fidelity::Exec).then(|| {
+        let (sendbuf, recvinit) = if io.inout {
+            (io.recvbuf, None)
+        } else {
+            (io.sendbuf, io.recvbuf)
+        };
+        let mut lens = vec![sendbuf.unwrap_or(0), recvinit.unwrap_or(0)];
+        lens.extend_from_slice(&first.val_lens);
+        lens
     });
-
+    // Attribute the payload whose bytes in each pass `bytes_of` selects.
+    let attribute = |lens: &[usize],
+                     what: &dyn fmt::Display,
+                     bytes_of: &dyn Fn(&PassRecording) -> &[u8]|
+     -> Src {
+        let views: [&[u8]; EXEC_PASSES] = std::array::from_fn(|pass| bytes_of(&passes[pass]));
+        resolve_site(&views, lens).unwrap_or_else(|byte| {
+            let key = key_at(&views, byte);
+            let (val, offset) = location_of(key);
+            panic!(
+                "rank {rank}: cannot attribute byte {byte} of {what} to any symbolic \
+                 source: its key {key:#018x} decodes to internal value {val} offset \
+                 {offset}, outside every defined value"
+            )
+        })
+    };
     let resolve = |site: SiteId| -> Src {
         let site = site as usize;
-        match &resolver {
-            Some(resolver) => {
-                let views: Vec<&[u8]> = passes.iter().map(|p| p.sites[site].as_slice()).collect();
-                resolve_site(&views, resolver).unwrap_or_else(|byte| {
-                    panic!(
-                        "rank {rank}: cannot attribute byte {byte} of payload site {site} \
-                         to any symbolic source"
-                    )
-                })
-            }
+        match &lens {
+            Some(lens) => attribute(lens, &format_args!("payload site {site}"), &|pass| {
+                &pass.sites[site]
+            }),
             None => Src::opaque(first.site_lens[site]),
         }
     };
@@ -729,33 +731,25 @@ pub fn assemble(
     // its contents and drop the identity pieces (bytes the algorithm left
     // untouched, or — for in/out collectives — bytes that still hold the
     // caller's own input at the same position).
-    if fidelity == Fidelity::Exec {
-        if let Some(resolver) = &resolver {
-            if first.out.is_some() {
-                let views: Vec<&[u8]> = passes
-                    .iter()
-                    .map(|p| p.out.as_deref().expect("out present in every pass"))
-                    .collect();
-                let src = resolve_site(&views, resolver).unwrap_or_else(|byte| {
-                    panic!("rank {rank}: cannot attribute output byte {byte} to any source")
+    if let (Some(lens), Some(_)) = (&lens, &first.out) {
+        let src = attribute(lens, &"the output buffer", &|pass| {
+            pass.out.as_deref().expect("out present in every pass")
+        });
+        let mut cursor = 0usize;
+        for seg in src.segs {
+            let len = seg.len();
+            let identity = match seg {
+                SrcSeg::RecvInit { offset, .. } => offset == cursor,
+                SrcSeg::SendBuf { offset, .. } => io.inout && offset == cursor,
+                _ => false,
+            };
+            if !identity && len > 0 {
+                ops.push(PlanOp::CopyOut {
+                    offset: cursor,
+                    src: Src { segs: vec![seg] },
                 });
-                let mut cursor = 0usize;
-                for seg in src.segs {
-                    let len = seg.len();
-                    let identity = match seg {
-                        SrcSeg::RecvInit { offset, .. } => offset == cursor,
-                        SrcSeg::SendBuf { offset, .. } => io.inout && offset == cursor,
-                        _ => false,
-                    };
-                    if !identity && len > 0 {
-                        ops.push(PlanOp::CopyOut {
-                            offset: cursor,
-                            src: Src { segs: vec![seg] },
-                        });
-                    }
-                    cursor += len;
-                }
             }
+            cursor += len;
         }
     }
 
@@ -784,46 +778,79 @@ pub fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytes positions `offsets` of `val` show in each pass.
+    fn observed(val: ValId, offsets: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        (0..EXEC_PASSES as u32)
+            .map(|pass| {
+                fingerprints(pass, val, offsets.end)
+                    .skip(offsets.start)
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn resolve(passes: &[Vec<u8>], lens: &[usize]) -> Result<Src, usize> {
+        resolve_site(&std::array::from_fn(|pass| passes[pass].as_slice()), lens)
+    }
 
     #[test]
-    fn fingerprints_are_deterministic_and_pass_dependent() {
-        assert_eq!(fingerprint(0, 7, 13), fingerprint(0, 7, 13));
-        let mut distinct = std::collections::HashSet::new();
-        for pass in 0..8 {
-            distinct.insert(fingerprint(pass, 3, 5));
+    fn the_eight_passes_show_the_eight_bytes_of_the_key() {
+        let passes = observed(7, 13..14);
+        let key = key_of(7, 13).to_le_bytes();
+        for (pass, bytes) in passes.iter().enumerate() {
+            assert_eq!(bytes, &[key[pass]]);
         }
-        // Eight independent draws from 256 values are essentially never all
-        // identical; equality here would break literal detection.
-        assert!(distinct.len() > 1);
+    }
+
+    #[test]
+    fn no_in_domain_location_can_look_like_a_literal() {
+        // Proof by enumeration of the literal rule: the only keys with
+        // eight equal bytes are these 256, and each decodes to a value id
+        // the recorder refuses to define.
+        for byte in 0..=255u64 {
+            let (val, offset) = location_of(byte * 0x0101_0101_0101_0101);
+            assert!(
+                val >= MAX_VALS,
+                "literal {byte:#04x} is the key of value {val} offset {offset}"
+            );
+        }
+        // ... which is what the additive constant is for.
+        assert_eq!(mix64(0), 0);
     }
 
     #[test]
     fn fingerprint_keys_do_not_alias_across_values_at_large_offsets() {
-        // Regression: a bit-packed (pass, val, offset) key let offsets
+        // Regression: a bit-packed (pass, val, offset) key once let offsets
         // >= 2^24 spill into the value bits, so RecvInit byte 2^24+k
-        // collided with SendBuf byte k in *every* pass — invisible to the
-        // multi-pass resolver.  The hashed per-(pass, val) seed makes those
-        // resolver keys distinct.
+        // collided with SendBuf byte k in *every* pass.  Offsets own 32
+        // bits of the key now, and every location decodes to itself.
         for k in [0usize, 1, 77, 4096] {
-            let a = Resolver::key_for(VAL_SENDBUF, k);
-            let b = Resolver::key_for(VAL_RECVINIT, (1 << 24) + k);
-            assert_ne!(a, b, "aliased resolver keys at offset {k}");
+            let a = key_of(VAL_SENDBUF, k);
+            let b = key_of(VAL_RECVINIT, (1 << 24) + k);
+            assert_ne!(a, b, "aliased keys at offset {k}");
+            assert_eq!(location_of(b), (VAL_RECVINIT, (1 << 24) + k));
         }
+        let last = u32::MAX as usize - 1;
+        assert_eq!(
+            location_of(key_of(MAX_VALS - 1, last)),
+            (MAX_VALS - 1, last)
+        );
+        assert_eq!(location_of(key_of(VAL_SENDBUF, last)), (VAL_SENDBUF, last));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 3: value 0 is 4294967296 bytes long")]
+    fn values_too_long_to_fingerprint_are_rejected() {
+        let comm = PlanComm::new(3, Topology::new(2, 2), 0, Fidelity::Exec);
+        let _ = comm.recv(0, 0, u32::MAX as usize + 1);
     }
 
     #[test]
     fn resolver_round_trips_value_bytes() {
-        let resolver = Resolver::build(&[(VAL_SENDBUF, 32), (FIRST_RUNTIME_VAL, 16)]);
-        // Simulate observing bytes of runtime value 0 at offsets 4..12.
-        let passes: Vec<Vec<u8>> = (0..EXEC_PASSES as u32)
-            .map(|pass| {
-                (4..12)
-                    .map(|off| fingerprint(pass, FIRST_RUNTIME_VAL, off))
-                    .collect()
-            })
-            .collect();
-        let views: Vec<&[u8]> = passes.iter().map(Vec::as_slice).collect();
-        let src = resolve_site(&views, &resolver).unwrap();
+        // Bytes of runtime value 0 at offsets 4..12.
+        let src = resolve(&observed(FIRST_RUNTIME_VAL, 4..12), &[32, 0, 16]).unwrap();
         assert_eq!(
             src.segs,
             vec![SrcSeg::Val {
@@ -836,18 +863,11 @@ mod tests {
 
     #[test]
     fn resolver_detects_literals_and_concatenations() {
-        let resolver = Resolver::build(&[(VAL_SENDBUF, 8)]);
-        let passes: Vec<Vec<u8>> = (0..EXEC_PASSES as u32)
-            .map(|pass| {
-                let mut bytes: Vec<u8> = (0..8)
-                    .map(|off| fingerprint(pass, VAL_SENDBUF, off))
-                    .collect();
-                bytes.extend_from_slice(&[0xAB, 0xCD]); // constants
-                bytes
-            })
-            .collect();
-        let views: Vec<&[u8]> = passes.iter().map(Vec::as_slice).collect();
-        let src = resolve_site(&views, &resolver).unwrap();
+        let mut passes = observed(VAL_SENDBUF, 0..8);
+        for bytes in &mut passes {
+            bytes.extend_from_slice(&[0xAB, 0xCD]); // constants
+        }
+        let src = resolve(&passes, &[8]).unwrap();
         assert_eq!(
             src.segs,
             vec![
@@ -855,6 +875,75 @@ mod tests {
                 SrcSeg::Lit(vec![0xAB, 0xCD]),
             ]
         );
+    }
+
+    #[test]
+    fn resolver_rejects_bytes_outside_every_value() {
+        // Offsets 6..10 of an 8-byte value: the run stops at the value's
+        // end and byte 2 of the payload is unattributable.
+        assert_eq!(resolve(&observed(VAL_SENDBUF, 6..10), &[8]), Err(2));
+        // A value that was never defined.
+        assert_eq!(resolve(&observed(5, 0..4), &[8, 8]), Err(0));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_unmix64_inverts_mix64(x in any::<u64>()) {
+            prop_assert_eq!(unmix64(mix64(x)), x);
+            prop_assert_eq!(mix64(unmix64(x)), x);
+        }
+
+        #[test]
+        fn prop_concatenations_resolve_to_their_segments(
+            lens in collection::vec(1usize..300, 1..6),
+            draws in collection::vec(any::<u64>(), 3..36),
+        ) {
+            // Build a payload from random slices of random values and
+            // random literal runs, as an algorithm's private copying would.
+            // `expected` uses internal value ids until the final mapping.
+            let mut expected: Vec<SrcSeg> = Vec::new();
+            let mut passes = vec![Vec::new(); EXEC_PASSES];
+            for draw in draws.chunks_exact(3) {
+                if draw[0] % 4 == 0 {
+                    let run = vec![draw[1] as u8; 1 + draw[2] as usize % 5];
+                    for bytes in &mut passes {
+                        bytes.extend_from_slice(&run);
+                    }
+                    match expected.last_mut() {
+                        Some(SrcSeg::Lit(bytes)) => bytes.extend_from_slice(&run),
+                        _ => expected.push(SrcSeg::Lit(run)),
+                    }
+                    continue;
+                }
+                let val = (draw[0] / 4) as usize % lens.len();
+                let offset = draw[1] as usize % lens[val];
+                let len = 1 + draw[2] as usize % (lens[val] - offset);
+                let seen = observed(val as ValId, offset..offset + len);
+                for (bytes, seen) in passes.iter_mut().zip(&seen) {
+                    bytes.extend_from_slice(seen);
+                }
+                match expected.last_mut() {
+                    // A slice that starts where the previous one ended
+                    // continues its run.
+                    Some(SrcSeg::Val { id, offset: start, len: run })
+                        if *id as usize == val && *start + *run == offset =>
+                    {
+                        *run += len
+                    }
+                    _ => expected.push(SrcSeg::Val { id: val as ValId, offset, len }),
+                }
+            }
+            for seg in &mut expected {
+                if let SrcSeg::Val { id, offset, len } = *seg {
+                    *seg = match id {
+                        VAL_SENDBUF => SrcSeg::SendBuf { offset, len },
+                        VAL_RECVINIT => SrcSeg::RecvInit { offset, len },
+                        _ => SrcSeg::Val { id: id - FIRST_RUNTIME_VAL, offset, len },
+                    };
+                }
+            }
+            prop_assert_eq!(resolve(&passes, &lens), Ok(Src { segs: expected }));
+        }
     }
 
     #[test]

@@ -27,8 +27,8 @@ use pip_mpi_model::{
 use pip_runtime::{TaskCtx, Topology};
 
 use crate::datatype::{
-    from_bytes, to_bytes, Datatype, FloatDatatype, Layout, Op, OwnedReduction, ReduceKernel,
-    ReduceOp, Reduction,
+    from_bytes, read_into, to_bytes, Datatype, FloatDatatype, Layout, Op, OwnedReduction,
+    ReduceKernel, ReduceOp, Reduction,
 };
 
 /// Tag space reserved for each collective invocation (rounds and phases are
@@ -213,9 +213,7 @@ impl<'a> Communicator<'a> {
             .recv(source, P2P_TAG_BASE + tag, byte_layout.packed_len());
         let mut bytes = to_bytes(buf);
         byte_layout.unpack_bytes(&packed, &mut bytes);
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// Combined strided send and receive: ship the `send_layout`-selected
@@ -259,9 +257,7 @@ impl<'a> Communicator<'a> {
         );
         let mut bytes = to_bytes(recv_buf);
         recv_byte_layout.unpack_bytes(&incoming, &mut bytes);
-        for (value, chunk) in recv_buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(recv_buf, &bytes);
     }
 
     // ------------------------------------------------------------------
@@ -307,9 +303,7 @@ impl<'a> Communicator<'a> {
             buf: &mut bytes,
             root,
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// MPI_Gather: every rank contributes `send`; the root receives all
@@ -336,9 +330,7 @@ impl<'a> Communicator<'a> {
             layout: None,
             compress: None,
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// The compression spec for a caller-requested error bound: the bound
@@ -376,9 +368,7 @@ impl<'a> Communicator<'a> {
             layout: None,
             compress: self.compress_spec(bound),
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// MPI_Reduce with a built-in operator: every rank contributes `send`;
@@ -424,9 +414,7 @@ impl<'a> Communicator<'a> {
             buf: &mut bytes,
             op: Reduction::typed::<T>(op),
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// MPI_Exscan with a built-in operator; `buf` holds the exclusive
@@ -438,9 +426,7 @@ impl<'a> Communicator<'a> {
             buf: &mut bytes,
             op: Reduction::typed::<T>(op),
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     // ------------------------------------------------------------------
@@ -479,9 +465,7 @@ impl<'a> Communicator<'a> {
             layout: None,
             compress: None,
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// [`Communicator::reduce`] with a registered user operator.
@@ -525,9 +509,7 @@ impl<'a> Communicator<'a> {
             buf: &mut bytes,
             op: Reduction::User(op),
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// [`Communicator::exscan`] with a registered user operator (rank 0's
@@ -539,9 +521,7 @@ impl<'a> Communicator<'a> {
             buf: &mut bytes,
             op: Reduction::User(op),
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// [`Communicator::allreduce`] over a strided buffer: only the
@@ -562,9 +542,7 @@ impl<'a> Communicator<'a> {
             layout: Some(layout),
             compress: None,
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     /// [`Communicator::allreduce_strided`] with a registered user operator.
@@ -582,9 +560,7 @@ impl<'a> Communicator<'a> {
             layout: Some(layout),
             compress: None,
         });
-        for (value, chunk) in buf.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *value = T::read_le(chunk);
-        }
+        read_into(buf, &bytes);
     }
 
     // ------------------------------------------------------------------

@@ -10,8 +10,8 @@
 //! NaN-propagating float semantics and the chunked kernel design.
 
 pub use pip_collectives::datatype::{
-    from_bytes, to_bytes, Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel,
-    ReduceOp, Reduction, LANES,
+    from_bytes, read_into, to_bytes, Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent,
+    ReduceKernel, ReduceOp, Reduction, LANES,
 };
 
 pub use pip_collectives::compress::FloatDatatype;

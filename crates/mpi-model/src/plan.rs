@@ -215,7 +215,7 @@ impl CollectiveShape {
 
     /// The largest single caller buffer this shape touches, in bytes — the
     /// quantity the exec-fidelity compile's cost scales with (8 recording
-    /// passes plus a per-byte provenance table).
+    /// passes plus one scan of the captured payloads).
     pub fn buffer_footprint(&self, world: usize) -> usize {
         match self.kind {
             CollectiveKind::Allgather
@@ -866,8 +866,8 @@ pub fn run_planned_reusing<C: Comm>(
 /// Shapes whose [`CollectiveShape::buffer_footprint`] exceeds this are not
 /// compiled on the dispatch path; [`crate::dispatch::execute_planned`]
 /// falls back to direct algorithm execution instead.  The fingerprint
-/// compile pays 8 recording passes plus a ~16-byte provenance-table entry
-/// per buffer byte — a great trade for the small, endlessly repeated
+/// compile pays 8 recording passes plus a scan of every captured payload
+/// byte — a great trade for the small, endlessly repeated
 /// messages the paper targets, a poor one for a one-shot multi-megabyte
 /// collective (which is bandwidth-bound anyway, so schedule interpretation
 /// is noise there).
