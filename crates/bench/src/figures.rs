@@ -214,9 +214,7 @@ fn record_for(
 /// The per-process message sizes of the paper's small-message figures.
 pub const PAPER_SMALL_SIZES: [usize; 6] = [16, 32, 64, 128, 256, 512];
 
-/// The larger message sizes used by the "larger messages" ablation.  The
-/// upper end is capped at 64 KiB so that recording the (world × size)
-/// buffers of 500+ ranks stays within a few seconds.
+/// The larger message sizes used by the "larger messages" ablation.
 pub const LARGE_SIZES: [usize; 4] = [1024, 4096, 16384, 65536];
 
 #[cfg(test)]

@@ -1,14 +1,17 @@
-//! Acceptance check for the plan cache: cached dispatch must be at least 5×
-//! faster than a cold compile for a repeated allgather on the paper's
-//! hpdc23 topology (128 nodes × 18 ppn).  In practice the gap is three to
-//! five orders of magnitude — the 5× floor only guards against the cache
-//! silently degrading into a recompile.
+//! Acceptance check for the plan caches on the paper's hpdc23 topology
+//! (128 nodes × 18 ppn): a repeated allgather compiles once, and every later
+//! lookup is a hit handing back the *same* plan — the cache never silently
+//! degrades into a recompile.
+//!
+//! The guarantee is asserted through the caches' own counters and pointer
+//! identity, not through a wall-clock ratio: a cold whole-cluster compile of
+//! a node-symmetric schedule now costs about as much as lowering the cached
+//! plan, so "N× faster than cold" says nothing about whether the cache works.
 
-use std::time::Instant;
+use std::rc::Rc;
+use std::sync::Arc;
 
-use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
-use pip_mpi_model::plan::compile_rank;
 use pip_mpi_model::{ClusterPlanCache, CollectiveShape, Library, PlanCache};
 use pip_netsim::cluster::ClusterSpec;
 
@@ -25,61 +28,47 @@ fn allgather_shape() -> CollectiveShape {
 }
 
 #[test]
-fn cached_rank_dispatch_is_at_least_5x_faster_than_cold_compile() {
+fn repeated_rank_dispatch_compiles_once_and_shares_the_plan() {
     let topology = ClusterSpec::hpdc23().topology();
     let profile = Library::PipMColl.profile();
     let shape = allgather_shape();
 
     // Cold: what a communicator pays on its first allgather of this shape.
-    let cold_start = Instant::now();
-    let plan = compile_rank(&profile, topology, 0, &shape, Fidelity::Exec);
-    let cold = cold_start.elapsed();
-    assert!(!plan.ops.is_empty());
-
-    // Warm: what every later identical allgather pays before executing.
     let mut cache = PlanCache::new();
-    cache.lookup_or_compile(&profile, topology, 0, &shape);
-    let reps = 1000u32;
-    let warm_start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(cache.lookup_or_compile(&profile, topology, 0, &shape));
-    }
-    let warm = warm_start.elapsed() / reps;
+    let first = cache.lookup_or_compile(&profile, topology, 0, &shape);
+    assert!(!first.ops.is_empty());
+    assert_eq!(cache.stats(), (0, 1));
 
-    let ratio = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-    assert!(
-        ratio >= 5.0,
-        "plan-cache hit must be >= 5x faster than cold compile \
-         (cold {cold:?}, hit {warm:?}, ratio {ratio:.1}x)"
-    );
-    assert_eq!(cache.stats(), (reps as u64, 1));
+    // Warm: what every later identical allgather gets before executing.
+    let reps = 1000u64;
+    for _ in 0..reps {
+        let again = cache.lookup_or_compile(&profile, topology, 0, &shape);
+        assert!(Rc::ptr_eq(&first, &again), "a hit must share the plan");
+    }
+    assert_eq!(cache.stats(), (reps, 1));
 }
 
 #[test]
-fn cached_figure_cell_is_at_least_5x_faster_than_cold_compile() {
+fn repeated_figure_cell_compiles_once_and_shares_the_plan() {
     let topology = ClusterSpec::hpdc23().topology();
-    let profile = Library::PipMColl.profile();
     let shape = allgather_shape();
 
-    let mut cache = ClusterPlanCache::new();
-    let cold_start = Instant::now();
-    cache.lookup_or_compile(&profile, topology, &shape);
-    let cold = cold_start.elapsed();
+    // One library whose allgather instantiates and the one whose does not:
+    // the cache's guarantee is the same on both compile paths.
+    for library in [Library::OpenMpi, Library::PipMColl] {
+        let profile = library.profile();
+        let mut cache = ClusterPlanCache::new();
+        let first = cache.lookup_or_compile(&profile, topology, &shape);
+        assert_eq!(first.ranks.len(), topology.world_size());
+        assert_eq!(cache.stats(), (0, 1));
+        let compiled = cache.compile_counts();
 
-    // A cached figure cell still lowers the plan to a trace; include that
-    // cost so the comparison reflects real figure generation.
-    let reps = 10u32;
-    let warm_start = Instant::now();
-    for _ in 0..reps {
-        let plan = cache.lookup_or_compile(&profile, topology, &shape);
-        std::hint::black_box(plan.to_trace(1));
+        let reps = 10u64;
+        for _ in 0..reps {
+            let again = cache.lookup_or_compile(&profile, topology, &shape);
+            assert!(Arc::ptr_eq(&first, &again), "a hit must share the plan");
+        }
+        assert_eq!(cache.stats(), (reps, 1));
+        assert_eq!(cache.compile_counts(), compiled, "a hit compiles nothing");
     }
-    let warm = warm_start.elapsed() / reps;
-
-    let ratio = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
-    assert!(
-        ratio >= 5.0,
-        "cached figure cell must be >= 5x faster than cold compile \
-         (cold {cold:?}, warm {warm:?}, ratio {ratio:.1}x)"
-    );
 }

@@ -18,6 +18,17 @@ fn rank_of(vrank: usize, root: usize, p: usize) -> usize {
     (vrank + root) % p
 }
 
+/// Number of ranks in the subtree rooted at `vrank` — the most blocks a
+/// scatter or gather ever holds there: the whole world at the root, the
+/// lowest set bit of `vrank` (clipped at the world's end) elsewhere.
+fn subtree_size(vrank: usize, p: usize) -> usize {
+    if vrank == 0 {
+        p
+    } else {
+        (1 << vrank.trailing_zeros()).min(p - vrank)
+    }
+}
+
 /// Binomial-tree broadcast: after the call every rank's `buf` equals the
 /// root's `buf`.
 pub fn bcast_binomial<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u64) {
@@ -74,7 +85,7 @@ pub fn scatter_binomial<C: Comm>(
 
     // Working buffer in virtual-rank order; entry i holds the block destined
     // for virtual rank vrank + i while it travels down the tree.
-    let mut tmp = vec![0u8; p * block];
+    let mut tmp = vec![0u8; subtree_size(vrank, p) * block];
     let mut curr_blocks = 0usize;
     if rank == root {
         let sendbuf = sendbuf.expect("root must supply a send buffer");
@@ -145,7 +156,8 @@ pub fn gather_binomial<C: Comm>(
     }
     let vrank = vrank_of(rank, root, p);
 
-    let mut tmp = vec![0u8; p * block];
+    // Own block first, then each child subtree's blocks as they arrive.
+    let mut tmp = vec![0u8; subtree_size(vrank, p) * block];
     tmp[..block].copy_from_slice(sendbuf);
     let mut curr_blocks = 1usize;
 
@@ -489,5 +501,27 @@ mod tests {
         let total: usize = trace.ranks.iter().map(|r| r.bytes_sent()).sum();
         // For p=8: subtrees received: 4+2+1 (from root) + 2+1 + 1 + ... = 4+2+2+1+1+1+1 = 12 blocks.
         assert_eq!(total, 12 * block);
+    }
+
+    #[test]
+    fn subtree_sizes_are_one_plus_the_children_and_cover_the_world() {
+        // The temporaries of scatter and gather are sized by `subtree_size`:
+        // it must equal the rank itself plus every child subtree (the
+        // children of `vrank` hang off the bits below its lowest set bit),
+        // for power-of-two and clipped worlds alike.
+        for p in 1..=40usize {
+            assert_eq!(subtree_size(0, p), p);
+            for vrank in 0..p {
+                let mut mask = 1usize;
+                let mut blocks = 1;
+                while mask < p && vrank & mask == 0 {
+                    if vrank + mask < p {
+                        blocks += subtree_size(vrank + mask, p);
+                    }
+                    mask <<= 1;
+                }
+                assert_eq!(subtree_size(vrank, p), blocks, "vrank {vrank} of {p}");
+            }
+        }
     }
 }

@@ -9,9 +9,10 @@
 //!   stronger whole-program comparison is available when a caller wants to
 //!   share one compiled program between ranks.
 //! * The classes let a caller compile one representative per class instead
-//!   of the whole world.  `pip-mpi-model`'s folded compilation path uses
-//!   exactly this to reach 10^5–10^6-rank projections without an O(world)
-//!   compile.
+//!   of the whole world.  `pip-mpi-model`'s class compiler uses exactly
+//!   this, both to reach 10^5–10^6-rank projections without an O(world)
+//!   compile and to *instantiate* a whole-cluster plan's remaining ranks
+//!   from node 0's ([`RankPlan::relabeled`]).
 //!
 //! The candidate groups mirror the trace layer: node **rotation**
 //! `(n, l) → ((n + d) mod N, l)` for ring-structured schedules and node
@@ -30,7 +31,8 @@
 //!   This is the notion [`PlanSymmetry::analyze`] and [`folded_trace`] use.
 //! * [`ranks_equal_under`] compares the **whole program** under the
 //!   relabeling, data ops included — the strictly stronger statement a
-//!   caller needs to share a compiled plan between ranks.
+//!   caller needs to instantiate one rank's plan from another's, and the
+//!   exact inverse of [`RankPlan::relabeled`].
 //!
 //! When neither group closes, [`PlanSymmetry::analyze`] falls back to
 //! partitioning ranks by *identical programs* — no relabeling, so peers
@@ -270,8 +272,10 @@ fn relabel_atom(op: TraceOp, group: FoldGroup, topology: Topology, delta: usize)
 /// Compare two whole rank programs under the group element carrying nodes
 /// by `delta`: metadata must match verbatim, every op — data ops included —
 /// must match with `base`'s global-rank peers relabeled.  Strictly stronger
-/// than [`schedules_equal_under`]; what a caller needs to reuse one
-/// compiled program for both ranks.
+/// than [`schedules_equal_under`], and the exact inverse of
+/// [`RankPlan::relabeled`]: for two plans of `topology` it holds iff
+/// `base.relabeled(group, delta, image.rank) == *image` — what a caller
+/// needs to instantiate `image` from `base` instead of compiling it.
 pub fn ranks_equal_under(
     topology: Topology,
     group: FoldGroup,
@@ -279,107 +283,63 @@ pub fn ranks_equal_under(
     base: &RankPlan,
     image: &RankPlan,
 ) -> bool {
-    if base.fidelity != image.fidelity
-        || base.io != image.io
-        || base.names != image.names
-        || base.val_lens != image.val_lens
-        || base.ops.len() != image.ops.len()
-    {
-        return false;
-    }
-    base.ops
-        .iter()
-        .zip(image.ops.iter())
-        .all(|(op, image_op)| ops_equal_under(topology, group, delta, op, image_op))
+    base.fidelity == image.fidelity
+        && base.io == image.io
+        && base.names == image.names
+        && base.val_lens == image.val_lens
+        && base.ops.len() == image.ops.len()
+        && base.ops.iter().zip(&image.ops).all(|(op, image_op)| {
+            let mut op = op.clone();
+            relabel_peer(&mut op, group, topology, delta);
+            op == *image_op
+        })
 }
 
-/// Per-op relabeled comparison.  Only four fields address peers by global
-/// rank — `Send::dest`, `Recv::source`, `SendFromShared::dest`,
-/// `RecvIntoShared::source`; `owner_local` fields are node-local and fixed
-/// by both groups, and everything else (names, offsets, values, costs) must
-/// be equal verbatim.
-fn ops_equal_under(
-    topology: Topology,
-    group: FoldGroup,
-    delta: usize,
-    base: &PlanOp,
-    image: &PlanOp,
-) -> bool {
-    let map = |rank: usize| relabel_rank(rank, group, topology, delta);
-    match (base, image) {
-        (
-            PlanOp::Send { dest, tag, src },
-            PlanOp::Send {
-                dest: i_dest,
-                tag: i_tag,
-                src: i_src,
-            },
-        ) => map(*dest) == *i_dest && tag == i_tag && src == i_src,
-        (
-            PlanOp::Recv {
-                source,
-                tag,
-                len,
-                dst,
-            },
-            PlanOp::Recv {
-                source: i_source,
-                tag: i_tag,
-                len: i_len,
-                dst: i_dst,
-            },
-        ) => map(*source) == *i_source && tag == i_tag && len == i_len && dst == i_dst,
-        (
-            PlanOp::SendFromShared {
-                owner_local,
-                name,
-                offset,
-                len,
-                dest,
-                tag,
-            },
-            PlanOp::SendFromShared {
-                owner_local: i_owner,
-                name: i_name,
-                offset: i_offset,
-                len: i_len,
-                dest: i_dest,
-                tag: i_tag,
-            },
-        ) => {
-            owner_local == i_owner
-                && name == i_name
-                && offset == i_offset
-                && len == i_len
-                && map(*dest) == *i_dest
-                && tag == i_tag
+impl RankPlan {
+    /// The program of rank `rank`, instantiated from this one by the group
+    /// element carrying nodes by `delta`: a clone with every global-rank
+    /// peer relabeled and everything else — metadata, names, offsets,
+    /// values, costs — verbatim.  Only correct for a `rank` whose own
+    /// program [`ranks_equal_under`] would accept as the image.
+    pub fn relabeled(&self, group: FoldGroup, delta: usize, rank: usize) -> RankPlan {
+        let mut image = self.clone();
+        image.rank = rank;
+        for op in &mut image.ops {
+            relabel_peer(op, group, self.topology, delta);
         }
-        (
-            PlanOp::RecvIntoShared {
-                owner_local,
-                name,
-                offset,
-                source,
-                tag,
-                len,
-            },
-            PlanOp::RecvIntoShared {
-                owner_local: i_owner,
-                name: i_name,
-                offset: i_offset,
-                source: i_source,
-                tag: i_tag,
-                len: i_len,
-            },
-        ) => {
-            owner_local == i_owner
-                && name == i_name
-                && offset == i_offset
-                && map(*source) == *i_source
-                && tag == i_tag
-                && len == i_len
-        }
-        _ => base == image,
+        image
+    }
+}
+
+/// The field through which `op` addresses a peer by global rank, if it has
+/// one — the single place that knows which ops do.  `owner_local` fields
+/// are node-local and fixed by both groups; everything else (names,
+/// offsets, values, costs) is peer-free.
+fn peer_mut(op: &mut PlanOp) -> Option<&mut usize> {
+    match op {
+        PlanOp::Send { dest, .. }
+        | PlanOp::Compress { dest, .. }
+        | PlanOp::SendFromShared { dest, .. } => Some(dest),
+        PlanOp::Recv { source, .. }
+        | PlanOp::Decompress { source, .. }
+        | PlanOp::RecvIntoShared { source, .. } => Some(source),
+        PlanOp::SharedAlloc { .. }
+        | PlanOp::SharedPublish { .. }
+        | PlanOp::SharedCollect { .. }
+        | PlanOp::SharedWrite { .. }
+        | PlanOp::SharedRead { .. }
+        | PlanOp::NodeBarrier
+        | PlanOp::Reduce { .. }
+        | PlanOp::CopyOut { .. }
+        | PlanOp::ChargeCopy { .. }
+        | PlanOp::ChargeReduce { .. }
+        | PlanOp::Delay { .. } => None,
+    }
+}
+
+fn relabel_peer(op: &mut PlanOp, group: FoldGroup, topology: Topology, delta: usize) {
+    if let Some(peer) = peer_mut(op) {
+        *peer = relabel_rank(*peer, group, topology, delta);
     }
 }
 
@@ -634,6 +594,47 @@ mod tests {
                 &plan.ranks[topology.rank_of(3, 1)],
             ));
         }
+    }
+
+    #[test]
+    fn compressed_transfers_relabel_at_both_strengths() {
+        // The compression rewrite turns the ring's inter-node transfers into
+        // Compress/Decompress, which address their peer by global rank just
+        // like Send/Recv: a symmetric schedule must stay symmetric at
+        // whole-program strength once compressed.
+        let mut plan = ring_plan(5, 2, 1024);
+        let codec = crate::compress::Codec {
+            elem: crate::compress::FloatElem::F64,
+            bound: 1e-3,
+        };
+        for rank_plan in &mut plan.ranks {
+            assert_eq!(
+                crate::plan::compress_rank_transfers(rank_plan, codec, 512),
+                2
+            );
+        }
+        let topology = plan.topology;
+        let image = &plan.ranks[topology.rank_of(3, 1)];
+        for check in [ranks_equal_under, schedules_equal_under] {
+            assert!(check(
+                topology,
+                FoldGroup::Rotation,
+                3,
+                &plan.ranks[1],
+                image
+            ));
+            assert!(!check(
+                topology,
+                FoldGroup::Rotation,
+                2,
+                &plan.ranks[1],
+                image
+            ));
+        }
+        assert_eq!(
+            &plan.ranks[1].relabeled(FoldGroup::Rotation, 3, image.rank),
+            image
+        );
     }
 
     #[test]

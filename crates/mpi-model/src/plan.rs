@@ -22,9 +22,9 @@ use std::sync::Arc;
 
 use pip_collectives::comm::Comm;
 use pip_collectives::plan::{
-    assemble, compress_rank_transfers, execute_rank_plan_reusing, schedules_equal_under,
-    shared_arena, ArenaStats, BufferArena, Fidelity, IoShape, Plan, PlanComm, PlanIo, RankPlan,
-    SharedArena, EXEC_PASSES,
+    assemble, compress_rank_transfers, execute_rank_plan_reusing, ranks_equal_under,
+    schedules_equal_under, shared_arena, ArenaStats, BufferArena, Fidelity, IoShape, Plan,
+    PlanComm, PlanIo, RankPlan, SharedArena, EXEC_PASSES,
 };
 use pip_collectives::CollectiveKind;
 use pip_netsim::{FoldGroup, FoldedTrace};
@@ -438,77 +438,182 @@ fn per_message_codec(
     })
 }
 
+/// A relabeled comparison of two rank programs: [`ranks_equal_under`]
+/// (whole-program strength) or [`schedules_equal_under`] (schedule strength).
+type EqualUnder = fn(Topology, FoldGroup, usize, &RankPlan, &RankPlan) -> bool;
+
+/// What the class compiler has in hand after sampling the node symmetry.
+struct NodeClasses {
+    /// Node 0's `ppn` programs — one representative per class.
+    reps: Vec<RankPlan>,
+    /// The probe ranks compiled while sampling, ascending by rank: all of
+    /// them when `group` is `Some`, the prefix up to the first mismatch of
+    /// the last candidate group otherwise.
+    probed: Vec<RankPlan>,
+    /// The node group that carries `reps` onto every probe node.
+    group: Option<FoldGroup>,
+}
+
+/// The one probe policy: the nodes whose programs are compared against node
+/// 0's.  Root-adjacency, halfway pivots and wrap-around edges are the
+/// asymmetries the workspace's algorithms derive from the topology, hence
+/// `{1, N/2, N-1}`; the one rank a *shape* singles out is its root, whose
+/// program can differ from every other rank's in nothing but its buffer
+/// shape, hence the root's node (node 0 — no probe — for unrooted kinds).
+fn probe_nodes(nodes: usize, root_node: usize) -> Vec<usize> {
+    let mut probes = vec![1, nodes / 2, nodes - 1, root_node];
+    probes.sort_unstable();
+    probes.dedup();
+    probes.retain(|&m| m != 0);
+    probes
+}
+
+/// The class compiler: compile node 0's `ppn` ranks, then the same local
+/// ranks on the [`probe_nodes`] — each at most once, and only until a
+/// mismatch — and find the node group (rotation first, then XOR for
+/// power-of-two node counts) whose element `m` carries node 0's programs
+/// onto node `m`'s under `equal_under`, for every probe node `m`.
+///
+/// Costs at most `(1 + probes) × ppn` rank compilations, independent of the
+/// node count.  The probes *sample* the symmetry rather than prove it; that
+/// they catch every asymmetric schedule in the workspace is pinned where the
+/// whole plan is materialized rank by rank (`tests/cluster_instantiation.rs`
+/// for instantiation, `tests/plan_equivalence.rs` for folding).
+fn compile_classes(
+    profile: &LibraryProfile,
+    topology: Topology,
+    shape: &CollectiveShape,
+    fidelity: Fidelity,
+    equal_under: EqualUnder,
+) -> NodeClasses {
+    let nodes = topology.nodes();
+    let ppn = topology.ppn();
+    let compile = |rank| compile_rank(profile, topology, rank, shape, fidelity);
+    let reps: Vec<RankPlan> = (0..ppn).map(compile).collect();
+    let mut probed: Vec<RankPlan> = Vec::new();
+    let group = if nodes < 2 {
+        None
+    } else {
+        let probes = probe_nodes(nodes, topology.node_of(shape.root));
+        let mut carries_reps_onto_probes = |group| {
+            let probe_ranks = probes
+                .iter()
+                .flat_map(|&m| (0..ppn).map(move |local| (m, local)));
+            probe_ranks.enumerate().all(|(idx, (m, local))| {
+                if idx == probed.len() {
+                    probed.push(compile(topology.rank_of(m, local)));
+                }
+                equal_under(topology, group, m, &reps[local], &probed[idx])
+            })
+        };
+        if carries_reps_onto_probes(FoldGroup::Rotation) {
+            Some(FoldGroup::Rotation)
+        } else if nodes.is_power_of_two() && carries_reps_onto_probes(FoldGroup::Xor) {
+            Some(FoldGroup::Xor)
+        } else {
+            None
+        }
+    };
+    NodeClasses {
+        reps,
+        probed,
+        group,
+    }
+}
+
 /// Compile the whole-cluster plan (every rank's program).
+///
+/// A thin user of the class compiler at **whole-program strength**
+/// ([`ranks_equal_under`]): when a node group carries node 0's programs
+/// onto every probe node, each remaining rank is *instantiated* — node 0's
+/// program of the same local rank with its peers relabeled, O(ops) instead
+/// of a recording run — so a node-symmetric schedule costs
+/// `(1 + probes) × ppn` compilations whatever the node count.  Otherwise
+/// (rooted collectives, scans, schedules with node-dependent data
+/// movement) the remaining ranks are recorded one by one.  Either way the
+/// representatives and probes already compiled are part of the result, and
+/// the result is the plan rank-by-rank compilation produces.
 pub fn compile_cluster(
     profile: &LibraryProfile,
     topology: Topology,
     shape: &CollectiveShape,
     fidelity: Fidelity,
 ) -> Plan {
-    let ranks = (0..topology.world_size())
-        .map(|rank| compile_rank(profile, topology, rank, shape, fidelity))
-        .collect();
-    Plan { topology, ranks }
+    compile_cluster_counted(profile, topology, shape, fidelity).0
+}
+
+/// [`compile_cluster`], also reporting `(ranks_compiled,
+/// ranks_instantiated)`: how many ranks were recorded through the algorithm
+/// and how many relabeled from a representative.  The two sum to the world
+/// size; no instantiated rank means the symmetry did not verify and the
+/// compile was O(world).
+fn compile_cluster_counted(
+    profile: &LibraryProfile,
+    topology: Topology,
+    shape: &CollectiveShape,
+    fidelity: Fidelity,
+) -> (Plan, (u64, u64)) {
+    let world = topology.world_size();
+    let NodeClasses {
+        reps,
+        probed,
+        group,
+    } = compile_classes(profile, topology, shape, fidelity, ranks_equal_under);
+    let mut probed = probed.into_iter().peekable();
+    let mut ranks_instantiated = 0;
+    // Node 0's ranks are the representatives; the rest follow in rank order.
+    let mut ranks = reps;
+    ranks.reserve_exact(world - ranks.len());
+    for rank in ranks.len()..world {
+        let plan = match (probed.next_if(|plan| plan.rank == rank), group) {
+            (Some(plan), _) => plan,
+            (None, Some(group)) => {
+                ranks_instantiated += 1;
+                let rep = &ranks[topology.local_rank_of(rank)];
+                let plan = rep.relabeled(group, topology.node_of(rank), rank);
+                // The gate `assemble` puts every recorded rank through.
+                plan.validate().unwrap_or_else(|e| {
+                    panic!("rank {rank}: instantiated plan failed validation: {e}");
+                });
+                plan
+            }
+            (None, None) => compile_rank(profile, topology, rank, shape, fidelity),
+        };
+        ranks.push(plan);
+    }
+    let counts = (world as u64 - ranks_instantiated, ranks_instantiated);
+    (Plan { topology, ranks }, counts)
 }
 
 /// Compile a symmetry-folded trace without compiling the whole world.
 ///
-/// Compiles node 0's `ppn` ranks (the class representatives) plus the same
-/// local ranks on a few *probe* nodes, and checks that a node group carries
-/// node 0's programs onto every probe — rotation first, then XOR for
-/// power-of-two node counts.  On success the representatives are lowered
-/// (tags rebased by `tag`) into a [`FoldedTrace`] ready for
-/// `SimEngine::run_folded_trace`; on failure (rooted collectives, scans,
-/// asymmetric schedules) the caller must compile the full cluster.
+/// A thin user of the class compiler at **schedule strength**
+/// ([`schedules_equal_under`] — a folded replay only needs the trace
+/// projection to be symmetric, so rank-dependent data ops do not stop it).
+/// On success node 0's programs are lowered (tags rebased by `tag`) into a
+/// [`FoldedTrace`] ready for `SimEngine::run_folded_trace`; on failure
+/// (rooted collectives, scans, asymmetric schedules) the caller must compile
+/// the full cluster.
 ///
-/// The probe check samples the symmetry rather than proving it: probes at
-/// nodes `{1, N/2, N-1}` catch every asymmetry the workspace's algorithms
-/// can exhibit (root-adjacency, halfway pivots, wrap-around edges), and the
-/// equivalence suites pin folded == full replay on exhaustive grids where
-/// the whole plan *is* materialized.  This entry point exists for the
-/// 10^5–10^6-rank projections where an O(world) compile is itself the
-/// bottleneck: its cost is `(1 + probes) × ppn` rank compilations, i.e.
-/// independent of the node count.
+/// This entry point exists for the 10^5–10^6-rank projections where even
+/// instantiating the world is the bottleneck: its cost is `(1 + probes) ×
+/// ppn` rank compilations and nothing per node.
 pub fn compile_folded(
     profile: &LibraryProfile,
     topology: Topology,
     shape: &CollectiveShape,
     tag: u64,
 ) -> Option<FoldedTrace> {
-    let nodes = topology.nodes();
-    let ppn = topology.ppn();
-    if nodes < 2 {
-        return None;
-    }
-    let reps: Vec<RankPlan> = (0..ppn)
-        .map(|local| compile_rank(profile, topology, local, shape, Fidelity::Schedule))
-        .collect();
-    let mut probes = vec![1, nodes / 2, nodes - 1];
-    probes.sort_unstable();
-    probes.dedup();
-    probes.retain(|&m| m != 0);
-    let verified = |group: FoldGroup| {
-        probes.iter().all(|&m| {
-            (0..ppn).all(|local| {
-                let probe = compile_rank(
-                    profile,
-                    topology,
-                    topology.rank_of(m, local),
-                    shape,
-                    Fidelity::Schedule,
-                );
-                schedules_equal_under(topology, group, m, &reps[local], &probe)
-            })
-        })
-    };
-    let group = if verified(FoldGroup::Rotation) {
-        FoldGroup::Rotation
-    } else if nodes.is_power_of_two() && verified(FoldGroup::Xor) {
-        FoldGroup::Xor
-    } else {
-        return None;
-    };
-    let lowered = reps
+    let classes = compile_classes(
+        profile,
+        topology,
+        shape,
+        Fidelity::Schedule,
+        schedules_equal_under,
+    );
+    let group = classes.group?;
+    let lowered = classes
+        .reps
         .iter()
         .map(|plan| plan.to_trace_ops(tag).into())
         .collect();
@@ -973,6 +1078,8 @@ pub struct ClusterPlanCache {
     memo: ProfileMemo,
     hits: u64,
     misses: u64,
+    ranks_compiled: u64,
+    ranks_instantiated: u64,
 }
 
 impl ClusterPlanCache {
@@ -996,13 +1103,11 @@ impl ClusterPlanCache {
         if let Some(plan) = self.lookup(profile, topology, shape) {
             return plan;
         }
-        let plan = Arc::new(compile_cluster(
-            profile,
-            topology,
-            shape,
-            Fidelity::Schedule,
-        ));
-        self.insert(profile, topology, shape, plan)
+        let (plan, (compiled, instantiated)) =
+            compile_cluster_counted(profile, topology, shape, Fidelity::Schedule);
+        self.ranks_compiled += compiled;
+        self.ranks_instantiated += instantiated;
+        self.insert(profile, topology, shape, Arc::new(plan))
     }
 
     /// Look the key up without compiling; records a hit when found.
@@ -1038,6 +1143,17 @@ impl ClusterPlanCache {
     /// `(hits, misses)` since creation.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// `(ranks_compiled, ranks_instantiated)` summed over every plan
+    /// [`ClusterPlanCache::lookup_or_compile`] compiled: ranks recorded
+    /// through the algorithm vs. ranks relabeled from a node-0
+    /// representative.  A miss that adds no instantiated ranks was an
+    /// O(world) compile — the fallback that plan equality alone cannot
+    /// show.  Plans handed to [`ClusterPlanCache::insert`] arrive compiled
+    /// and are not counted.
+    pub fn compile_counts(&self) -> (u64, u64) {
+        (self.ranks_compiled, self.ranks_instantiated)
     }
 }
 
