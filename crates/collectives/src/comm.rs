@@ -97,19 +97,6 @@ pub trait Comm {
     /// Receive exactly `len` bytes from `source` with `tag`.
     fn recv(&self, source: usize, tag: u64, len: usize) -> Vec<u8>;
 
-    /// Receive a message of *unknown* length from `source` with `tag` —
-    /// the receive side of a compressed transfer, whose frame length
-    /// depends on the sender's payload and so cannot be asserted.
-    ///
-    /// Only live executors ever hit this (recording communicators see the
-    /// symbolic [`crate::plan::PlanOp::Decompress`] op, never a real
-    /// frame), so the default panics rather than forcing recorders to
-    /// invent a length.
-    fn recv_unsized(&self, source: usize, tag: u64) -> Vec<u8> {
-        let _ = (source, tag);
-        panic!("this communicator does not support unsized receives");
-    }
-
     /// Send to `dest`, then receive from `source`.
     ///
     /// The default implementation posts the send first and then blocks on
@@ -190,19 +177,6 @@ pub trait Comm {
     /// Barrier across the tasks of this node.
     fn node_barrier(&self);
 
-    /// Enter the node-local scope of the plan invocation tagged `tag`: the
-    /// one place the plan interpreters resolve a plan's shared-region ops
-    /// and (the cursor) its node barriers, by index into `names` — see
-    /// [`pip_runtime::scope`].  Every rank of a node enters every
-    /// invocation once and leaves by dropping the handle.
-    ///
-    /// Only live communicators have a node address space to execute plans
-    /// in; the default panics.
-    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
-        let _ = (tag, names);
-        panic!("this communicator cannot execute plans: it has no node address space");
-    }
-
     // -- local work annotations ------------------------------------------
 
     /// Account for a local copy of `bytes` bytes the algorithm performed on
@@ -217,13 +191,13 @@ pub trait Comm {
     fn delay(&self, nanos: f64);
 }
 
-/// A [`Comm`] that can additionally *poll* for message completion instead of
-/// blocking — the primitive the plan cursor and the request-based
-/// non-blocking collectives are built on.
+/// A live [`Comm`]: one that can *poll* for completion instead of blocking
+/// and has a node address space to execute plans in — everything the plan
+/// cursor needs beyond [`Comm`].
 ///
-/// Only live communicators implement this: recording communicators
-/// ([`TraceComm`], `plan::PlanComm`) materialize receives immediately and so
-/// never need to poll.
+/// Recording communicators ([`TraceComm`], `plan::PlanComm`) materialize
+/// receives immediately and never execute a plan, so they do not implement
+/// this; handing one to an executor is a compile error.
 pub trait NonBlockingComm: Comm {
     /// Non-blocking matched receive: returns the payload when a message from
     /// `source` with `tag` has arrived, `None` otherwise.
@@ -233,22 +207,21 @@ pub trait NonBlockingComm: Comm {
     /// data-dependent failure).
     fn try_recv(&self, source: usize, tag: u64, len: usize) -> Option<Vec<u8>>;
 
-    /// Non-blocking twin of [`Comm::recv_unsized`]: returns whatever
-    /// payload has arrived from `source` with `tag` without checking its
-    /// length.  Default panics — only live communicators receive real
-    /// compressed frames.
-    fn try_recv_unsized(&self, source: usize, tag: u64) -> Option<Vec<u8>> {
-        let _ = (source, tag);
-        panic!("this communicator does not support unsized receives");
-    }
+    /// As [`NonBlockingComm::try_recv`] for a message of *unknown* length —
+    /// the receive side of a compressed transfer, whose frame length depends
+    /// on the sender's payload and so cannot be asserted.
+    fn try_recv_unsized(&self, source: usize, tag: u64) -> Option<Vec<u8>>;
 
-    /// How long a caller polling via [`NonBlockingComm::try_recv`] should
-    /// wait without observing any progress before declaring the schedule
-    /// broken.  Mirrors the blocking receive timeout so deadlocks surface as
-    /// failures either way.
-    fn progress_timeout(&self) -> std::time::Duration {
-        std::time::Duration::from_secs(30)
-    }
+    /// Enter the node-local scope of the plan invocation tagged `tag`: the
+    /// one place the plan cursor resolves a plan's shared-region ops and its
+    /// node barriers, by index into `names` — see [`pip_runtime::scope`].
+    /// Every rank of a node enters every invocation once and leaves by
+    /// dropping the handle.
+    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle;
+
+    /// How long the wait loop ([`crate::request::drive_to_done`]) polls
+    /// without observing any progress before declaring the schedule broken.
+    fn progress_timeout(&self) -> std::time::Duration;
 }
 
 // ---------------------------------------------------------------------------
@@ -305,11 +278,6 @@ impl Comm for ThreadComm<'_> {
             tag,
             msg.payload.len()
         );
-        msg.payload.into_vec()
-    }
-
-    fn recv_unsized(&self, source: usize, tag: u64) -> Vec<u8> {
-        let msg = self.ctx.recv(source, tag).expect("recv failed");
         msg.payload.into_vec()
     }
 
@@ -374,10 +342,6 @@ impl Comm for ThreadComm<'_> {
         self.ctx.node_barrier();
     }
 
-    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
-        self.ctx.enter_scope(tag, names)
-    }
-
     fn charge_copy(&self, _bytes: usize) {}
 
     fn charge_reduce(&self, _bytes: usize) {}
@@ -406,7 +370,13 @@ impl NonBlockingComm for ThreadComm<'_> {
         Some(msg.payload.into_vec())
     }
 
+    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
+        self.ctx.enter_scope(tag, names)
+    }
+
     fn progress_timeout(&self) -> std::time::Duration {
+        // The blocking receive's deadline, so a broken schedule fails after
+        // the same grace period whichever way a rank waits.
         self.ctx.fabric().recv_timeout()
     }
 }

@@ -11,8 +11,8 @@
 //! * **recorded** with [`comm::TraceComm`] into a `pip-netsim` trace — this
 //!   is how the paper-scale performance figures are produced; or
 //! * **compiled** with [`plan::PlanComm`] into a symbolic [`plan::Plan`]
-//!   that can be cached, executed repeatedly ([`plan::execute_rank_plan`])
-//!   and lowered straight to a trace — the plan/execute split.
+//!   that can be cached, executed repeatedly ([`plan::PlanCursor`]) and
+//!   lowered straight to a trace — the plan/execute split.
 //!
 //! ## Algorithm families
 //!
@@ -40,11 +40,12 @@
 //!
 //! ## Execution models
 //!
-//! Compiled plans run two ways: [`plan::execute_rank_plan`] walks a plan in
-//! one blocking sweep, while [`plan::PlanCursor`] walks it *resumably* —
-//! advancing only as completions become available — which is what the
-//! [`request::ProgressEngine`] drives to give MPI-style non-blocking and
-//! persistent collectives.
+//! Compiled plans run one way: a [`plan::PlanCursor`] walks a plan
+//! *resumably*, advancing only as completions become available.  A blocking
+//! collective drives its cursor to completion in place, on the caller's
+//! borrowed buffers ([`request::drive_to_done`]); the
+//! [`request::ProgressEngine`] drives many buffer-owning cursors at once to
+//! give MPI-style non-blocking and persistent collectives.
 
 #![warn(missing_docs)]
 

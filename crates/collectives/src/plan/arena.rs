@@ -6,8 +6,8 @@
 //! reduction accumulators), one per payload it sends, one per deferred
 //! output write.  Allocating those from the global allocator on every
 //! invocation is exactly the per-call overhead persistent collectives
-//! (`*_init` → repeated `start()`) exist to avoid, so the executor and the
-//! [`crate::plan::cursor::PlanCursor`] draw them from a [`BufferArena`]
+//! (`*_init` → repeated `start()`) exist to avoid, so the
+//! [`crate::plan::cursor::PlanCursor`] draws them from a [`BufferArena`]
 //! instead: a free-list pool keyed by the buffer length the plan's value
 //! slots declare.
 //!
@@ -24,9 +24,9 @@
 //! reduce_scatter.
 //!
 //! One arena serves one rank (plans of all shapes share it, since pooling
-//! is by buffer length); it is shared between the blocking executor, every
-//! cursor, and every persistent handle of a communicator through the
-//! [`SharedArena`] handle.
+//! is by buffer length); it is shared between every cursor of a
+//! communicator — blocking calls, requests and persistent handles — through
+//! the [`SharedArena`] handle.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -118,8 +118,8 @@ impl BufferArena {
     }
 }
 
-/// A [`BufferArena`] shareable between the blocking executor, plan cursors
-/// and persistent handles of one rank.  Single-threaded by construction
+/// A [`BufferArena`] shareable between the plan cursors and persistent
+/// handles of one rank.  Single-threaded by construction
 /// (one communicator per rank thread), hence `Rc<RefCell>`.
 pub type SharedArena = Rc<RefCell<BufferArena>>;
 

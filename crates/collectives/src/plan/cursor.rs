@@ -1,39 +1,47 @@
-//! The resumable plan stepper behind non-blocking and persistent
-//! collectives.
+//! The plan interpreter: the one piece of code that executes a compiled
+//! [`RankPlan`] against a live communicator.
 //!
-//! [`execute_rank_plan`](crate::plan::exec::execute_rank_plan) walks a
-//! compiled [`RankPlan`] in one blocking sweep.  A [`PlanCursor`] walks the
-//! *same* program incrementally: every call to [`PlanCursor::step`] executes
-//! ops until it reaches one whose completion is not yet available (a receive
-//! whose message has not arrived, a node barrier a peer has not reached) and
-//! then returns [`StepOutcome::Blocked`] instead of waiting.  A progress
-//! engine (see [`crate::request`]) can therefore drive many outstanding
-//! collectives on one communicator, advancing each as its messages land —
-//! the MPI `MPI_I*` / persistent-collective execution model.
+//! A [`PlanCursor`] walks one rank's program incrementally: every call to
+//! [`PlanCursor::step`] executes ops until it reaches one whose completion
+//! is not yet available (a receive whose message has not arrived, a region a
+//! peer has not exposed, a node barrier a peer has not reached) and then
+//! returns [`StepOutcome::Blocked`] instead of waiting.  All three entry
+//! styles run on it:
 //!
-//! Two things differ from the blocking executor, both forced by resumability:
+//! * a **blocking** collective is a cursor over *borrowed* caller buffers,
+//!   driven to [`StepOutcome::Done`] in place by
+//!   [`crate::request::drive_to_done`] before the call returns;
+//! * a **request** or **persistent handle** is a `PlanCursor<'static>` that
+//!   *owns* its buffers (it outlives the call frame that created it), sits in
+//!   a [`crate::request::ProgressEngine`] beside the communicator's other
+//!   outstanding collectives — the MPI `MPI_I*` / persistent execution model
+//!   — and hands the buffers back through [`PlanCursor::into_output`].
+//!   Persistent handles send the same buffers into a fresh cursor on every
+//!   `start()`.
 //!
-//! * **Buffers are owned.**  A blocked cursor outlives the call frame that
-//!   created it, so it owns its send/receive buffers and hands them back
-//!   through [`PlanCursor::into_output`] once finished.  Persistent handles
-//!   reuse exactly this: the same buffers travel into a fresh cursor on
-//!   every `start()`.
-//! * **Nothing parks the thread.**  Shared regions and node barriers live in
-//!   the invocation's node-local scope ([`pip_runtime::scope`], entered on
-//!   the first step and left when the program drains or the cursor is
-//!   dropped).  A region a peer has not exposed yet and a barrier a peer has
-//!   not reached are both *polled* — one table lookup, one atomic load —
-//!   and the scope is keyed by the invocation tag, so out-of-order progress
-//!   of interleaved collectives cannot pair arrivals or regions of
-//!   different collectives.
+//! **Nothing parks the thread.**  Shared regions and node barriers live in
+//! the invocation's node-local scope ([`pip_runtime::scope`], entered on the
+//! first step and left when the program drains or the cursor is dropped).  A
+//! region a peer has not exposed yet and a barrier a peer has not reached
+//! are both *polled* — one table lookup, one atomic load — and the scope is
+//! keyed by the invocation tag, so out-of-order progress of interleaved
+//! collectives cannot pair arrivals or regions of different collectives.
+//!
+//! Scratch buffers (materialized payloads, value slots, deferred output
+//! writes, strided staging) come from the communicator's
+//! [`crate::plan::arena::BufferArena`], so repeat executions of one shape
+//! stop allocating — whatever the entry style.
 
+use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use crate::comm::{NonBlockingComm, ReduceFn};
 use crate::compress::{compress, decompress};
-use crate::plan::arena::{shared_arena, SharedArena};
-use crate::plan::exec::{materialize_into, store_val};
-use crate::plan::ir::{Fidelity, NameId, PlanOp, RankPlan, Src};
+use crate::datatype::Layout;
+use crate::plan::arena::SharedArena;
+use crate::plan::ir::{Fidelity, NameId, PlanOp, RankPlan, Src, SrcSeg};
+use crate::request::drive_to_done;
 use pip_runtime::{ExposedRegion, ScopeHandle};
 
 /// What one [`PlanCursor::step`] call achieved.
@@ -50,19 +58,55 @@ pub enum StepOutcome {
     Done,
 }
 
+/// A caller's send buffer as a cursor holds it: `Owned` by a request or
+/// persistent handle (and returned from [`PlanCursor::into_output`]),
+/// `Borrowed` from the caller for the duration of a blocking call.
+pub type SendBuf<'b> = Cow<'b, [u8]>;
+
+/// A caller's receive (or in/out) buffer as a cursor holds it — [`SendBuf`]'s
+/// mutable twin.
+#[derive(Debug)]
+pub enum RecvBuf<'b> {
+    /// The cursor owns the bytes and returns them from
+    /// [`PlanCursor::into_output`].
+    Owned(Vec<u8>),
+    /// The caller's slice, written in place.
+    Borrowed(&'b mut [u8]),
+}
+
+impl Deref for RecvBuf<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            RecvBuf::Owned(bytes) => bytes,
+            RecvBuf::Borrowed(bytes) => bytes,
+        }
+    }
+}
+
+impl DerefMut for RecvBuf<'_> {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match self {
+            RecvBuf::Owned(bytes) => bytes,
+            RecvBuf::Borrowed(bytes) => bytes,
+        }
+    }
+}
+
 /// A resumable execution of one rank's compiled plan.
 ///
-/// Created from a cached plan plus *owned* caller buffers and the invocation
-/// tag; driven by [`PlanCursor::step`] until [`StepOutcome::Done`]; consumed
-/// by [`PlanCursor::into_output`], which returns the buffers (the receive
-/// buffer then holds the collective's result).
+/// Created from a cached plan, the caller's buffers (owned or borrowed) and
+/// the invocation tag; driven by [`PlanCursor::step`] until
+/// [`StepOutcome::Done`], after which the receive buffer holds the
+/// collective's result.
 ///
-/// Like the blocking executor, output writes ([`PlanOp::CopyOut`]) are
-/// deferred until the program finishes so `SendBuf`/`RecvInit` reads always
-/// observe the caller's pre-execution bytes, even for in/out collectives
-/// where input and output are the same buffer.
+/// Output writes ([`PlanOp::CopyOut`]) are deferred until the program
+/// finishes so `SendBuf`/`RecvInit` reads always observe the caller's
+/// pre-execution bytes, even for in/out collectives where input and output
+/// are the same buffer.
 #[derive(Debug)]
-pub struct PlanCursor {
+pub struct PlanCursor<'b> {
     plan: Rc<RankPlan>,
     tag: u64,
     /// This rank's membership of the invocation's node-local scope; `None`
@@ -71,27 +115,27 @@ pub struct PlanCursor {
     pc: usize,
     vals: Vec<Option<Vec<u8>>>,
     pending_out: Vec<(usize, Vec<u8>)>,
-    sendbuf: Option<Vec<u8>>,
-    recvbuf: Option<Vec<u8>>,
-    /// The caller's original strided send buffer while `sendbuf` holds its
-    /// packed staging (`Some` only when the plan declares a send layout).
-    caller_send: Option<Vec<u8>>,
-    /// The caller's original strided receive buffer while `recvbuf` holds
-    /// its packed staging; unpacked back (gaps preserved) when the program
-    /// drains, so [`PlanCursor::into_output`] always returns the caller's
-    /// extent-length buffers.
-    caller_recv: Option<Vec<u8>>,
-    /// Scratch-buffer pool; shared with the communicator (and hence every
-    /// other cursor and the blocking executor of the same rank), so repeat
-    /// invocations reuse each other's buffers — see
-    /// [`crate::plan::arena::BufferArena`].
+    /// The caller's buffers: extent-length when the plan declares a layout,
+    /// otherwise exactly the packed length the plan was recorded with.
+    sendbuf: Option<SendBuf<'b>>,
+    recvbuf: Option<RecvBuf<'b>>,
+    /// Packed staging of a strided caller buffer (`Some` only when the plan
+    /// declares the layout).  The plan body was recorded against packed
+    /// bytes and reads these instead of the caller's buffer, so it never
+    /// sees a gap byte; staged output is unpacked into the caller's buffer
+    /// (gaps preserved) when the program drains.
+    send_stage: Option<Vec<u8>>,
+    recv_stage: Option<Vec<u8>>,
+    /// Scratch-buffer pool, shared with the communicator and hence with
+    /// every other cursor of the same rank, so repeat invocations reuse each
+    /// other's buffers (`tests/arena_steady_state.rs` pins this).
     arena: SharedArena,
     /// Arrival count that completes the node barrier at `pc`, once arrived.
     barrier_target: Option<usize>,
     finished: bool,
 }
 
-/// The buffers a finished cursor hands back (see
+/// The owned buffers a finished cursor hands back (see
 /// [`PlanCursor::into_output`]).
 #[derive(Debug)]
 pub struct CursorOutput {
@@ -101,13 +145,14 @@ pub struct CursorOutput {
     pub recvbuf: Option<Vec<u8>>,
 }
 
-impl PlanCursor {
-    /// Wrap `plan` with owned caller buffers for one invocation tagged
-    /// `tag`.
+impl<'b> PlanCursor<'b> {
+    /// Wrap `plan` with the caller's buffers for one invocation tagged
+    /// `tag`, drawing every scratch buffer from `arena`.
     ///
     /// For in/out collectives (bcast, allreduce) pass the single caller
-    /// buffer as `recvbuf` and `None` for `sendbuf`, as with
-    /// [`crate::plan::exec::PlanIo`].
+    /// buffer as `recvbuf` and `None` for `sendbuf`: the plan's
+    /// [`crate::plan::ir::IoShape::inout`] flag makes [`SrcSeg::SendBuf`]
+    /// read the receive buffer's pre-output contents.
     ///
     /// # Panics
     ///
@@ -116,22 +161,8 @@ impl PlanCursor {
     /// not data-dependent failures.
     pub fn new(
         plan: Rc<RankPlan>,
-        sendbuf: Option<Vec<u8>>,
-        recvbuf: Option<Vec<u8>>,
-        tag: u64,
-    ) -> Self {
-        Self::with_arena(plan, sendbuf, recvbuf, tag, shared_arena())
-    }
-
-    /// As [`PlanCursor::new`] with a caller-provided scratch-buffer arena.
-    ///
-    /// Persistent collectives and per-communicator dispatch pass the
-    /// communicator's shared arena here, so every `start()` after the first
-    /// runs without allocating (`tests/arena_steady_state.rs` pins this).
-    pub fn with_arena(
-        plan: Rc<RankPlan>,
-        sendbuf: Option<Vec<u8>>,
-        recvbuf: Option<Vec<u8>>,
+        sendbuf: Option<SendBuf<'b>>,
+        recvbuf: Option<RecvBuf<'b>>,
         tag: u64,
         arena: SharedArena,
     ) -> Self {
@@ -140,49 +171,28 @@ impl PlanCursor {
             Fidelity::Exec,
             "schedule-fidelity plans cannot be executed"
         );
-        // When a layout is present the caller's buffer spans the layout
-        // extent; otherwise it is exactly the packed length the plan was
-        // recorded with.
         let expect_send = if plan.io.inout { None } else { plan.io.sendbuf };
         assert_eq!(
-            sendbuf.as_ref().map(Vec::len),
+            sendbuf.as_deref().map(<[u8]>::len),
             expect_send.map(|len| plan.io.send_layout.map_or(len, |l| l.extent())),
             "send buffer does not match the plan's shape"
         );
         assert_eq!(
-            recvbuf.as_ref().map(Vec::len),
+            recvbuf.as_deref().map(<[u8]>::len),
             plan.io
                 .recvbuf
                 .map(|len| plan.io.recv_layout.map_or(len, |l| l.extent())),
             "receive buffer does not match the plan's shape"
         );
-        // Pack strided caller buffers into contiguous staging: the plan body
-        // was recorded against packed bytes and never sees a gap byte. The
-        // originals are stashed and restored (with staged output unpacked
-        // into them) when the program drains.
-        let mut sendbuf = sendbuf;
-        let mut recvbuf = recvbuf;
-        let mut caller_send = None;
-        let mut caller_recv = None;
-        {
-            let mut pool = arena.borrow_mut();
-            if let Some(layout) = plan.io.send_layout {
-                if let Some(buf) = sendbuf.take() {
-                    let mut stage = pool.acquire(layout.packed_len());
-                    layout.pack_bytes(&buf, &mut stage);
-                    caller_send = Some(buf);
-                    sendbuf = Some(stage);
-                }
-            }
-            if let Some(layout) = plan.io.recv_layout {
-                if let Some(buf) = recvbuf.take() {
-                    let mut stage = pool.acquire(layout.packed_len());
-                    layout.pack_bytes(&buf, &mut stage);
-                    caller_recv = Some(buf);
-                    recvbuf = Some(stage);
-                }
-            }
-        }
+        let stage = |layout: Option<Layout>, buf: Option<&[u8]>| {
+            layout.zip(buf).map(|(layout, buf)| {
+                let mut stage = arena.borrow_mut().acquire(layout.packed_len());
+                layout.pack_bytes(buf, &mut stage);
+                stage
+            })
+        };
+        let send_stage = stage(plan.io.send_layout, sendbuf.as_deref());
+        let recv_stage = stage(plan.io.recv_layout, recvbuf.as_deref());
         let vals = vec![None; plan.val_lens.len()];
         Self {
             plan,
@@ -193,8 +203,8 @@ impl PlanCursor {
             pending_out: Vec::new(),
             sendbuf,
             recvbuf,
-            caller_send,
-            caller_recv,
+            send_stage,
+            recv_stage,
             arena,
             barrier_target: None,
             finished: false,
@@ -216,8 +226,10 @@ impl PlanCursor {
         self.plan.io.needs_reduce_op
     }
 
-    /// Recover the buffers after the program finished; the receive buffer
-    /// holds the collective's result.
+    /// Recover the owned buffers after the program finished; the receive
+    /// buffer holds the collective's result.  A borrowed buffer was the
+    /// caller's all along (its result is already in place), so its slot
+    /// comes back `None`.
     ///
     /// # Panics
     ///
@@ -225,9 +237,61 @@ impl PlanCursor {
     pub fn into_output(self) -> CursorOutput {
         assert!(self.finished, "cursor has not finished executing its plan");
         CursorOutput {
-            sendbuf: self.sendbuf,
-            recvbuf: self.recvbuf,
+            sendbuf: match self.sendbuf {
+                Some(SendBuf::Owned(bytes)) => Some(bytes),
+                _ => None,
+            },
+            recvbuf: match self.recvbuf {
+                Some(RecvBuf::Owned(bytes)) => Some(bytes),
+                _ => None,
+            },
         }
+    }
+
+    /// Where the cursor stands — invocation tag, op index and the op it is
+    /// at (kind, peer or region, tag offset) — for the wait loop's failure
+    /// report ([`crate::request::drive_to_done`]).
+    pub fn blocked_on(&self) -> String {
+        let region = |owner_local: usize, name: NameId| {
+            let name = &self.plan.names[name as usize];
+            format!("region {name:?} of local rank {owner_local}")
+        };
+        let message = |source: usize, tag: u64| format!("from rank {source}, tag offset {tag}");
+        let op = match self.plan.ops.get(self.pc) {
+            None => "end of program".to_string(),
+            Some(PlanOp::NodeBarrier) => "NodeBarrier".to_string(),
+            Some(&PlanOp::Recv { source, tag, .. }) => format!("Recv {}", message(source, tag)),
+            Some(&PlanOp::Decompress { source, tag, .. }) => {
+                format!("Decompress {}", message(source, tag))
+            }
+            Some(&PlanOp::RecvIntoShared {
+                owner_local,
+                name,
+                source,
+                tag,
+                ..
+            }) => format!(
+                "RecvIntoShared {} into {}",
+                message(source, tag),
+                region(owner_local, name)
+            ),
+            Some(&PlanOp::SharedCollect { name, .. }) => {
+                let own = self.plan.topology.local_rank_of(self.plan.rank);
+                format!("SharedCollect of {}", region(own, name))
+            }
+            Some(&PlanOp::SharedWrite {
+                owner_local, name, ..
+            }) => format!("SharedWrite to {}", region(owner_local, name)),
+            Some(&PlanOp::SharedRead {
+                owner_local, name, ..
+            }) => format!("SharedRead of {}", region(owner_local, name)),
+            Some(&PlanOp::SendFromShared {
+                owner_local, name, ..
+            }) => format!("SendFromShared out of {}", region(owner_local, name)),
+            Some(_) => "an op that never blocks".to_string(),
+        };
+        let (pc, len) = (self.pc, self.plan.ops.len());
+        format!("invocation tag {:#x}, op {pc}/{len}: {op}", self.tag)
     }
 
     /// Execute ops until the next one would block, the program ends, or
@@ -274,37 +338,43 @@ impl PlanCursor {
         // invocation.
         self.scope = None;
         let mut arena = self.arena.borrow_mut();
-        if let Some(out) = self.recvbuf.as_mut() {
+        if !self.pending_out.is_empty() {
+            let out: &mut [u8] = match self.recv_stage.as_mut() {
+                Some(stage) => stage,
+                None => self
+                    .recvbuf
+                    .as_deref_mut()
+                    .expect("output writes need a buffer"),
+            };
             for (offset, data) in self.pending_out.drain(..) {
                 out[offset..offset + data.len()].copy_from_slice(&data);
                 arena.release(data);
             }
-        } else {
-            assert!(self.pending_out.is_empty(), "output writes need a buffer");
         }
         for slot in &mut self.vals {
             if let Some(buf) = slot.take() {
                 arena.release(buf);
             }
         }
-        // Unpack staged strided output back into the caller's buffer (gap
-        // bytes preserved) and restore the originals, so `into_output`
-        // returns the caller's extent-length buffers.
-        if let Some(mut buf) = self.caller_recv.take() {
+        if let Some(stage) = self.recv_stage.take() {
             let layout = self.plan.io.recv_layout.expect("staging implies a layout");
-            let stage = self.recvbuf.take().expect("staged receive buffer");
-            layout.unpack_bytes(&stage, &mut buf);
+            let out = self.recvbuf.as_deref_mut().expect("staged receive buffer");
+            layout.unpack_bytes(&stage, out);
             arena.release(stage);
-            self.recvbuf = Some(buf);
         }
-        if let Some(buf) = self.caller_send.take() {
-            let stage = self.sendbuf.take().expect("staged send buffer");
+        if let Some(stage) = self.send_stage.take() {
             arena.release(stage);
-            self.sendbuf = Some(buf);
         }
         drop(arena);
         self.finished = true;
         StepOutcome::Done
+    }
+
+    /// Drive the cursor to [`StepOutcome::Done`] before returning — what
+    /// makes a collective *blocking*.  Fails as
+    /// [`crate::request::drive_to_done`] states.
+    pub fn run<C: NonBlockingComm>(&mut self, comm: &C, op: Option<&ReduceFn<'_>>) {
+        drive_to_done(comm, self, |cursor| cursor.step(comm, op), Self::blocked_on);
     }
 
     /// Attempt exactly the op at `pc`; advances `pc` on completion.
@@ -459,9 +529,12 @@ impl PlanCursor {
         StepOutcome::Advanced
     }
 
-    /// Store `data` into value slot `dst`, releasing any previous buffer.
+    /// Store `data` into value slot `dst`, releasing any buffer the slot
+    /// held.
     fn store_val(&mut self, dst: u32, data: Vec<u8>) {
-        store_val(&mut self.vals, &mut self.arena.borrow_mut(), dst, data);
+        if let Some(old) = self.vals[dst as usize].replace(data) {
+            self.arena.borrow_mut().release(old);
+        }
     }
 
     fn scope(&self) -> &ScopeHandle {
@@ -480,20 +553,38 @@ impl PlanCursor {
         self.scope().try_region(owner_local, name)
     }
 
-    /// Resolve a symbolic source against the owned buffers and runtime
-    /// values into an arena-backed buffer (the cursor-side twin of the
-    /// blocking executor's `materialize_into`).
+    /// Resolve a symbolic source against the caller's buffers (their packed
+    /// staging when strided) and the runtime values into an arena-backed
+    /// buffer.
     fn materialize(&self, src: &Src) -> Vec<u8> {
-        let mut bytes = self.arena.borrow_mut().acquire(src.len());
-        materialize_into(
-            &mut bytes,
-            src,
-            &self.plan.io,
-            self.sendbuf.as_deref(),
-            self.recvbuf.as_deref(),
-            &self.vals,
-        );
-        bytes
+        let mut out = self.arena.borrow_mut().acquire(src.len());
+        let sendbuf = self.send_stage.as_deref().or(self.sendbuf.as_deref());
+        let recvbuf = self.recv_stage.as_deref().or(self.recvbuf.as_deref());
+        for seg in &src.segs {
+            match seg {
+                SrcSeg::SendBuf { offset, len } => {
+                    let buf = if self.plan.io.inout {
+                        recvbuf.expect("in/out buffer present")
+                    } else {
+                        sendbuf.expect("send buffer present")
+                    };
+                    out.extend_from_slice(&buf[*offset..*offset + *len]);
+                }
+                SrcSeg::RecvInit { offset, len } => {
+                    let buf = recvbuf.expect("receive buffer present");
+                    out.extend_from_slice(&buf[*offset..*offset + *len]);
+                }
+                SrcSeg::Val { id, offset, len } => {
+                    let val = self.vals[*id as usize]
+                        .as_deref()
+                        .expect("value defined before use");
+                    out.extend_from_slice(&val[*offset..*offset + *len]);
+                }
+                SrcSeg::Lit(data) => out.extend_from_slice(data),
+                SrcSeg::Opaque { .. } => unreachable!("exec-fidelity plans have no opaque bytes"),
+            }
+        }
+        out
     }
 }
 
@@ -501,65 +592,152 @@ impl PlanCursor {
 mod tests {
     use super::*;
     use crate::comm::{Comm, ThreadComm};
+    use crate::plan::arena::shared_arena;
     use crate::plan::ir::IoShape;
     use crate::plan::record::{assemble, PlanComm, EXEC_PASSES};
     use pip_runtime::{Cluster, Fabric, NodeSpace, TaskCtx, Topology};
 
-    fn compile_exchange(rank: usize, topo: Topology) -> RankPlan {
+    /// Compile `rank`'s plan of `body` by recording it.  Compiling is
+    /// deterministic, so each task building its own plan (`Rc` is not
+    /// shareable across the task threads) changes nothing.
+    fn compile(
+        rank: usize,
+        topo: Topology,
+        io: IoShape,
+        body: impl Fn(&PlanComm) -> Option<Vec<u8>>,
+    ) -> Rc<RankPlan> {
         let passes = (0..EXEC_PASSES as u32)
             .map(|pass| {
                 let comm = PlanComm::new(rank, topo, pass, Fidelity::Exec);
-                let mut sendbuf = vec![0u8; 4];
-                comm.fill_sendbuf(&mut sendbuf);
-                let peer = 1 - rank;
-                comm.send(peer, 0, &sendbuf);
-                let got = comm.recv(peer, 0, 4);
-                comm.node_barrier();
-                comm.finish(Some(got))
+                let out = body(&comm);
+                comm.finish(out)
             })
             .collect();
-        assemble(
-            rank,
-            topo,
-            Fidelity::Exec,
-            IoShape {
-                sendbuf: Some(4),
-                recvbuf: Some(4),
-                ..IoShape::default()
-            },
-            passes,
-        )
+        Rc::new(assemble(rank, topo, Fidelity::Exec, io, passes))
     }
 
-    /// A cursor-driven exchange (send, recv, node barrier) completes with
-    /// real bytes and returns the buffers.
+    fn io(sendbuf: usize, recvbuf: usize) -> IoShape {
+        IoShape {
+            sendbuf: Some(sendbuf),
+            recvbuf: Some(recvbuf),
+            ..IoShape::default()
+        }
+    }
+
+    fn compile_exchange(rank: usize, topo: Topology) -> Rc<RankPlan> {
+        compile(rank, topo, io(4, 4), |comm| {
+            let mut sendbuf = vec![0u8; 4];
+            comm.fill_sendbuf(&mut sendbuf);
+            let peer = 1 - rank;
+            comm.send(peer, 0, &sendbuf);
+            let got = comm.recv(peer, 0, 4);
+            comm.node_barrier();
+            Some(got)
+        })
+    }
+
+    /// A cursor over owned buffers completes an exchange (send, recv, node
+    /// barrier) with real bytes and returns the buffers.
     #[test]
     fn cursor_completes_an_exchange_incrementally() {
         let topo = Topology::new(1, 2);
         let results = Cluster::launch(topo, |ctx| {
             let comm = ThreadComm::new(ctx);
-            // Compiling is deterministic, so each task building its own plan
-            // (Rc is not shareable across the task threads) changes nothing.
-            let plan = Rc::new(compile_exchange(comm.rank(), topo));
-            let sendbuf = vec![10 + comm.rank() as u8; 4];
-            let mut cursor = PlanCursor::new(plan, Some(sendbuf), Some(vec![0u8; 4]), 7 << 16);
-            let mut spins = 0u32;
-            loop {
-                match cursor.step(&comm, None) {
-                    StepOutcome::Done => break,
-                    StepOutcome::Advanced => {}
-                    StepOutcome::Blocked => {
-                        spins += 1;
-                        assert!(spins < 1_000_000, "cursor spun without progress");
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            cursor.into_output().recvbuf.unwrap()
+            let mut cursor = PlanCursor::new(
+                compile_exchange(comm.rank(), topo),
+                Some(SendBuf::Owned(vec![10 + comm.rank() as u8; 4])),
+                Some(RecvBuf::Owned(vec![0u8; 4])),
+                7 << 16,
+                shared_arena(),
+            );
+            cursor.run(&comm, None);
+            let output = cursor.into_output();
+            assert_eq!(output.sendbuf.unwrap(), vec![10 + comm.rank() as u8; 4]);
+            output.recvbuf.unwrap()
         })
         .unwrap();
         assert_eq!(results[0], vec![11; 4]);
         assert_eq!(results[1], vec![10; 4]);
+    }
+
+    /// A reduce plan recorded through the opaque interception executes, on
+    /// the caller's borrowed in/out buffer, with a typed
+    /// [`crate::datatype::ReduceKernel`] supplied at run time — the plan
+    /// itself is operator-agnostic, so one recording serves every invocation
+    /// with the same `(datatype, op)` key.
+    #[test]
+    fn recorded_reduce_plan_executes_with_a_typed_kernel() {
+        use crate::datatype::{from_bytes, to_bytes, ReduceKernel, ReduceOp};
+        let topo = Topology::new(1, 2);
+        let inout = IoShape {
+            sendbuf: None,
+            recvbuf: Some(8),
+            inout: true,
+            needs_reduce_op: true,
+            ..IoShape::default()
+        };
+        let results = Cluster::launch(topo, |ctx| {
+            let comm = ThreadComm::new(ctx);
+            let rank = comm.rank();
+            let plan = compile(rank, topo, inout, |comm| {
+                let mut buf = vec![0u8; 8];
+                comm.fill_sendbuf(&mut buf);
+                comm.send(1 - rank, 0, &buf);
+                let incoming = comm.recv(1 - rank, 0, 8);
+                comm.reducer()(&mut buf, &incoming);
+                comm.charge_reduce(8);
+                Some(buf)
+            });
+            let mut buf = to_bytes(&[rank as i32 + 1, -(rank as i32) - 10]);
+            let kernel = ReduceKernel::of::<i32>(ReduceOp::Sum);
+            let recvbuf = Some(RecvBuf::Borrowed(&mut buf));
+            PlanCursor::new(plan, None, recvbuf, 9 << 16, shared_arena())
+                .run(&comm, Some(kernel.as_fn()));
+            from_bytes::<i32>(&buf)
+        })
+        .unwrap();
+        for (rank, out) in results.iter().enumerate() {
+            assert_eq!(out, &vec![3, -21], "typed planned reduce at rank {rank}");
+        }
+    }
+
+    /// The same cached plan executes twice on one communicator, on borrowed
+    /// buffers, without the shared-region namespaces or tags colliding.
+    #[test]
+    fn repeated_execution_of_one_plan_does_not_collide() {
+        let topo = Topology::new(1, 2);
+        let results = Cluster::launch(topo, |ctx| {
+            let comm = ThreadComm::new(ctx);
+            let rank = comm.rank();
+            let plan = compile(rank, topo, io(2, 4), |comm| {
+                let mut sendbuf = vec![0u8; 2];
+                comm.fill_sendbuf(&mut sendbuf);
+                if rank == 0 {
+                    comm.shared_alloc("stage_0", 4);
+                }
+                comm.node_barrier();
+                comm.shared_write(0, "stage_0", rank * 2, &sendbuf);
+                comm.node_barrier();
+                Some(comm.shared_read(0, "stage_0", 0, 4))
+            });
+            let arena = shared_arena();
+            [1u8, 2].map(|call| {
+                let sendbuf = vec![call * (10 + rank as u8); 2];
+                let mut recvbuf = vec![0u8; 4];
+                PlanCursor::new(
+                    Rc::clone(&plan),
+                    Some(SendBuf::Borrowed(&sendbuf)),
+                    Some(RecvBuf::Borrowed(&mut recvbuf)),
+                    (call as u64) << 16,
+                    Rc::clone(&arena),
+                )
+                .run(&comm, None);
+                recvbuf
+            })
+        })
+        .unwrap();
+        assert_eq!(results[0][0], vec![10, 10, 11, 11]);
+        assert_eq!(results[0][1], vec![20, 20, 22, 22]);
     }
 
     /// A consumer stepped before its producer reports `Blocked` on the
@@ -569,37 +747,39 @@ mod tests {
     fn unexposed_region_blocks_the_cursor_not_the_thread() {
         let topo = Topology::new(1, 2);
         let compile = |rank: usize| {
-            let passes = (0..EXEC_PASSES as u32)
-                .map(|pass| {
-                    let comm = PlanComm::new(rank, topo, pass, Fidelity::Exec);
-                    let mut sendbuf = vec![0u8; 4];
-                    comm.fill_sendbuf(&mut sendbuf);
-                    let got = if rank == 0 {
-                        comm.shared_publish("box", &sendbuf);
-                        sendbuf
-                    } else {
-                        comm.shared_read(0, "box", 0, 4)
-                    };
-                    comm.finish(Some(got))
+            compile(rank, topo, io(4, 4), |comm| {
+                let mut sendbuf = vec![0u8; 4];
+                comm.fill_sendbuf(&mut sendbuf);
+                Some(if rank == 0 {
+                    comm.shared_publish("box", &sendbuf);
+                    sendbuf
+                } else {
+                    comm.shared_read(0, "box", 0, 4)
                 })
-                .collect();
-            let io = IoShape {
-                sendbuf: Some(4),
-                recvbuf: Some(4),
-                ..IoShape::default()
-            };
-            Rc::new(assemble(rank, topo, Fidelity::Exec, io, passes))
+            })
         };
         let node = NodeSpace::new(0, 2);
         let fabric = Fabric::new(2);
         let ctxs = [0, 1].map(|rank| TaskCtx::new(rank, topo, node.clone(), fabric.clone()));
         let comms = [ThreadComm::new(&ctxs[0]), ThreadComm::new(&ctxs[1])];
         let mut cursors = [0, 1].map(|rank| {
-            let sendbuf = vec![40 + rank as u8; 4];
-            PlanCursor::new(compile(rank), Some(sendbuf), Some(vec![0u8; 4]), 3 << 16)
+            PlanCursor::new(
+                compile(rank),
+                Some(SendBuf::Owned(vec![40 + rank as u8; 4])),
+                Some(RecvBuf::Owned(vec![0u8; 4])),
+                3 << 16,
+                shared_arena(),
+            )
         });
         assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Blocked);
         assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Blocked);
+        assert!(
+            cursors[1]
+                .blocked_on()
+                .contains("region \"box\" of local rank 0"),
+            "{}",
+            cursors[1].blocked_on()
+        );
         assert_eq!(cursors[0].step(&comms[0], None), StepOutcome::Done);
         assert_eq!(node.exposed_count(), 1, "the consumer is still inside");
         assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Done);
@@ -621,14 +801,15 @@ mod tests {
             IoShape::default(),
             vec![comm.finish(None)],
         );
-        let _ = PlanCursor::new(Rc::new(plan), None, None, 1 << 16);
+        let _ = PlanCursor::new(Rc::new(plan), None, None, 1 << 16, shared_arena());
     }
 
     #[test]
     #[should_panic(expected = "does not match the plan's shape")]
     fn cursor_rejects_wrong_buffer_lengths() {
-        let topo = Topology::new(1, 2);
-        let plan = Rc::new(compile_exchange(0, topo));
-        let _ = PlanCursor::new(plan, Some(vec![0u8; 2]), Some(vec![0u8; 4]), 1 << 16);
+        let short = SendBuf::Owned(vec![0u8; 2]);
+        let recvbuf = RecvBuf::Owned(vec![0u8; 4]);
+        let plan = compile_exchange(0, Topology::new(1, 2));
+        let _ = PlanCursor::new(plan, Some(short), Some(recvbuf), 1 << 16, shared_arena());
     }
 }

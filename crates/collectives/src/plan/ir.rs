@@ -10,8 +10,9 @@
 //! shared-memory reads, reduction results).  Because every reference is
 //! symbolic, the same plan can be
 //!
-//! * **executed** against any [`crate::comm::Comm`] with fresh caller
-//!   buffers ([`crate::plan::exec::execute_rank_plan`]), or
+//! * **executed** against any live communicator
+//!   ([`crate::comm::NonBlockingComm`]) with fresh caller buffers
+//!   ([`crate::plan::cursor::PlanCursor`]), or
 //! * **lowered** straight to a `pip-netsim` [`Trace`] without running the
 //!   algorithm again ([`Plan::to_trace`]).
 //!

@@ -10,10 +10,11 @@
 //!   recording [`record::PlanComm`] (the third [`crate::comm::Comm`]
 //!   implementation, next to `ThreadComm` and `TraceComm`) and assemble a
 //!   validated [`ir::RankPlan`] — a symbolic per-rank program.
-//! * **Execute** ([`exec`]): replay the compiled program on a live
-//!   communicator with fresh caller buffers, or lower it straight to a
-//!   `pip-netsim` trace ([`ir::Plan::to_trace`]) without touching the
-//!   algorithm again.
+//! * **Execute** ([`cursor`]): replay the compiled program on a live
+//!   communicator with fresh caller buffers — one resumable interpreter
+//!   behind blocking, non-blocking and persistent collectives alike — or
+//!   lower it straight to a `pip-netsim` trace ([`ir::Plan::to_trace`])
+//!   without touching the algorithm again.
 //!
 //! Caching compiled plans per communicator (see `pip-mpi-model`'s
 //! `PlanCache`) turns the dispatch hot path into *lookup-or-compile, then
@@ -21,15 +22,13 @@
 
 pub mod arena;
 pub mod cursor;
-pub mod exec;
 pub mod ir;
 pub mod record;
 pub mod rewrite;
 pub mod symmetry;
 
 pub use arena::{shared_arena, ArenaStats, BufferArena, SharedArena};
-pub use cursor::{CursorOutput, PlanCursor, StepOutcome};
-pub use exec::{execute_rank_plan, execute_rank_plan_reusing, PlanIo};
+pub use cursor::{CursorOutput, PlanCursor, RecvBuf, SendBuf, StepOutcome};
 pub use ir::{Fidelity, IoShape, Plan, PlanError, PlanOp, RankPlan, Src, SrcSeg, ValId};
 pub use record::{assemble, PlanComm, EXEC_PASSES};
 pub use rewrite::compress_rank_transfers;

@@ -16,8 +16,13 @@
 //! one communicator per rank thread): progress happens inside the caller's
 //! `wait`/`test`, exactly like an MPI implementation progressing from within
 //! completion calls.
+//!
+//! [`drive_to_done`] is the one wait loop of the execute plane: a blocking
+//! collective drives its own cursor with it, [`ProgressEngine::wait`] drives
+//! the whole engine with it.
 
 use std::rc::Rc;
+use std::time::Instant;
 
 use crate::comm::{NonBlockingComm, ReduceFn};
 use crate::plan::cursor::{CursorOutput, PlanCursor, StepOutcome};
@@ -36,7 +41,7 @@ enum Slot {
     Running {
         // Boxed: a cursor (plan handle, buffers, staging) dwarfs the
         // parked output, and slots outlive many step() passes.
-        cursor: Box<PlanCursor>,
+        cursor: Box<PlanCursor<'static>>,
         op: Option<SharedReduceOp>,
     },
     Finished(CursorOutput),
@@ -64,9 +69,10 @@ impl ProgressEngine {
         Self::default()
     }
 
-    /// Register a cursor (with its reduction operator, when the plan needs
-    /// one) and return the id its completion will be reported under.
-    pub fn submit(&mut self, cursor: PlanCursor, op: Option<SharedReduceOp>) -> ReqId {
+    /// Register a cursor that owns its buffers (with its reduction operator,
+    /// when the plan needs one) and return the id its completion will be
+    /// reported under.
+    pub fn submit(&mut self, cursor: PlanCursor<'static>, op: Option<SharedReduceOp>) -> ReqId {
         assert!(
             !cursor.needs_reduce_op() || op.is_some(),
             "plan requires a reduction operator"
@@ -84,8 +90,7 @@ impl ProgressEngine {
     }
 
     /// Step every outstanding cursor once; returns whether *any* of them
-    /// made forward progress.  Callers loop on this from `wait`, yielding
-    /// between fruitless rounds.
+    /// made forward progress.
     pub fn progress<C: NonBlockingComm>(&mut self, comm: &C) -> bool {
         let mut advanced = false;
         for (_, slot) in self.slots.iter_mut() {
@@ -120,6 +125,31 @@ impl ProgressEngine {
             .any(|(slot_id, slot)| *slot_id == id && matches!(slot, Slot::Finished(_)))
     }
 
+    /// Drive every outstanding request until request `id` completes, then
+    /// remove it and return its buffers ([`drive_to_done`] states how the
+    /// wait fails).
+    pub fn wait<C: NonBlockingComm>(&mut self, comm: &C, id: ReqId) -> CursorOutput {
+        let step = |engine: &mut Self| {
+            let advanced = engine.progress(comm);
+            if engine.is_complete(id) {
+                StepOutcome::Done
+            } else if advanced {
+                StepOutcome::Advanced
+            } else {
+                StepOutcome::Blocked
+            }
+        };
+        let blocked_on = |engine: &Self| {
+            let waited = engine.slots.iter().find(|(slot_id, _)| *slot_id == id);
+            match waited {
+                Some((_, Slot::Running { cursor, .. })) => cursor.blocked_on(),
+                _ => format!("request {id}, which is not outstanding"),
+            }
+        };
+        drive_to_done(comm, self, step, blocked_on);
+        self.take_output(id)
+    }
+
     /// Remove a completed request and return its buffers.
     ///
     /// # Panics
@@ -151,12 +181,50 @@ impl ProgressEngine {
     }
 }
 
+/// The one wait loop: call `step` on `state` until it reports
+/// [`StepOutcome::Done`], yielding the thread between fruitless polls.
+///
+/// # Panics
+///
+/// Panics — surfacing as `RuntimeError::TaskPanicked` from the launch — once
+/// `step` has reported nothing but [`StepOutcome::Blocked`] for
+/// [`NonBlockingComm::progress_timeout`]: a peer that never issues the
+/// matching collective becomes a bounded failure naming this rank and what
+/// it is `blocked_on`, never a hang.
+pub fn drive_to_done<C: NonBlockingComm, S>(
+    comm: &C,
+    state: &mut S,
+    mut step: impl FnMut(&mut S) -> StepOutcome,
+    blocked_on: impl Fn(&S) -> String,
+) {
+    let timeout = comm.progress_timeout();
+    // The clock is read only while blocked.
+    let mut blocked_since = None;
+    loop {
+        match step(state) {
+            StepOutcome::Done => return,
+            StepOutcome::Advanced => blocked_since = None,
+            StepOutcome::Blocked => {
+                assert!(
+                    blocked_since.get_or_insert_with(Instant::now).elapsed() < timeout,
+                    "rank {}: no progress for {timeout:?} at {} — every rank must issue the \
+                     matching collective",
+                    comm.rank(),
+                    blocked_on(state),
+                );
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::{Comm, ThreadComm};
     use crate::plan::ir::{Fidelity, IoShape};
     use crate::plan::record::{assemble, PlanComm, EXEC_PASSES};
+    use crate::plan::{shared_arena, RecvBuf, SendBuf};
     use pip_runtime::{Cluster, Topology};
 
     /// Compile a two-rank ping with a per-invocation distinct tag space.
@@ -198,9 +266,10 @@ mod tests {
                 .map(|call| {
                     let cursor = PlanCursor::new(
                         Rc::clone(&plan),
-                        Some(vec![call * 10 + comm.rank() as u8; 2]),
-                        Some(vec![0u8; 2]),
+                        Some(SendBuf::Owned(vec![call * 10 + comm.rank() as u8; 2])),
+                        Some(RecvBuf::Owned(vec![0u8; 2])),
                         (call as u64 + 1) << 16,
+                        shared_arena(),
                     );
                     engine.submit(cursor, None)
                 })
@@ -209,15 +278,7 @@ mod tests {
             // Collect in reverse order of submission.
             let mut outputs = vec![Vec::new(); 4];
             for (call, &id) in ids.iter().enumerate().rev() {
-                let mut spins = 0u32;
-                while !engine.is_complete(id) {
-                    if !engine.progress(&comm) {
-                        spins += 1;
-                        assert!(spins < 1_000_000, "no progress");
-                        std::thread::yield_now();
-                    }
-                }
-                outputs[call] = engine.take_output(id).recvbuf.unwrap();
+                outputs[call] = engine.wait(&comm, id).recvbuf.unwrap();
             }
             assert_eq!(engine.outstanding(), 0);
             outputs

@@ -16,10 +16,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::time::Instant;
 
-use pip_collectives::comm::{Comm as _, NonBlockingComm as _, ThreadComm};
-use pip_collectives::plan::{ArenaStats, PlanCursor, RankPlan, SharedArena};
+use pip_collectives::comm::{Comm as _, ThreadComm};
+use pip_collectives::plan::{ArenaStats, PlanCursor, RankPlan, RecvBuf, SendBuf, SharedArena};
 use pip_collectives::request::{ProgressEngine, ReqId, SharedReduceOp};
 use pip_mpi_model::{
     dispatch, CollectiveRequest, CompressSpec, LibraryProfile, OwnedCollective, PlanCache,
@@ -694,32 +693,6 @@ impl<'a> Communicator<'a> {
         self.engine.borrow_mut().progress(&self.inner)
     }
 
-    /// Drive the progress engine until request `id` completes, yielding
-    /// between fruitless polls.  Panics (surfacing as a launch error) when
-    /// no outstanding request advances for the fabric's receive-timeout
-    /// grace period — the non-blocking equivalent of a receive timeout.
-    fn drive_to_completion(&self, id: ReqId) -> pip_collectives::plan::CursorOutput {
-        let timeout = self.inner.progress_timeout();
-        let mut last_progress = Instant::now();
-        loop {
-            let advanced = self.progress();
-            if self.engine.borrow().is_complete(id) {
-                return self.engine.borrow_mut().take_output(id);
-            }
-            if advanced {
-                last_progress = Instant::now();
-            } else {
-                assert!(
-                    last_progress.elapsed() < timeout,
-                    "rank {}: no outstanding collective progressed for {timeout:?} — \
-                     peers must issue the matching non-blocking collectives",
-                    self.rank()
-                );
-                std::thread::yield_now();
-            }
-        }
-    }
-
     /// Requests submitted but not yet completed-and-collected.
     pub fn outstanding_requests(&self) -> usize {
         self.engine.borrow().outstanding()
@@ -1391,9 +1364,13 @@ impl<O> CollRequest<'_, O> {
         self.comm.engine.borrow().is_complete(self.id)
     }
 
-    /// Block until the collective completes and return its result.
+    /// Block until the collective completes and return its result.  A peer
+    /// that never issues the matching collective surfaces as a launch error
+    /// after the fabric's receive-timeout grace period (see
+    /// [`pip_collectives::request::drive_to_done`]).
     pub fn wait(self) -> O {
-        let output = self.comm.drive_to_completion(self.id);
+        let comm = self.comm;
+        let output = comm.engine.borrow_mut().wait(&comm.inner, self.id);
         (self.finish)(output.recvbuf)
     }
 }
@@ -1448,10 +1425,10 @@ impl<O> PersistentColl<'_, O> {
             self.active.is_none(),
             "persistent collective already started"
         );
-        let cursor = PlanCursor::with_arena(
+        let cursor = PlanCursor::new(
             Rc::clone(&self.plan),
-            self.sendbuf.take(),
-            self.recvbuf.take(),
+            self.sendbuf.take().map(SendBuf::Owned),
+            self.recvbuf.take().map(RecvBuf::Owned),
             self.comm.next_tag(),
             Rc::clone(&self.arena),
         );
@@ -1486,7 +1463,7 @@ impl<O> PersistentColl<'_, O> {
             .active
             .take()
             .expect("persistent collective not started");
-        let output = self.comm.drive_to_completion(id);
+        let output = self.comm.engine.borrow_mut().wait(&self.comm.inner, id);
         self.sendbuf = output.sendbuf;
         self.recvbuf = output.recvbuf;
         (self.finish)(self.recvbuf.as_deref())

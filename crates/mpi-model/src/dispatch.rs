@@ -6,9 +6,9 @@
 //! (per-process message sizes on a given topology) and produce validated
 //! traces, which is what the figure binaries and Criterion benches consume.
 
-use pip_collectives::comm::{record_trace, Comm};
+use pip_collectives::comm::{record_trace, Comm, NonBlockingComm};
 use pip_collectives::datatype::{Layout, OwnedReduction, ReduceOp, Reduction};
-use pip_collectives::plan::{PlanCursor, RankPlan};
+use pip_collectives::plan::{IoShape, PlanCursor, RankPlan, RecvBuf, SendBuf};
 use pip_collectives::{
     binomial, bruck, hierarchical, multi_object, recursive_doubling, recursive_halving, ring, scan,
 };
@@ -297,7 +297,7 @@ fn allreduce_bytes<C: Comm>(
     }
 }
 
-impl CollectiveRequest<'_> {
+impl<'a> CollectiveRequest<'a> {
     /// Whether this is a reduction whose operator carries **no identity**
     /// (an anonymous [`Reduction::Opaque`] closure).  Such an invocation
     /// must never populate the plan cache: the key would collapse to
@@ -314,19 +314,71 @@ impl CollectiveRequest<'_> {
             _ => false,
         }
     }
+
+    /// Route the caller's buffers into the `(send, receive)` slots of a
+    /// cursor executing a plan of shape `io`, next to the reduction operator
+    /// if there is one.  In/out collectives (bcast, allreduce, scans) travel
+    /// in the receive slot.
+    fn into_io(
+        self,
+        io: &IoShape,
+    ) -> (
+        Option<SendBuf<'a>>,
+        Option<RecvBuf<'a>>,
+        Option<Reduction<'a>>,
+    ) {
+        use CollectiveRequest as R;
+        let (send, recv, op) = match self {
+            R::Allgather { sendbuf, recvbuf } | R::Alltoall { sendbuf, recvbuf } => {
+                (Some(sendbuf), Some(recvbuf), None)
+            }
+            R::Scatter {
+                sendbuf, recvbuf, ..
+            } => (sendbuf, Some(recvbuf), None),
+            R::Bcast { buf, .. } => (None, Some(buf), None),
+            R::Gather {
+                sendbuf, recvbuf, ..
+            } => (Some(sendbuf), recvbuf, None),
+            R::Allreduce { buf, op, .. } | R::Scan { buf, op } | R::Exscan { buf, op } => {
+                (None, Some(buf), Some(op))
+            }
+            R::Reduce {
+                sendbuf,
+                recvbuf,
+                op,
+                ..
+            } => (Some(sendbuf), recvbuf, Some(op)),
+            R::ReduceScatter {
+                sendbuf,
+                recvbuf,
+                op,
+            } => (Some(sendbuf), Some(recvbuf), Some(op)),
+            R::Barrier => (None, None, None),
+        };
+        // MPI semantics: a scatter's send buffer and a gather's or reduce's
+        // receive buffer are significant only at the root.  Other ranks may
+        // still pass one; their plan has no use for it, so it is dropped
+        // here rather than tripping the cursor's shape check.
+        (
+            send.filter(|_| io.sendbuf.is_some()).map(SendBuf::Borrowed),
+            recv.filter(|_| io.recvbuf.is_some()).map(RecvBuf::Borrowed),
+            op,
+        )
+    }
 }
 
 /// Execute `request` through the per-communicator plan cache: look the
-/// invocation's shape up, compile the rank's plan on a miss, then run the
-/// compiled program — the hot path of repeated collectives never
-/// re-interprets the algorithm.
+/// invocation's shape up, compile the rank's plan on a miss, then drive a
+/// cursor over the caller's borrowed buffers to completion — the hot path
+/// of repeated collectives never re-interprets the algorithm, and a blocking
+/// collective is the same interpreter a request runs on, finished in place.
 ///
 /// Shapes whose buffer footprint exceeds
 /// [`crate::plan::EXEC_PLAN_MAX_BYTES`] skip the plan path and execute the
 /// algorithm directly: the fingerprint compile's cost scales with buffer
 /// bytes, and large messages are bandwidth-bound, so compiling them buys
 /// nothing.
-pub fn execute_planned<C: Comm>(
+pub fn execute_planned<C: NonBlockingComm>(
     profile: &LibraryProfile,
     comm: &C,
     request: CollectiveRequest<'_>,
@@ -349,8 +401,9 @@ pub fn execute_planned<C: Comm>(
         return;
     }
     let plan = cache.lookup_or_compile(profile, comm.topology(), comm.rank(), &shape);
-    let arena = cache.arena();
-    crate::plan::run_planned_reusing(&plan, comm, request, tag, &mut arena.borrow_mut());
+    let (sendbuf, recvbuf, op) = request.into_io(&plan.io);
+    let mut cursor = PlanCursor::new(plan, sendbuf, recvbuf, tag, cache.arena());
+    cursor.run(comm, op.as_ref().map(Reduction::as_fn));
 }
 
 /// A collective invocation over **owned** byte buffers — the form the
@@ -456,66 +509,45 @@ impl OwnedCollective {
     /// of `world` ranks — the plan-cache key component, identical to what
     /// the blocking path derives via [`crate::plan::CollectiveShape::of`].
     pub fn shape(&self, world: usize) -> crate::plan::CollectiveShape {
-        // Allreduce is the one variant that carries a derived datatype and
-        // a compression spec; normalize both exactly like the borrowed path
-        // so the two request forms key the same cache entry.
-        if let OwnedCollective::Allreduce {
-            buf,
-            op,
-            layout,
-            compress,
-        } = self
-        {
-            let layout = layout.filter(|l| !l.is_contiguous());
-            let block = layout.map_or(buf.len(), |l| l.packed_len() * op.elem_size());
-            return crate::plan::CollectiveShape {
-                kind: CollectiveKind::Allreduce,
-                block,
-                root: 0,
-                elem_size: op.elem_size(),
-                reduce: Some(op.ident()),
-                layout,
-                compress: compress.and_then(|spec| spec.normalized_for(block)),
-            };
-        }
-        let (kind, block, root, op) = match self {
+        use crate::plan::CollectiveShape as Shape;
+        use CollectiveKind as Kind;
+        let reduction = |kind, block, root, op: &OwnedReduction| {
+            Shape::reduction(kind, block, root, op.elem_size(), Some(op.ident()))
+        };
+        match self {
             OwnedCollective::Allgather { sendbuf } => {
-                (CollectiveKind::Allgather, sendbuf.len(), 0, None)
+                Shape::plain(Kind::Allgather, sendbuf.len(), 0)
             }
             OwnedCollective::Scatter { block, root, .. } => {
-                (CollectiveKind::Scatter, *block, *root, None)
+                Shape::plain(Kind::Scatter, *block, *root)
             }
-            OwnedCollective::Bcast { buf, root } => (CollectiveKind::Bcast, buf.len(), *root, None),
+            OwnedCollective::Bcast { buf, root } => Shape::plain(Kind::Bcast, buf.len(), *root),
             OwnedCollective::Gather { sendbuf, root } => {
-                (CollectiveKind::Gather, sendbuf.len(), *root, None)
+                Shape::plain(Kind::Gather, sendbuf.len(), *root)
             }
-            OwnedCollective::Allreduce { .. } => unreachable!("handled above"),
+            OwnedCollective::Allreduce {
+                buf,
+                op,
+                layout,
+                compress,
+            } => Shape::allreduce(
+                buf.len(),
+                op.elem_size(),
+                Some(op.ident()),
+                *layout,
+                *compress,
+            ),
             OwnedCollective::Reduce { sendbuf, root, op } => {
-                (CollectiveKind::Reduce, sendbuf.len(), *root, Some(op))
+                reduction(Kind::Reduce, sendbuf.len(), *root, op)
             }
-            OwnedCollective::ReduceScatter { sendbuf, op } => (
-                CollectiveKind::ReduceScatter,
-                sendbuf.len() / world.max(1),
-                0,
-                Some(op),
-            ),
-            OwnedCollective::Scan { buf, op } => (CollectiveKind::Scan, buf.len(), 0, Some(op)),
-            OwnedCollective::Exscan { buf, op } => (CollectiveKind::Exscan, buf.len(), 0, Some(op)),
-            OwnedCollective::Alltoall { sendbuf } => (
-                CollectiveKind::Alltoall,
-                sendbuf.len() / world.max(1),
-                0,
-                None,
-            ),
-        };
-        crate::plan::CollectiveShape {
-            kind,
-            block,
-            root,
-            elem_size: op.map_or(1, |o| o.elem_size()),
-            reduce: op.map(|o| o.ident()),
-            layout: None,
-            compress: None,
+            OwnedCollective::ReduceScatter { sendbuf, op } => {
+                reduction(Kind::ReduceScatter, sendbuf.len() / world.max(1), 0, op)
+            }
+            OwnedCollective::Scan { buf, op } => reduction(Kind::Scan, buf.len(), 0, op),
+            OwnedCollective::Exscan { buf, op } => reduction(Kind::Exscan, buf.len(), 0, op),
+            OwnedCollective::Alltoall { sendbuf } => {
+                Shape::plain(Kind::Alltoall, sendbuf.len() / world.max(1), 0)
+            }
         }
     }
 
@@ -588,9 +620,15 @@ pub fn begin_planned<C: Comm>(
     request: OwnedCollective,
     tag: u64,
     cache: &mut crate::plan::PlanCache,
-) -> PlanCursor {
+) -> PlanCursor<'static> {
     let (plan, sendbuf, recvbuf) = plan_owned(profile, comm, request, cache);
-    PlanCursor::with_arena(plan, sendbuf, recvbuf, tag, cache.arena())
+    PlanCursor::new(
+        plan,
+        sendbuf.map(SendBuf::Owned),
+        recvbuf.map(RecvBuf::Owned),
+        tag,
+        cache.arena(),
+    )
 }
 
 /// The reduction the `record_*` helpers use: the trivial `u8` instantiation

@@ -22,9 +22,8 @@ use std::sync::Arc;
 
 use pip_collectives::comm::Comm;
 use pip_collectives::plan::{
-    assemble, compress_rank_transfers, execute_rank_plan_reusing, ranks_equal_under,
-    schedules_equal_under, shared_arena, ArenaStats, BufferArena, Fidelity, IoShape, Plan,
-    PlanComm, PlanIo, RankPlan, SharedArena, EXEC_PASSES,
+    assemble, compress_rank_transfers, ranks_equal_under, schedules_equal_under, shared_arena,
+    ArenaStats, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena, EXEC_PASSES,
 };
 use pip_collectives::CollectiveKind;
 use pip_netsim::{FoldGroup, FoldedTrace};
@@ -102,7 +101,7 @@ pub struct CollectiveShape {
     pub reduce: Option<ReduceIdent>,
     /// Strided layout of the caller's buffer, in **elements**; `None` for
     /// contiguous buffers (including degenerate layouts normalized away by
-    /// [`CollectiveShape::of`]).  Part of the plan-cache key, so two
+    /// [`CollectiveShape::allreduce`]).  Part of the plan-cache key, so two
     /// layouts with equal total bytes never alias, and a strided call
     /// never hits a contiguous plan.  When present, [`CollectiveShape::block`]
     /// is the **packed** byte count.
@@ -116,7 +115,7 @@ pub struct CollectiveShape {
 }
 
 impl CollectiveShape {
-    /// The shape of `request` on a world of `world` ranks.
+    /// The shape of a collective without a reduction operator.
     ///
     /// Non-reduction kinds key on `elem_size: 1, reduce: None, layout: None`
     /// uniformly: their schedules depend only on byte counts, so `(kind,
@@ -124,92 +123,87 @@ impl CollectiveShape {
     /// possible between two requests of the same kind and byte count —
     /// unlike reductions (operator identity) and strided buffers (layout),
     /// which each contribute their own key component.
-    pub fn of(request: &CollectiveRequest<'_>, world: usize) -> Self {
-        let contiguous = |kind, block, root| Self {
+    pub fn plain(kind: CollectiveKind, block: usize, root: usize) -> Self {
+        Self::reduction(kind, block, root, 1, None)
+    }
+
+    /// The shape of a reduction over contiguous `elem_size`-byte elements
+    /// whose operator has the cache identity `reduce`.
+    pub fn reduction(
+        kind: CollectiveKind,
+        block: usize,
+        root: usize,
+        elem_size: usize,
+        reduce: Option<ReduceIdent>,
+    ) -> Self {
+        Self {
             kind,
             block,
             root,
-            elem_size: 1,
-            reduce: None,
+            elem_size,
+            reduce,
             layout: None,
             compress: None,
+        }
+    }
+
+    /// The shape of an allreduce over a caller buffer of `buf_len` bytes —
+    /// the one collective that carries a derived datatype and a compression
+    /// spec, and the one place both are normalized.
+    pub fn allreduce(
+        buf_len: usize,
+        elem_size: usize,
+        reduce: Option<ReduceIdent>,
+        layout: Option<Layout>,
+        compress: Option<CompressSpec>,
+    ) -> Self {
+        // Degenerate (contiguous) layouts share the contiguous plans: their
+        // IO behavior is byte-identical, so giving them distinct keys would
+        // only split the cache.
+        let layout = layout.filter(|l| !l.is_contiguous());
+        let block = layout.map_or(buf_len, |l| l.packed_len() * elem_size);
+        Self {
+            layout,
+            compress: compress.and_then(|spec| spec.normalized_for(block)),
+            ..Self::reduction(CollectiveKind::Allreduce, block, 0, elem_size, reduce)
+        }
+    }
+
+    /// The shape of `request` on a world of `world` ranks.
+    pub fn of(request: &CollectiveRequest<'_>, world: usize) -> Self {
+        use CollectiveKind as Kind;
+        let reduction = |kind, block, root, op: &Reduction<'_>| {
+            Self::reduction(kind, block, root, op.elem_size(), op.ident())
         };
         match request {
             CollectiveRequest::Allgather { sendbuf, .. } => {
-                contiguous(CollectiveKind::Allgather, sendbuf.len(), 0)
+                Self::plain(Kind::Allgather, sendbuf.len(), 0)
             }
             CollectiveRequest::Scatter { recvbuf, root, .. } => {
-                contiguous(CollectiveKind::Scatter, recvbuf.len(), *root)
+                Self::plain(Kind::Scatter, recvbuf.len(), *root)
             }
-            CollectiveRequest::Bcast { buf, root } => {
-                contiguous(CollectiveKind::Bcast, buf.len(), *root)
-            }
+            CollectiveRequest::Bcast { buf, root } => Self::plain(Kind::Bcast, buf.len(), *root),
             CollectiveRequest::Gather { sendbuf, root, .. } => {
-                contiguous(CollectiveKind::Gather, sendbuf.len(), *root)
+                Self::plain(Kind::Gather, sendbuf.len(), *root)
             }
             CollectiveRequest::Allreduce {
                 buf,
                 op,
                 layout,
                 compress,
-            } => {
-                // Degenerate (contiguous) layouts share the contiguous
-                // plans: their IO behavior is byte-identical, so giving
-                // them distinct keys would only split the cache.
-                let layout = layout.filter(|l| !l.is_contiguous());
-                let block = layout.map_or(buf.len(), |l| l.packed_len() * op.elem_size());
-                Self {
-                    kind: CollectiveKind::Allreduce,
-                    block,
-                    root: 0,
-                    elem_size: op.elem_size(),
-                    reduce: op.ident(),
-                    layout,
-                    compress: compress.and_then(|spec| spec.normalized_for(block)),
-                }
-            }
+            } => Self::allreduce(buf.len(), op.elem_size(), op.ident(), *layout, *compress),
             CollectiveRequest::Reduce {
                 sendbuf, root, op, ..
-            } => Self {
-                kind: CollectiveKind::Reduce,
-                block: sendbuf.len(),
-                root: *root,
-                elem_size: op.elem_size(),
-                reduce: op.ident(),
-                layout: None,
-                compress: None,
-            },
-            CollectiveRequest::ReduceScatter { recvbuf, op, .. } => Self {
-                kind: CollectiveKind::ReduceScatter,
-                block: recvbuf.len(),
-                root: 0,
-                elem_size: op.elem_size(),
-                reduce: op.ident(),
-                layout: None,
-                compress: None,
-            },
-            CollectiveRequest::Scan { buf, op } => Self {
-                kind: CollectiveKind::Scan,
-                block: buf.len(),
-                root: 0,
-                elem_size: op.elem_size(),
-                reduce: op.ident(),
-                layout: None,
-                compress: None,
-            },
-            CollectiveRequest::Exscan { buf, op } => Self {
-                kind: CollectiveKind::Exscan,
-                block: buf.len(),
-                root: 0,
-                elem_size: op.elem_size(),
-                reduce: op.ident(),
-                layout: None,
-                compress: None,
-            },
-            CollectiveRequest::Alltoall { sendbuf, .. } => {
-                contiguous(CollectiveKind::Alltoall, sendbuf.len() / world.max(1), 0)
+            } => reduction(Kind::Reduce, sendbuf.len(), *root, op),
+            CollectiveRequest::ReduceScatter { recvbuf, op, .. } => {
+                reduction(Kind::ReduceScatter, recvbuf.len(), 0, op)
             }
-            CollectiveRequest::Barrier => contiguous(CollectiveKind::Barrier, 0, 0),
+            CollectiveRequest::Scan { buf, op } => reduction(Kind::Scan, buf.len(), 0, op),
+            CollectiveRequest::Exscan { buf, op } => reduction(Kind::Exscan, buf.len(), 0, op),
+            CollectiveRequest::Alltoall { sendbuf, .. } => {
+                Self::plain(Kind::Alltoall, sendbuf.len() / world.max(1), 0)
+            }
+            CollectiveRequest::Barrier => Self::plain(Kind::Barrier, 0, 0),
         }
     }
 
@@ -823,151 +817,6 @@ fn run_for_recording(
     }
 }
 
-/// Run `request` through a compiled rank plan (scratch buffers come from a
-/// throwaway arena; use [`run_planned_reusing`] on repeated paths).
-pub fn run_planned<C: Comm>(plan: &RankPlan, comm: &C, request: CollectiveRequest<'_>, tag: u64) {
-    let mut arena = BufferArena::new();
-    run_planned_reusing(plan, comm, request, tag, &mut arena);
-}
-
-/// Run `request` through a compiled rank plan, drawing scratch buffers from
-/// `arena` — the allocation-free repeat path the per-communicator
-/// [`PlanCache`] wires into dispatch.
-pub fn run_planned_reusing<C: Comm>(
-    plan: &RankPlan,
-    comm: &C,
-    request: CollectiveRequest<'_>,
-    tag: u64,
-    arena: &mut BufferArena,
-) {
-    match request {
-        CollectiveRequest::Allgather { sendbuf, recvbuf } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                sendbuf: Some(sendbuf),
-                recvbuf: Some(recvbuf),
-            },
-            None,
-            tag,
-            arena,
-        ),
-        CollectiveRequest::Scatter {
-            sendbuf, recvbuf, ..
-        } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                // MPI semantics: the send buffer is significant only at the
-                // root.  Non-root callers may still pass one; the plan has
-                // no use for it, so drop it rather than tripping the
-                // executor's shape check.
-                sendbuf: plan.io.sendbuf.is_some().then_some(sendbuf).flatten(),
-                recvbuf: Some(recvbuf),
-            },
-            None,
-            tag,
-            arena,
-        ),
-        CollectiveRequest::Bcast { buf, .. } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                sendbuf: None,
-                recvbuf: Some(buf),
-            },
-            None,
-            tag,
-            arena,
-        ),
-        CollectiveRequest::Gather {
-            sendbuf, recvbuf, ..
-        } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                sendbuf: Some(sendbuf),
-                // Significant only at the root, as with the scatter sendbuf.
-                recvbuf: plan.io.recvbuf.is_some().then_some(recvbuf).flatten(),
-            },
-            None,
-            tag,
-            arena,
-        ),
-        CollectiveRequest::Allreduce { buf, op, .. } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                sendbuf: None,
-                recvbuf: Some(buf),
-            },
-            Some(op.as_fn()),
-            tag,
-            arena,
-        ),
-        CollectiveRequest::Reduce {
-            sendbuf,
-            recvbuf,
-            op,
-            ..
-        } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                sendbuf: Some(sendbuf),
-                // Significant only at the root, as with the gather recvbuf.
-                recvbuf: plan.io.recvbuf.is_some().then_some(recvbuf).flatten(),
-            },
-            Some(op.as_fn()),
-            tag,
-            arena,
-        ),
-        CollectiveRequest::ReduceScatter {
-            sendbuf,
-            recvbuf,
-            op,
-            ..
-        } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                sendbuf: Some(sendbuf),
-                recvbuf: Some(recvbuf),
-            },
-            Some(op.as_fn()),
-            tag,
-            arena,
-        ),
-        CollectiveRequest::Scan { buf, op, .. } | CollectiveRequest::Exscan { buf, op, .. } => {
-            execute_rank_plan_reusing(
-                plan,
-                comm,
-                PlanIo {
-                    sendbuf: None,
-                    recvbuf: Some(buf),
-                },
-                Some(op.as_fn()),
-                tag,
-                arena,
-            )
-        }
-        CollectiveRequest::Alltoall { sendbuf, recvbuf } => execute_rank_plan_reusing(
-            plan,
-            comm,
-            PlanIo {
-                sendbuf: Some(sendbuf),
-                recvbuf: Some(recvbuf),
-            },
-            None,
-            tag,
-            arena,
-        ),
-        CollectiveRequest::Barrier => {
-            execute_rank_plan_reusing(plan, comm, PlanIo::default(), None, tag, arena)
-        }
-    }
-}
-
 /// Shapes whose [`CollectiveShape::buffer_footprint`] exceeds this are not
 /// compiled on the dispatch path; [`crate::dispatch::execute_planned`]
 /// falls back to direct algorithm execution instead.  The fingerprint
@@ -1011,7 +860,7 @@ impl PlanCache {
     }
 
     /// The scratch-buffer arena shared by every execution dispatched through
-    /// this cache (blocking runs, cursors, persistent handles).
+    /// this cache (blocking calls, requests, persistent handles).
     pub fn arena(&self) -> SharedArena {
         Rc::clone(&self.arena)
     }
@@ -1161,6 +1010,7 @@ impl ClusterPlanCache {
 mod tests {
     use super::*;
     use pip_collectives::oracle;
+    use pip_collectives::plan::{PlanCursor, RecvBuf, SendBuf};
     use pip_collectives::ThreadComm;
     use pip_runtime::Cluster;
 
@@ -1265,26 +1115,22 @@ mod tests {
             layout: None,
             compress: None,
         };
-        let plans: Vec<RankPlan> = (0..world)
-            .map(|rank| compile_rank(&profile, topo, rank, &shape, Fidelity::Exec))
-            .collect();
         let contributions: Vec<Vec<u8>> =
             (0..world).map(|r| oracle::rank_payload(r, block)).collect();
         let expected = oracle::allgather(&contributions);
-        let plans_ref = &plans;
         let results = Cluster::launch(topo, |ctx| {
             let comm = ThreadComm::new(ctx);
+            let plan = compile_rank(&profile, topo, comm.rank(), &shape, Fidelity::Exec);
             let sendbuf = oracle::rank_payload(comm.rank(), block);
             let mut recvbuf = vec![0u8; world * block];
-            run_planned(
-                &plans_ref[comm.rank()],
-                &comm,
-                CollectiveRequest::Allgather {
-                    sendbuf: &sendbuf,
-                    recvbuf: &mut recvbuf,
-                },
+            let mut cursor = PlanCursor::new(
+                Rc::new(plan),
+                Some(SendBuf::Borrowed(&sendbuf)),
+                Some(RecvBuf::Borrowed(&mut recvbuf)),
                 1 << 16,
+                shared_arena(),
             );
+            cursor.run(&comm, None);
             recvbuf
         })
         .unwrap();

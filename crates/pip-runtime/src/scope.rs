@@ -3,13 +3,18 @@
 //! Under PiP the ranks of a node cooperate through plain loads and stores
 //! in one address space; a collective needs no name service and no message
 //! to find a peer's buffer or to learn that every peer has arrived.  An
-//! invocation scope gives the plan interpreters exactly that: one object per
+//! invocation scope gives the plan interpreter exactly that: one object per
 //! `(node, invocation tag)` holding
 //!
 //! * the invocation's shared regions in a dense table indexed by
 //!   `(owner local rank, name id)` — no string formatting, hashing or
 //!   allocation per shared read or write — and
 //! * one cumulative arrival counter for its node barriers.
+//!
+//! Nothing here waits: a region its owner has not exposed yet and a barrier a
+//! peer has not reached are *reported* ([`ScopeHandle::try_region`],
+//! [`ScopeHandle::barrier_passed`]) and the caller polls, under its own
+//! deadline.
 //!
 //! **Lifetime.**  The first local rank to [`NodeSpace::enter_scope`] under a
 //! tag creates the scope; every later rank of the node finds it there and
@@ -34,13 +39,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::error::{Result, RuntimeError};
 use crate::memory::ExposedRegion;
-use crate::node::{NodeSpace, ATTACH_TIMEOUT};
+use crate::node::NodeSpace;
 
 /// Name every pooled scope region reports in errors.
 const SCOPE_REGION_NAME: &str = "invocation-scope region";
@@ -59,8 +63,6 @@ pub struct RegionPoolStats {
 #[derive(Debug)]
 struct InvocationScope {
     table: Mutex<ScopeTable>,
-    /// Signalled when a region is exposed while a blocking lookup waits.
-    exposed: Condvar,
     /// Barrier arrivals of the whole invocation, never reset while it
     /// lives: episode `k` is complete once the count reaches `(k + 1) * ppn`,
     /// because no rank arrives at episode `k + 1` before `k` completed.
@@ -75,9 +77,6 @@ struct ScopeTable {
     live_names: usize,
     /// `slots[name * ppn + owner_local]`.
     slots: Vec<Option<ExposedRegion>>,
-    /// Blocking lookups currently parked on `exposed`; exposing a region
-    /// skips the wake-up (a system call) while there are none.
-    waiters: usize,
 }
 
 impl ScopeTable {
@@ -144,7 +143,6 @@ impl ScopeRegistry {
         let scope = self.pool.lock().scopes.pop().unwrap_or_else(|| {
             Arc::new(InvocationScope {
                 table: Mutex::default(),
-                exposed: Condvar::new(),
                 arrivals: AtomicUsize::new(0),
             })
         });
@@ -289,45 +287,16 @@ impl ScopeHandle {
         }
         let region = self.node.scopes().acquire_region(len);
         table.slots[slot] = Some(region.clone());
-        let wake = table.waiters > 0;
         drop(table);
         self.node.scopes().exposed.fetch_add(1, Ordering::Relaxed);
-        if wake {
-            self.scope.exposed.notify_all();
-        }
         Ok(region)
     }
 
     /// The region `name` of local rank `owner_local`, or `None` while its
-    /// owner has not exposed it yet.  Never blocks.
+    /// owner has not exposed it yet.  Never blocks: the plan cursor polls.
     pub fn try_region(&self, owner_local: usize, name: u32) -> Option<ExposedRegion> {
         let slot = self.slot(owner_local, name);
         self.scope.table.lock().slots[slot].clone()
-    }
-
-    /// As [`ScopeHandle::try_region`], waiting (bounded by
-    /// [`ATTACH_TIMEOUT`]) for the owner to expose the region.
-    pub fn region(&self, owner_local: usize, name: u32) -> Result<ExposedRegion> {
-        let slot = self.slot(owner_local, name);
-        let mut table = self.scope.table.lock();
-        // The clock is read only once the region turns out to be missing.
-        let mut deadline = None;
-        loop {
-            if let Some(region) = &table.slots[slot] {
-                return Ok(region.clone());
-            }
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + ATTACH_TIMEOUT);
-            if now >= deadline {
-                return Err(RuntimeError::RegionNotExposed {
-                    owner_local_rank: owner_local,
-                    name: table.names[slot / self.node.ppn()].clone(),
-                });
-            }
-            table.waiters += 1;
-            self.scope.exposed.wait_for(&mut table, deadline - now);
-            table.waiters -= 1;
-        }
     }
 
     /// Arrive at the invocation's next node barrier.  Returns the arrival
@@ -416,22 +385,6 @@ mod tests {
         // Rank 1 calls rank 0's "out" by its own id for that name.
         assert_eq!(b.try_region(0, 0).unwrap().to_vec(), [1, 2, 3, 4]);
         assert!(b.try_region(0, 1).is_none());
-    }
-
-    /// The blocking lookup returns the region whether it was exposed before
-    /// the lookup or while it waits (then the exposer wakes it).
-    #[test]
-    fn blocking_lookup_waits_for_the_owner() {
-        let node = NodeSpace::new(0, 2);
-        let table = names(&["late"]);
-        let consumer = node.enter_scope(4, 1, &table).unwrap();
-        let owner = node.enter_scope(4, 0, &table).unwrap();
-        std::thread::scope(|threads| {
-            let waiter = threads.spawn(|| consumer.region(0, 0).unwrap().len());
-            std::thread::yield_now();
-            owner.expose(0, 12).unwrap();
-            assert_eq!(waiter.join().unwrap(), 12);
-        });
     }
 
     #[test]

@@ -7,14 +7,23 @@
 //! 2. **Lowering vs. legacy recording** — lowering a schedule-fidelity plan
 //!    with `Plan::to_trace` is op-for-op identical to the legacy path that
 //!    replays the algorithm once per rank through `TraceComm`.
+//! 3. **Borrowed vs. owned** — the one plan interpreter produces the same
+//!    bytes whether a blocking call drives it in place on the caller's
+//!    borrowed buffers or a progress engine drives it on buffers it owns.
 
 use std::cell::RefCell;
 
+use pip_mcoll::collectives::datatype::to_bytes;
 use pip_mcoll::collectives::oracle;
-use pip_mcoll::collectives::plan::Fidelity;
-use pip_mcoll::collectives::{CollectiveKind, ReduceOp, Reduction, ThreadComm};
+use pip_mcoll::collectives::plan::{Fidelity, PlanOp};
+use pip_mcoll::collectives::request::ProgressEngine;
+use pip_mcoll::collectives::{
+    CollectiveKind, Layout, OwnedReduction, ReduceKernel, ReduceOp, Reduction, ThreadComm,
+};
 use pip_mcoll::model::plan::{compile_cluster, PlanCache};
-use pip_mcoll::model::{dispatch, CollectiveRequest, CollectiveShape, Library};
+use pip_mcoll::model::{
+    dispatch, CollectiveRequest, CollectiveShape, CompressSpec, Library, OwnedCollective,
+};
 use pip_mcoll::runtime::{Cluster, Topology};
 
 const TOPOLOGIES: [(usize, usize); 5] = [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)];
@@ -151,6 +160,302 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
                     "seven distinct shapes compile once each ({ctx})"
                 );
             }
+        }
+    }
+}
+
+/// Elements per rank block of the borrowed-vs-owned table.
+const COUNT: usize = 6;
+/// The strided allreduce: three blocks of two elements, starts four apart.
+const STRIDED: Layout = Layout {
+    count: 3,
+    blocklen: 2,
+    stride: 4,
+};
+/// What the gap elements of the strided buffer hold before and after.
+const GAP: i32 = 0x0EEE_EEEE;
+
+/// Rank `rank`'s `blocks` blocks, as `f32` bytes (the compressed row needs
+/// floats; every row's operator is the `f32` sum).
+fn floats(rank: usize, blocks: usize) -> Vec<u8> {
+    let values: Vec<f32> = (0..blocks * COUNT)
+        .map(|i| ((rank * 5 + i * 3) % 17) as f32 * 0.25)
+        .collect();
+    to_bytes(&values)
+}
+
+fn f32_sum() -> OwnedReduction {
+    OwnedReduction::Typed(ReduceKernel::of::<f32>(ReduceOp::Sum))
+}
+
+/// One row per owned collective — every [`CollectiveKind`] but the barrier,
+/// which has no owned form — plus the two allreduce variants that take
+/// their own route through the cursor: strided (packed staging) and
+/// compressed (unsized receives).  Each builds rank `rank`'s invocation on
+/// a `world`-rank world rooted at `root`.
+type Row = (&'static str, fn(usize, usize, usize) -> OwnedCollective);
+const ROWS: [Row; 12] = [
+    ("allgather", |rank, _, _| OwnedCollective::Allgather {
+        sendbuf: floats(rank, 1),
+    }),
+    ("scatter", |rank, world, root| OwnedCollective::Scatter {
+        // Every rank passes a buffer; it is significant only at the root.
+        sendbuf: Some(floats(rank, world)),
+        block: COUNT * 4,
+        root,
+    }),
+    ("bcast", |rank, _, root| OwnedCollective::Bcast {
+        buf: floats(rank, 1),
+        root,
+    }),
+    ("gather", |rank, _, root| OwnedCollective::Gather {
+        sendbuf: floats(rank, 1),
+        root,
+    }),
+    ("allreduce", |rank, _, _| OwnedCollective::Allreduce {
+        buf: floats(rank, 1),
+        op: f32_sum(),
+        layout: None,
+        compress: None,
+    }),
+    ("reduce", |rank, _, root| OwnedCollective::Reduce {
+        sendbuf: floats(rank, 1),
+        root,
+        op: f32_sum(),
+    }),
+    ("reduce_scatter", |rank, world, _| {
+        OwnedCollective::ReduceScatter {
+            sendbuf: floats(rank, world),
+            op: f32_sum(),
+        }
+    }),
+    ("scan", |rank, _, _| OwnedCollective::Scan {
+        buf: floats(rank, 1),
+        op: f32_sum(),
+    }),
+    ("exscan", |rank, _, _| OwnedCollective::Exscan {
+        buf: floats(rank, 1),
+        op: f32_sum(),
+    }),
+    ("alltoall", |rank, world, _| OwnedCollective::Alltoall {
+        sendbuf: floats(rank, world),
+    }),
+    ("strided allreduce", |rank, _, _| {
+        let mut elems = vec![GAP; STRIDED.extent()];
+        for (i, elem) in elems.iter_mut().enumerate() {
+            if i % STRIDED.stride < STRIDED.blocklen {
+                *elem = (rank * 10 + i) as i32;
+            }
+        }
+        OwnedCollective::Allreduce {
+            buf: to_bytes(&elems),
+            op: OwnedReduction::Typed(ReduceKernel::of::<i32>(ReduceOp::Sum)),
+            layout: Some(STRIDED),
+            compress: None,
+        }
+    }),
+    ("compressed allreduce", |rank, _, _| {
+        OwnedCollective::Allreduce {
+            buf: floats(rank, 1),
+            op: f32_sum(),
+            layout: None,
+            compress: Some(CompressSpec::from_bound(1e-3, 0)),
+        }
+    }),
+];
+
+/// The operator of an owned reduction, if `owned` is one.
+fn reduction_of(owned: &OwnedCollective) -> Option<&OwnedReduction> {
+    match owned {
+        OwnedCollective::Allreduce { op, .. }
+        | OwnedCollective::Reduce { op, .. }
+        | OwnedCollective::ReduceScatter { op, .. }
+        | OwnedCollective::Scan { op, .. }
+        | OwnedCollective::Exscan { op, .. } => Some(op),
+        _ => None,
+    }
+}
+
+/// Run `owned` as the blocking call it describes — the same buffers,
+/// borrowed, through `execute` — and return what the caller's receive
+/// buffer holds afterwards (`None` where this rank binds none).
+fn run_borrowed(
+    mut owned: OwnedCollective,
+    (rank, world): (usize, usize),
+    execute: impl FnOnce(CollectiveRequest<'_>),
+) -> Option<Vec<u8>> {
+    let borrow = |op: &OwnedReduction| match op {
+        OwnedReduction::Typed(kernel) => Reduction::Typed(*kernel),
+        OwnedReduction::User(_) => unreachable!("every row reduces with a typed kernel"),
+    };
+    let op = reduction_of(&owned).map(borrow);
+    let mut recvbuf = Vec::new();
+    match &mut owned {
+        OwnedCollective::Allgather { sendbuf } => {
+            recvbuf.resize(world * sendbuf.len(), 0);
+            execute(CollectiveRequest::Allgather {
+                sendbuf,
+                recvbuf: &mut recvbuf,
+            });
+        }
+        OwnedCollective::Scatter {
+            sendbuf,
+            block,
+            root,
+        } => {
+            recvbuf.resize(*block, 0);
+            execute(CollectiveRequest::Scatter {
+                sendbuf: sendbuf.as_deref(),
+                recvbuf: &mut recvbuf,
+                root: *root,
+            });
+        }
+        OwnedCollective::Gather { sendbuf, root } => {
+            recvbuf.resize(world * sendbuf.len(), 0);
+            execute(CollectiveRequest::Gather {
+                sendbuf,
+                recvbuf: (rank == *root).then_some(&mut recvbuf),
+                root: *root,
+            });
+            return (rank == *root).then_some(recvbuf);
+        }
+        OwnedCollective::Reduce { sendbuf, root, .. } => {
+            recvbuf.resize(sendbuf.len(), 0);
+            execute(CollectiveRequest::Reduce {
+                sendbuf,
+                recvbuf: (rank == *root).then_some(&mut recvbuf),
+                root: *root,
+                op: op.unwrap(),
+            });
+            return (rank == *root).then_some(recvbuf);
+        }
+        OwnedCollective::ReduceScatter { sendbuf, .. } => {
+            recvbuf.resize(sendbuf.len() / world, 0);
+            execute(CollectiveRequest::ReduceScatter {
+                sendbuf,
+                recvbuf: &mut recvbuf,
+                op: op.unwrap(),
+            });
+        }
+        OwnedCollective::Alltoall { sendbuf } => {
+            recvbuf.resize(sendbuf.len(), 0);
+            execute(CollectiveRequest::Alltoall {
+                sendbuf,
+                recvbuf: &mut recvbuf,
+            });
+        }
+        // The in/out kinds: the caller's one buffer is the result.
+        OwnedCollective::Bcast { buf, root } => {
+            execute(CollectiveRequest::Bcast { buf, root: *root });
+            recvbuf = std::mem::take(buf);
+        }
+        OwnedCollective::Allreduce {
+            buf,
+            layout,
+            compress,
+            ..
+        } => {
+            execute(CollectiveRequest::Allreduce {
+                buf,
+                op: op.unwrap(),
+                layout: *layout,
+                compress: *compress,
+            });
+            recvbuf = std::mem::take(buf);
+        }
+        OwnedCollective::Scan { buf, .. } => {
+            execute(CollectiveRequest::Scan {
+                buf,
+                op: op.unwrap(),
+            });
+            recvbuf = std::mem::take(buf);
+        }
+        OwnedCollective::Exscan { buf, .. } => {
+            execute(CollectiveRequest::Exscan {
+                buf,
+                op: op.unwrap(),
+            });
+            recvbuf = std::mem::take(buf);
+        }
+    }
+    Some(recvbuf)
+}
+
+/// Every row of [`ROWS`], for every library on three topologies, once
+/// through `execute_planned` (a cursor on borrowed buffers, driven in place)
+/// and once through `begin_planned` + a `ProgressEngine` (a cursor that owns
+/// its buffers), from one plan cache: byte-identical results, one compile
+/// per shape, every scope retired, strided gaps untouched.
+#[test]
+fn borrowed_and_owned_cursors_agree_for_every_collective_and_library() {
+    for library in Library::ALL {
+        for (nodes, ppn) in [(1, 4), (2, 3), (3, 3)] {
+            let topo = Topology::new(nodes, ppn);
+            let world = topo.world_size();
+            let root = world / 2;
+            let profile = library.profile();
+            let what = format!("{} on {nodes}x{ppn}", library.name());
+
+            // The compressed row must really cross the unsized-receive path
+            // wherever the schedule has a wire to compress on.
+            if nodes > 1 {
+                let (_, compressed) = ROWS[ROWS.len() - 1];
+                let shape = compressed(0, world, root).shape(world);
+                let plan = compile_cluster(&profile, topo, &shape, Fidelity::Exec);
+                let lossy = |op: &PlanOp| matches!(op, PlanOp::Decompress { .. });
+                let mut ops = plan.ranks.iter().flat_map(|rank| &rank.ops);
+                assert!(ops.any(lossy), "{what}: nothing was compressed");
+            }
+
+            Cluster::launch(topo, |ctx| {
+                let comm = ThreadComm::new(ctx);
+                let rank = ctx.rank();
+                let mut cache = PlanCache::new();
+                let mut engine = ProgressEngine::new();
+                let mut tag = 0u64;
+                let mut next_tag = || {
+                    tag += 1 << 16;
+                    tag
+                };
+                for (name, build) in ROWS {
+                    let borrowed = run_borrowed(build(rank, world, root), (rank, world), |req| {
+                        dispatch::execute_planned(&profile, &comm, req, next_tag(), &mut cache)
+                    });
+                    let owned = build(rank, world, root);
+                    let op = reduction_of(&owned).map(OwnedReduction::shared);
+                    let cursor =
+                        dispatch::begin_planned(&profile, &comm, owned, next_tag(), &mut cache);
+                    let id = engine.submit(cursor, op);
+                    let owned = engine.wait(&comm, id).recvbuf;
+                    assert_eq!(borrowed, owned, "{name}, {what}, rank {rank}");
+                    if name == "strided allreduce" {
+                        let elems: Vec<i32> =
+                            pip_mcoll::collectives::datatype::from_bytes(&owned.unwrap());
+                        for (i, elem) in elems.into_iter().enumerate() {
+                            let in_gap = i % STRIDED.stride >= STRIDED.blocklen;
+                            assert_eq!(elem == GAP, in_gap, "element {i}, {what}, rank {rank}");
+                        }
+                    }
+                }
+                dispatch::execute_planned(
+                    &profile,
+                    &comm,
+                    CollectiveRequest::Barrier,
+                    next_tag(),
+                    &mut cache,
+                );
+                let rows = ROWS.len() as u64;
+                assert_eq!(
+                    cache.stats(),
+                    (rows, rows + 1),
+                    "one compile per shape, {what}"
+                );
+                assert_eq!(cache.bypasses(), 0, "{what}");
+                // Once the node's ranks are all through, no scope is left.
+                ctx.node_barrier();
+                assert_eq!(ctx.node().exposed_count(), 0, "{what}");
+            })
+            .unwrap();
         }
     }
 }

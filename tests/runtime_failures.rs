@@ -2,7 +2,7 @@
 //! turn broken programs and broken schedules into structured errors, never
 //! into hangs or silent corruption.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pip_mcoll::core::prelude::*;
 use pip_mcoll::netsim::engine::{SimEngine, SimError};
@@ -42,6 +42,54 @@ fn mismatched_point_to_point_times_out_instead_of_hanging() {
         .unwrap();
     assert!(matches!(results[0], Err(RuntimeError::RecvTimeout { .. })));
     assert!(results[1].is_ok());
+}
+
+/// Launch `topology` with a 100 ms progress deadline and run `program` on
+/// every rank, telling rank 1 to skip its part.  Its node peer, rank 0, must
+/// fail in bounded time instead of hanging, with the one wait loop's report:
+/// the stalled rank, the invocation, and the op it is stuck at — a node
+/// barrier, which no fabric deadline covers.
+fn assert_rank_1_stalls_rank_0(topology: Topology, program: impl Fn(&Communicator, bool) + Sync) {
+    let started = Instant::now();
+    let outcome = Cluster::launch_with_timeout(topology, Duration::from_millis(100), |ctx| {
+        let comm = Communicator::new(ctx, Library::PipMColl.profile());
+        program(&comm, comm.rank() == 1);
+    });
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    match outcome {
+        Err(RuntimeError::TaskPanicked { rank: 0, message }) => {
+            let stalled_at = "rank 0: no progress for 100ms at invocation tag 0x10000, op ";
+            assert!(message.starts_with(stalled_at), "{message}");
+            assert!(message.contains(": NodeBarrier — "), "{message}");
+        }
+        other => panic!("expected rank 0 to report the stall, got {other:?}"),
+    }
+}
+
+#[test]
+fn mismatched_blocking_collective_fails_instead_of_hanging() {
+    let allreduce = |comm: &Communicator, skip: bool| {
+        if !skip {
+            comm.allreduce(&mut [1.0f32; 16], ReduceOp::Sum);
+        }
+    };
+    // One node: only the barrier waits.  Two nodes: node 1's ranks are
+    // stuck in receives at the same time.
+    assert_rank_1_stalls_rank_0(Topology::new(1, 2), allreduce);
+    assert_rank_1_stalls_rank_0(Topology::new(2, 2), allreduce);
+}
+
+#[test]
+fn mismatched_request_wait_fails_instead_of_hanging() {
+    // Rank 1 starts the collective but never completes it, so its cursor
+    // stops at its first blocking point for good.
+    assert_rank_1_stalls_rank_0(Topology::new(2, 2), |comm, skip| {
+        let request = comm.iallreduce(&[1.0f32; 16], ReduceOp::Sum);
+        if !skip {
+            request.wait();
+        }
+    });
 }
 
 #[test]
