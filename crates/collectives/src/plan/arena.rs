@@ -17,8 +17,11 @@
 //! finishes, and the buffers a rank's sends carry away (they move into the
 //! fabric and on to the peer) are replaced by the received messages its
 //! receives bring in — which are released into the pool when the run
-//! finishes.  After the first invocation of a symmetric collective, repeat
-//! invocations therefore hit the pool for every acquisition;
+//! finishes.  Compressed transfers follow the same rule: the sender encodes
+//! into an arena buffer of the frame's worst-case length, the receiver
+//! decodes into an arena buffer and releases the frame it was sent.  After
+//! the first invocation of a symmetric collective, repeat invocations
+//! therefore hit the pool for every acquisition;
 //! [`ArenaStats::misses`] stays flat, which
 //! `tests/arena_steady_state.rs` pins for persistent allreduce and
 //! reduce_scatter.

@@ -28,7 +28,7 @@
 //! collectives cannot pair arrivals or regions of different collectives.
 //!
 //! Scratch buffers (materialized payloads, value slots, deferred output
-//! writes, strided staging) come from the communicator's
+//! writes, strided staging, compressed frames) come from the communicator's
 //! [`crate::plan::arena::BufferArena`], so repeat executions of one shape
 //! stop allocating — whatever the entry style.
 
@@ -37,7 +37,7 @@ use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use crate::comm::{NonBlockingComm, ReduceFn};
-use crate::compress::{compress, decompress};
+use crate::compress::{compress_into, decompress_into, max_frame_len};
 use crate::datatype::Layout;
 use crate::plan::arena::SharedArena;
 use crate::plan::ir::{Fidelity, NameId, PlanOp, RankPlan, Src, SrcSeg};
@@ -443,9 +443,15 @@ impl<'b> PlanCursor<'b> {
                 codec,
                 ..
             } => {
+                // The frame is sized for the worst case, so encoding never
+                // reallocates and the peer's arena gets this capacity class
+                // back when it releases the frame.
                 let data = self.materialize(src);
-                let frame = compress(&data, *codec);
-                self.arena.borrow_mut().release(data);
+                let mut arena = self.arena.borrow_mut();
+                let mut frame = arena.acquire(max_frame_len(data.len(), *codec));
+                compress_into(&data, *codec, &mut frame);
+                arena.release(data);
+                drop(arena);
                 comm.send_owned(*dest, self.tag + t, frame);
             }
             PlanOp::Decompress {
@@ -457,7 +463,13 @@ impl<'b> PlanCursor<'b> {
                 ..
             } => match comm.try_recv_unsized(*source, self.tag + t) {
                 Some(frame) => {
-                    let data = decompress(&frame, *raw_len, *codec);
+                    let mut arena = self.arena.borrow_mut();
+                    let mut data = arena.acquire(*raw_len);
+                    decompress_into(&frame, *raw_len, *codec, &mut data);
+                    // The frame replaces the one this rank's own sends
+                    // carried away.
+                    arena.release(frame);
+                    drop(arena);
                     self.store_val(*dst, data);
                 }
                 None => return StepOutcome::Blocked,

@@ -92,6 +92,90 @@ fn open_mpi_persistent_starts_perform_zero_arena_misses_after_the_first() {
     assert_persistent_starts_are_allocation_free(Library::OpenMpi, 2, 4);
 }
 
+/// Persistent *compressed* allreduce: a `Compress` op encodes into a frame
+/// drawn from the arena and a `Decompress` op decodes into an arena buffer
+/// and releases the frame it received, so the frames a rank's sends carry
+/// away are replaced by the frames its receives bring in.  After the first
+/// start nothing allocates, and every buffer acquired is released exactly
+/// once — a receive never slips an extra buffer into the pool.
+///
+/// The pool is keyed by exact length, so a rank stays balanced only when
+/// what it sends and receives falls into the same size classes.  That holds
+/// for PiP-MColl's inter-node exchanges on any topology, but a ring with
+/// several ranks per node sends one neighbour a raw (intra-node, exact)
+/// buffer and gets a frame back from the other: the ring runs one rank per
+/// node, where every edge is compressed.
+fn assert_compressed_starts_are_balanced(library: Library, nodes: usize, ppn: usize) {
+    const STARTS: usize = 50;
+    const BOUND: f64 = 1e-3;
+    let results = World::builder()
+        .nodes(nodes)
+        .ppn(ppn)
+        .library(library)
+        .run(|comm| {
+            let world = comm.size();
+            // Every inter-node ring chunk at the profile's wire threshold,
+            // so the plan really carries Compress/Decompress ops.
+            let len = world * library.profile().selection.compress_min_bytes / 8;
+            let input = |rank: usize, round: usize| -> Vec<f64> {
+                (0..len)
+                    .map(|i| ((i + 97 * rank + 31 * round) as f64 * 0.003).sin())
+                    .collect()
+            };
+            let mut allreduce =
+                comm.allreduce_compressed_init(&vec![0.0f64; len], ReduceOp::Sum, BOUND);
+            let mut stats = Vec::new();
+            for round in 0..=STARTS {
+                allreduce.write_send(&input(comm.rank(), round));
+                allreduce.start();
+                let reduced = allreduce.wait();
+                let exact = (0..world).fold(vec![0.0; len], |mut acc, rank| {
+                    acc.iter_mut()
+                        .zip(input(rank, round))
+                        .for_each(|(a, v)| *a += v);
+                    acc
+                });
+                for (i, (got, want)) in reduced.iter().zip(&exact).enumerate() {
+                    assert!(
+                        (got - want).abs() <= BOUND + 1e-9,
+                        "round {round} element {i}: {got} vs {want} under {library:?}"
+                    );
+                }
+                stats.push(comm.arena_stats());
+            }
+            stats
+        })
+        .unwrap();
+
+    for (rank, stats) in results.iter().enumerate() {
+        let first = stats[0];
+        for (start, now) in stats.iter().enumerate().skip(1) {
+            assert_eq!(
+                now.misses, first.misses,
+                "rank {rank} under {library:?}: start {start} allocated ({now:?} after {first:?})"
+            );
+            let acquired = (now.hits - first.hits) + (now.misses - first.misses);
+            assert_eq!(
+                now.released - first.released,
+                acquired,
+                "rank {rank} under {library:?}: {start} starts acquired {acquired} buffers but \
+                 released {} ({now:?} after {first:?})",
+                now.released - first.released
+            );
+        }
+    }
+}
+
+#[test]
+fn pip_mcoll_compressed_persistent_starts_keep_the_arena_balanced() {
+    assert_compressed_starts_are_balanced(Library::PipMColl, 2, 2);
+}
+
+#[test]
+fn open_mpi_compressed_persistent_starts_keep_the_arena_balanced() {
+    assert_compressed_starts_are_balanced(Library::OpenMpi, 4, 1);
+}
+
 /// The blocking dispatch path shares the same arena: back-to-back blocking
 /// allreduces on a communicator stop allocating once the first call of the
 /// shape has filled the pool.

@@ -20,12 +20,12 @@
 //!    entry as the exact shape.
 //! 5. **Codec round-trip property**: randomized streams (including NaN,
 //!    infinities, huge magnitudes and empty input) reconstruct within the
-//!    bound element-wise, with non-finite values preserved bitwise via
-//!    the verbatim fallback.
+//!    bound element-wise, with non-finite values preserved bitwise, in a
+//!    frame no longer than `max_frame_len`.
 
 use proptest::prelude::*;
 
-use pip_mcoll::collectives::compress::{compress, decompress, Codec, FloatElem};
+use pip_mcoll::collectives::compress::{compress, decompress, max_frame_len, Codec, FloatElem};
 use pip_mcoll::collectives::plan::Fidelity;
 use pip_mcoll::collectives::CollectiveKind;
 use pip_mcoll::core::prelude::*;
@@ -356,8 +356,8 @@ fn compression_specs_key_distinct_plan_cache_entries() {
 }
 
 /// Contract 5 support: one round-trip through the public codec, asserting
-/// the bound on finite elements and bitwise preservation of non-finite
-/// ones (verbatim fallback).
+/// the frame-length ceiling, the bound on finite elements and bitwise
+/// preservation of non-finite ones.
 fn check_roundtrip_f64(values: &[f64], bound: f64) {
     let codec = Codec {
         elem: FloatElem::F64,
@@ -365,6 +365,7 @@ fn check_roundtrip_f64(values: &[f64], bound: f64) {
     };
     let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
     let frame = compress(&data, codec);
+    assert!(frame.len() <= max_frame_len(data.len(), codec));
     let back = decompress(&frame, data.len(), codec);
     assert_eq!(back.len(), data.len());
     for (i, (orig, chunk)) in values.iter().zip(back.chunks_exact(8)).enumerate() {
@@ -414,6 +415,7 @@ proptest! {
         let values: Vec<f32> = seeds.iter().map(|&s| f32_from_seed(s)).collect();
         let data: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let frame = compress(&data, codec);
+        prop_assert!(frame.len() <= max_frame_len(data.len(), codec));
         let back = decompress(&frame, data.len(), codec);
         prop_assert_eq!(back.len(), data.len());
         for (i, (orig, chunk)) in values.iter().zip(back.chunks_exact(4)).enumerate() {
