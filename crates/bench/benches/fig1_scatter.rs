@@ -1,12 +1,15 @@
 //! Criterion bench for Figure 1 (MPI_Scatter, small messages): measures the
-//! end-to-end pipeline (schedule recording + discrete-event simulation) per
-//! library on a reduced cluster so `cargo bench` stays fast, and reports the
-//! simulated execution times for the paper-scale cluster once per run.
+//! end-to-end pipeline (schedule compilation, lowering and discrete-event
+//! simulation) per library on a reduced cluster so `cargo bench` stays fast,
+//! and reports the simulated execution times for the paper-scale cluster once
+//! per run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
 use pip_mcoll_bench::figures::collective_comparison;
-use pip_mpi_model::{dispatch, Library};
+use pip_mpi_model::plan::compile_cluster;
+use pip_mpi_model::{CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;
 use pip_netsim::network::simulate;
 
@@ -15,12 +18,14 @@ fn bench_scatter_pipeline(c: &mut Criterion) {
     let topology = cluster.topology();
     let mut group = c.benchmark_group("fig1_scatter_pipeline_16x4");
     group.sample_size(10);
+    let shape = CollectiveShape::plain(CollectiveKind::Scatter, 256, 0);
     for library in Library::ALL {
         let profile = library.profile();
         let params = profile.sim_params(cluster.nic);
         group.bench_function(BenchmarkId::from_parameter(library.name()), |b| {
             b.iter(|| {
-                let trace = dispatch::record_scatter(&profile, topology, 256, 0);
+                let trace =
+                    compile_cluster(&profile, topology, &shape, Fidelity::Schedule).to_trace(1);
                 simulate(library.name(), &trace, &params)
                     .unwrap()
                     .makespan_ns

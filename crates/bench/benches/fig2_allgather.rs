@@ -1,11 +1,13 @@
 //! Criterion bench for Figure 2 (MPI_Allgather, small messages): measures
-//! recording + simulation per library on a reduced cluster and prints the
-//! paper-scale series once.
+//! compilation, lowering and simulation per library on a reduced cluster and
+//! prints the paper-scale series once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
 use pip_mcoll_bench::figures::collective_comparison;
-use pip_mpi_model::{dispatch, Library};
+use pip_mpi_model::plan::compile_cluster;
+use pip_mpi_model::{CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;
 use pip_netsim::network::simulate;
 
@@ -14,12 +16,14 @@ fn bench_allgather_pipeline(c: &mut Criterion) {
     let topology = cluster.topology();
     let mut group = c.benchmark_group("fig2_allgather_pipeline_16x4");
     group.sample_size(10);
+    let shape = CollectiveShape::plain(CollectiveKind::Allgather, 64, 0);
     for library in Library::ALL {
         let profile = library.profile();
         let params = profile.sim_params(cluster.nic);
         group.bench_function(BenchmarkId::from_parameter(library.name()), |b| {
             b.iter(|| {
-                let trace = dispatch::record_allgather(&profile, topology, 64);
+                let trace =
+                    compile_cluster(&profile, topology, &shape, Fidelity::Schedule).to_trace(1);
                 simulate(library.name(), &trace, &params)
                     .unwrap()
                     .makespan_ns

@@ -7,9 +7,11 @@
 //! cargo run --release -p pip-mcoll-bench --bin abl_sync_overhead
 //! ```
 
+use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
 use pip_mcoll_bench::figures::collective_comparison;
-use pip_mpi_model::{dispatch, Library};
+use pip_mpi_model::plan::compile_cluster;
+use pip_mpi_model::{CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;
 use pip_netsim::network::simulate;
 
@@ -28,7 +30,8 @@ fn main() {
         let params = profile.sim_params(cluster.nic);
         let mut row = format!("| {sync:.0} |");
         for &bytes in &sizes {
-            let trace = dispatch::record_allgather(&profile, topology, bytes);
+            let shape = CollectiveShape::plain(CollectiveKind::Allgather, bytes, 0);
+            let trace = compile_cluster(&profile, topology, &shape, Fidelity::Schedule).to_trace(1);
             let report = simulate("pip-mpich", &trace, &params).unwrap();
             row.push_str(&format!(" {:.1} |", report.makespan_us));
         }

@@ -12,10 +12,10 @@
 //!    acceptance bar of the engine rewrite).  The seed engine pays one
 //!    heap round-trip per op; the calendar engine applies chunk chains
 //!    inline between scheduling points, which is where the win comes from.
-//! 2. **Collective data points** — the real figure pipeline (record an
-//!    allgather/allreduce schedule, simulate it) timed end to end on
-//!    hpdc23, so a regression in per-data-point wall time is visible even
-//!    if raw event throughput stays flat.
+//! 2. **Collective data points** — the real figure pipeline (compile an
+//!    allgather/allreduce schedule, lower it to a trace, simulate it) timed
+//!    end to end on hpdc23, so a regression in per-data-point wall time is
+//!    visible even if raw event throughput stays flat.
 //! 3. **Folded replay** — a node-symmetric exchange replayed via
 //!    `run_folded_trace` at paper scale and at a 16384-node projection
 //!    scale, reporting *projected* events/sec (events a full replay would
@@ -28,7 +28,10 @@
 
 use std::time::Instant;
 
-use pip_mpi_model::{dispatch, Library};
+use pip_collectives::plan::Fidelity;
+use pip_collectives::CollectiveKind;
+use pip_mpi_model::plan::compile_cluster;
+use pip_mpi_model::{CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;
 use pip_netsim::fold::{FoldGroup, FoldedTrace};
 use pip_netsim::trace::{Trace, TraceOp};
@@ -132,7 +135,7 @@ struct GridPoint {
 
 struct CollectivePoint {
     collective: &'static str,
-    record_ms: f64,
+    compile_ms: f64,
     calendar_ms: f64,
     reference_ms: f64,
 }
@@ -222,39 +225,33 @@ fn main() {
         hpdc23.speedup
     );
 
-    // 2. Real figure data points on hpdc23: record + simulate wall time.
+    // 2. Real figure data points on hpdc23: compile, lower, simulate.
     let cluster = ClusterSpec::hpdc23();
     let profile = Library::PipMColl.profile();
     let sim_params = profile.sim_params(cluster.nic);
     let sim_engine = SimEngine::new(sim_params);
     let mut collective_points: Vec<CollectivePoint> = Vec::new();
-    println!("\n| Collective (hpdc23) | Record ms | Calendar ms | Seed ms |");
+    println!("\n| Collective (hpdc23) | Compile + lower ms | Calendar ms | Seed ms |");
     println!("|---|---|---|---|");
-    type Recorder<'a> = Box<dyn Fn() -> Trace + 'a>;
-    let recorders: Vec<(&'static str, Recorder<'_>)> = vec![
-        (
-            "allgather_64B",
-            Box::new(|| dispatch::record_allgather(&profile, cluster.topology(), 64)),
-        ),
-        (
-            "allreduce_4096B",
-            Box::new(|| dispatch::record_allreduce(&profile, cluster.topology(), 4096)),
-        ),
-    ];
-    for (name, record) in recorders {
+    for (name, kind, bytes) in [
+        ("allgather_64B", CollectiveKind::Allgather, 64),
+        ("allreduce_4096B", CollectiveKind::Allreduce, 4096),
+    ] {
+        let shape = CollectiveShape::plain(kind, bytes, 0);
         let t0 = Instant::now();
-        let trace = record();
-        let record_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let trace =
+            compile_cluster(&profile, cluster.topology(), &shape, Fidelity::Schedule).to_trace(1);
+        let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         let calendar_ms = best_seconds(|| {
             sim_engine.run_with(&trace, SUMMARY).expect("calendar");
         }) * 1e3;
         let reference_ms = best_seconds(|| {
             sim_engine.run_reference(&trace).expect("reference");
         }) * 1e3;
-        println!("| {name} | {record_ms:.1} | {calendar_ms:.2} | {reference_ms:.2} |");
+        println!("| {name} | {compile_ms:.1} | {calendar_ms:.2} | {reference_ms:.2} |");
         collective_points.push(CollectivePoint {
             collective: name,
-            record_ms,
+            compile_ms,
             calendar_ms,
             reference_ms,
         });
@@ -317,9 +314,9 @@ fn main() {
             ","
         };
         json.push_str(&format!(
-            "    {{\"collective\":\"{}\",\"record_ms\":{:.2},\"calendar_ms\":{:.3},\
+            "    {{\"collective\":\"{}\",\"compile_ms\":{:.2},\"calendar_ms\":{:.3},\
              \"reference_ms\":{:.3}}}{comma}\n",
-            p.collective, p.record_ms, p.calendar_ms, p.reference_ms
+            p.collective, p.compile_ms, p.calendar_ms, p.reference_ms
         ));
     }
     json.push_str("  ],\n  \"folded\": [\n");

@@ -23,7 +23,10 @@
 //! cargo run --release -p pip-mcoll-bench --bin fig_degradation -- --small # CI smoke grid
 //! ```
 
-use pip_mpi_model::{dispatch, Library};
+use pip_collectives::plan::Fidelity;
+use pip_collectives::CollectiveKind;
+use pip_mpi_model::plan::compile_cluster;
+use pip_mpi_model::{CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;
 use pip_netsim::{DropSpec, LinkSpec, Perturbation, RunOptions, SimEngine, Trace};
 use pip_runtime::Topology;
@@ -82,13 +85,15 @@ fn main() {
         topology.ppn()
     );
 
-    // Record each library's schedule once; the same trace is replayed at
-    // every grid point so the sweep isolates the fabric, not the recorder.
+    // Compile and lower each library's schedule once; the same trace is
+    // replayed at every grid point so the sweep isolates the fabric, not the
+    // recorder.
+    let shape = CollectiveShape::plain(CollectiveKind::Allreduce, BLOCK, 0);
     let traces: Vec<(Library, Trace, SimEngine)> = Library::ALL
         .iter()
         .map(|&library| {
             let profile = library.profile();
-            let trace = dispatch::record_allreduce(&profile, topology, BLOCK);
+            let trace = compile_cluster(&profile, topology, &shape, Fidelity::Schedule).to_trace(1);
             let engine = SimEngine::new(profile.sim_params(nic));
             (library, trace, engine)
         })

@@ -206,8 +206,9 @@ fn record_for(
                 .insert(profile, topology, &shape, compiled)
         }
     };
-    // Tag base 1 matches the legacy `record_*` helpers, so traces are
-    // byte-identical to the pre-plan pipeline.
+    // Tag base 1 is the base every simulated trace in the workspace is
+    // lowered at: the traces `tests/plan_golden.rs` freezes by hash and the
+    // ones behind every published bin number.  Keeping it keeps both.
     plan.to_trace(1)
 }
 

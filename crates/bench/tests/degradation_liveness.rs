@@ -15,11 +15,14 @@
 //! under 1% drops + 500 ns jitter, where PiP-MColl must still beat the
 //! single-leader MVAPICH2 baseline in absolute time.
 
+use pip_collectives::plan::Fidelity;
+use pip_collectives::CollectiveKind;
+use pip_mpi_model::plan::compile_cluster;
 use pip_mpi_model::{
-    dispatch, AllreduceAlgo, FabricCondition, Library, LibraryProfile, LOSSY_DROP_CROSSOVER,
+    AllreduceAlgo, CollectiveShape, FabricCondition, Library, LibraryProfile, LOSSY_DROP_CROSSOVER,
 };
 use pip_netsim::cluster::ClusterSpec;
-use pip_netsim::{DropSpec, LinkSpec, Perturbation, RunOptions, SimEngine, SimError, Trace};
+use pip_netsim::{DropSpec, LinkSpec, Perturbation, RunOptions, SimEngine, SimError};
 use pip_runtime::Topology;
 
 /// A drop rate an 10-deep retry budget absorbs: exhaustion needs 11
@@ -58,13 +61,11 @@ fn over_budget(seed: u64) -> Perturbation {
     }
 }
 
-type Recorder = fn(&LibraryProfile, Topology, usize) -> Trace;
-
-const COLLECTIVES: &[(&str, Recorder)] = &[
-    ("allgather", dispatch::record_allgather),
-    ("allreduce", dispatch::record_allreduce),
-    ("reduce_scatter", dispatch::record_reduce_scatter),
-    ("alltoall", dispatch::record_alltoall),
+const COLLECTIVES: &[(&str, CollectiveKind)] = &[
+    ("allgather", CollectiveKind::Allgather),
+    ("allreduce", CollectiveKind::Allreduce),
+    ("reduce_scatter", CollectiveKind::ReduceScatter),
+    ("alltoall", CollectiveKind::Alltoall),
 ];
 
 const LIBRARIES: &[Library] = &[Library::PipMColl, Library::Mvapich2, Library::OpenMpi];
@@ -74,12 +75,14 @@ const TOPOLOGIES: &[(usize, usize)] = &[(2, 2), (4, 3)];
 #[test]
 fn sub_budget_drops_complete_on_the_collective_grid() {
     let nic = ClusterSpec::hpdc23().nic;
-    for &(name, record) in COLLECTIVES {
+    for &(name, kind) in COLLECTIVES {
+        let shape = CollectiveShape::plain(kind, 2_048, 0);
         for &library in LIBRARIES {
             let profile = library.profile();
             for &(nodes, ppn) in TOPOLOGIES {
                 let topology = Topology::new(nodes, ppn);
-                let trace = record(&profile, topology, 2_048);
+                let trace =
+                    compile_cluster(&profile, topology, &shape, Fidelity::Schedule).to_trace(1);
                 let engine = SimEngine::new(profile.sim_params(nic));
                 let options =
                     RunOptions::default().with_perturbation(sub_budget(nodes as u64 * 31 + 7));
@@ -104,10 +107,11 @@ fn sub_budget_drops_complete_on_the_collective_grid() {
 #[test]
 fn over_budget_drops_fail_structurally_on_real_schedules() {
     let nic = ClusterSpec::hpdc23().nic;
+    let topology = Topology::new(4, 3);
+    let shape = CollectiveShape::plain(CollectiveKind::Allreduce, 2_048, 0);
     for &library in LIBRARIES {
         let profile = library.profile();
-        let topology = Topology::new(4, 3);
-        let trace = dispatch::record_allreduce(&profile, topology, 2_048);
+        let trace = compile_cluster(&profile, topology, &shape, Fidelity::Schedule).to_trace(1);
         let engine = SimEngine::new(profile.sim_params(nic));
         let options = RunOptions::default().with_perturbation(over_budget(5));
         let err = engine
@@ -187,8 +191,9 @@ fn lossy_fabric_reselection_beats_stock_choices_under_drops() {
         ..Perturbation::NONE
     };
     let options = RunOptions::summary().with_perturbation(perturbation);
+    let shape = CollectiveShape::plain(CollectiveKind::Allreduce, BLOCK, 0);
     let run = |profile: &LibraryProfile, label: &str| {
-        let trace = dispatch::record_allreduce(profile, topology, BLOCK);
+        let trace = compile_cluster(profile, topology, &shape, Fidelity::Schedule).to_trace(1);
         let engine = SimEngine::new(profile.sim_params(nic));
         let outcome = engine
             .run_with(&trace, options)
@@ -239,10 +244,11 @@ fn paper_scale_degradation_headline() {
         ..Perturbation::NONE
     };
     let options = RunOptions::summary().with_perturbation(perturbation);
+    let shape = CollectiveShape::plain(CollectiveKind::Allreduce, 4_096, 0);
     let mut makespans = Vec::new();
     for &library in &[Library::PipMColl, Library::Mvapich2] {
         let profile = library.profile();
-        let trace = dispatch::record_allreduce(&profile, topology, 4_096);
+        let trace = compile_cluster(&profile, topology, &shape, Fidelity::Schedule).to_trace(1);
         let engine = SimEngine::new(profile.sim_params(nic));
         let outcome = engine
             .run_with(&trace, options)

@@ -123,8 +123,9 @@ pub fn alltoall_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     fn run_allgather(nodes: usize, ppn: usize, block: usize) {

@@ -1,6 +1,7 @@
 //! The communication abstraction the algorithms are written against, and its
-//! two implementations: real execution on the PiP thread runtime and trace
-//! recording for the simulator.
+//! executing implementation on the PiP thread runtime.  The other
+//! implementation, [`crate::plan::PlanComm`], records an algorithm into a plan
+//! that executes later or lowers to a trace for the simulator.
 //!
 //! ## Cost semantics
 //!
@@ -19,17 +20,13 @@
 //! * [`Comm::charge_copy`] / [`Comm::charge_reduce`] / [`Comm::delay`] —
 //!   local work annotations; the thread implementation performs no
 //!   additional movement (the algorithm already did the work on its own
-//!   buffers), the trace implementation records the corresponding cost.
+//!   buffers), the recorder notes the corresponding cost.
 //!
 //! Algorithms must never branch on *received payload contents* — only on
 //! ranks, sizes and topology — so that a trace recorded without real data is
 //! faithful to the real execution.
 
-use std::cell::RefCell;
-
-use pip_netsim::trace::{Trace, TraceOp};
 use pip_runtime::{ScopeHandle, TaskCtx, Topology};
-use pip_transport::cost::IntranodeMechanism;
 
 /// A commutative reduction operator over raw bytes.
 ///
@@ -195,9 +192,9 @@ pub trait Comm {
 /// and has a node address space to execute plans in — everything the plan
 /// cursor needs beyond [`Comm`].
 ///
-/// Recording communicators ([`TraceComm`], `plan::PlanComm`) materialize
-/// receives immediately and never execute a plan, so they do not implement
-/// this; handing one to an executor is a compile error.
+/// The recording communicator ([`crate::plan::PlanComm`]) materializes
+/// receives immediately and never executes a plan, so it does not implement
+/// this; handing it to an executor is a compile error.
 pub trait NonBlockingComm: Comm {
     /// Non-blocking matched receive: returns the payload when a message from
     /// `source` with `tag` has arrived, `None` otherwise.
@@ -381,166 +378,10 @@ impl NonBlockingComm for ThreadComm<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Trace recording for the simulator.
-// ---------------------------------------------------------------------------
-
-/// [`Comm`] implementation that records the operations a rank performs,
-/// without moving data.  Receives return zeroed buffers of the requested
-/// length, which is sound because algorithms never branch on payload
-/// contents.
-pub struct TraceComm {
-    rank: usize,
-    topology: Topology,
-    ops: RefCell<Vec<TraceOp>>,
-}
-
-impl TraceComm {
-    /// Create a recorder for `rank` in `topology`.
-    pub fn new(rank: usize, topology: Topology) -> Self {
-        Self {
-            rank,
-            topology,
-            ops: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// The operations recorded so far, consuming the recorder.
-    pub fn into_ops(self) -> Vec<TraceOp> {
-        self.ops.into_inner()
-    }
-
-    fn push(&self, op: TraceOp) {
-        self.ops.borrow_mut().push(op);
-    }
-}
-
-impl Comm for TraceComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    fn send(&self, dest: usize, tag: u64, data: &[u8]) {
-        self.push(TraceOp::Send {
-            dest,
-            bytes: data.len(),
-            tag,
-        });
-    }
-
-    fn recv(&self, source: usize, tag: u64, len: usize) -> Vec<u8> {
-        self.push(TraceOp::Recv {
-            source,
-            bytes: len,
-            tag,
-        });
-        vec![0u8; len]
-    }
-
-    fn shared_alloc(&self, _name: &str, _len: usize) {}
-
-    fn shared_publish(&self, _name: &str, _data: &[u8]) {}
-
-    fn shared_collect(&self, _name: &str, len: usize) -> Vec<u8> {
-        vec![0u8; len]
-    }
-
-    fn shared_write(&self, _owner_local: usize, _name: &str, _offset: usize, data: &[u8]) {
-        self.push(TraceOp::CopyIntra {
-            bytes: data.len(),
-            mechanism: None,
-            first_use: false,
-        });
-    }
-
-    fn shared_read(&self, _owner_local: usize, _name: &str, _offset: usize, len: usize) -> Vec<u8> {
-        self.push(TraceOp::CopyIntra {
-            bytes: len,
-            mechanism: None,
-            first_use: false,
-        });
-        vec![0u8; len]
-    }
-
-    fn send_from_shared(
-        &self,
-        _owner_local: usize,
-        _name: &str,
-        _offset: usize,
-        len: usize,
-        dest: usize,
-        tag: u64,
-    ) {
-        self.push(TraceOp::Send {
-            dest,
-            bytes: len,
-            tag,
-        });
-    }
-
-    fn recv_into_shared(
-        &self,
-        _owner_local: usize,
-        _name: &str,
-        _offset: usize,
-        source: usize,
-        tag: u64,
-        len: usize,
-    ) {
-        self.push(TraceOp::Recv {
-            source,
-            bytes: len,
-            tag,
-        });
-    }
-
-    fn node_barrier(&self) {
-        self.push(TraceOp::LocalBarrier);
-    }
-
-    fn charge_copy(&self, bytes: usize) {
-        self.push(TraceOp::CopyIntra {
-            bytes,
-            mechanism: Some(IntranodeMechanism::Pip),
-            first_use: false,
-        });
-    }
-
-    fn charge_reduce(&self, bytes: usize) {
-        self.push(TraceOp::Reduce { bytes });
-    }
-
-    fn delay(&self, nanos: f64) {
-        self.push(TraceOp::Delay { nanos });
-    }
-}
-
-/// Record a full-cluster trace of an algorithm by replaying it once per rank
-/// against a [`TraceComm`].
-///
-/// The closure receives the rank's recorder and must run the *same* algorithm
-/// every rank would run; recording is sequential and needs no threads because
-/// recorded receives never block.
-pub fn record_trace<F>(topology: Topology, per_rank: F) -> Trace
-where
-    F: Fn(&TraceComm),
-{
-    let mut trace = Trace::empty(topology);
-    for rank in 0..topology.world_size() {
-        let comm = TraceComm::new(rank, topology);
-        per_rank(&comm);
-        trace.ranks[rank].ops = comm.into_ops().into();
-    }
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Fidelity, PlanComm};
     use pip_runtime::Cluster;
 
     #[test]
@@ -676,67 +517,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_comm_records_expected_ops() {
-        let topo = Topology::new(2, 2);
-        let comm = TraceComm::new(1, topo);
-        comm.send(3, 7, &[0u8; 32]);
-        let data = comm.recv(3, 8, 16);
-        assert_eq!(data, vec![0u8; 16]);
-        comm.shared_write(0, "x", 0, &[0u8; 8]);
-        comm.node_barrier();
-        comm.charge_reduce(64);
-        comm.delay(123.0);
-        comm.send_from_shared(0, "x", 0, 24, 2, 9);
-        let ops = comm.into_ops();
-        assert_eq!(ops.len(), 7);
-        assert!(matches!(
-            ops[0],
-            TraceOp::Send {
-                dest: 3,
-                bytes: 32,
-                tag: 7
-            }
-        ));
-        assert!(matches!(
-            ops[1],
-            TraceOp::Recv {
-                source: 3,
-                bytes: 16,
-                tag: 8
-            }
-        ));
-        assert!(matches!(ops[2], TraceOp::CopyIntra { bytes: 8, .. }));
-        assert!(matches!(ops[3], TraceOp::LocalBarrier));
-        assert!(matches!(ops[4], TraceOp::Reduce { bytes: 64 }));
-        assert!(matches!(ops[5], TraceOp::Delay { .. }));
-        assert!(matches!(
-            ops[6],
-            TraceOp::Send {
-                dest: 2,
-                bytes: 24,
-                tag: 9
-            }
-        ));
-    }
-
-    #[test]
-    fn record_trace_produces_one_entry_per_rank() {
-        let topo = Topology::new(2, 2);
-        let trace = record_trace(topo, |comm| {
-            let next = (comm.rank() + 1) % comm.world_size();
-            let prev = (comm.rank() + comm.world_size() - 1) % comm.world_size();
-            comm.send(next, 0, &[0u8; 8]);
-            comm.recv(prev, 0, 8);
-        });
-        assert_eq!(trace.ranks.len(), 4);
-        assert!(trace.validate().is_ok());
-        assert_eq!(trace.total_messages(), 4);
-    }
-
-    #[test]
     fn default_accessors_derive_from_topology() {
         let topo = Topology::new(3, 4);
-        let comm = TraceComm::new(7, topo);
+        let comm = PlanComm::new(7, topo, 0, Fidelity::Schedule);
         assert_eq!(comm.world_size(), 12);
         assert_eq!(comm.node_id(), 1);
         assert_eq!(comm.local_rank(), 3);

@@ -343,8 +343,9 @@ pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     fn run_allgather(nodes: usize, ppn: usize, block: usize) {

@@ -8,11 +8,11 @@
 //! * **executed** on the thread-based PiP runtime ([`comm::ThreadComm`]),
 //!   moving real bytes — this is how correctness is established against the
 //!   sequential [`oracle`]; or
-//! * **recorded** with [`comm::TraceComm`] into a `pip-netsim` trace — this
-//!   is how the paper-scale performance figures are produced; or
 //! * **compiled** with [`plan::PlanComm`] into a symbolic [`plan::Plan`]
 //!   that can be cached, executed repeatedly ([`plan::PlanCursor`]) and
-//!   lowered straight to a trace — the plan/execute split.
+//!   lowered to a `pip-netsim` trace ([`plan::Plan::to_trace`]) — the
+//!   plan/execute split, and how the paper-scale performance figures are
+//!   produced.
 //!
 //! ## Algorithm families
 //!
@@ -64,7 +64,7 @@ pub mod request;
 pub mod ring;
 pub mod scan;
 
-pub use comm::{Comm, NonBlockingComm, ReduceFn, ThreadComm, TraceComm};
+pub use comm::{Comm, NonBlockingComm, ReduceFn, ThreadComm};
 pub use compress::{Codec, CompressionPolicy, FloatDatatype, FloatElem};
 pub use datatype::{
     Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, Reduction,

@@ -75,8 +75,9 @@ pub fn allgather_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     fn run(nodes: usize, ppn: usize, block: usize) {

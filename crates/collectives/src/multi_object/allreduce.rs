@@ -59,9 +59,10 @@ pub fn allreduce_multi_object<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::multi_object::schedule::chunk_bounds;
     use crate::oracle;
+    use crate::plan::record_trace;
     use crate::recursive_doubling::largest_pow2_leq;
     use pip_runtime::{Cluster, Topology};
 

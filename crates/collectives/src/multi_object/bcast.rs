@@ -55,8 +55,9 @@ pub fn bcast_multi_object<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     fn run(nodes: usize, ppn: usize, len: usize, root: usize) {

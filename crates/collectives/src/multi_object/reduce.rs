@@ -60,8 +60,9 @@ pub fn reduce_multi_object<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     fn run(nodes: usize, ppn: usize, root: usize, len: usize) {

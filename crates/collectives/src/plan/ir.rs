@@ -572,8 +572,8 @@ impl RankPlan {
         Ok(())
     }
 
-    /// Lower this rank's program to the trace ops [`crate::comm::TraceComm`]
-    /// would record, with tags rebased by `tag`.
+    /// Lower this rank's program to the simulator's trace ops, with tags
+    /// rebased by `tag`.
     pub fn to_trace_ops(&self, tag: u64) -> Vec<TraceOp> {
         let mut ops = Vec::with_capacity(self.ops.len());
         for op in &self.ops {
@@ -659,7 +659,7 @@ impl RankPlan {
                 }),
                 PlanOp::ChargeReduce { bytes } => ops.push(TraceOp::Reduce { bytes: *bytes }),
                 PlanOp::Delay { nanos } => ops.push(TraceOp::Delay { nanos: *nanos }),
-                // Free under PiP (TraceComm records nothing for these) or
+                // Free under PiP (a peer addresses the buffer in place) or
                 // pure data ops the trace never sees.
                 PlanOp::SharedAlloc { .. }
                 | PlanOp::SharedPublish { .. }
@@ -683,8 +683,7 @@ pub struct Plan {
 
 impl Plan {
     /// Lower the whole plan to a validated-shape [`Trace`] with tags rebased
-    /// by `tag` — the direct replacement for replaying the algorithm once
-    /// per rank through a recording communicator.
+    /// by `tag` — the one way a simulator trace is made.
     pub fn to_trace(&self, tag: u64) -> Trace {
         // `from_rank_ops` aliases identical programs, so symmetric plans
         // (every non-leader of a hierarchical schedule, say) lower to one

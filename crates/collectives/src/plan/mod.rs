@@ -7,14 +7,15 @@
 //! path fuses:
 //!
 //! * **Compile** ([`record`]): run the unmodified algorithm once against the
-//!   recording [`record::PlanComm`] (the third [`crate::comm::Comm`]
-//!   implementation, next to `ThreadComm` and `TraceComm`) and assemble a
-//!   validated [`ir::RankPlan`] — a symbolic per-rank program.
+//!   recording [`record::PlanComm`] (the [`crate::comm::Comm`] implementation
+//!   beside the executing `ThreadComm`) and assemble a validated
+//!   [`ir::RankPlan`] — a symbolic per-rank program.
 //! * **Execute** ([`cursor`]): replay the compiled program on a live
 //!   communicator with fresh caller buffers — one resumable interpreter
 //!   behind blocking, non-blocking and persistent collectives alike — or
 //!   lower it straight to a `pip-netsim` trace ([`ir::Plan::to_trace`])
-//!   without touching the algorithm again.
+//!   without touching the algorithm again.  Lowering is the only way a
+//!   simulator trace is made.
 //!
 //! Caching compiled plans per communicator (see `pip-mpi-model`'s
 //! `PlanCache`) turns the dispatch hot path into *lookup-or-compile, then
@@ -30,6 +31,6 @@ pub mod symmetry;
 pub use arena::{shared_arena, ArenaStats, BufferArena, SharedArena};
 pub use cursor::{CursorOutput, PlanCursor, RecvBuf, SendBuf, StepOutcome};
 pub use ir::{Fidelity, IoShape, Plan, PlanError, PlanOp, RankPlan, Src, SrcSeg, ValId};
-pub use record::{assemble, PlanComm, EXEC_PASSES};
+pub use record::{assemble, record_trace, PlanComm, EXEC_PASSES};
 pub use rewrite::compress_rank_transfers;
 pub use symmetry::{folded_trace, ranks_equal_under, schedules_equal_under, PlanSymmetry};

@@ -1,12 +1,13 @@
 //! Compiling a collective algorithm to a [`RankPlan`] by *recording* it.
 //!
-//! [`PlanComm`] is the third [`Comm`] implementation: like
-//! [`crate::comm::TraceComm`] it runs the unmodified algorithm once per rank
-//! without moving real data, but instead of only noting costs it captures a
-//! full symbolic program.  The hard part is *data provenance*: algorithms
-//! privately copy, slice and concatenate the byte buffers the `Comm` surface
-//! hands them, so the recorder cannot see where an outgoing payload came
-//! from.  The compiler recovers provenance with **fingerprint taint**:
+//! [`PlanComm`] is the recording [`Comm`] implementation, beside the
+//! executing `ThreadComm`: it runs the unmodified algorithm once per rank
+//! without moving real data and captures a full symbolic program, which
+//! executes later or lowers to a simulator trace ([`record_trace`] records
+//! and lowers an ad-hoc schedule in one call).  The hard part is *data
+//! provenance*: algorithms privately copy, slice and concatenate the byte
+//! buffers the `Comm` surface hands them, so the recorder cannot see where an
+//! outgoing payload came from.  The compiler recovers provenance with **fingerprint taint**:
 //!
 //! * every symbolic location `(value, offset)` has a 64-bit *fingerprint
 //!   key*, `mix64((value << 32 | offset) + C)`, where `mix64` is the
@@ -46,16 +47,17 @@
 //! of how many values the plan defines.
 //!
 //! Schedule-fidelity compiles skip all of this: one pass, zero-filled
-//! buffers, [`SrcSeg::Opaque`] payloads — exactly the cost of the legacy
-//! `record_trace` replay, but producing a cacheable [`RankPlan`].
+//! buffers, [`SrcSeg::Opaque`] payloads — the cost of running the algorithm
+//! once, producing a cacheable [`RankPlan`].
 
 use std::fmt;
 use std::sync::Mutex;
 
+use pip_netsim::trace::Trace;
 use pip_runtime::Topology;
 
 use crate::comm::Comm;
-use crate::plan::ir::{Fidelity, IoShape, NameId, PlanOp, RankPlan, Src, SrcSeg, ValId};
+use crate::plan::ir::{Fidelity, IoShape, NameId, Plan, PlanOp, RankPlan, Src, SrcSeg, ValId};
 
 /// Number of recording passes for an exec-fidelity compile: pass *p* shows
 /// byte *p* of every 64-bit fingerprint key.
@@ -775,9 +777,36 @@ pub fn assemble(
     plan
 }
 
+/// Record a full-cluster trace of an ad-hoc schedule: run `per_rank` once per
+/// rank against a schedule-fidelity [`PlanComm`], assemble each rank's plan
+/// and lower the whole with tag base 0, so the trace carries the literal tags
+/// the closure used.
+///
+/// The closure must run the *same* algorithm every rank would run; recording
+/// is sequential and needs no threads because recorded receives never block.
+pub fn record_trace(topology: Topology, per_rank: impl Fn(&PlanComm)) -> Trace {
+    let ranks = (0..topology.world_size())
+        .map(|rank| {
+            let comm = PlanComm::new(rank, topology, 0, Fidelity::Schedule);
+            per_rank(&comm);
+            let pass = comm.finish(None);
+            assemble(
+                rank,
+                topology,
+                Fidelity::Schedule,
+                IoShape::default(),
+                vec![pass],
+            )
+        })
+        .collect();
+    Plan { topology, ranks }.to_trace(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pip_netsim::trace::TraceOp;
+    use pip_transport::cost::IntranodeMechanism;
     use proptest::prelude::*;
 
     /// The bytes positions `offsets` of `val` show in each pass.
@@ -1042,5 +1071,89 @@ mod tests {
                 if src.segs == vec![SrcSeg::Val { id: 1, offset: 0, len: 8 }]
         ));
         assert!(plan.io.needs_reduce_op);
+    }
+
+    /// Every `Comm` method reaches the trace through assemble and lowering:
+    /// messages keep their peers, sizes and tags, shared reads and writes
+    /// become transport-priced copies, `charge_copy` a PiP copy, and the
+    /// free PiP operations (alloc, publish, collect) vanish.
+    #[test]
+    fn record_trace_lowers_every_comm_method() {
+        let trace = record_trace(Topology::new(2, 2), |comm| {
+            if comm.rank() != 1 {
+                return;
+            }
+            comm.send(3, 7, &[0u8; 32]);
+            assert_eq!(comm.recv(3, 8, 16), vec![0u8; 16]);
+            comm.shared_alloc("x", 64);
+            comm.shared_publish("y", &[0u8; 4]);
+            assert_eq!(comm.shared_collect("y", 4), vec![0u8; 4]);
+            comm.shared_write(0, "x", 0, &[0u8; 8]);
+            assert_eq!(comm.shared_read(0, "x", 8, 12), vec![0u8; 12]);
+            comm.node_barrier();
+            comm.charge_copy(40);
+            comm.charge_reduce(64);
+            comm.delay(123.0);
+            comm.send_from_shared(0, "x", 0, 24, 2, 9);
+            comm.recv_into_shared(0, "x", 24, 2, 10, 20);
+        });
+        assert_eq!(
+            &trace.ranks[1].ops[..],
+            &[
+                TraceOp::Send {
+                    dest: 3,
+                    bytes: 32,
+                    tag: 7
+                },
+                TraceOp::Recv {
+                    source: 3,
+                    bytes: 16,
+                    tag: 8
+                },
+                TraceOp::CopyIntra {
+                    bytes: 8,
+                    mechanism: None,
+                    first_use: false
+                },
+                TraceOp::CopyIntra {
+                    bytes: 12,
+                    mechanism: None,
+                    first_use: false
+                },
+                TraceOp::LocalBarrier,
+                TraceOp::CopyIntra {
+                    bytes: 40,
+                    mechanism: Some(IntranodeMechanism::Pip),
+                    first_use: false
+                },
+                TraceOp::Reduce { bytes: 64 },
+                TraceOp::Delay { nanos: 123.0 },
+                TraceOp::Send {
+                    dest: 2,
+                    bytes: 24,
+                    tag: 9
+                },
+                TraceOp::Recv {
+                    source: 2,
+                    bytes: 20,
+                    tag: 10
+                },
+            ][..]
+        );
+        assert!(trace.ranks[0].ops.is_empty());
+    }
+
+    #[test]
+    fn record_trace_produces_one_entry_per_rank() {
+        let topo = Topology::new(2, 2);
+        let trace = record_trace(topo, |comm| {
+            let next = (comm.rank() + 1) % comm.world_size();
+            let prev = (comm.rank() + comm.world_size() - 1) % comm.world_size();
+            comm.send(next, 0, &[0u8; 8]);
+            comm.recv(prev, 0, 8);
+        });
+        assert_eq!(trace.ranks.len(), 4);
+        assert!(trace.validate().is_ok());
+        assert_eq!(trace.total_messages(), 4);
     }
 }

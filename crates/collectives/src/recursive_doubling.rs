@@ -136,8 +136,9 @@ pub fn barrier_dissemination<C: Comm>(comm: &C, tag: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     #[test]

@@ -167,8 +167,9 @@ pub fn reduce_scatter_ring<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     fn run_allgather_ring(nodes: usize, ppn: usize, block: usize) {

@@ -139,8 +139,9 @@ pub fn exscan_linear<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{record_trace, ThreadComm};
+    use crate::comm::ThreadComm;
     use crate::oracle;
+    use crate::plan::record_trace;
     use pip_runtime::{Cluster, Topology};
 
     type ByteCombine = fn(&mut [u8], &[u8]);

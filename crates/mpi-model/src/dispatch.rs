@@ -1,19 +1,19 @@
 //! Dispatching a collective call to the algorithm a library would select.
 //!
-//! [`execute`] is generic over the communicator, so the same code path is
-//! used to run a collective for real on the thread runtime and to record it
-//! for the simulator.  The `record_*` helpers build the paper's workloads
-//! (per-process message sizes on a given topology) and produce validated
-//! traces, which is what the figure binaries and Criterion benches consume.
+//! [`execute`] is generic over the communicator, so the same code path runs
+//! a collective for real on the thread runtime and records it into a plan
+//! (`crate::plan::compile_rank` drives it against the recording
+//! `PlanComm`).  The planned entry points ([`execute_planned`],
+//! [`begin_planned`]) execute cached plans instead; the simulator's traces
+//! are those plans lowered (`crate::plan::compile_cluster`, then
+//! `Plan::to_trace`).
 
-use pip_collectives::comm::{record_trace, Comm, NonBlockingComm};
-use pip_collectives::datatype::{Layout, OwnedReduction, ReduceOp, Reduction};
+use pip_collectives::comm::{Comm, NonBlockingComm};
+use pip_collectives::datatype::{Layout, OwnedReduction, Reduction};
 use pip_collectives::plan::{IoShape, PlanCursor, RankPlan, RecvBuf, SendBuf};
 use pip_collectives::{
     binomial, bruck, hierarchical, multi_object, recursive_doubling, recursive_halving, ring, scan,
 };
-use pip_netsim::trace::Trace;
-use pip_runtime::Topology;
 
 use pip_collectives::CollectiveKind;
 
@@ -631,228 +631,16 @@ pub fn begin_planned<C: Comm>(
     )
 }
 
-/// The reduction the `record_*` helpers use: the trivial `u8` instantiation
-/// of the typed layer (wrapping per-byte sum).
-fn byte_sum() -> Reduction<'static> {
-    Reduction::typed::<u8>(ReduceOp::Sum)
-}
-
-/// Record the trace of an allgather of `bytes` bytes per process.
-pub fn record_allgather(profile: &LibraryProfile, topology: Topology, bytes: usize) -> Trace {
-    record_trace(topology, |comm| {
-        let sendbuf = vec![0u8; bytes];
-        let mut recvbuf = vec![0u8; bytes * topology.world_size()];
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Allgather {
-                sendbuf: &sendbuf,
-                recvbuf: &mut recvbuf,
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of a scatter of `bytes` bytes per process from `root`.
-pub fn record_scatter(
-    profile: &LibraryProfile,
-    topology: Topology,
-    bytes: usize,
-    root: usize,
-) -> Trace {
-    record_trace(topology, |comm| {
-        let sendbuf = vec![0u8; bytes * topology.world_size()];
-        let mut recvbuf = vec![0u8; bytes];
-        let send = (comm.rank() == root).then_some(sendbuf.as_slice());
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Scatter {
-                sendbuf: send,
-                recvbuf: &mut recvbuf,
-                root,
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of a broadcast of `bytes` bytes from `root`.
-pub fn record_bcast(
-    profile: &LibraryProfile,
-    topology: Topology,
-    bytes: usize,
-    root: usize,
-) -> Trace {
-    record_trace(topology, |comm| {
-        let mut buf = vec![0u8; bytes];
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Bcast {
-                buf: &mut buf,
-                root,
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of a gather of `bytes` bytes per process to `root`.
-pub fn record_gather(
-    profile: &LibraryProfile,
-    topology: Topology,
-    bytes: usize,
-    root: usize,
-) -> Trace {
-    record_trace(topology, |comm| {
-        let sendbuf = vec![0u8; bytes];
-        let mut recvbuf = vec![0u8; bytes * topology.world_size()];
-        let recv = (comm.rank() == root).then_some(recvbuf.as_mut_slice());
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Gather {
-                sendbuf: &sendbuf,
-                recvbuf: recv,
-                root,
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of an allreduce over a vector of `bytes` bytes
-/// (byte-wise sum operator, element size 1).
-pub fn record_allreduce(profile: &LibraryProfile, topology: Topology, bytes: usize) -> Trace {
-    record_trace(topology, |comm| {
-        let mut buf = vec![0u8; bytes];
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Allreduce {
-                buf: &mut buf,
-                op: byte_sum(),
-                layout: None,
-                compress: None,
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of a reduce over a vector of `bytes` bytes to `root`
-/// (byte-wise sum operator, element size 1).
-pub fn record_reduce(
-    profile: &LibraryProfile,
-    topology: Topology,
-    bytes: usize,
-    root: usize,
-) -> Trace {
-    record_trace(topology, |comm| {
-        let sendbuf = vec![0u8; bytes];
-        let mut recvbuf = vec![0u8; bytes];
-        let recv = (comm.rank() == root).then_some(recvbuf.as_mut_slice());
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Reduce {
-                sendbuf: &sendbuf,
-                recvbuf: recv,
-                root,
-                op: byte_sum(),
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of a reduce_scatter of `bytes` bytes per process
-/// (byte-wise sum operator, element size 1).
-pub fn record_reduce_scatter(profile: &LibraryProfile, topology: Topology, bytes: usize) -> Trace {
-    record_trace(topology, |comm| {
-        let sendbuf = vec![0u8; bytes * topology.world_size()];
-        let mut recvbuf = vec![0u8; bytes];
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::ReduceScatter {
-                sendbuf: &sendbuf,
-                recvbuf: &mut recvbuf,
-                op: byte_sum(),
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of an inclusive scan over a vector of `bytes` bytes
-/// (byte-wise sum operator, element size 1).
-pub fn record_scan(profile: &LibraryProfile, topology: Topology, bytes: usize) -> Trace {
-    record_trace(topology, |comm| {
-        let mut buf = vec![0u8; bytes];
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Scan {
-                buf: &mut buf,
-                op: byte_sum(),
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of an exclusive scan over a vector of `bytes` bytes
-/// (byte-wise sum operator, element size 1).
-pub fn record_exscan(profile: &LibraryProfile, topology: Topology, bytes: usize) -> Trace {
-    record_trace(topology, |comm| {
-        let mut buf = vec![0u8; bytes];
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Exscan {
-                buf: &mut buf,
-                op: byte_sum(),
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of an alltoall of `bytes` bytes per destination process.
-pub fn record_alltoall(profile: &LibraryProfile, topology: Topology, bytes: usize) -> Trace {
-    record_trace(topology, |comm| {
-        let sendbuf = vec![0u8; bytes * topology.world_size()];
-        let mut recvbuf = vec![0u8; bytes * topology.world_size()];
-        execute(
-            profile,
-            comm,
-            CollectiveRequest::Alltoall {
-                sendbuf: &sendbuf,
-                recvbuf: &mut recvbuf,
-            },
-            1,
-        );
-    })
-}
-
-/// Record the trace of a barrier.
-pub fn record_barrier(profile: &LibraryProfile, topology: Topology) -> Trace {
-    record_trace(topology, |comm| {
-        execute(profile, comm, CollectiveRequest::Barrier, 1);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{compile_cluster, CollectiveShape};
     use crate::Library;
-    use pip_collectives::datatype::ReduceKernel;
+    use pip_collectives::datatype::{ReduceKernel, ReduceOp};
     use pip_collectives::oracle;
+    use pip_collectives::plan::{Fidelity, PlanComm};
     use pip_collectives::ThreadComm;
-    use pip_runtime::Cluster;
+    use pip_runtime::{Cluster, Topology};
 
     /// Run an allgather through the dispatcher for every library on the real
     /// runtime and check the result against the oracle — this exercises the
@@ -951,27 +739,6 @@ mod tests {
             .unwrap();
             for buf in &results {
                 assert_eq!(buf, &expected, "{} allreduce incorrect", library.name());
-            }
-        }
-    }
-
-    #[test]
-    fn recorded_traces_validate_for_every_library_and_collective() {
-        let topo = Topology::new(4, 3);
-        for library in Library::ALL {
-            let profile = library.profile();
-            for trace in [
-                record_allgather(&profile, topo, 64),
-                record_scatter(&profile, topo, 64, 0),
-                record_bcast(&profile, topo, 256, 0),
-                record_gather(&profile, topo, 64, 0),
-                record_allreduce(&profile, topo, 512),
-                record_alltoall(&profile, topo, 32),
-                record_barrier(&profile, topo),
-            ] {
-                trace
-                    .validate()
-                    .unwrap_or_else(|e| panic!("{}: invalid trace: {e}", library.name()));
             }
         }
     }
@@ -1084,7 +851,7 @@ mod tests {
         let mut cache = crate::plan::PlanCache::new();
         let cursor = begin_planned(
             &profile,
-            &pip_collectives::TraceComm::new(0, topo),
+            &PlanComm::new(0, topo, 0, Fidelity::Schedule),
             OwnedCollective::Allgather {
                 sendbuf: vec![0u8; 16],
             },
@@ -1110,8 +877,10 @@ mod tests {
     #[test]
     fn pip_mcoll_spreads_network_work_across_local_ranks() {
         let topo = Topology::new(8, 4);
-        let mcoll = record_allgather(&Library::PipMColl.profile(), topo, 64);
-        let mvapich = record_allgather(&Library::Mvapich2.profile(), topo, 64);
+        let shape = CollectiveShape::plain(CollectiveKind::Allgather, 64, 0);
+        let [mcoll, mvapich] = [Library::PipMColl, Library::Mvapich2].map(|library| {
+            compile_cluster(&library.profile(), topo, &shape, Fidelity::Schedule).to_trace(1)
+        });
         // Flat Bruck: every rank sends in every round.  Multi-object: at most
         // a couple of sends per rank.
         let mcoll_max_sends = (0..4).map(|r| mcoll.ranks[r].send_count()).max().unwrap();
@@ -1123,8 +892,10 @@ mod tests {
     fn large_allgather_switches_algorithms_for_comparators() {
         let topo = Topology::new(4, 2);
         let profile = Library::OpenMpi.profile();
-        let small = record_allgather(&profile, topo, 64);
-        let large = record_allgather(&profile, topo, 64 * 1024);
+        let [small, large] = [64, 64 * 1024].map(|bytes| {
+            let shape = CollectiveShape::plain(CollectiveKind::Allgather, bytes, 0);
+            compile_cluster(&profile, topo, &shape, Fidelity::Schedule).to_trace(1)
+        });
         // Ring allgather sends p-1 messages per rank; Bruck sends log2(p).
         assert!(large.ranks[0].send_count() > small.ranks[0].send_count());
     }

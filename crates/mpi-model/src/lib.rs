@@ -14,7 +14,7 @@
 //! and knows how to turn all of that into the `SimParams` the discrete-event
 //! simulator consumes and how to [`dispatch`] a collective call to the right
 //! algorithm implementation (for real execution on the thread runtime or for
-//! trace recording).
+//! recording into a [`plan`], which lowers to a simulator trace).
 //!
 //! Calibration constants and their provenance are documented in
 //! [`calibration`].

@@ -1,11 +1,11 @@
 //! Communication traces: the per-rank operation sequences the simulator
 //! replays.
 //!
-//! A trace is produced by running a collective algorithm against the
-//! recording communicator (`pip_collectives::comm::TraceComm`), so it
-//! contains exactly the sends, receives, intra-node copies, reductions and
-//! barriers the algorithm would perform — with payload *sizes* but not
-//! payload bytes.
+//! A trace is produced by recording a collective algorithm into a plan
+//! (`pip_collectives::plan::PlanComm`) and lowering it
+//! (`pip_collectives::plan::Plan::to_trace`), so it contains exactly the
+//! sends, receives, intra-node copies, reductions and barriers the algorithm
+//! would perform — with payload *sizes* but not payload bytes.
 
 use std::sync::{Arc, OnceLock};
 

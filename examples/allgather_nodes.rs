@@ -8,8 +8,9 @@
 //! cargo run --release --example allgather_nodes
 //! ```
 
-use pip_mcoll::collectives::comm::{record_trace, Comm};
+use pip_mcoll::collectives::comm::Comm;
 use pip_mcoll::collectives::multi_object::allgather_multi_object;
+use pip_mcoll::collectives::plan::{record_trace, PlanComm};
 use pip_mcoll::collectives::{bruck, hierarchical};
 use pip_mcoll::core::prelude::*;
 
@@ -37,7 +38,7 @@ fn main() {
     // mid-sized cluster (recorded, not executed).
     let topo = Topology::new(32, 8);
     let block = 64;
-    let per_rank_sends = |label: &str, f: &dyn Fn(&pip_mcoll::collectives::comm::TraceComm)| {
+    let per_rank_sends = |label: &str, f: &dyn Fn(&PlanComm)| {
         let trace = record_trace(topo, f);
         let max_sends = trace.ranks.iter().map(|r| r.send_count()).max().unwrap();
         let total: usize = trace.ranks.iter().map(|r| r.send_count()).sum();

@@ -9,8 +9,10 @@
 //! cargo run --release --example scatter_library_shootout [-- --paper]
 //! ```
 
+use pip_mcoll::collectives::plan::Fidelity;
 use pip_mcoll::collectives::CollectiveKind;
-use pip_mcoll::model::{dispatch, Library};
+use pip_mcoll::model::plan::compile_cluster;
+use pip_mcoll::model::{CollectiveShape, Library};
 use pip_mcoll::netsim::cluster::ClusterSpec;
 use pip_mcoll::netsim::network::simulate;
 
@@ -35,7 +37,9 @@ fn main() {
         let profile = library.profile();
         let params = profile.sim_params(cluster.nic);
         for (si, &bytes) in sizes.iter().enumerate() {
-            let trace = dispatch::record_scatter(&profile, cluster.topology(), bytes, 0);
+            let shape = CollectiveShape::plain(CollectiveKind::Scatter, bytes, 0);
+            let trace = compile_cluster(&profile, cluster.topology(), &shape, Fidelity::Schedule)
+                .to_trace(1);
             times[li][si] = simulate(library.name(), &trace, &params)
                 .expect("valid trace")
                 .makespan_us;
@@ -47,7 +51,8 @@ fn main() {
         print!("{:>12}", format!("{bytes} B"));
     }
     println!();
-    let reference = times[Library::ALL.len() - 1].clone();
+    let mcoll = Library::ALL.iter().position(|&l| l == Library::PipMColl);
+    let reference = &times[mcoll.expect("PiP-MColl is a modelled library")];
     for (li, library) in Library::ALL.iter().enumerate() {
         print!("{:<12}", library.name());
         for (si, _) in sizes.iter().enumerate() {

@@ -36,7 +36,7 @@ pub use pip_transport as transport;
 
 /// Commonly used items, re-exported for examples and downstream users.
 pub mod prelude {
-    pub use pip_collectives::comm::{Comm, ThreadComm, TraceComm};
+    pub use pip_collectives::comm::{Comm, ThreadComm};
     pub use pip_mcoll_core::comm::Communicator;
     pub use pip_mcoll_core::datatype::{Datatype, DtypeId, Layout, Op, ReduceKernel, ReduceOp};
     pub use pip_mcoll_core::world::World;

@@ -4,9 +4,9 @@
 //!    topology grid (including non-power-of-two worlds) to exec-fidelity
 //!    plans and running them through `execute_planned` on the thread runtime
 //!    reproduces the sequential oracle exactly.
-//! 2. **Lowering vs. legacy recording** — lowering a schedule-fidelity plan
-//!    with `Plan::to_trace` is op-for-op identical to the legacy path that
-//!    replays the algorithm once per rank through `TraceComm`.
+//! 2. **Lowering** — every schedule-fidelity cluster plan validates, and
+//!    exec- and schedule-fidelity plans lower to the same trace.  What the
+//!    lowered traces contain is frozen by hash in `tests/plan_golden.rs`.
 //! 3. **Borrowed vs. owned** — the one plan interpreter produces the same
 //!    bytes whether a blocking call drives it in place on the caller's
 //!    borrowed buffers or a progress engine drives it on buffers it owns.
@@ -460,59 +460,24 @@ fn borrowed_and_owned_cursors_agree_for_every_collective_and_library() {
     }
 }
 
-/// Every collective's schedule-fidelity plan lowers to exactly the trace the
-/// legacy per-rank replay produces, for every library on a topology grid.
+/// Every collective's schedule-fidelity cluster plan passes the whole-plan
+/// validator, for every library on a topology grid.
 #[test]
-fn plan_lowering_is_op_for_op_identical_to_legacy_recording() {
+fn schedule_plans_validate_for_every_collective_and_library() {
     for library in Library::ALL {
         for (nodes, ppn) in [(2, 3), (3, 3), (4, 3), (5, 2)] {
             let topo = Topology::new(nodes, ppn);
             let profile = library.profile();
-            let bytes = 64;
             let root = topo.world_size() - 1;
-            let cases: Vec<(CollectiveShape, pip_mcoll::netsim::trace::Trace)> = vec![
-                (
-                    shape(CollectiveKind::Allgather, bytes, 0),
-                    dispatch::record_allgather(&profile, topo, bytes),
-                ),
-                (
-                    shape(CollectiveKind::Scatter, bytes, root),
-                    dispatch::record_scatter(&profile, topo, bytes, root),
-                ),
-                (
-                    shape(CollectiveKind::Bcast, bytes, root),
-                    dispatch::record_bcast(&profile, topo, bytes, root),
-                ),
-                (
-                    shape(CollectiveKind::Gather, bytes, root),
-                    dispatch::record_gather(&profile, topo, bytes, root),
-                ),
-                (
-                    shape(CollectiveKind::Allreduce, bytes, 0),
-                    dispatch::record_allreduce(&profile, topo, bytes),
-                ),
-                (
-                    shape(CollectiveKind::Alltoall, bytes, 0),
-                    dispatch::record_alltoall(&profile, topo, bytes),
-                ),
-                (
-                    shape(CollectiveKind::Barrier, 0, 0),
-                    dispatch::record_barrier(&profile, topo),
-                ),
-            ];
-            for (case, legacy) in cases {
+            for kind in CollectiveKind::ALL {
+                let case = CollectiveShape::plain(kind, 64, root);
                 let plan = compile_cluster(&profile, topo, &case, Fidelity::Schedule);
                 plan.validate().unwrap_or_else(|e| {
-                    panic!("{} {:?} plan invalid: {e}", library.name(), case.kind)
+                    panic!(
+                        "{} {kind:?} on {nodes}x{ppn}: plan invalid: {e}",
+                        library.name()
+                    )
                 });
-                let lowered = plan.to_trace(1);
-                assert_eq!(
-                    lowered,
-                    legacy,
-                    "{} {:?} on {nodes}x{ppn}: lowering diverges from legacy recording",
-                    library.name(),
-                    case.kind
-                );
             }
         }
     }

@@ -14,12 +14,18 @@
 //! ```text
 //! cargo test --release --test plan_golden -- --ignored --nocapture print_golden_table
 //! ```
+//!
+//! A third table, [`LOWERED_GOLDEN`], pins what the simulator replays: the
+//! traces schedule-fidelity cluster plans lower to.  It was captured while a
+//! second, per-rank recorder still existed and was checked to equal its
+//! traces, so it freezes that recorder's output now that lowering is the only
+//! way to produce a trace.
 
 use std::fmt::Write;
 
 use pip_mcoll::collectives::plan::Fidelity;
 use pip_mcoll::collectives::{CollectiveKind, DtypeId, Layout, ReduceIdent, ReduceOp};
-use pip_mcoll::model::plan::compile_rank;
+use pip_mcoll::model::plan::{compile_cluster, compile_rank};
 use pip_mcoll::model::{CollectiveShape, CompressSpec, Library};
 use pip_mcoll::runtime::Topology;
 
@@ -160,6 +166,27 @@ fn large_cases() -> Vec<(String, u64)> {
     out
 }
 
+/// The cases of [`LOWERED_GOLDEN`]: one row per (kind, library), hashing the
+/// `Debug` rendering of the trace a 64 B schedule-fidelity plan rooted at
+/// the last rank lowers to, with tag base 1, on each of four topologies.
+fn lowered_cases() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for kind in CollectiveKind::ALL {
+        for library in Library::ALL {
+            let profile = library.profile();
+            let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
+            for (nodes, ppn) in [(2, 3), (3, 3), (4, 3), (5, 2)] {
+                let topo = Topology::new(nodes, ppn);
+                let shape = CollectiveShape::plain(kind, 64, topo.world_size() - 1);
+                let trace = compile_cluster(&profile, topo, &shape, Fidelity::Schedule).to_trace(1);
+                write!(hash, "{trace:?}").unwrap();
+            }
+            out.push((format!("{kind:?}/{library:?}"), hash.0));
+        }
+    }
+    out
+}
+
 fn assert_golden(cases: &[(String, u64)], golden: &[(&str, u64)]) {
     assert_eq!(cases.len(), golden.len(), "case list and table differ");
     let wrong: Vec<String> = cases
@@ -194,9 +221,18 @@ fn large_exec_plans_match_the_golden_table() {
 }
 
 #[test]
+fn lowered_traces_match_the_golden_table() {
+    assert_golden(&lowered_cases(), LOWERED_GOLDEN);
+}
+
+#[test]
 #[ignore = "prints the tables to paste in after a deliberate plan-IR change"]
 fn print_golden_table() {
-    for (table, cases) in [("GOLDEN", small_cases()), ("GOLDEN_LARGE", large_cases())] {
+    for (table, cases) in [
+        ("GOLDEN", small_cases()),
+        ("GOLDEN_LARGE", large_cases()),
+        ("LOWERED_GOLDEN", lowered_cases()),
+    ] {
         println!("{table}:");
         for (name, hash) in cases {
             println!("    (\"{name}\", {hash:#018x}),");
@@ -758,4 +794,65 @@ const GOLDEN_LARGE: &[(&str, u64)] = &[
     ("Allgather/65536/PipMColl/4x4", 0x8d4edc7c994e8385),
     ("Allreduce/65536/PipMColl/4x4", 0x7eaa0b3187da023b),
     ("Allreduce/compressed16384/PipMColl/4x4", 0xd8e85e70cc470d05),
+];
+
+/// Captured at commit 0c91471, where every row was also checked to hash the
+/// legacy per-rank recording of the same cells identically.
+#[rustfmt::skip]
+const LOWERED_GOLDEN: &[(&str, u64)] = &[
+    ("Bcast/OpenMpi", 0x0fe59bc036966bb7),
+    ("Bcast/IntelMpi", 0x58e2fb865436514a),
+    ("Bcast/Mvapich2", 0x58e2fb865436514a),
+    ("Bcast/PipMpich", 0x0fe59bc036966bb7),
+    ("Bcast/PipMColl", 0x03cf3d3dfd910c05),
+    ("Scatter/OpenMpi", 0x9b7bdc02e2e4144f),
+    ("Scatter/IntelMpi", 0x9b7bdc02e2e4144f),
+    ("Scatter/Mvapich2", 0xcc8362e674b9d33b),
+    ("Scatter/PipMpich", 0x9b7bdc02e2e4144f),
+    ("Scatter/PipMColl", 0x1318bb7ac3b3161b),
+    ("Gather/OpenMpi", 0x06d5b68636134081),
+    ("Gather/IntelMpi", 0x06d5b68636134081),
+    ("Gather/Mvapich2", 0x06d5b68636134081),
+    ("Gather/PipMpich", 0x06d5b68636134081),
+    ("Gather/PipMColl", 0x43b947fb6b36093d),
+    ("Allgather/OpenMpi", 0x9b4e64ee8689e557),
+    ("Allgather/IntelMpi", 0x9b4e64ee8689e557),
+    ("Allgather/Mvapich2", 0x9b4e64ee8689e557),
+    ("Allgather/PipMpich", 0x9b4e64ee8689e557),
+    ("Allgather/PipMColl", 0xb31f460c1bed5aaa),
+    ("Reduce/OpenMpi", 0xbfe0333777781dba),
+    ("Reduce/IntelMpi", 0xbfe0333777781dba),
+    ("Reduce/Mvapich2", 0xbfe0333777781dba),
+    ("Reduce/PipMpich", 0xbfe0333777781dba),
+    ("Reduce/PipMColl", 0x6c31f5e9d9ee7346),
+    ("Allreduce/OpenMpi", 0xd24ab956d5ab3c1c),
+    ("Allreduce/IntelMpi", 0xd24ab956d5ab3c1c),
+    ("Allreduce/Mvapich2", 0xc193041ea45f1456),
+    ("Allreduce/PipMpich", 0xd24ab956d5ab3c1c),
+    ("Allreduce/PipMColl", 0x2ad64c1cec2cd2aa),
+    ("ReduceScatter/OpenMpi", 0x7d2eef9f8270ebc7),
+    ("ReduceScatter/IntelMpi", 0x7d2eef9f8270ebc7),
+    ("ReduceScatter/Mvapich2", 0x7d2eef9f8270ebc7),
+    ("ReduceScatter/PipMpich", 0x7d2eef9f8270ebc7),
+    ("ReduceScatter/PipMColl", 0xf54f057f17953d20),
+    ("Scan/OpenMpi", 0x467f5d40cd022331),
+    ("Scan/IntelMpi", 0x9eed744b667afcdc),
+    ("Scan/Mvapich2", 0x9eed744b667afcdc),
+    ("Scan/PipMpich", 0x9eed744b667afcdc),
+    ("Scan/PipMColl", 0x9eed744b667afcdc),
+    ("Exscan/OpenMpi", 0xf7493e13008e0881),
+    ("Exscan/IntelMpi", 0x9539f22a19621593),
+    ("Exscan/Mvapich2", 0x9539f22a19621593),
+    ("Exscan/PipMpich", 0x9539f22a19621593),
+    ("Exscan/PipMColl", 0x9539f22a19621593),
+    ("Alltoall/OpenMpi", 0x965de8b22c0917a9),
+    ("Alltoall/IntelMpi", 0x965de8b22c0917a9),
+    ("Alltoall/Mvapich2", 0x965de8b22c0917a9),
+    ("Alltoall/PipMpich", 0x965de8b22c0917a9),
+    ("Alltoall/PipMColl", 0x401a46dfcb6ca98f),
+    ("Barrier/OpenMpi", 0x7e1714d42436399b),
+    ("Barrier/IntelMpi", 0x7e1714d42436399b),
+    ("Barrier/Mvapich2", 0x7e1714d42436399b),
+    ("Barrier/PipMpich", 0x7e1714d42436399b),
+    ("Barrier/PipMColl", 0x7e1714d42436399b),
 ];

@@ -2,15 +2,16 @@
 //! reduce_scatter, scan and exscan are pinned against the sequential oracle
 //! for every library × topology (including non-power-of-two worlds and
 //! blocks that do not divide into the per-node chunk partition), via all
-//! four entry styles:
+//! three entry styles:
 //!
 //! 1. **blocking** (`Communicator::{reduce, reduce_scatter, scan, exscan}`),
 //! 2. **non-blocking** (`i*`, submitted interleaved and waited in per-rank
 //!    rotated order),
 //! 3. **persistent** (`*_init` with refreshed inputs, starts never
-//!    recompile),
-//! 4. **lowered plan** (schedule-fidelity cluster plans lower op-for-op to
-//!    the legacy per-rank recording).
+//!    recompile).
+//!
+//! Their schedule-fidelity plans are validated in `tests/plan_equivalence.rs`
+//! and their lowered traces frozen by hash in `tests/plan_golden.rs`.
 //!
 //! Proptest drives randomized sizes (non-power-of-two, non-divisible),
 //! roots and operators — including the non-invertible Min/Max, where a
@@ -21,10 +22,9 @@
 use proptest::prelude::*;
 
 use pip_mcoll::collectives::oracle;
-use pip_mcoll::collectives::plan::Fidelity;
 use pip_mcoll::collectives::CollectiveKind;
 use pip_mcoll::core::prelude::*;
-use pip_mcoll::model::plan::{compile_cluster, PlanCache, PlanKey};
+use pip_mcoll::model::plan::{PlanCache, PlanKey};
 use pip_mcoll::model::{dispatch, CollectiveShape};
 
 const TOPOLOGIES: [(usize, usize); 5] = [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)];
@@ -328,53 +328,6 @@ fn shape(kind: CollectiveKind, block: usize, root: usize) -> CollectiveShape {
         reduce: None,
         layout: None,
         compress: None,
-    }
-}
-
-/// Entry style 4 — lowered plans: every reduction collective's schedule-
-/// fidelity cluster plan validates and lowers op-for-op to the legacy
-/// per-rank recording, for every library × topology.
-#[test]
-fn reduction_plan_lowering_matches_legacy_recording() {
-    for library in Library::ALL {
-        for (nodes, ppn) in [(2, 3), (3, 3), (5, 2)] {
-            let topo = Topology::new(nodes, ppn);
-            let profile = library.profile();
-            let bytes = 64;
-            let root = topo.world_size() - 1;
-            let cases: Vec<(CollectiveShape, pip_mcoll::netsim::trace::Trace)> = vec![
-                (
-                    shape(CollectiveKind::Reduce, bytes, root),
-                    dispatch::record_reduce(&profile, topo, bytes, root),
-                ),
-                (
-                    shape(CollectiveKind::ReduceScatter, bytes, 0),
-                    dispatch::record_reduce_scatter(&profile, topo, bytes),
-                ),
-                (
-                    shape(CollectiveKind::Scan, bytes, 0),
-                    dispatch::record_scan(&profile, topo, bytes),
-                ),
-                (
-                    shape(CollectiveKind::Exscan, bytes, 0),
-                    dispatch::record_exscan(&profile, topo, bytes),
-                ),
-            ];
-            for (case, legacy) in cases {
-                let plan = compile_cluster(&profile, topo, &case, Fidelity::Schedule);
-                plan.validate().unwrap_or_else(|e| {
-                    panic!("{} {:?} plan invalid: {e}", library.name(), case.kind)
-                });
-                let lowered = plan.to_trace(1);
-                assert_eq!(
-                    lowered,
-                    legacy,
-                    "{} {:?} on {nodes}x{ppn}: lowering diverges from legacy recording",
-                    library.name(),
-                    case.kind
-                );
-            }
-        }
     }
 }
 

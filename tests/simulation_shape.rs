@@ -2,8 +2,10 @@
 //! simulation): the qualitative claims of the paper's figures must hold on
 //! clusters small enough to simulate in a debug-build test run.
 
+use pip_mcoll::collectives::plan::Fidelity;
 use pip_mcoll::collectives::CollectiveKind;
-use pip_mcoll::model::{dispatch, Library};
+use pip_mcoll::model::plan::compile_cluster;
+use pip_mcoll::model::{CollectiveShape, Library, LibraryProfile};
 use pip_mcoll::netsim::cluster::ClusterSpec;
 use pip_mcoll::netsim::network::simulate;
 use pip_mcoll_bench::figures::collective_comparison;
@@ -45,47 +47,21 @@ fn multi_object_beats_single_leader_for_every_collective_kind() {
     let topology = cluster.topology();
     let mcoll = Library::PipMColl.profile();
     let mvapich = Library::Mvapich2.profile();
-    let bytes = 128;
-
-    type Recorder =
-        Box<dyn Fn(&pip_mcoll::model::LibraryProfile) -> pip_mcoll::netsim::trace::Trace>;
-    let cases: Vec<(&str, Recorder)> = vec![
-        (
-            "allgather",
-            Box::new(move |p: &pip_mcoll::model::LibraryProfile| {
-                dispatch::record_allgather(p, topology, bytes)
-            }),
-        ),
-        (
-            "scatter",
-            Box::new(move |p: &pip_mcoll::model::LibraryProfile| {
-                dispatch::record_scatter(p, topology, bytes, 0)
-            }),
-        ),
-        (
-            "bcast",
-            Box::new(move |p: &pip_mcoll::model::LibraryProfile| {
-                dispatch::record_bcast(p, topology, bytes, 0)
-            }),
-        ),
-        (
-            "allreduce",
-            Box::new(move |p: &pip_mcoll::model::LibraryProfile| {
-                dispatch::record_allreduce(p, topology, 4096)
-            }),
-        ),
-    ];
-    for (name, record) in cases {
-        let t_mcoll = simulate("mcoll", &record(&mcoll), &mcoll.sim_params(cluster.nic))
-            .unwrap()
-            .makespan_ns;
-        let t_mvapich = simulate(
-            "mvapich",
-            &record(&mvapich),
-            &mvapich.sim_params(cluster.nic),
-        )
-        .unwrap()
-        .makespan_ns;
+    for (name, kind, bytes) in [
+        ("allgather", CollectiveKind::Allgather, 128),
+        ("scatter", CollectiveKind::Scatter, 128),
+        ("bcast", CollectiveKind::Bcast, 128),
+        ("allreduce", CollectiveKind::Allreduce, 4096),
+    ] {
+        let shape = CollectiveShape::plain(kind, bytes, 0);
+        let makespan = |profile: &LibraryProfile| {
+            let trace = compile_cluster(profile, topology, &shape, Fidelity::Schedule).to_trace(1);
+            simulate(name, &trace, &profile.sim_params(cluster.nic))
+                .unwrap()
+                .makespan_ns
+        };
+        let t_mcoll = makespan(&mcoll);
+        let t_mvapich = makespan(&mvapich);
         assert!(
             t_mcoll < t_mvapich,
             "{name}: PiP-MColl {t_mcoll:.0} ns should beat MVAPICH2 {t_mvapich:.0} ns"
@@ -98,7 +74,9 @@ fn simulation_is_deterministic_across_repeated_runs() {
     let cluster = ClusterSpec::new(6, 4);
     let profile = Library::PipMColl.profile();
     let params = profile.sim_params(cluster.nic);
-    let trace = dispatch::record_allgather(&profile, cluster.topology(), 64);
+    let shape = CollectiveShape::plain(CollectiveKind::Allgather, 64, 0);
+    let trace =
+        compile_cluster(&profile, cluster.topology(), &shape, Fidelity::Schedule).to_trace(1);
     let a = simulate("a", &trace, &params).unwrap();
     let b = simulate("b", &trace, &params).unwrap();
     assert_eq!(a.makespan_ns, b.makespan_ns);

@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 
-use pip_mcoll::model::{dispatch, Library, LibraryProfile};
+use pip_mcoll::collectives::plan::Fidelity;
+use pip_mcoll::collectives::CollectiveKind;
+use pip_mcoll::model::plan::compile_cluster;
+use pip_mcoll::model::{CollectiveShape, Library, LibraryProfile};
 use pip_mcoll::netsim::cluster::ClusterSpec;
 use pip_mcoll::netsim::network::simulate;
 use pip_mcoll::runtime::Topology;
@@ -20,19 +23,24 @@ fn arb_library() -> impl Strategy<Value = Library> {
     ]
 }
 
+/// The collectives the first property draws from.
+const KINDS: [CollectiveKind; 5] = [
+    CollectiveKind::Allgather,
+    CollectiveKind::Scatter,
+    CollectiveKind::Bcast,
+    CollectiveKind::Allreduce,
+    CollectiveKind::Gather,
+];
+
+/// The simulator's trace of `kind` at `bytes` per rank, rooted at rank 0.
 fn record(
     profile: &LibraryProfile,
     topology: Topology,
-    collective: u8,
+    kind: CollectiveKind,
     bytes: usize,
 ) -> pip_mcoll::netsim::trace::Trace {
-    match collective % 5 {
-        0 => dispatch::record_allgather(profile, topology, bytes),
-        1 => dispatch::record_scatter(profile, topology, bytes, 0),
-        2 => dispatch::record_bcast(profile, topology, bytes, 0),
-        3 => dispatch::record_allreduce(profile, topology, bytes.max(1)),
-        _ => dispatch::record_gather(profile, topology, bytes, 0),
-    }
+    let shape = CollectiveShape::plain(kind, bytes, 0);
+    compile_cluster(profile, topology, &shape, Fidelity::Schedule).to_trace(1)
 }
 
 proptest! {
@@ -43,12 +51,12 @@ proptest! {
         nodes in 1usize..10,
         ppn in 1usize..6,
         bytes in 1usize..1024,
-        collective in 0u8..5,
+        collective in 0usize..KINDS.len(),
         library in arb_library(),
     ) {
         let topology = Topology::new(nodes, ppn);
         let profile = library.profile();
-        let trace = record(&profile, topology, collective, bytes);
+        let trace = record(&profile, topology, KINDS[collective], bytes);
         prop_assert!(trace.validate().is_ok());
         let params = profile.sim_params(ClusterSpec::new(nodes, ppn).nic);
         let report = simulate(library.name(), &trace, &params);
@@ -69,8 +77,10 @@ proptest! {
         let topology = Topology::new(nodes, ppn);
         let profile = library.profile();
         let params = profile.sim_params(ClusterSpec::new(nodes, ppn).nic);
-        let small = simulate("s", &dispatch::record_allgather(&profile, topology, bytes), &params).unwrap();
-        let large = simulate("l", &dispatch::record_allgather(&profile, topology, bytes * 4), &params).unwrap();
+        let small = record(&profile, topology, CollectiveKind::Allgather, bytes);
+        let large = record(&profile, topology, CollectiveKind::Allgather, bytes * 4);
+        let small = simulate("s", &small, &params).unwrap();
+        let large = simulate("l", &large, &params).unwrap();
         prop_assert!(large.makespan_ns + 1e-6 >= small.makespan_ns);
     }
 
@@ -84,7 +94,7 @@ proptest! {
         // once: (nodes - 1) * ppn * bytes inbound per node.
         let topology = Topology::new(nodes, ppn);
         let profile = Library::PipMColl.profile();
-        let trace = dispatch::record_allgather(&profile, topology, bytes);
+        let trace = record(&profile, topology, CollectiveKind::Allgather, bytes);
         let lower_bound = nodes * (nodes - 1) * ppn * bytes;
         let mut internode_bytes = 0usize;
         for (rank, rt) in trace.ranks.iter().enumerate() {
@@ -110,7 +120,7 @@ proptest! {
         // process, and there are at most log_{P+1}(N) + 1 phases.
         let topology = Topology::new(nodes, ppn);
         let profile = Library::PipMColl.profile();
-        let trace = dispatch::record_allgather(&profile, topology, bytes);
+        let trace = record(&profile, topology, CollectiveKind::Allgather, bytes);
         let phases = {
             let base = ppn + 1;
             let mut span = 1usize;
