@@ -76,8 +76,8 @@ pub fn layout_shards(layout: MailboxLayout) -> usize {
 }
 
 impl MailboxPoint {
-    /// Render as a JSON object (hand-rolled; the vendored serde shim does
-    /// not serialize).
+    /// Render as a JSON object (hand-rolled; the workspace has no JSON
+    /// dependency).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"layout\":\"{}\",\"shards\":{},\"ranks\":{},\"outstanding\":{},\

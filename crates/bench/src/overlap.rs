@@ -67,8 +67,8 @@ pub struct OverlapPoint {
 }
 
 impl OverlapPoint {
-    /// Render as a JSON object (hand-rolled; the vendored serde shim does
-    /// not serialize).
+    /// Render as a JSON object (hand-rolled; the workspace has no JSON
+    /// dependency).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"library\":\"{}\",\"bytes\":{},\"compute_ns\":{:.1},\"collective_ns\":{:.1},\

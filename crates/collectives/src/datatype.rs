@@ -569,11 +569,6 @@ impl Op {
         let f = Arc::clone(&self.f);
         Rc::new(move |acc: &mut [u8], other: &[u8]| f(acc, other))
     }
-
-    /// The request-level [`Reduction`] view of this operator.
-    pub fn reduction(&self) -> Reduction<'_> {
-        Reduction::User(self)
-    }
 }
 
 impl std::fmt::Debug for Op {
@@ -585,9 +580,10 @@ impl std::fmt::Debug for Op {
     }
 }
 
-/// An owned reduction operator for the owned-collective path (`i*` and
-/// `*_init` entry styles): either a built-in [`ReduceKernel`] or a
-/// user-defined [`Op`].
+/// The reduction operator a collective request carries, whatever its entry
+/// style: either a built-in [`ReduceKernel`] or a registered user-defined
+/// [`Op`].  Both have an identity that keys the plan cache, so two distinct
+/// operators of the same width never share a plan.
 #[derive(Debug, Clone)]
 pub enum OwnedReduction {
     /// A built-in `(type, op)` kernel.
@@ -610,6 +606,14 @@ impl OwnedReduction {
         match self {
             OwnedReduction::Typed(kernel) => kernel.elem_size(),
             OwnedReduction::User(op) => op.elem_size(),
+        }
+    }
+
+    /// Borrow the byte operator every collective algorithm accepts.
+    pub fn as_fn(&self) -> &ReduceFn<'_> {
+        match self {
+            OwnedReduction::Typed(kernel) => kernel.as_fn(),
+            OwnedReduction::User(op) => op.as_fn(),
         }
     }
 
@@ -812,79 +816,6 @@ impl ReduceKernel {
     }
 }
 
-/// The reduction operator as a collective request carries it.
-///
-/// The normal path is [`Reduction::Typed`] — a monomorphized kernel whose
-/// identity keys the plan cache. [`Reduction::User`] borrows a registered
-/// [`Op`], whose minted id keys the cache instead. [`Reduction::Opaque`]
-/// carries an *anonymous* byte closure (plan recording substitutes one;
-/// tests build throwaway operators); it has no identity, so the dispatch
-/// layer never caches a plan for it — anonymous operators always take the
-/// direct-execute path rather than risk aliasing by element size.
-#[derive(Clone, Copy)]
-pub enum Reduction<'a> {
-    /// A typed `(type, op)` kernel.
-    Typed(ReduceKernel),
-    /// A registered user-defined operator.
-    User(&'a Op),
-    /// An anonymous byte operator over `elem_size`-byte elements.
-    Opaque {
-        /// Element size in bytes the closure assumes.
-        elem_size: usize,
-        /// The operator (`acc ⊕= other`).
-        f: &'a ReduceFn<'a>,
-    },
-}
-
-impl<'a> Reduction<'a> {
-    /// A typed kernel for `T` and `op`.
-    pub fn typed<T: Datatype>(op: ReduceOp) -> Self {
-        Reduction::Typed(ReduceKernel::of::<T>(op))
-    }
-
-    /// Wire size of one element.
-    pub fn elem_size(&self) -> usize {
-        match self {
-            Reduction::Typed(kernel) => kernel.elem_size(),
-            Reduction::User(op) => op.elem_size(),
-            Reduction::Opaque { elem_size, .. } => *elem_size,
-        }
-    }
-
-    /// The plan-cache identity, if this reduction has one. Anonymous
-    /// [`Reduction::Opaque`] operators have none, which the dispatch layer
-    /// treats as "never cache".
-    pub fn ident(&self) -> Option<ReduceIdent> {
-        match self {
-            Reduction::Typed(kernel) => Some(kernel.ident()),
-            Reduction::User(op) => Some(op.ident()),
-            Reduction::Opaque { .. } => None,
-        }
-    }
-
-    /// Borrow the byte operator every collective algorithm accepts.
-    pub fn as_fn(&self) -> &ReduceFn<'_> {
-        match self {
-            Reduction::Typed(kernel) => kernel.as_fn(),
-            Reduction::User(op) => op.as_fn(),
-            Reduction::Opaque { f, .. } => f,
-        }
-    }
-}
-
-impl std::fmt::Debug for Reduction<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Reduction::Typed(kernel) => f.debug_tuple("Typed").field(&kernel.ident()).finish(),
-            Reduction::User(op) => f.debug_tuple("User").field(op).finish(),
-            Reduction::Opaque { elem_size, .. } => f
-                .debug_struct("Opaque")
-                .field("elem_size", elem_size)
-                .finish_non_exhaustive(),
-        }
-    }
-}
-
 /// Serialize a typed slice to its little-endian byte representation.
 pub fn to_bytes<T: Datatype>(values: &[T]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * T::SIZE);
@@ -1071,30 +1002,31 @@ mod tests {
     }
 
     #[test]
-    fn reduction_reports_identity_only_when_typed() {
-        let typed = Reduction::typed::<i32>(ReduceOp::Max);
+    fn owned_reduction_reports_identity_width_and_operator() {
+        let typed = OwnedReduction::Typed(ReduceKernel::of::<i32>(ReduceOp::Max));
         assert_eq!(typed.elem_size(), 4);
         assert_eq!(
             typed.ident(),
-            Some(ReduceIdent::Builtin {
+            ReduceIdent::Builtin {
                 dtype: DtypeId::I32,
                 op: ReduceOp::Max
-            })
+            }
         );
-        let custom = |acc: &mut [u8], other: &[u8]| {
+        let mut acc = to_bytes(&[3i32, -7]);
+        (typed.as_fn())(&mut acc, &to_bytes(&[5i32, -9]));
+        assert_eq!(from_bytes::<i32>(&acc), vec![5, -7]);
+        let xor = Op::create(2, |acc, other| {
             for (a, b) in acc.iter_mut().zip(other) {
                 *a ^= *b;
             }
-        };
-        let opaque = Reduction::Opaque {
-            elem_size: 2,
-            f: &custom,
-        };
-        assert_eq!(opaque.elem_size(), 2);
-        assert_eq!(opaque.ident(), None);
+        });
+        let user = OwnedReduction::User(xor.clone());
+        assert_eq!(user.elem_size(), 2);
+        assert_eq!(user.ident(), xor.ident());
         let mut acc = vec![0b1010u8, 0xFF];
-        (opaque.as_fn())(&mut acc, &[0b0110, 0x0F]);
-        assert_eq!(acc, vec![0b1100, 0xF0]);
+        (user.as_fn())(&mut acc, &[0b0110, 0x0F]);
+        (user.shared())(&mut acc, &[0b0001, 0x00]);
+        assert_eq!(acc, vec![0b1101, 0xF0]);
     }
 
     #[test]
@@ -1134,10 +1066,6 @@ mod tests {
         (op.as_fn())(&mut acc, &to_bytes(&[0u32, 0]));
         (op.shared())(&mut acc, &to_bytes(&[1u32, 1]));
         assert_eq!(from_bytes::<u32>(&acc), vec![37, 39]);
-        // And through the request-level view.
-        let red = op.reduction();
-        assert_eq!(red.elem_size(), 4);
-        assert_eq!(red.ident(), Some(op.ident()));
     }
 
     #[test]

@@ -41,11 +41,11 @@
 //! ## Execution models
 //!
 //! Compiled plans run one way: a [`plan::PlanCursor`] walks a plan
-//! *resumably*, advancing only as completions become available.  A blocking
-//! collective drives its cursor to completion in place, on the caller's
-//! borrowed buffers ([`request::drive_to_done`]); the
-//! [`request::ProgressEngine`] drives many buffer-owning cursors at once to
-//! give MPI-style non-blocking and persistent collectives.
+//! *resumably*, advancing only as completions become available, on buffers
+//! it owns.  A blocking collective drives its cursor to completion in place
+//! ([`request::drive_to_done`]); the [`request::ProgressEngine`] drives many
+//! cursors at once to give MPI-style non-blocking and persistent
+//! collectives.
 
 #![warn(missing_docs)]
 
@@ -67,7 +67,7 @@ pub mod scan;
 pub use comm::{Comm, NonBlockingComm, ReduceFn, ThreadComm};
 pub use compress::{Codec, CompressionPolicy, FloatDatatype, FloatElem};
 pub use datatype::{
-    Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, Reduction,
+    Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp,
 };
 pub use request::{ProgressEngine, ReqId, SharedReduceOp};
 

@@ -5,19 +5,17 @@
 //! [`PlanCursor::step`] executes ops until it reaches one whose completion
 //! is not yet available (a receive whose message has not arrived, a region a
 //! peer has not exposed, a node barrier a peer has not reached) and then
-//! returns [`StepOutcome::Blocked`] instead of waiting.  All three entry
-//! styles run on it:
+//! returns [`StepOutcome::Blocked`] instead of waiting.  A cursor owns the
+//! caller's buffers and hands them back through [`PlanCursor::into_output`];
+//! all three entry styles run on it:
 //!
-//! * a **blocking** collective is a cursor over *borrowed* caller buffers,
-//!   driven to [`StepOutcome::Done`] in place by
-//!   [`crate::request::drive_to_done`] before the call returns;
-//! * a **request** or **persistent handle** is a `PlanCursor<'static>` that
-//!   *owns* its buffers (it outlives the call frame that created it), sits in
-//!   a [`crate::request::ProgressEngine`] beside the communicator's other
-//!   outstanding collectives — the MPI `MPI_I*` / persistent execution model
-//!   — and hands the buffers back through [`PlanCursor::into_output`].
-//!   Persistent handles send the same buffers into a fresh cursor on every
-//!   `start()`.
+//! * a **blocking** collective drives its cursor to [`StepOutcome::Done`] in
+//!   place ([`PlanCursor::run`]) before the call returns;
+//! * a **request** or **persistent handle** outlives the call frame that
+//!   created it: its cursor sits in a [`crate::request::ProgressEngine`]
+//!   beside the communicator's other outstanding collectives — the MPI
+//!   `MPI_I*` / persistent execution model.  Persistent handles send the same
+//!   buffers into a fresh cursor on every `start()`.
 //!
 //! **Nothing parks the thread.**  Shared regions and node barriers live in
 //! the invocation's node-local scope ([`pip_runtime::scope`], entered on the
@@ -32,8 +30,6 @@
 //! [`crate::plan::arena::BufferArena`], so repeat executions of one shape
 //! stop allocating — whatever the entry style.
 
-use std::borrow::Cow;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use crate::comm::{NonBlockingComm, ReduceFn};
@@ -58,46 +54,10 @@ pub enum StepOutcome {
     Done,
 }
 
-/// A caller's send buffer as a cursor holds it: `Owned` by a request or
-/// persistent handle (and returned from [`PlanCursor::into_output`]),
-/// `Borrowed` from the caller for the duration of a blocking call.
-pub type SendBuf<'b> = Cow<'b, [u8]>;
-
-/// A caller's receive (or in/out) buffer as a cursor holds it — [`SendBuf`]'s
-/// mutable twin.
-#[derive(Debug)]
-pub enum RecvBuf<'b> {
-    /// The cursor owns the bytes and returns them from
-    /// [`PlanCursor::into_output`].
-    Owned(Vec<u8>),
-    /// The caller's slice, written in place.
-    Borrowed(&'b mut [u8]),
-}
-
-impl Deref for RecvBuf<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            RecvBuf::Owned(bytes) => bytes,
-            RecvBuf::Borrowed(bytes) => bytes,
-        }
-    }
-}
-
-impl DerefMut for RecvBuf<'_> {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        match self {
-            RecvBuf::Owned(bytes) => bytes,
-            RecvBuf::Borrowed(bytes) => bytes,
-        }
-    }
-}
-
 /// A resumable execution of one rank's compiled plan.
 ///
-/// Created from a cached plan, the caller's buffers (owned or borrowed) and
-/// the invocation tag; driven by [`PlanCursor::step`] until
+/// Created from a cached plan, the caller's buffers and the invocation tag;
+/// driven by [`PlanCursor::step`] until
 /// [`StepOutcome::Done`], after which the receive buffer holds the
 /// collective's result.
 ///
@@ -106,7 +66,7 @@ impl DerefMut for RecvBuf<'_> {
 /// pre-execution bytes, even for in/out collectives where input and output
 /// are the same buffer.
 #[derive(Debug)]
-pub struct PlanCursor<'b> {
+pub struct PlanCursor {
     plan: Rc<RankPlan>,
     tag: u64,
     /// This rank's membership of the invocation's node-local scope; `None`
@@ -117,8 +77,8 @@ pub struct PlanCursor<'b> {
     pending_out: Vec<(usize, Vec<u8>)>,
     /// The caller's buffers: extent-length when the plan declares a layout,
     /// otherwise exactly the packed length the plan was recorded with.
-    sendbuf: Option<SendBuf<'b>>,
-    recvbuf: Option<RecvBuf<'b>>,
+    sendbuf: Option<Vec<u8>>,
+    recvbuf: Option<Vec<u8>>,
     /// Packed staging of a strided caller buffer (`Some` only when the plan
     /// declares the layout).  The plan body was recorded against packed
     /// bytes and reads these instead of the caller's buffer, so it never
@@ -145,7 +105,7 @@ pub struct CursorOutput {
     pub recvbuf: Option<Vec<u8>>,
 }
 
-impl<'b> PlanCursor<'b> {
+impl PlanCursor {
     /// Wrap `plan` with the caller's buffers for one invocation tagged
     /// `tag`, drawing every scratch buffer from `arena`.
     ///
@@ -161,8 +121,8 @@ impl<'b> PlanCursor<'b> {
     /// not data-dependent failures.
     pub fn new(
         plan: Rc<RankPlan>,
-        sendbuf: Option<SendBuf<'b>>,
-        recvbuf: Option<RecvBuf<'b>>,
+        sendbuf: Option<Vec<u8>>,
+        recvbuf: Option<Vec<u8>>,
         tag: u64,
         arena: SharedArena,
     ) -> Self {
@@ -226,10 +186,8 @@ impl<'b> PlanCursor<'b> {
         self.plan.io.needs_reduce_op
     }
 
-    /// Recover the owned buffers after the program finished; the receive
-    /// buffer holds the collective's result.  A borrowed buffer was the
-    /// caller's all along (its result is already in place), so its slot
-    /// comes back `None`.
+    /// Recover the buffers after the program finished; the receive buffer
+    /// holds the collective's result.
     ///
     /// # Panics
     ///
@@ -237,14 +195,8 @@ impl<'b> PlanCursor<'b> {
     pub fn into_output(self) -> CursorOutput {
         assert!(self.finished, "cursor has not finished executing its plan");
         CursorOutput {
-            sendbuf: match self.sendbuf {
-                Some(SendBuf::Owned(bytes)) => Some(bytes),
-                _ => None,
-            },
-            recvbuf: match self.recvbuf {
-                Some(RecvBuf::Owned(bytes)) => Some(bytes),
-                _ => None,
-            },
+            sendbuf: self.sendbuf,
+            recvbuf: self.recvbuf,
         }
     }
 
@@ -648,8 +600,8 @@ mod tests {
         })
     }
 
-    /// A cursor over owned buffers completes an exchange (send, recv, node
-    /// barrier) with real bytes and returns the buffers.
+    /// A cursor completes an exchange (send, recv, node barrier) with real
+    /// bytes and returns the buffers.
     #[test]
     fn cursor_completes_an_exchange_incrementally() {
         let topo = Topology::new(1, 2);
@@ -657,8 +609,8 @@ mod tests {
             let comm = ThreadComm::new(ctx);
             let mut cursor = PlanCursor::new(
                 compile_exchange(comm.rank(), topo),
-                Some(SendBuf::Owned(vec![10 + comm.rank() as u8; 4])),
-                Some(RecvBuf::Owned(vec![0u8; 4])),
+                Some(vec![10 + comm.rank() as u8; 4]),
+                Some(vec![0u8; 4]),
                 7 << 16,
                 shared_arena(),
             );
@@ -673,7 +625,7 @@ mod tests {
     }
 
     /// A reduce plan recorded through the opaque interception executes, on
-    /// the caller's borrowed in/out buffer, with a typed
+    /// the caller's in/out buffer, with a typed
     /// [`crate::datatype::ReduceKernel`] supplied at run time — the plan
     /// itself is operator-agnostic, so one recording serves every invocation
     /// with the same `(datatype, op)` key.
@@ -700,12 +652,11 @@ mod tests {
                 comm.charge_reduce(8);
                 Some(buf)
             });
-            let mut buf = to_bytes(&[rank as i32 + 1, -(rank as i32) - 10]);
+            let buf = to_bytes(&[rank as i32 + 1, -(rank as i32) - 10]);
             let kernel = ReduceKernel::of::<i32>(ReduceOp::Sum);
-            let recvbuf = Some(RecvBuf::Borrowed(&mut buf));
-            PlanCursor::new(plan, None, recvbuf, 9 << 16, shared_arena())
-                .run(&comm, Some(kernel.as_fn()));
-            from_bytes::<i32>(&buf)
+            let mut cursor = PlanCursor::new(plan, None, Some(buf), 9 << 16, shared_arena());
+            cursor.run(&comm, Some(kernel.as_fn()));
+            from_bytes::<i32>(&cursor.into_output().recvbuf.unwrap())
         })
         .unwrap();
         for (rank, out) in results.iter().enumerate() {
@@ -713,8 +664,8 @@ mod tests {
         }
     }
 
-    /// The same cached plan executes twice on one communicator, on borrowed
-    /// buffers, without the shared-region namespaces or tags colliding.
+    /// The same cached plan executes twice on one communicator without the
+    /// shared-region namespaces or tags colliding.
     #[test]
     fn repeated_execution_of_one_plan_does_not_collide() {
         let topo = Topology::new(1, 2);
@@ -734,17 +685,15 @@ mod tests {
             });
             let arena = shared_arena();
             [1u8, 2].map(|call| {
-                let sendbuf = vec![call * (10 + rank as u8); 2];
-                let mut recvbuf = vec![0u8; 4];
-                PlanCursor::new(
+                let mut cursor = PlanCursor::new(
                     Rc::clone(&plan),
-                    Some(SendBuf::Borrowed(&sendbuf)),
-                    Some(RecvBuf::Borrowed(&mut recvbuf)),
+                    Some(vec![call * (10 + rank as u8); 2]),
+                    Some(vec![0u8; 4]),
                     (call as u64) << 16,
                     Rc::clone(&arena),
-                )
-                .run(&comm, None);
-                recvbuf
+                );
+                cursor.run(&comm, None);
+                cursor.into_output().recvbuf.unwrap()
             })
         })
         .unwrap();
@@ -777,8 +726,8 @@ mod tests {
         let mut cursors = [0, 1].map(|rank| {
             PlanCursor::new(
                 compile(rank),
-                Some(SendBuf::Owned(vec![40 + rank as u8; 4])),
-                Some(RecvBuf::Owned(vec![0u8; 4])),
+                Some(vec![40 + rank as u8; 4]),
+                Some(vec![0u8; 4]),
                 3 << 16,
                 shared_arena(),
             )
@@ -819,9 +768,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match the plan's shape")]
     fn cursor_rejects_wrong_buffer_lengths() {
-        let short = SendBuf::Owned(vec![0u8; 2]);
-        let recvbuf = RecvBuf::Owned(vec![0u8; 4]);
+        let short = vec![0u8; 2];
         let plan = compile_exchange(0, Topology::new(1, 2));
-        let _ = PlanCursor::new(plan, Some(short), Some(recvbuf), 1 << 16, shared_arena());
+        let _ = PlanCursor::new(
+            plan,
+            Some(short),
+            Some(vec![0u8; 4]),
+            1 << 16,
+            shared_arena(),
+        );
     }
 }

@@ -29,7 +29,7 @@ pub mod rewrite;
 pub mod symmetry;
 
 pub use arena::{shared_arena, ArenaStats, BufferArena, SharedArena};
-pub use cursor::{CursorOutput, PlanCursor, RecvBuf, SendBuf, StepOutcome};
+pub use cursor::{CursorOutput, PlanCursor, StepOutcome};
 pub use ir::{Fidelity, IoShape, Plan, PlanError, PlanOp, RankPlan, Src, SrcSeg, ValId};
 pub use record::{assemble, record_trace, PlanComm, EXEC_PASSES};
 pub use rewrite::compress_rank_transfers;

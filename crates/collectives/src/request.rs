@@ -17,6 +17,8 @@
 //! `wait`/`test`, exactly like an MPI implementation progressing from within
 //! completion calls.
 //!
+//! A request's cursor is the same kind of cursor a blocking collective runs:
+//! both own the invocation's buffers and differ only in who drives them.
 //! [`drive_to_done`] is the one wait loop of the execute plane: a blocking
 //! collective drives its own cursor with it, [`ProgressEngine::wait`] drives
 //! the whole engine with it.
@@ -41,7 +43,7 @@ enum Slot {
     Running {
         // Boxed: a cursor (plan handle, buffers, staging) dwarfs the
         // parked output, and slots outlive many step() passes.
-        cursor: Box<PlanCursor<'static>>,
+        cursor: Box<PlanCursor>,
         op: Option<SharedReduceOp>,
     },
     Finished(CursorOutput),
@@ -69,10 +71,9 @@ impl ProgressEngine {
         Self::default()
     }
 
-    /// Register a cursor that owns its buffers (with its reduction operator,
-    /// when the plan needs one) and return the id its completion will be
-    /// reported under.
-    pub fn submit(&mut self, cursor: PlanCursor<'static>, op: Option<SharedReduceOp>) -> ReqId {
+    /// Register a cursor (with its reduction operator, when the plan needs
+    /// one) and return the id its completion will be reported under.
+    pub fn submit(&mut self, cursor: PlanCursor, op: Option<SharedReduceOp>) -> ReqId {
         assert!(
             !cursor.needs_reduce_op() || op.is_some(),
             "plan requires a reduction operator"
@@ -224,7 +225,7 @@ mod tests {
     use crate::comm::{Comm, ThreadComm};
     use crate::plan::ir::{Fidelity, IoShape};
     use crate::plan::record::{assemble, PlanComm, EXEC_PASSES};
-    use crate::plan::{shared_arena, RecvBuf, SendBuf};
+    use crate::plan::shared_arena;
     use pip_runtime::{Cluster, Topology};
 
     /// Compile a two-rank ping with a per-invocation distinct tag space.
@@ -266,8 +267,8 @@ mod tests {
                 .map(|call| {
                     let cursor = PlanCursor::new(
                         Rc::clone(&plan),
-                        Some(SendBuf::Owned(vec![call * 10 + comm.rank() as u8; 2])),
-                        Some(RecvBuf::Owned(vec![0u8; 2])),
+                        Some(vec![call * 10 + comm.rank() as u8; 2]),
+                        Some(vec![0u8; 2]),
                         (call as u64 + 1) << 16,
                         shared_arena(),
                     );

@@ -7,42 +7,75 @@
 //! concurrent and back-to-back collectives never collide on tags or shared
 //! buffer names.
 //!
-//! Every collective call goes through the communicator's **plan cache**: the
-//! first invocation of a `(collective, message size, root)` shape compiles
-//! the selected algorithm to a `pip_collectives::plan::RankPlan`; every
-//! repeat looks the compiled plan up and executes it directly — the
-//! persistent-collective fast path for production traffic that issues the
-//! same collectives over and over.
+//! Every collective call, whatever its entry style — blocking, `i*` or
+//! `*_init` — builds the same `pip_mpi_model::OwnedCollective` request (one
+//! builder per collective kind holds that kind's preconditions) and goes
+//! through the communicator's **plan cache**: the first invocation of a
+//! `(collective, message size, root)` shape compiles the selected algorithm
+//! to a `pip_collectives::plan::RankPlan`; every repeat looks the compiled
+//! plan up and executes it directly — the persistent-collective fast path
+//! for production traffic that issues the same collectives over and over.
+//! The entry style only decides when the plan is started and waited on.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use pip_collectives::comm::{Comm as _, ThreadComm};
-use pip_collectives::plan::{ArenaStats, PlanCursor, RankPlan, RecvBuf, SendBuf, SharedArena};
+use pip_collectives::plan::{ArenaStats, PlanCursor, RankPlan, SharedArena};
 use pip_collectives::request::{ProgressEngine, ReqId, SharedReduceOp};
-use pip_mpi_model::{
-    dispatch, CollectiveRequest, CompressSpec, LibraryProfile, OwnedCollective, PlanCache,
-};
+use pip_mpi_model::{dispatch, CompressSpec, LibraryProfile, OwnedCollective, PlanCache};
 use pip_runtime::{TaskCtx, Topology};
 
 use crate::datatype::{
     from_bytes, read_into, to_bytes, Datatype, FloatDatatype, Layout, Op, OwnedReduction,
-    ReduceKernel, ReduceOp, Reduction,
+    ReduceKernel, ReduceOp,
 };
 
 /// Tag space reserved for each collective invocation (rounds and phases are
 /// encoded in the low bits).
 const COLLECTIVE_TAG_STRIDE: u64 = 1 << 16;
 
-/// Completion mapping of a one-shot request: consumes the receive buffer
-/// (`None` where this rank binds none, e.g. off-root gather).
-type RequestFinish<'c, O> = Box<dyn FnOnce(Option<Vec<u8>>) -> O + 'c>;
-
-/// Completion mapping of a persistent handle: borrows the pinned receive
-/// buffer, reusable across starts.
-type PersistentFinish<'c, O> = Box<dyn Fn(Option<&[u8]>) -> O + 'c>;
 /// Tag space where point-to-point tags live, above all collective tags.
 const P2P_TAG_BASE: u64 = 1 << 48;
+
+/// Completion mapping of a request or persistent handle: turns the receive
+/// buffer (`None` where this rank binds none, e.g. off-root gather) into the
+/// call's typed result.
+type Finish<O> = fn(Option<&[u8]>) -> O;
+
+/// The typed result of a collective that binds a receive (or in/out) buffer
+/// at every rank.
+fn received<T: Datatype>(recv: Option<&[u8]>) -> Vec<T> {
+    from_bytes(recv.expect("the collective binds a receive buffer at every rank"))
+}
+
+/// The typed result of a rooted collective: `Some` at the root only.
+fn at_root<T: Datatype>(recv: Option<&[u8]>) -> Option<Vec<T>> {
+    recv.map(from_bytes)
+}
+
+/// The completion of a blocking in/out call: the result overwrites `buf`.
+fn written<T: Datatype>(buf: &mut [T]) -> impl FnOnce(Option<&[u8]>) + '_ {
+    |recv| read_into(buf, recv.expect("the collective binds an in/out buffer"))
+}
+
+/// A built-in operator over `T`.
+fn builtin<T: Datatype>(op: ReduceOp) -> OwnedReduction {
+    OwnedReduction::Typed(ReduceKernel::of::<T>(op))
+}
+
+/// A registered user operator, checked against the element type it is
+/// applied to.
+fn user<T: Datatype>(op: &Op) -> OwnedReduction {
+    assert_eq!(
+        op.elem_size(),
+        T::SIZE,
+        "operator element size ({}) must match the datatype width ({})",
+        op.elem_size(),
+        T::SIZE,
+    );
+    OwnedReduction::User(op.clone())
+}
 
 /// An MPI-like communicator bound to one process of the launched world.
 pub struct Communicator<'a> {
@@ -121,16 +154,17 @@ impl<'a> Communicator<'a> {
         seq * COLLECTIVE_TAG_STRIDE
     }
 
-    /// Dispatch a collective through the plan cache: lookup-or-compile, then
-    /// run the compiled plan.
-    fn collective(&self, request: CollectiveRequest<'_>) {
-        dispatch::execute_planned(
+    /// The blocking runner: run `request` to completion through the plan
+    /// cache and map its receive buffer to the call's result.
+    fn run<O>(&self, request: OwnedCollective, finish: impl FnOnce(Option<&[u8]>) -> O) -> O {
+        let recv = dispatch::run_blocking(
             &self.profile,
             &self.inner,
             request,
             self.next_tag(),
             &mut self.plans.borrow_mut(),
         );
+        finish(recv.as_deref())
     }
 
     // ------------------------------------------------------------------
@@ -262,90 +296,39 @@ impl<'a> Communicator<'a> {
     // ------------------------------------------------------------------
     // Collectives
     // ------------------------------------------------------------------
+    //
+    // Every blocking call below runs the same request its `i*` and `*_init`
+    // twins submit (see "Request builders"), through the same plan cache,
+    // to completion before it returns.
 
     /// MPI_Allgather: every rank contributes `send`; returns the
     /// concatenation of all contributions in rank order.
     pub fn allgather<T: Datatype>(&self, send: &[T]) -> Vec<T> {
-        let sendbuf = to_bytes(send);
-        let mut recvbuf = vec![0u8; sendbuf.len() * self.size()];
-        self.collective(CollectiveRequest::Allgather {
-            sendbuf: &sendbuf,
-            recvbuf: &mut recvbuf,
-        });
-        from_bytes(&recvbuf)
+        self.run(self.allgather_request(send), received)
     }
 
     /// MPI_Scatter: the root supplies `send` (one block of `count` elements
     /// per rank); every rank receives its block.
     pub fn scatter<T: Datatype>(&self, send: Option<&[T]>, count: usize, root: usize) -> Vec<T> {
-        if let Some(send) = send {
-            assert_eq!(
-                send.len(),
-                count * self.size(),
-                "root must supply count * size elements"
-            );
-        }
-        let sendbuf = send.map(to_bytes);
-        let mut recvbuf = vec![0u8; count * T::SIZE];
-        self.collective(CollectiveRequest::Scatter {
-            sendbuf: sendbuf.as_deref(),
-            recvbuf: &mut recvbuf,
-            root,
-        });
-        from_bytes(&recvbuf)
+        self.run(self.scatter_request(send, count, root), received)
     }
 
     /// MPI_Bcast: `buf` holds the root's data on return at every rank.
     pub fn bcast<T: Datatype>(&self, buf: &mut [T], root: usize) {
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Bcast {
-            buf: &mut bytes,
-            root,
-        });
-        read_into(buf, &bytes);
+        self.run(self.bcast_request(buf, root), written(buf))
     }
 
     /// MPI_Gather: every rank contributes `send`; the root receives all
     /// contributions in rank order (`Some` at root, `None` elsewhere).
     pub fn gather<T: Datatype>(&self, send: &[T], root: usize) -> Option<Vec<T>> {
-        let sendbuf = to_bytes(send);
-        let mut recvbuf = vec![0u8; sendbuf.len() * self.size()];
-        let is_root = self.rank() == root;
-        self.collective(CollectiveRequest::Gather {
-            sendbuf: &sendbuf,
-            recvbuf: is_root.then_some(recvbuf.as_mut_slice()),
-            root,
-        });
-        is_root.then(|| from_bytes(&recvbuf))
+        self.run(self.gather_request(send, root), at_root)
     }
 
     /// MPI_Allreduce with a built-in operator; `buf` holds the reduced
     /// vector on return at every rank.
     pub fn allreduce<T: Datatype>(&self, buf: &mut [T], op: ReduceOp) {
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Allreduce {
-            buf: &mut bytes,
-            op: Reduction::typed::<T>(op),
-            layout: None,
-            compress: None,
-        });
-        read_into(buf, &bytes);
-    }
-
-    /// The compression spec for a caller-requested error bound: the bound
-    /// plus this profile's bytes-on-wire threshold
-    /// (`selection.compress_min_bytes`).  Normalization against the actual
-    /// message size happens at shape time, so a bound of `0.0` (or a
-    /// buffer under the threshold) degrades to the exact plan.
-    fn compress_spec(&self, bound: f64) -> Option<CompressSpec> {
-        assert!(
-            bound >= 0.0 && bound.is_finite(),
-            "compression error bound must be finite and non-negative, got {bound}"
-        );
-        Some(CompressSpec::from_bound(
-            bound,
-            self.profile.selection.compress_min_bytes,
-        ))
+        let request = self.allreduce_request(buf, builtin::<T>(op), None, None);
+        self.run(request, written(buf))
     }
 
     /// [`Communicator::allreduce`] over error-bounded lossy-compressed
@@ -360,72 +343,36 @@ impl<'a> Communicator<'a> {
     /// [`Communicator::iallreduce_compressed`] and
     /// [`Communicator::allreduce_compressed_init`].
     pub fn allreduce_compressed<T: FloatDatatype>(&self, buf: &mut [T], op: ReduceOp, bound: f64) {
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Allreduce {
-            buf: &mut bytes,
-            op: Reduction::typed::<T>(op),
-            layout: None,
-            compress: self.compress_spec(bound),
-        });
-        read_into(buf, &bytes);
+        let request = self.allreduce_request(buf, builtin::<T>(op), None, Some(bound));
+        self.run(request, written(buf))
     }
 
     /// MPI_Reduce with a built-in operator: every rank contributes `send`;
     /// returns `Some` of the element-wise combination at the root, `None`
     /// elsewhere.
     pub fn reduce<T: Datatype>(&self, send: &[T], op: ReduceOp, root: usize) -> Option<Vec<T>> {
-        let sendbuf = to_bytes(send);
-        let is_root = self.rank() == root;
-        let mut recvbuf = is_root.then(|| vec![0u8; sendbuf.len()]);
-        self.collective(CollectiveRequest::Reduce {
-            sendbuf: &sendbuf,
-            recvbuf: recvbuf.as_deref_mut(),
-            root,
-            op: Reduction::typed::<T>(op),
-        });
-        recvbuf.map(|bytes| from_bytes(&bytes))
+        self.run(self.reduce_request(send, builtin::<T>(op), root), at_root)
     }
 
     /// MPI_Reduce_scatter_block with a built-in operator: `send` holds one
     /// block of `count` elements per rank; returns this rank's fully
     /// reduced block.
     pub fn reduce_scatter<T: Datatype>(&self, send: &[T], count: usize, op: ReduceOp) -> Vec<T> {
-        assert_eq!(
-            send.len(),
-            count * self.size(),
-            "sendbuf must hold count * size elements"
-        );
-        let sendbuf = to_bytes(send);
-        let mut recvbuf = vec![0u8; count * T::SIZE];
-        self.collective(CollectiveRequest::ReduceScatter {
-            sendbuf: &sendbuf,
-            recvbuf: &mut recvbuf,
-            op: Reduction::typed::<T>(op),
-        });
-        from_bytes(&recvbuf)
+        let request = self.reduce_scatter_request(send, count, builtin::<T>(op));
+        self.run(request, received)
     }
 
     /// MPI_Scan with a built-in operator; `buf` holds the inclusive prefix
     /// (ranks `0..=rank`) on return.
     pub fn scan<T: Datatype>(&self, buf: &mut [T], op: ReduceOp) {
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Scan {
-            buf: &mut bytes,
-            op: Reduction::typed::<T>(op),
-        });
-        read_into(buf, &bytes);
+        self.run(self.scan_request(buf, builtin::<T>(op)), written(buf))
     }
 
     /// MPI_Exscan with a built-in operator; `buf` holds the exclusive
     /// prefix (ranks `0..rank`) on return.  Rank 0's buffer is left
     /// untouched (MPI leaves it undefined).
     pub fn exscan<T: Datatype>(&self, buf: &mut [T], op: ReduceOp) {
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Exscan {
-            buf: &mut bytes,
-            op: Reduction::typed::<T>(op),
-        });
-        read_into(buf, &bytes);
+        self.run(self.exscan_request(buf, builtin::<T>(op)), written(buf))
     }
 
     // ------------------------------------------------------------------
@@ -439,88 +386,36 @@ impl<'a> Communicator<'a> {
     // commutative** over the serialized little-endian element bytes — the
     // algorithms combine contributions in topology-dependent order.
 
-    /// Check a user operator against the element type it is applied to.
-    fn check_op<T: Datatype>(op: &Op) {
-        assert_eq!(
-            op.elem_size(),
-            T::SIZE,
-            "operator element size ({}) must match the datatype width ({})",
-            op.elem_size(),
-            T::SIZE,
-        );
-    }
-
     /// [`Communicator::allreduce`] with a registered user operator; `buf`
     /// holds the reduced vector on return at every rank.
     ///
     /// Non-blocking and persistent variants: [`Communicator::iallreduce_op`]
     /// and [`Communicator::allreduce_op_init`].
     pub fn allreduce_op<T: Datatype>(&self, buf: &mut [T], op: &Op) {
-        Self::check_op::<T>(op);
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Allreduce {
-            buf: &mut bytes,
-            op: Reduction::User(op),
-            layout: None,
-            compress: None,
-        });
-        read_into(buf, &bytes);
+        let request = self.allreduce_request(buf, user::<T>(op), None, None);
+        self.run(request, written(buf))
     }
 
     /// [`Communicator::reduce`] with a registered user operator.
     pub fn reduce_op<T: Datatype>(&self, send: &[T], op: &Op, root: usize) -> Option<Vec<T>> {
-        Self::check_op::<T>(op);
-        let sendbuf = to_bytes(send);
-        let is_root = self.rank() == root;
-        let mut recvbuf = is_root.then(|| vec![0u8; sendbuf.len()]);
-        self.collective(CollectiveRequest::Reduce {
-            sendbuf: &sendbuf,
-            recvbuf: recvbuf.as_deref_mut(),
-            root,
-            op: Reduction::User(op),
-        });
-        recvbuf.map(|bytes| from_bytes(&bytes))
+        self.run(self.reduce_request(send, user::<T>(op), root), at_root)
     }
 
     /// [`Communicator::reduce_scatter`] with a registered user operator.
     pub fn reduce_scatter_op<T: Datatype>(&self, send: &[T], count: usize, op: &Op) -> Vec<T> {
-        Self::check_op::<T>(op);
-        assert_eq!(
-            send.len(),
-            count * self.size(),
-            "sendbuf must hold count * size elements"
-        );
-        let sendbuf = to_bytes(send);
-        let mut recvbuf = vec![0u8; count * T::SIZE];
-        self.collective(CollectiveRequest::ReduceScatter {
-            sendbuf: &sendbuf,
-            recvbuf: &mut recvbuf,
-            op: Reduction::User(op),
-        });
-        from_bytes(&recvbuf)
+        let request = self.reduce_scatter_request(send, count, user::<T>(op));
+        self.run(request, received)
     }
 
     /// [`Communicator::scan`] with a registered user operator.
     pub fn scan_op<T: Datatype>(&self, buf: &mut [T], op: &Op) {
-        Self::check_op::<T>(op);
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Scan {
-            buf: &mut bytes,
-            op: Reduction::User(op),
-        });
-        read_into(buf, &bytes);
+        self.run(self.scan_request(buf, user::<T>(op)), written(buf))
     }
 
     /// [`Communicator::exscan`] with a registered user operator (rank 0's
     /// buffer is left untouched).
     pub fn exscan_op<T: Datatype>(&self, buf: &mut [T], op: &Op) {
-        Self::check_op::<T>(op);
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Exscan {
-            buf: &mut bytes,
-            op: Reduction::User(op),
-        });
-        read_into(buf, &bytes);
+        self.run(self.exscan_request(buf, user::<T>(op)), written(buf))
     }
 
     /// [`Communicator::allreduce`] over a strided buffer: only the
@@ -529,37 +424,14 @@ impl<'a> Communicator<'a> {
     /// rank.  The layout is part of the plan-cache key, so a strided and a
     /// contiguous allreduce of equal packed size never share a plan.
     pub fn allreduce_strided<T: Datatype>(&self, buf: &mut [T], layout: Layout, op: ReduceOp) {
-        assert_eq!(
-            buf.len(),
-            layout.extent(),
-            "buffer must span the layout's extent"
-        );
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Allreduce {
-            buf: &mut bytes,
-            op: Reduction::typed::<T>(op),
-            layout: Some(layout),
-            compress: None,
-        });
-        read_into(buf, &bytes);
+        let request = self.allreduce_request(buf, builtin::<T>(op), Some(layout), None);
+        self.run(request, written(buf))
     }
 
     /// [`Communicator::allreduce_strided`] with a registered user operator.
     pub fn allreduce_strided_op<T: Datatype>(&self, buf: &mut [T], layout: Layout, op: &Op) {
-        Self::check_op::<T>(op);
-        assert_eq!(
-            buf.len(),
-            layout.extent(),
-            "buffer must span the layout's extent"
-        );
-        let mut bytes = to_bytes(buf);
-        self.collective(CollectiveRequest::Allreduce {
-            buf: &mut bytes,
-            op: Reduction::User(op),
-            layout: Some(layout),
-            compress: None,
-        });
-        read_into(buf, &bytes);
+        let request = self.allreduce_request(buf, user::<T>(op), Some(layout), None);
+        self.run(request, written(buf))
     }
 
     // ------------------------------------------------------------------
@@ -593,9 +465,10 @@ impl<'a> Communicator<'a> {
     /// Non-blocking and persistent variants: [`Communicator::iallreduce`]
     /// and [`Communicator::allreduce_init`].
     pub fn allreduce_t<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> Vec<T> {
-        let mut out = buf.to_vec();
-        self.allreduce(&mut out, op);
-        out
+        self.run(
+            self.allreduce_request(buf, builtin::<T>(op), None, None),
+            received,
+        )
     }
 
     /// By-value [`Communicator::scan`]: returns the inclusive prefix
@@ -604,9 +477,7 @@ impl<'a> Communicator<'a> {
     /// Non-blocking and persistent variants: [`Communicator::iscan`] and
     /// [`Communicator::scan_init`].
     pub fn scan_t<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> Vec<T> {
-        let mut out = buf.to_vec();
-        self.scan(&mut out, op);
-        out
+        self.run(self.scan_request(buf, builtin::<T>(op)), received)
     }
 
     /// By-value [`Communicator::exscan`]: returns the exclusive prefix
@@ -615,27 +486,18 @@ impl<'a> Communicator<'a> {
     /// Non-blocking and persistent variants: [`Communicator::iexscan`] and
     /// [`Communicator::exscan_init`].
     pub fn exscan_t<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> Vec<T> {
-        let mut out = buf.to_vec();
-        self.exscan(&mut out, op);
-        out
+        self.run(self.exscan_request(buf, builtin::<T>(op)), received)
     }
 
     /// MPI_Alltoall: `send` holds one block of `count` elements per
     /// destination rank; returns one block per source rank.
     pub fn alltoall<T: Datatype>(&self, send: &[T], count: usize) -> Vec<T> {
-        assert_eq!(send.len(), count * self.size());
-        let sendbuf = to_bytes(send);
-        let mut recvbuf = vec![0u8; sendbuf.len()];
-        self.collective(CollectiveRequest::Alltoall {
-            sendbuf: &sendbuf,
-            recvbuf: &mut recvbuf,
-        });
-        from_bytes(&recvbuf)
+        self.run(self.alltoall_request(send, count), received)
     }
 
     /// MPI_Barrier.
     pub fn barrier(&self) {
-        self.collective(CollectiveRequest::Barrier);
+        self.run(OwnedCollective::Barrier, |_| ())
     }
 
     // ------------------------------------------------------------------
@@ -660,30 +522,22 @@ impl<'a> Communicator<'a> {
     // request whose progress needs that rank — surface as a receive/
     // progress timeout rather than a hang.
 
-    /// Register a cursor for `owned` with the progress engine and kick it
-    /// to its first blocking point.
-    fn submit_owned(&self, owned: OwnedCollective, op: Option<SharedReduceOp>) -> ReqId {
+    /// The non-blocking runner: register a cursor for `request` with the
+    /// progress engine and kick it to its first blocking point.
+    fn submit<O>(&self, request: OwnedCollective, finish: Finish<O>) -> CollRequest<'_, O> {
+        let op = request.op().map(OwnedReduction::shared);
         let cursor = dispatch::begin_planned(
             &self.profile,
             &self.inner,
-            owned,
+            request,
             self.next_tag(),
             &mut self.plans.borrow_mut(),
         );
         let id = self.engine.borrow_mut().submit(cursor, op);
         self.progress();
-        id
-    }
-
-    fn submit_request<'s, O>(
-        &'s self,
-        owned: OwnedCollective,
-        op: Option<SharedReduceOp>,
-        finish: RequestFinish<'s, O>,
-    ) -> CollRequest<'s, O> {
         CollRequest {
             comm: self,
-            id: self.submit_owned(owned, op),
+            id,
             finish,
         }
     }
@@ -701,13 +555,7 @@ impl<'a> Communicator<'a> {
     /// Non-blocking [`Communicator::allgather`]: returns immediately; the
     /// request's `wait` yields the concatenation of all contributions.
     pub fn iallgather<T: Datatype>(&self, send: &[T]) -> CollRequest<'_, Vec<T>> {
-        self.submit_request(
-            OwnedCollective::Allgather {
-                sendbuf: to_bytes(send),
-            },
-            None,
-            Box::new(|recv| from_bytes(&recv.expect("allgather binds a receive buffer"))),
-        )
+        self.submit(self.allgather_request(send), received)
     }
 
     /// Non-blocking [`Communicator::scatter`]: the root supplies one block
@@ -718,63 +566,27 @@ impl<'a> Communicator<'a> {
         count: usize,
         root: usize,
     ) -> CollRequest<'_, Vec<T>> {
-        if let Some(send) = send {
-            assert_eq!(
-                send.len(),
-                count * self.size(),
-                "root must supply count * size elements"
-            );
-        }
-        self.submit_request(
-            OwnedCollective::Scatter {
-                sendbuf: send.map(to_bytes),
-                block: count * T::SIZE,
-                root,
-            },
-            None,
-            Box::new(|recv| from_bytes(&recv.expect("scatter binds a receive buffer"))),
-        )
+        self.submit(self.scatter_request(send, count, root), received)
     }
 
     /// Non-blocking [`Communicator::bcast`]: `buf` supplies the root's data;
     /// `wait` yields the broadcast vector at every rank.
     pub fn ibcast<T: Datatype>(&self, buf: &[T], root: usize) -> CollRequest<'_, Vec<T>> {
-        self.submit_request(
-            OwnedCollective::Bcast {
-                buf: to_bytes(buf),
-                root,
-            },
-            None,
-            Box::new(|recv| from_bytes(&recv.expect("bcast binds an in/out buffer"))),
-        )
+        self.submit(self.bcast_request(buf, root), received)
     }
 
     /// Non-blocking [`Communicator::gather`]: `wait` yields `Some` of the
     /// rank-ordered concatenation at the root, `None` elsewhere.
     pub fn igather<T: Datatype>(&self, send: &[T], root: usize) -> CollRequest<'_, Option<Vec<T>>> {
-        self.submit_request(
-            OwnedCollective::Gather {
-                sendbuf: to_bytes(send),
-                root,
-            },
-            None,
-            Box::new(|recv| recv.map(|bytes| from_bytes(&bytes))),
-        )
+        self.submit(self.gather_request(send, root), at_root)
     }
 
     /// Non-blocking [`Communicator::allreduce`]: `wait` yields the reduced
     /// vector at every rank.
     pub fn iallreduce<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> CollRequest<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.submit_request(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-                layout: None,
-                compress: None,
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("allreduce binds an in/out buffer"))),
+        self.submit(
+            self.allreduce_request(buf, builtin::<T>(op), None, None),
+            received,
         )
     }
 
@@ -787,18 +599,8 @@ impl<'a> Communicator<'a> {
         op: ReduceOp,
         bound: f64,
     ) -> CollRequest<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        let compress = self.compress_spec(bound);
-        self.submit_request(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-                layout: None,
-                compress,
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("allreduce binds an in/out buffer"))),
-        )
+        let request = self.allreduce_request(buf, builtin::<T>(op), None, Some(bound));
+        self.submit(request, received)
     }
 
     /// Non-blocking [`Communicator::reduce`]: `wait` yields `Some` of the
@@ -809,16 +611,7 @@ impl<'a> Communicator<'a> {
         op: ReduceOp,
         root: usize,
     ) -> CollRequest<'_, Option<Vec<T>>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.submit_request(
-            OwnedCollective::Reduce {
-                sendbuf: to_bytes(send),
-                root,
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| recv.map(|bytes| from_bytes(&bytes))),
-        )
+        self.submit(self.reduce_request(send, builtin::<T>(op), root), at_root)
     }
 
     /// Non-blocking [`Communicator::reduce_scatter`]: `send` holds one
@@ -830,76 +623,34 @@ impl<'a> Communicator<'a> {
         count: usize,
         op: ReduceOp,
     ) -> CollRequest<'_, Vec<T>> {
-        assert_eq!(
-            send.len(),
-            count * self.size(),
-            "sendbuf must hold count * size elements"
-        );
-        let kernel = ReduceKernel::of::<T>(op);
-        self.submit_request(
-            OwnedCollective::ReduceScatter {
-                sendbuf: to_bytes(send),
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("reduce_scatter binds a receive buffer"))),
-        )
+        let request = self.reduce_scatter_request(send, count, builtin::<T>(op));
+        self.submit(request, received)
     }
 
     /// Non-blocking [`Communicator::scan`]: `wait` yields the inclusive
     /// prefix at every rank.
     pub fn iscan<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> CollRequest<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.submit_request(
-            OwnedCollective::Scan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("scan binds an in/out buffer"))),
-        )
+        self.submit(self.scan_request(buf, builtin::<T>(op)), received)
     }
 
     /// Non-blocking [`Communicator::exscan`]: `wait` yields the exclusive
     /// prefix (rank 0 gets its input back, see [`Communicator::exscan`]).
     pub fn iexscan<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> CollRequest<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.submit_request(
-            OwnedCollective::Exscan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("exscan binds an in/out buffer"))),
-        )
+        self.submit(self.exscan_request(buf, builtin::<T>(op)), received)
     }
 
     /// Non-blocking [`Communicator::alltoall`]: `send` holds one block of
     /// `count` elements per destination; `wait` yields one block per source.
     pub fn ialltoall<T: Datatype>(&self, send: &[T], count: usize) -> CollRequest<'_, Vec<T>> {
-        assert_eq!(send.len(), count * self.size());
-        self.submit_request(
-            OwnedCollective::Alltoall {
-                sendbuf: to_bytes(send),
-            },
-            None,
-            Box::new(|recv| from_bytes(&recv.expect("alltoall binds a receive buffer"))),
-        )
+        self.submit(self.alltoall_request(send, count), received)
     }
 
     /// Non-blocking [`Communicator::allreduce_op`]: `wait` yields the
     /// vector reduced with the registered user operator.
     pub fn iallreduce_op<T: Datatype>(&self, buf: &[T], op: &Op) -> CollRequest<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        self.submit_request(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::User(op.clone()),
-                layout: None,
-                compress: None,
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("allreduce binds an in/out buffer"))),
+        self.submit(
+            self.allreduce_request(buf, user::<T>(op), None, None),
+            received,
         )
     }
 
@@ -911,16 +662,7 @@ impl<'a> Communicator<'a> {
         op: &Op,
         root: usize,
     ) -> CollRequest<'_, Option<Vec<T>>> {
-        Self::check_op::<T>(op);
-        self.submit_request(
-            OwnedCollective::Reduce {
-                sendbuf: to_bytes(send),
-                root,
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| recv.map(|bytes| from_bytes(&bytes))),
-        )
+        self.submit(self.reduce_request(send, user::<T>(op), root), at_root)
     }
 
     /// Non-blocking [`Communicator::reduce_scatter_op`].
@@ -930,46 +672,18 @@ impl<'a> Communicator<'a> {
         count: usize,
         op: &Op,
     ) -> CollRequest<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        assert_eq!(
-            send.len(),
-            count * self.size(),
-            "sendbuf must hold count * size elements"
-        );
-        self.submit_request(
-            OwnedCollective::ReduceScatter {
-                sendbuf: to_bytes(send),
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("reduce_scatter binds a receive buffer"))),
-        )
+        let request = self.reduce_scatter_request(send, count, user::<T>(op));
+        self.submit(request, received)
     }
 
     /// Non-blocking [`Communicator::scan_op`].
     pub fn iscan_op<T: Datatype>(&self, buf: &[T], op: &Op) -> CollRequest<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        self.submit_request(
-            OwnedCollective::Scan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("scan binds an in/out buffer"))),
-        )
+        self.submit(self.scan_request(buf, user::<T>(op)), received)
     }
 
     /// Non-blocking [`Communicator::exscan_op`].
     pub fn iexscan_op<T: Datatype>(&self, buf: &[T], op: &Op) -> CollRequest<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        self.submit_request(
-            OwnedCollective::Exscan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("exscan binds an in/out buffer"))),
-        )
+        self.submit(self.exscan_request(buf, user::<T>(op)), received)
     }
 
     /// Non-blocking [`Communicator::allreduce_strided`]: `wait` yields the
@@ -980,47 +694,28 @@ impl<'a> Communicator<'a> {
         layout: Layout,
         op: ReduceOp,
     ) -> CollRequest<'_, Vec<T>> {
-        assert_eq!(
-            buf.len(),
-            layout.extent(),
-            "buffer must span the layout's extent"
-        );
-        let kernel = ReduceKernel::of::<T>(op);
-        self.submit_request(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-                layout: Some(layout),
-                compress: None,
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(&recv.expect("allreduce binds an in/out buffer"))),
-        )
+        let request = self.allreduce_request(buf, builtin::<T>(op), Some(layout), None);
+        self.submit(request, received)
     }
 
     // ------------------------------------------------------------------
     // Persistent collectives (MPI_*_init / MPI_Start)
     // ------------------------------------------------------------------
 
-    fn init_persistent<'s, O>(
-        &'s self,
-        owned: OwnedCollective,
-        op: Option<SharedReduceOp>,
-        finish: PersistentFinish<'s, O>,
-    ) -> PersistentColl<'s, O> {
-        // Same shape → lookup-or-compile → buffer-split sequence as the
-        // one-shot request path, so both share cache entries.
+    /// The persistent runner: resolve `request` against the plan cache
+    /// exactly as the other entry styles do, and pin the plan to the
+    /// request's buffers.
+    fn init<O>(&self, request: OwnedCollective, finish: Finish<O>) -> PersistentColl<'_, O> {
+        let op = request.op().map(OwnedReduction::shared);
         let mut plans = self.plans.borrow_mut();
         let (plan, sendbuf, recvbuf) =
-            dispatch::plan_owned(&self.profile, &self.inner, owned, &mut plans);
-        let arena = plans.arena();
-        drop(plans);
+            dispatch::plan_owned(&self.profile, &self.inner, request, &mut plans);
         PersistentColl {
             comm: self,
             plan,
             sendbuf,
             recvbuf,
-            arena,
+            arena: plans.arena(),
             op,
             active: None,
             finish,
@@ -1030,13 +725,7 @@ impl<'a> Communicator<'a> {
     /// Persistent [`Communicator::allgather`]: compile once, then
     /// `start()`/`wait()` any number of times with the pinned buffers.
     pub fn allgather_init<T: Datatype>(&self, send: &[T]) -> PersistentColl<'_, Vec<T>> {
-        self.init_persistent(
-            OwnedCollective::Allgather {
-                sendbuf: to_bytes(send),
-            },
-            None,
-            Box::new(|recv| from_bytes(recv.expect("allgather binds a receive buffer"))),
-        )
+        self.init(self.allgather_request(send), received)
     }
 
     /// Persistent [`Communicator::scatter`] from `root` (the root pins one
@@ -1047,35 +736,13 @@ impl<'a> Communicator<'a> {
         count: usize,
         root: usize,
     ) -> PersistentColl<'_, Vec<T>> {
-        if let Some(send) = send {
-            assert_eq!(
-                send.len(),
-                count * self.size(),
-                "root must supply count * size elements"
-            );
-        }
-        self.init_persistent(
-            OwnedCollective::Scatter {
-                sendbuf: send.map(to_bytes),
-                block: count * T::SIZE,
-                root,
-            },
-            None,
-            Box::new(|recv| from_bytes(recv.expect("scatter binds a receive buffer"))),
-        )
+        self.init(self.scatter_request(send, count, root), received)
     }
 
     /// Persistent [`Communicator::bcast`] from `root`; update the root's
     /// payload between starts with [`PersistentColl::write_send`].
     pub fn bcast_init<T: Datatype>(&self, buf: &[T], root: usize) -> PersistentColl<'_, Vec<T>> {
-        self.init_persistent(
-            OwnedCollective::Bcast {
-                buf: to_bytes(buf),
-                root,
-            },
-            None,
-            Box::new(|recv| from_bytes(recv.expect("bcast binds an in/out buffer"))),
-        )
+        self.init(self.bcast_request(buf, root), received)
     }
 
     /// Persistent [`Communicator::gather`] to `root`; `wait` yields `Some`
@@ -1085,14 +752,7 @@ impl<'a> Communicator<'a> {
         send: &[T],
         root: usize,
     ) -> PersistentColl<'_, Option<Vec<T>>> {
-        self.init_persistent(
-            OwnedCollective::Gather {
-                sendbuf: to_bytes(send),
-                root,
-            },
-            None,
-            Box::new(|recv| recv.map(from_bytes)),
-        )
+        self.init(self.gather_request(send, root), at_root)
     }
 
     /// Persistent [`Communicator::allreduce`] with a built-in operator.
@@ -1101,16 +761,9 @@ impl<'a> Communicator<'a> {
         buf: &[T],
         op: ReduceOp,
     ) -> PersistentColl<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-                layout: None,
-                compress: None,
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(recv.expect("allreduce binds an in/out buffer"))),
+        self.init(
+            self.allreduce_request(buf, builtin::<T>(op), None, None),
+            received,
         )
     }
 
@@ -1123,18 +776,8 @@ impl<'a> Communicator<'a> {
         op: ReduceOp,
         bound: f64,
     ) -> PersistentColl<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        let compress = self.compress_spec(bound);
-        self.init_persistent(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-                layout: None,
-                compress,
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(recv.expect("allreduce binds an in/out buffer"))),
-        )
+        let request = self.allreduce_request(buf, builtin::<T>(op), None, Some(bound));
+        self.init(request, received)
     }
 
     /// Persistent [`Communicator::reduce`] to `root` with a built-in
@@ -1145,16 +788,7 @@ impl<'a> Communicator<'a> {
         op: ReduceOp,
         root: usize,
     ) -> PersistentColl<'_, Option<Vec<T>>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Reduce {
-                sendbuf: to_bytes(send),
-                root,
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| recv.map(from_bytes)),
-        )
+        self.init(self.reduce_request(send, builtin::<T>(op), root), at_root)
     }
 
     /// Persistent [`Communicator::reduce_scatter`] with a built-in operator
@@ -1165,62 +799,27 @@ impl<'a> Communicator<'a> {
         count: usize,
         op: ReduceOp,
     ) -> PersistentColl<'_, Vec<T>> {
-        assert_eq!(
-            send.len(),
-            count * self.size(),
-            "sendbuf must hold count * size elements"
-        );
-        let kernel = ReduceKernel::of::<T>(op);
-        self.init_persistent(
-            OwnedCollective::ReduceScatter {
-                sendbuf: to_bytes(send),
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(recv.expect("reduce_scatter binds a receive buffer"))),
-        )
+        let request = self.reduce_scatter_request(send, count, builtin::<T>(op));
+        self.init(request, received)
     }
 
     /// Persistent [`Communicator::scan`] with a built-in operator.
     pub fn scan_init<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> PersistentColl<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Scan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(recv.expect("scan binds an in/out buffer"))),
-        )
+        self.init(self.scan_request(buf, builtin::<T>(op)), received)
     }
 
     /// Persistent [`Communicator::exscan`] with a built-in operator (rank 0
     /// gets its pinned input back on every `wait`).
     pub fn exscan_init<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> PersistentColl<'_, Vec<T>> {
-        let kernel = ReduceKernel::of::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Exscan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(recv.expect("exscan binds an in/out buffer"))),
-        )
+        self.init(self.exscan_request(buf, builtin::<T>(op)), received)
     }
 
     /// Persistent [`Communicator::allreduce_op`] with a registered user
     /// operator.
     pub fn allreduce_op_init<T: Datatype>(&self, buf: &[T], op: &Op) -> PersistentColl<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::User(op.clone()),
-                layout: None,
-                compress: None,
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(recv.expect("allreduce binds an in/out buffer"))),
+        self.init(
+            self.allreduce_request(buf, user::<T>(op), None, None),
+            received,
         )
     }
 
@@ -1232,16 +831,7 @@ impl<'a> Communicator<'a> {
         op: &Op,
         root: usize,
     ) -> PersistentColl<'_, Option<Vec<T>>> {
-        Self::check_op::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Reduce {
-                sendbuf: to_bytes(send),
-                root,
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| recv.map(from_bytes)),
-        )
+        self.init(self.reduce_request(send, user::<T>(op), root), at_root)
     }
 
     /// Persistent [`Communicator::reduce_scatter_op`] with a registered
@@ -1252,47 +842,19 @@ impl<'a> Communicator<'a> {
         count: usize,
         op: &Op,
     ) -> PersistentColl<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        assert_eq!(
-            send.len(),
-            count * self.size(),
-            "sendbuf must hold count * size elements"
-        );
-        self.init_persistent(
-            OwnedCollective::ReduceScatter {
-                sendbuf: to_bytes(send),
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(recv.expect("reduce_scatter binds a receive buffer"))),
-        )
+        let request = self.reduce_scatter_request(send, count, user::<T>(op));
+        self.init(request, received)
     }
 
     /// Persistent [`Communicator::scan_op`] with a registered user operator.
     pub fn scan_op_init<T: Datatype>(&self, buf: &[T], op: &Op) -> PersistentColl<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Scan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(recv.expect("scan binds an in/out buffer"))),
-        )
+        self.init(self.scan_request(buf, user::<T>(op)), received)
     }
 
     /// Persistent [`Communicator::exscan_op`] with a registered user
     /// operator (rank 0 gets its pinned input back on every `wait`).
     pub fn exscan_op_init<T: Datatype>(&self, buf: &[T], op: &Op) -> PersistentColl<'_, Vec<T>> {
-        Self::check_op::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Exscan {
-                buf: to_bytes(buf),
-                op: OwnedReduction::User(op.clone()),
-            },
-            Some(op.shared()),
-            Box::new(|recv| from_bytes(recv.expect("exscan binds an in/out buffer"))),
-        )
+        self.init(self.exscan_request(buf, user::<T>(op)), received)
     }
 
     /// Persistent [`Communicator::allreduce_strided`]: the pinned buffer
@@ -1304,22 +866,8 @@ impl<'a> Communicator<'a> {
         layout: Layout,
         op: ReduceOp,
     ) -> PersistentColl<'_, Vec<T>> {
-        assert_eq!(
-            buf.len(),
-            layout.extent(),
-            "buffer must span the layout's extent"
-        );
-        let kernel = ReduceKernel::of::<T>(op);
-        self.init_persistent(
-            OwnedCollective::Allreduce {
-                buf: to_bytes(buf),
-                op: OwnedReduction::Typed(kernel),
-                layout: Some(layout),
-                compress: None,
-            },
-            Some(kernel.shared()),
-            Box::new(|recv| from_bytes(recv.expect("allreduce binds an in/out buffer"))),
-        )
+        let request = self.allreduce_request(buf, builtin::<T>(op), Some(layout), None);
+        self.init(request, received)
     }
 
     /// Persistent [`Communicator::alltoall`] (one pinned block of `count`
@@ -1329,14 +877,146 @@ impl<'a> Communicator<'a> {
         send: &[T],
         count: usize,
     ) -> PersistentColl<'_, Vec<T>> {
-        assert_eq!(send.len(), count * self.size());
-        self.init_persistent(
-            OwnedCollective::Alltoall {
-                sendbuf: to_bytes(send),
-            },
-            None,
-            Box::new(|recv| from_bytes(recv.expect("alltoall binds a receive buffer"))),
-        )
+        self.init(self.alltoall_request(send, count), received)
+    }
+
+    // ------------------------------------------------------------------
+    // Request builders
+    // ------------------------------------------------------------------
+    //
+    // One per collective kind, shared by the blocking, `i*` and `*_init`
+    // entry styles: the three check the same preconditions and describe
+    // the invocation with the same request, so they share its plan-cache
+    // shape.
+
+    fn allgather_request<T: Datatype>(&self, send: &[T]) -> OwnedCollective {
+        OwnedCollective::Allgather {
+            sendbuf: to_bytes(send),
+        }
+    }
+
+    fn scatter_request<T: Datatype>(
+        &self,
+        send: Option<&[T]>,
+        count: usize,
+        root: usize,
+    ) -> OwnedCollective {
+        if let Some(send) = send {
+            assert_eq!(
+                send.len(),
+                count * self.size(),
+                "root must supply count * size elements"
+            );
+        }
+        OwnedCollective::Scatter {
+            sendbuf: send.map(to_bytes),
+            block: count * T::SIZE,
+            root,
+        }
+    }
+
+    fn bcast_request<T: Datatype>(&self, buf: &[T], root: usize) -> OwnedCollective {
+        OwnedCollective::Bcast {
+            buf: to_bytes(buf),
+            root,
+        }
+    }
+
+    fn gather_request<T: Datatype>(&self, send: &[T], root: usize) -> OwnedCollective {
+        OwnedCollective::Gather {
+            sendbuf: to_bytes(send),
+            root,
+        }
+    }
+
+    /// An allreduce of `buf`, over the `layout`-selected elements when one
+    /// is given, compressed within `bound` when one is given.  The
+    /// compression spec pairs the bound with this profile's bytes-on-wire
+    /// threshold (`selection.compress_min_bytes`); normalization against
+    /// the actual message size happens at shape time, so a bound of `0.0`
+    /// (or a buffer under the threshold) degrades to the exact plan.
+    fn allreduce_request<T: Datatype>(
+        &self,
+        buf: &[T],
+        op: OwnedReduction,
+        layout: Option<Layout>,
+        bound: Option<f64>,
+    ) -> OwnedCollective {
+        if let Some(layout) = layout {
+            assert_eq!(
+                buf.len(),
+                layout.extent(),
+                "buffer must span the layout's extent"
+            );
+        }
+        let compress = bound.map(|bound| {
+            assert!(
+                bound >= 0.0 && bound.is_finite(),
+                "compression error bound must be finite and non-negative, got {bound}"
+            );
+            CompressSpec::from_bound(bound, self.profile.selection.compress_min_bytes)
+        });
+        OwnedCollective::Allreduce {
+            buf: to_bytes(buf),
+            op,
+            layout,
+            compress,
+        }
+    }
+
+    fn reduce_request<T: Datatype>(
+        &self,
+        send: &[T],
+        op: OwnedReduction,
+        root: usize,
+    ) -> OwnedCollective {
+        OwnedCollective::Reduce {
+            sendbuf: to_bytes(send),
+            root,
+            op,
+        }
+    }
+
+    fn reduce_scatter_request<T: Datatype>(
+        &self,
+        send: &[T],
+        count: usize,
+        op: OwnedReduction,
+    ) -> OwnedCollective {
+        assert_eq!(
+            send.len(),
+            count * self.size(),
+            "sendbuf must hold count * size elements"
+        );
+        OwnedCollective::ReduceScatter {
+            sendbuf: to_bytes(send),
+            op,
+        }
+    }
+
+    fn scan_request<T: Datatype>(&self, buf: &[T], op: OwnedReduction) -> OwnedCollective {
+        OwnedCollective::Scan {
+            buf: to_bytes(buf),
+            op,
+        }
+    }
+
+    fn exscan_request<T: Datatype>(&self, buf: &[T], op: OwnedReduction) -> OwnedCollective {
+        OwnedCollective::Exscan {
+            buf: to_bytes(buf),
+            op,
+        }
+    }
+
+    fn alltoall_request<T: Datatype>(&self, send: &[T], count: usize) -> OwnedCollective {
+        assert_eq!(
+            send.len(),
+            count * self.size(),
+            "sendbuf must hold count * size elements"
+        );
+        OwnedCollective::Alltoall {
+            sendbuf: to_bytes(send),
+        }
     }
 }
 
@@ -1352,7 +1032,7 @@ impl<'a> Communicator<'a> {
 pub struct CollRequest<'c, O> {
     comm: &'c Communicator<'c>,
     id: ReqId,
-    finish: RequestFinish<'c, O>,
+    finish: Finish<O>,
 }
 
 impl<O> CollRequest<'_, O> {
@@ -1371,7 +1051,7 @@ impl<O> CollRequest<'_, O> {
     pub fn wait(self) -> O {
         let comm = self.comm;
         let output = comm.engine.borrow_mut().wait(&comm.inner, self.id);
-        (self.finish)(output.recvbuf)
+        (self.finish)(output.recvbuf.as_deref())
     }
 }
 
@@ -1410,7 +1090,7 @@ pub struct PersistentColl<'c, O> {
     arena: SharedArena,
     op: Option<SharedReduceOp>,
     active: Option<ReqId>,
-    finish: PersistentFinish<'c, O>,
+    finish: Finish<O>,
 }
 
 impl<O> PersistentColl<'_, O> {
@@ -1427,8 +1107,8 @@ impl<O> PersistentColl<'_, O> {
         );
         let cursor = PlanCursor::new(
             Rc::clone(&self.plan),
-            self.sendbuf.take().map(SendBuf::Owned),
-            self.recvbuf.take().map(RecvBuf::Owned),
+            self.sendbuf.take(),
+            self.recvbuf.take(),
             self.comm.next_tag(),
             Rc::clone(&self.arena),
         );
@@ -1643,6 +1323,223 @@ mod tests {
                 assert_eq!(*exclusive, (0..rank).sum::<i64>());
             }
         }
+    }
+
+    /// Which entry style runs a collective.
+    #[derive(Debug, Clone, Copy)]
+    enum Style {
+        Blocking,
+        Request,
+        Persistent,
+    }
+
+    /// Run one invocation at `style` and return its result.
+    fn run_as<'c, O>(
+        style: Style,
+        blocking: impl FnOnce() -> O,
+        request: impl FnOnce() -> CollRequest<'c, O>,
+        persistent: impl FnOnce() -> PersistentColl<'c, O>,
+    ) -> O {
+        match style {
+            Style::Blocking => blocking(),
+            Style::Request => request().wait(),
+            Style::Persistent => {
+                let mut handle = persistent();
+                handle.start();
+                handle.wait()
+            }
+        }
+    }
+
+    /// `n` distinct values per rank.
+    fn data(comm: &Communicator<'_>, n: usize) -> Vec<f32> {
+        (0..n).map(|i| (comm.rank() * n + i) as f32 * 0.5).collect()
+    }
+
+    /// One case per collective kind plus the allreduce `_op`, `_strided` and
+    /// `_compressed` variants: rank `comm`'s call at `style`.  The shapes of
+    /// the cases are pairwise distinct.
+    type Case = (&'static str, fn(&Communicator<'_>, Style, &Op) -> Vec<f32>);
+    const CASES: [Case; 14] = [
+        ("allgather", |c, s, _| {
+            let x = data(c, 4);
+            run_as(
+                s,
+                || c.allgather(&x),
+                || c.iallgather(&x),
+                || c.allgather_init(&x),
+            )
+        }),
+        ("scatter", |c, s, _| {
+            let x = (c.rank() == 1).then(|| data(c, 4 * c.size()));
+            let x = x.as_deref();
+            let (blocking, request) = (|| c.scatter(x, 4, 1), || c.iscatter(x, 4, 1));
+            run_as(s, blocking, request, || c.scatter_init(x, 4, 1))
+        }),
+        ("bcast", |c, s, _| {
+            let x = data(c, 3);
+            let blocking = || {
+                let mut buf = x.clone();
+                c.bcast(&mut buf, 2);
+                buf
+            };
+            run_as(s, blocking, || c.ibcast(&x, 2), || c.bcast_init(&x, 2))
+        }),
+        ("gather", |c, s, _| {
+            let x = data(c, 2);
+            run_as(
+                s,
+                || c.gather(&x, 3),
+                || c.igather(&x, 3),
+                || c.gather_init(&x, 3),
+            )
+            .unwrap_or_default()
+        }),
+        ("allreduce", |c, s, _| {
+            let x = data(c, 5);
+            let blocking = || {
+                let mut buf = x.clone();
+                c.allreduce(&mut buf, ReduceOp::Sum);
+                buf
+            };
+            let request = || c.iallreduce(&x, ReduceOp::Sum);
+            run_as(s, blocking, request, || c.allreduce_init(&x, ReduceOp::Sum))
+        }),
+        ("reduce", |c, s, _| {
+            let x = data(c, 5);
+            let (op, root) = (ReduceOp::Max, 4);
+            let (blocking, request) = (|| c.reduce(&x, op, root), || c.ireduce(&x, op, root));
+            run_as(s, blocking, request, || c.reduce_init(&x, op, root)).unwrap_or_default()
+        }),
+        ("reduce_scatter", |c, s, _| {
+            let x = data(c, 3 * c.size());
+            let op = ReduceOp::Min;
+            let blocking = || c.reduce_scatter(&x, 3, op);
+            let request = || c.ireduce_scatter(&x, 3, op);
+            run_as(s, blocking, request, || c.reduce_scatter_init(&x, 3, op))
+        }),
+        ("scan", |c, s, _| {
+            let x = data(c, 7);
+            let blocking = || c.scan_t(&x, ReduceOp::Sum);
+            run_as(
+                s,
+                blocking,
+                || c.iscan(&x, ReduceOp::Sum),
+                || c.scan_init(&x, ReduceOp::Sum),
+            )
+        }),
+        ("exscan", |c, s, _| {
+            let x = data(c, 7);
+            let blocking = || {
+                let mut buf = x.clone();
+                c.exscan(&mut buf, ReduceOp::Sum);
+                buf
+            };
+            let request = || c.iexscan(&x, ReduceOp::Sum);
+            run_as(s, blocking, request, || c.exscan_init(&x, ReduceOp::Sum))
+        }),
+        ("alltoall", |c, s, _| {
+            let x = data(c, 2 * c.size());
+            run_as(
+                s,
+                || c.alltoall(&x, 2),
+                || c.ialltoall(&x, 2),
+                || c.alltoall_init(&x, 2),
+            )
+        }),
+        // The barrier has no `i*` or `*_init` form: every style is the
+        // blocking call.
+        ("barrier", |c, _, _| {
+            c.barrier();
+            Vec::new()
+        }),
+        ("allreduce_op", |c, s, op| {
+            let x = data(c, 5);
+            let blocking = || {
+                let mut buf = x.clone();
+                c.allreduce_op(&mut buf, op);
+                buf
+            };
+            run_as(
+                s,
+                blocking,
+                || c.iallreduce_op(&x, op),
+                || c.allreduce_op_init(&x, op),
+            )
+        }),
+        ("allreduce_strided", |c, s, _| {
+            let layout = Layout::vector(3, 2, 4);
+            let x = data(c, layout.extent());
+            let blocking = || {
+                let mut buf = x.clone();
+                c.allreduce_strided(&mut buf, layout, ReduceOp::Sum);
+                buf
+            };
+            let request = || c.iallreduce_strided(&x, layout, ReduceOp::Sum);
+            run_as(s, blocking, request, || {
+                c.allreduce_strided_init(&x, layout, ReduceOp::Sum)
+            })
+        }),
+        ("allreduce_compressed", |c, s, _| {
+            // Large enough to stay over the profile's compression threshold,
+            // so the spec is not normalized away.
+            let x = data(c, c.profile().selection.compress_min_bytes / 4);
+            let (op, bound) = (ReduceOp::Sum, 1e-3);
+            let blocking = || {
+                let mut buf = x.clone();
+                c.allreduce_compressed(&mut buf, op, bound);
+                buf
+            };
+            let request = || c.iallreduce_compressed(&x, op, bound);
+            run_as(s, blocking, request, || {
+                c.allreduce_compressed_init(&x, op, bound)
+            })
+        }),
+    ];
+
+    /// One shape per invocation, whatever the entry style: each case's
+    /// blocking call compiles its plan once, and its `i*` and `*_init` twins
+    /// at the same size hit that plan — at every rank — and all three
+    /// compute the same result.
+    #[test]
+    fn every_entry_style_shares_one_plan_per_invocation() {
+        let sum = Op::of_typed::<f32>(|a, b| a + b);
+        let topo = Topology::new(2, 3);
+        let profile = Library::PipMColl.profile();
+        World::run_with_profile(topo, profile, |comm| {
+            for (name, case) in CASES {
+                let (before, entries) = (comm.plan_stats(), comm.plan_entries());
+                let results = [Style::Blocking, Style::Request, Style::Persistent]
+                    .map(|style| case(comm, style, &sum));
+                let (hits, misses) = comm.plan_stats();
+                let rank = comm.rank();
+                assert_eq!(
+                    (hits - before.0, misses - before.1),
+                    (2, 1),
+                    "{name} at rank {rank}: (hits, misses) of its three entry styles"
+                );
+                assert_eq!(comm.plan_entries(), entries + 1, "{name} at rank {rank}");
+                assert_eq!(
+                    results[0], results[1],
+                    "{name}: blocking vs i* at rank {rank}"
+                );
+                assert_eq!(
+                    results[0], results[2],
+                    "{name}: blocking vs init at rank {rank}"
+                );
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "sendbuf must hold count * size elements")]
+    fn alltoall_rejects_a_short_send_buffer() {
+        World::builder()
+            .nodes(1)
+            .ppn(2)
+            .run(|comm| comm.alltoall(&[1u32, 2, 3], 2))
+            .unwrap();
     }
 
     #[test]

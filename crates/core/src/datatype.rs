@@ -11,7 +11,7 @@
 
 pub use pip_collectives::datatype::{
     from_bytes, read_into, to_bytes, Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent,
-    ReduceKernel, ReduceOp, Reduction, LANES,
+    ReduceKernel, ReduceOp, LANES,
 };
 
 pub use pip_collectives::compress::FloatDatatype;

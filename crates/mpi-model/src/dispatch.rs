@@ -1,196 +1,115 @@
 //! Dispatching a collective call to the algorithm a library would select.
 //!
+//! An [`OwnedCollective`] is the one description of a collective invocation,
+//! whatever its entry style: a blocking call runs it to completion in place
+//! ([`run_blocking`]), a non-blocking request or persistent handle wraps it
+//! in a cursor the progress engine drives ([`begin_planned`],
+//! [`plan_owned`]).  All three derive the same
+//! [`crate::plan::CollectiveShape`] and so share one plan-cache entry.
+//!
 //! [`execute`] is generic over the communicator, so the same code path runs
-//! a collective for real on the thread runtime and records it into a plan
-//! (`crate::plan::compile_rank` drives it against the recording
-//! `PlanComm`).  The planned entry points ([`execute_planned`],
-//! [`begin_planned`]) execute cached plans instead; the simulator's traces
-//! are those plans lowered (`crate::plan::compile_cluster`, then
-//! `Plan::to_trace`).
+//! a collective for real on the thread runtime (the oversized-message
+//! bypass of [`run_blocking`]) and records it into a plan
+//! (`crate::plan::compile_rank` drives it against the recording `PlanComm`);
+//! the simulator's traces are those plans lowered
+//! (`crate::plan::compile_cluster`, then `Plan::to_trace`).
 
-use pip_collectives::comm::{Comm, NonBlockingComm};
-use pip_collectives::datatype::{Layout, OwnedReduction, Reduction};
-use pip_collectives::plan::{IoShape, PlanCursor, RankPlan, RecvBuf, SendBuf};
+use std::rc::Rc;
+
+use pip_collectives::comm::{Comm, NonBlockingComm, ReduceFn};
+use pip_collectives::datatype::{Layout, OwnedReduction};
+use pip_collectives::plan::{IoShape, PlanCursor, RankPlan};
 use pip_collectives::{
     binomial, bruck, hierarchical, multi_object, recursive_doubling, recursive_halving, ring, scan,
 };
 
 use pip_collectives::CollectiveKind;
 
+use crate::plan::{CollectiveShape, CompressSpec, PlanCache, EXEC_PLAN_MAX_BYTES};
 use crate::selection::{
     AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, GatherAlgo, ReduceAlgo,
     ReduceScatterAlgo, ScanAlgo, ScatterAlgo,
 };
 use crate::LibraryProfile;
 
-/// A collective invocation, expressed over raw byte buffers (the `core`
-/// crate layers typed buffers on top).
-pub enum CollectiveRequest<'a> {
-    /// MPI_Allgather: `sendbuf` is this rank's block, `recvbuf` holds one
-    /// block per rank on return.
-    Allgather {
-        /// Contribution of the calling rank.
-        sendbuf: &'a [u8],
-        /// Receives every rank's contribution.
-        recvbuf: &'a mut [u8],
-    },
-    /// MPI_Scatter from `root`.
-    Scatter {
-        /// Root's send buffer (one block per rank); `None` on other ranks.
-        sendbuf: Option<&'a [u8]>,
-        /// Receives the calling rank's block.
-        recvbuf: &'a mut [u8],
-        /// Root rank.
-        root: usize,
-    },
-    /// MPI_Bcast from `root`.
-    Bcast {
-        /// Payload; holds the root's data on return.
-        buf: &'a mut [u8],
-        /// Root rank.
-        root: usize,
-    },
-    /// MPI_Gather to `root`.
-    Gather {
-        /// Contribution of the calling rank.
-        sendbuf: &'a [u8],
-        /// Root's receive buffer (one block per rank); `None` elsewhere.
-        recvbuf: Option<&'a mut [u8]>,
-        /// Root rank.
-        root: usize,
-    },
-    /// MPI_Allreduce with a commutative operator.
-    Allreduce {
-        /// Contribution on entry, reduced vector on return.  With a
-        /// non-contiguous `layout` this is the strided caller buffer of
-        /// `layout.extent() * op.elem_size()` bytes; elements in the
-        /// layout's gaps are left untouched.
-        buf: &'a mut [u8],
-        /// The reduction operator (typed kernel, registered
-        /// [`pip_collectives::Op`], or opaque byte closure).
-        op: Reduction<'a>,
-        /// Optional derived datatype describing which elements of `buf`
-        /// participate, in *element* units (an `MPI_Type_vector`).  `None`
-        /// means the whole buffer is contiguous payload.
-        layout: Option<Layout>,
-        /// Optional error-bounded lossy compression of large transfers
-        /// (`None` = exact).  Only meaningful for float element types on
-        /// the planned dispatch path; the direct path and non-float
-        /// operators ignore it and stay exact.
-        compress: Option<crate::plan::CompressSpec>,
-    },
-    /// MPI_Reduce to `root` with a commutative operator.
-    Reduce {
-        /// Contribution of the calling rank.
-        sendbuf: &'a [u8],
-        /// Root's receive buffer (same length as `sendbuf`); `None`
-        /// elsewhere.
-        recvbuf: Option<&'a mut [u8]>,
-        /// Root rank.
-        root: usize,
-        /// The reduction operator (typed kernel or opaque byte closure).
-        op: Reduction<'a>,
-    },
-    /// MPI_Reduce_scatter_block with a commutative operator.
-    ReduceScatter {
-        /// One block per rank (`world * recvbuf.len()` bytes).
-        sendbuf: &'a [u8],
-        /// Receives this rank's fully reduced block.
-        recvbuf: &'a mut [u8],
-        /// The reduction operator (typed kernel or opaque byte closure).
-        op: Reduction<'a>,
-    },
-    /// MPI_Scan (inclusive prefix) with a commutative operator.
-    Scan {
-        /// Contribution on entry; combination of ranks `0..=rank` on return.
-        buf: &'a mut [u8],
-        /// The reduction operator (typed kernel or opaque byte closure).
-        op: Reduction<'a>,
-    },
-    /// MPI_Exscan (exclusive prefix) with a commutative operator.  Rank 0's
-    /// buffer is left untouched (MPI leaves it undefined).
-    Exscan {
-        /// Contribution on entry; combination of ranks `0..rank` on return.
-        buf: &'a mut [u8],
-        /// The reduction operator (typed kernel or opaque byte closure).
-        op: Reduction<'a>,
-    },
-    /// MPI_Alltoall.
-    Alltoall {
-        /// One block per destination rank.
-        sendbuf: &'a [u8],
-        /// One block per source rank on return.
-        recvbuf: &'a mut [u8],
-    },
-    /// MPI_Barrier.
-    Barrier,
-}
-
-/// Execute `request` on `comm` using the algorithms `profile` selects.
+/// Execute one invocation of `shape` on `comm` using the algorithms
+/// `profile` selects — a choice that depends on the shape alone.
+///
+/// The buffers fill the slots of the shape's [`IoShape`]: `send` is the
+/// send buffer and `recv` the receive buffer or, for the in/out kinds
+/// (bcast, allreduce, scans), the one caller buffer; a strided allreduce's
+/// buffer spans its layout's extent.  `op` is the operator of the reduction
+/// kinds, over `shape.elem_size`-byte elements.
 ///
 /// `tag` must be unique per outstanding collective on the communicator
 /// (callers typically use a per-communicator sequence number shifted left).
 pub fn execute<C: Comm>(
     profile: &LibraryProfile,
     comm: &C,
-    request: CollectiveRequest<'_>,
+    shape: &CollectiveShape,
+    send: Option<&[u8]>,
+    recv: Option<&mut [u8]>,
+    op: Option<&ReduceFn<'_>>,
     tag: u64,
 ) {
+    use CollectiveKind as Kind;
     comm.delay(profile.per_collective_setup);
     let world = comm.world_size();
-    match request {
-        CollectiveRequest::Allgather { sendbuf, recvbuf } => {
-            match profile.selection.allgather_for(sendbuf.len(), world) {
-                AllgatherAlgo::Bruck => bruck::allgather_bruck(comm, sendbuf, recvbuf, tag),
+    let CollectiveShape {
+        block,
+        root,
+        elem_size: elem,
+        ..
+    } = *shape;
+    match shape.kind {
+        Kind::Allgather => {
+            let (send, recv) = (bound(send), bound(recv));
+            match profile.selection.allgather_for(block, world) {
+                AllgatherAlgo::Bruck => bruck::allgather_bruck(comm, send, recv, tag),
                 AllgatherAlgo::RecursiveDoubling => {
-                    recursive_doubling::allgather_recursive_doubling(comm, sendbuf, recvbuf, tag)
+                    recursive_doubling::allgather_recursive_doubling(comm, send, recv, tag)
                 }
-                AllgatherAlgo::Ring => ring::allgather_ring(comm, sendbuf, recvbuf, tag),
+                AllgatherAlgo::Ring => ring::allgather_ring(comm, send, recv, tag),
                 AllgatherAlgo::Hierarchical => {
-                    hierarchical::allgather_hierarchical(comm, sendbuf, recvbuf, tag)
+                    hierarchical::allgather_hierarchical(comm, send, recv, tag)
                 }
                 AllgatherAlgo::MultiObject => {
-                    multi_object::allgather_multi_object(comm, sendbuf, recvbuf, tag)
+                    multi_object::allgather_multi_object(comm, send, recv, tag)
                 }
             }
         }
-        CollectiveRequest::Scatter {
-            sendbuf,
-            recvbuf,
-            root,
-        } => match profile.selection.scatter {
-            ScatterAlgo::Binomial => binomial::scatter_binomial(comm, sendbuf, recvbuf, root, tag),
-            ScatterAlgo::Hierarchical => {
-                hierarchical::scatter_hierarchical(comm, sendbuf, recvbuf, root, tag)
+        Kind::Scatter => {
+            let recv = bound(recv);
+            match profile.selection.scatter {
+                ScatterAlgo::Binomial => binomial::scatter_binomial(comm, send, recv, root, tag),
+                ScatterAlgo::Hierarchical => {
+                    hierarchical::scatter_hierarchical(comm, send, recv, root, tag)
+                }
+                ScatterAlgo::MultiObject => {
+                    multi_object::scatter_multi_object(comm, send, recv, root, tag)
+                }
             }
-            ScatterAlgo::MultiObject => {
-                multi_object::scatter_multi_object(comm, sendbuf, recvbuf, root, tag)
+        }
+        Kind::Bcast => {
+            let buf = bound(recv);
+            match profile.selection.bcast {
+                BcastAlgo::Binomial => binomial::bcast_binomial(comm, buf, root, tag),
+                BcastAlgo::Hierarchical => hierarchical::bcast_hierarchical(comm, buf, root, tag),
+                BcastAlgo::MultiObject => multi_object::bcast_multi_object(comm, buf, root, tag),
             }
-        },
-        CollectiveRequest::Bcast { buf, root } => match profile.selection.bcast {
-            BcastAlgo::Binomial => binomial::bcast_binomial(comm, buf, root, tag),
-            BcastAlgo::Hierarchical => hierarchical::bcast_hierarchical(comm, buf, root, tag),
-            BcastAlgo::MultiObject => multi_object::bcast_multi_object(comm, buf, root, tag),
-        },
-        CollectiveRequest::Gather {
-            sendbuf,
-            recvbuf,
-            root,
-        } => match profile.selection.gather {
-            GatherAlgo::Binomial => binomial::gather_binomial(comm, sendbuf, recvbuf, root, tag),
-            GatherAlgo::MultiObject => {
-                multi_object::gather_multi_object(comm, sendbuf, recvbuf, root, tag)
+        }
+        Kind::Gather => {
+            let send = bound(send);
+            match profile.selection.gather {
+                GatherAlgo::Binomial => binomial::gather_binomial(comm, send, recv, root, tag),
+                GatherAlgo::MultiObject => {
+                    multi_object::gather_multi_object(comm, send, recv, root, tag)
+                }
             }
-        },
-        CollectiveRequest::Allreduce {
-            buf, op, layout, ..
-        } => {
-            let f = op.as_fn();
-            let elem = op.elem_size();
-            match layout
-                .map(|l| l.scaled(elem))
-                .filter(|l| !l.is_contiguous())
-            {
+        }
+        Kind::Allreduce => {
+            let (buf, f) = (bound(recv), bound(op));
+            match shape.layout.map(|l| l.scaled(elem)) {
                 Some(l) => {
                     // Derived datatype: gather the strided elements into a
                     // packed scratch vector, reduce that contiguously, then
@@ -203,73 +122,57 @@ pub fn execute<C: Comm>(
                 None => allreduce_bytes(profile, comm, buf, elem, f, tag),
             }
         }
-        CollectiveRequest::Reduce {
-            sendbuf,
-            recvbuf,
-            root,
-            op,
-        } => {
-            let f = op.as_fn();
+        Kind::Reduce => {
+            let (send, f) = (bound(send), bound(op));
             match profile.selection.reduce {
-                ReduceAlgo::Binomial => {
-                    binomial::reduce_binomial(comm, sendbuf, recvbuf, f, root, tag)
+                ReduceAlgo::Binomial => binomial::reduce_binomial(comm, send, recv, f, root, tag),
+                ReduceAlgo::MultiObject => {
+                    multi_object::reduce_multi_object(comm, send, recv, elem, f, root, tag)
                 }
-                ReduceAlgo::MultiObject => multi_object::reduce_multi_object(
-                    comm,
-                    sendbuf,
-                    recvbuf,
-                    op.elem_size(),
-                    f,
-                    root,
-                    tag,
-                ),
             }
         }
-        CollectiveRequest::ReduceScatter {
-            sendbuf,
-            recvbuf,
-            op,
-        } => {
-            let f = op.as_fn();
-            match profile.selection.reduce_scatter_for(recvbuf.len()) {
+        Kind::ReduceScatter => {
+            let (send, recv, f) = (bound(send), bound(recv), bound(op));
+            match profile.selection.reduce_scatter_for(block) {
                 ReduceScatterAlgo::RecursiveHalving => {
-                    recursive_halving::reduce_scatter_recursive_halving(
-                        comm, sendbuf, recvbuf, f, tag,
-                    )
+                    recursive_halving::reduce_scatter_recursive_halving(comm, send, recv, f, tag)
                 }
-                ReduceScatterAlgo::Ring => {
-                    ring::reduce_scatter_ring(comm, sendbuf, recvbuf, f, tag)
+                ReduceScatterAlgo::Ring => ring::reduce_scatter_ring(comm, send, recv, f, tag),
+                ReduceScatterAlgo::MultiObject => {
+                    multi_object::reduce_scatter_multi_object(comm, send, recv, elem, f, tag)
                 }
-                ReduceScatterAlgo::MultiObject => multi_object::reduce_scatter_multi_object(
-                    comm,
-                    sendbuf,
-                    recvbuf,
-                    op.elem_size(),
-                    f,
-                    tag,
-                ),
             }
         }
-        CollectiveRequest::Scan { buf, op } => match profile.selection.scan {
-            ScanAlgo::RecursiveDoubling => {
-                scan::scan_recursive_doubling(comm, buf, op.as_fn(), tag)
+        Kind::Scan => {
+            let (buf, f) = (bound(recv), bound(op));
+            match profile.selection.scan {
+                ScanAlgo::RecursiveDoubling => scan::scan_recursive_doubling(comm, buf, f, tag),
+                ScanAlgo::Linear => scan::scan_linear(comm, buf, f, tag),
             }
-            ScanAlgo::Linear => scan::scan_linear(comm, buf, op.as_fn(), tag),
-        },
-        CollectiveRequest::Exscan { buf, op } => match profile.selection.scan {
-            ScanAlgo::RecursiveDoubling => {
-                scan::exscan_recursive_doubling(comm, buf, op.as_fn(), tag)
+        }
+        Kind::Exscan => {
+            let (buf, f) = (bound(recv), bound(op));
+            match profile.selection.scan {
+                ScanAlgo::RecursiveDoubling => scan::exscan_recursive_doubling(comm, buf, f, tag),
+                ScanAlgo::Linear => scan::exscan_linear(comm, buf, f, tag),
             }
-            ScanAlgo::Linear => scan::exscan_linear(comm, buf, op.as_fn(), tag),
-        },
-        CollectiveRequest::Alltoall { sendbuf, recvbuf } => match profile.selection.alltoall {
-            AlltoallAlgo::Bruck => bruck::alltoall_bruck(comm, sendbuf, recvbuf, tag),
-            AlltoallAlgo::MultiObject => {
-                multi_object::alltoall_multi_object(comm, sendbuf, recvbuf, tag)
+        }
+        Kind::Alltoall => {
+            let (send, recv) = (bound(send), bound(recv));
+            match profile.selection.alltoall {
+                AlltoallAlgo::Bruck => bruck::alltoall_bruck(comm, send, recv, tag),
+                AlltoallAlgo::MultiObject => {
+                    multi_object::alltoall_multi_object(comm, send, recv, tag)
+                }
             }
-        },
-        CollectiveRequest::Barrier => recursive_doubling::barrier_dissemination(comm, tag),
+        }
+        Kind::Barrier => recursive_doubling::barrier_dissemination(comm, tag),
     }
+}
+
+/// A buffer or operator the shape's kind always binds.
+fn bound<T>(slot: Option<T>) -> T {
+    slot.expect("the collective's shape binds this slot")
 }
 
 /// Run the selected allreduce algorithm over a contiguous byte vector —
@@ -279,7 +182,7 @@ fn allreduce_bytes<C: Comm>(
     comm: &C,
     buf: &mut [u8],
     elem_size: usize,
-    f: &pip_collectives::ReduceFn<'_>,
+    f: &ReduceFn<'_>,
     tag: u64,
 ) {
     match profile
@@ -297,131 +200,23 @@ fn allreduce_bytes<C: Comm>(
     }
 }
 
-impl<'a> CollectiveRequest<'a> {
-    /// Whether this is a reduction whose operator carries **no identity**
-    /// (an anonymous [`Reduction::Opaque`] closure).  Such an invocation
-    /// must never populate the plan cache: the key would collapse to
-    /// `(kind, size)` alone, so a *different* anonymous operator of the
-    /// same width would replay the first one's plan.  Callers who want the
-    /// cached fast path register an [`pip_collectives::Op`] instead.
-    fn has_anonymous_reduction(&self) -> bool {
-        match self {
-            CollectiveRequest::Allreduce { op, .. }
-            | CollectiveRequest::Reduce { op, .. }
-            | CollectiveRequest::ReduceScatter { op, .. }
-            | CollectiveRequest::Scan { op, .. }
-            | CollectiveRequest::Exscan { op, .. } => op.ident().is_none(),
-            _ => false,
-        }
-    }
-
-    /// Route the caller's buffers into the `(send, receive)` slots of a
-    /// cursor executing a plan of shape `io`, next to the reduction operator
-    /// if there is one.  In/out collectives (bcast, allreduce, scans) travel
-    /// in the receive slot.
-    fn into_io(
-        self,
-        io: &IoShape,
-    ) -> (
-        Option<SendBuf<'a>>,
-        Option<RecvBuf<'a>>,
-        Option<Reduction<'a>>,
-    ) {
-        use CollectiveRequest as R;
-        let (send, recv, op) = match self {
-            R::Allgather { sendbuf, recvbuf } | R::Alltoall { sendbuf, recvbuf } => {
-                (Some(sendbuf), Some(recvbuf), None)
-            }
-            R::Scatter {
-                sendbuf, recvbuf, ..
-            } => (sendbuf, Some(recvbuf), None),
-            R::Bcast { buf, .. } => (None, Some(buf), None),
-            R::Gather {
-                sendbuf, recvbuf, ..
-            } => (Some(sendbuf), recvbuf, None),
-            R::Allreduce { buf, op, .. } | R::Scan { buf, op } | R::Exscan { buf, op } => {
-                (None, Some(buf), Some(op))
-            }
-            R::Reduce {
-                sendbuf,
-                recvbuf,
-                op,
-                ..
-            } => (Some(sendbuf), recvbuf, Some(op)),
-            R::ReduceScatter {
-                sendbuf,
-                recvbuf,
-                op,
-            } => (Some(sendbuf), Some(recvbuf), Some(op)),
-            R::Barrier => (None, None, None),
-        };
-        // MPI semantics: a scatter's send buffer and a gather's or reduce's
-        // receive buffer are significant only at the root.  Other ranks may
-        // still pass one; their plan has no use for it, so it is dropped
-        // here rather than tripping the cursor's shape check.
-        (
-            send.filter(|_| io.sendbuf.is_some()).map(SendBuf::Borrowed),
-            recv.filter(|_| io.recvbuf.is_some()).map(RecvBuf::Borrowed),
-            op,
-        )
-    }
-}
-
-/// Execute `request` through the per-communicator plan cache: look the
-/// invocation's shape up, compile the rank's plan on a miss, then drive a
-/// cursor over the caller's borrowed buffers to completion — the hot path
-/// of repeated collectives never re-interprets the algorithm, and a blocking
-/// collective is the same interpreter a request runs on, finished in place.
+/// A collective invocation over owned byte buffers — the one request type
+/// every entry style builds (the `core` crate layers typed buffers on top).
 ///
-/// Shapes whose buffer footprint exceeds
-/// [`crate::plan::EXEC_PLAN_MAX_BYTES`] skip the plan path and execute the
-/// algorithm directly: the fingerprint compile's cost scales with buffer
-/// bytes, and large messages are bandwidth-bound, so compiling them buys
-/// nothing.
-pub fn execute_planned<C: NonBlockingComm>(
-    profile: &LibraryProfile,
-    comm: &C,
-    request: CollectiveRequest<'_>,
-    tag: u64,
-    cache: &mut crate::plan::PlanCache,
-) {
-    if request.has_anonymous_reduction() {
-        // Anonymous opaque operators have no identity to key the cache
-        // with; caching them would alias distinct operators of the same
-        // element width onto one plan (see `has_anonymous_reduction`).
-        cache.note_bypass();
-        execute(profile, comm, request, tag);
-        return;
-    }
-    let world = comm.world_size();
-    let shape = crate::plan::CollectiveShape::of(&request, world);
-    if shape.buffer_footprint(world) > crate::plan::EXEC_PLAN_MAX_BYTES {
-        cache.note_bypass();
-        execute(profile, comm, request, tag);
-        return;
-    }
-    let plan = cache.lookup_or_compile(profile, comm.topology(), comm.rank(), &shape);
-    let (sendbuf, recvbuf, op) = request.into_io(&plan.io);
-    let mut cursor = PlanCursor::new(plan, sendbuf, recvbuf, tag, cache.arena());
-    cursor.run(comm, op.as_ref().map(Reduction::as_fn));
-}
-
-/// A collective invocation over **owned** byte buffers — the form the
-/// non-blocking and persistent APIs need, since a request outlives the call
-/// frame that created it.
-///
-/// The variants mirror [`CollectiveRequest`] minus the receive buffers:
-/// output buffers are allocated by [`OwnedCollective::into_io`] to match the
-/// compiled plan's shape (so non-root scatter/gather ranks allocate
-/// nothing).
+/// Owned, because a non-blocking request or persistent handle outlives the
+/// call frame that created it; a blocking call builds the same request and
+/// runs it in place.  Receive buffers are not part of the request:
+/// [`OwnedCollective::into_io`] allocates them to the shape the plan
+/// declares, so ranks where a buffer is insignificant (non-root gather and
+/// reduce) allocate nothing.
 #[derive(Debug)]
 pub enum OwnedCollective {
-    /// MPI_Iallgather / MPI_Allgather_init.
+    /// MPI_Allgather: one block per rank on return.
     Allgather {
         /// Contribution of the calling rank.
         sendbuf: Vec<u8>,
     },
-    /// MPI_Iscatter / MPI_Scatter_init from `root`.
+    /// MPI_Scatter from `root`.
     Scatter {
         /// Root's send buffer (one block per rank); `None` on other ranks.
         sendbuf: Option<Vec<u8>>,
@@ -430,87 +225,86 @@ pub enum OwnedCollective {
         /// Root rank.
         root: usize,
     },
-    /// MPI_Ibcast / MPI_Bcast_init from `root`.
+    /// MPI_Bcast from `root`.
     Bcast {
         /// In/out payload; significant at the root on entry.
         buf: Vec<u8>,
         /// Root rank.
         root: usize,
     },
-    /// MPI_Igather / MPI_Gather_init to `root`.
+    /// MPI_Gather to `root`.
     Gather {
         /// Contribution of the calling rank.
         sendbuf: Vec<u8>,
         /// Root rank.
         root: usize,
     },
-    /// MPI_Iallreduce / MPI_Allreduce_init (operator supplied separately to
-    /// the progress engine).
+    /// MPI_Allreduce with a commutative operator.
     Allreduce {
-        /// In/out contribution.  With a non-contiguous `layout` this holds
-        /// `layout.extent() * op.elem_size()` bytes.
+        /// In/out contribution.  With a non-contiguous `layout` this is the
+        /// strided caller buffer of `layout.extent() * op.elem_size()`
+        /// bytes; elements in the layout's gaps are left untouched.
         buf: Vec<u8>,
         /// The reduction operator; its identity (builtin `(datatype, op)`
         /// pair or registered user-op id) keys the plan cache, its byte
-        /// closure is what the progress engine runs.
+        /// closure is what the plan runs.
         op: OwnedReduction,
-        /// Optional derived datatype in element units; see
-        /// [`CollectiveRequest::Allreduce`].
+        /// Optional derived datatype describing which elements of `buf`
+        /// participate, in *element* units (an `MPI_Type_vector`).  `None`
+        /// means the whole buffer is contiguous payload.
         layout: Option<Layout>,
-        /// Optional error-bounded lossy compression; see
-        /// [`CollectiveRequest::Allreduce`].
-        compress: Option<crate::plan::CompressSpec>,
+        /// Optional error-bounded lossy compression of large transfers
+        /// (`None` = exact).  Only meaningful for float element types on
+        /// the plan path; the oversized-message bypass and non-float
+        /// operators ignore it and stay exact.
+        compress: Option<CompressSpec>,
     },
-    /// MPI_Ireduce / MPI_Reduce_init to `root` (operator supplied separately
-    /// to the progress engine).
+    /// MPI_Reduce to `root` with a commutative operator.
     Reduce {
         /// Contribution of the calling rank.
         sendbuf: Vec<u8>,
         /// Root rank.
         root: usize,
-        /// The reduction operator; its identity keys the plan cache, its
-        /// byte closure is what the progress engine runs.
+        /// The reduction operator; see [`OwnedCollective::Allreduce`].
         op: OwnedReduction,
     },
-    /// MPI_Ireduce_scatter / MPI_Reduce_scatter_init (operator supplied
-    /// separately).
+    /// MPI_Reduce_scatter_block with a commutative operator.
     ReduceScatter {
         /// One block per rank (`world * block` bytes).
         sendbuf: Vec<u8>,
-        /// The reduction operator; its identity keys the plan cache, its
-        /// byte closure is what the progress engine runs.
+        /// The reduction operator; see [`OwnedCollective::Allreduce`].
         op: OwnedReduction,
     },
-    /// MPI_Iscan / MPI_Scan_init (operator supplied separately).
+    /// MPI_Scan (inclusive prefix) with a commutative operator.
     Scan {
-        /// In/out contribution.
+        /// Contribution on entry; combination of ranks `0..=rank` on return.
         buf: Vec<u8>,
-        /// The reduction operator; its identity keys the plan cache, its
-        /// byte closure is what the progress engine runs.
+        /// The reduction operator; see [`OwnedCollective::Allreduce`].
         op: OwnedReduction,
     },
-    /// MPI_Iexscan / MPI_Exscan_init (operator supplied separately).
+    /// MPI_Exscan (exclusive prefix) with a commutative operator.  Rank 0's
+    /// buffer comes back untouched (MPI leaves it undefined).
     Exscan {
-        /// In/out contribution.
+        /// Contribution on entry; combination of ranks `0..rank` on return.
         buf: Vec<u8>,
-        /// The reduction operator; its identity keys the plan cache, its
-        /// byte closure is what the progress engine runs.
+        /// The reduction operator; see [`OwnedCollective::Allreduce`].
         op: OwnedReduction,
     },
-    /// MPI_Ialltoall / MPI_Alltoall_init.
+    /// MPI_Alltoall.
     Alltoall {
         /// One block per destination rank.
         sendbuf: Vec<u8>,
     },
+    /// MPI_Barrier.
+    Barrier,
 }
 
 impl OwnedCollective {
-    /// The [`crate::plan::CollectiveShape`] of this invocation on a world
-    /// of `world` ranks — the plan-cache key component, identical to what
-    /// the blocking path derives via [`crate::plan::CollectiveShape::of`].
-    pub fn shape(&self, world: usize) -> crate::plan::CollectiveShape {
-        use crate::plan::CollectiveShape as Shape;
+    /// The [`CollectiveShape`] of this invocation on a world of `world`
+    /// ranks — the plan-cache key component.
+    pub fn shape(&self, world: usize) -> CollectiveShape {
         use CollectiveKind as Kind;
+        use CollectiveShape as Shape;
         let reduction = |kind, block, root, op: &OwnedReduction| {
             Shape::reduction(kind, block, root, op.elem_size(), Some(op.ident()))
         };
@@ -548,68 +342,116 @@ impl OwnedCollective {
             OwnedCollective::Alltoall { sendbuf } => {
                 Shape::plain(Kind::Alltoall, sendbuf.len() / world.max(1), 0)
             }
+            OwnedCollective::Barrier => Shape::plain(Kind::Barrier, 0, 0),
         }
     }
 
-    /// Split into the `(sendbuf, recvbuf)` pair a [`PlanCursor`] takes,
-    /// allocating the receive buffer to the shape `plan` declares.  In/out
-    /// collectives (bcast, allreduce) travel in the receive slot, and
-    /// buffers that are insignificant at this rank (non-root scatter send,
-    /// non-root gather receive) come out as `None`.
-    pub fn into_io(self, plan: &RankPlan) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+    /// The reduction operator, for the reduction kinds.
+    pub fn op(&self) -> Option<&OwnedReduction> {
         match self {
-            OwnedCollective::Allgather { sendbuf } | OwnedCollective::Alltoall { sendbuf } => {
-                let recvbuf = plan.io.recvbuf.map(|len| vec![0u8; len]);
-                (Some(sendbuf), recvbuf)
-            }
+            OwnedCollective::Allreduce { op, .. }
+            | OwnedCollective::Reduce { op, .. }
+            | OwnedCollective::ReduceScatter { op, .. }
+            | OwnedCollective::Scan { op, .. }
+            | OwnedCollective::Exscan { op, .. } => Some(op),
+            _ => None,
+        }
+    }
+
+    /// Split into the `(sendbuf, recvbuf)` pair a [`PlanCursor`] (or
+    /// [`execute`]) takes, allocating the receive buffer to the length `io`
+    /// declares.  In/out collectives (bcast, allreduce, scans) travel in the
+    /// receive slot, and buffers that are insignificant at this rank
+    /// (non-root scatter send, non-root gather and reduce receive) come out
+    /// as `None`.
+    pub fn into_io(self, io: &IoShape) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+        let recvbuf = || io.recvbuf.map(|len| vec![0u8; len]);
+        match self {
+            OwnedCollective::Allgather { sendbuf }
+            | OwnedCollective::Gather { sendbuf, .. }
+            | OwnedCollective::Reduce { sendbuf, .. }
+            | OwnedCollective::ReduceScatter { sendbuf, .. }
+            | OwnedCollective::Alltoall { sendbuf } => (Some(sendbuf), recvbuf()),
+            // MPI semantics: significant only at the root; drop a buffer a
+            // non-root caller supplied anyway.
             OwnedCollective::Scatter { sendbuf, .. } => {
-                // MPI semantics: significant only at the root; drop a buffer
-                // a non-root caller supplied anyway.
-                let sendbuf = if plan.io.sendbuf.is_some() {
-                    sendbuf
-                } else {
-                    None
-                };
-                let recvbuf = plan.io.recvbuf.map(|len| vec![0u8; len]);
-                (sendbuf, recvbuf)
+                (sendbuf.filter(|_| io.sendbuf.is_some()), recvbuf())
             }
             OwnedCollective::Bcast { buf, .. }
             | OwnedCollective::Allreduce { buf, .. }
             | OwnedCollective::Scan { buf, .. }
             | OwnedCollective::Exscan { buf, .. } => (None, Some(buf)),
-            OwnedCollective::Gather { sendbuf, .. }
-            | OwnedCollective::Reduce { sendbuf, .. }
-            | OwnedCollective::ReduceScatter { sendbuf, .. } => {
-                let recvbuf = plan.io.recvbuf.map(|len| vec![0u8; len]);
-                (Some(sendbuf), recvbuf)
-            }
+            OwnedCollective::Barrier => (None, None),
         }
     }
 }
 
+/// Run `request` to completion before returning — the blocking entry style
+/// — and hand back its receive (or in/out) buffer, now holding the result
+/// (`None` where this rank binds none, e.g. off-root gather).
+///
+/// The request takes the plan-cache path a non-blocking or persistent one
+/// takes ([`plan_owned`]), then its cursor runs in place on the calling
+/// thread: a blocking call does not drive the communicator's progress
+/// engine.
+///
+/// Shapes whose buffer footprint exceeds [`EXEC_PLAN_MAX_BYTES`] skip the
+/// plan path and [`execute`] the algorithm directly: the fingerprint
+/// compile's cost scales with buffer bytes, and large messages are
+/// bandwidth-bound, so compiling them buys nothing.
+pub fn run_blocking<C: NonBlockingComm>(
+    profile: &LibraryProfile,
+    comm: &C,
+    request: OwnedCollective,
+    tag: u64,
+    cache: &mut PlanCache,
+) -> Option<Vec<u8>> {
+    let world = comm.world_size();
+    let shape = request.shape(world);
+    let op = request.op().cloned();
+    let op = op.as_ref().map(OwnedReduction::as_fn);
+    if shape.buffer_footprint(world) > EXEC_PLAN_MAX_BYTES {
+        cache.note_bypass();
+        let (send, mut recv) = request.into_io(&shape.io_for(comm.rank(), world));
+        execute(
+            profile,
+            comm,
+            &shape,
+            send.as_deref(),
+            recv.as_deref_mut(),
+            op,
+            tag,
+        );
+        return recv;
+    }
+    let (plan, send, recv) = plan_owned(profile, comm, request, cache);
+    let mut cursor = PlanCursor::new(plan, send, recv, tag, cache.arena());
+    cursor.run(comm, op);
+    cursor.into_output().recvbuf
+}
+
 /// Resolve `request` against the plan cache: the compiled plan plus the
 /// owned `(sendbuf, recvbuf)` pair split to its shape.  The single source
-/// of the shape → lookup-or-compile → buffer-split sequence, shared by the
-/// one-shot request path ([`begin_planned`]) and persistent-handle
-/// initialization, so the two execution models can never populate
-/// different cache entries or split buffers differently.
+/// of the shape → lookup-or-compile → buffer-split sequence, shared by all
+/// three entry styles, so they can never populate different cache entries
+/// or split buffers differently.
 #[allow(clippy::type_complexity)]
 pub fn plan_owned<C: Comm>(
     profile: &LibraryProfile,
     comm: &C,
     request: OwnedCollective,
-    cache: &mut crate::plan::PlanCache,
-) -> (std::rc::Rc<RankPlan>, Option<Vec<u8>>, Option<Vec<u8>>) {
+    cache: &mut PlanCache,
+) -> (Rc<RankPlan>, Option<Vec<u8>>, Option<Vec<u8>>) {
     let shape = request.shape(comm.world_size());
     let plan = cache.lookup_or_compile(profile, comm.topology(), comm.rank(), &shape);
-    let (sendbuf, recvbuf) = request.into_io(&plan);
+    let (sendbuf, recvbuf) = request.into_io(&plan.io);
     (plan, sendbuf, recvbuf)
 }
 
-/// Begin a non-blocking collective: look the shape up in the plan cache
-/// (compiling on a miss, exactly like [`execute_planned`]) and wrap the
-/// compiled plan plus the owned buffers into a resumable [`PlanCursor`]
-/// ready to be driven by a `pip_collectives::request::ProgressEngine`.
+/// Begin a non-blocking collective: resolve the request against the plan
+/// cache ([`plan_owned`]) and wrap the compiled plan plus the owned buffers
+/// into a resumable [`PlanCursor`] ready to be driven by a
+/// `pip_collectives::request::ProgressEngine`.
 ///
 /// Unlike the blocking path there is no large-message bypass: a request
 /// *requires* a compiled program to be resumable, so oversized shapes pay
@@ -619,26 +461,20 @@ pub fn begin_planned<C: Comm>(
     comm: &C,
     request: OwnedCollective,
     tag: u64,
-    cache: &mut crate::plan::PlanCache,
-) -> PlanCursor<'static> {
+    cache: &mut PlanCache,
+) -> PlanCursor {
     let (plan, sendbuf, recvbuf) = plan_owned(profile, comm, request, cache);
-    PlanCursor::new(
-        plan,
-        sendbuf.map(SendBuf::Owned),
-        recvbuf.map(RecvBuf::Owned),
-        tag,
-        cache.arena(),
-    )
+    PlanCursor::new(plan, sendbuf, recvbuf, tag, cache.arena())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{compile_cluster, CollectiveShape};
+    use crate::plan::compile_cluster;
     use crate::Library;
     use pip_collectives::datatype::{ReduceKernel, ReduceOp};
     use pip_collectives::oracle;
-    use pip_collectives::plan::{Fidelity, PlanComm};
+    use pip_collectives::plan::Fidelity;
     use pip_collectives::ThreadComm;
     use pip_runtime::{Cluster, Topology};
 
@@ -653,6 +489,7 @@ mod tests {
         let contributions: Vec<Vec<u8>> =
             (0..world).map(|r| oracle::rank_payload(r, block)).collect();
         let expected = oracle::allgather(&contributions);
+        let shape = CollectiveShape::plain(CollectiveKind::Allgather, block, 0);
         for library in Library::ALL {
             let profile = library.profile();
             let results = Cluster::launch(topo, |ctx| {
@@ -662,10 +499,10 @@ mod tests {
                 execute(
                     &profile,
                     &comm,
-                    CollectiveRequest::Allgather {
-                        sendbuf: &sendbuf,
-                        recvbuf: &mut recvbuf,
-                    },
+                    &shape,
+                    Some(&sendbuf),
+                    Some(&mut recvbuf),
+                    None,
                     1,
                 );
                 recvbuf
@@ -684,6 +521,7 @@ mod tests {
         let block = 8;
         let sendbuf = oracle::rank_payload(0, world * block);
         let expected = oracle::scatter(&sendbuf, world);
+        let shape = CollectiveShape::plain(CollectiveKind::Scatter, block, 0);
         for library in Library::ALL {
             let profile = library.profile();
             let sendbuf_ref = &sendbuf;
@@ -691,16 +529,7 @@ mod tests {
                 let comm = ThreadComm::new(ctx);
                 let mut recvbuf = vec![0u8; block];
                 let send = (comm.rank() == 0).then_some(sendbuf_ref.as_slice());
-                execute(
-                    &profile,
-                    &comm,
-                    CollectiveRequest::Scatter {
-                        sendbuf: send,
-                        recvbuf: &mut recvbuf,
-                        root: 0,
-                    },
-                    1,
-                );
+                execute(&profile, &comm, &shape, send, Some(&mut recvbuf), None, 1);
                 recvbuf
             })
             .unwrap();
@@ -718,22 +547,15 @@ mod tests {
         let contributions: Vec<Vec<u8>> =
             (0..world).map(|r| oracle::rank_payload(r, len)).collect();
         let expected = oracle::allreduce(&contributions, oracle::wrapping_add_u8);
+        let kernel = ReduceKernel::of::<u8>(ReduceOp::Sum);
+        let shape = CollectiveShape::allreduce(len, 1, Some(kernel.ident()), None, None);
         for library in Library::ALL {
             let profile = library.profile();
             let results = Cluster::launch(topo, |ctx| {
                 let comm = ThreadComm::new(ctx);
                 let mut buf = oracle::rank_payload(comm.rank(), len);
-                execute(
-                    &profile,
-                    &comm,
-                    CollectiveRequest::Allreduce {
-                        buf: &mut buf,
-                        op: Reduction::typed::<u8>(ReduceOp::Sum),
-                        layout: None,
-                        compress: None,
-                    },
-                    1,
-                );
+                let op = Some(kernel.as_fn());
+                execute(&profile, &comm, &shape, None, Some(&mut buf), op, 1);
                 buf
             })
             .unwrap();
@@ -743,76 +565,90 @@ mod tests {
         }
     }
 
-    /// The owned (non-blocking) request form derives exactly the shape the
-    /// borrowed (blocking) form does — they must share plan-cache entries.
+    /// `into_io` allocates exactly the receive buffers the shape's `IoShape`
+    /// declares at each rank: nothing where a buffer is insignificant, the
+    /// caller's own buffer for the in/out kinds.
+    #[test]
+    fn into_io_allocates_only_what_the_io_shape_declares() {
+        let world = 4;
+        let split = |request: OwnedCollective, rank: usize| {
+            let io = request.shape(world).io_for(rank, world);
+            request.into_io(&io)
+        };
+        let gather = || OwnedCollective::Gather {
+            sendbuf: vec![7; 8],
+            root: 2,
+        };
+        assert_eq!(split(gather(), 1), (Some(vec![7; 8]), None));
+        assert_eq!(split(gather(), 2), (Some(vec![7; 8]), Some(vec![0; 32])));
+        let scatter = || OwnedCollective::Scatter {
+            sendbuf: Some(vec![1; 32]),
+            block: 8,
+            root: 0,
+        };
+        assert_eq!(split(scatter(), 3), (None, Some(vec![0; 8])));
+        assert_eq!(split(scatter(), 0), (Some(vec![1; 32]), Some(vec![0; 8])));
+        // A strided allreduce keeps its extent-length buffer; the cursor
+        // packs it.
+        let strided = OwnedCollective::Allreduce {
+            buf: vec![5; 40],
+            op: OwnedReduction::Typed(ReduceKernel::of::<f32>(ReduceOp::Sum)),
+            layout: Some(Layout::vector(3, 2, 4)),
+            compress: None,
+        };
+        assert!(strided.op().is_some());
+        assert_eq!(split(strided, 1), (None, Some(vec![5; 40])));
+        let barrier = OwnedCollective::Barrier;
+        assert!(barrier.op().is_none());
+        assert_eq!(split(barrier, 0), (None, None));
+    }
+
+    /// The owned request derives exactly the shape a caller of [`execute`]
+    /// over borrowed buffers keys with (the `CollectiveShape` constructors
+    /// over the same lengths) — the plan path and the oversized-message
+    /// bypass must describe one invocation identically.
     #[test]
     fn owned_collective_shapes_agree_with_borrowed_requests() {
         let world = 4;
         let block = 8;
-        let mut recvbuf = vec![0u8; block];
+        let shape = |request: OwnedCollective| request.shape(world);
 
-        let owned = OwnedCollective::Allgather {
-            sendbuf: vec![0u8; block],
-        };
         let sendbuf = vec![0u8; block];
-        let mut allgather_recv = vec![0u8; block * world];
-        let borrowed = CollectiveRequest::Allgather {
-            sendbuf: &sendbuf,
-            recvbuf: &mut allgather_recv,
-        };
         assert_eq!(
-            owned.shape(world),
-            crate::plan::CollectiveShape::of(&borrowed, world)
+            shape(OwnedCollective::Allgather {
+                sendbuf: sendbuf.clone()
+            }),
+            CollectiveShape::plain(CollectiveKind::Allgather, sendbuf.len(), 0)
         );
-
-        let owned = OwnedCollective::Scatter {
-            sendbuf: None,
-            block,
-            root: 3,
-        };
-        let borrowed = CollectiveRequest::Scatter {
-            sendbuf: None,
-            recvbuf: &mut recvbuf,
-            root: 3,
-        };
         assert_eq!(
-            owned.shape(world),
-            crate::plan::CollectiveShape::of(&borrowed, world)
+            shape(OwnedCollective::Scatter {
+                sendbuf: None,
+                block,
+                root: 3,
+            }),
+            CollectiveShape::plain(CollectiveKind::Scatter, block, 3)
         );
-
-        let owned = OwnedCollective::Alltoall {
-            sendbuf: vec![0u8; block * world],
-        };
         let sendbuf = vec![0u8; block * world];
-        let mut alltoall_recv = vec![0u8; block * world];
-        let borrowed = CollectiveRequest::Alltoall {
-            sendbuf: &sendbuf,
-            recvbuf: &mut alltoall_recv,
-        };
         assert_eq!(
-            owned.shape(world),
-            crate::plan::CollectiveShape::of(&borrowed, world)
+            shape(OwnedCollective::Alltoall {
+                sendbuf: sendbuf.clone()
+            }),
+            CollectiveShape::plain(CollectiveKind::Alltoall, sendbuf.len() / world, 0)
         );
 
         // Typed reductions agree too — including the (datatype, op) identity.
         let kernel = ReduceKernel::of::<f32>(ReduceOp::Sum);
-        let owned = OwnedCollective::Allreduce {
-            buf: vec![0u8; block],
+        let buf = vec![0u8; block];
+        let owned = shape(OwnedCollective::Allreduce {
+            buf: buf.clone(),
             op: OwnedReduction::Typed(kernel),
             layout: None,
             compress: None,
-        };
-        let mut allreduce_buf = vec![0u8; block];
-        let borrowed = CollectiveRequest::Allreduce {
-            buf: &mut allreduce_buf,
-            op: Reduction::Typed(kernel),
-            layout: None,
-            compress: None,
-        };
-        let shape = crate::plan::CollectiveShape::of(&borrowed, world);
-        assert_eq!(owned.shape(world), shape);
-        assert_eq!(shape.elem_size, 4);
-        assert_eq!(shape.reduce, Some(kernel.ident()));
+        });
+        let borrowed = CollectiveShape::allreduce(buf.len(), 4, Some(kernel.ident()), None, None);
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned.elem_size, 4);
+        assert_eq!(owned.reduce, Some(kernel.ident()));
 
         // Registered user operators agree as well, and a derived datatype
         // keys by its packed size plus the layout triple.
@@ -822,56 +658,53 @@ mod tests {
             }
         });
         let layout = Layout::vector(3, 2, 4);
-        let owned = OwnedCollective::Allreduce {
-            buf: vec![0u8; layout.extent() * 2],
+        let strided = vec![0u8; layout.extent() * 2];
+        let owned = shape(OwnedCollective::Allreduce {
+            buf: strided.clone(),
             op: OwnedReduction::User(op.clone()),
             layout: Some(layout),
             compress: None,
-        };
-        let mut strided_buf = vec![0u8; layout.extent() * 2];
-        let borrowed = CollectiveRequest::Allreduce {
-            buf: &mut strided_buf,
-            op: Reduction::User(&op),
-            layout: Some(layout),
-            compress: None,
-        };
-        let shape = crate::plan::CollectiveShape::of(&borrowed, world);
-        assert_eq!(owned.shape(world), shape);
-        assert_eq!(shape.block, layout.packed_len() * 2);
-        assert_eq!(shape.layout, Some(layout));
-        assert_eq!(shape.reduce, Some(op.ident()));
+        });
+        let borrowed =
+            CollectiveShape::allreduce(strided.len(), 2, Some(op.ident()), Some(layout), None);
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned.block, layout.packed_len() * 2);
+        assert_eq!(owned.layout, Some(layout));
+        assert_eq!(owned.reduce, Some(op.ident()));
     }
 
-    /// `begin_planned` populates the same cache entry the blocking path
-    /// hits afterwards: one compile serves both execution models.
+    /// `begin_planned` populates the cache entry the blocking path
+    /// ([`run_blocking`]) hits afterwards — one compile serves both
+    /// execution models — and both compute the same allgather.
     #[test]
     fn begin_planned_shares_the_plan_cache_with_blocking_dispatch() {
         let profile = Library::PipMColl.profile();
         let topo = Topology::new(2, 2);
-        let mut cache = crate::plan::PlanCache::new();
-        let cursor = begin_planned(
-            &profile,
-            &PlanComm::new(0, topo, 0, Fidelity::Schedule),
-            OwnedCollective::Allgather {
-                sendbuf: vec![0u8; 16],
-            },
-            1 << 16,
-            &mut cache,
-        );
-        assert!(!cursor.is_finished());
-        assert_eq!(cache.stats(), (0, 1));
-        // The blocking path's lookup for the same shape is a hit.
-        let shape = crate::plan::CollectiveShape {
-            kind: CollectiveKind::Allgather,
-            block: 16,
-            root: 0,
-            elem_size: 1,
-            reduce: None,
-            layout: None,
-            compress: None,
-        };
-        cache.lookup_or_compile(&profile, topo, 0, &shape);
-        assert_eq!(cache.stats(), (1, 1));
+        let world = topo.world_size();
+        let block = 16;
+        let contributions: Vec<Vec<u8>> =
+            (0..world).map(|r| oracle::rank_payload(r, block)).collect();
+        let expected = oracle::allgather(&contributions);
+        let results = Cluster::launch(topo, |ctx| {
+            let comm = ThreadComm::new(ctx);
+            let request = || OwnedCollective::Allgather {
+                sendbuf: oracle::rank_payload(comm.rank(), block),
+            };
+            let mut cache = crate::plan::PlanCache::new();
+            let mut cursor = begin_planned(&profile, &comm, request(), 1 << 16, &mut cache);
+            assert!(!cursor.is_finished());
+            assert_eq!(cache.stats(), (0, 1));
+            cursor.run(&comm, None);
+            let planned = cursor.into_output().recvbuf;
+            let blocking = run_blocking(&profile, &comm, request(), 2 << 16, &mut cache);
+            assert_eq!(cache.stats(), (1, 1));
+            (planned, blocking)
+        })
+        .unwrap();
+        for (planned, blocking) in results {
+            assert_eq!(planned.as_ref(), Some(&expected));
+            assert_eq!(blocking.as_ref(), Some(&expected));
+        }
     }
 
     #[test]

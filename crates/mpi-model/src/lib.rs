@@ -26,9 +26,8 @@ pub mod selection;
 
 use pip_netsim::params::SimParams;
 use pip_transport::cost::{IntranodeMechanism, Nanos};
-use serde::{Deserialize, Serialize};
 
-pub use dispatch::{CollectiveRequest, OwnedCollective};
+pub use dispatch::OwnedCollective;
 pub use plan::{
     compile_folded, ClusterPlanCache, CollectiveShape, CompressSpec, PlanCache, PlanKey,
 };
@@ -38,7 +37,7 @@ pub use selection::{
 };
 
 /// The five MPI implementations evaluated in the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Library {
     /// Open MPI: flat (non-node-aware) algorithms over CMA for intra-node
     /// transfers.
@@ -86,7 +85,7 @@ impl Library {
 }
 
 /// Everything that characterizes one MPI implementation in this model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LibraryProfile {
     /// Which library this profile describes.
     pub library: Library,

@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use pip_collectives::comm::Comm;
 use pip_collectives::plan::{
     assemble, compress_rank_transfers, ranks_equal_under, schedules_equal_under, shared_arena,
     ArenaStats, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena, EXEC_PASSES,
@@ -29,9 +28,9 @@ use pip_collectives::CollectiveKind;
 use pip_netsim::{FoldGroup, FoldedTrace};
 use pip_runtime::Topology;
 
-use pip_collectives::datatype::{Layout, ReduceIdent, Reduction};
+use pip_collectives::datatype::{Layout, ReduceIdent};
 
-use crate::dispatch::{self, CollectiveRequest};
+use crate::dispatch;
 use crate::{Library, LibraryProfile};
 
 /// The tag base plans are compiled at; executions rebase by the invocation
@@ -93,11 +92,7 @@ pub struct CollectiveShape {
     /// of the plan-cache key, so an `f32`-Sum plan never serves an
     /// `i32`-Max call even though both have `elem_size: 4`, and a
     /// user-defined operator ([`pip_collectives::datatype::Op`]) never
-    /// serves another user operator of the same width.  Anonymous
-    /// [`Reduction::Opaque`] operators also have `None` here — the dispatch
-    /// layer refuses to cache those (see
-    /// [`crate::dispatch::execute_planned`]) precisely because this field
-    /// cannot distinguish them.
+    /// serves another user operator of the same width.
     pub reduce: Option<ReduceIdent>,
     /// Strided layout of the caller's buffer, in **elements**; `None` for
     /// contiguous buffers (including degenerate layouts normalized away by
@@ -169,44 +164,6 @@ impl CollectiveShape {
         }
     }
 
-    /// The shape of `request` on a world of `world` ranks.
-    pub fn of(request: &CollectiveRequest<'_>, world: usize) -> Self {
-        use CollectiveKind as Kind;
-        let reduction = |kind, block, root, op: &Reduction<'_>| {
-            Self::reduction(kind, block, root, op.elem_size(), op.ident())
-        };
-        match request {
-            CollectiveRequest::Allgather { sendbuf, .. } => {
-                Self::plain(Kind::Allgather, sendbuf.len(), 0)
-            }
-            CollectiveRequest::Scatter { recvbuf, root, .. } => {
-                Self::plain(Kind::Scatter, recvbuf.len(), *root)
-            }
-            CollectiveRequest::Bcast { buf, root } => Self::plain(Kind::Bcast, buf.len(), *root),
-            CollectiveRequest::Gather { sendbuf, root, .. } => {
-                Self::plain(Kind::Gather, sendbuf.len(), *root)
-            }
-            CollectiveRequest::Allreduce {
-                buf,
-                op,
-                layout,
-                compress,
-            } => Self::allreduce(buf.len(), op.elem_size(), op.ident(), *layout, *compress),
-            CollectiveRequest::Reduce {
-                sendbuf, root, op, ..
-            } => reduction(Kind::Reduce, sendbuf.len(), *root, op),
-            CollectiveRequest::ReduceScatter { recvbuf, op, .. } => {
-                reduction(Kind::ReduceScatter, recvbuf.len(), 0, op)
-            }
-            CollectiveRequest::Scan { buf, op } => reduction(Kind::Scan, buf.len(), 0, op),
-            CollectiveRequest::Exscan { buf, op } => reduction(Kind::Exscan, buf.len(), 0, op),
-            CollectiveRequest::Alltoall { sendbuf, .. } => {
-                Self::plain(Kind::Alltoall, sendbuf.len() / world.max(1), 0)
-            }
-            CollectiveRequest::Barrier => Self::plain(Kind::Barrier, 0, 0),
-        }
-    }
-
     /// The largest single caller buffer this shape touches, in bytes — the
     /// quantity the exec-fidelity compile's cost scales with (8 recording
     /// passes plus one scan of the captured payloads).
@@ -231,7 +188,7 @@ impl CollectiveShape {
     /// `sendbuf`/`recvbuf` are packed byte counts; a strided shape
     /// additionally carries its byte-scaled layout so the executor packs
     /// the caller's extent-length buffer before replay.
-    fn io_for(&self, rank: usize, world: usize) -> IoShape {
+    pub(crate) fn io_for(&self, rank: usize, world: usize) -> IoShape {
         let b = self.block;
         match self.kind {
             CollectiveKind::Allgather => IoShape {
@@ -614,212 +571,56 @@ pub fn compile_folded(
     FoldedTrace::from_representatives(topology, group, lowered).ok()
 }
 
-/// Run one recording pass: build the synthetic request for `shape` and push
-/// it through the ordinary dispatcher against the recorder.
+/// Run one recording pass: fingerprint the caller buffers `io` declares and
+/// push them through the ordinary dispatcher against the recorder, which
+/// stands in for the reduction operator too.
 fn run_for_recording(
     profile: &LibraryProfile,
     comm: PlanComm,
     shape: &CollectiveShape,
     io: IoShape,
 ) -> pip_collectives::plan::record::PassRecording {
-    let b = shape.block;
-    let world = comm.world_size();
-    match shape.kind {
-        CollectiveKind::Allgather => {
-            let mut sendbuf = vec![0u8; b];
-            comm.fill_sendbuf(&mut sendbuf);
-            let mut recvbuf = vec![0u8; world * b];
-            comm.fill_recvbuf(&mut recvbuf);
-            dispatch::execute(
-                profile,
-                &comm,
-                CollectiveRequest::Allgather {
-                    sendbuf: &sendbuf,
-                    recvbuf: &mut recvbuf,
-                },
-                COMPILE_TAG_BASE,
-            );
-            comm.finish(Some(recvbuf))
-        }
-        CollectiveKind::Scatter => {
-            let sendbuf = io.sendbuf.map(|len| {
-                let mut buf = vec![0u8; len];
-                comm.fill_sendbuf(&mut buf);
-                buf
-            });
-            let mut recvbuf = vec![0u8; b];
-            comm.fill_recvbuf(&mut recvbuf);
-            dispatch::execute(
-                profile,
-                &comm,
-                CollectiveRequest::Scatter {
-                    sendbuf: sendbuf.as_deref(),
-                    recvbuf: &mut recvbuf,
-                    root: shape.root,
-                },
-                COMPILE_TAG_BASE,
-            );
-            comm.finish(Some(recvbuf))
-        }
-        CollectiveKind::Bcast => {
-            let mut buf = vec![0u8; b];
-            comm.fill_sendbuf(&mut buf);
-            dispatch::execute(
-                profile,
-                &comm,
-                CollectiveRequest::Bcast {
-                    buf: &mut buf,
-                    root: shape.root,
-                },
-                COMPILE_TAG_BASE,
-            );
-            comm.finish(Some(buf))
-        }
-        CollectiveKind::Gather => {
-            let mut sendbuf = vec![0u8; b];
-            comm.fill_sendbuf(&mut sendbuf);
-            let mut recvbuf = io.recvbuf.map(|len| {
-                let mut buf = vec![0u8; len];
-                comm.fill_recvbuf(&mut buf);
-                buf
-            });
-            dispatch::execute(
-                profile,
-                &comm,
-                CollectiveRequest::Gather {
-                    sendbuf: &sendbuf,
-                    recvbuf: recvbuf.as_deref_mut(),
-                    root: shape.root,
-                },
-                COMPILE_TAG_BASE,
-            );
-            comm.finish(recvbuf)
-        }
-        CollectiveKind::Allreduce => {
-            let mut buf = vec![0u8; b];
-            comm.fill_sendbuf(&mut buf);
-            {
-                let op = comm.reducer();
-                dispatch::execute(
-                    profile,
-                    &comm,
-                    CollectiveRequest::Allreduce {
-                        buf: &mut buf,
-                        op: Reduction::Opaque {
-                            elem_size: shape.elem_size,
-                            f: &op,
-                        },
-                        // Recording always runs on packed contiguous
-                        // buffers; the layout lives in the plan's IoShape
-                        // (io_for), where the executor packs/unpacks.
-                        layout: None,
-                        compress: None,
-                    },
-                    COMPILE_TAG_BASE,
-                );
-            }
-            comm.finish(Some(buf))
-        }
-        CollectiveKind::Reduce => {
-            let mut sendbuf = vec![0u8; b];
-            comm.fill_sendbuf(&mut sendbuf);
-            let mut recvbuf = io.recvbuf.map(|len| {
-                let mut buf = vec![0u8; len];
-                comm.fill_recvbuf(&mut buf);
-                buf
-            });
-            {
-                let op = comm.reducer();
-                dispatch::execute(
-                    profile,
-                    &comm,
-                    CollectiveRequest::Reduce {
-                        sendbuf: &sendbuf,
-                        recvbuf: recvbuf.as_deref_mut(),
-                        root: shape.root,
-                        op: Reduction::Opaque {
-                            elem_size: shape.elem_size,
-                            f: &op,
-                        },
-                    },
-                    COMPILE_TAG_BASE,
-                );
-            }
-            comm.finish(recvbuf)
-        }
-        CollectiveKind::ReduceScatter => {
-            let mut sendbuf = vec![0u8; world * b];
-            comm.fill_sendbuf(&mut sendbuf);
-            let mut recvbuf = vec![0u8; b];
-            comm.fill_recvbuf(&mut recvbuf);
-            {
-                let op = comm.reducer();
-                dispatch::execute(
-                    profile,
-                    &comm,
-                    CollectiveRequest::ReduceScatter {
-                        sendbuf: &sendbuf,
-                        recvbuf: &mut recvbuf,
-                        op: Reduction::Opaque {
-                            elem_size: shape.elem_size,
-                            f: &op,
-                        },
-                    },
-                    COMPILE_TAG_BASE,
-                );
-            }
-            comm.finish(Some(recvbuf))
-        }
-        CollectiveKind::Scan | CollectiveKind::Exscan => {
-            let mut buf = vec![0u8; b];
-            comm.fill_sendbuf(&mut buf);
-            {
-                let op = comm.reducer();
-                let reduction = Reduction::Opaque {
-                    elem_size: shape.elem_size,
-                    f: &op,
-                };
-                let request = if shape.kind == CollectiveKind::Scan {
-                    CollectiveRequest::Scan {
-                        buf: &mut buf,
-                        op: reduction,
-                    }
-                } else {
-                    CollectiveRequest::Exscan {
-                        buf: &mut buf,
-                        op: reduction,
-                    }
-                };
-                dispatch::execute(profile, &comm, request, COMPILE_TAG_BASE);
-            }
-            comm.finish(Some(buf))
-        }
-        CollectiveKind::Alltoall => {
-            let mut sendbuf = vec![0u8; world * b];
-            comm.fill_sendbuf(&mut sendbuf);
-            let mut recvbuf = vec![0u8; world * b];
-            comm.fill_recvbuf(&mut recvbuf);
-            dispatch::execute(
-                profile,
-                &comm,
-                CollectiveRequest::Alltoall {
-                    sendbuf: &sendbuf,
-                    recvbuf: &mut recvbuf,
-                },
-                COMPILE_TAG_BASE,
-            );
-            comm.finish(Some(recvbuf))
-        }
-        CollectiveKind::Barrier => {
-            dispatch::execute(profile, &comm, CollectiveRequest::Barrier, COMPILE_TAG_BASE);
-            comm.finish(None)
-        }
+    let buffer = |len: Option<usize>, fill: fn(&PlanComm, &mut [u8])| {
+        len.map(|len| {
+            let mut buf = vec![0u8; len];
+            fill(&comm, &mut buf);
+            buf
+        })
+    };
+    // An in/out collective's one buffer is its input, read through the
+    // send slot.
+    let (send, mut recv) = if io.inout {
+        (None, buffer(io.recvbuf, PlanComm::fill_sendbuf))
+    } else {
+        (
+            buffer(io.sendbuf, PlanComm::fill_sendbuf),
+            buffer(io.recvbuf, PlanComm::fill_recvbuf),
+        )
+    };
+    // Recording always runs on packed contiguous buffers; a layout lives in
+    // the plan's IoShape (`io_for`), where the executor packs and unpacks.
+    let packed = CollectiveShape {
+        layout: None,
+        ..*shape
+    };
+    {
+        let op = comm.reducer();
+        dispatch::execute(
+            profile,
+            &comm,
+            &packed,
+            send.as_deref(),
+            recv.as_deref_mut(),
+            Some(&op),
+            COMPILE_TAG_BASE,
+        );
     }
+    comm.finish(recv)
 }
 
 /// Shapes whose [`CollectiveShape::buffer_footprint`] exceeds this are not
-/// compiled on the dispatch path; [`crate::dispatch::execute_planned`]
-/// falls back to direct algorithm execution instead.  The fingerprint
+/// compiled on the blocking path; [`crate::dispatch::run_blocking`] falls
+/// back to direct algorithm execution instead.  The fingerprint
 /// compile pays 8 recording passes plus a scan of every captured payload
 /// byte — a great trade for the small, endlessly repeated
 /// messages the paper targets, a poor one for a one-shot multi-megabyte
@@ -1009,20 +810,21 @@ impl ClusterPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::OwnedCollective;
+    use pip_collectives::comm::Comm as _;
     use pip_collectives::oracle;
-    use pip_collectives::plan::{PlanCursor, RecvBuf, SendBuf};
+    use pip_collectives::plan::PlanCursor;
     use pip_collectives::ThreadComm;
     use pip_runtime::Cluster;
 
     #[test]
     fn shape_of_extracts_block_and_root() {
-        let mut recvbuf = vec![0u8; 8];
-        let request = CollectiveRequest::Scatter {
+        let request = OwnedCollective::Scatter {
             sendbuf: None,
-            recvbuf: &mut recvbuf,
+            block: 8,
             root: 3,
         };
-        let shape = CollectiveShape::of(&request, 4);
+        let shape = request.shape(4);
         assert_eq!(shape.kind, CollectiveKind::Scatter);
         assert_eq!(shape.block, 8);
         assert_eq!(shape.root, 3);
@@ -1121,17 +923,15 @@ mod tests {
         let results = Cluster::launch(topo, |ctx| {
             let comm = ThreadComm::new(ctx);
             let plan = compile_rank(&profile, topo, comm.rank(), &shape, Fidelity::Exec);
-            let sendbuf = oracle::rank_payload(comm.rank(), block);
-            let mut recvbuf = vec![0u8; world * block];
             let mut cursor = PlanCursor::new(
                 Rc::new(plan),
-                Some(SendBuf::Borrowed(&sendbuf)),
-                Some(RecvBuf::Borrowed(&mut recvbuf)),
+                Some(oracle::rank_payload(comm.rank(), block)),
+                Some(vec![0u8; world * block]),
                 1 << 16,
                 shared_arena(),
             );
             cursor.run(&comm, None);
-            recvbuf
+            cursor.into_output().recvbuf.unwrap()
         })
         .unwrap();
         for buf in &results {
@@ -1154,20 +954,13 @@ mod tests {
         let results = Cluster::launch(topo, |ctx| {
             let comm = ThreadComm::new(ctx);
             let mut cache = PlanCache::new();
-            let mut recvbuf = vec![0u8; block];
-            dispatch::execute_planned(
-                &profile,
-                &comm,
-                CollectiveRequest::Scatter {
-                    // Every rank supplies the buffer, not just the root.
-                    sendbuf: Some(sendbuf_ref.as_slice()),
-                    recvbuf: &mut recvbuf,
-                    root: 0,
-                },
-                1 << 16,
-                &mut cache,
-            );
-            recvbuf
+            let request = OwnedCollective::Scatter {
+                // Every rank supplies the buffer, not just the root.
+                sendbuf: Some(sendbuf_ref.clone()),
+                block,
+                root: 0,
+            };
+            dispatch::run_blocking(&profile, &comm, request, 1 << 16, &mut cache).unwrap()
         })
         .unwrap();
         for (rank, buf) in results.iter().enumerate() {
@@ -1175,8 +968,9 @@ mod tests {
         }
     }
 
-    /// Collectives whose buffer footprint exceeds [`EXEC_PLAN_MAX_BYTES`]
-    /// skip compilation entirely and still produce correct results.
+    /// A blocking collective whose buffer footprint exceeds
+    /// [`EXEC_PLAN_MAX_BYTES`] skips compilation entirely and still matches
+    /// the oracle.
     #[test]
     fn oversized_collectives_bypass_the_plan_path() {
         let profile = Library::PipMColl.profile();
@@ -1184,33 +978,22 @@ mod tests {
         let world = topo.world_size();
         // world * block = 6 MiB > the 4 MiB compile ceiling.
         let block = 3 << 20;
+        let contributions: Vec<Vec<u8>> =
+            (0..world).map(|r| oracle::rank_payload(r, block)).collect();
+        let expected = oracle::allgather(&contributions);
         let results = Cluster::launch(topo, |ctx| {
             let comm = ThreadComm::new(ctx);
             let mut cache = PlanCache::new();
-            let sendbuf = vec![comm.rank() as u8 + 1; block];
-            let mut recvbuf = vec![0u8; world * block];
-            dispatch::execute_planned(
-                &profile,
-                &comm,
-                CollectiveRequest::Allgather {
-                    sendbuf: &sendbuf,
-                    recvbuf: &mut recvbuf,
-                },
-                1 << 16,
-                &mut cache,
-            );
-            let stats = cache.stats();
-            (
-                recvbuf[0],
-                recvbuf[world * block - 1],
-                stats,
-                cache.bypasses(),
-            )
+            let request = OwnedCollective::Allgather {
+                sendbuf: oracle::rank_payload(comm.rank(), block),
+            };
+            let recvbuf = dispatch::run_blocking(&profile, &comm, request, 1 << 16, &mut cache);
+            (recvbuf, cache.len(), cache.stats(), cache.bypasses())
         })
         .unwrap();
-        for (first, last, stats, bypasses) in results {
-            assert_eq!(first, 1);
-            assert_eq!(last, 2);
+        for (recvbuf, entries, stats, bypasses) in results {
+            assert!(recvbuf.as_ref() == Some(&expected), "allgather incorrect");
+            assert_eq!(entries, 0, "no plan must be cached");
             assert_eq!(stats, (0, 0), "no compile must happen");
             assert_eq!(bypasses, 1);
         }

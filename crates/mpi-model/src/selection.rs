@@ -7,10 +7,8 @@
 //! the large-message switch points so that the "larger messages" experiments
 //! exercise the same crossovers real libraries have.
 
-use serde::{Deserialize, Serialize};
-
 /// Allgather algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllgatherAlgo {
     /// Bruck's algorithm (small messages, any rank count).
     Bruck,
@@ -25,7 +23,7 @@ pub enum AllgatherAlgo {
 }
 
 /// Scatter algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScatterAlgo {
     /// Binomial tree over all ranks.
     Binomial,
@@ -36,7 +34,7 @@ pub enum ScatterAlgo {
 }
 
 /// Broadcast algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BcastAlgo {
     /// Binomial tree over all ranks.
     Binomial,
@@ -47,7 +45,7 @@ pub enum BcastAlgo {
 }
 
 /// Gather algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GatherAlgo {
     /// Binomial tree over all ranks.
     Binomial,
@@ -56,7 +54,7 @@ pub enum GatherAlgo {
 }
 
 /// Allreduce algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllreduceAlgo {
     /// Recursive doubling (small messages).
     RecursiveDoubling,
@@ -69,7 +67,7 @@ pub enum AllreduceAlgo {
 }
 
 /// Alltoall algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlltoallAlgo {
     /// Bruck's algorithm (small messages).
     Bruck,
@@ -78,7 +76,7 @@ pub enum AlltoallAlgo {
 }
 
 /// Reduce algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceAlgo {
     /// Binomial tree over all ranks (MPICH-derived small-message default).
     Binomial,
@@ -87,7 +85,7 @@ pub enum ReduceAlgo {
 }
 
 /// Reduce_scatter algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceScatterAlgo {
     /// Recursive halving (MPICH default for commutative operators at small
     /// and medium sizes).
@@ -100,7 +98,7 @@ pub enum ReduceScatterAlgo {
 
 /// Scan / exscan algorithm choices (the prefix collectives share one
 /// switch, as the real libraries do).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScanAlgo {
     /// Recursive doubling (MPICH default).
     RecursiveDoubling,
@@ -122,7 +120,7 @@ pub const LOSSY_DROP_CROSSOVER: f64 = 0.05;
 /// Observed fabric health, as a selection dimension.  Libraries that adapt
 /// (PiP-MColl) switch their allreduce to a shallower schedule on a lossy
 /// fabric; the comparators' tables keep their stock choice in both states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricCondition {
     /// Nominal fabric: negligible drops, selection by message size alone.
     Healthy,
@@ -143,7 +141,7 @@ impl FabricCondition {
 }
 
 /// Per-collective algorithm selection for one library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectionTable {
     /// Allgather for small messages (below [`LARGE_MESSAGE_THRESHOLD`]).
     pub allgather_small: AllgatherAlgo,

@@ -3,10 +3,9 @@
 
 use pip_runtime::Topology;
 use pip_transport::netcard::NicParams;
-use serde::{Deserialize, Serialize};
 
 /// A simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of nodes.
     pub nodes: usize,

@@ -1,7 +1,6 @@
 //! High-level simulation entry point and reporting.
 
 use pip_transport::cost::Nanos;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{RunOptions, SimEngine, SimError, SimOutcome};
 use crate::params::SimParams;
@@ -9,7 +8,7 @@ use crate::perturb::Perturbation;
 use crate::trace::Trace;
 
 /// A human- and machine-readable summary of one simulated collective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// Label supplied by the caller (e.g. the library preset name).
     pub label: String,

@@ -3,7 +3,6 @@
 use pip_transport::cost::{IntranodeCost, IntranodeMechanism, Nanos};
 use pip_transport::memcpy::MemcpyModel;
 use pip_transport::netcard::{NicModel, NicParams};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterSpec;
 
@@ -13,7 +12,7 @@ use crate::cluster::ClusterSpec;
 /// transport, its per-message software overhead on top of the raw
 /// send/receive path, and any per-operation synchronization cost (the
 /// PiP-MPICH "message size synchronization" the paper discusses).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// The interconnect.
     pub nic: NicParams,

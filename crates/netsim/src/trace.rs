@@ -11,10 +11,9 @@ use std::sync::{Arc, OnceLock};
 
 use pip_runtime::Topology;
 use pip_transport::cost::{IntranodeMechanism, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// One operation executed by one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceOp {
     /// Post a message of `bytes` bytes to `dest` with `tag`.  The sender is
     /// busy for its host overhead; delivery is asynchronous.
@@ -84,7 +83,7 @@ impl TraceOp {
 /// is a reference-count bump, and the first mutation of a shared vector
 /// transparently un-shares it (`Arc::make_mut`), so the `Vec`-style mutating
 /// API (`push`, `insert`) keeps working for trace-building callers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpVec(Arc<Vec<TraceOp>>);
 
 impl OpVec {
@@ -148,7 +147,7 @@ impl<'a> IntoIterator for &'a OpVec {
 }
 
 /// The ordered operations of one rank.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankTrace {
     /// Operations in program order.
     pub ops: OpVec,
@@ -193,21 +192,12 @@ impl RankTrace {
 
 /// A whole-cluster trace: one [`RankTrace`] per rank plus the topology it was
 /// recorded for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The cluster the trace describes.
-    #[serde(skip, default = "default_topology")]
     pub topology: Topology,
     /// Per-rank operation lists, indexed by rank.
     pub ranks: Vec<RankTrace>,
-}
-
-// Referenced by the `#[serde(default = "...")]` field attribute above; the
-// offline serde shim keeps the attribute inert, so the function looks unused
-// until the real serde is swapped in.
-#[allow(dead_code)]
-fn default_topology() -> Topology {
-    Topology::new(1, 1)
 }
 
 /// Problems detected by [`Trace::validate`].

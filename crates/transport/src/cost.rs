@@ -9,13 +9,11 @@
 //! than their *structure*: which mechanism pays a syscall per operation,
 //! which pays it once, which copies twice, and which just copies.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated time in nanoseconds.
 pub type Nanos = f64;
 
 /// The intra-node data-movement mechanisms compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntranodeMechanism {
     /// Process-in-Process: peers share one address space, a transfer is a
     /// plain `memcpy` with no kernel involvement (Hori et al., HPDC '18).
@@ -93,7 +91,7 @@ impl CopyStats {
 }
 
 /// Cost model for one intra-node mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntranodeCost {
     /// The mechanism being modelled.
     pub mechanism: IntranodeMechanism,

@@ -2,12 +2,10 @@
 //! piecewise copy bandwidth (cache-resident vs. DRAM-resident payloads) and
 //! the cost of applying a reduction operator while streaming.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::Nanos;
 
 /// Copy/streaming cost model for one core of the simulated node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemcpyModel {
     /// Fixed overhead of issuing any copy (function call, loop setup).
     pub base_latency: Nanos,

@@ -15,12 +15,10 @@
 //! The discrete-event simulator serializes per-process work at `o`, per-node
 //! injection at `g_nic`/`G`, and adds the wire latency `L`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::Nanos;
 
 /// Parameters of one NIC / one link in LogGP-with-rate-caps form.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NicParams {
     /// Wire + switch latency, one direction (LogGP `L`).
     pub wire_latency: Nanos,
@@ -106,7 +104,7 @@ impl Default for NicParams {
 
 /// Cost queries over a [`NicParams`], used by the simulator and by analytic
 /// sanity checks in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NicModel {
     params: NicParams,
 }

@@ -2,14 +2,14 @@
 //!
 //! 1. **Executor vs. oracle** — compiling every collective × library on a
 //!    topology grid (including non-power-of-two worlds) to exec-fidelity
-//!    plans and running them through `execute_planned` on the thread runtime
-//!    reproduces the sequential oracle exactly.
+//!    plans and running them as blocking calls (`dispatch::run_blocking`) on
+//!    the thread runtime reproduces the sequential oracle exactly.
 //! 2. **Lowering** — every schedule-fidelity cluster plan validates, and
 //!    exec- and schedule-fidelity plans lower to the same trace.  What the
 //!    lowered traces contain is frozen by hash in `tests/plan_golden.rs`.
-//! 3. **Borrowed vs. owned** — the one plan interpreter produces the same
-//!    bytes whether a blocking call drives it in place on the caller's
-//!    borrowed buffers or a progress engine drives it on buffers it owns.
+//! 3. **In place vs. engine-driven** — the one plan interpreter produces the
+//!    same bytes whether a blocking call drives it in place or a progress
+//!    engine drives it beside other requests.
 
 use std::cell::RefCell;
 
@@ -18,18 +18,16 @@ use pip_mcoll::collectives::oracle;
 use pip_mcoll::collectives::plan::{Fidelity, PlanOp};
 use pip_mcoll::collectives::request::ProgressEngine;
 use pip_mcoll::collectives::{
-    CollectiveKind, Layout, OwnedReduction, ReduceKernel, ReduceOp, Reduction, ThreadComm,
+    CollectiveKind, Layout, OwnedReduction, ReduceKernel, ReduceOp, ThreadComm,
 };
 use pip_mcoll::model::plan::{compile_cluster, PlanCache};
-use pip_mcoll::model::{
-    dispatch, CollectiveRequest, CollectiveShape, CompressSpec, Library, OwnedCollective,
-};
+use pip_mcoll::model::{dispatch, CollectiveShape, CompressSpec, Library, OwnedCollective};
 use pip_mcoll::runtime::{Cluster, Topology};
 
 const TOPOLOGIES: [(usize, usize); 5] = [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)];
 
-/// Run every collective twice through the planned dispatcher on the thread
-/// runtime (second run must hit the cache) and compare against the oracle.
+/// Run every collective as a blocking call on the thread runtime (the
+/// repeated allgather must hit the cache) and compare against the oracle.
 #[test]
 fn plan_executor_matches_oracle_for_every_collective_and_library() {
     for library in Library::ALL {
@@ -60,74 +58,59 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
                 let rank = ctx.rank();
                 let cache = RefCell::new(PlanCache::new());
                 let mut tag = 0u64;
-                let mut run = |request: CollectiveRequest<'_>| {
+                let mut run = |request: OwnedCollective| {
                     tag += 1 << 16;
-                    dispatch::execute_planned(
-                        &profile,
-                        &comm,
-                        request,
-                        tag,
-                        &mut cache.borrow_mut(),
-                    );
+                    let mut cache = cache.borrow_mut();
+                    dispatch::run_blocking(&profile, &comm, request, tag, &mut cache)
                 };
 
                 // Allgather, twice (the repeat must be served by the cache).
                 let sendbuf = oracle::rank_payload(rank, block);
-                let mut allgather_out = vec![0u8; world * block];
+                let mut allgather_out = None;
                 for _ in 0..2 {
-                    allgather_out.fill(0);
-                    run(CollectiveRequest::Allgather {
-                        sendbuf: &sendbuf,
-                        recvbuf: &mut allgather_out,
+                    allgather_out = run(OwnedCollective::Allgather {
+                        sendbuf: sendbuf.clone(),
                     });
                 }
 
                 // Scatter from a mid-world root.
-                let mut scatter_out = vec![0u8; block];
-                run(CollectiveRequest::Scatter {
-                    sendbuf: (rank == root).then_some(scatter_src_ref.as_slice()),
-                    recvbuf: &mut scatter_out,
+                let scatter_out = run(OwnedCollective::Scatter {
+                    sendbuf: (rank == root).then(|| scatter_src_ref.clone()),
+                    block,
                     root,
                 });
 
                 // Bcast from the same root.
-                let mut bcast_out = if rank == root {
-                    bcast_src_ref.clone()
-                } else {
-                    vec![0u8; block]
-                };
-                run(CollectiveRequest::Bcast {
-                    buf: &mut bcast_out,
+                let bcast_out = run(OwnedCollective::Bcast {
+                    buf: if rank == root {
+                        bcast_src_ref.clone()
+                    } else {
+                        vec![0u8; block]
+                    },
                     root,
                 });
 
                 // Gather to the root.
-                let mut gather_out = vec![0u8; world * block];
-                run(CollectiveRequest::Gather {
-                    sendbuf: &sendbuf,
-                    recvbuf: (rank == root).then_some(gather_out.as_mut_slice()),
+                let gather_out = run(OwnedCollective::Gather {
+                    sendbuf: sendbuf.clone(),
                     root,
                 });
 
                 // Allreduce (byte-wise wrapping sum).
-                let mut allreduce_out = oracle::rank_payload(rank, block);
-                run(CollectiveRequest::Allreduce {
-                    buf: &mut allreduce_out,
-                    op: Reduction::typed::<u8>(ReduceOp::Sum),
+                let allreduce_out = run(OwnedCollective::Allreduce {
+                    buf: oracle::rank_payload(rank, block),
+                    op: OwnedReduction::Typed(ReduceKernel::of::<u8>(ReduceOp::Sum)),
                     layout: None,
                     compress: None,
                 });
 
                 // Alltoall.
-                let alltoall_in = oracle::rank_payload(rank, world * block);
-                let mut alltoall_out = vec![0u8; world * block];
-                run(CollectiveRequest::Alltoall {
-                    sendbuf: &alltoall_in,
-                    recvbuf: &mut alltoall_out,
+                let alltoall_out = run(OwnedCollective::Alltoall {
+                    sendbuf: oracle::rank_payload(rank, world * block),
                 });
 
                 // Barrier.
-                run(CollectiveRequest::Barrier);
+                assert_eq!(run(OwnedCollective::Barrier), None);
 
                 let (hits, misses) = cache.borrow().stats();
                 (
@@ -146,14 +129,29 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
             for (rank, result) in results.iter().enumerate() {
                 let ctx = format!("{} on {nodes}x{ppn} rank {rank}", library.name());
                 let (allgather, scatter, bcast, gather, allreduce, alltoall, hits, misses) = result;
-                assert_eq!(allgather, &expected_allgather, "allgather {ctx}");
-                assert_eq!(scatter, &expected_scatter[rank], "scatter {ctx}");
-                assert_eq!(bcast, &bcast_src, "bcast {ctx}");
-                if rank == root {
-                    assert_eq!(gather, &expected_gather, "gather {ctx}");
-                }
-                assert_eq!(allreduce, &expected_allreduce, "allreduce {ctx}");
-                assert_eq!(alltoall, &expected_alltoall[rank], "alltoall {ctx}");
+                assert_eq!(
+                    allgather,
+                    &Some(expected_allgather.clone()),
+                    "allgather {ctx}"
+                );
+                assert_eq!(
+                    scatter,
+                    &Some(expected_scatter[rank].clone()),
+                    "scatter {ctx}"
+                );
+                assert_eq!(bcast, &Some(bcast_src.clone()), "bcast {ctx}");
+                let expected_gather = (rank == root).then(|| expected_gather.clone());
+                assert_eq!(gather, &expected_gather, "gather {ctx}");
+                assert_eq!(
+                    allreduce,
+                    &Some(expected_allreduce.clone()),
+                    "allreduce {ctx}"
+                );
+                assert_eq!(
+                    alltoall,
+                    &Some(expected_alltoall[rank].clone()),
+                    "alltoall {ctx}"
+                );
                 assert_eq!(*hits, 1, "repeated allgather must hit the cache ({ctx})");
                 assert_eq!(
                     *misses, 7,
@@ -164,7 +162,7 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
     }
 }
 
-/// Elements per rank block of the borrowed-vs-owned table.
+/// Elements per rank block of the in-place-vs-engine table.
 const COUNT: usize = 6;
 /// The strided allreduce: three blocks of two elements, starts four apart.
 const STRIDED: Layout = Layout {
@@ -188,8 +186,8 @@ fn f32_sum() -> OwnedReduction {
     OwnedReduction::Typed(ReduceKernel::of::<f32>(ReduceOp::Sum))
 }
 
-/// One row per owned collective — every [`CollectiveKind`] but the barrier,
-/// which has no owned form — plus the two allreduce variants that take
+/// One row per collective kind — every [`CollectiveKind`] but the barrier,
+/// which has no bytes to compare — plus the two allreduce variants that take
 /// their own route through the cursor: strided (packed staging) and
 /// compressed (unsized receives).  Each builds rank `rank`'s invocation on
 /// a `world`-rank world rooted at `root`.
@@ -264,130 +262,13 @@ const ROWS: [Row; 12] = [
     }),
 ];
 
-/// The operator of an owned reduction, if `owned` is one.
-fn reduction_of(owned: &OwnedCollective) -> Option<&OwnedReduction> {
-    match owned {
-        OwnedCollective::Allreduce { op, .. }
-        | OwnedCollective::Reduce { op, .. }
-        | OwnedCollective::ReduceScatter { op, .. }
-        | OwnedCollective::Scan { op, .. }
-        | OwnedCollective::Exscan { op, .. } => Some(op),
-        _ => None,
-    }
-}
-
-/// Run `owned` as the blocking call it describes — the same buffers,
-/// borrowed, through `execute` — and return what the caller's receive
-/// buffer holds afterwards (`None` where this rank binds none).
-fn run_borrowed(
-    mut owned: OwnedCollective,
-    (rank, world): (usize, usize),
-    execute: impl FnOnce(CollectiveRequest<'_>),
-) -> Option<Vec<u8>> {
-    let borrow = |op: &OwnedReduction| match op {
-        OwnedReduction::Typed(kernel) => Reduction::Typed(*kernel),
-        OwnedReduction::User(_) => unreachable!("every row reduces with a typed kernel"),
-    };
-    let op = reduction_of(&owned).map(borrow);
-    let mut recvbuf = Vec::new();
-    match &mut owned {
-        OwnedCollective::Allgather { sendbuf } => {
-            recvbuf.resize(world * sendbuf.len(), 0);
-            execute(CollectiveRequest::Allgather {
-                sendbuf,
-                recvbuf: &mut recvbuf,
-            });
-        }
-        OwnedCollective::Scatter {
-            sendbuf,
-            block,
-            root,
-        } => {
-            recvbuf.resize(*block, 0);
-            execute(CollectiveRequest::Scatter {
-                sendbuf: sendbuf.as_deref(),
-                recvbuf: &mut recvbuf,
-                root: *root,
-            });
-        }
-        OwnedCollective::Gather { sendbuf, root } => {
-            recvbuf.resize(world * sendbuf.len(), 0);
-            execute(CollectiveRequest::Gather {
-                sendbuf,
-                recvbuf: (rank == *root).then_some(&mut recvbuf),
-                root: *root,
-            });
-            return (rank == *root).then_some(recvbuf);
-        }
-        OwnedCollective::Reduce { sendbuf, root, .. } => {
-            recvbuf.resize(sendbuf.len(), 0);
-            execute(CollectiveRequest::Reduce {
-                sendbuf,
-                recvbuf: (rank == *root).then_some(&mut recvbuf),
-                root: *root,
-                op: op.unwrap(),
-            });
-            return (rank == *root).then_some(recvbuf);
-        }
-        OwnedCollective::ReduceScatter { sendbuf, .. } => {
-            recvbuf.resize(sendbuf.len() / world, 0);
-            execute(CollectiveRequest::ReduceScatter {
-                sendbuf,
-                recvbuf: &mut recvbuf,
-                op: op.unwrap(),
-            });
-        }
-        OwnedCollective::Alltoall { sendbuf } => {
-            recvbuf.resize(sendbuf.len(), 0);
-            execute(CollectiveRequest::Alltoall {
-                sendbuf,
-                recvbuf: &mut recvbuf,
-            });
-        }
-        // The in/out kinds: the caller's one buffer is the result.
-        OwnedCollective::Bcast { buf, root } => {
-            execute(CollectiveRequest::Bcast { buf, root: *root });
-            recvbuf = std::mem::take(buf);
-        }
-        OwnedCollective::Allreduce {
-            buf,
-            layout,
-            compress,
-            ..
-        } => {
-            execute(CollectiveRequest::Allreduce {
-                buf,
-                op: op.unwrap(),
-                layout: *layout,
-                compress: *compress,
-            });
-            recvbuf = std::mem::take(buf);
-        }
-        OwnedCollective::Scan { buf, .. } => {
-            execute(CollectiveRequest::Scan {
-                buf,
-                op: op.unwrap(),
-            });
-            recvbuf = std::mem::take(buf);
-        }
-        OwnedCollective::Exscan { buf, .. } => {
-            execute(CollectiveRequest::Exscan {
-                buf,
-                op: op.unwrap(),
-            });
-            recvbuf = std::mem::take(buf);
-        }
-    }
-    Some(recvbuf)
-}
-
 /// Every row of [`ROWS`], for every library on three topologies, once
-/// through `execute_planned` (a cursor on borrowed buffers, driven in place)
-/// and once through `begin_planned` + a `ProgressEngine` (a cursor that owns
-/// its buffers), from one plan cache: byte-identical results, one compile
-/// per shape, every scope retired, strided gaps untouched.
+/// through `run_blocking` (a cursor driven in place) and once through
+/// `begin_planned` + a `ProgressEngine` (a cursor driven beside the engine's
+/// other requests), from one plan cache: byte-identical results, one
+/// compile per shape, every scope retired, strided gaps untouched.
 #[test]
-fn borrowed_and_owned_cursors_agree_for_every_collective_and_library() {
+fn in_place_and_engine_driven_cursors_agree_for_every_collective_and_library() {
     for library in Library::ALL {
         for (nodes, ppn) in [(1, 4), (2, 3), (3, 3)] {
             let topo = Topology::new(nodes, ppn);
@@ -418,32 +299,27 @@ fn borrowed_and_owned_cursors_agree_for_every_collective_and_library() {
                     tag
                 };
                 for (name, build) in ROWS {
-                    let borrowed = run_borrowed(build(rank, world, root), (rank, world), |req| {
-                        dispatch::execute_planned(&profile, &comm, req, next_tag(), &mut cache)
-                    });
-                    let owned = build(rank, world, root);
-                    let op = reduction_of(&owned).map(OwnedReduction::shared);
+                    let request = build(rank, world, root);
+                    let in_place =
+                        dispatch::run_blocking(&profile, &comm, request, next_tag(), &mut cache);
+                    let request = build(rank, world, root);
+                    let op = request.op().map(OwnedReduction::shared);
                     let cursor =
-                        dispatch::begin_planned(&profile, &comm, owned, next_tag(), &mut cache);
+                        dispatch::begin_planned(&profile, &comm, request, next_tag(), &mut cache);
                     let id = engine.submit(cursor, op);
-                    let owned = engine.wait(&comm, id).recvbuf;
-                    assert_eq!(borrowed, owned, "{name}, {what}, rank {rank}");
+                    let driven = engine.wait(&comm, id).recvbuf;
+                    assert_eq!(in_place, driven, "{name}, {what}, rank {rank}");
                     if name == "strided allreduce" {
                         let elems: Vec<i32> =
-                            pip_mcoll::collectives::datatype::from_bytes(&owned.unwrap());
+                            pip_mcoll::collectives::datatype::from_bytes(&driven.unwrap());
                         for (i, elem) in elems.into_iter().enumerate() {
                             let in_gap = i % STRIDED.stride >= STRIDED.blocklen;
                             assert_eq!(elem == GAP, in_gap, "element {i}, {what}, rank {rank}");
                         }
                     }
                 }
-                dispatch::execute_planned(
-                    &profile,
-                    &comm,
-                    CollectiveRequest::Barrier,
-                    next_tag(),
-                    &mut cache,
-                );
+                let barrier = OwnedCollective::Barrier;
+                dispatch::run_blocking(&profile, &comm, barrier, next_tag(), &mut cache);
                 let rows = ROWS.len() as u64;
                 assert_eq!(
                     cache.stats(),

@@ -23,9 +23,10 @@ use proptest::prelude::*;
 
 use pip_mcoll::collectives::oracle;
 use pip_mcoll::collectives::CollectiveKind;
+use pip_mcoll::collectives::OwnedReduction;
 use pip_mcoll::core::prelude::*;
 use pip_mcoll::model::plan::{PlanCache, PlanKey};
-use pip_mcoll::model::{dispatch, CollectiveShape};
+use pip_mcoll::model::{CollectiveShape, OwnedCollective};
 
 const TOPOLOGIES: [(usize, usize); 5] = [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)];
 
@@ -864,66 +865,13 @@ fn strided_and_contiguous_allreduce_of_equal_packed_bytes_never_alias() {
     // A contiguous layout is normalized away before keying: the request
     // paths pass `layout.filter(|l| !l.is_contiguous())`, so stride ==
     // blocklen and the no-layout form describe the same plan.
-    let mut contiguous = vec![0u8; 32];
-    let request = pip_mcoll::model::CollectiveRequest::Allreduce {
-        buf: &mut contiguous,
-        op: pip_mcoll::collectives::Reduction::Typed(ReduceKernel::of::<f32>(ReduceOp::Sum)),
+    let request = OwnedCollective::Allreduce {
+        buf: vec![0u8; 32],
+        op: OwnedReduction::Typed(ReduceKernel::of::<f32>(ReduceOp::Sum)),
         layout: Some(Layout::vector(4, 2, 2)),
         compress: None,
     };
-    assert_eq!(CollectiveShape::of(&request, 4), mk(None));
-}
-
-/// Anonymous `Reduction::Opaque` closures have no identity, so the planned
-/// dispatch path must refuse to cache them: the collective still computes
-/// the right answer (direct execution), but the cache stays empty — no
-/// entry a *different* same-width closure could ever replay.
-#[test]
-fn anonymous_opaque_reductions_bypass_the_plan_cache() {
-    use pip_mcoll::collectives::comm::Comm as _;
-    let topo = Topology::new(1, 4);
-    let world = topo.world_size();
-    let block = 8;
-    let profile = Library::PipMColl.profile();
-    let expected = oracle::allreduce(
-        &(0..world).map(|r| payload(r, block, 0)).collect::<Vec<_>>(),
-        oracle::wrapping_add_u8,
-    );
-    let results = pip_mcoll::runtime::Cluster::launch(topo, |ctx| {
-        let comm = pip_mcoll::collectives::ThreadComm::new(ctx);
-        let mut cache = PlanCache::new();
-        let mut buf = payload(comm.rank(), block, 0);
-        let combine = |acc: &mut [u8], other: &[u8]| {
-            for (a, b) in acc.iter_mut().zip(other) {
-                *a = a.wrapping_add(*b);
-            }
-        };
-        dispatch::execute_planned(
-            &profile,
-            &comm,
-            pip_mcoll::model::CollectiveRequest::Allreduce {
-                buf: &mut buf,
-                op: pip_mcoll::collectives::Reduction::Opaque {
-                    elem_size: 1,
-                    f: &combine,
-                },
-                layout: None,
-                compress: None,
-            },
-            1 << 16,
-            &mut cache,
-        );
-        (buf, cache.len(), cache.stats())
-    })
-    .unwrap();
-    for (rank, (buf, entries, stats)) in results.iter().enumerate() {
-        assert_eq!(buf, &expected, "opaque allreduce wrong at rank {rank}");
-        assert_eq!(
-            *entries, 0,
-            "anonymous operator populated the plan cache at rank {rank}"
-        );
-        assert_eq!(*stats, (0, 0), "bypass must be neither hit nor miss");
-    }
+    assert_eq!(request.shape(4), mk(None));
 }
 
 proptest! {
