@@ -202,6 +202,9 @@ macro_rules! impl_datatype_int {
             const SIZE: usize = std::mem::size_of::<$ty>();
             const ID: DtypeId = DtypeId::$id;
 
+            // `to_bytes` is instantiated in the calling crate; without the
+            // hint every element pays a call there and nothing vectorizes.
+            #[inline]
             fn write_le(&self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
             }
@@ -235,6 +238,9 @@ macro_rules! impl_datatype_float {
             const SIZE: usize = std::mem::size_of::<$ty>();
             const ID: DtypeId = DtypeId::$id;
 
+            // `to_bytes` is instantiated in the calling crate; without the
+            // hint every element pays a call there and nothing vectorizes.
+            #[inline]
             fn write_le(&self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
             }
@@ -817,13 +823,13 @@ impl ReduceKernel {
 }
 
 /// Serialize a typed slice to its little-endian byte representation.
+///
+/// Writes into a zeroed buffer through fixed-width chunks, a loop without
+/// per-element length bookkeeping that LLVM vectorizes.
 pub fn to_bytes<T: Datatype>(values: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * T::SIZE);
-    // Scratch for one element; wider than any [`Datatype`].
-    let mut elem = [0u8; 16];
-    for value in values {
-        value.write_le(&mut elem[..T::SIZE]);
-        out.extend_from_slice(&elem[..T::SIZE]);
+    let mut out = vec![0u8; values.len() * T::SIZE];
+    for (chunk, value) in out.chunks_exact_mut(T::SIZE).zip(values) {
+        value.write_le(chunk);
     }
     out
 }
@@ -840,8 +846,20 @@ pub fn from_bytes<T: Datatype>(bytes: &[u8]) -> Vec<T> {
 
 /// Deserialize a little-endian byte buffer over the elements of `out`: the
 /// read-back half of a [`to_bytes`] → collective → typed-buffer round trip.
+///
+/// # Panics
+///
+/// In **every** build profile, if `bytes` is not exactly `out.len()`
+/// elements long; a short buffer would otherwise leave the tail of `out`
+/// stale.
 pub fn read_into<T: Datatype>(out: &mut [T], bytes: &[u8]) {
-    debug_assert_eq!(bytes.len(), out.len() * T::SIZE);
+    assert_eq!(
+        bytes.len(),
+        out.len() * T::SIZE,
+        "read_into needs exactly {} elements of {} bytes",
+        out.len(),
+        T::SIZE
+    );
     for (value, chunk) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
         *value = T::read_le(chunk);
     }
@@ -863,6 +881,91 @@ mod tests {
     fn round_trip_floats() {
         let values: Vec<f64> = vec![0.0, -1.5, std::f64::consts::PI];
         assert_eq!(from_bytes::<f64>(&to_bytes(&values)), values);
+    }
+
+    /// The per-element encoding `to_bytes` used to be; it must still
+    /// produce exactly these bytes.
+    fn encode_each<T: Datatype>(values: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut elem = [0u8; 16];
+        for value in values {
+            value.write_le(&mut elem[..T::SIZE]);
+            out.extend_from_slice(&elem[..T::SIZE]);
+        }
+        out
+    }
+
+    /// Well-spread bit patterns, so every byte of every element varies.
+    fn bits(i: usize) -> u64 {
+        (i as u64 + 1)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(23)
+    }
+
+    /// `to_bytes` matches the per-element encoding, and `from_bytes` and
+    /// `read_into` decode it bit for bit (compared through the encoding, so
+    /// NaN payloads and signed zeros count), across the chunk boundaries.
+    fn check_conversions<T: Datatype>(value: impl Fn(usize) -> T) {
+        for len in [0, 1, 7, 8, 9, 1025] {
+            let name = T::ID.name();
+            let values: Vec<T> = (0..len).map(&value).collect();
+            let bytes = to_bytes(&values);
+            assert_eq!(bytes, encode_each(&values), "to_bytes of {len} {name}");
+            assert_eq!(
+                encode_each(&from_bytes::<T>(&bytes)),
+                bytes,
+                "from_bytes of {len} {name}"
+            );
+            let mut out: Vec<T> = (len..2 * len).map(&value).collect();
+            read_into(&mut out, &bytes);
+            assert_eq!(encode_each(&out), bytes, "read_into of {len} {name}");
+        }
+    }
+
+    #[test]
+    fn conversions_round_trip_bit_for_bit_for_every_datatype() {
+        check_conversions(|i| bits(i) as u8);
+        check_conversions(|i| bits(i) as i8);
+        check_conversions(|i| bits(i) as u16);
+        check_conversions(|i| bits(i) as i16);
+        check_conversions(|i| bits(i) as u32);
+        check_conversions(|i| bits(i) as i32);
+        check_conversions(bits);
+        check_conversions(|i| bits(i) as i64);
+        let f32_specials = [
+            -0.0,
+            f32::from_bits(0x7FC0_1234), // quiet NaN with a payload
+            f32::from_bits(0xFFA0_0001), // negative signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1), // smallest subnormal
+        ];
+        check_conversions(|i| {
+            f32_specials
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| f32::from_bits(bits(i) as u32))
+        });
+        let f64_specials = [
+            -0.0,
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            f64::from_bits(0xFFF4_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+        ];
+        check_conversions(|i| {
+            f64_specials
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| f64::from_bits(bits(i)))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "read_into needs exactly 3 elements")]
+    fn read_into_rejects_a_short_buffer() {
+        read_into(&mut [0i32; 3], &[0u8; 8]);
     }
 
     #[test]
@@ -1152,5 +1255,14 @@ mod tests {
     #[ignore = "release-profile pin: CI runs this under cargo test --release -- --ignored"]
     fn apply_bytes_validation_survives_release_profile() {
         assert_rejects_in_this_profile();
+    }
+
+    /// `read_into` used to check its lengths with `debug_assert_eq!`, so in
+    /// release a short buffer silently left the tail of `out` stale.
+    #[test]
+    #[ignore = "release-profile pin: CI runs this under cargo test --release -- --ignored"]
+    #[should_panic(expected = "read_into needs exactly 3 elements")]
+    fn read_into_validation_survives_release_profile() {
+        read_into(&mut [0i32; 3], &[0u8; 8]);
     }
 }

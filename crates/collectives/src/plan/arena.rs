@@ -3,28 +3,31 @@
 //!
 //! Every run of a compiled plan materializes the same multiset of scratch
 //! buffers: one per value slot it fills (received messages, shared reads,
-//! reduction accumulators), one per payload it sends, one per deferred
-//! output write.  Allocating those from the global allocator on every
-//! invocation is exactly the per-call overhead persistent collectives
-//! (`*_init` → repeated `start()`) exist to avoid, so the
+//! reduction accumulators), one per operand it materializes (sent payloads,
+//! published or written regions, reduction and codec inputs), and one per
+//! output write of the caller's own bytes.  Output writes of value slots
+//! take none: the drain copies them straight from the slots.
+//! Allocating those from the global allocator on every invocation is
+//! exactly the per-call overhead persistent collectives (`*_init` →
+//! repeated `start()`) exist to avoid, so the
 //! [`crate::plan::cursor::PlanCursor`] draws them from a [`BufferArena`]
 //! instead: a free-list pool keyed by the buffer length the plan's value
 //! slots declare.
 //!
 //! The pool reaches a steady state because a plan's buffer traffic is
-//! balanced across invocations: every buffer acquired for a value slot or
-//! an output write is released back when the slot is overwritten or the run
-//! finishes, and the buffers a rank's sends carry away (they move into the
-//! fabric and on to the peer) are replaced by the received messages its
-//! receives bring in — which are released into the pool when the run
-//! finishes.  Compressed transfers follow the same rule: the sender encodes
-//! into an arena buffer of the frame's worst-case length, the receiver
-//! decodes into an arena buffer and releases the frame it was sent.  After
-//! the first invocation of a symmetric collective, repeat invocations
-//! therefore hit the pool for every acquisition;
-//! [`ArenaStats::misses`] stays flat, which
-//! `tests/arena_steady_state.rs` pins for persistent allreduce and
-//! reduce_scatter.
+//! balanced across invocations: every buffer acquired for a value slot, an
+//! operand or an output write is released back when the op is done with it
+//! or the run finishes, and the buffers a rank's sends carry away (they
+//! move into the fabric and on to the peer) are replaced by the received
+//! messages its receives bring in — which are released into the pool when
+//! the run finishes.  Compressed transfers follow the same rule: the sender
+//! encodes into an arena buffer of the frame's worst-case length, the
+//! receiver decodes into an arena buffer and releases the frame it was
+//! sent.  After the first invocation of a symmetric collective, repeat
+//! invocations therefore hit the pool for every acquisition;
+//! [`ArenaStats::misses`] stays flat, which `tests/arena_steady_state.rs`
+//! pins for persistent allreduce and reduce_scatter, together with the exact
+//! number of acquisitions per start.
 //!
 //! One arena serves one rank (plans of all shapes share it, since pooling
 //! is by buffer length); it is shared between every cursor of a

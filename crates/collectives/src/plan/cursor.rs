@@ -25,10 +25,19 @@
 //! keyed by the invocation tag, so out-of-order progress of interleaved
 //! collectives cannot pair arrivals or regions of different collectives.
 //!
-//! Scratch buffers (materialized payloads, value slots, deferred output
-//! writes, strided staging, compressed frames) come from the communicator's
-//! [`crate::plan::arena::BufferArena`], so repeat executions of one shape
-//! stop allocating — whatever the entry style.
+//! Scratch buffers (materialized operands, value slots, output writes of the
+//! caller's own bytes, strided staging, compressed frames) come from the
+//! communicator's [`crate::plan::arena::BufferArena`], so repeat executions
+//! of one shape stop allocating — whatever the entry style.
+//!
+//! **Output writes of value slots take no buffer.**  A `CopyOut` whose
+//! bytes are all value slots or literals records only its op index; the
+//! drain copies straight from the slots into the receive buffer.  That is
+//! sound because a validated plan defines every value once
+//! ([`crate::plan::PlanError::RedefinedValue`]) and the slots are released
+//! only after the flush.  A `CopyOut` that reads the caller's buffers
+//! (`SendBuf`/`RecvInit`) is still copied when it runs, because the flush
+//! overwrites what it reads.
 
 use std::rc::Rc;
 
@@ -74,7 +83,11 @@ pub struct PlanCursor {
     scope: Option<ScopeHandle>,
     pc: usize,
     vals: Vec<Option<Vec<u8>>>,
-    pending_out: Vec<(usize, Vec<u8>)>,
+    /// Deferred output writes in program order: the `CopyOut` op's index,
+    /// plus its bytes when they read the caller's buffers (which the flush
+    /// overwrites) and so had to be copied when the op ran.  `None` means
+    /// the bytes are value slots or literals, read at flush time.
+    pending_out: Vec<(usize, Option<Vec<u8>>)>,
     /// The caller's buffers: extent-length when the plan declares a layout,
     /// otherwise exactly the packed length the plan was recorded with.
     sendbuf: Option<Vec<u8>>,
@@ -286,8 +299,9 @@ impl PlanCursor {
             }
         }
         // Program drained: leave the scope, flush the deferred output writes
-        // and return every scratch buffer to the arena for the next
-        // invocation.
+        // (in program order, so a later write to a range wins) and return
+        // every scratch buffer to the arena for the next invocation.  The
+        // value slots are released only after the flush read them.
         self.scope = None;
         let mut arena = self.arena.borrow_mut();
         if !self.pending_out.is_empty() {
@@ -298,9 +312,26 @@ impl PlanCursor {
                     .as_deref_mut()
                     .expect("output writes need a buffer"),
             };
-            for (offset, data) in self.pending_out.drain(..) {
-                out[offset..offset + data.len()].copy_from_slice(&data);
-                arena.release(data);
+            for (pc, copied) in self.pending_out.drain(..) {
+                let PlanOp::CopyOut { offset, src } = &self.plan.ops[pc] else {
+                    unreachable!("only CopyOut ops defer output writes");
+                };
+                let mut at = *offset;
+                let mut write = |bytes: &[u8]| {
+                    out[at..at + bytes.len()].copy_from_slice(bytes);
+                    at += bytes.len();
+                };
+                match copied {
+                    Some(data) => {
+                        write(&data);
+                        arena.release(data);
+                    }
+                    None => {
+                        for seg in &src.segs {
+                            write(held_bytes(&self.vals, seg).expect("deferred by reference"));
+                        }
+                    }
+                }
             }
         }
         for slot in &mut self.vals {
@@ -481,9 +512,16 @@ impl PlanCursor {
                 self.arena.borrow_mut().release(other_bytes);
                 self.store_val(*dst, acc_bytes);
             }
-            PlanOp::CopyOut { offset, src } => {
-                let data = self.materialize(src);
-                self.pending_out.push((*offset, data));
+            PlanOp::CopyOut { src, .. } => {
+                // Bytes of the caller's buffers are copied now, before the
+                // flush overwrites them; value slots and literals are read
+                // at flush time.
+                let by_ref = src
+                    .segs
+                    .iter()
+                    .all(|seg| held_bytes(&self.vals, seg).is_some());
+                let copied = (!by_ref).then(|| self.materialize(src));
+                self.pending_out.push((self.pc, copied));
             }
             PlanOp::ChargeCopy { bytes } => comm.charge_copy(*bytes),
             PlanOp::ChargeReduce { bytes } => comm.charge_reduce(*bytes),
@@ -493,12 +531,13 @@ impl PlanCursor {
         StepOutcome::Advanced
     }
 
-    /// Store `data` into value slot `dst`, releasing any buffer the slot
-    /// held.
+    /// Store `data` into value slot `dst`.  A validated plan defines every
+    /// value once, so the slot is empty and keeps these bytes until the
+    /// drain — which the deferred output writes rely on.
     fn store_val(&mut self, dst: u32, data: Vec<u8>) {
-        if let Some(old) = self.vals[dst as usize].replace(data) {
-            self.arena.borrow_mut().release(old);
-        }
+        let slot = &mut self.vals[dst as usize];
+        assert!(slot.is_none(), "value {dst} defined twice");
+        *slot = Some(data);
     }
 
     fn scope(&self) -> &ScopeHandle {
@@ -538,17 +577,28 @@ impl PlanCursor {
                     let buf = recvbuf.expect("receive buffer present");
                     out.extend_from_slice(&buf[*offset..*offset + *len]);
                 }
-                SrcSeg::Val { id, offset, len } => {
-                    let val = self.vals[*id as usize]
-                        .as_deref()
-                        .expect("value defined before use");
-                    out.extend_from_slice(&val[*offset..*offset + *len]);
+                _ => {
+                    out.extend_from_slice(held_bytes(&self.vals, seg).expect("held by the cursor"))
                 }
-                SrcSeg::Lit(data) => out.extend_from_slice(data),
-                SrcSeg::Opaque { .. } => unreachable!("exec-fidelity plans have no opaque bytes"),
             }
         }
         out
+    }
+}
+
+/// The bytes of `seg` when the cursor holds them itself — a value slot or a
+/// literal of the plan; `None` for the caller's buffers.
+fn held_bytes<'a>(vals: &'a [Option<Vec<u8>>], seg: &'a SrcSeg) -> Option<&'a [u8]> {
+    match seg {
+        SrcSeg::Val { id, offset, len } => {
+            let val = vals[*id as usize]
+                .as_deref()
+                .expect("value defined before use");
+            Some(&val[*offset..*offset + *len])
+        }
+        SrcSeg::Lit(data) => Some(data),
+        SrcSeg::SendBuf { .. } | SrcSeg::RecvInit { .. } => None,
+        SrcSeg::Opaque { .. } => unreachable!("exec-fidelity plans have no opaque bytes"),
     }
 }
 
@@ -747,6 +797,75 @@ mod tests {
         assert_eq!(node.exposed_count(), 0, "the last leaver retired the scope");
         let [_, consumer] = cursors;
         assert_eq!(consumer.into_output().recvbuf.unwrap(), vec![40; 4]);
+    }
+
+    /// Output writes of value slots are flushed from the slots, writes of
+    /// the caller's buffer are copied when their op runs: on an in/out
+    /// buffer, `SendBuf`/`RecvInit` writes that follow a by-reference write
+    /// to the range they read still see the pre-execution bytes, the flush
+    /// applies both kinds in program order, and a source mixing a value with
+    /// the caller's buffer is copied too.
+    #[test]
+    fn in_out_output_writes_read_pre_execution_bytes_in_program_order() {
+        let topo = Topology::new(1, 1);
+        let src = |segs: Vec<SrcSeg>| Src { segs };
+        let val = |offset, len| SrcSeg::Val { id: 0, offset, len };
+        let copy_out = |offset, segs| PlanOp::CopyOut {
+            offset,
+            src: src(segs),
+        };
+        let plan = RankPlan {
+            rank: 0,
+            topology: topo,
+            fidelity: Fidelity::Exec,
+            io: IoShape {
+                recvbuf: Some(16),
+                inout: true,
+                needs_reduce_op: true,
+                ..IoShape::default()
+            },
+            names: Vec::new(),
+            val_lens: vec![4],
+            ops: vec![
+                PlanOp::Reduce {
+                    dst: 0,
+                    acc: src(vec![SrcSeg::SendBuf { offset: 0, len: 4 }]),
+                    other: src(vec![SrcSeg::Lit(vec![10; 4])]),
+                },
+                copy_out(0, vec![val(0, 4)]),
+                copy_out(4, vec![SrcSeg::SendBuf { offset: 0, len: 4 }]),
+                copy_out(8, vec![SrcSeg::RecvInit { offset: 0, len: 4 }]),
+                copy_out(10, vec![val(2, 2)]),
+                copy_out(12, vec![val(0, 2), SrcSeg::SendBuf { offset: 0, len: 2 }]),
+            ],
+        };
+        plan.validate().unwrap();
+        let results = Cluster::launch(topo, |ctx| {
+            let comm = ThreadComm::new(ctx);
+            let add = |acc: &mut [u8], other: &[u8]| {
+                for (a, b) in acc.iter_mut().zip(other) {
+                    *a = a.wrapping_add(*b);
+                }
+            };
+            let arena = shared_arena();
+            let buf = (1..=16).collect();
+            let plan = Rc::new(plan.clone());
+            let mut cursor = PlanCursor::new(plan, None, Some(buf), 1 << 16, Rc::clone(&arena));
+            cursor.run(&comm, Some(&add));
+            let stats = arena.borrow().stats();
+            (cursor.into_output().recvbuf.unwrap(), stats)
+        })
+        .unwrap();
+        let (out, stats) = &results[0];
+        assert_eq!(
+            out,
+            &[11, 12, 13, 14, 1, 2, 3, 4, 1, 2, 13, 14, 11, 12, 1, 2],
+            "value writes from the slots, caller-buffer writes from pre-execution bytes"
+        );
+        // The two reduction operands, the SendBuf and RecvInit writes and
+        // the mixed write take a buffer; the two value writes do not.
+        assert_eq!(stats.hits + stats.misses, 5, "{stats:?}");
+        assert_eq!(stats.released, 5, "{stats:?}");
     }
 
     #[test]

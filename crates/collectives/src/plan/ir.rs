@@ -374,6 +374,17 @@ pub enum PlanError {
         /// The value referenced.
         val: ValId,
     },
+    /// An op defines a value an earlier op already defined.  Plans are
+    /// single-assignment: the executor reads a value's bytes at any later
+    /// point of the run (deferred output writes read them at the end).
+    RedefinedValue {
+        /// Rank whose plan is invalid.
+        rank: usize,
+        /// Index of the offending op.
+        op: usize,
+        /// The value defined twice.
+        val: ValId,
+    },
     /// A source range exceeds the referenced buffer or value.
     SrcOutOfBounds {
         /// Rank whose plan is invalid.
@@ -418,6 +429,9 @@ impl std::fmt::Display for PlanError {
             PlanError::UndefinedValue { rank, op, val } => {
                 write!(f, "rank {rank} op {op}: value {val} used before definition")
             }
+            PlanError::RedefinedValue { rank, op, val } => {
+                write!(f, "rank {rank} op {op}: value {val} defined twice")
+            }
             PlanError::SrcOutOfBounds { rank, op } => {
                 write!(f, "rank {rank} op {op}: source range out of bounds")
             }
@@ -458,8 +472,8 @@ pub struct RankPlan {
 }
 
 impl RankPlan {
-    /// Validate the rank-local invariants: in-range names, define-before-use
-    /// values, in-bounds source ranges and output writes.
+    /// Validate the rank-local invariants: in-range names, values defined
+    /// once and before use, in-bounds source ranges and output writes.
     pub fn validate(&self) -> Result<(), PlanError> {
         let rank = self.rank;
         let mut defined = vec![false; self.val_lens.len()];
@@ -517,6 +531,13 @@ impl RankPlan {
                 let idx = val as usize;
                 if idx >= self.val_lens.len() || self.val_lens[idx] != len {
                     return Err(PlanError::UndefinedValue {
+                        rank,
+                        op: op_idx,
+                        val,
+                    });
+                }
+                if defined[idx] {
+                    return Err(PlanError::RedefinedValue {
                         rank,
                         op: op_idx,
                         val,
@@ -861,6 +882,27 @@ mod tests {
             plan.validate().unwrap_err(),
             PlanError::UndefinedValue { val: 0, .. }
         ));
+    }
+
+    #[test]
+    fn validate_rejects_a_value_defined_twice() {
+        let topo = Topology::new(1, 2);
+        let mut plan = leaf_plan(0, topo);
+        let recv = |tag| PlanOp::Recv {
+            source: 1,
+            tag,
+            len: 4,
+            dst: 0,
+        };
+        plan.ops = vec![recv(0), recv(1)];
+        assert_eq!(
+            plan.validate().unwrap_err(),
+            PlanError::RedefinedValue {
+                rank: 0,
+                op: 1,
+                val: 0
+            }
+        );
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! repeated-small-collective workload in API form.  With the plan cache the
 //! repeats never recompile; with the buffer arena they must also never
 //! allocate: every scratch buffer the second and later invocations need was
-//! released into the communicator's arena by the first (value slots and
-//! output writes locally, sent payloads replaced by the peers' symmetric
-//! receives).  The pin is on the arena's miss counter — it stops moving
-//! after the first invocation of each shape, on every rank.
+//! released into the communicator's arena by the first (value slots
+//! locally, sent payloads replaced by the peers' symmetric receives).  The
+//! pin is on the arena's miss counter — it stops moving after the first
+//! invocation of each shape, on every rank — and, for PiP-MColl on 2×2, on
+//! the exact number of buffers one steady-state start acquires.
 
+use pip_mcoll::core::comm::Communicator;
 use pip_mcoll::core::datatype::ReduceOp;
 use pip_mcoll::core::world::World;
 use pip_mcoll::model::Library;
@@ -174,6 +176,75 @@ fn pip_mcoll_compressed_persistent_starts_keep_the_arena_balanced() {
 #[test]
 fn open_mpi_compressed_persistent_starts_keep_the_arena_balanced() {
     assert_compressed_starts_are_balanced(Library::OpenMpi, 4, 1);
+}
+
+/// Arena acquisitions (hits plus misses) of one steady-state `start()`:
+/// the first start fills the pool, and every later one must acquire exactly
+/// as many buffers as the second.
+fn acquisitions_per_start(comm: &Communicator, mut start: impl FnMut()) -> u64 {
+    let acquired = || {
+        let stats = comm.arena_stats();
+        stats.hits + stats.misses
+    };
+    start();
+    let per_start: Vec<u64> = (0..3)
+        .map(|_| {
+            let before = acquired();
+            start();
+            acquired() - before
+        })
+        .collect();
+    assert!(
+        per_start.iter().all(|&n| n == per_start[0]),
+        "rank {}: steady-state starts acquired {per_start:?} buffers",
+        comm.rank()
+    );
+    per_start[0]
+}
+
+/// Copy-count guard: exactly how many scratch buffers one steady-state
+/// start of PiP-MColl's persistent allgather, allreduce and compressed
+/// allreduce takes from the arena on 2×2, per rank.  Output writes of value
+/// slots are flushed straight from the slots and take no buffer; a stray
+/// copy shows up here as a larger count.
+#[test]
+fn pip_mcoll_steady_state_starts_acquire_a_pinned_number_of_buffers() {
+    let library = Library::PipMColl;
+    let results = World::builder()
+        .nodes(2)
+        .ppn(2)
+        .library(library)
+        .run(|comm| {
+            let rank = comm.rank();
+            let len = comm.size() * library.profile().selection.compress_min_bytes / 8;
+            let input: Vec<f64> = (0..len).map(|i| (i + 97 * rank) as f64 * 0.5).collect();
+
+            let mut allgather = comm.allgather_init(&input[..256]);
+            let gathered = acquisitions_per_start(comm, || {
+                allgather.start();
+                let out = allgather.wait();
+                assert_eq!(out[256 * rank..256 * (rank + 1)], input[..256]);
+            });
+            let mut allreduce = comm.allreduce_init(&input, ReduceOp::Sum);
+            let reduced = acquisitions_per_start(comm, || {
+                allreduce.start();
+                allreduce.wait();
+            });
+            let mut compressed = comm.allreduce_compressed_init(&input, ReduceOp::Sum, 1e-3);
+            let compressed = acquisitions_per_start(comm, || {
+                compressed.start();
+                compressed.wait();
+            });
+            [gathered, reduced, compressed]
+        })
+        .unwrap();
+    // A cursor that also copied every value-slot output write took
+    // [4, 11, 13], [3, 11, 13], [6, 11, 13] and [5, 11, 13].
+    assert_eq!(
+        results,
+        vec![[3, 9, 11], [2, 9, 11], [4, 9, 11], [3, 9, 11]],
+        "arena acquisitions per start of [allgather, allreduce, compressed allreduce], by rank"
+    );
 }
 
 /// The blocking dispatch path shares the same arena: back-to-back blocking
