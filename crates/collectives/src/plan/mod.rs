@@ -33,4 +33,4 @@ pub use cursor::{CursorOutput, PlanCursor, StepOutcome};
 pub use ir::{Fidelity, IoShape, Plan, PlanError, PlanOp, RankPlan, Src, SrcSeg, ValId};
 pub use record::{assemble, record_trace, PlanComm, EXEC_PASSES};
 pub use rewrite::compress_rank_transfers;
-pub use symmetry::{folded_trace, ranks_equal_under, schedules_equal_under, PlanSymmetry};
+pub use symmetry::{ranks_equal_under, schedules_equal_under};

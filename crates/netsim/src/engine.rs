@@ -45,21 +45,42 @@
 //!   burst without a queue round-trip per op.  The chain breaks before any
 //!   op that reads or writes shared state (`Send`, `Recv`, `LocalBarrier`),
 //!   which is re-queued at the advanced clock so node-level resources are
-//!   still claimed in global time order.
+//!   still claimed in global time order — unless nothing else is scheduled
+//!   first, in which case the rank runs ahead without the round-trip.
 //!
 //! ## Folded replay
 //!
 //! [`SimEngine::run_folded`] exploits schedule symmetry (see
 //! [`crate::fold`]): when every node runs the same program modulo a node
 //! relabeling, simulating node 0's ranks alone reproduces the full
-//! system's timing.  Outgoing internode sends register the mirror-image
-//! *incoming* message (from the node the group maps onto node 0) with the
-//! same injection-complete time; those pending arrivals are applied to the
-//! receive side of node 0's adapter as soon as simulated time advances,
-//! in the order the full replay would process them.  Statistics are scaled
-//! by the node count and per-rank finish times are broadcast across each
-//! equivalence class.  This turns an `O(world)` replay into `O(ppn)`,
-//! which is what makes million-rank projection sweeps tractable.
+//! system's timing.  This turns an `O(world)` replay into `O(ppn)`, which
+//! is what makes million-rank projection sweeps tractable.
+//!
+//! Full and folded replay are one event loop over the *simulated* ranks:
+//! the whole world, or node 0's ranks — global ranks `0..ppn`, so every
+//! rank-indexed structure works unchanged, and per-node adapter and
+//! barrier state is sized for the one simulated node.  Folding changes
+//! exactly four things:
+//!
+//! * **the receive side of an internode send**: instead of claiming the
+//!   destination's adapter, the send registers the mirror-image *incoming*
+//!   message node 0 receives at the same moment (from the node the group
+//!   maps onto node 0, with the same injection-complete time);
+//! * **the mirror flush**: those pending arrivals are applied to node 0's
+//!   adapter as soon as simulated time advances past the instant they were
+//!   registered, in the order the full replay would process them;
+//! * **the run-ahead gate**: pending arrivals are not queue events, so a
+//!   rank only runs ahead when none are pending;
+//! * **the projection**: counters scale by the node count, the skew
+//!   percentiles stride by it, and per-rank finish times are broadcast
+//!   across each equivalence class.
+//!
+//! Folding is exact when the full replay is itself node-symmetric.  Its
+//! tie-break (rank order at equal times) can break that symmetry when a
+//! node takes tied arrivals from several source nodes, e.g. when each local
+//! rank sends to a different node offset at the same instant;
+//! [`FoldedTrace::detect`] does not look at timing and still folds such
+//! traces.
 //!
 //! ## Perturbation
 //!
@@ -572,6 +593,63 @@ struct BarrierSlot {
     waiters: Vec<u32>,
 }
 
+/// Serialize a message that reaches an adapter at `rx_ready` on the
+/// adapter's arrival side (`rx_free`, `busy`); returns when it has landed.
+fn land(rx_free: &mut Nanos, busy: &mut Nanos, rx_ready: Nanos, occupancy: Nanos) -> Nanos {
+    let rx_end = rx_ready.max(*rx_free) + occupancy;
+    *rx_free = rx_end;
+    *busy += occupancy;
+    rx_end
+}
+
+/// An inter-node arrival a folded replay owes node 0: the mirror image of a
+/// message node 0 sent, coming from the node the group maps onto node 0.
+#[derive(Debug)]
+struct MirrorRx {
+    src_node: usize,
+    source: u32,
+    dest: usize,
+    tag: u64,
+    rx_ready: Nanos,
+    occupancy: Nanos,
+}
+
+/// The ranks one replay simulates: every rank of a trace, or node 0's ranks
+/// of a folded trace — global ranks `0..ppn`, so rank, node, match-table,
+/// barrier and perturbation indexing is the same for both.
+#[derive(Debug, Clone, Copy)]
+enum Simulated<'a> {
+    World(&'a Trace),
+    Node0(&'a FoldedTrace),
+}
+
+impl<'a> Simulated<'a> {
+    #[inline]
+    fn program(self, rank: usize) -> &'a [TraceOp] {
+        match self {
+            Simulated::World(trace) => &trace.ranks[rank].ops,
+            Simulated::Node0(folded) => &folded.representatives()[rank],
+        }
+    }
+}
+
+/// Make `dest`, blocked on the message arriving at `arrival`, runnable.
+fn wake(ranks: &mut [RankRuntime], queue: &mut CalendarQueue, dest: usize, arrival: Nanos) {
+    ranks[dest].state = RankState::Runnable;
+    let wake = arrival.max(ranks[dest].ready_time);
+    queue.push(wake, dest as u32, ranks[dest].gen);
+}
+
+/// The run-ahead gate: whether a rank may apply its next shared-state op at
+/// `t` without a queue round-trip.  That is exact when nothing else can
+/// happen before `t` — every queued event is later — and nothing is owed
+/// outside the queue: pending mirror arrivals of a folded replay are not
+/// queue events, so the rank waits until they are applied.
+#[inline]
+fn may_run_ahead(queue: &mut CalendarQueue, mirror: &[MirrorRx], t: Nanos) -> bool {
+    mirror.is_empty() && queue.next_is_after(t)
+}
+
 // ---------------------------------------------------------------------------
 // Public outcome types
 // ---------------------------------------------------------------------------
@@ -762,7 +840,8 @@ impl SimEngine {
 
     /// Replay `trace` with explicit recording options.
     pub fn run_with(&self, trace: &Trace, options: RunOptions) -> Result<SimOutcome, SimError> {
-        self.replay_full(trace, options)
+        trace.validate().map_err(SimError::InvalidTrace)?;
+        self.replay(Simulated::World(trace), options)
     }
 
     /// Replay `trace` with the seed heap-based scheduler (see
@@ -801,22 +880,23 @@ impl SimEngine {
     /// A node-asymmetric [`Perturbation`] (per-rank straggler draws,
     /// per-link jitter, or drops) makes node 0 unrepresentative, so
     /// detection refuses to fold and the full world is replayed; symmetric
-    /// configs still fold.
+    /// configs still fold.  The trace is validated once, whichever replay
+    /// runs.
     pub fn run_folded_with(
         &self,
         trace: &Trace,
         options: RunOptions,
     ) -> Result<SimOutcome, SimError> {
         trace.validate().map_err(SimError::InvalidTrace)?;
-        match FoldedTrace::detect_with(trace, options.perturbation.as_ref()) {
-            Some(folded) => match self.replay_folded(&folded, options) {
+        if let Some(folded) = FoldedTrace::detect_with(trace, options.perturbation.as_ref()) {
+            match self.replay(Simulated::Node0(&folded), options) {
                 // The folded stuck list only names node-0 ranks; rerun the
                 // full world so the caller sees every stuck rank.
-                Err(SimError::Deadlock { .. }) => self.replay_full(trace, options),
-                other => other,
-            },
-            None => self.replay_full(trace, options),
+                Err(SimError::Deadlock { .. }) => {}
+                other => return other,
+            }
         }
+        self.replay(Simulated::World(trace), options)
     }
 
     /// Replay an already-folded trace directly.
@@ -845,34 +925,60 @@ impl SimEngine {
         {
             return Err(SimError::AsymmetricPerturbation);
         }
-        self.replay_folded(folded, options)
+        self.replay(Simulated::Node0(folded), options)
     }
 
-    fn replay_full(&self, trace: &Trace, options: RunOptions) -> Result<SimOutcome, SimError> {
-        trace.validate().map_err(SimError::InvalidTrace)?;
-        let topology = trace.topology;
+    /// The one event loop.  Callers validate; this only replays.
+    fn replay(
+        &self,
+        simulated: Simulated<'_>,
+        options: RunOptions,
+    ) -> Result<SimOutcome, SimError> {
+        let (topology, folded) = match simulated {
+            Simulated::World(trace) => (trace.topology, None),
+            Simulated::Node0(folded) => (folded.topology(), Some(folded)),
+        };
         let world = topology.world_size();
+        // A folded replay simulates node 0 and stands for `copies` of it.
+        let copies = if folded.is_some() {
+            topology.nodes()
+        } else {
+            1
+        };
+        let sim_ranks = world / copies;
+        let sim_nodes = topology.nodes() / copies;
         let nic = self.params.nic_model();
         let intranode = self.params.intranode;
 
-        let mut ranks: Vec<RankRuntime> = (0..world).map(|_| RankRuntime::fresh()).collect();
-
-        // Node-level NIC resources.
-        let mut tx_free = vec![0.0f64; topology.nodes()];
-        let mut rx_free = vec![0.0f64; topology.nodes()];
-        let mut nic_busy = vec![0.0f64; topology.nodes()];
-
-        let mut table = MatchTable::new(world);
-        let mut barriers: Vec<BarrierSlot> = (0..topology.nodes())
-            .map(|_| BarrierSlot::default())
-            .collect();
+        let mut ranks: Vec<RankRuntime> = (0..sim_ranks).map(|_| RankRuntime::fresh()).collect();
+        // Node-level NIC resources of the simulated nodes.
+        let mut tx_free = vec![0.0f64; sim_nodes];
+        let mut rx_free = vec![0.0f64; sim_nodes];
+        let mut nic_busy = vec![0.0f64; sim_nodes];
+        let mut table = MatchTable::new(sim_ranks);
+        let mut barriers: Vec<BarrierSlot> =
+            (0..sim_nodes).map(|_| BarrierSlot::default()).collect();
         let mut release_buf: Vec<u32> = Vec::new();
 
         let mut stats = SimStats::default();
-        let mut queue = CalendarQueue::new(self.bucket_width(), world);
-        let perturb = PerturbState::new(options.perturbation.as_ref(), world);
+        let mut queue = CalendarQueue::new(self.bucket_width(), sim_ranks);
+        // Only node-symmetric configs are folded (asymmetric ones are
+        // rejected or replayed in full), so every draw node 0's ranks see
+        // is exactly what every node's ranks see.
+        debug_assert!(
+            folded.is_none()
+                || options
+                    .perturbation
+                    .as_ref()
+                    .is_none_or(Perturbation::is_node_symmetric)
+        );
+        let perturb = PerturbState::new(options.perturbation.as_ref(), sim_ranks);
         // Receives starved by messages whose retry budget was exhausted.
         let mut starved: Vec<StarvedRecv> = Vec::new();
+        // Folded replay only: the mirror arrivals owed to node 0, all
+        // registered at one simulated instant (`mirror_time`).
+        let mut mirror: Vec<MirrorRx> = Vec::new();
+        let mut mirror_time = 0.0f64;
 
         // Chunked pipelines repeat one op shape thousands of times; a
         // one-entry memo per local-op kind turns the repeated cost-model
@@ -889,14 +995,37 @@ impl SimEngine {
             queue.push(delay, rank as u32, 0);
         }
 
-        while let Some(ev) = queue.pop() {
+        loop {
+            let ev = queue.pop();
+            if !mirror.is_empty() && ev.is_none_or(|e| e.time.total_cmp(&mirror_time).is_gt()) {
+                // Time is about to move past the batch: apply it in the
+                // order the full replay's scheduler would process the
+                // mirror sends.  All of them pop at one tied instant; the
+                // global tie order there is node-major (rank order), and
+                // within one node it is the order node 0's own sends were
+                // processed — the append order of `mirror`.  A stable sort
+                // by source node therefore reproduces the full
+                // interleaving.
+                mirror.sort_by_key(|m| m.src_node);
+                for m in mirror.drain(..) {
+                    let arrival = land(&mut rx_free[0], &mut nic_busy[0], m.rx_ready, m.occupancy);
+                    if table.deliver(m.source, m.dest, m.tag, arrival) {
+                        wake(&mut ranks, &mut queue, m.dest, arrival);
+                    }
+                }
+                if let Some(ev) = ev {
+                    queue.reinsert(ev);
+                }
+                continue;
+            }
+            let Some(ev) = ev else { break };
             let rank = ev.rank as usize;
             if ev.gen != ranks[rank].gen {
                 // Stale wakeup from before the rank last blocked/finished.
                 continue;
             }
             let mut now = ev.time.max(ranks[rank].ready_time);
-            let ops = &trace.ranks[rank].ops;
+            let ops = simulated.program(rank);
             // Chain purely rank-local ops without queue round-trips; break
             // (and re-queue) before anything touching shared state.
             let mut chained = false;
@@ -914,12 +1043,12 @@ impl SimEngine {
                     TraceOp::Send { .. } | TraceOp::Recv { .. } | TraceOp::LocalBarrier
                 );
                 // A chained rank may only touch shared state (NIC slots,
-                // mailboxes, barriers) if nothing else is scheduled before
-                // its advanced clock — applying the op right away is then
+                // mailboxes, barriers) if it may run ahead to its advanced
+                // clock — applying the op right away is then
                 // indistinguishable from a re-queue immediately followed by
                 // the pop of that same event.  Otherwise resume through the
                 // queue so claims happen in global time order.
-                if shared && chained && !queue.next_is_after(now) {
+                if shared && chained && !may_run_ahead(&mut queue, &mirror, now) {
                     ranks[rank].ready_time = now;
                     queue.push(now, ev.rank, ranks[rank].gen);
                     break;
@@ -1017,16 +1146,10 @@ impl SimEngine {
                             nic_busy[src_node] += occupancy * (1 + fate.retries) as f64;
                             stats.retries += fate.retries as usize;
                             stats.retransmitted_bytes += bytes * fate.retries as usize;
-                            if fate.delivered {
-                                let rx_ready = tx_end
-                                    + nic.wire_latency()
-                                    + perturb.extra_latency(src_node, dst_node);
-                                let rx_start = rx_ready.max(rx_free[dst_node]);
-                                let rx_end = rx_start + occupancy;
-                                rx_free[dst_node] = rx_end;
-                                nic_busy[dst_node] += occupancy;
-                                (sender_done, Some(rx_end))
-                            } else {
+                            let rx_ready = tx_end
+                                + nic.wire_latency()
+                                + perturb.extra_latency(src_node, dst_node);
+                            if !fate.delivered {
                                 starved.push(StarvedRecv {
                                     rank: dest,
                                     source: rank,
@@ -1034,14 +1157,37 @@ impl SimEngine {
                                     attempts: fate.retries + 1,
                                 });
                                 (sender_done, None)
+                            } else if let Some(folded) = folded {
+                                // By symmetry the node the group maps onto
+                                // node 0 sends node 0 the mirror image of
+                                // this message at this same moment.
+                                let src_node = folded.mirror_source_node(dst_node);
+                                if mirror.is_empty() {
+                                    mirror_time = now;
+                                }
+                                mirror.push(MirrorRx {
+                                    src_node,
+                                    source: topology.rank_of(src_node, rank) as u32,
+                                    dest: topology.local_rank_of(dest),
+                                    tag,
+                                    rx_ready,
+                                    occupancy,
+                                });
+                                (sender_done, None)
+                            } else {
+                                let arrival = land(
+                                    &mut rx_free[dst_node],
+                                    &mut nic_busy[dst_node],
+                                    rx_ready,
+                                    occupancy,
+                                );
+                                (sender_done, Some(arrival))
                             }
                         };
                         if let Some(arrival) = arrival {
                             if table.deliver(rank as u32, dest, tag, arrival) {
                                 // Wake the receiver blocked on this message.
-                                ranks[dest].state = RankState::Runnable;
-                                let wake = arrival.max(ranks[dest].ready_time);
-                                queue.push(wake, dest as u32, ranks[dest].gen);
+                                wake(&mut ranks, &mut queue, dest, arrival);
                             }
                         }
                         ranks[rank].pc += 1;
@@ -1049,7 +1195,7 @@ impl SimEngine {
                         // Run-ahead: keep executing this rank if nothing
                         // else is scheduled before its send completes (the
                         // receiver wake above is already queued and counts).
-                        if queue.next_is_after(sender_done) {
+                        if may_run_ahead(&mut queue, &mirror, sender_done) {
                             now = sender_done;
                             chained = false;
                             continue;
@@ -1070,7 +1216,7 @@ impl SimEngine {
                                 let done = now.max(arrival) + recv_cost;
                                 ranks[rank].pc += 1;
                                 ranks[rank].ready_time = done;
-                                if queue.next_is_after(done) {
+                                if may_run_ahead(&mut queue, &mirror, done) {
                                     now = done;
                                     chained = false;
                                     continue;
@@ -1139,344 +1285,34 @@ impl SimEngine {
             }));
         }
 
-        stats.nic_busy_total = nic_busy.iter().sum();
-        stats.nic_busy_max = nic_busy.iter().copied().fold(0.0, Nanos::max);
-
-        let mut sorted_finish: Vec<Nanos> = ranks.iter().map(|r| r.finish_time).collect();
-        sorted_finish.sort_unstable_by(|a, b| a.total_cmp(b));
-        (stats.finish_skew_p50, stats.finish_skew_p99) = skew_percentiles(&sorted_finish, world, 1);
-
-        let makespan = ranks.iter().map(|r| r.finish_time).fold(0.0, Nanos::max);
-        let rank_finish = if options.record_rank_finish {
-            ranks.iter().map(|r| r.finish_time).collect()
-        } else {
-            Vec::new()
-        };
-        Ok(SimOutcome {
-            makespan,
-            rank_finish,
-            stats,
-        })
-    }
-
-    fn replay_folded(
-        &self,
-        folded: &FoldedTrace,
-        options: RunOptions,
-    ) -> Result<SimOutcome, SimError> {
-        let topology = folded.topology();
-        let ppn = topology.ppn();
-        let nodes = topology.nodes();
-        let nic = self.params.nic_model();
-        let intranode = self.params.intranode;
-        let reps = folded.representatives();
-
-        let mut ranks: Vec<RankRuntime> = (0..ppn).map(|_| RankRuntime::fresh()).collect();
-
-        // Node 0's adapter; every other node's mirrors it exactly.
-        let mut tx_free0 = 0.0f64;
-        let mut rx_free0 = 0.0f64;
-        let mut nic_busy0 = 0.0f64;
-
-        let mut table = MatchTable::new(ppn);
-        let mut barrier = BarrierSlot::default();
-        let mut release_buf: Vec<u32> = Vec::new();
-
-        let mut stats = SimStats::default();
-        let mut queue = CalendarQueue::new(self.bucket_width(), ppn);
-        // Only node-symmetric configs reach this path (asymmetric ones are
-        // rejected or fall back to the full replay), so every draw is
-        // uniform: node 0's ranks see exactly what every node's ranks see.
-        debug_assert!(options
-            .perturbation
-            .as_ref()
-            .is_none_or(Perturbation::is_node_symmetric));
-        let perturb = PerturbState::new(options.perturbation.as_ref(), ppn);
-
-        // Mirror-image incoming messages implied by node 0's outgoing
-        // sends, all registered at one simulated instant (`pending_time`)
-        // and applied to node 0's receive side when time advances.
-        struct PendingRx {
-            src_node: u32,
-            src_local: u32,
-            dest_local: u32,
-            bytes: usize,
-            tag: u64,
-            tx_end: Nanos,
-        }
-        let mut pending: Vec<PendingRx> = Vec::new();
-        let mut pending_time = 0.0f64;
-
-        // Same one-entry cost memos as the full replay (see there).
-        let mut reduce_memo: (usize, Nanos) = (usize::MAX, 0.0);
-        let mut codec_memo: (usize, Nanos) = (usize::MAX, 0.0);
-        let mut copy_memo: (usize, Option<IntranodeMechanism>, bool, Nanos) =
-            (usize::MAX, None, false, 0.0);
-
-        for (local, state) in ranks.iter_mut().enumerate() {
-            let delay = perturb.start_delay(local);
-            state.ready_time = delay;
-            stats.straggler_idle_total += delay;
-            queue.push(delay, local as u32, 0);
-        }
-
-        loop {
-            let ev = queue.pop();
-            let flush = !pending.is_empty()
-                && ev
-                    .map(|e| e.time.total_cmp(&pending_time).is_gt())
-                    .unwrap_or(true);
-            if flush {
-                // Apply the batch in the order the full replay's scheduler
-                // would process the mirror sends.  All of them pop at one
-                // tied instant; the global tie order there is node-major
-                // (rank order), and within one node the per-rank order
-                // matches the order node 0's own sends processed — which is
-                // exactly the append order of `pending`.  A stable sort by
-                // source node therefore reproduces the full interleaving.
-                pending.sort_by_key(|p| p.src_node);
-                for p in pending.drain(..) {
-                    // Symmetric link perturbations draw the same value for
-                    // every node pair, so the mirror link's derating equals
-                    // the outgoing link's.
-                    let occupancy = perturb.occupancy(nic.nic_occupancy(p.bytes), 0, 0);
-                    let rx_ready = p.tx_end + nic.wire_latency() + perturb.extra_latency(0, 0);
-                    let rx_start = rx_ready.max(rx_free0);
-                    let rx_end = rx_start + occupancy;
-                    rx_free0 = rx_end;
-                    nic_busy0 += occupancy;
-                    let source = topology.rank_of(p.src_node as usize, p.src_local as usize) as u32;
-                    let dest = p.dest_local as usize;
-                    if table.deliver(source, dest, p.tag, rx_end) {
-                        ranks[dest].state = RankState::Runnable;
-                        let wake = rx_end.max(ranks[dest].ready_time);
-                        queue.push(wake, p.dest_local, ranks[dest].gen);
-                    }
-                }
-                if let Some(ev) = ev {
-                    queue.reinsert(ev);
-                }
-                continue;
-            }
-            let Some(ev) = ev else { break };
-            let local = ev.rank as usize;
-            if ev.gen != ranks[local].gen {
-                continue;
-            }
-            let mut now = ev.time.max(ranks[local].ready_time);
-            let ops = &reps[local];
-            let mut chained = false;
-            loop {
-                let pc = ranks[local].pc;
-                if pc >= ops.len() {
-                    ranks[local].state = RankState::Finished;
-                    ranks[local].finish_time = now;
-                    ranks[local].gen = ranks[local].gen.wrapping_add(1);
-                    break;
-                }
-                let op = ops[pc];
-                let is_shared = matches!(
-                    op,
-                    TraceOp::Send { .. } | TraceOp::Recv { .. } | TraceOp::LocalBarrier
-                );
-                if is_shared && chained {
-                    ranks[local].ready_time = now;
-                    queue.push(now, ev.rank, ranks[local].gen);
-                    break;
-                }
-                match op {
-                    TraceOp::Delay { nanos } => {
-                        now += nanos.max(0.0);
-                        ranks[local].pc += 1;
-                        chained = true;
-                    }
-                    TraceOp::Compute { nanos } => {
-                        let (busy, extra) = perturb.compute(local, nanos);
-                        stats.compute_total += busy;
-                        stats.straggler_idle_total += extra;
-                        now += busy;
-                        ranks[local].pc += 1;
-                        chained = true;
-                    }
-                    TraceOp::Reduce { bytes } => {
-                        if reduce_memo.0 != bytes {
-                            reduce_memo = (bytes, self.params.memcpy.reduce_cost(bytes));
-                        }
-                        now += reduce_memo.1;
-                        ranks[local].pc += 1;
-                        chained = true;
-                    }
-                    TraceOp::Codec { bytes } => {
-                        if codec_memo.0 != bytes {
-                            codec_memo = (bytes, self.params.memcpy.copy_cost(bytes));
-                        }
-                        now += codec_memo.1;
-                        ranks[local].pc += 1;
-                        chained = true;
-                    }
-                    TraceOp::CopyIntra {
-                        bytes,
-                        mechanism,
-                        first_use,
-                    } => {
-                        let cold = first_use && !self.params.warm_buffers;
-                        if copy_memo.0 != bytes || copy_memo.1 != mechanism || copy_memo.2 != cold {
-                            let cost_model = mechanism
-                                .map(IntranodeCost::defaults_for)
-                                .unwrap_or(intranode);
-                            copy_memo = (
-                                bytes,
-                                mechanism,
-                                cold,
-                                cost_model.transfer_cost(bytes, cold),
-                            );
-                        }
-                        now += copy_memo.3;
-                        ranks[local].pc += 1;
-                        chained = true;
-                    }
-                    TraceOp::Send { dest, bytes, tag } => {
-                        // Node 0's ranks are globally ranks 0..ppn.
-                        let dst_node = topology.node_of(dest);
-                        let sender_done = if dest == local {
-                            let done = now + self.params.memcpy.copy_cost(bytes);
-                            if table.deliver(local as u32, local, tag, done) {
-                                ranks[local].state = RankState::Runnable;
-                            }
-                            done
-                        } else if dst_node == 0 {
-                            stats.intranode_messages += 1;
-                            let cost = intranode.transfer_cost(bytes, !self.params.warm_buffers)
-                                + self.params.software_send_overhead;
-                            let done = now + cost;
-                            if table.deliver(local as u32, dest, tag, done) {
-                                ranks[dest].state = RankState::Runnable;
-                                let wake = done.max(ranks[dest].ready_time);
-                                queue.push(wake, dest as u32, ranks[dest].gen);
-                            }
-                            done
-                        } else {
-                            stats.internode_messages += 1;
-                            stats.internode_bytes += bytes;
-                            let sender_done = now
-                                + nic.host_send_overhead(bytes)
-                                + self.params.software_send_overhead;
-                            // Drops cannot be active here (they are never
-                            // node-symmetric), so no retransmit chain.
-                            let occupancy = perturb.occupancy(nic.nic_occupancy(bytes), 0, 0);
-                            let tx_start = sender_done.max(tx_free0);
-                            let tx_end = tx_start + occupancy;
-                            tx_free0 = tx_end;
-                            nic_busy0 += occupancy;
-                            // By symmetry a mirror-image message from the
-                            // inverse-image node finishes injection at the
-                            // same moment and lands on node 0.
-                            if pending.is_empty() {
-                                pending_time = now;
-                            }
-                            pending.push(PendingRx {
-                                src_node: folded.mirror_source_node(dst_node) as u32,
-                                src_local: local as u32,
-                                dest_local: topology.local_rank_of(dest) as u32,
-                                bytes,
-                                tag,
-                                tx_end,
-                            });
-                            sender_done
-                        };
-                        ranks[local].pc += 1;
-                        ranks[local].ready_time = sender_done;
-                        queue.push(sender_done, ev.rank, ranks[local].gen);
-                        break;
-                    }
-                    TraceOp::Recv { source, bytes, tag } => {
-                        match table.consume(source as u32, local, tag) {
-                            Some(arrival) => {
-                                let same_node = topology.same_node(source, local);
-                                let recv_cost = if same_node || source == local {
-                                    INTRA_RECV_FLAG_COST + self.params.software_recv_overhead
-                                } else {
-                                    nic.host_recv_overhead(bytes)
-                                        + self.params.software_recv_overhead
-                                };
-                                let done = now.max(arrival) + recv_cost;
-                                ranks[local].pc += 1;
-                                ranks[local].ready_time = done;
-                                queue.push(done, ev.rank, ranks[local].gen);
-                            }
-                            None => {
-                                ranks[local].state = RankState::BlockedOnRecv;
-                                ranks[local].ready_time = now;
-                                ranks[local].gen = ranks[local].gen.wrapping_add(1);
-                            }
-                        }
-                        break;
-                    }
-                    TraceOp::LocalBarrier => {
-                        barrier.arrived += 1;
-                        barrier.latest = barrier.latest.max(now);
-                        if barrier.arrived == ppn {
-                            let release = barrier.latest + self.params.barrier_cost(ppn);
-                            stats.barrier_episodes += 1;
-                            release_buf.clear();
-                            release_buf.append(&mut barrier.waiters);
-                            release_buf.push(ev.rank);
-                            barrier.arrived = 0;
-                            barrier.latest = 0.0;
-                            for &waiter in &release_buf {
-                                let w = waiter as usize;
-                                ranks[w].state = RankState::Runnable;
-                                ranks[w].pc += 1;
-                                ranks[w].ready_time = release;
-                                queue.push(release, waiter, ranks[w].gen);
-                            }
-                        } else {
-                            barrier.waiters.push(ev.rank);
-                            ranks[local].state = RankState::BlockedOnBarrier;
-                            ranks[local].ready_time = now;
-                            ranks[local].gen = ranks[local].gen.wrapping_add(1);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-
-        let stuck: Vec<usize> = ranks
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.state != RankState::Finished)
-            .map(|(local, _)| local)
-            .collect();
-        if !stuck.is_empty() {
-            return Err(SimError::Deadlock { stuck_ranks: stuck });
-        }
-
-        // Project node 0 onto the world: integer counters scale exactly;
-        // the float totals are `N * x` where the full replay sums `N`
-        // bitwise-identical per-node values.
-        let n = nodes as f64;
-        stats.internode_messages *= nodes;
-        stats.intranode_messages *= nodes;
-        stats.internode_bytes *= nodes;
-        stats.barrier_episodes *= nodes;
+        // Project the simulated nodes onto the world (the identity for a
+        // full replay, where `copies == 1`): integer counters scale
+        // exactly; the float totals are `copies * x` where the full replay
+        // sums `copies` bitwise-identical per-node values.
+        let n = copies as f64;
+        stats.internode_messages *= copies;
+        stats.intranode_messages *= copies;
+        stats.internode_bytes *= copies;
+        stats.barrier_episodes *= copies;
         stats.compute_total *= n;
         stats.straggler_idle_total *= n;
-        stats.nic_busy_total = nic_busy0 * n;
-        stats.nic_busy_max = nic_busy0;
+        stats.nic_busy_total = nic_busy.iter().sum::<Nanos>() * n;
+        stats.nic_busy_max = nic_busy.iter().copied().fold(0.0, Nanos::max);
 
-        // Each class finish time occurs `nodes` times in the full world's
-        // sorted finish array, so the percentile lookup strides by `nodes`
-        // and reproduces the full replay's skew bit for bit.
+        // Each class finish time occurs `copies` times in the world's
+        // sorted finish array, so the percentile lookup strides by
+        // `copies` and reproduces the full replay's skew bit for bit.
         let mut sorted_finish: Vec<Nanos> = ranks.iter().map(|r| r.finish_time).collect();
         sorted_finish.sort_unstable_by(|a, b| a.total_cmp(b));
         (stats.finish_skew_p50, stats.finish_skew_p99) =
-            skew_percentiles(&sorted_finish, topology.world_size(), nodes);
+            skew_percentiles(&sorted_finish, world, copies);
 
         let makespan = ranks.iter().map(|r| r.finish_time).fold(0.0, Nanos::max);
         let rank_finish = if options.record_rank_finish {
-            (0..topology.world_size())
-                .map(|rank| ranks[topology.local_rank_of(rank)].finish_time)
+            // World rank `r` is simulated by rank `r`, or by its class
+            // representative `r mod ppn` on node 0.
+            (0..world)
+                .map(|rank| ranks[rank % sim_ranks].finish_time)
                 .collect()
         } else {
             Vec::new()
@@ -1788,10 +1624,14 @@ mod tests {
             },
         );
         // No matching receive.
-        assert!(matches!(
-            engine().run(&trace).unwrap_err(),
-            SimError::InvalidTrace(_)
-        ));
+        let engine = engine();
+        for result in [
+            engine.run(&trace),
+            engine.run_folded(&trace),
+            engine.run_folded_with(&trace, RunOptions::summary()),
+        ] {
+            assert!(matches!(result.unwrap_err(), SimError::InvalidTrace(_)));
+        }
     }
 
     #[test]

@@ -14,12 +14,19 @@
 //! trace is invariant the ranks sharing a local rank form one equivalence
 //! class: they execute the same program modulo the relabeling, observe
 //! mirror-image network contention, and finish at the same time.  The
-//! folded replay in [`crate::engine`] exploits exactly this.
+//! folded replay in [`crate::engine`] — the full replay's event loop run
+//! over node 0's ranks — exploits exactly this.
 //!
 //! Detection is *verified*, not assumed: [`FoldedTrace::detect`] checks the
 //! candidate group's generators against every rank's op list (O(total ops)
 //! per generator) and returns `None` — the caller falls back to full replay
-//! — whenever the classes do not close.
+//! — whenever the classes do not close.  Traces that never exist in full
+//! are folded from node 0's programs with
+//! [`FoldedTrace::from_representatives`], the caller vouching for the
+//! symmetry (`pip-mpi-model`'s `compile_folded` probes a few nodes).
+//!
+//! The node map is [`FoldGroup::relabel_rank`]; detection, expansion and
+//! the plan-level comparisons in `pip-collectives` all relabel through it.
 
 use pip_runtime::Topology;
 
@@ -35,6 +42,38 @@ pub enum FoldGroup {
     /// Node XOR `(n, l) → (n ⊕ d, l)` (requires a power-of-two node count);
     /// closes recursive-doubling schedules.
     Xor,
+}
+
+impl FoldGroup {
+    /// The node map: the image of `rank` under the group element that
+    /// carries node 0 to node `delta`.  Local ranks are fixed.
+    #[inline]
+    pub fn relabel_rank(self, rank: usize, topology: Topology, delta: usize) -> usize {
+        let node = topology.node_of(rank);
+        let mapped = match self {
+            FoldGroup::Rotation => (node + delta) % topology.nodes(),
+            FoldGroup::Xor => node ^ delta,
+        };
+        topology.rank_of(mapped, topology.local_rank_of(rank))
+    }
+
+    /// `op` with its peer, if it has one, carried by [`Self::relabel_rank`].
+    #[inline]
+    pub fn relabel_op(self, op: TraceOp, topology: Topology, delta: usize) -> TraceOp {
+        match op {
+            TraceOp::Send { dest, bytes, tag } => TraceOp::Send {
+                dest: self.relabel_rank(dest, topology, delta),
+                bytes,
+                tag,
+            },
+            TraceOp::Recv { source, bytes, tag } => TraceOp::Recv {
+                source: self.relabel_rank(source, topology, delta),
+                bytes,
+                tag,
+            },
+            other => other,
+        }
+    }
 }
 
 /// Problems detected when constructing a [`FoldedTrace`] directly from
@@ -273,7 +312,7 @@ impl FoldedTrace {
                 } else {
                     let ops: Vec<TraceOp> = rep
                         .iter()
-                        .map(|op| relabel_op(*op, self.group, self.topology, node))
+                        .map(|op| self.group.relabel_op(*op, self.topology, node))
                         .collect();
                     trace.set_rank_ops(rank, ops.into());
                 }
@@ -283,90 +322,24 @@ impl FoldedTrace {
     }
 }
 
-/// Apply the group element carrying node 0 to `delta` to one op's peers.
-fn relabel_op(op: TraceOp, group: FoldGroup, topology: Topology, delta: usize) -> TraceOp {
-    let map = |rank: usize| relabel_rank(rank, group, topology, delta);
-    match op {
-        TraceOp::Send { dest, bytes, tag } => TraceOp::Send {
-            dest: map(dest),
-            bytes,
-            tag,
-        },
-        TraceOp::Recv { source, bytes, tag } => TraceOp::Recv {
-            source: map(source),
-            bytes,
-            tag,
-        },
-        other => other,
-    }
-}
-
-fn relabel_rank(rank: usize, group: FoldGroup, topology: Topology, delta: usize) -> usize {
-    let node = topology.node_of(rank);
-    let local = topology.local_rank_of(rank);
-    let mapped = match group {
-        FoldGroup::Rotation => (node + delta) % topology.nodes(),
-        FoldGroup::Xor => node ^ delta,
-    };
-    topology.rank_of(mapped, local)
-}
-
 /// Check that relabeling every rank's program by the group element `delta`
 /// reproduces the mapped rank's program exactly.
 fn generator_closes(trace: &Trace, group: FoldGroup, delta: usize) -> bool {
     let topology = trace.topology;
     for (rank, rt) in trace.ranks.iter().enumerate() {
-        let image = relabel_rank(rank, group, topology, delta);
+        let image = group.relabel_rank(rank, topology, delta);
         let image_ops: &RankTrace = &trace.ranks[image];
         if rt.ops.len() != image_ops.ops.len() {
             return false;
         }
         // Compare op-for-op with an on-the-fly relabel: no allocation.
         for (op, image_op) in rt.ops.iter().zip(image_ops.ops.iter()) {
-            if relabel_op(*op, group, topology, delta) != *image_op {
+            if group.relabel_op(*op, topology, delta) != *image_op {
                 return false;
             }
         }
     }
     true
-}
-
-/// A compact summary of a trace's symmetry, for reporting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FoldReport {
-    /// The group the schedule closed under, if any.
-    pub group: Option<FoldGroup>,
-    /// Number of equivalence classes (equal to the world size when the
-    /// schedule does not fold).
-    pub classes: usize,
-    /// Events a folded replay processes, as a fraction of the full replay.
-    pub replay_fraction: f64,
-}
-
-impl FoldReport {
-    /// Summarize `trace`'s symmetry.
-    pub fn of(trace: &Trace) -> FoldReport {
-        match FoldedTrace::detect(trace) {
-            Some(folded) => {
-                let full: usize = trace.ranks.iter().map(|r| r.ops.len()).sum();
-                let folded_events: usize = folded.representatives().iter().map(|o| o.len()).sum();
-                FoldReport {
-                    group: Some(folded.group()),
-                    classes: folded.representatives().len(),
-                    replay_fraction: if full == 0 {
-                        1.0
-                    } else {
-                        folded_events as f64 / full as f64
-                    },
-                }
-            }
-            None => FoldReport {
-                group: None,
-                classes: trace.topology.world_size(),
-                replay_fraction: 1.0,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -476,9 +449,6 @@ mod tests {
             );
         }
         assert!(FoldedTrace::detect(&trace).is_none());
-        let report = FoldReport::of(&trace);
-        assert_eq!(report.group, None);
-        assert_eq!(report.classes, topo.world_size());
     }
 
     #[test]
@@ -503,14 +473,6 @@ mod tests {
         let folded = FoldedTrace::detect(&doubling_trace(4, 1)).unwrap();
         // XOR is an involution: outgoing to d mirrors an arrival from d.
         assert_eq!(folded.mirror_source_node(3), 3);
-    }
-
-    #[test]
-    fn fold_report_measures_replay_fraction() {
-        let report = FoldReport::of(&ring_trace(8, 2));
-        assert_eq!(report.group, Some(FoldGroup::Rotation));
-        assert_eq!(report.classes, 2);
-        assert!((report.replay_fraction - 1.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

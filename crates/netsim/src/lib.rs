@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use cluster::ClusterSpec;
 pub use engine::{RunOptions, SimEngine, SimError, SimFailure, SimOutcome, SimStats, StarvedRecv};
-pub use fold::{FoldGroup, FoldReport, FoldedTrace};
+pub use fold::{FoldGroup, FoldedTrace};
 pub use network::{simulate, simulate_degraded, simulate_folded, SimulationReport};
 pub use params::SimParams;
 pub use perturb::{DropSpec, LinkSpec, Perturbation, SendFate, StragglerSpec};

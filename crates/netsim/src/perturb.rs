@@ -3,9 +3,9 @@
 //! A [`Perturbation`] describes a degraded fabric: straggling ranks, noisy
 //! links, and lossy links with a retry budget.  It is carried through
 //! [`crate::engine::RunOptions`] and applied identically by the
-//! calendar-queue engine, the seed reference engine, and (when the config
-//! is node-symmetric) the folded replay, so the three paths stay
-//! differentially pinned under every config.
+//! calendar-queue engine — whose one event loop also runs the folded
+//! replay when the config is node-symmetric — and the seed reference
+//! engine, so every path stays differentially pinned under every config.
 //!
 //! ## Determinism
 //!

@@ -8,97 +8,20 @@
 //! (unfoldable traces fall back to the full path).
 //!
 //! Traces are generated randomly: shifted all-to-one-peer exchange rounds
-//! with per-rank local-op preludes (delays, compute, reductions, copies),
-//! optional barrier rounds, and self-sends when the shift is zero.
+//! with local-op preludes (delays, compute, reductions, copies), optional
+//! barrier rounds, and self-sends when the shift is zero.  Per-rank
+//! preludes almost never fold, so the folded replay is also pinned on a
+//! node-symmetric generator whose every trace folds.
 
 use pip_netsim::{
-    DropSpec, Perturbation, RunOptions, SimEngine, SimError, SimParams, StragglerSpec, Trace,
-    TraceOp,
+    DropSpec, FoldedTrace, Perturbation, RunOptions, SimEngine, SimError, SimParams, StragglerSpec,
+    Trace, TraceOp,
 };
 use pip_runtime::Topology;
 use proptest::prelude::*;
 
-/// Small deterministic generator so a failing case is reproducible from the
-/// printed seed alone.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        // splitmix64 step.
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
-/// A random valid trace: every send is matched by a receive, barriers are
-/// collective per node, and local ops have irregular (non-tying) costs.
-fn random_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Trace {
-    let topology = Topology::new(nodes, ppn);
-    let world = topology.world_size();
-    let mut rng = Lcg(seed | 1);
-    let mut trace = Trace::empty(topology);
-    for round in 0..rounds {
-        // Per-rank local preludes with irregular costs.
-        for rank in 0..world {
-            for _ in 0..rng.below(3) {
-                let op = match rng.below(4) {
-                    0 => TraceOp::Delay {
-                        nanos: 0.27 * rng.below(10_000) as f64,
-                    },
-                    1 => TraceOp::Compute {
-                        nanos: 0.31 * rng.below(10_000) as f64,
-                    },
-                    2 => TraceOp::Reduce {
-                        bytes: 1 + rng.below(65_536) as usize,
-                    },
-                    _ => TraceOp::CopyIntra {
-                        bytes: 1 + rng.below(65_536) as usize,
-                        mechanism: None,
-                        first_use: rng.below(2) == 0,
-                    },
-                };
-                trace.push(rank, op);
-            }
-        }
-        // A shifted exchange: rank -> (rank + d) % world, matched receives.
-        let shift = rng.below(world as u64) as usize;
-        let bytes = 1 + rng.below(5_000) as usize;
-        let tag = round as u64;
-        for rank in 0..world {
-            trace.push(
-                rank,
-                TraceOp::Send {
-                    dest: (rank + shift) % world,
-                    bytes,
-                    tag,
-                },
-            );
-        }
-        for rank in 0..world {
-            trace.push(
-                rank,
-                TraceOp::Recv {
-                    source: (rank + world - shift) % world,
-                    bytes,
-                    tag,
-                },
-            );
-        }
-        if rng.below(4) == 0 {
-            for rank in 0..world {
-                trace.push(rank, TraceOp::LocalBarrier);
-            }
-        }
-    }
-    trace
-}
+mod common;
+use common::{random_trace, symmetric_trace};
 
 fn assert_outcomes_agree(
     label: &str,
@@ -179,6 +102,25 @@ proptest! {
         let folded = engine.run_folded(&trace).expect("folded replay");
         assert_outcomes_agree(
             &format!("{nodes}x{ppn} rounds={rounds} seed={seed}"),
+            &folded,
+            &full,
+        );
+    }
+
+    #[test]
+    fn folded_replay_matches_full_replay_on_node_symmetric_traces(
+        nodes in 2usize..6,
+        ppn in 1usize..5,
+        rounds in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let trace = symmetric_trace(nodes, ppn, rounds, seed);
+        prop_assert!(FoldedTrace::detect(&trace).is_some());
+        let engine = SimEngine::new(SimParams::default());
+        let full = engine.run(&trace).expect("full replay");
+        let folded = engine.run_folded(&trace).expect("folded replay");
+        assert_outcomes_agree(
+            &format!("sym {nodes}x{ppn} rounds={rounds} seed={seed}"),
             &folded,
             &full,
         );

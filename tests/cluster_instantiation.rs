@@ -10,13 +10,13 @@
 //! "instantiated" from "fell back to O(world)", so the instantiated-rank
 //! counts are asserted separately.
 
-use pip_mcoll::collectives::plan::symmetry::{ranks_equal_under, PlanSymmetry};
+use pip_mcoll::collectives::plan::symmetry::ranks_equal_under;
 use pip_mcoll::collectives::plan::{Fidelity, IoShape, Plan, PlanOp, RankPlan, Src};
 use pip_mcoll::collectives::{Codec, CollectiveKind, FloatElem, Layout};
 use pip_mcoll::model::plan::{compile_cluster, compile_rank};
 use pip_mcoll::model::{ClusterPlanCache, CollectiveShape, CompressSpec, Library};
 use pip_mcoll::netsim::cluster::ClusterSpec;
-use pip_mcoll::netsim::FoldGroup;
+use pip_mcoll::netsim::{FoldGroup, FoldedTrace};
 use pip_mcoll::runtime::Topology;
 use proptest::prelude::*;
 
@@ -389,7 +389,7 @@ fn probes_sample_the_symmetry_they_do_not_prove_it() {
         plan.ranks[3],
         "instantiating node 3 from node 0 would be wrong"
     );
-    assert!(!PlanSymmetry::analyze(&plan).folds());
+    assert!(FoldedTrace::detect(&plan.to_trace(0)).is_none());
 }
 
 /// A rank program touching every peer-addressing op plus peer-free ones,
