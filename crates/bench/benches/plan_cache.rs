@@ -5,8 +5,9 @@
 //! Two granularities are measured:
 //!
 //! * **rank plan (exec fidelity)** — what a `Communicator` compiles on its
-//!   dispatch hot path: 8 fingerprint passes of the algorithm plus payload
-//!   resolution for one rank, versus a cache lookup;
+//!   dispatch hot path: as many fingerprint passes of the algorithm as the
+//!   plan's bytes need (four here: the 2 304-block receive buffer alone is
+//!   144 KiB) plus payload resolution for one rank, versus a cache lookup;
 //! * **cluster plan (schedule fidelity)** — what figure generation compiles
 //!   per data point: one algorithm pass for every one of the 2304 ranks,
 //!   versus a cache lookup plus the `Plan → Trace` lowering.

@@ -608,7 +608,7 @@ mod tests {
     use crate::comm::{Comm, ThreadComm};
     use crate::plan::arena::shared_arena;
     use crate::plan::ir::IoShape;
-    use crate::plan::record::{assemble, PlanComm, EXEC_PASSES};
+    use crate::plan::record::{assemble, compile_exec, PlanComm};
     use pip_runtime::{Cluster, Fabric, NodeSpace, TaskCtx, Topology};
 
     /// Compile `rank`'s plan of `body` by recording it.  Compiling is
@@ -620,14 +620,7 @@ mod tests {
         io: IoShape,
         body: impl Fn(&PlanComm) -> Option<Vec<u8>>,
     ) -> Rc<RankPlan> {
-        let passes = (0..EXEC_PASSES as u32)
-            .map(|pass| {
-                let comm = PlanComm::new(rank, topo, pass, Fidelity::Exec);
-                let out = body(&comm);
-                comm.finish(out)
-            })
-            .collect();
-        Rc::new(assemble(rank, topo, Fidelity::Exec, io, passes))
+        Rc::new(compile_exec(rank, topo, io, body))
     }
 
     fn io(sendbuf: usize, recvbuf: usize) -> IoShape {

@@ -9,42 +9,52 @@
 //! buffers the `Comm` surface hands them, so the recorder cannot see where an
 //! outgoing payload came from.  The compiler recovers provenance with **fingerprint taint**:
 //!
-//! * every symbolic location `(value, offset)` has a 64-bit *fingerprint
-//!   key*, `mix64((value << 32 | offset) + C)`, where `mix64` is the
-//!   splitmix64 finaliser — a **bijection** on `u64` with a closed-form
-//!   inverse (`unmix64`);
-//! * an exec-fidelity compile runs the algorithm **eight times**
-//!   ([`EXEC_PASSES`]), and in pass *p* every byte the recorder hands to the
-//!   algorithm (receives, shared reads, the caller's buffers) is byte *p* of
-//!   its location's key.  Running the algorithm repeatedly is sound because
-//!   algorithms never branch on payload contents — the op skeleton is
-//!   asserted identical across passes — and eight passes are exactly what
-//!   it takes to show all 64 key bits through a one-byte window;
+//! * every byte the recorder hands to the algorithm has a dense *location
+//!   number*: each buffer it taints — the caller's send and receive
+//!   buffers, then every receive, shared read or collect and reduction
+//!   result, in recording order — takes the next `len` numbers of a running
+//!   counter, and the pass recording keeps a `(first location, value, len)`
+//!   table of them;
+//! * the *fingerprint key* of location `L` is `L + C`, with
+//!   `C = 0x8080_8080_8080_8081`, and in recording pass *p* every tainted
+//!   byte is byte *p* of its key — a fill is the counter loop
+//!   `((first + C + i) >> 8p) as u8`, which pass 0 writes as a wrapping
+//!   byte counter and every later pass as runs of equal bytes;
+//! * an exec-fidelity compile ([`compile_exec`]) runs the algorithm once,
+//!   which fixes `T`, the number of fingerprinted bytes, then as many more
+//!   times as the keys of `0..T` need: `k` passes in all, the fewest with
+//!   `T < R_k = (256^k − 1) / 255` — two passes up to 256 B, three up to
+//!   ≈ 64 KiB, four up to ≈ 16 MiB, at most eight.  Carries only propagate
+//!   upward, so the byte a pass shows does not depend on `k`.  Running the
+//!   algorithm repeatedly is sound because algorithms never branch on
+//!   payload contents — the op skeleton and the location table are asserted
+//!   identical across passes;
 //! * reductions are intercepted by a compiler-provided operator
 //!   ([`PlanComm::reducer`]) that records a [`PlanOp::Reduce`] and rewrites
 //!   the accumulator with the fingerprints of a fresh value, so reduced data
 //!   stays trackable;
 //! * every byte the algorithm passes back (sends, shared writes, the final
-//!   output buffer) is resolved by stacking the eight bytes its position
-//!   showed into a key and *un-mixing* it: the result either names a
-//!   `(value, offset)` inside a defined value or the byte cannot be
-//!   attributed.  No table of fingerprints exists, and because the key
-//!   function is injective two locations can never be confused.
+//!   output buffer) is resolved by stacking the `k` bytes its position
+//!   showed into a key and subtracting `C` modulo `256^k`: the result is a
+//!   location below `T`, which a binary search of the table names as a
+//!   `(value, offset)`, or the byte cannot be attributed.
 //!
-//! **Literal rule.**  A byte that is identical in all eight passes is a
+//! **Literal rule.**  A byte that is identical in all `k` passes is a
 //! constant the algorithm wrote itself and becomes [`SrcSeg::Lit`].  Such a
-//! position stacks to one of the 256 keys `b * 0x0101…01`; the additive
-//! constant `C` is chosen so that none of them decodes to a value id below
-//! `MAX_VALS` = 2²⁰ (checked by enumeration in the tests — without `C`, key 0
-//! would be the send buffer's first byte), and the recorder refuses to define
-//! more values than that, so no fingerprinted position can pass for a
-//! literal.
+//! position stacks to one of the 256 keys `b · R_k`.  `C mod 256^k` is
+//! `0x80 · R_k + 1`, so every fingerprinted key lies in
+//! `[0x80 · R_k + 1, 0x80 · R_k + T]`, strictly between the equal-byte keys
+//! `0x80 · R_k` and `0x81 · R_k` because `T < R_k`: no fingerprinted
+//! position can pass for a literal.  Put the other way round, every
+//! equal-byte key decodes to a location of at least `R_k − 1`, outside
+//! `0..T` (checked by enumeration in the tests).
 //!
-//! **Cost.**  An exec-fidelity compile costs the eight recording passes plus
-//! one linear scan over the captured payload bytes: a resolved position
-//! starts a run that is extended while the following keys equal the keys of
-//! the following offsets, so the work per byte is one `mix64`, independent
-//! of how many values the plan defines.
+//! **Cost.**  An exec-fidelity compile costs `k` recording passes, whose
+//! fills vectorize, plus one linear scan over the captured payload
+//! bytes: a resolved position starts a run, which is extended by comparing
+//! each pass's captured bytes with the expected counter bytes a chunk at a
+//! time, so the work per byte is `k` byte compares and the work per run one
+//! binary search of the table.
 //!
 //! Schedule-fidelity compiles skip all of this: one pass, zero-filled
 //! buffers, [`SrcSeg::Opaque`] payloads — the cost of running the algorithm
@@ -59,9 +69,9 @@ use pip_runtime::Topology;
 use crate::comm::Comm;
 use crate::plan::ir::{Fidelity, IoShape, NameId, Plan, PlanOp, RankPlan, Src, SrcSeg, ValId};
 
-/// Number of recording passes for an exec-fidelity compile: pass *p* shows
-/// byte *p* of every 64-bit fingerprint key.
-pub const EXEC_PASSES: usize = 8;
+/// Most recording passes an exec-fidelity compile can run: a 64-bit key has
+/// eight bytes to show.
+const MAX_PASSES: usize = 8;
 
 /// Pseudo-value standing for the caller's send buffer in the internal value
 /// numbering (mapped to [`SrcSeg::SendBuf`] on emission).
@@ -70,53 +80,77 @@ const VAL_SENDBUF: ValId = 0;
 const VAL_RECVINIT: ValId = 1;
 /// First id for values that materialize during execution.
 const FIRST_RUNTIME_VAL: ValId = 2;
-/// Bound on the internal value ids of one exec-fidelity plan; what the
-/// literal rule's enumeration proof quantifies over.
-const MAX_VALS: ValId = 1 << 20;
 
-/// Added to a packed `(value, offset)` before mixing so that no in-domain
-/// location's key has eight equal bytes (the bare finaliser maps 0 to 0).
-const KEY_OFFSET: u64 = 0x9e37_79b9_7f4a_7c15;
+/// `C`: added to a location to make its key.  Every byte is `0x80` but the
+/// lowest, so the keys of `0..T` sit just above the equal-byte key
+/// `0x80 · R_k` whatever the pass count `k`.
+const KEY_OFFSET: u64 = 0x8080_8080_8080_8081;
 
-/// The splitmix64 finaliser: xor-shifts and odd multiplications, hence a
-/// bijection on `u64`.
+/// Bytes compared per step while a run is extended.
+const RUN_CHUNK: usize = 256;
+
+/// `256^k − 1`: the keys `k` passes can show.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+fn key_mask(passes: usize) -> u64 {
+    u64::MAX >> (64 - 8 * passes)
 }
 
-/// Inverse of [`mix64`]: each step undone in reverse order (the multipliers
-/// are the modular inverses of the finaliser's).
-#[inline]
-fn unmix64(mut x: u64) -> u64 {
-    x = x ^ (x >> 31) ^ (x >> 62);
-    x = x.wrapping_mul(0x3196_42b2_d24d_8ec3);
-    x = x ^ (x >> 27) ^ (x >> 54);
-    x = x.wrapping_mul(0x96de_1b17_3f11_9089);
-    x ^ (x >> 30) ^ (x >> 60)
+/// `R_k = (256^k − 1) / 255`: `k` passes can key the locations below this.
+fn key_capacity(passes: usize) -> u64 {
+    key_mask(passes) / 255
 }
 
-/// The fingerprint key of `(val, offset)`.  Offsets own the low 32 bits —
-/// every fingerprinted length is checked by [`PlanComm::assert_addressable`]
-/// — so distinct locations have distinct keys, at any offset.
-#[inline]
-fn key_of(val: ValId, offset: usize) -> u64 {
-    debug_assert!(offset <= u32::MAX as usize);
-    mix64((((val as u64) << 32) | offset as u64).wrapping_add(KEY_OFFSET))
+/// The number of recording passes `total` fingerprinted bytes need: the
+/// fewest `k` with `total < R_k`.
+fn passes_needed(rank: usize, total: u64) -> usize {
+    (1..=MAX_PASSES)
+        .find(|&passes| total < key_capacity(passes))
+        .unwrap_or_else(|| {
+            panic!(
+                "rank {rank}: {total} fingerprinted bytes, but {MAX_PASSES} recording passes \
+                 can key only {}",
+                key_capacity(MAX_PASSES) - 1
+            )
+        })
 }
 
-/// The `(val, offset)` whose key is `key`.
+/// Write the key bytes `pass` shows for locations `first..first + buf.len()`.
 #[inline]
-fn location_of(key: u64) -> (ValId, usize) {
-    let packed = unmix64(key).wrapping_sub(KEY_OFFSET);
-    ((packed >> 32) as ValId, (packed & 0xffff_ffff) as usize)
+fn fill_keys(pass: usize, first: u64, buf: &mut [u8]) {
+    let start = first + KEY_OFFSET;
+    if pass == 0 {
+        for (i, byte) in buf.iter_mut().enumerate() {
+            *byte = (start as u8).wrapping_add(i as u8);
+        }
+        return;
+    }
+    // Byte `pass` of successive keys holds for 256^pass keys at a time.
+    let shift = 8 * pass;
+    let mut key = start;
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let run = ((key | ((1 << shift) - 1)) - key + 1).min(rest.len() as u64) as usize;
+        let (head, tail) = rest.split_at_mut(run);
+        head.fill((key >> shift) as u8);
+        key += run as u64;
+        rest = tail;
+    }
 }
 
-/// The fingerprint bytes of value `val` in `pass`, offsets `0..len`.
-fn fingerprints(pass: u32, val: ValId, len: usize) -> impl Iterator<Item = u8> {
-    (0..len).map(move |offset| key_of(val, offset).to_le_bytes()[pass as usize])
+/// One tainted buffer: locations `first..first + len` are offsets `0..len`
+/// of internal value `val`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Taint {
+    first: u64,
+    val: ValId,
+    len: usize,
+}
+
+impl Taint {
+    /// The first location after the buffer.
+    fn end(&self) -> u64 {
+        self.first + self.len as u64
+    }
 }
 
 /// Index of a captured payload within a pass recording.
@@ -203,6 +237,9 @@ pub struct PassRecording {
     ops: Vec<RecOp>,
     /// Length of each runtime value (ids offset by [`FIRST_RUNTIME_VAL`]).
     val_lens: Vec<usize>,
+    /// The location table: every tainted buffer in taint order (empty under
+    /// schedule fidelity).
+    locations: Vec<Taint>,
     /// Captured payload bytes, one entry per resolution site (empty vectors
     /// under schedule fidelity, where only the length matters).
     sites: Vec<Vec<u8>>,
@@ -210,6 +247,13 @@ pub struct PassRecording {
     site_lens: Vec<usize>,
     /// Final contents of the caller-visible output buffer, if any.
     out: Option<Vec<u8>>,
+}
+
+impl PassRecording {
+    /// `T`: how many location numbers the pass handed out.
+    fn total(&self) -> u64 {
+        self.locations.last().map_or(0, Taint::end)
+    }
 }
 
 /// The recording [`Comm`] implementation.  One instance records one pass for
@@ -231,8 +275,8 @@ impl PlanComm {
             "schedule fidelity records a single pass"
         );
         assert!(
-            (pass as usize) < EXEC_PASSES,
-            "a fingerprint key has a byte for {EXEC_PASSES} passes only"
+            (pass as usize) < MAX_PASSES,
+            "a fingerprint key has a byte for {MAX_PASSES} passes only"
         );
         Self {
             rank,
@@ -252,40 +296,35 @@ impl PlanComm {
     /// pass (zeroes under schedule fidelity).  The compile driver uses this
     /// to prepare the synthetic input buffers before running the algorithm.
     pub fn fill_sendbuf(&self, buf: &mut [u8]) {
-        self.fill(VAL_SENDBUF, &"the send buffer", buf);
+        self.fill(VAL_SENDBUF, buf);
     }
 
     /// As [`PlanComm::fill_sendbuf`] for the receive buffer's initial
     /// contents.
     pub fn fill_recvbuf(&self, buf: &mut [u8]) {
-        self.fill(VAL_RECVINIT, &"the receive buffer", buf);
+        self.fill(VAL_RECVINIT, buf);
     }
 
     /// Overwrite `buf` with the fingerprints of `val` for this pass (zeroes
     /// under schedule fidelity).
-    fn fill(&self, val: ValId, what: &dyn fmt::Display, buf: &mut [u8]) {
+    fn fill(&self, val: ValId, buf: &mut [u8]) {
         match self.fidelity {
-            Fidelity::Exec => {
-                let len = buf.len();
-                self.assert_addressable(what, len);
-                for (byte, fingerprint) in buf.iter_mut().zip(fingerprints(self.pass, val, len)) {
-                    *byte = fingerprint;
-                }
-            }
+            Fidelity::Exec => self.taint(&mut self.state.lock().unwrap(), val, buf),
             Fidelity::Schedule => buf.fill(0),
         }
     }
 
-    /// A fingerprint key has 32 offset bits; a longer buffer would alias its
-    /// own bytes 4 GiB apart, so refuse to fingerprint it.
-    fn assert_addressable(&self, what: &dyn fmt::Display, len: usize) {
-        assert!(
-            len <= u32::MAX as usize,
-            "rank {}: {what} is {len} bytes long, but an exec-fidelity plan can only \
-             fingerprint {} bytes per buffer",
-            self.rank,
-            u32::MAX
-        );
+    /// Give `buf` the next `buf.len()` location numbers, as offsets of
+    /// `val`, and overwrite it with their key bytes for this pass (exec
+    /// fidelity only).
+    fn taint(&self, state: &mut PassRecording, val: ValId, buf: &mut [u8]) {
+        let first = state.total();
+        state.locations.push(Taint {
+            first,
+            val,
+            len: buf.len(),
+        });
+        fill_keys(self.pass as usize, first, buf);
     }
 
     /// A reduction operator that records [`PlanOp::Reduce`] and re-taints
@@ -301,15 +340,14 @@ impl PlanComm {
             let mut state = self.state.lock().unwrap();
             let acc_site = Self::capture(&mut state, acc, self.fidelity);
             let other_site = Self::capture(&mut state, other, self.fidelity);
-            let dst = self.new_val(&mut state, acc.len());
+            let dst = Self::new_val(&mut state, acc.len());
             state.ops.push(RecOp::Reduce {
                 dst,
                 acc: acc_site,
                 other: other_site,
             });
-            drop(state);
             if self.fidelity == Fidelity::Exec {
-                self.fill(dst, &format_args!("value {}", dst - FIRST_RUNTIME_VAL), acc);
+                self.taint(&mut state, dst, acc);
             }
         }
     }
@@ -335,16 +373,8 @@ impl PlanComm {
         id
     }
 
-    fn new_val(&self, state: &mut PassRecording, len: usize) -> ValId {
+    fn new_val(state: &mut PassRecording, len: usize) -> ValId {
         let id = FIRST_RUNTIME_VAL + state.val_lens.len() as ValId;
-        if self.fidelity == Fidelity::Exec {
-            assert!(
-                id < MAX_VALS,
-                "rank {}: an exec-fidelity plan can define at most {MAX_VALS} values",
-                self.rank
-            );
-            self.assert_addressable(&format_args!("value {}", id - FIRST_RUNTIME_VAL), len);
-        }
         state.val_lens.push(len);
         id
     }
@@ -353,14 +383,14 @@ impl PlanComm {
     /// algorithm.
     fn define_val(&self, len: usize, make_op: impl FnOnce(ValId) -> RecOp) -> Vec<u8> {
         let mut state = self.state.lock().unwrap();
-        let dst = self.new_val(&mut state, len);
+        let dst = Self::new_val(&mut state, len);
         let op = make_op(dst);
         state.ops.push(op);
-        drop(state);
-        match self.fidelity {
-            Fidelity::Exec => fingerprints(self.pass, dst, len).collect(),
-            Fidelity::Schedule => vec![0u8; len],
+        let mut bytes = vec![0u8; len];
+        if self.fidelity == Fidelity::Exec {
+            self.taint(&mut state, dst, &mut bytes);
         }
+        bytes
     }
 
     fn push(&self, op: RecOp) {
@@ -497,53 +527,88 @@ impl Comm for PlanComm {
 // Multi-pass assembly: fingerprint inversion.
 // ---------------------------------------------------------------------------
 
-/// The key position `i` of a payload showed: byte `p` is what pass `p`
-/// captured there.
+/// The location position `i` of a payload showed: the bytes the passes
+/// captured there stacked into a key (pass `p` gives byte `p`), minus `C`
+/// modulo `256^k`.
 #[inline]
-fn key_at(passes: &[&[u8]; EXEC_PASSES], i: usize) -> u64 {
-    u64::from_le_bytes(passes.map(|bytes| bytes[i]))
+fn location_at(passes: &[&[u8]], i: usize) -> u64 {
+    let key = passes
+        .iter()
+        .rev()
+        .fold(0u64, |key, bytes| key << 8 | bytes[i] as u64);
+    key.wrapping_sub(KEY_OFFSET) & key_mask(passes.len())
 }
 
-/// Resolve a payload, given as each pass captured it, into a [`Src`].
-/// `lens[val]` is the length of internal value `val` (0 if it does not
-/// exist).  Fails with the index of the first position that is neither a
-/// literal nor inside a value.
-fn resolve_site(passes: &[&[u8]; EXEC_PASSES], lens: &[usize]) -> Result<Src, usize> {
+/// How many of the positions from `i` on, at most `limit`, show the
+/// successive locations from `location` on in every pass: each pass's
+/// captured bytes are compared with the expected counter bytes a chunk at a
+/// time.
+fn run_length(passes: &[&[u8]], i: usize, location: u64, limit: usize) -> usize {
+    let mut expected = [0u8; RUN_CHUNK];
+    let mut len = 0;
+    while len < limit {
+        let chunk = RUN_CHUNK.min(limit - len);
+        let mut matched = chunk;
+        for (pass, bytes) in passes.iter().enumerate() {
+            let expected = &mut expected[..matched];
+            fill_keys(pass, location + len as u64, expected);
+            let seen = &bytes[i + len..i + len + matched];
+            if seen != expected {
+                matched = seen
+                    .iter()
+                    .zip(&*expected)
+                    .take_while(|(a, b)| a == b)
+                    .count();
+            }
+        }
+        len += matched;
+        if matched < chunk {
+            break;
+        }
+    }
+    len
+}
+
+/// Resolve a payload, given as each pass captured it, into a [`Src`] against
+/// the location table `table`.  Fails with the index of the first position
+/// that is neither a literal nor a location below the table's total.
+fn resolve_site(passes: &[&[u8]], table: &[Taint]) -> Result<Src, usize> {
     let end = passes[0].len();
     assert!(
         passes.iter().all(|bytes| bytes.len() == end),
         "payload length diverged between passes"
     );
+    let total = table.last().map_or(0, Taint::end);
     // Identical in every pass: a constant the algorithm wrote itself.
-    let is_literal = |key: u64| key == (key & 0xff) * 0x0101_0101_0101_0101;
+    let is_literal = |i: usize| passes[1..].iter().all(|bytes| bytes[i] == passes[0][i]);
     let mut segs: Vec<SrcSeg> = Vec::new();
     let mut i = 0;
     while i < end {
-        let key = key_at(passes, i);
-        if is_literal(key) {
+        if is_literal(i) {
             let start = i;
-            while i < end && is_literal(key_at(passes, i)) {
+            while i < end && is_literal(i) {
                 i += 1;
             }
             segs.push(SrcSeg::Lit(passes[0][start..i].to_vec()));
             continue;
         }
-        let (val, offset) = location_of(key);
-        let room = match lens.get(val as usize) {
-            Some(&len) if offset < len => len - offset,
-            _ => return Err(i),
-        };
-        // The run lasts while successive positions show successive offsets.
-        let len = 1
-            + (1..room.min(end - i))
-                .take_while(|&k| key_at(passes, i + k) == key_of(val, offset + k))
-                .count();
+        let location = location_at(passes, i);
+        if location >= total {
+            return Err(i);
+        }
+        // The table covers `0..total` without gaps, in ascending order, so
+        // the last buffer starting at or before `location` holds it.
+        let taint = table[table.partition_point(|taint| taint.first <= location) - 1];
+        let offset = (location - taint.first) as usize;
+        // The run lasts while successive positions show successive
+        // locations, up to the end of the buffer.
+        let len = run_length(passes, i, location, (taint.len - offset).min(end - i));
         // Map the pseudo-values to their caller-buffer segments and shift
         // runtime ids down to a dense 0-based numbering.
-        segs.push(match val {
+        segs.push(match taint.val {
             VAL_SENDBUF => SrcSeg::SendBuf { offset, len },
             VAL_RECVINIT => SrcSeg::RecvInit { offset, len },
-            _ => SrcSeg::Val {
+            val => SrcSeg::Val {
                 id: val - FIRST_RUNTIME_VAL,
                 offset,
                 len,
@@ -554,11 +619,37 @@ fn resolve_site(passes: &[&[u8]; EXEC_PASSES], lens: &[usize]) -> Result<Src, us
     Ok(Src { segs })
 }
 
+/// Compile `rank`'s exec-fidelity plan of `body`, which runs the algorithm
+/// against the recorder it is given and returns the final contents of the
+/// caller-visible output buffer: record pass 0, which fixes how many
+/// fingerprinted bytes the plan has, record as many more passes as their
+/// keys need, and [`assemble`].
+pub fn compile_exec(
+    rank: usize,
+    topology: Topology,
+    io: IoShape,
+    body: impl Fn(&PlanComm) -> Option<Vec<u8>>,
+) -> RankPlan {
+    let record = |pass: u32| {
+        let comm = PlanComm::new(rank, topology, pass, Fidelity::Exec);
+        let out = body(&comm);
+        comm.finish(out)
+    };
+    let first = record(0);
+    let npasses = passes_needed(rank, first.total());
+    let mut passes = Vec::with_capacity(npasses);
+    passes.push(first);
+    passes.extend((1..npasses as u32).map(record));
+    assemble(rank, topology, Fidelity::Exec, io, passes)
+}
+
 /// Fuse the recordings of all passes into a [`RankPlan`].
 ///
-/// Panics if the passes recorded different op skeletons (which would mean an
-/// algorithm branched on payload contents, violating the `Comm` contract) or
-/// if a payload byte cannot be attributed to any source.
+/// Panics if the number of passes is not the one the fidelity and the
+/// location table need, if the passes recorded different op skeletons or
+/// location tables (which would mean an algorithm branched on payload
+/// contents, violating the `Comm` contract) or if a payload byte cannot be
+/// attributed to any source.
 pub fn assemble(
     rank: usize,
     topology: Topology,
@@ -566,12 +657,20 @@ pub fn assemble(
     io: IoShape,
     passes: Vec<PassRecording>,
 ) -> RankPlan {
-    let expected = match fidelity {
-        Fidelity::Exec => EXEC_PASSES,
-        Fidelity::Schedule => 1,
+    let first = passes.first().expect("at least one recording pass");
+    let exec = fidelity == Fidelity::Exec;
+    let expected = if exec {
+        passes_needed(rank, first.total())
+    } else {
+        1
     };
-    assert_eq!(passes.len(), expected, "wrong number of recording passes");
-    let first = &passes[0];
+    assert_eq!(
+        passes.len(),
+        expected,
+        "rank {rank}: {} recording passes, but {} fingerprinted bytes need {expected}",
+        passes.len(),
+        first.total()
+    );
     for pass in &passes[1..] {
         assert_eq!(
             pass.ops, first.ops,
@@ -579,43 +678,32 @@ pub fn assemble(
              an algorithm branched on payload contents"
         );
         assert_eq!(pass.val_lens, first.val_lens, "value table diverged");
+        assert_eq!(
+            pass.locations, first.locations,
+            "rank {rank}: location table diverged between recording passes"
+        );
     }
 
-    // Length of every internal value, indexed by id: the two pseudo-values
-    // (an in/out buffer is all "send buffer"), then the runtime values.
-    let lens: Option<Vec<usize>> = (fidelity == Fidelity::Exec).then(|| {
-        let (sendbuf, recvinit) = if io.inout {
-            (io.recvbuf, None)
-        } else {
-            (io.sendbuf, io.recvbuf)
-        };
-        let mut lens = vec![sendbuf.unwrap_or(0), recvinit.unwrap_or(0)];
-        lens.extend_from_slice(&first.val_lens);
-        lens
-    });
     // Attribute the payload whose bytes in each pass `bytes_of` selects.
-    let attribute = |lens: &[usize],
-                     what: &dyn fmt::Display,
-                     bytes_of: &dyn Fn(&PassRecording) -> &[u8]|
-     -> Src {
-        let views: [&[u8]; EXEC_PASSES] = std::array::from_fn(|pass| bytes_of(&passes[pass]));
-        resolve_site(&views, lens).unwrap_or_else(|byte| {
-            let key = key_at(&views, byte);
-            let (val, offset) = location_of(key);
+    let attribute = |what: &dyn fmt::Display, bytes_of: &dyn Fn(&PassRecording) -> &[u8]| -> Src {
+        let views: Vec<&[u8]> = passes.iter().map(bytes_of).collect();
+        resolve_site(&views, &first.locations).unwrap_or_else(|byte| {
             panic!(
                 "rank {rank}: cannot attribute byte {byte} of {what} to any symbolic \
-                 source: its key {key:#018x} decodes to internal value {val} offset \
-                 {offset}, outside every defined value"
+                 source: it decodes to location {}, beyond the {} fingerprinted bytes",
+                location_at(&views, byte),
+                first.total()
             )
         })
     };
     let resolve = |site: SiteId| -> Src {
         let site = site as usize;
-        match &lens {
-            Some(lens) => attribute(lens, &format_args!("payload site {site}"), &|pass| {
+        if exec {
+            attribute(&format_args!("payload site {site}"), &|pass| {
                 &pass.sites[site]
-            }),
-            None => Src::opaque(first.site_lens[site]),
+            })
+        } else {
+            Src::opaque(first.site_lens[site])
         }
     };
 
@@ -733,8 +821,8 @@ pub fn assemble(
     // its contents and drop the identity pieces (bytes the algorithm left
     // untouched, or — for in/out collectives — bytes that still hold the
     // caller's own input at the same position).
-    if let (Some(lens), Some(_)) = (&lens, &first.out) {
-        let src = attribute(lens, &"the output buffer", &|pass| {
+    if exec && first.out.is_some() {
+        let src = attribute(&"the output buffer", &|pass| {
             pass.out.as_deref().expect("out present in every pass")
         });
         let mut cursor = 0usize;
@@ -809,77 +897,108 @@ mod tests {
     use pip_transport::cost::IntranodeMechanism;
     use proptest::prelude::*;
 
-    /// The bytes positions `offsets` of `val` show in each pass.
-    fn observed(val: ValId, offsets: std::ops::Range<usize>) -> Vec<Vec<u8>> {
-        (0..EXEC_PASSES as u32)
-            .map(|pass| {
-                fingerprints(pass, val, offsets.end)
-                    .skip(offsets.start)
-                    .collect()
+    /// The location table of consecutive buffers of lengths `lens`, with
+    /// internal value ids from 0 (so the first two are the caller's
+    /// buffers).
+    fn table(lens: &[usize]) -> Vec<Taint> {
+        let mut first = 0;
+        lens.iter()
+            .zip(0..)
+            .map(|(&len, val)| {
+                let taint = Taint { first, val, len };
+                first = taint.end();
+                taint
             })
             .collect()
     }
 
-    fn resolve(passes: &[Vec<u8>], lens: &[usize]) -> Result<Src, usize> {
-        resolve_site(&std::array::from_fn(|pass| passes[pass].as_slice()), lens)
+    /// The bytes `locations` show in each of `passes` passes.
+    fn observed(passes: usize, locations: std::ops::Range<u64>) -> Vec<Vec<u8>> {
+        (0..passes)
+            .map(|pass| {
+                let mut bytes = vec![0u8; (locations.end - locations.start) as usize];
+                fill_keys(pass, locations.start, &mut bytes);
+                bytes
+            })
+            .collect()
+    }
+
+    fn resolve(passes: &[Vec<u8>], table: &[Taint]) -> Result<Src, usize> {
+        let views: Vec<&[u8]> = passes.iter().map(Vec::as_slice).collect();
+        resolve_site(&views, table)
     }
 
     #[test]
     fn the_eight_passes_show_the_eight_bytes_of_the_key() {
-        let passes = observed(7, 13..14);
-        let key = key_of(7, 13).to_le_bytes();
-        for (pass, bytes) in passes.iter().enumerate() {
-            assert_eq!(bytes, &[key[pass]]);
+        for location in [0, 13, 0x7f7e, key_capacity(MAX_PASSES) - 1] {
+            let key = (location + KEY_OFFSET).to_le_bytes();
+            let passes = observed(MAX_PASSES, location..location + 1);
+            for (pass, bytes) in passes.iter().enumerate() {
+                assert_eq!(bytes, &[key[pass]]);
+            }
+        }
+        // A fill is a counter: keys 0x80ff..=0x8101 carry into pass 1's byte.
+        assert_eq!(
+            observed(2, 0x7e..0x81),
+            vec![vec![0xff, 0x00, 0x01], vec![0x80, 0x81, 0x81]]
+        );
+        // Across the carries into bytes 1, 2 and 7, every pass's fill is the
+        // byte of the per-position key.
+        for first in [0, 0x7f7e - 500, 0x7f_7f7f_7f7f_7f7e - 500] {
+            for (pass, bytes) in observed(MAX_PASSES, first..first + 1000).iter().enumerate() {
+                for (i, &byte) in bytes.iter().enumerate() {
+                    assert_eq!(byte, ((first + i as u64 + KEY_OFFSET) >> (8 * pass)) as u8);
+                }
+            }
         }
     }
 
     #[test]
     fn no_in_domain_location_can_look_like_a_literal() {
-        // Proof by enumeration of the literal rule: the only keys with
-        // eight equal bytes are these 256, and each decodes to a value id
-        // the recorder refuses to define.
-        for byte in 0..=255u64 {
-            let (val, offset) = location_of(byte * 0x0101_0101_0101_0101);
-            assert!(
-                val >= MAX_VALS,
-                "literal {byte:#04x} is the key of value {val} offset {offset}"
+        // Proof by enumeration of the literal rule: the only k-byte keys
+        // with k equal bytes are these 256, and each decodes to a location
+        // of at least R_k - 1, outside every admissible 0..T (T < R_k).
+        for passes in 1..=MAX_PASSES {
+            for byte in 0..=255u8 {
+                let location = location_at(&vec![&[byte][..]; passes], 0);
+                assert!(
+                    location >= key_capacity(passes) - 1,
+                    "{passes} passes: literal {byte:#04x} decodes to location {location}"
+                );
+            }
+            // ... and the bound is tight.
+            assert_eq!(
+                location_at(&vec![&[0x81][..]; passes], 0),
+                key_capacity(passes) - 1
             );
         }
-        // ... which is what the additive constant is for.
-        assert_eq!(mix64(0), 0);
     }
 
     #[test]
-    fn fingerprint_keys_do_not_alias_across_values_at_large_offsets() {
-        // Regression: a bit-packed (pass, val, offset) key once let offsets
-        // >= 2^24 spill into the value bits, so RecvInit byte 2^24+k
-        // collided with SendBuf byte k in *every* pass.  Offsets own 32
-        // bits of the key now, and every location decodes to itself.
-        for k in [0usize, 1, 77, 4096] {
-            let a = key_of(VAL_SENDBUF, k);
-            let b = key_of(VAL_RECVINIT, (1 << 24) + k);
-            assert_ne!(a, b, "aliased keys at offset {k}");
-            assert_eq!(location_of(b), (VAL_RECVINIT, (1 << 24) + k));
-        }
-        let last = u32::MAX as usize - 1;
+    fn pass_count_is_the_fewest_whose_keys_cover_the_total() {
         assert_eq!(
-            location_of(key_of(MAX_VALS - 1, last)),
-            (MAX_VALS - 1, last)
+            [2, 3, 4].map(key_capacity),
+            [257, 65_793, 16_843_009],
+            "2 passes up to 256 B, 3 up to ~64 KiB, 4 up to ~16 MiB"
         );
-        assert_eq!(location_of(key_of(VAL_SENDBUF, last)), (VAL_SENDBUF, last));
+        assert_eq!(passes_needed(0, 0), 1);
+        for passes in 1..MAX_PASSES {
+            assert_eq!(passes_needed(0, key_capacity(passes) - 1), passes);
+            assert_eq!(passes_needed(0, key_capacity(passes)), passes + 1);
+        }
+        assert_eq!(passes_needed(0, key_capacity(MAX_PASSES) - 1), MAX_PASSES);
     }
 
     #[test]
-    #[should_panic(expected = "rank 3: value 0 is 4294967296 bytes long")]
-    fn values_too_long_to_fingerprint_are_rejected() {
-        let comm = PlanComm::new(3, Topology::new(2, 2), 0, Fidelity::Exec);
-        let _ = comm.recv(0, 0, u32::MAX as usize + 1);
+    #[should_panic(expected = "rank 5: 72340172838076673 fingerprinted bytes")]
+    fn totals_no_pass_count_can_key_are_refused() {
+        passes_needed(5, key_capacity(MAX_PASSES));
     }
 
     #[test]
     fn resolver_round_trips_value_bytes() {
-        // Bytes of runtime value 0 at offsets 4..12.
-        let src = resolve(&observed(FIRST_RUNTIME_VAL, 4..12), &[32, 0, 16]).unwrap();
+        // Bytes of runtime value 0 (the third buffer) at offsets 4..12.
+        let src = resolve(&observed(2, 36..44), &table(&[32, 0, 16])).unwrap();
         assert_eq!(
             src.segs,
             vec![SrcSeg::Val {
@@ -892,11 +1011,11 @@ mod tests {
 
     #[test]
     fn resolver_detects_literals_and_concatenations() {
-        let mut passes = observed(VAL_SENDBUF, 0..8);
+        let mut passes = observed(2, 0..8);
         for bytes in &mut passes {
             bytes.extend_from_slice(&[0xAB, 0xCD]); // constants
         }
-        let src = resolve(&passes, &[8]).unwrap();
+        let src = resolve(&passes, &table(&[8])).unwrap();
         assert_eq!(
             src.segs,
             vec![
@@ -904,38 +1023,63 @@ mod tests {
                 SrcSeg::Lit(vec![0xAB, 0xCD]),
             ]
         );
+        // Successive locations of two buffers are two segments.
+        let src = resolve(&observed(2, 6..10), &table(&[8, 8])).unwrap();
+        assert_eq!(
+            src.segs,
+            vec![
+                SrcSeg::SendBuf { offset: 6, len: 2 },
+                SrcSeg::RecvInit { offset: 0, len: 2 },
+            ]
+        );
     }
 
     #[test]
     fn resolver_rejects_bytes_outside_every_value() {
-        // Offsets 6..10 of an 8-byte value: the run stops at the value's
-        // end and byte 2 of the payload is unattributable.
-        assert_eq!(resolve(&observed(VAL_SENDBUF, 6..10), &[8]), Err(2));
-        // A value that was never defined.
-        assert_eq!(resolve(&observed(5, 0..4), &[8, 8]), Err(0));
+        // Offsets 6..10 of the only, 8-byte buffer: the run stops at its
+        // end and byte 2 of the payload decodes to location 8, beyond the
+        // table.
+        assert_eq!(resolve(&observed(2, 6..10), &table(&[8])), Err(2));
+        // A location no buffer was given.
+        assert_eq!(resolve(&observed(2, 20..24), &table(&[8, 8])), Err(0));
     }
 
     proptest! {
         #[test]
-        fn prop_unmix64_inverts_mix64(x in any::<u64>()) {
-            prop_assert_eq!(unmix64(mix64(x)), x);
-            prop_assert_eq!(mix64(unmix64(x)), x);
-        }
-
-        #[test]
         fn prop_concatenations_resolve_to_their_segments(
-            lens in collection::vec(1usize..300, 1..6),
+            passes in 2usize..5,
+            span in any::<u64>(),
+            cuts in collection::vec(any::<u64>(), 0..6),
             draws in collection::vec(any::<u64>(), 3..36),
         ) {
-            // Build a payload from random slices of random values and
-            // random literal runs, as an algorithm's private copying would.
-            // `expected` uses internal value ids until the final mapping.
+            // A location table whose total needs exactly `passes` passes
+            // (at most 2^17 locations past the previous pass count's
+            // capacity, to keep payloads small), cut into random buffers.
+            let low = key_capacity(passes - 1);
+            let total = low + span % (key_capacity(passes) - low).min(1 << 17);
+            let mut bounds: Vec<u64> = cuts.iter().map(|cut| cut % total).chain([0, total]).collect();
+            bounds.sort_unstable();
+            bounds.dedup();
+            let lens: Vec<usize> = bounds.windows(2).map(|w| (w[1] - w[0]) as usize).collect();
+            let table = table(&lens);
+            prop_assert_eq!(passes_needed(0, total), passes);
+            // The first locations after a carry into pass 1's byte (every
+            // 256 locations from 0x7f on) and into pass 2's (0x7f7f).
+            let carries: Vec<u64> = [0x7f, 0x17f, 0x7f7f]
+                .into_iter()
+                .filter(|&carry| carry < total)
+                .collect();
+
+            // Build a payload from random runs of locations, some across a
+            // carry, and random literal runs, as an algorithm's private
+            // copying would.  `expected` uses internal value ids until the
+            // final mapping.
             let mut expected: Vec<SrcSeg> = Vec::new();
-            let mut passes = vec![Vec::new(); EXEC_PASSES];
+            let mut payload = vec![Vec::new(); passes];
             for draw in draws.chunks_exact(3) {
                 if draw[0] % 4 == 0 {
                     let run = vec![draw[1] as u8; 1 + draw[2] as usize % 5];
-                    for bytes in &mut passes {
+                    for bytes in &mut payload {
                         bytes.extend_from_slice(&run);
                     }
                     match expected.last_mut() {
@@ -944,22 +1088,35 @@ mod tests {
                     }
                     continue;
                 }
-                let val = (draw[0] / 4) as usize % lens.len();
-                let offset = draw[1] as usize % lens[val];
-                let len = 1 + draw[2] as usize % (lens[val] - offset);
-                let seen = observed(val as ValId, offset..offset + len);
-                for (bytes, seen) in passes.iter_mut().zip(&seen) {
-                    bytes.extend_from_slice(seen);
-                }
-                match expected.last_mut() {
-                    // A slice that starts where the previous one ended
-                    // continues its run.
-                    Some(SrcSeg::Val { id, offset: start, len: run })
-                        if *id as usize == val && *start + *run == offset =>
-                    {
-                        *run += len
+                let (lo, hi) = match carries.get((draw[0] / 4) as usize % (carries.len() + 1)) {
+                    Some(&carry) => (
+                        carry - 1 - draw[1] % carry.min(300),
+                        (carry + 1 + draw[2] % 300).min(total),
+                    ),
+                    None => {
+                        let lo = draw[1] % total;
+                        (lo, lo + 1 + draw[2] % (total - lo).min(300))
                     }
-                    _ => expected.push(SrcSeg::Val { id: val as ValId, offset, len }),
+                };
+                for (bytes, seen) in payload.iter_mut().zip(observed(passes, lo..hi)) {
+                    bytes.extend_from_slice(&seen);
+                }
+                let mut location = lo;
+                while location < hi {
+                    let taint = table.iter().find(|taint| location < taint.end()).unwrap();
+                    let offset = (location - taint.first) as usize;
+                    let len = (taint.end().min(hi) - location) as usize;
+                    match expected.last_mut() {
+                        // A run that starts where the previous one ended
+                        // continues it.
+                        Some(SrcSeg::Val { id, offset: start, len: run })
+                            if *id == taint.val && *start + *run == offset =>
+                        {
+                            *run += len
+                        }
+                        _ => expected.push(SrcSeg::Val { id: taint.val, offset, len }),
+                    }
+                    location += len as u64;
                 }
             }
             for seg in &mut expected {
@@ -971,30 +1128,32 @@ mod tests {
                     };
                 }
             }
-            prop_assert_eq!(resolve(&passes, &lens), Ok(Src { segs: expected }));
+            prop_assert_eq!(resolve(&payload, &table), Ok(Src { segs: expected }));
         }
+    }
+
+    fn exchange_io() -> IoShape {
+        IoShape {
+            sendbuf: Some(4),
+            recvbuf: Some(4),
+            ..IoShape::default()
+        }
+    }
+
+    /// Rank 0's half of a 4-byte exchange with rank 1.
+    fn record_exchange(comm: &PlanComm) -> Option<Vec<u8>> {
+        let mut sendbuf = vec![0u8; 4];
+        comm.fill_sendbuf(&mut sendbuf);
+        comm.send(1, 0, &sendbuf);
+        let data = comm.recv(1, 1, 4);
+        comm.node_barrier();
+        Some(data)
     }
 
     #[test]
     fn plan_comm_records_a_simple_exchange() {
         let topo = Topology::new(1, 2);
-        let passes: Vec<PassRecording> = (0..EXEC_PASSES as u32)
-            .map(|pass| {
-                let comm = PlanComm::new(0, topo, pass, Fidelity::Exec);
-                let mut sendbuf = vec![0u8; 4];
-                comm.fill_sendbuf(&mut sendbuf);
-                comm.send(1, 0, &sendbuf);
-                let data = comm.recv(1, 1, 4);
-                comm.node_barrier();
-                comm.finish(Some(data))
-            })
-            .collect();
-        let io = IoShape {
-            sendbuf: Some(4),
-            recvbuf: Some(4),
-            ..IoShape::default()
-        };
-        let plan = assemble(0, topo, Fidelity::Exec, io, passes);
+        let plan = compile_exec(0, topo, exchange_io(), record_exchange);
         assert_eq!(plan.ops.len(), 4);
         assert!(matches!(
             &plan.ops[0],
@@ -1019,6 +1178,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rank 0: 3 recording passes, but 8 fingerprinted bytes need 2")]
+    fn assemble_rejects_a_pass_count_the_location_table_does_not_need() {
+        let topo = Topology::new(1, 2);
+        let passes = (0..3)
+            .map(|pass| {
+                let comm = PlanComm::new(0, topo, pass, Fidelity::Exec);
+                let out = record_exchange(&comm);
+                comm.finish(out)
+            })
+            .collect();
+        assemble(0, topo, Fidelity::Exec, exchange_io(), passes);
+    }
+
+    #[test]
     fn schedule_fidelity_produces_opaque_payloads_in_one_pass() {
         let topo = Topology::new(1, 2);
         let comm = PlanComm::new(0, topo, 0, Fidelity::Schedule);
@@ -1036,20 +1209,6 @@ mod tests {
     #[test]
     fn reducer_interception_tracks_reduced_data() {
         let topo = Topology::new(1, 1);
-        let passes: Vec<PassRecording> = (0..EXEC_PASSES as u32)
-            .map(|pass| {
-                let comm = PlanComm::new(0, topo, pass, Fidelity::Exec);
-                let mut buf = vec![0u8; 8];
-                comm.fill_sendbuf(&mut buf);
-                let other = comm.recv(0, 0, 8);
-                let op = comm.reducer();
-                op(&mut buf, &other);
-                comm.charge_reduce(8);
-                drop(op);
-                comm.send(0, 1, &buf);
-                comm.finish(Some(buf))
-            })
-            .collect();
         let io = IoShape {
             sendbuf: None,
             recvbuf: Some(8),
@@ -1057,7 +1216,17 @@ mod tests {
             needs_reduce_op: true,
             ..IoShape::default()
         };
-        let plan = assemble(0, topo, Fidelity::Exec, io, passes);
+        let plan = compile_exec(0, topo, io, |comm| {
+            let mut buf = vec![0u8; 8];
+            comm.fill_sendbuf(&mut buf);
+            let other = comm.recv(0, 0, 8);
+            let op = comm.reducer();
+            op(&mut buf, &other);
+            comm.charge_reduce(8);
+            drop(op);
+            comm.send(0, 1, &buf);
+            Some(buf)
+        });
         // Recv, Reduce, ChargeReduce, Send, CopyOut.
         assert!(matches!(plan.ops[1], PlanOp::Reduce { dst: 1, .. }));
         assert!(matches!(

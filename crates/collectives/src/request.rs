@@ -223,35 +223,25 @@ pub fn drive_to_done<C: NonBlockingComm, S>(
 mod tests {
     use super::*;
     use crate::comm::{Comm, ThreadComm};
-    use crate::plan::ir::{Fidelity, IoShape};
-    use crate::plan::record::{assemble, PlanComm, EXEC_PASSES};
+    use crate::plan::ir::IoShape;
+    use crate::plan::record::compile_exec;
     use crate::plan::shared_arena;
     use pip_runtime::{Cluster, Topology};
 
     /// Compile a two-rank ping with a per-invocation distinct tag space.
     fn compile_exchange(rank: usize, topo: Topology) -> Rc<crate::plan::RankPlan> {
-        let passes = (0..EXEC_PASSES as u32)
-            .map(|pass| {
-                let comm = PlanComm::new(rank, topo, pass, Fidelity::Exec);
-                let mut sendbuf = vec![0u8; 2];
-                comm.fill_sendbuf(&mut sendbuf);
-                let peer = 1 - rank;
-                comm.send(peer, 0, &sendbuf);
-                let got = comm.recv(peer, 0, 2);
-                comm.finish(Some(got))
-            })
-            .collect();
-        Rc::new(assemble(
-            rank,
-            topo,
-            Fidelity::Exec,
-            IoShape {
-                sendbuf: Some(2),
-                recvbuf: Some(2),
-                ..IoShape::default()
-            },
-            passes,
-        ))
+        let io = IoShape {
+            sendbuf: Some(2),
+            recvbuf: Some(2),
+            ..IoShape::default()
+        };
+        Rc::new(compile_exec(rank, topo, io, |comm| {
+            let mut sendbuf = vec![0u8; 2];
+            comm.fill_sendbuf(&mut sendbuf);
+            let peer = 1 - rank;
+            comm.send(peer, 0, &sendbuf);
+            Some(comm.recv(peer, 0, 2))
+        }))
     }
 
     /// Several outstanding executions of the same plan complete out of

@@ -397,8 +397,9 @@ impl OwnedCollective {
 ///
 /// Shapes whose buffer footprint exceeds [`EXEC_PLAN_MAX_BYTES`] skip the
 /// plan path and [`execute`] the algorithm directly: the fingerprint
-/// compile's cost scales with buffer bytes, and large messages are
-/// bandwidth-bound, so compiling them buys nothing.
+/// compile's recording passes each cost time in proportion to the buffer
+/// bytes, and large messages are bandwidth-bound, so compiling them buys
+/// nothing.
 pub fn run_blocking<C: NonBlockingComm>(
     profile: &LibraryProfile,
     comm: &C,

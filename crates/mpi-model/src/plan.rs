@@ -8,9 +8,10 @@
 //!
 //! Two cache granularities exist for the two consumers:
 //!
-//! * [`PlanCache`] holds **one rank's** plans (exec fidelity, 8-pass
-//!   fingerprint compile) — what a `Communicator` embeds so its dispatch hot
-//!   path becomes *lookup-or-compile, then run*.
+//! * [`PlanCache`] holds **one rank's** plans (exec fidelity, a fingerprint
+//!   compile of as many passes as the plan's bytes need) — what a
+//!   `Communicator` embeds so its dispatch hot path becomes
+//!   *lookup-or-compile, then run*.
 //! * [`ClusterPlanCache`] holds **whole-cluster** plans (schedule fidelity,
 //!   single pass) — what figure generation uses so repeated data points
 //!   lower a cached plan to a trace instead of replaying the algorithm once
@@ -21,8 +22,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use pip_collectives::plan::{
-    assemble, compress_rank_transfers, ranks_equal_under, schedules_equal_under, shared_arena,
-    ArenaStats, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena, EXEC_PASSES,
+    assemble, compile_exec, compress_rank_transfers, ranks_equal_under, schedules_equal_under,
+    shared_arena, ArenaStats, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena,
 };
 use pip_collectives::CollectiveKind;
 use pip_netsim::{FoldGroup, FoldedTrace};
@@ -165,8 +166,9 @@ impl CollectiveShape {
     }
 
     /// The largest single caller buffer this shape touches, in bytes — the
-    /// quantity the exec-fidelity compile's cost scales with (8 recording
-    /// passes plus one scan of the captured payloads).
+    /// quantity the exec-fidelity compile's cost scales with (a few
+    /// recording passes plus one scan of the captured payloads, each linear
+    /// in the bytes).
     pub fn buffer_footprint(&self, world: usize) -> usize {
         match self.kind {
             CollectiveKind::Allgather
@@ -330,8 +332,11 @@ impl ProfileMemo {
 }
 
 /// Compile the plan of one rank by running the selected algorithm against
-/// the recording communicator — [`EXEC_PASSES`] fingerprint passes for exec
-/// fidelity, a single zero-filled pass for schedule fidelity.
+/// the recording communicator — as many fingerprint passes as the plan's
+/// fingerprinted bytes need for exec fidelity
+/// ([`pip_collectives::plan::compile_exec`]: three for a 4×4 64 B
+/// allreduce, four for a 256 KiB one), a single zero-filled pass for
+/// schedule fidelity.
 pub fn compile_rank(
     profile: &LibraryProfile,
     topology: Topology,
@@ -341,21 +346,15 @@ pub fn compile_rank(
 ) -> RankPlan {
     let world = topology.world_size();
     let io = shape.io_for(rank, world);
-    let npasses = match fidelity {
-        Fidelity::Exec => EXEC_PASSES,
-        Fidelity::Schedule => 1,
+    let record = |comm: &PlanComm| run_for_recording(profile, comm, shape, io);
+    let mut plan = match fidelity {
+        Fidelity::Exec => compile_exec(rank, topology, io, record),
+        Fidelity::Schedule => {
+            let comm = PlanComm::new(rank, topology, 0, fidelity);
+            let out = record(&comm);
+            assemble(rank, topology, fidelity, io, vec![comm.finish(out)])
+        }
     };
-    let passes = (0..npasses as u32)
-        .map(|pass| {
-            run_for_recording(
-                profile,
-                PlanComm::new(rank, topology, pass, fidelity),
-                shape,
-                io,
-            )
-        })
-        .collect();
-    let mut plan = assemble(rank, topology, fidelity, io, passes);
     if let Some(spec) = shape.compress {
         if let Some(codec) = per_message_codec(spec, shape.elem_size, world) {
             compress_rank_transfers(&mut plan, codec, spec.min_wire_bytes);
@@ -573,17 +572,18 @@ pub fn compile_folded(
 
 /// Run one recording pass: fingerprint the caller buffers `io` declares and
 /// push them through the ordinary dispatcher against the recorder, which
-/// stands in for the reduction operator too.
+/// stands in for the reduction operator too.  Returns the final contents of
+/// the receive buffer.
 fn run_for_recording(
     profile: &LibraryProfile,
-    comm: PlanComm,
+    comm: &PlanComm,
     shape: &CollectiveShape,
     io: IoShape,
-) -> pip_collectives::plan::record::PassRecording {
+) -> Option<Vec<u8>> {
     let buffer = |len: Option<usize>, fill: fn(&PlanComm, &mut [u8])| {
         len.map(|len| {
             let mut buf = vec![0u8; len];
-            fill(&comm, &mut buf);
+            fill(comm, &mut buf);
             buf
         })
     };
@@ -607,7 +607,7 @@ fn run_for_recording(
         let op = comm.reducer();
         dispatch::execute(
             profile,
-            &comm,
+            comm,
             &packed,
             send.as_deref(),
             recv.as_deref_mut(),
@@ -615,17 +615,17 @@ fn run_for_recording(
             COMPILE_TAG_BASE,
         );
     }
-    comm.finish(recv)
+    recv
 }
 
 /// Shapes whose [`CollectiveShape::buffer_footprint`] exceeds this are not
 /// compiled on the blocking path; [`crate::dispatch::run_blocking`] falls
-/// back to direct algorithm execution instead.  The fingerprint
-/// compile pays 8 recording passes plus a scan of every captured payload
-/// byte — a great trade for the small, endlessly repeated
-/// messages the paper targets, a poor one for a one-shot multi-megabyte
-/// collective (which is bandwidth-bound anyway, so schedule interpretation
-/// is noise there).
+/// back to direct algorithm execution instead.  The fingerprint compile
+/// pays its recording passes (four for up to ≈ 16 MiB of fingerprinted
+/// bytes) plus a scan of every captured payload byte — a great trade for
+/// the small, endlessly repeated messages the paper targets, a poor one for
+/// a one-shot multi-megabyte collective (which is bandwidth-bound anyway,
+/// so schedule interpretation is noise there).
 pub const EXEC_PLAN_MAX_BYTES: usize = 4 << 20;
 
 /// Per-communicator cache of one rank's compiled plans (exec fidelity),
@@ -898,6 +898,32 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats(), (0, 3));
+    }
+
+    /// An exec compile records as many passes as its fingerprinted bytes
+    /// need, counted by the body it runs: three for the 4×4 PiP-MColl 64 B
+    /// `f32` allreduce, four for the 256 KiB one, on every rank.
+    #[test]
+    fn exec_compiles_record_the_passes_their_bytes_need() {
+        use pip_collectives::datatype::{DtypeId, ReduceOp};
+        let profile = Library::PipMColl.profile();
+        let topo = Topology::new(4, 4);
+        let f32_sum = ReduceIdent::Builtin {
+            dtype: DtypeId::F32,
+            op: ReduceOp::Sum,
+        };
+        for (block, expected) in [(64, 3), (256 << 10, 4)] {
+            let shape = CollectiveShape::allreduce(block, 4, Some(f32_sum), None, None);
+            for rank in 0..topo.world_size() {
+                let io = shape.io_for(rank, topo.world_size());
+                let runs = std::cell::Cell::new(0);
+                compile_exec(rank, topo, io, |comm| {
+                    runs.set(runs.get() + 1);
+                    run_for_recording(&profile, comm, &shape, io)
+                });
+                assert_eq!(runs.get(), expected, "{block} B, rank {rank}");
+            }
+        }
     }
 
     /// Compile a multi-object allgather plan per rank and execute it on the

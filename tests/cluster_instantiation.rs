@@ -141,7 +141,7 @@ fn schedule_plans_equal_rank_by_rank_compilation_on_the_grid() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "eight recording passes per rank, unoptimized; CI runs this suite in release"
+    ignore = "a minute unoptimized; CI runs this suite in release"
 )]
 fn exec_plans_equal_rank_by_rank_compilation_on_the_grid() {
     grid(Fidelity::Exec);

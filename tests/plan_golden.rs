@@ -5,11 +5,12 @@
 //! Each case compiles one collective shape on every rank of a topology and
 //! folds the `Debug` rendering of the rank plans into one FNV-1a hash.  The
 //! tables were captured at the commit *before* the fingerprint bijection
-//! replaced the per-byte provenance map (PR 14's parent) and have to stay
-//! green ever after.  The cases that push megabytes of fingerprints through
-//! the recorder sit in a table of their own, checked in release builds only
-//! (CI does), so the debug-mode tier-1 run stays at a second.  When the plan
-//! IR itself changes on purpose, regenerate both with
+//! replaced the per-byte provenance map (PR 14's parent) and have stayed
+//! green through every later change of fingerprint key, including the dense
+//! location keys that record only as many passes as a plan's bytes need.
+//! The cases that push megabytes of fingerprints through the recorder sit in
+//! a table of their own, [`GOLDEN_LARGE`] (a few seconds unoptimized).
+//! When the plan IR itself changes on purpose, regenerate both with
 //!
 //! ```text
 //! cargo test --release --test plan_golden -- --ignored --nocapture print_golden_table
@@ -212,10 +213,6 @@ fn exec_plans_match_the_golden_table() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "half a minute unoptimized; CI runs this suite in release"
-)]
 fn large_exec_plans_match_the_golden_table() {
     assert_golden(&large_cases(), GOLDEN_LARGE);
 }
