@@ -13,9 +13,9 @@ use pip_mcoll_bench::report::render_scaled_table;
 use pip_netsim::cluster::ClusterSpec;
 
 fn main() {
-    // A fraction of the paper's node count keeps the largest traces (64 KiB
-    // per process x 288 ranks) within a few seconds while preserving the
-    // wide-node regime (18 processes per node).
+    // A fraction of the paper's node count keeps the largest cells (256 KiB
+    // per process x 288 ranks: a 72 MiB allgather result per rank) within
+    // seconds while preserving the wide-node regime (18 processes per node).
     let cluster = ClusterSpec::new(16, 18);
     println!("=== ABL-LARGE: larger messages (16 nodes x 18 ppn) ===\n");
     for kind in [CollectiveKind::Allgather, CollectiveKind::Scatter] {

@@ -5,6 +5,7 @@
 //! size and is over 4.6× as fast as the fastest competitor at 64 B, while
 //! PiP-MPICH (the non-multi-object PiP baseline) is sometimes the slowest
 //! implementation because of its message-size synchronization overhead.
+//! The binary asserts the first two claims after printing the table.
 //!
 //! ```text
 //! cargo run --release -p pip-mcoll-bench --bin fig2_allgather
@@ -36,5 +37,13 @@ fn main() {
         "Paper reference: PiP-MPICH sometimes slowest; reproduced: slowest at {} of {} sizes",
         table.pip_mpich_worst_count(),
         table.sizes.len()
+    );
+    assert!(
+        table.pip_mcoll_fastest_everywhere(),
+        "PiP-MColl is not the fastest library at every size"
+    );
+    assert!(
+        speedup_64 >= 4.6,
+        "the paper reports over 4.6x at 64 B; reproduced {speedup_64:.2}x"
     );
 }

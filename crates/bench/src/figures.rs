@@ -216,7 +216,7 @@ fn record_for(
 pub const PAPER_SMALL_SIZES: [usize; 6] = [16, 32, 64, 128, 256, 512];
 
 /// The larger message sizes used by the "larger messages" ablation.
-pub const LARGE_SIZES: [usize; 4] = [1024, 4096, 16384, 65536];
+pub const LARGE_SIZES: [usize; 5] = [1024, 4096, 16384, 65536, 262_144];
 
 #[cfg(test)]
 mod tests {

@@ -44,8 +44,7 @@ pub fn bcast_binomial<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u64) 
     while mask < p {
         if vrank & mask != 0 {
             let src = rank_of(vrank - mask, root, p);
-            let data = comm.recv(src, tag, buf.len());
-            buf.copy_from_slice(&data);
+            comm.recv_into(src, tag, buf);
             break;
         }
         mask <<= 1;
@@ -112,8 +111,7 @@ pub fn scatter_binomial<C: Comm>(
         if vrank & mask != 0 {
             let src = rank_of(vrank - mask, root, p);
             let recv_blocks = mask.min(p - vrank);
-            let data = comm.recv(src, tag, recv_blocks * block);
-            tmp[..recv_blocks * block].copy_from_slice(&data);
+            comm.recv_into(src, tag, &mut tmp[..recv_blocks * block]);
             curr_blocks = recv_blocks;
             break;
         }
@@ -168,8 +166,11 @@ pub fn gather_binomial<C: Comm>(
                 let child_v = vrank + mask;
                 let src = rank_of(child_v, root, p);
                 let recv_blocks = mask.min(p - child_v);
-                let data = comm.recv(src, tag, recv_blocks * block);
-                tmp[mask * block..mask * block + data.len()].copy_from_slice(&data);
+                comm.recv_into(
+                    src,
+                    tag,
+                    &mut tmp[mask * block..(mask + recv_blocks) * block],
+                );
                 curr_blocks += recv_blocks;
             }
         } else {

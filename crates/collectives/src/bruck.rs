@@ -31,15 +31,13 @@ pub fn allgather_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], ta
         let count = step.min(p - have);
         let dst = (rank + p - step) % p;
         let src = (rank + step) % p;
-        let received = comm.sendrecv(
-            dst,
-            tag + round,
-            &tmp[..count * block],
+        // The same op order as `sendrecv`, landing the blocks in place.
+        comm.send(dst, tag + round, &tmp[..count * block]);
+        comm.recv_into(
             src,
             tag + round,
-            count * block,
+            &mut tmp[have * block..(have + count) * block],
         );
-        tmp[have * block..(have + count) * block].copy_from_slice(&received);
         have += count;
         step <<= 1;
         round += 1;

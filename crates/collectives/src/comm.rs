@@ -94,6 +94,14 @@ pub trait Comm {
     /// Receive exactly `len` bytes from `source` with `tag`.
     fn recv(&self, source: usize, tag: u64, len: usize) -> Vec<u8>;
 
+    /// As [`Comm::recv`] for `out.len()` bytes, landing them in `out`: the
+    /// receive for a message the algorithm would otherwise copy whole into
+    /// one contiguous slice of its own buffer.  Records the same operation
+    /// as [`Comm::recv`]; the default receives a `Vec` and copies it.
+    fn recv_into(&self, source: usize, tag: u64, out: &mut [u8]) {
+        out.copy_from_slice(&self.recv(source, tag, out.len()));
+    }
+
     /// Send to `dest`, then receive from `source`.
     ///
     /// The default implementation posts the send first and then blocks on
@@ -147,6 +155,14 @@ pub trait Comm {
     /// `owner_local`, starting at `offset` (one copy, performed by the
     /// caller).
     fn shared_read(&self, owner_local: usize, name: &str, offset: usize, len: usize) -> Vec<u8>;
+
+    /// As [`Comm::shared_read`] for `out.len()` bytes, loading them straight
+    /// into `out` — the one copy PiP charges, with no intermediate buffer.
+    /// Records the same operation as [`Comm::shared_read`]; the default
+    /// reads a `Vec` and copies it.
+    fn shared_read_into(&self, owner_local: usize, name: &str, offset: usize, out: &mut [u8]) {
+        out.copy_from_slice(&self.shared_read(owner_local, name, offset, out.len()));
+    }
 
     /// Send `len` bytes straight out of a peer's exposed buffer (zero-copy:
     /// only the message itself is charged).
@@ -302,6 +318,10 @@ impl Comm for ThreadComm<'_> {
         region.read_vec(offset, len).expect("shared_read in bounds")
     }
 
+    fn shared_read_into(&self, owner_local: usize, name: &str, offset: usize, out: &mut [u8]) {
+        self.ctx.attach(owner_local, name).read(offset, out);
+    }
+
     fn send_from_shared(
         &self,
         owner_local: usize,
@@ -402,13 +422,17 @@ mod tests {
             let comm = ThreadComm::new(ctx);
             if comm.rank() == 0 {
                 comm.send(1, 5, &[1, 2, 3]);
-                Vec::new()
+                comm.send(1, 6, &[4, 5, 6]);
+                (Vec::new(), Vec::new())
             } else {
-                comm.recv(0, 5, 3)
+                // `recv_into` lands the bytes `recv` returns, in place.
+                let mut landed = vec![0xA5; 5];
+                comm.recv_into(0, 6, &mut landed[1..4]);
+                (comm.recv(0, 5, 3), landed)
             }
         })
         .unwrap();
-        assert_eq!(results[1], vec![1, 2, 3]);
+        assert_eq!(results[1], (vec![1, 2, 3], vec![0xA5, 4, 5, 6, 0xA5]));
     }
 
     #[test]
@@ -424,11 +448,16 @@ mod tests {
                 comm.shared_write(0, "buf", 2, &[7, 8]);
             }
             comm.node_barrier();
-            comm.shared_read(0, "buf", 0, 4)
+            // `shared_read_into` loads the bytes `shared_read` returns, in
+            // place.
+            let mut loaded = vec![0xA5; 5];
+            comm.shared_read_into(0, "buf", 1, &mut loaded[1..4]);
+            (comm.shared_read(0, "buf", 0, 4), loaded)
         })
         .unwrap();
-        assert_eq!(results[0], vec![0, 0, 7, 8]);
-        assert_eq!(results[1], vec![0, 0, 7, 8]);
+        for result in results {
+            assert_eq!(result, (vec![0, 0, 7, 8], vec![0xA5, 0, 7, 8, 0xA5]));
+        }
     }
 
     #[test]

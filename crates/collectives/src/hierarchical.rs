@@ -45,8 +45,7 @@ pub fn allgather_hierarchical<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
         comm.node_barrier();
         comm.shared_write(0, &name, local * block, sendbuf);
         comm.node_barrier();
-        let data = comm.shared_read(0, &name, 0, node_block);
-        recvbuf.copy_from_slice(&data);
+        comm.shared_read_into(0, &name, 0, recvbuf);
         return;
     }
 
@@ -91,11 +90,10 @@ pub fn allgather_hierarchical<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
     // Step 3: every process copies the gathered data out, un-rotating the
     // node order (two contiguous reads).
     let split = (nodes - node) * node_block;
-    let tail = comm.shared_read(0, &name, 0, split);
-    recvbuf[node * node_block..].copy_from_slice(&tail);
+    let (head, tail) = recvbuf.split_at_mut(node * node_block);
+    comm.shared_read_into(0, &name, 0, tail);
     if node > 0 {
-        let head = comm.shared_read(0, &name, split, node * node_block);
-        recvbuf[..node * node_block].copy_from_slice(&head);
+        comm.shared_read_into(0, &name, split, head);
     }
     comm.node_barrier();
 }
@@ -160,8 +158,7 @@ pub fn scatter_hierarchical<C: Comm>(
             if vnode & mask != 0 {
                 let src_node = ((vnode - mask) + root_node) % nodes;
                 let recv_blocks = mask.min(nodes - vnode);
-                let data = comm.recv(rep_of(src_node), tag, recv_blocks * node_block);
-                tmp[..recv_blocks * node_block].copy_from_slice(&data);
+                comm.recv_into(rep_of(src_node), tag, &mut tmp[..recv_blocks * node_block]);
                 curr_blocks = recv_blocks;
                 break;
             }
@@ -190,8 +187,7 @@ pub fn scatter_hierarchical<C: Comm>(
         comm.shared_write(topo.local_rank_of(my_rep), &name, 0, &staged);
     }
     comm.node_barrier();
-    let data = comm.shared_read(topo.local_rank_of(my_rep), &name, local * block, block);
-    recvbuf.copy_from_slice(&data);
+    comm.shared_read_into(topo.local_rank_of(my_rep), &name, local * block, recvbuf);
     comm.node_barrier();
 }
 
@@ -222,8 +218,7 @@ pub fn bcast_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u
         while mask < nodes {
             if vnode & mask != 0 {
                 let src_node = ((vnode - mask) + root_node) % nodes;
-                let data = comm.recv(rep_of(src_node), tag, len);
-                buf.copy_from_slice(&data);
+                comm.recv_into(rep_of(src_node), tag, buf);
                 break;
             }
             mask <<= 1;
@@ -245,8 +240,7 @@ pub fn bcast_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u
     }
     comm.node_barrier();
     if !i_am_rep {
-        let data = comm.shared_read(topo.local_rank_of(my_rep), &name, 0, len);
-        buf.copy_from_slice(&data);
+        comm.shared_read_into(topo.local_rank_of(my_rep), &name, 0, buf);
     }
     comm.node_barrier();
 }
@@ -321,8 +315,7 @@ pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'
             }
             if node < 2 * rem {
                 if node.is_multiple_of(2) {
-                    let data = comm.recv(leader_of(node + 1), tag + 63, len);
-                    buf.copy_from_slice(&data);
+                    comm.recv_into(leader_of(node + 1), tag + 63, buf);
                 } else {
                     comm.send(leader_of(node - 1), tag + 63, buf);
                 }
@@ -334,8 +327,7 @@ pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'
     }
     comm.node_barrier();
     if !comm.is_node_root() {
-        let data = comm.shared_read(0, &result, 0, len);
-        buf.copy_from_slice(&data);
+        comm.shared_read_into(0, &result, 0, buf);
     }
     comm.node_barrier();
 }

@@ -63,11 +63,10 @@ pub fn allgather_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
     // Step ⑥: copy out in absolute rank order (two contiguous reads undo the
     // rotation).
     let split = (nodes - node) * node_block;
-    let tail = comm.shared_read(0, &name, 0, split);
-    recvbuf[node * node_block..].copy_from_slice(&tail);
+    let (head, tail) = recvbuf.split_at_mut(node * node_block);
+    comm.shared_read_into(0, &name, 0, tail);
     if node > 0 {
-        let head = comm.shared_read(0, &name, split, node * node_block);
-        recvbuf[..node * node_block].copy_from_slice(&head);
+        comm.shared_read_into(0, &name, split, head);
     }
     comm.node_barrier();
 }

@@ -49,8 +49,7 @@ pub fn allreduce_multi_object<C: Comm>(
         if owner == local {
             buf[s..e].copy_from_slice(&chunk.bytes);
         } else {
-            let data = comm.shared_read(owner, &out_name, 0, e - s);
-            buf[s..e].copy_from_slice(&data);
+            comm.shared_read_into(owner, &out_name, 0, &mut buf[s..e]);
         }
     }
     comm.node_barrier();

@@ -44,8 +44,8 @@ pub fn alltoall_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u
                 .copy_from_slice(&sendbuf[peer_rank * block..(peer_rank + 1) * block]);
         } else {
             // Read the block peer -> me straight from the peer's buffer.
-            let data = comm.shared_read(peer_local, &in_name, comm.rank() * block, block);
-            recvbuf[peer_rank * block..(peer_rank + 1) * block].copy_from_slice(&data);
+            let dst = &mut recvbuf[peer_rank * block..(peer_rank + 1) * block];
+            comm.shared_read_into(peer_local, &in_name, comm.rank() * block, dst);
         }
     }
 

@@ -33,8 +33,7 @@ pub fn bcast_multi_object<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u
             comm.send_from_shared(root_local, &src_name, 0, len, dst, tag);
         }
         if rank != root {
-            let data = comm.shared_read(root_local, &src_name, 0, len);
-            buf.copy_from_slice(&data);
+            comm.shared_read_into(root_local, &src_name, 0, buf);
         }
         comm.node_barrier();
     } else {
@@ -46,8 +45,7 @@ pub fn bcast_multi_object<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u
             comm.recv_into_shared(receiver_local, &stage_name, 0, src, tag, len);
         }
         comm.node_barrier();
-        let data = comm.shared_read(receiver_local, &stage_name, 0, len);
-        buf.copy_from_slice(&data);
+        comm.shared_read_into(receiver_local, &stage_name, 0, buf);
         comm.node_barrier();
     }
 }

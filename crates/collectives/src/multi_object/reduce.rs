@@ -49,8 +49,7 @@ pub fn reduce_multi_object<C: Comm>(
             if owner == local {
                 recvbuf[s..e].copy_from_slice(&chunk.bytes);
             } else {
-                let data = comm.shared_read(owner, &out_name, 0, e - s);
-                recvbuf[s..e].copy_from_slice(&data);
+                comm.shared_read_into(owner, &out_name, 0, &mut recvbuf[s..e]);
             }
         }
     }

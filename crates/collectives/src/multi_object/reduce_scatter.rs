@@ -126,8 +126,7 @@ pub fn reduce_owned_chunk<C: Comm>(
         }
         if node < 2 * rem {
             if node.is_multiple_of(2) {
-                let data = comm.recv(peer_rank(node + 1), tag + 63, bytes);
-                chunk.copy_from_slice(&data);
+                comm.recv_into(peer_rank(node + 1), tag + 63, &mut chunk);
             } else {
                 comm.send(peer_rank(node - 1), tag + 63, &chunk);
             }
@@ -189,8 +188,7 @@ pub fn reduce_scatter_multi_object<C: Comm>(
         if owner == local {
             dst.copy_from_slice(&chunk.bytes[lo - s..hi - s]);
         } else {
-            let data = comm.shared_read(owner, &out_name, lo - s, hi - lo);
-            dst.copy_from_slice(&data);
+            comm.shared_read_into(owner, &out_name, lo - s, dst);
         }
     }
     comm.node_barrier();

@@ -53,8 +53,7 @@ pub fn scatter_multi_object<C: Comm>(
 
         // Local delivery: each root-node process copies its own block out of
         // the root's buffer.
-        let data = comm.shared_read(root_local, &src_name, rank * block, block);
-        recvbuf.copy_from_slice(&data);
+        comm.shared_read_into(root_local, &src_name, rank * block, recvbuf);
         comm.node_barrier();
     } else {
         // One process per remote node receives the node-block into shared
@@ -67,8 +66,7 @@ pub fn scatter_multi_object<C: Comm>(
             comm.recv_into_shared(receiver_local, &stage_name, 0, src, tag, node_block);
         }
         comm.node_barrier();
-        let data = comm.shared_read(receiver_local, &stage_name, local * block, block);
-        recvbuf.copy_from_slice(&data);
+        comm.shared_read_into(receiver_local, &stage_name, local * block, recvbuf);
         comm.node_barrier();
     }
 }

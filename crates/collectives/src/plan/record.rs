@@ -56,9 +56,20 @@
 //! time, so the work per byte is `k` byte compares and the work per run one
 //! binary search of the table.
 //!
-//! Schedule-fidelity compiles skip all of this: one pass, zero-filled
-//! buffers, [`SrcSeg::Opaque`] payloads — the cost of running the algorithm
-//! once, producing a cacheable [`RankPlan`].
+//! **In place.**  A receive or shared read the algorithm lands in its own
+//! buffer ([`Comm::recv_into`], [`Comm::shared_read_into`]) records the same
+//! op and defines the same value as its `Vec` twin; under exec fidelity the
+//! destination is tainted in place with the location numbers a fresh buffer
+//! would get, so the location table, the output bytes and the plan do not
+//! depend on which of the two the algorithm called.
+//!
+//! Schedule-fidelity compiles skip all of this: one pass and
+//! [`SrcSeg::Opaque`] payloads, and the recorder writes no byte — no fill,
+//! no taint, no capture — so the buffers' contents are dead and a driver may
+//! record every rank into one reused, never re-zeroed pair of caller
+//! buffers.  What is left is the cost of running the algorithm once: O(ops)
+//! plus the algorithm's own private copies, producing a cacheable
+//! [`RankPlan`].
 
 use std::fmt;
 use std::sync::Mutex;
@@ -293,8 +304,9 @@ impl PlanComm {
     }
 
     /// Fill `buf` with the fingerprints of the caller's send buffer for this
-    /// pass (zeroes under schedule fidelity).  The compile driver uses this
-    /// to prepare the synthetic input buffers before running the algorithm.
+    /// pass.  The compile driver uses this to prepare the synthetic input
+    /// buffers before running the algorithm.  Under schedule fidelity `buf`
+    /// is left as it is: nothing reads its bytes, so it may hold anything.
     pub fn fill_sendbuf(&self, buf: &mut [u8]) {
         self.fill(VAL_SENDBUF, buf);
     }
@@ -305,12 +317,11 @@ impl PlanComm {
         self.fill(VAL_RECVINIT, buf);
     }
 
-    /// Overwrite `buf` with the fingerprints of `val` for this pass (zeroes
-    /// under schedule fidelity).
+    /// Overwrite `buf` with the fingerprints of `val` for this pass (exec
+    /// fidelity only).
     fn fill(&self, val: ValId, buf: &mut [u8]) {
-        match self.fidelity {
-            Fidelity::Exec => self.taint(&mut self.state.lock().unwrap(), val, buf),
-            Fidelity::Schedule => buf.fill(0),
+        if self.fidelity == Fidelity::Exec {
+            self.taint(&mut self.state.lock().unwrap(), val, buf);
         }
     }
 
@@ -379,18 +390,17 @@ impl PlanComm {
         id
     }
 
-    /// Record `op` and hand the new value's fingerprint bytes back to the
-    /// algorithm.
-    fn define_val(&self, len: usize, make_op: impl FnOnce(ValId) -> RecOp) -> Vec<u8> {
+    /// Record `op`, which defines a new value of `out.len()` bytes that the
+    /// algorithm receives in `out`: tainted in place under exec fidelity,
+    /// left as it is under schedule fidelity, where nothing reads it.
+    fn define_val(&self, out: &mut [u8], make_op: impl FnOnce(ValId) -> RecOp) {
         let mut state = self.state.lock().unwrap();
-        let dst = Self::new_val(&mut state, len);
+        let dst = Self::new_val(&mut state, out.len());
         let op = make_op(dst);
         state.ops.push(op);
-        let mut bytes = vec![0u8; len];
         if self.fidelity == Fidelity::Exec {
-            self.taint(&mut state, dst, &mut bytes);
+            self.taint(&mut state, dst, out);
         }
-        bytes
     }
 
     fn push(&self, op: RecOp) {
@@ -419,7 +429,14 @@ impl Comm for PlanComm {
     }
 
     fn recv(&self, source: usize, tag: u64, len: usize) -> Vec<u8> {
-        self.define_val(len, |dst| RecOp::Recv {
+        let mut bytes = vec![0u8; len];
+        self.recv_into(source, tag, &mut bytes);
+        bytes
+    }
+
+    fn recv_into(&self, source: usize, tag: u64, out: &mut [u8]) {
+        let len = out.len();
+        self.define_val(out, |dst| RecOp::Recv {
             source,
             tag,
             len,
@@ -442,11 +459,13 @@ impl Comm for PlanComm {
     }
 
     fn shared_collect(&self, name: &str, len: usize) -> Vec<u8> {
-        self.define_val(len, |dst| RecOp::SharedCollect {
+        let mut bytes = vec![0u8; len];
+        self.define_val(&mut bytes, |dst| RecOp::SharedCollect {
             name: name.to_string(),
             len,
             dst,
-        })
+        });
+        bytes
     }
 
     fn shared_write(&self, owner_local: usize, name: &str, offset: usize, data: &[u8]) {
@@ -459,7 +478,14 @@ impl Comm for PlanComm {
     }
 
     fn shared_read(&self, owner_local: usize, name: &str, offset: usize, len: usize) -> Vec<u8> {
-        self.define_val(len, |dst| RecOp::SharedRead {
+        let mut bytes = vec![0u8; len];
+        self.shared_read_into(owner_local, name, offset, &mut bytes);
+        bytes
+    }
+
+    fn shared_read_into(&self, owner_local: usize, name: &str, offset: usize, out: &mut [u8]) {
+        let len = out.len();
+        self.define_val(out, |dst| RecOp::SharedRead {
             owner_local,
             name: name.to_string(),
             offset,
@@ -1204,6 +1230,88 @@ mod tests {
             &plan.ops[0],
             PlanOp::Send { src, .. } if src.is_opaque() && src.len() == 16
         ));
+    }
+
+    /// Under schedule fidelity the in-place reads and the caller-buffer
+    /// fills write nothing, and each `_into` read records exactly what its
+    /// `Vec` twin records.
+    #[test]
+    fn schedule_fidelity_in_place_reads_write_nothing_and_record_their_twins() {
+        let topo = Topology::new(1, 2);
+        let in_place = PlanComm::new(0, topo, 0, Fidelity::Schedule);
+        let mut out = [0xA5u8; 24];
+        in_place.fill_sendbuf(&mut out[..4]);
+        in_place.fill_recvbuf(&mut out[4..8]);
+        in_place.recv_into(1, 3, &mut out[..16]);
+        in_place.shared_read_into(1, "x", 8, &mut out[16..]);
+        assert_eq!(out, [0xA5u8; 24]);
+        let twins = PlanComm::new(0, topo, 0, Fidelity::Schedule);
+        twins.recv(1, 3, 16);
+        twins.shared_read(1, "x", 8, 8);
+        let (in_place, twins) = (in_place.finish(None), twins.finish(None));
+        assert_eq!(
+            in_place.ops,
+            vec![
+                RecOp::Recv {
+                    source: 1,
+                    tag: 3,
+                    len: 16,
+                    dst: FIRST_RUNTIME_VAL
+                },
+                RecOp::SharedRead {
+                    owner_local: 1,
+                    name: "x".to_string(),
+                    offset: 8,
+                    len: 8,
+                    dst: FIRST_RUNTIME_VAL + 1
+                },
+            ]
+        );
+        assert_eq!(in_place.ops, twins.ops);
+        assert_eq!(in_place.val_lens, twins.val_lens);
+        assert!(in_place.locations.is_empty());
+    }
+
+    /// Through the exec compile, landing a receive or a shared read in
+    /// place assembles to the same plan as receiving a `Vec` and copying it
+    /// into the same slice.
+    #[test]
+    fn exec_in_place_reads_assemble_to_the_plan_of_read_and_copy() {
+        let topo = Topology::new(1, 2);
+        let io = IoShape {
+            sendbuf: Some(4),
+            recvbuf: Some(16),
+            ..IoShape::default()
+        };
+        let body = |in_place: bool| {
+            move |comm: &PlanComm| {
+                let mut sendbuf = vec![0u8; 4];
+                comm.fill_sendbuf(&mut sendbuf);
+                let mut recvbuf = vec![0u8; 16];
+                comm.fill_recvbuf(&mut recvbuf);
+                comm.send(1, 0, &sendbuf);
+                if in_place {
+                    comm.recv_into(1, 1, &mut recvbuf[2..10]);
+                    comm.shared_read_into(1, "x", 4, &mut recvbuf[11..15]);
+                } else {
+                    recvbuf[2..10].copy_from_slice(&comm.recv(1, 1, 8));
+                    recvbuf[11..15].copy_from_slice(&comm.shared_read(1, "x", 4, 4));
+                }
+                comm.send(1, 2, &recvbuf[..12]);
+                Some(recvbuf)
+            }
+        };
+        let plan = compile_exec(0, topo, io, body(true));
+        assert_eq!(plan, compile_exec(0, topo, io, body(false)));
+        // The received bytes reach the outgoing payload and the output.
+        assert!(matches!(
+            &plan.ops[3],
+            PlanOp::Send { tag: 2, src, .. } if src.segs[1] == SrcSeg::Val { id: 0, offset: 0, len: 8 }
+        ));
+        assert!(plan.ops.iter().any(|op| matches!(
+            op,
+            PlanOp::CopyOut { offset: 11, src } if src.segs == vec![SrcSeg::Val { id: 1, offset: 0, len: 4 }]
+        )));
     }
 
     #[test]

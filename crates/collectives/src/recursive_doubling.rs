@@ -35,15 +35,14 @@ pub fn allgather_recursive_doubling<C: Comm>(
         let my_start = (rank & !(mask - 1)) * block;
         let partner_start = (partner & !(mask - 1)) * block;
         let len = mask * block;
-        let received = comm.sendrecv(
+        // The same op order as `sendrecv`, landing the partner's blocks in
+        // place.
+        comm.send(partner, tag + round, &recvbuf[my_start..my_start + len]);
+        comm.recv_into(
             partner,
             tag + round,
-            &recvbuf[my_start..my_start + len],
-            partner,
-            tag + round,
-            len,
+            &mut recvbuf[partner_start..partner_start + len],
         );
-        recvbuf[partner_start..partner_start + len].copy_from_slice(&received);
         mask <<= 1;
         round += 1;
     }
@@ -107,8 +106,7 @@ pub fn allreduce_recursive_doubling<C: Comm>(
     // Hand the result back to the folded-out ranks.
     if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            let data = comm.recv(rank + 1, tag + 63, bytes);
-            buf.copy_from_slice(&data);
+            comm.recv_into(rank + 1, tag + 63, buf);
         } else {
             comm.send(rank - 1, tag + 63, buf);
         }

@@ -128,8 +128,7 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
             recvbuf.copy_from_slice(&buf[first * block..last * block]);
         }
     } else {
-        let data = comm.recv(rank + 1, tag + 63, block);
-        recvbuf.copy_from_slice(&data);
+        comm.recv_into(rank + 1, tag + 63, recvbuf);
     }
 }
 

@@ -21,16 +21,18 @@ pub fn allgather_ring<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
         // Block to forward: the one that originated `step` ranks behind us.
         let send_block = (rank + p - step) % p;
         let recv_block = (rank + p - step - 1) % p;
-        let outgoing = recvbuf[send_block * block..(send_block + 1) * block].to_vec();
-        let incoming = comm.sendrecv(
+        // The same op order as `sendrecv`, landing the block in place.
+        let tag = tag + step as u64;
+        comm.send(
             right,
-            tag + step as u64,
-            &outgoing,
-            left,
-            tag + step as u64,
-            block,
+            tag,
+            &recvbuf[send_block * block..(send_block + 1) * block],
         );
-        recvbuf[recv_block * block..(recv_block + 1) * block].copy_from_slice(&incoming);
+        comm.recv_into(
+            left,
+            tag,
+            &mut recvbuf[recv_block * block..(recv_block + 1) * block],
+        );
     }
 }
 
@@ -99,16 +101,9 @@ pub fn allreduce_ring<C: Comm>(
         let recv_chunk = (rank + p - step) % p;
         let (ss, se) = chunk_bounds(send_chunk);
         let (rs, re) = chunk_bounds(recv_chunk);
-        let outgoing = buf[ss..se].to_vec();
-        let incoming = comm.sendrecv(
-            right,
-            tag + 1000 + step as u64,
-            &outgoing,
-            left,
-            tag + 1000 + step as u64,
-            re - rs,
-        );
-        buf[rs..re].copy_from_slice(&incoming);
+        let tag = tag + 1000 + step as u64;
+        comm.send(right, tag, &buf[ss..se]);
+        comm.recv_into(left, tag, &mut buf[rs..re]);
     }
 }
 

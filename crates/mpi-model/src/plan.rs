@@ -335,8 +335,8 @@ impl ProfileMemo {
 /// the recording communicator — as many fingerprint passes as the plan's
 /// fingerprinted bytes need for exec fidelity
 /// ([`pip_collectives::plan::compile_exec`]: three for a 4×4 64 B
-/// allreduce, four for a 256 KiB one), a single zero-filled pass for
-/// schedule fidelity.
+/// allreduce, four for a 256 KiB one), a single pass for schedule fidelity,
+/// whose buffer contents nothing reads.
 pub fn compile_rank(
     profile: &LibraryProfile,
     topology: Topology,
@@ -344,15 +344,32 @@ pub fn compile_rank(
     shape: &CollectiveShape,
     fidelity: Fidelity,
 ) -> RankPlan {
+    let scratch = &mut CallerBuffers::default();
+    compile_rank_with(profile, topology, rank, shape, fidelity, scratch)
+}
+
+/// [`compile_rank`], recording a schedule-fidelity pass on `scratch`, which
+/// the compiles of one call share: its bytes are dead, so it is grown to
+/// each rank's buffers and never re-zeroed.  Exec-fidelity passes run on
+/// fresh buffers.
+fn compile_rank_with(
+    profile: &LibraryProfile,
+    topology: Topology,
+    rank: usize,
+    shape: &CollectiveShape,
+    fidelity: Fidelity,
+    scratch: &mut CallerBuffers,
+) -> RankPlan {
     let world = topology.world_size();
     let io = shape.io_for(rank, world);
-    let record = |comm: &PlanComm| run_for_recording(profile, comm, shape, io);
     let mut plan = match fidelity {
-        Fidelity::Exec => compile_exec(rank, topology, io, record),
+        Fidelity::Exec => compile_exec(rank, topology, io, |comm| {
+            run_for_recording(profile, comm, shape, io)
+        }),
         Fidelity::Schedule => {
             let comm = PlanComm::new(rank, topology, 0, fidelity);
-            let out = record(&comm);
-            assemble(rank, topology, fidelity, io, vec![comm.finish(out)])
+            scratch.record(profile, &comm, shape, io);
+            assemble(rank, topology, fidelity, io, vec![comm.finish(None)])
         }
     };
     if let Some(spec) = shape.compress {
@@ -435,11 +452,12 @@ fn compile_classes(
     shape: &CollectiveShape,
     fidelity: Fidelity,
     equal_under: EqualUnder,
+    scratch: &mut CallerBuffers,
 ) -> NodeClasses {
     let nodes = topology.nodes();
     let ppn = topology.ppn();
-    let compile = |rank| compile_rank(profile, topology, rank, shape, fidelity);
-    let reps: Vec<RankPlan> = (0..ppn).map(compile).collect();
+    let mut compile = |rank| compile_rank_with(profile, topology, rank, shape, fidelity, scratch);
+    let reps: Vec<RankPlan> = (0..ppn).map(&mut compile).collect();
     let mut probed: Vec<RankPlan> = Vec::new();
     let group = if nodes < 2 {
         None
@@ -504,11 +522,19 @@ fn compile_cluster_counted(
     fidelity: Fidelity,
 ) -> (Plan, (u64, u64)) {
     let world = topology.world_size();
+    let mut scratch = CallerBuffers::default();
     let NodeClasses {
         reps,
         probed,
         group,
-    } = compile_classes(profile, topology, shape, fidelity, ranks_equal_under);
+    } = compile_classes(
+        profile,
+        topology,
+        shape,
+        fidelity,
+        ranks_equal_under,
+        &mut scratch,
+    );
     let mut probed = probed.into_iter().peekable();
     let mut ranks_instantiated = 0;
     // Node 0's ranks are the representatives; the rest follow in rank order.
@@ -527,7 +553,9 @@ fn compile_cluster_counted(
                 });
                 plan
             }
-            (None, None) => compile_rank(profile, topology, rank, shape, fidelity),
+            (None, None) => {
+                compile_rank_with(profile, topology, rank, shape, fidelity, &mut scratch)
+            }
         };
         ranks.push(plan);
     }
@@ -560,6 +588,7 @@ pub fn compile_folded(
         shape,
         Fidelity::Schedule,
         schedules_equal_under,
+        &mut CallerBuffers::default(),
     );
     let group = classes.group?;
     let lowered = classes
@@ -570,52 +599,84 @@ pub fn compile_folded(
     FoldedTrace::from_representatives(topology, group, lowered).ok()
 }
 
-/// Run one recording pass: fingerprint the caller buffers `io` declares and
-/// push them through the ordinary dispatcher against the recorder, which
-/// stands in for the reduction operator too.  Returns the final contents of
-/// the receive buffer.
+/// Run one recording pass on fresh caller buffers (see
+/// [`CallerBuffers::record`]) and return the final contents of the receive
+/// buffer.
 fn run_for_recording(
     profile: &LibraryProfile,
     comm: &PlanComm,
     shape: &CollectiveShape,
     io: IoShape,
 ) -> Option<Vec<u8>> {
-    let buffer = |len: Option<usize>, fill: fn(&PlanComm, &mut [u8])| {
-        len.map(|len| {
-            let mut buf = vec![0u8; len];
-            fill(comm, &mut buf);
-            buf
-        })
-    };
-    // An in/out collective's one buffer is its input, read through the
-    // send slot.
-    let (send, mut recv) = if io.inout {
-        (None, buffer(io.recvbuf, PlanComm::fill_sendbuf))
-    } else {
-        (
-            buffer(io.sendbuf, PlanComm::fill_sendbuf),
-            buffer(io.recvbuf, PlanComm::fill_recvbuf),
-        )
-    };
-    // Recording always runs on packed contiguous buffers; a layout lives in
-    // the plan's IoShape (`io_for`), where the executor packs and unpacks.
-    let packed = CollectiveShape {
-        layout: None,
-        ..*shape
-    };
-    {
+    let mut buffers = CallerBuffers::default();
+    buffers.record(profile, comm, shape, io);
+    io.recvbuf.map(|len| {
+        buffers.recv.truncate(len);
+        buffers.recv
+    })
+}
+
+/// The send and receive buffers a recording pass hands the algorithm as the
+/// caller's.
+#[derive(Default)]
+struct CallerBuffers {
+    send: Vec<u8>,
+    recv: Vec<u8>,
+}
+
+impl CallerBuffers {
+    /// Run one recording pass: size the buffers as `io` declares (growing
+    /// them with zeroes, never clearing what they hold), fingerprint them
+    /// and push them through the ordinary dispatcher against the recorder,
+    /// which stands in for the reduction operator too.
+    fn record(
+        &mut self,
+        profile: &LibraryProfile,
+        comm: &PlanComm,
+        shape: &CollectiveShape,
+        io: IoShape,
+    ) {
+        fn grown(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+            if buf.len() < len {
+                buf.resize(len, 0);
+            }
+            &mut buf[..len]
+        }
+        // An in/out collective's one buffer is its input, read through the
+        // send slot.
+        let mut send = io
+            .sendbuf
+            .filter(|_| !io.inout)
+            .map(|len| grown(&mut self.send, len));
+        let mut recv = io.recvbuf.map(|len| grown(&mut self.recv, len));
+        if let Some(buf) = send.as_deref_mut() {
+            comm.fill_sendbuf(buf);
+        }
+        if let Some(buf) = recv.as_deref_mut() {
+            if io.inout {
+                comm.fill_sendbuf(buf);
+            } else {
+                comm.fill_recvbuf(buf);
+            }
+        }
+        // Recording always runs on packed contiguous buffers; a layout lives
+        // in the plan's IoShape (`io_for`), where the executor packs and
+        // unpacks.
+        let packed = CollectiveShape {
+            layout: None,
+            ..*shape
+        };
         let op = comm.reducer();
         dispatch::execute(
             profile,
             comm,
             &packed,
             send.as_deref(),
-            recv.as_deref_mut(),
+            recv,
             Some(&op),
             COMPILE_TAG_BASE,
         );
     }
-    recv
 }
 
 /// Shapes whose [`CollectiveShape::buffer_footprint`] exceeds this are not
@@ -922,6 +983,56 @@ mod tests {
                     run_for_recording(&profile, comm, &shape, io)
                 });
                 assert_eq!(runs.get(), expected, "{block} B, rank {rank}");
+            }
+        }
+    }
+
+    /// Schedule-fidelity recordings share one never re-zeroed pair of
+    /// caller buffers per compile call, so what a buffer held before a rank
+    /// was recorded must not reach its plan: ranks recorded in turn into one
+    /// scratch pair that starts as all 0xFF equal ranks recorded into fresh
+    /// buffers, for every kind and library, on both sides of the
+    /// large-message threshold.
+    #[test]
+    fn schedule_compiles_ignore_what_the_scratch_buffers_hold() {
+        use crate::selection::LARGE_MESSAGE_THRESHOLD;
+        for topology in [Topology::new(3, 2), Topology::new(5, 4)] {
+            let world = topology.world_size();
+            for kind in CollectiveKind::ALL {
+                for block in [12, LARGE_MESSAGE_THRESHOLD] {
+                    let reduces = matches!(
+                        kind,
+                        CollectiveKind::Allreduce
+                            | CollectiveKind::Reduce
+                            | CollectiveKind::ReduceScatter
+                            | CollectiveKind::Scan
+                            | CollectiveKind::Exscan
+                    );
+                    let elem_size = if reduces { 4 } else { 1 };
+                    let block = if kind == CollectiveKind::Barrier {
+                        0
+                    } else {
+                        block
+                    };
+                    let shape = CollectiveShape::reduction(kind, block, world - 1, elem_size, None);
+                    for library in Library::ALL {
+                        let profile = library.profile();
+                        let mut dirty = CallerBuffers {
+                            send: vec![0xFF; world * block],
+                            recv: vec![0xFF; world * block],
+                        };
+                        for rank in 0..world {
+                            let fidelity = Fidelity::Schedule;
+                            assert_eq!(
+                                compile_rank_with(
+                                    &profile, topology, rank, &shape, fidelity, &mut dirty
+                                ),
+                                compile_rank(&profile, topology, rank, &shape, fidelity),
+                                "{library:?} {kind:?} {block} B on {topology:?}, rank {rank}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
