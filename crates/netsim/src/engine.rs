@@ -32,10 +32,12 @@
 //!   a spill heap for far-future events (long `Delay`s).  Pushes are O(1);
 //!   pops sort one small bucket at a time, preserving the exact global
 //!   `(time, seq)` order of the heap version.
-//! * **dense match tables**: per-receiver lanes (source, tag, pending
-//!   arrival ring) scanned linearly.  Steady-state collectives keep one or
-//!   two live lanes per rank, so matching is a couple of compares instead
-//!   of a hash.
+//! * **flat mailboxes**: one list of pending `(source, tag, arrival)`
+//!   messages per receiver, scanned linearly and matched per key in
+//!   delivery order, plus the one key the (sequential) receiver is blocked
+//!   on.  Collectives keep few messages pending per rank, so matching is a
+//!   few compares instead of a hash, and each list keeps its allocation for
+//!   the whole replay: matching allocates nothing per message.
 //! * **generation-tagged events**: each rank carries a generation counter,
 //!   bumped whenever it blocks or finishes; events record the generation
 //!   they were scheduled under and stale ones are dropped on pop without
@@ -248,6 +250,10 @@ struct CalendarQueue {
     /// The ring.  Slot `b & CALENDAR_MASK` holds bucket `b` for
     /// `base < b < base + CALENDAR_BUCKETS`.
     ring: Vec<Vec<Event>>,
+    /// Drained, empty bucket vectors, handed to the next empty slot that
+    /// receives an event: the ring holds as many allocations as it ever has
+    /// non-empty buckets at once, not one per slot simulated time reaches.
+    spare: Vec<Vec<Event>>,
     /// Events currently stored in the ring (not counting `current`).
     ring_len: usize,
     /// Far-future events, min-heap on `(time, seq)`.
@@ -281,6 +287,7 @@ impl CalendarQueue {
             inv_width: 1.0 / width,
             base: 0,
             ring: (0..CALENDAR_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             ring_len: 0,
             overflow: BinaryHeap::new(),
             incoming: BinaryHeap::with_capacity(hint),
@@ -326,8 +333,7 @@ impl CalendarQueue {
             // wakeups, an earlier one): goes to the merge heap.
             self.incoming.push(Reverse(OverflowEvent(ev)));
         } else if b < self.base + CALENDAR_BUCKETS as u64 {
-            self.ring[(b & CALENDAR_MASK) as usize].push(ev);
-            self.ring_len += 1;
+            self.push_ring(b, ev);
         } else {
             self.overflow.push(Reverse(OverflowEvent(ev)));
         }
@@ -399,6 +405,20 @@ impl CalendarQueue {
         }
     }
 
+    /// Store `ev` in the ring slot of bucket `b`, reusing a spare vector if
+    /// the slot has none.
+    #[inline]
+    fn push_ring(&mut self, b: u64, ev: Event) {
+        let slot = &mut self.ring[(b & CALENDAR_MASK) as usize];
+        if slot.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *slot = spare;
+            }
+        }
+        slot.push(ev);
+        self.ring_len += 1;
+    }
+
     /// Move to the next non-empty bucket and drain it into `current`.
     fn advance(&mut self) {
         self.current.clear();
@@ -426,8 +446,7 @@ impl CalendarQueue {
                 if b <= self.base {
                     self.current.push(ev);
                 } else {
-                    self.ring[(b & CALENDAR_MASK) as usize].push(ev);
-                    self.ring_len += 1;
+                    self.push_ring(b, ev);
                 }
             }
             let slot = (self.base & CALENDAR_MASK) as usize;
@@ -435,8 +454,7 @@ impl CalendarQueue {
                 self.ring_len -= self.ring[slot].len();
                 let mut drained = std::mem::take(&mut self.ring[slot]);
                 self.current.append(&mut drained);
-                // Hand the allocation back so the slot stays warm.
-                self.ring[slot] = drained;
+                self.spare.push(drained);
             }
             if !self.current.is_empty() {
                 self.current
@@ -451,97 +469,44 @@ impl CalendarQueue {
 // Message matching
 // ---------------------------------------------------------------------------
 
-/// Keep up to this many drained lanes per receiver so their arrival
-/// buffers stay allocated across rounds.
-const LANE_KEEP: usize = 8;
-
-/// One `(source, tag)` stream of messages into a receiver.
-#[derive(Debug)]
-struct Lane {
-    source: u32,
-    tag: u64,
-    /// The receiver is blocked waiting on this lane.
-    blocked: bool,
-    /// Read position in `arrivals` (drain-reset ring).
-    head: usize,
-    /// FIFO of arrival times.
-    arrivals: Vec<Nanos>,
+/// One receiver's mailbox: the messages delivered but not yet received, in
+/// delivery order, and the one key the receiver is blocked on.
+///
+/// A rank is sequential, so it waits on at most one `(source, tag)` at a
+/// time.  Collectives post matching sends and receives round by round, so
+/// `pending` stays short and a linear scan beats hashing; the list keeps
+/// its allocation for the whole replay, so matching allocates nothing per
+/// message.
+#[derive(Debug, Default)]
+struct Mailbox {
+    /// `(source, tag, arrival)` per message, in delivery order.
+    pending: Vec<(u32, u64, Nanos)>,
+    /// The `(source, tag)` the receiver is blocked on, if any.
+    blocked: Option<(u32, u64)>,
 }
 
-/// Dense per-receiver match tables: a short vector of lanes scanned
-/// linearly.  Collectives post matching sends and receives round by round,
-/// so the live lane count per rank stays tiny and the scan beats hashing.
-#[derive(Debug)]
-struct MatchTable {
-    lanes: Vec<Vec<Lane>>,
-}
-
-impl MatchTable {
-    fn new(receivers: usize) -> Self {
-        Self {
-            lanes: (0..receivers).map(|_| Vec::new()).collect(),
-        }
-    }
-
+impl Mailbox {
     /// Record a message arrival.  Returns `true` when the receiver was
-    /// blocked on this lane (the caller must wake it).
-    fn deliver(&mut self, source: u32, dest: usize, tag: u64, arrival: Nanos) -> bool {
-        let lanes = &mut self.lanes[dest];
-        let lane = match lanes
-            .iter_mut()
-            .position(|l| l.source == source && l.tag == tag)
-        {
-            Some(i) => &mut lanes[i],
-            None => {
-                lanes.push(Lane {
-                    source,
-                    tag,
-                    blocked: false,
-                    head: 0,
-                    arrivals: Vec::new(),
-                });
-                lanes.last_mut().expect("just pushed")
-            }
-        };
-        lane.arrivals.push(arrival);
-        std::mem::replace(&mut lane.blocked, false)
+    /// blocked on this key (the caller must wake it).
+    fn deliver(&mut self, source: u32, tag: u64, arrival: Nanos) -> bool {
+        self.pending.push((source, tag, arrival));
+        self.blocked.take_if(|key| *key == (source, tag)).is_some()
     }
 
-    /// Take the oldest pending arrival for `(source, dest, tag)`.  When no
-    /// message is pending the receiver is marked blocked on the lane and
-    /// `None` is returned.
-    fn consume(&mut self, source: u32, dest: usize, tag: u64) -> Option<Nanos> {
-        let lanes = &mut self.lanes[dest];
-        match lanes
+    /// Take the oldest pending arrival for `(source, tag)`.  When no message
+    /// is pending the receiver is marked blocked on the key and `None` is
+    /// returned.
+    fn consume(&mut self, source: u32, tag: u64) -> Option<Nanos> {
+        match self
+            .pending
             .iter()
-            .position(|l| l.source == source && l.tag == tag)
+            .position(|&(s, t, _)| s == source && t == tag)
         {
-            Some(i) => {
-                let lane = &mut lanes[i];
-                if lane.head < lane.arrivals.len() {
-                    let arrival = lane.arrivals[lane.head];
-                    lane.head += 1;
-                    if lane.head == lane.arrivals.len() {
-                        lane.head = 0;
-                        lane.arrivals.clear();
-                        if lanes.len() > LANE_KEEP {
-                            lanes.swap_remove(i);
-                        }
-                    }
-                    Some(arrival)
-                } else {
-                    lane.blocked = true;
-                    None
-                }
-            }
+            // An ordered removal: messages with one key are matched in the
+            // order they were sent.
+            Some(i) => Some(self.pending.remove(i).2),
             None => {
-                lanes.push(Lane {
-                    source,
-                    tag,
-                    blocked: true,
-                    head: 0,
-                    arrivals: Vec::new(),
-                });
+                self.blocked = Some((source, tag));
                 None
             }
         }
@@ -955,7 +920,7 @@ impl SimEngine {
         let mut tx_free = vec![0.0f64; sim_nodes];
         let mut rx_free = vec![0.0f64; sim_nodes];
         let mut nic_busy = vec![0.0f64; sim_nodes];
-        let mut table = MatchTable::new(sim_ranks);
+        let mut mailboxes: Vec<Mailbox> = (0..sim_ranks).map(|_| Mailbox::default()).collect();
         let mut barriers: Vec<BarrierSlot> =
             (0..sim_nodes).map(|_| BarrierSlot::default()).collect();
         let mut release_buf: Vec<u32> = Vec::new();
@@ -1009,7 +974,7 @@ impl SimEngine {
                 mirror.sort_by_key(|m| m.src_node);
                 for m in mirror.drain(..) {
                     let arrival = land(&mut rx_free[0], &mut nic_busy[0], m.rx_ready, m.occupancy);
-                    if table.deliver(m.source, m.dest, m.tag, arrival) {
+                    if mailboxes[m.dest].deliver(m.source, m.tag, arrival) {
                         wake(&mut ranks, &mut queue, m.dest, arrival);
                     }
                 }
@@ -1185,7 +1150,7 @@ impl SimEngine {
                             }
                         };
                         if let Some(arrival) = arrival {
-                            if table.deliver(rank as u32, dest, tag, arrival) {
+                            if mailboxes[dest].deliver(rank as u32, tag, arrival) {
                                 // Wake the receiver blocked on this message.
                                 wake(&mut ranks, &mut queue, dest, arrival);
                             }
@@ -1204,7 +1169,7 @@ impl SimEngine {
                         break;
                     }
                     TraceOp::Recv { source, bytes, tag } => {
-                        match table.consume(source as u32, rank, tag) {
+                        match mailboxes[rank].consume(source as u32, tag) {
                             Some(arrival) => {
                                 let same_node = topology.same_node(source, rank);
                                 let recv_cost = if same_node || source == rank {
@@ -1741,6 +1706,64 @@ mod tests {
             .run(&trace)
             .unwrap();
         assert!(taxed.makespan > base.makespan + 4.0 * 500.0 - 1.0);
+    }
+
+    #[test]
+    fn same_key_messages_are_received_in_send_order() {
+        // Ranks 1 and 2 (nodes 1 and 2) each post three same-tag messages to
+        // rank 0 before it posts a receive.  Rank 0's adapter lands them
+        // alternately, one occupancy apart: A1 B1 A2 B2 A3 B3, with A_j at
+        // `o_send + L + 2j occupancy` and B_j one occupancy later.  Rank 0
+        // takes A's three, then B's three: a mailbox that reorders one key's
+        // messages while removing another's hands B3 to the receive of B1.
+        const BYTES: usize = 65_536;
+        const START: Nanos = 5_000.0;
+        let engine = engine();
+        let nic = engine.params().nic_model();
+        let occupancy = nic.nic_occupancy(BYTES);
+        let arrival = |source: usize, j: usize| {
+            nic.host_send_overhead(BYTES)
+                + nic.wire_latency()
+                + (2 * j + source - 1) as Nanos * occupancy
+        };
+        let order = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)];
+        let mut done = START;
+        for received in 1..=order.len() {
+            // Rank 0 posts only the first `received` receives, so its finish
+            // time is that receive's completion; the trace is replayed
+            // without validation because the rest of the messages stay
+            // pending.
+            let mut trace = Trace::empty(topo(3, 1));
+            for source in [1, 2] {
+                for _ in 0..3 {
+                    let send = TraceOp::Send {
+                        dest: 0,
+                        bytes: BYTES,
+                        tag: 5,
+                    };
+                    trace.push(source, send);
+                }
+            }
+            trace.push(0, TraceOp::Delay { nanos: START });
+            for &(source, _) in &order[..received] {
+                let recv = TraceOp::Recv {
+                    source,
+                    bytes: BYTES,
+                    tag: 5,
+                };
+                trace.push(0, recv);
+            }
+            let (source, j) = order[received - 1];
+            done = done.max(arrival(source, j)) + nic.host_recv_overhead(BYTES);
+            let outcome = engine
+                .replay(Simulated::World(&trace), RunOptions::recorded())
+                .unwrap();
+            let finish = outcome.rank_finish[0];
+            assert!(
+                (finish - done).abs() < 1e-6,
+                "receive {received} (from {source}, message {j}) completed at {finish}, expected {done}"
+            );
+        }
     }
 
     // --- calendar queue ---------------------------------------------------

@@ -17,13 +17,28 @@
 //! folded replay in [`crate::engine`] — the full replay's event loop run
 //! over node 0's ranks — exploits exactly this.
 //!
-//! Detection is *verified*, not assumed: [`FoldedTrace::detect`] checks the
-//! candidate group's generators against every rank's op list (O(total ops)
-//! per generator) and returns `None` — the caller falls back to full replay
-//! — whenever the classes do not close.  Traces that never exist in full
-//! are folded from node 0's programs with
+//! Detection is *verified*, not assumed: [`FoldedTrace::detect`] checks
+//! each candidate group against every rank's op list in one pass (O(total
+//! ops) per group) and returns `None` — the caller falls back to full
+//! replay — whenever the classes do not close.  Traces that never exist in
+//! full are folded from node 0's programs with
 //! [`FoldedTrace::from_representatives`], the caller vouching for the
 //! symmetry (`pip-mpi-model`'s `compile_folded` probes a few nodes).
+//!
+//! One pass per group suffices because both groups act *regularly* on
+//! nodes: exactly one element `g_n` carries node 0 to node `n` (rotation by
+//! `n`, or XOR with `n`), namely [`FoldGroup::relabel_rank`] with
+//! `delta = n`.  Invariance means `g(ops(r)) = ops(g(r))` for every element
+//! `g` and rank `r`.
+//!
+//! * Taking `r = (0, l)` and `g = g_n`: rank `(n, l)` must run node 0's
+//!   program of local rank `l` relabeled by `g_n`.
+//! * Conversely, if every rank does, take any `g` and `r = (m, l)`:
+//!   `g(ops(r)) = (g ∘ g_m)(ops(0, l))`, and `g ∘ g_m` carries node 0 to
+//!   `g(m)`, so it *is* `g_{g(m)}` and the result is `ops(g(r))`.
+//!
+//! So comparing every node with node 0 proves invariance under the whole
+//! group, where checking generators took one pass each (`log2 N` for XOR).
 //!
 //! The node map is [`FoldGroup::relabel_rank`]; detection, expansion and
 //! the plan-level comparisons in `pip-collectives` all relabel through it.
@@ -31,7 +46,7 @@
 use pip_runtime::Topology;
 
 use crate::perturb::Perturbation;
-use crate::trace::{OpVec, RankTrace, Trace, TraceOp};
+use crate::trace::{OpVec, Trace, TraceOp};
 
 /// The node-relabeling group under which a schedule is symmetric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,14 +158,9 @@ impl FoldedTrace {
         if nodes < 2 || trace.ranks.len() != topology.world_size() {
             return None;
         }
-        // A cyclic group is generated by a single element, so one generator
-        // check proves rotation invariance.  XOR needs every bit mask.
-        let group = if generator_closes(trace, FoldGroup::Rotation, 1) {
+        let group = if is_invariant(trace, FoldGroup::Rotation) {
             FoldGroup::Rotation
-        } else if nodes.is_power_of_two()
-            && (0..nodes.trailing_zeros())
-                .all(|bit| generator_closes(trace, FoldGroup::Xor, 1 << bit))
-        {
+        } else if nodes.is_power_of_two() && is_invariant(trace, FoldGroup::Xor) {
             FoldGroup::Xor
         } else {
             return None;
@@ -322,24 +332,24 @@ impl FoldedTrace {
     }
 }
 
-/// Check that relabeling every rank's program by the group element `delta`
-/// reproduces the mapped rank's program exactly.
-fn generator_closes(trace: &Trace, group: FoldGroup, delta: usize) -> bool {
+/// Check that `trace` is invariant under `group`: every rank `(n, l)` runs
+/// node 0's program of local rank `l` relabeled by the element that carries
+/// node 0 to node `n` (see the module doc for why that suffices).
+fn is_invariant(trace: &Trace, group: FoldGroup) -> bool {
     let topology = trace.topology;
-    for (rank, rt) in trace.ranks.iter().enumerate() {
-        let image = group.relabel_rank(rank, topology, delta);
-        let image_ops: &RankTrace = &trace.ranks[image];
-        if rt.ops.len() != image_ops.ops.len() {
-            return false;
-        }
-        // Compare op-for-op with an on-the-fly relabel: no allocation.
-        for (op, image_op) in rt.ops.iter().zip(image_ops.ops.iter()) {
-            if group.relabel_op(*op, topology, delta) != *image_op {
-                return false;
-            }
-        }
-    }
-    true
+    let reps = &trace.ranks[..topology.ppn()];
+    (1..topology.nodes()).all(|node| {
+        reps.iter().enumerate().all(|(local, rep)| {
+            let image = &trace.ranks[topology.rank_of(node, local)].ops;
+            // Compare op-for-op with an on-the-fly relabel: no allocation.
+            rep.ops.len() == image.len()
+                && rep
+                    .ops
+                    .iter()
+                    .zip(image.iter())
+                    .all(|(op, image_op)| group.relabel_op(*op, topology, node) == *image_op)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -358,68 +358,38 @@ impl Trace {
                 actual: self.ranks.len(),
             });
         }
-        // Single pass over the ops: bounds-check peers, collect message
-        // endpoints, and count barriers.  Matching is checked by sorting the
-        // two endpoint lists and walking them in lockstep — no hashing, and
-        // the first mismatch reported is the smallest `(source, dest, tag)`
-        // key, exactly as before.
-        let mut sent: Vec<(usize, usize, u64)> = Vec::new();
-        let mut received: Vec<(usize, usize, u64)> = Vec::new();
-        let mut barrier_counts: Vec<usize> = vec![0; world];
+        // Single pass over the ops: bounds-check peers, count sends per
+        // destination and receives per receiver, and count barriers.
+        let mut send_end = vec![0usize; world];
+        let mut recv_counts = vec![0usize; world];
+        let mut barrier_counts = vec![0usize; world];
         for (rank, trace) in self.ranks.iter().enumerate() {
             for op in &trace.ops {
                 match *op {
-                    TraceOp::Send { dest, tag, .. } => {
+                    TraceOp::Send { dest, .. } => {
                         if dest >= world {
                             return Err(TraceError::RankOutOfRange {
                                 rank,
                                 op_rank: dest,
                             });
                         }
-                        sent.push((rank, dest, tag));
+                        send_end[dest] += 1;
                     }
-                    TraceOp::Recv { source, tag, .. } => {
+                    TraceOp::Recv { source, .. } => {
                         if source >= world {
                             return Err(TraceError::RankOutOfRange {
                                 rank,
                                 op_rank: source,
                             });
                         }
-                        received.push((source, rank, tag));
+                        recv_counts[rank] += 1;
                     }
                     TraceOp::LocalBarrier => barrier_counts[rank] += 1,
                     _ => {}
                 }
             }
         }
-        sent.sort_unstable();
-        received.sort_unstable();
-        let (mut i, mut j) = (0, 0);
-        while i < sent.len() || j < received.len() {
-            let key = match (sent.get(i), received.get(j)) {
-                (Some(&s), Some(&r)) => s.min(r),
-                (Some(&s), None) => s,
-                (None, Some(&r)) => r,
-                (None, None) => break,
-            };
-            let (s0, r0) = (i, j);
-            while sent.get(i) == Some(&key) {
-                i += 1;
-            }
-            while received.get(j) == Some(&key) {
-                j += 1;
-            }
-            let (s, r) = (i - s0, j - r0);
-            if s != r {
-                return Err(TraceError::UnmatchedMessages {
-                    source: key.0,
-                    dest: key.1,
-                    tag: key.2,
-                    sent: s,
-                    received: r,
-                });
-            }
-        }
+        self.match_messages(send_end, &recv_counts)?;
         for node in 0..self.topology.nodes() {
             let counts = self.topology.ranks_on_node(node).map(|r| barrier_counts[r]);
             let (min, max) = counts.fold((usize::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
@@ -432,6 +402,95 @@ impl Trace {
             }
         }
         Ok(())
+    }
+
+    /// Check that every receiver's sends and receives are equal
+    /// `(source, tag)` multisets, given the per-destination send counts and
+    /// the per-receiver receive counts.  Receives are already grouped by
+    /// receiver; sends are bucketed by destination with a counting sort, so
+    /// only each receiver's two small buckets are ever sorted.  A mismatch
+    /// reports the smallest `(source, dest, tag)` key over all receivers.
+    fn match_messages(
+        &self,
+        mut send_end: Vec<usize>,
+        recv_counts: &[usize],
+    ) -> Result<(), TraceError> {
+        // Exclusive prefix sums: `send_end[d]` becomes the start of bucket
+        // `d`, and the scatter advances it to the bucket's end.
+        let mut total = 0;
+        for slot in &mut send_end {
+            total += std::mem::replace(slot, total);
+        }
+        let mut sent = vec![(0usize, 0u64); total];
+        let mut received = Vec::with_capacity(recv_counts.iter().sum());
+        for (rank, trace) in self.ranks.iter().enumerate() {
+            for op in &trace.ops {
+                match *op {
+                    TraceOp::Send { dest, tag, .. } => {
+                        sent[send_end[dest]] = (rank, tag);
+                        send_end[dest] += 1;
+                    }
+                    TraceOp::Recv { source, tag, .. } => received.push((source, tag)),
+                    _ => {}
+                }
+            }
+        }
+        // The smallest mismatched `(source, dest, tag)` with its counts.
+        let mut first: Option<((usize, usize, u64), usize, usize)> = None;
+        let (mut s0, mut r0) = (0, 0);
+        for (dest, (&s1, &count)) in send_end.iter().zip(recv_counts).enumerate() {
+            let r1 = r0 + count;
+            let (sent, received) = (&mut sent[s0..s1], &mut received[r0..r1]);
+            (s0, r0) = (s1, r1);
+            if sent == received {
+                continue;
+            }
+            sent.sort_unstable();
+            received.sort_unstable();
+            if let Some(((source, tag), s, r)) = first_unmatched(sent, received) {
+                let key = (source, dest, tag);
+                if first.is_none_or(|(best, _, _)| key < best) {
+                    first = Some((key, s, r));
+                }
+            }
+        }
+        match first {
+            Some(((source, dest, tag), sent, received)) => Err(TraceError::UnmatchedMessages {
+                source,
+                dest,
+                tag,
+                sent,
+                received,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The smallest `(source, tag)` key whose counts differ between one
+/// receiver's sorted send and receive buckets, with both counts.
+fn first_unmatched(
+    sent: &[(usize, u64)],
+    received: &[(usize, u64)],
+) -> Option<((usize, u64), usize, usize)> {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let key = match (sent.get(i), received.get(j)) {
+            (Some(&s), Some(&r)) => s.min(r),
+            (Some(&s), None) => s,
+            (None, Some(&r)) => r,
+            (None, None) => return None,
+        };
+        let (s0, r0) = (i, j);
+        while sent.get(i) == Some(&key) {
+            i += 1;
+        }
+        while received.get(j) == Some(&key) {
+            j += 1;
+        }
+        if i - s0 != j - r0 {
+            return Some((key, i - s0, j - r0));
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 // Each suite uses its own subset of the generators.
 #![allow(dead_code)]
 
-use pip_netsim::{Trace, TraceOp};
+use pip_netsim::{FoldGroup, Trace, TraceOp};
 use pip_runtime::Topology;
 
 /// Small deterministic generator so a failing case is reproducible from the
@@ -66,6 +66,20 @@ fn local_op(rng: &mut Lcg, kind: u64) -> TraceOp {
 /// node across the wrap-around — so the full replay itself stops being
 /// symmetric and no fold can match it.
 pub fn symmetric_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Trace {
+    symmetric_trace_under(FoldGroup::Rotation, nodes, ppn, rounds, seed)
+}
+
+/// [`symmetric_trace`] under either group: each round's node shift `d` is
+/// the group element `(n, l) → (g_d(n), l)` (a rotation or, for a
+/// power-of-two node count, an XOR mask), so the trace is invariant under
+/// `group`.
+pub fn symmetric_trace_under(
+    group: FoldGroup,
+    nodes: usize,
+    ppn: usize,
+    rounds: usize,
+    seed: u64,
+) -> Trace {
     let topology = Topology::new(nodes, ppn);
     let world = topology.world_size();
     let mut rng = Lcg(seed | 1);
@@ -88,17 +102,21 @@ pub fn symmetric_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Tr
         let s = rng.below(ppn as u64) as usize;
         let bytes = 1 + rng.below(5_000) as usize;
         let tag = round as u64;
+        // The group element undoing `d`.
+        let inverse = match group {
+            FoldGroup::Rotation => nodes - d,
+            FoldGroup::Xor => d,
+        };
         let shifted = |rank: usize, d: usize, s: usize| {
-            let node = topology.node_of(rank);
-            let local = topology.local_rank_of(rank);
-            topology.rank_of((node + d) % nodes, (local + s) % ppn)
+            let node = topology.node_of(group.relabel_rank(rank, topology, d));
+            topology.rank_of(node, (topology.local_rank_of(rank) + s) % ppn)
         };
         for rank in 0..world {
             let dest = shifted(rank, d, s);
             trace.push(rank, TraceOp::Send { dest, bytes, tag });
         }
         for rank in 0..world {
-            let source = shifted(rank, nodes - d, ppn - s);
+            let source = shifted(rank, inverse, ppn - s);
             trace.push(rank, TraceOp::Recv { source, bytes, tag });
         }
         if rng.below(4) == 0 {
@@ -113,7 +131,8 @@ pub fn symmetric_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Tr
 /// A random valid trace: every send is matched by a receive, barriers are
 /// collective per node, and local ops have irregular (non-tying) costs.
 /// Preludes are drawn per rank, so almost no such trace folds: this is the
-/// generator for the folded replay's fallback path.
+/// generator for the folded replay's fallback path.  Some rounds end in a
+/// [`burst`] of same-key messages.
 pub fn random_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Trace {
     let topology = Topology::new(nodes, ppn);
     let world = topology.world_size();
@@ -152,6 +171,9 @@ pub fn random_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Trace
                 },
             );
         }
+        if rng.below(2) == 0 {
+            burst(&mut trace, &mut rng, round);
+        }
         if rng.below(4) == 0 {
             for rank in 0..world {
                 trace.push(rank, TraceOp::LocalBarrier);
@@ -159,4 +181,33 @@ pub fn random_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Trace
         }
     }
     trace
+}
+
+/// Two sources each post three or four same-tag messages of irregular sizes
+/// to one receiver, which then receives all of the first source's and then
+/// all of the second's.  The messages are usually pending, interleaved by
+/// source, when the receives are posted, so which arrival each receive gets
+/// is decided by per-key FIFO matching.
+fn burst(trace: &mut Trace, rng: &mut Lcg, round: usize) {
+    let world = trace.topology.world_size() as u64;
+    let receiver = rng.below(world) as usize;
+    let sources = [rng.below(world) as usize, rng.below(world) as usize];
+    let count = 3 + rng.below(2) as usize;
+    // Distinct from every exchange tag.
+    let tag = 1 << 32 | round as u64;
+    let sizes: Vec<Vec<usize>> = sources
+        .iter()
+        .map(|_| (0..count).map(|_| 1 + rng.below(20_000) as usize).collect())
+        .collect();
+    for (&source, sizes) in sources.iter().zip(&sizes) {
+        for &bytes in sizes {
+            let dest = receiver;
+            trace.push(source, TraceOp::Send { dest, bytes, tag });
+        }
+    }
+    for (&source, sizes) in sources.iter().zip(&sizes) {
+        for &bytes in sizes {
+            trace.push(receiver, TraceOp::Recv { source, bytes, tag });
+        }
+    }
 }
