@@ -3,25 +3,23 @@
 //! The paper's §3 argument is that one shared communication object per node
 //! serializes all senders on a single lock and forces receivers to scan
 //! every in-flight message; sharding into multiple objects removes both.
-//! Our fabric keeps the single-object layout alive as
-//! [`MailboxLayout::SingleQueue`], so the claim is measurable in-repo: the
-//! same workload runs against both layouts and the throughput ratio *is*
-//! the multi-object speedup (`bench_fabric` emits it as
-//! `BENCH_fabric.json`; `abl_mailbox_contention` sweeps the shard count at
-//! the paper's 18-processes-per-node scale).
+//! Every receive on our fabric is an exact `(source, tag)` lane pop, so the
+//! scan is gone at any shard count; the shard count is the lock axis, and
+//! one shard is the single-lock baseline.  `abl_mailbox_contention` sweeps
+//! it at the paper's 18-processes-per-node scale.
 //!
 //! The workload is a mixed-tag exchange chosen to reproduce the access
 //! pattern collectives put on the fabric: every rank posts a burst of
 //! distinctly tagged messages to every peer (many concurrent senders per
 //! inbox — the lock-contention axis), then drains its own inbox in *reverse*
 //! tag order (receives that arrive "late" relative to matching order — the
-//! unexpected-message-queue scan axis).  Sends are buffered and never
-//! block, so post-then-drain cannot deadlock.
+//! unexpected-message-queue axis).  Sends are buffered and never block, so
+//! post-then-drain cannot deadlock.
 
 use std::time::{Duration, Instant};
 
 use pip_runtime::fabric::MatchSpec;
-use pip_runtime::{Fabric, MailboxLayout};
+use pip_runtime::Fabric;
 
 /// Payload size used by the mailbox workloads: small enough that matching
 /// and locking — not memcpy — dominate, as in the paper's small-message
@@ -31,8 +29,8 @@ pub const MAILBOX_PAYLOAD_BYTES: usize = 8;
 /// One measured grid point of a mailbox sweep.
 #[derive(Debug, Clone)]
 pub struct MailboxPoint {
-    /// Mailbox layout the fabric ran with.
-    pub layout: MailboxLayout,
+    /// Mailbox shards per destination rank the fabric ran with.
+    pub shards: usize,
     /// Number of ranks (each a live thread sending and receiving).
     pub ranks: usize,
     /// Messages each rank posts to each peer before draining (the
@@ -46,45 +44,23 @@ pub struct MailboxPoint {
     pub msgs_per_sec: f64,
     /// Mailbox lock acquisitions that found the lock held.
     pub lock_contentions: usize,
-    /// Queue entries examined while matching receives.
+    /// Lane heads examined while matching receives.
     pub messages_scanned: usize,
 }
 
-/// The layout axis both mailbox binaries sweep: the single-queue baseline
-/// followed by 1/2/4/8 shards (8 = the fabric's default).
-pub fn sweep_layouts() -> Vec<MailboxLayout> {
-    let mut layouts = vec![MailboxLayout::SingleQueue];
-    layouts.extend([1usize, 2, 4, 8].map(|shards| MailboxLayout::Sharded { shards }));
-    layouts
-}
-
-/// Human-readable layout label (also the JSON `layout` field).
-pub fn layout_name(layout: MailboxLayout) -> String {
-    match layout {
-        MailboxLayout::SingleQueue => "single_queue".to_string(),
-        MailboxLayout::Sharded { shards } => format!("sharded_{shards}"),
-    }
-}
-
-/// Number of shards a layout provides (0 for the single-queue baseline, so
-/// the JSON stays numeric).
-pub fn layout_shards(layout: MailboxLayout) -> usize {
-    match layout {
-        MailboxLayout::SingleQueue => 0,
-        MailboxLayout::Sharded { shards } => shards,
-    }
-}
+/// The shard axis the mailbox ablation sweeps: one shard (the
+/// single-lock baseline) up to 8 (the fabric's default).
+pub const SHARD_AXIS: [usize; 4] = [1, 2, 4, 8];
 
 impl MailboxPoint {
     /// Render as a JSON object (hand-rolled; the workspace has no JSON
     /// dependency).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"layout\":\"{}\",\"shards\":{},\"ranks\":{},\"outstanding\":{},\
+            "{{\"shards\":{},\"ranks\":{},\"outstanding\":{},\
              \"messages\":{},\"seconds\":{:.6},\"msgs_per_sec\":{:.0},\
              \"lock_contentions\":{},\"messages_scanned\":{}}}",
-            layout_name(self.layout),
-            layout_shards(self.layout),
+            self.shards,
             self.ranks,
             self.outstanding,
             self.messages,
@@ -107,10 +83,10 @@ pub fn run_mailbox_workload(
     ranks: usize,
     outstanding: usize,
     rounds: usize,
-    layout: MailboxLayout,
+    shards: usize,
 ) -> MailboxPoint {
     assert!(ranks >= 2, "the exchange needs at least two ranks");
-    let fabric = Fabric::with_layout(ranks, layout, Duration::from_secs(120));
+    let fabric = Fabric::with_shards(ranks, shards, Duration::from_secs(120));
     let start = Instant::now();
     std::thread::scope(|scope| {
         for rank in 0..ranks {
@@ -133,8 +109,8 @@ pub fn run_mailbox_workload(
                                 .expect("send");
                         }
                     }
-                    // Reverse order: under the single-queue layout every
-                    // receive scans past the not-yet-wanted earlier tags.
+                    // Reverse order: a linear-scan queue would wade past
+                    // every not-yet-wanted earlier tag here.
                     for m in (0..outstanding as u64).rev() {
                         for peer in 0..ranks {
                             if peer == rank {
@@ -157,7 +133,7 @@ pub fn run_mailbox_workload(
     let messages = ranks * (ranks - 1) * outstanding * rounds;
     let stats = fabric.stats();
     MailboxPoint {
-        layout,
+        shards,
         ranks,
         outstanding,
         messages,
@@ -181,38 +157,30 @@ mod tests {
 
     #[test]
     fn workload_completes_and_counts_messages_for_every_layout() {
-        for layout in [
-            MailboxLayout::SingleQueue,
-            MailboxLayout::Sharded { shards: 4 },
-        ] {
-            let point = run_mailbox_workload(4, 8, 2, layout);
+        for shards in [1, 4] {
+            let point = run_mailbox_workload(4, 8, 2, shards);
             assert_eq!(point.messages, 4 * 3 * 8 * 2);
             assert!(point.seconds > 0.0);
             assert!(point.msgs_per_sec > 0.0);
             let json = point.to_json();
             assert!(json.starts_with('{') && json.ends_with('}'));
-            assert!(json.contains(&format!("\"layout\":\"{}\"", layout_name(layout))));
+            assert!(json.contains(&format!("\"shards\":{shards}")));
         }
     }
 
-    /// The structural claim behind the headline speedup, asserted on counts
-    /// rather than wall-clock so it is immune to scheduler noise: the
-    /// sharded layout matches in O(1) while the single queue wades through
-    /// the reverse-order backlog.
+    /// The structural claim behind the multi-object design, asserted on
+    /// counts rather than wall-clock so it is immune to scheduler noise:
+    /// each receive examines one lane head, at every shard count, although
+    /// up to 7 × 32 = 224 messages wait in its inbox.
     #[test]
     fn sharded_layout_scans_orders_of_magnitude_less() {
-        let single = run_mailbox_workload(8, 32, 1, MailboxLayout::SingleQueue);
-        let sharded = run_mailbox_workload(8, 32, 1, MailboxLayout::Sharded { shards: 8 });
-        assert_eq!(
-            sharded.messages_scanned, sharded.messages,
-            "sharded exact receives pop exactly one lane head each"
-        );
-        assert!(
-            single.messages_scanned > 10 * single.messages,
-            "single queue must scan the backlog (scanned {} for {} messages)",
-            single.messages_scanned,
-            single.messages
-        );
+        for shards in [1, 8] {
+            let point = run_mailbox_workload(8, 32, 1, shards);
+            assert_eq!(
+                point.messages_scanned, point.messages,
+                "exact receives pop exactly one lane head each ({shards} shards)"
+            );
+        }
     }
 
     #[test]

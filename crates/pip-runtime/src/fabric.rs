@@ -3,41 +3,38 @@
 //!
 //! Within the correctness runtime every simulated node lives in one Rust
 //! process, so the "network" is a set of per-rank inboxes with MPI-style
-//! `(source, tag)` matching, an unexpected-message queue, and a configurable
-//! receive timeout that turns deadlocks in a broken schedule into test
-//! failures instead of hangs.
+//! exact `(source, tag)` matching, an unexpected-message queue, and a
+//! configurable receive timeout that turns deadlocks in a broken schedule
+//! into test failures instead of hangs.
 //!
 //! ## Multi-object mailboxes
 //!
 //! The paper's central observation (§3–4) is that a *single* shared
 //! communication object serializes every sender and receiver of a node on
 //! one lock and forces receives to scan all in-flight traffic.  The fabric
-//! used to be exactly that anti-pattern: one `Mutex<VecDeque>` per
-//! destination rank, with O(in-flight) linear-scan matching.  The default
-//! layout is now [`MailboxLayout::Sharded`]: each destination rank owns a
-//! set of independently locked shards, messages are routed to a shard by
-//! their `(source, tag)` pair, and within a shard each `(source, tag)` pair
-//! has its own FIFO *lane*.  An exact-spec receive therefore locks only its
-//! own shard and pops the head of its lane — O(1) instead of a scan — and
-//! senders targeting different shards never contend.  Wildcard receives
-//! (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`) take a slow path that inspects every
-//! lane head and picks the globally earliest arrival (messages carry an
-//! arrival sequence number), preserving the single-queue fabric's
-//! observable semantics exactly.
+//! avoids both: each destination rank owns a set of independently locked
+//! shards, a message is routed to a shard by its `(source, tag)` pair, and
+//! within a shard each `(source, tag)` pair has its own FIFO *lane*.  A
+//! receive names its exact `(source, tag)` — collectives know every peer
+//! and every round tag in advance, so there is no wildcard receive — and
+//! therefore locks only its own shard and pops the head of its lane: O(1)
+//! instead of a scan, and senders targeting different shards never
+//! contend.  The lanes of one shard share its condition variable, so a
+//! send wakes every receiver waiting in that shard and each one that finds
+//! its own lane still empty goes back to waiting.
 //!
-//! The pre-multi-object layout is kept as [`MailboxLayout::SingleQueue`] so
-//! the win is a measured curve (`bench_fabric`, `abl_mailbox_contention`)
-//! and a differential-testing baseline, not an assertion.
+//! The shard count is the only layout knob; one shard is the single-lock
+//! baseline `abl_mailbox_contention` sweeps from.
 //!
 //! The fabric carries *payload bytes only*; timing at scale is produced by
 //! the `pip-netsim` crate from traces, not by measuring this mailbox.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Condvar;
 
 use crate::error::{Result, RuntimeError};
 use crate::sync::ContendedMutex;
@@ -46,44 +43,20 @@ use crate::sync::ContendedMutex;
 /// collective round numbers without collision).
 pub type Tag = u64;
 
-/// Matching specification for a receive: either an exact source or any
-/// source, and either an exact tag or any tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Matching specification for a receive: the exact source rank and tag the
+/// message must carry.  It is also the key of the message's lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatchSpec {
-    /// Required source rank, or `None` for `MPI_ANY_SOURCE`.
-    pub source: Option<usize>,
-    /// Required tag, or `None` for `MPI_ANY_TAG`.
-    pub tag: Option<Tag>,
+    /// Required source rank.
+    pub source: usize,
+    /// Required tag.
+    pub tag: Tag,
 }
 
 impl MatchSpec {
     /// Match a specific `(source, tag)` pair.
     pub fn exact(source: usize, tag: Tag) -> Self {
-        Self {
-            source: Some(source),
-            tag: Some(tag),
-        }
-    }
-
-    /// Match any message.
-    pub fn any() -> Self {
-        Self {
-            source: None,
-            tag: None,
-        }
-    }
-
-    fn matches(&self, message: &Message) -> bool {
-        self.source.is_none_or(|s| s == message.source) && self.tag.is_none_or(|t| t == message.tag)
-    }
-
-    fn matches_key(&self, key: LaneKey) -> bool {
-        self.source.is_none_or(|s| s == key.0) && self.tag.is_none_or(|t| t == key.1)
-    }
-
-    /// Whether both source and tag are pinned (the O(1) fast path).
-    fn is_exact(&self) -> bool {
-        self.source.is_some() && self.tag.is_some()
+        Self { source, tag }
     }
 }
 
@@ -162,37 +135,12 @@ pub struct Message {
     pub payload: Payload,
 }
 
-/// How a rank's inbox is organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MailboxLayout {
-    /// One FIFO queue per destination rank under a single lock, with
-    /// linear-scan `(source, tag)` matching — the shared-single-object
-    /// anti-pattern the paper argues against, kept as the benchmark and
-    /// differential-test baseline.
-    SingleQueue,
-    /// The multi-object layout: `shards` independently locked mailboxes per
-    /// destination rank, each holding per-`(source, tag)` FIFO lanes.
-    Sharded {
-        /// Number of mailbox shards per destination rank (must be ≥ 1).
-        shards: usize,
-    },
-}
-
-/// Default shard count for [`MailboxLayout::Sharded`]: enough that the
-/// senders of a paper-scale node (18 processes) rarely collide on a shard
-/// lock, small enough that wildcard scans stay cheap.
+/// Default shard count per destination rank: enough that the senders of a
+/// paper-scale node (18 processes) rarely collide on a shard lock.
 pub const DEFAULT_MAILBOX_SHARDS: usize = 8;
 
-impl Default for MailboxLayout {
-    fn default() -> Self {
-        MailboxLayout::Sharded {
-            shards: DEFAULT_MAILBOX_SHARDS,
-        }
-    }
-}
-
 /// Copy, matching and contention accounting for one fabric (see
-/// `tests/transport_copy_stats.rs` and `bench_fabric`).
+/// `tests/transport_copy_stats.rs` and `abl_mailbox_contention`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FabricStats {
     /// Messages that entered the fabric.
@@ -203,30 +151,21 @@ pub struct FabricStats {
     pub payload_copies: usize,
     /// Bytes those copies moved.
     pub bytes_copied: usize,
-    /// Completed receives whose spec pinned both source and tag (the O(1)
-    /// lane-pop path under the sharded layout).
+    /// Completed receives.  Every receive names its exact `(source, tag)`
+    /// and pops the head of that lane.
     pub exact_recvs: usize,
-    /// Completed receives with a source or tag wildcard (the scan path).
+    /// Always 0: the fabric has no wildcard receive.  The field stays so
+    /// readers that sum `exact_recvs + wildcard_recvs` keep their shape.
     pub wildcard_recvs: usize,
-    /// Queue entries (single-queue layout) or lane heads (sharded layout)
-    /// examined while matching receives — the measure of how much in-flight
-    /// traffic receivers had to wade through.
+    /// Lane heads examined while matching receives — the measure of how
+    /// much in-flight traffic receivers had to wade through.  A receive
+    /// examines only its own lane's head, so this equals `exact_recvs`.
     pub messages_scanned: usize,
     /// Mailbox lock acquisitions that found the lock already held, summed
-    /// over every inbox (and every shard of every inbox).  The quantity the
-    /// multi-object sharding drives toward zero.
+    /// over every shard of every inbox.  The quantity the multi-object
+    /// sharding drives toward zero.
     pub lock_contentions: usize,
 }
-
-/// A queued message plus its fabric-wide arrival sequence number (used to
-/// restore global arrival order across shards for wildcard receives).
-#[derive(Debug)]
-struct QueueEntry {
-    seq: u64,
-    message: Message,
-}
-
-type LaneKey = (usize, Tag);
 
 /// Empty lane queues a shard keeps around for reuse.  Collective tags are
 /// unique per invocation, so lanes come and go constantly; recycling their
@@ -237,31 +176,31 @@ const SPARE_LANES_PER_SHARD: usize = 64;
 /// pool for emptied lanes.
 #[derive(Debug, Default)]
 struct ShardState {
-    lanes: HashMap<LaneKey, VecDeque<QueueEntry>>,
-    spare: Vec<VecDeque<QueueEntry>>,
+    lanes: HashMap<MatchSpec, VecDeque<Message>>,
+    spare: Vec<VecDeque<Message>>,
 }
 
 impl ShardState {
-    fn push(&mut self, key: LaneKey, entry: QueueEntry) {
+    fn push(&mut self, key: MatchSpec, message: Message) {
         let spare = &mut self.spare;
         self.lanes
             .entry(key)
             .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push_back(entry);
+            .push_back(message);
     }
 
     /// Pop the head of lane `key`, retiring the lane once empty so the map
     /// does not grow with the (unbounded) set of tags ever used.
-    fn pop_lane(&mut self, key: LaneKey) -> Option<QueueEntry> {
+    fn pop_lane(&mut self, key: MatchSpec) -> Option<Message> {
         let lane = self.lanes.get_mut(&key)?;
-        let entry = lane.pop_front();
+        let message = lane.pop_front();
         if lane.is_empty() {
             let lane = self.lanes.remove(&key).expect("lane exists");
             if self.spare.len() < SPARE_LANES_PER_SHARD {
                 self.spare.push(lane);
             }
         }
-        entry
+        message
     }
 }
 
@@ -274,28 +213,14 @@ struct Shard {
 
 /// The multi-object inbox of one destination rank.
 #[derive(Debug)]
-struct ShardedInbox {
+struct Inbox {
     shards: Box<[Shard]>,
-    /// Fabric-wide arrival stamper for this inbox.
-    next_seq: AtomicU64,
-    /// Number of receivers currently blocked on a wildcard spec; senders
-    /// only touch the (shared) epoch lock when this is non-zero, so the
-    /// exact-match fast path never serializes on it.
-    wildcard_waiters: AtomicUsize,
-    /// Arrival epoch for wildcard waiters (bumped per send while waiters
-    /// exist).
-    epoch: Mutex<u64>,
-    epoch_condvar: Condvar,
 }
 
-impl ShardedInbox {
+impl Inbox {
     fn new(shards: usize) -> Self {
         Self {
             shards: (0..shards).map(|_| Shard::default()).collect(),
-            next_seq: AtomicU64::new(0),
-            wildcard_waiters: AtomicUsize::new(0),
-            epoch: Mutex::new(0),
-            epoch_condvar: Condvar::new(),
         }
     }
 
@@ -303,63 +228,33 @@ impl ShardedInbox {
     /// function works for correctness (a lane never spans shards); mixing
     /// both components spreads a collective's per-round tags and its
     /// many sources across the shard set.
-    fn shard_for(&self, source: usize, tag: Tag) -> &Shard {
-        let mut h = (source as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= tag.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    fn shard_for(&self, key: MatchSpec) -> &Shard {
+        let mut h = (key.source as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= key.tag.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
         h ^= h >> 29;
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
-}
-
-/// Layout-specific inbox state.
-#[derive(Debug)]
-enum Inbox {
-    Single {
-        queue: ContendedMutex<VecDeque<QueueEntry>>,
-        condvar: Condvar,
-    },
-    Sharded(ShardedInbox),
-}
-
-impl Inbox {
-    fn new(layout: MailboxLayout) -> Self {
-        match layout {
-            MailboxLayout::SingleQueue => Inbox::Single {
-                queue: ContendedMutex::new(VecDeque::new()),
-                condvar: Condvar::new(),
-            },
-            MailboxLayout::Sharded { shards } => Inbox::Sharded(ShardedInbox::new(shards)),
-        }
-    }
 
     fn lock_contentions(&self) -> usize {
-        match self {
-            Inbox::Single { queue, .. } => queue.contended(),
-            Inbox::Sharded(inbox) => inbox
-                .shards
-                .iter()
-                .map(|shard| shard.state.contended())
-                .sum(),
-        }
+        self.shards
+            .iter()
+            .map(|shard| shard.state.contended())
+            .sum()
     }
 
     fn pending(&self) -> usize {
-        match self {
-            Inbox::Single { queue, .. } => queue.lock().len(),
-            Inbox::Sharded(inbox) => inbox
-                .shards
-                .iter()
-                .map(|shard| {
-                    shard
-                        .state
-                        .lock()
-                        .lanes
-                        .values()
-                        .map(VecDeque::len)
-                        .sum::<usize>()
-                })
-                .sum(),
-        }
+        self.shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .state
+                    .lock()
+                    .lanes
+                    .values()
+                    .map(VecDeque::len)
+                    .sum::<usize>()
+            })
+            .sum()
     }
 }
 
@@ -374,14 +269,11 @@ pub struct Fabric {
 #[derive(Debug)]
 struct FabricInner {
     inboxes: Vec<Inbox>,
-    layout: MailboxLayout,
     recv_timeout: Duration,
     sends: AtomicUsize,
     payload_copies: AtomicUsize,
     bytes_copied: AtomicUsize,
-    exact_recvs: AtomicUsize,
-    wildcard_recvs: AtomicUsize,
-    messages_scanned: AtomicUsize,
+    recvs: AtomicUsize,
 }
 
 /// Default receive timeout.  Collective schedules complete in milliseconds at
@@ -390,47 +282,36 @@ struct FabricInner {
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl Fabric {
-    /// Create a fabric for `world_size` ranks with the default (sharded)
-    /// mailbox layout and timeout.
+    /// Create a fabric for `world_size` ranks with the default shard count
+    /// and timeout.
     pub fn new(world_size: usize) -> Self {
-        Self::with_layout(world_size, MailboxLayout::default(), DEFAULT_RECV_TIMEOUT)
+        Self::with_shards(world_size, DEFAULT_MAILBOX_SHARDS, DEFAULT_RECV_TIMEOUT)
     }
 
     /// Create a fabric with a custom receive timeout (useful in tests that
     /// deliberately provoke mismatched schedules).
     pub fn with_timeout(world_size: usize, recv_timeout: Duration) -> Self {
-        Self::with_layout(world_size, MailboxLayout::default(), recv_timeout)
+        Self::with_shards(world_size, DEFAULT_MAILBOX_SHARDS, recv_timeout)
     }
 
-    /// Create a fabric with an explicit mailbox layout — the knob the
-    /// multi-object benchmarks sweep.
+    /// Create a fabric with `shards` mailbox shards per destination rank —
+    /// the knob the multi-object ablation sweeps.
     ///
     /// # Panics
     ///
-    /// Panics when a sharded layout declares zero shards.
-    pub fn with_layout(world_size: usize, layout: MailboxLayout, recv_timeout: Duration) -> Self {
-        if let MailboxLayout::Sharded { shards } = layout {
-            assert!(shards > 0, "a sharded mailbox needs at least one shard");
-        }
-        let inboxes = (0..world_size).map(|_| Inbox::new(layout)).collect();
+    /// Panics when `shards` is zero.
+    pub fn with_shards(world_size: usize, shards: usize, recv_timeout: Duration) -> Self {
+        assert!(shards > 0, "a sharded mailbox needs at least one shard");
         Self {
             inner: Arc::new(FabricInner {
-                inboxes,
-                layout,
+                inboxes: (0..world_size).map(|_| Inbox::new(shards)).collect(),
                 recv_timeout,
                 sends: AtomicUsize::new(0),
                 payload_copies: AtomicUsize::new(0),
                 bytes_copied: AtomicUsize::new(0),
-                exact_recvs: AtomicUsize::new(0),
-                wildcard_recvs: AtomicUsize::new(0),
-                messages_scanned: AtomicUsize::new(0),
+                recvs: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// The mailbox layout this fabric was created with.
-    pub fn layout(&self) -> MailboxLayout {
-        self.inner.layout
     }
 
     /// The receive timeout this fabric was configured with.  Pollers (the
@@ -444,13 +325,14 @@ impl Fabric {
     /// Copy, matching and contention accounting since the fabric was
     /// created.
     pub fn stats(&self) -> FabricStats {
+        let recvs = self.inner.recvs.load(Ordering::Relaxed);
         FabricStats {
             sends: self.inner.sends.load(Ordering::Relaxed),
             payload_copies: self.inner.payload_copies.load(Ordering::Relaxed),
             bytes_copied: self.inner.bytes_copied.load(Ordering::Relaxed),
-            exact_recvs: self.inner.exact_recvs.load(Ordering::Relaxed),
-            wildcard_recvs: self.inner.wildcard_recvs.load(Ordering::Relaxed),
-            messages_scanned: self.inner.messages_scanned.load(Ordering::Relaxed),
+            exact_recvs: recvs,
+            wildcard_recvs: 0,
+            messages_scanned: recvs,
             lock_contentions: self.inner.inboxes.iter().map(Inbox::lock_contentions).sum(),
         }
     }
@@ -486,36 +368,15 @@ impl Fabric {
         self.inbox(source)?;
         let inbox = self.inbox(dest)?;
         self.inner.sends.fetch_add(1, Ordering::Relaxed);
+        let key = MatchSpec::exact(source, tag);
         let message = Message {
             source,
             tag,
             payload: payload.into(),
         };
-        match inbox {
-            Inbox::Single { queue, condvar } => {
-                let mut queue = queue.lock();
-                // The single queue needs no arrival stamp (its order *is*
-                // arrival order), but the entry type is shared.
-                queue.push_back(QueueEntry { seq: 0, message });
-                condvar.notify_all();
-            }
-            Inbox::Sharded(sharded) => {
-                let seq = sharded.next_seq.fetch_add(1, Ordering::Relaxed);
-                let shard = sharded.shard_for(source, tag);
-                {
-                    let mut state = shard.state.lock();
-                    state.push((source, tag), QueueEntry { seq, message });
-                }
-                shard.condvar.notify_all();
-                // Only wake the (rare) wildcard path when someone is on it;
-                // the common exact-match traffic never touches this lock.
-                if sharded.wildcard_waiters.load(Ordering::SeqCst) > 0 {
-                    let mut epoch = sharded.epoch.lock();
-                    *epoch += 1;
-                    sharded.epoch_condvar.notify_all();
-                }
-            }
-        }
+        let shard = inbox.shard_for(key);
+        shard.state.lock().push(key, message);
+        shard.condvar.notify_all();
         Ok(())
     }
 
@@ -546,64 +407,37 @@ impl Fabric {
         self.send(source, dest, tag, payload)
     }
 
-    fn timeout_error(&self, receiver: usize, spec: MatchSpec) -> RuntimeError {
-        RuntimeError::RecvTimeout {
-            receiver,
-            source: spec.source.unwrap_or(usize::MAX),
-            tag: spec.tag.unwrap_or(u64::MAX),
-        }
-    }
-
-    /// Blocking matched receive for rank `receiver`.
+    /// Blocking matched receive for rank `receiver`: waits on the shard of
+    /// the `(source, tag)` lane only.
     ///
     /// Messages that arrived earlier but do not match stay queued (the
     /// unexpected-message queue), preserving per-(source, tag) FIFO order as
-    /// MPI requires.  Wildcard specs match the earliest arrival across all
-    /// mailbox shards, exactly as the single-queue layout would.
+    /// MPI requires.
     pub fn recv(&self, receiver: usize, spec: MatchSpec) -> Result<Message> {
-        let inbox = self.inbox(receiver)?;
+        let shard = self.inbox(receiver)?.shard_for(spec);
         let deadline = Instant::now() + self.inner.recv_timeout;
-        match inbox {
-            Inbox::Single { queue, condvar } => {
-                let mut queue = queue.lock();
-                loop {
-                    if let Some(message) = self.match_single(&mut queue, spec) {
-                        return Ok(message);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(self.timeout_error(receiver, spec));
-                    }
-                    condvar.wait_for(&mut queue, deadline - now);
-                }
+        let mut state = shard.state.lock();
+        loop {
+            if let Some(message) = self.take(&mut state, spec) {
+                return Ok(message);
             }
-            Inbox::Sharded(sharded) => {
-                if spec.is_exact() {
-                    self.recv_exact(sharded, receiver, spec, deadline)
-                } else {
-                    self.recv_wildcard(sharded, receiver, spec, deadline)
-                }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(RuntimeError::RecvTimeout {
+                    receiver,
+                    source: spec.source,
+                    tag: spec.tag,
+                });
             }
+            shard.condvar.wait_for(&mut state, deadline - now);
         }
     }
 
     /// Non-blocking matched receive: returns `Ok(None)` when nothing matches.
     pub fn try_recv(&self, receiver: usize, spec: MatchSpec) -> Result<Option<Message>> {
-        let inbox = self.inbox(receiver)?;
-        match inbox {
-            Inbox::Single { queue, .. } => Ok(self.match_single(&mut queue.lock(), spec)),
-            Inbox::Sharded(sharded) => {
-                if spec.is_exact() {
-                    let source = spec.source.expect("exact spec");
-                    let tag = spec.tag.expect("exact spec");
-                    let shard = sharded.shard_for(source, tag);
-                    let mut state = shard.state.lock();
-                    Ok(self.take_exact(&mut state, source, tag))
-                } else {
-                    Ok(self.scan_shards(sharded, spec))
-                }
-            }
-        }
+        let shard = self.inbox(receiver)?.shard_for(spec);
+        let mut state = shard.state.lock();
+        Ok(self.take(&mut state, spec))
     }
 
     /// Number of messages currently queued for `rank` (matched or not).
@@ -611,123 +445,11 @@ impl Fabric {
         Ok(self.inbox(rank)?.pending())
     }
 
-    /// Linear-scan match against the single-queue layout (also the
-    /// scanned-messages accounting for the baseline).
-    fn match_single(&self, queue: &mut VecDeque<QueueEntry>, spec: MatchSpec) -> Option<Message> {
-        let pos = queue.iter().position(|entry| spec.matches(&entry.message));
-        let scanned = pos.map_or(queue.len(), |p| p + 1);
-        self.inner
-            .messages_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-        let message = queue.remove(pos?).expect("position is valid").message;
-        self.note_recv(spec);
+    /// O(1) lane pop (caller holds the shard lock).
+    fn take(&self, state: &mut ShardState, spec: MatchSpec) -> Option<Message> {
+        let message = state.pop_lane(spec)?;
+        self.inner.recvs.fetch_add(1, Ordering::Relaxed);
         Some(message)
-    }
-
-    fn note_recv(&self, spec: MatchSpec) {
-        let counter = if spec.is_exact() {
-            &self.inner.exact_recvs
-        } else {
-            &self.inner.wildcard_recvs
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// O(1) lane pop for a fully pinned spec (caller holds the shard lock).
-    fn take_exact(&self, state: &mut ShardState, source: usize, tag: Tag) -> Option<Message> {
-        let entry = state.pop_lane((source, tag))?;
-        self.inner.messages_scanned.fetch_add(1, Ordering::Relaxed);
-        self.note_recv(MatchSpec::exact(source, tag));
-        Some(entry.message)
-    }
-
-    /// Blocking exact-spec receive: waits on its own shard only.
-    fn recv_exact(
-        &self,
-        inbox: &ShardedInbox,
-        receiver: usize,
-        spec: MatchSpec,
-        deadline: Instant,
-    ) -> Result<Message> {
-        let source = spec.source.expect("exact spec");
-        let tag = spec.tag.expect("exact spec");
-        let shard = inbox.shard_for(source, tag);
-        let mut state = shard.state.lock();
-        loop {
-            if let Some(message) = self.take_exact(&mut state, source, tag) {
-                return Ok(message);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self.timeout_error(receiver, spec));
-            }
-            shard.condvar.wait_for(&mut state, deadline - now);
-        }
-    }
-
-    /// Blocking wildcard receive: scan all shards, sleep on the arrival
-    /// epoch between fruitless scans.
-    fn recv_wildcard(
-        &self,
-        inbox: &ShardedInbox,
-        receiver: usize,
-        spec: MatchSpec,
-        deadline: Instant,
-    ) -> Result<Message> {
-        // Registering *before* the first scan closes the race with senders:
-        // a sender either observes the registration (and bumps the epoch) or
-        // finished its push before our scan takes the shard locks.
-        inbox.wildcard_waiters.fetch_add(1, Ordering::SeqCst);
-        let result = loop {
-            let seen = *inbox.epoch.lock();
-            if let Some(message) = self.scan_shards(inbox, spec) {
-                break Ok(message);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break Err(self.timeout_error(receiver, spec));
-            }
-            let mut epoch = inbox.epoch.lock();
-            if *epoch == seen {
-                inbox.epoch_condvar.wait_for(&mut epoch, deadline - now);
-            }
-        };
-        inbox.wildcard_waiters.fetch_sub(1, Ordering::SeqCst);
-        result
-    }
-
-    /// Inspect every lane head across all shards and pop the matching
-    /// message with the earliest arrival stamp.  Shard locks are taken in
-    /// index order and held together so the pop is atomic with the scan.
-    fn scan_shards(&self, inbox: &ShardedInbox, spec: MatchSpec) -> Option<Message> {
-        let mut guards: Vec<_> = inbox
-            .shards
-            .iter()
-            .map(|shard| shard.state.lock())
-            .collect();
-        let mut scanned = 0usize;
-        let mut best: Option<(u64, usize, LaneKey)> = None;
-        for (idx, state) in guards.iter().enumerate() {
-            for (&key, lane) in state.lanes.iter() {
-                if !spec.matches_key(key) {
-                    continue;
-                }
-                scanned += 1;
-                // Lane heads suffice: deeper entries of a matching lane are
-                // strictly later arrivals of the same (source, tag).
-                let head = lane.front().expect("lanes are retired when empty");
-                if best.is_none_or(|(seq, _, _)| head.seq < seq) {
-                    best = Some((head.seq, idx, key));
-                }
-            }
-        }
-        self.inner
-            .messages_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-        let (_, idx, key) = best?;
-        let entry = guards[idx].pop_lane(key).expect("winning lane has a head");
-        self.note_recv(spec);
-        Some(entry.message)
     }
 }
 
@@ -736,23 +458,18 @@ mod tests {
     use super::*;
     use std::thread;
 
-    /// The layouts every semantics test must hold under.
-    fn layouts() -> [MailboxLayout; 3] {
-        [
-            MailboxLayout::SingleQueue,
-            MailboxLayout::Sharded { shards: 1 },
-            MailboxLayout::Sharded { shards: 8 },
-        ]
-    }
+    /// The shard counts every semantics test must hold under: the
+    /// single-lock baseline and the default.
+    const SHARD_COUNTS: [usize; 2] = [1, DEFAULT_MAILBOX_SHARDS];
 
-    fn fabric_with(layout: MailboxLayout, world: usize) -> Fabric {
-        Fabric::with_layout(world, layout, DEFAULT_RECV_TIMEOUT)
+    fn fabric_with(shards: usize, world: usize) -> Fabric {
+        Fabric::with_shards(world, shards, DEFAULT_RECV_TIMEOUT)
     }
 
     #[test]
     fn send_then_recv_delivers_payload() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 4);
+        for shards in SHARD_COUNTS {
+            let fabric = fabric_with(shards, 4);
             fabric.send(1, 2, 7, vec![1, 2, 3]).unwrap();
             let msg = fabric.recv(2, MatchSpec::exact(1, 7)).unwrap();
             assert_eq!(msg.source, 1);
@@ -763,8 +480,8 @@ mod tests {
 
     #[test]
     fn matching_skips_unexpected_messages() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 2);
+        for shards in SHARD_COUNTS {
+            let fabric = fabric_with(shards, 2);
             fabric.send(0, 1, 5, vec![5]).unwrap();
             fabric.send(0, 1, 6, vec![6]).unwrap();
             // Receive tag 6 first even though tag 5 arrived earlier.
@@ -779,8 +496,8 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved_per_source_and_tag() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 2);
+        for shards in SHARD_COUNTS {
+            let fabric = fabric_with(shards, 2);
             for i in 0..10u8 {
                 fabric.send(0, 1, 3, vec![i]).unwrap();
             }
@@ -792,69 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn any_source_and_any_tag_match_first_message() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 3);
-            fabric.send(2, 0, 9, vec![42]).unwrap();
-            let msg = fabric.recv(0, MatchSpec::any()).unwrap();
-            assert_eq!(msg.source, 2);
-            assert_eq!(msg.payload, vec![42]);
-        }
-    }
-
-    /// Wildcard receives observe global arrival order even when the lanes
-    /// involved hash to different shards — the arrival stamp restores the
-    /// single-queue fabric's semantics across the shard set.
-    #[test]
-    fn wildcard_receives_follow_arrival_order_across_shards() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 3);
-            // Distinct (source, tag) pairs so every message sits in its own
-            // lane, interleaved so lane order and arrival order differ.
-            fabric.send(1, 0, 10, vec![0]).unwrap();
-            fabric.send(2, 0, 3, vec![1]).unwrap();
-            fabric.send(1, 0, 77, vec![2]).unwrap();
-            fabric.send(2, 0, 51, vec![3]).unwrap();
-            for expected in 0..4u8 {
-                let msg = fabric.recv(0, MatchSpec::any()).unwrap();
-                assert_eq!(
-                    msg.payload,
-                    vec![expected],
-                    "{layout:?} broke arrival order"
-                );
-            }
-        }
-    }
-
-    /// A source-only wildcard picks that source's earliest message across
-    /// all tag lanes, and a tag-only wildcard that tag's earliest across all
-    /// sources.
-    #[test]
-    fn partial_wildcards_match_earliest_across_lanes() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 3);
-            fabric.send(1, 0, 8, vec![10]).unwrap();
-            fabric.send(2, 0, 8, vec![20]).unwrap();
-            fabric.send(1, 0, 9, vec![11]).unwrap();
-            let from_1 = MatchSpec {
-                source: Some(1),
-                tag: None,
-            };
-            assert_eq!(fabric.recv(0, from_1).unwrap().payload, vec![10]);
-            let tag_8 = MatchSpec {
-                source: None,
-                tag: Some(8),
-            };
-            assert_eq!(fabric.recv(0, tag_8).unwrap().payload, vec![20]);
-            assert_eq!(fabric.recv(0, from_1).unwrap().payload, vec![11]);
-            assert_eq!(fabric.pending(0).unwrap(), 0);
-        }
-    }
-
-    #[test]
     fn recv_blocks_until_message_arrives() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 2);
+        for shards in SHARD_COUNTS {
+            let fabric = fabric_with(shards, 2);
             let receiver = fabric.clone();
             let handle = thread::spawn(move || receiver.recv(1, MatchSpec::exact(0, 1)).unwrap());
             thread::sleep(Duration::from_millis(20));
@@ -863,41 +520,68 @@ mod tests {
         }
     }
 
+    /// With one shard every lane shares one condition variable: a message
+    /// on another lane wakes a blocked receiver, which must go back to
+    /// waiting for its own lane and leave the other message queued.
     #[test]
-    fn wildcard_recv_blocks_until_message_arrives() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 2);
-            let receiver = fabric.clone();
-            let handle = thread::spawn(move || receiver.recv(1, MatchSpec::any()).unwrap());
-            thread::sleep(Duration::from_millis(20));
-            fabric.send(0, 1, 1, vec![98]).unwrap();
-            assert_eq!(handle.join().unwrap().payload, vec![98]);
-        }
+    fn a_message_on_another_lane_of_the_shard_does_not_satisfy_a_receiver() {
+        let fabric = fabric_with(1, 2);
+        let receiver = fabric.clone();
+        let handle = thread::spawn(move || receiver.recv(1, MatchSpec::exact(0, 1)).unwrap());
+        thread::sleep(Duration::from_millis(20));
+        fabric.send(0, 1, 2, vec![2]).unwrap();
+        thread::sleep(Duration::from_millis(20));
+        assert!(
+            !handle.is_finished(),
+            "lane (0, 2) satisfied a receive on (0, 1)"
+        );
+        fabric.send(0, 1, 1, vec![1]).unwrap();
+        assert_eq!(handle.join().unwrap().payload, vec![1]);
+        assert_eq!(fabric.pending(1).unwrap(), 1);
+        let other = fabric.try_recv(1, MatchSpec::exact(0, 2)).unwrap();
+        assert_eq!(
+            other.expect("lane (0, 2) is still pending").payload,
+            vec![2]
+        );
     }
 
     #[test]
     fn recv_times_out_on_missing_message() {
-        for layout in layouts() {
-            let fabric = Fabric::with_layout(2, layout, Duration::from_millis(30));
-            let err = fabric.recv(0, MatchSpec::exact(1, 0)).unwrap_err();
-            assert!(matches!(err, RuntimeError::RecvTimeout { receiver: 0, .. }));
-            let err = fabric.recv(0, MatchSpec::any()).unwrap_err();
-            assert!(matches!(err, RuntimeError::RecvTimeout { receiver: 0, .. }));
+        for shards in SHARD_COUNTS {
+            let fabric = Fabric::with_shards(2, shards, Duration::from_millis(30));
+            let err = fabric.recv(0, MatchSpec::exact(1, 4)).unwrap_err();
+            assert!(matches!(
+                err,
+                RuntimeError::RecvTimeout {
+                    receiver: 0,
+                    source: 1,
+                    tag: 4
+                }
+            ));
         }
     }
 
     #[test]
     fn try_recv_does_not_block() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 2);
-            assert!(fabric.try_recv(0, MatchSpec::any()).unwrap().is_none());
+        for shards in SHARD_COUNTS {
+            let fabric = fabric_with(shards, 2);
+            assert!(fabric
+                .try_recv(0, MatchSpec::exact(1, 2))
+                .unwrap()
+                .is_none());
             fabric.send(1, 0, 2, vec![1]).unwrap();
+            assert!(fabric
+                .try_recv(0, MatchSpec::exact(1, 3))
+                .unwrap()
+                .is_none());
             assert!(fabric
                 .try_recv(0, MatchSpec::exact(1, 2))
                 .unwrap()
                 .is_some());
-            fabric.send(1, 0, 2, vec![2]).unwrap();
-            assert!(fabric.try_recv(0, MatchSpec::any()).unwrap().is_some());
+            assert!(fabric
+                .try_recv(0, MatchSpec::exact(1, 2))
+                .unwrap()
+                .is_none());
         }
     }
 
@@ -945,26 +629,21 @@ mod tests {
         let fabric = Fabric::new(2);
         assert!(fabric.send(0, 5, 0, vec![]).is_err());
         assert!(fabric.send(5, 0, 0, vec![]).is_err());
-        assert!(fabric.recv(5, MatchSpec::any()).is_err());
+        assert!(fabric.recv(5, MatchSpec::exact(0, 0)).is_err());
+        assert!(fabric.try_recv(5, MatchSpec::exact(0, 0)).is_err());
         assert!(fabric.pending(9).is_err());
     }
 
     #[test]
     fn zero_shard_layout_is_rejected() {
-        let result = std::panic::catch_unwind(|| {
-            Fabric::with_layout(
-                2,
-                MailboxLayout::Sharded { shards: 0 },
-                DEFAULT_RECV_TIMEOUT,
-            )
-        });
+        let result = std::panic::catch_unwind(|| Fabric::with_shards(2, 0, DEFAULT_RECV_TIMEOUT));
         assert!(result.is_err());
     }
 
     #[test]
     fn many_concurrent_senders_one_receiver() {
-        for layout in layouts() {
-            let fabric = fabric_with(layout, 17);
+        for shards in SHARD_COUNTS {
+            let fabric = fabric_with(shards, 17);
             thread::scope(|scope| {
                 for sender in 1..17 {
                     let fabric = fabric.clone();
@@ -974,44 +653,36 @@ mod tests {
                         }
                     });
                 }
-                let mut total = 0usize;
-                for _ in 0..16 * 8 {
-                    let msg = fabric.recv(0, MatchSpec::any()).unwrap();
-                    total += msg.payload[0] as usize;
+                for sender in 1..17 {
+                    for round in 0..8u64 {
+                        let msg = fabric.recv(0, MatchSpec::exact(sender, round)).unwrap();
+                        assert_eq!(msg.payload, vec![sender as u8]);
+                    }
                 }
-                assert_eq!(total, (1..17).sum::<usize>() * 8);
             });
+            assert_eq!(fabric.pending(0).unwrap(), 0);
         }
     }
 
-    /// The exact-match fast path is O(1): draining mixed-tag traffic in
-    /// reverse order scans exactly one lane head per receive under the
-    /// sharded layout, while the single queue wades through the backlog.
+    /// The exact-match path is O(1): draining mixed-tag traffic in reverse
+    /// order scans exactly one lane head per receive.
     #[test]
     fn sharded_matching_scans_one_entry_per_exact_recv() {
         let messages = 64u64;
-        let sharded = fabric_with(MailboxLayout::Sharded { shards: 8 }, 2);
-        let single = fabric_with(MailboxLayout::SingleQueue, 2);
-        for fabric in [&sharded, &single] {
-            for tag in 0..messages {
-                fabric.send(0, 1, tag, vec![tag as u8]).unwrap();
-            }
-            for tag in (0..messages).rev() {
-                let msg = fabric.recv(1, MatchSpec::exact(0, tag)).unwrap();
-                assert_eq!(msg.payload, vec![tag as u8]);
-            }
+        let fabric = fabric_with(DEFAULT_MAILBOX_SHARDS, 2);
+        for tag in 0..messages {
+            fabric.send(0, 1, tag, vec![tag as u8]).unwrap();
         }
+        for tag in (0..messages).rev() {
+            let msg = fabric.recv(1, MatchSpec::exact(0, tag)).unwrap();
+            assert_eq!(msg.payload, vec![tag as u8]);
+        }
+        let stats = fabric.stats();
         assert_eq!(
-            sharded.stats().messages_scanned,
-            messages as usize,
-            "sharded exact receives must pop lane heads directly"
+            stats.messages_scanned, messages as usize,
+            "exact receives must pop lane heads directly"
         );
-        assert!(
-            single.stats().messages_scanned > 10 * messages as usize,
-            "the single queue must have scanned the backlog (got {})",
-            single.stats().messages_scanned
-        );
-        assert_eq!(sharded.stats().exact_recvs, messages as usize);
-        assert_eq!(sharded.stats().wildcard_recvs, 0);
+        assert_eq!(stats.exact_recvs, messages as usize);
+        assert_eq!(stats.wildcard_recvs, 0);
     }
 }

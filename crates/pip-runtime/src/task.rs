@@ -167,11 +167,6 @@ impl TaskCtx {
         self.fabric.recv(self.rank, MatchSpec::exact(source, tag))
     }
 
-    /// Blocking receive matching `spec`.
-    pub fn recv_matching(&self, spec: MatchSpec) -> Result<Message> {
-        self.fabric.recv(self.rank, spec)
-    }
-
     /// Non-blocking receive from `source` with `tag`: returns `Ok(None)`
     /// when no matching message has arrived yet.  This is the completion
     /// primitive the request-based collectives poll on.

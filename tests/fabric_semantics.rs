@@ -1,16 +1,16 @@
 //! Integration tests pinning the observable semantics of the multi-object
-//! (sharded) fabric against the single-queue baseline it replaced.
+//! (sharded) fabric.
 //!
-//! The mailbox sharding is a pure performance transformation: per-(source,
-//! tag) FIFO order, wildcard arrival order, and matched-receive results must
-//! be byte-identical to the pre-multi-object single-queue fabric under any
-//! interleaving of senders and any receive order.  The properties here
-//! generate random workloads and drive both layouts through them.
+//! Sharding the mailbox is a pure performance transformation: per-(source,
+//! tag) FIFO order and matched-receive results must not depend on the shard
+//! count, under any interleaving of senders and any receive order.  The
+//! properties here generate random workloads and drive several shard counts
+//! through them.
 
 use std::time::Duration;
 
 use pip_mcoll::runtime::fabric::MatchSpec;
-use pip_mcoll::runtime::{Fabric, MailboxLayout};
+use pip_mcoll::runtime::Fabric;
 use proptest::prelude::*;
 
 /// Deterministic splitmix64, used to derive randomized receive orders from a
@@ -23,28 +23,20 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn layouts_under_test() -> [MailboxLayout; 3] {
-    [
-        MailboxLayout::SingleQueue,
-        MailboxLayout::Sharded { shards: 2 },
-        MailboxLayout::Sharded { shards: 8 },
-    ]
-}
-
 /// Run one generated workload: `sources` sender threads each send
 /// `per_lane` messages on each of `tags` tag lanes to rank 0 (interleaved
 /// across lanes, so arrival order mixes lanes), then the receiver drains
 /// every lane in a seed-derived random order.  Returns, per (source, tag)
 /// lane, the sequence of payload indices in receive order.
 fn run_workload(
-    layout: MailboxLayout,
+    shards: usize,
     sources: usize,
     tags: usize,
     per_lane: usize,
     seed: u64,
 ) -> Vec<Vec<u8>> {
     let world = sources + 1;
-    let fabric = Fabric::with_layout(world, layout, Duration::from_secs(20));
+    let fabric = Fabric::with_shards(world, shards, Duration::from_secs(20));
     std::thread::scope(|scope| {
         for source in 1..=sources {
             let fabric = fabric.clone();
@@ -86,9 +78,9 @@ fn run_workload(
 }
 
 proptest! {
-    /// Per-(source, tag) FIFO order holds under every layout, for any
-    /// interleaving of concurrent senders and any receive order — and the
-    /// sharded layouts observe exactly what the single-queue baseline does.
+    /// Per-(source, tag) FIFO order holds at every shard count, for any
+    /// interleaving of concurrent senders and any receive order: each lane
+    /// yields its messages in send order.
     #[test]
     fn prop_fifo_per_lane_and_layouts_agree(
         sources in 1usize..5,
@@ -96,40 +88,11 @@ proptest! {
         per_lane in 1usize..7,
         seed in 0u64..1_000_000,
     ) {
-        let baseline = run_workload(MailboxLayout::SingleQueue, sources, tags, per_lane, seed);
-        for lane in &baseline {
-            if !lane.is_empty() {
-                let expected: Vec<u8> = (0..per_lane as u8).collect();
+        let expected: Vec<u8> = (0..per_lane as u8).collect();
+        for shards in [1, 2, 8] {
+            let received = run_workload(shards, sources, tags, per_lane, seed);
+            for lane in &received[tags..] {
                 prop_assert_eq!(lane, &expected);
-            }
-        }
-        for layout in [MailboxLayout::Sharded { shards: 2 }, MailboxLayout::Sharded { shards: 8 }] {
-            let sharded = run_workload(layout, sources, tags, per_lane, seed);
-            prop_assert_eq!(&sharded, &baseline);
-        }
-    }
-
-    /// Wildcard (ANY_SOURCE + ANY_TAG) receives observe global arrival
-    /// order regardless of which shard each lane hashes to: a single sender
-    /// interleaving many tags is received in exactly send order.
-    #[test]
-    fn prop_wildcard_receives_preserve_arrival_order(
-        tags in 1usize..9,
-        per_lane in 1usize..6,
-    ) {
-        for layout in layouts_under_test() {
-            let fabric = Fabric::with_layout(2, layout, Duration::from_secs(20));
-            let mut sent = Vec::new();
-            for index in 0..per_lane {
-                for tag in 0..tags as u64 {
-                    fabric.send(1, 0, tag, vec![tag as u8, index as u8]).unwrap();
-                    sent.push((tag, index as u8));
-                }
-            }
-            for (tag, index) in sent {
-                let msg = fabric.recv(0, MatchSpec::any()).unwrap();
-                prop_assert_eq!(msg.tag, tag);
-                prop_assert_eq!(msg.payload.as_slice(), &[tag as u8, index]);
             }
         }
     }
@@ -158,29 +121,4 @@ fn exact_receives_ignore_unmatched_backlog() {
         "an exact receive must not wade through other lanes' backlog"
     );
     assert_eq!(fabric.pending(0).unwrap(), 2 * backlog);
-}
-
-/// The single-queue baseline, by contrast, scans the whole backlog for the
-/// same receive — the measured difference `bench_fabric` turns into a
-/// throughput curve.
-#[test]
-fn single_queue_scans_the_backlog_for_the_same_receive() {
-    let fabric = Fabric::with_layout(
-        4,
-        MailboxLayout::SingleQueue,
-        std::time::Duration::from_secs(20),
-    );
-    let backlog = 4000;
-    for i in 0..backlog as u64 {
-        fabric.send(1, 0, 1000 + i, vec![0]).unwrap();
-    }
-    let scanned_before = fabric.stats().messages_scanned;
-    fabric.send(3, 0, 7, vec![42]).unwrap();
-    let msg = fabric.recv(0, MatchSpec::exact(3, 7)).unwrap();
-    assert_eq!(msg.payload, vec![42]);
-    assert_eq!(
-        fabric.stats().messages_scanned - scanned_before,
-        backlog + 1,
-        "the baseline pays a full scan for the late-matched receive"
-    );
 }
