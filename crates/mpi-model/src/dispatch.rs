@@ -24,16 +24,20 @@ use pip_collectives::{
 };
 
 use pip_collectives::CollectiveKind;
+use pip_transport::cost::Nanos;
 
 use crate::plan::{CollectiveShape, CompressSpec, PlanCache, EXEC_PLAN_MAX_BYTES};
 use crate::selection::{
-    AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, GatherAlgo, ReduceAlgo,
+    Algorithm, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, GatherAlgo, ReduceAlgo,
     ReduceScatterAlgo, ScanAlgo, ScatterAlgo,
 };
 use crate::LibraryProfile;
 
-/// Execute one invocation of `shape` on `comm` using the algorithms
-/// `profile` selects — a choice that depends on the shape alone.
+/// Execute one invocation of `shape` on `comm` with `algorithm`, the
+/// library's resolved choice for it ([`crate::LibraryProfile::algorithm_for`]),
+/// after the library's per-collective `setup` delay.  Those two are all a
+/// recording reads of a library, which is why they, not the library, key
+/// the plan caches.
 ///
 /// The buffers fill the slots of the shape's [`IoShape`]: `send` is the
 /// send buffer and `recv` the receive buffer or, for the in/out kinds
@@ -43,8 +47,10 @@ use crate::LibraryProfile;
 ///
 /// `tag` must be unique per outstanding collective on the communicator
 /// (callers typically use a per-communicator sequence number shifted left).
+#[allow(clippy::too_many_arguments)]
 pub fn execute<C: Comm>(
-    profile: &LibraryProfile,
+    algorithm: Algorithm,
+    setup: Nanos,
     comm: &C,
     shape: &CollectiveShape,
     send: Option<&[u8]>,
@@ -52,19 +58,16 @@ pub fn execute<C: Comm>(
     op: Option<&ReduceFn<'_>>,
     tag: u64,
 ) {
-    use CollectiveKind as Kind;
-    comm.delay(profile.per_collective_setup);
-    let world = comm.world_size();
+    comm.delay(setup);
     let CollectiveShape {
-        block,
         root,
         elem_size: elem,
         ..
     } = *shape;
-    match shape.kind {
-        Kind::Allgather => {
+    match algorithm {
+        Algorithm::Allgather(algo) => {
             let (send, recv) = (bound(send), bound(recv));
-            match profile.selection.allgather_for(block, world) {
+            match algo {
                 AllgatherAlgo::Bruck => bruck::allgather_bruck(comm, send, recv, tag),
                 AllgatherAlgo::RecursiveDoubling => {
                     recursive_doubling::allgather_recursive_doubling(comm, send, recv, tag)
@@ -78,9 +81,9 @@ pub fn execute<C: Comm>(
                 }
             }
         }
-        Kind::Scatter => {
+        Algorithm::Scatter(algo) => {
             let recv = bound(recv);
-            match profile.selection.scatter {
+            match algo {
                 ScatterAlgo::Binomial => binomial::scatter_binomial(comm, send, recv, root, tag),
                 ScatterAlgo::Hierarchical => {
                     hierarchical::scatter_hierarchical(comm, send, recv, root, tag)
@@ -90,24 +93,24 @@ pub fn execute<C: Comm>(
                 }
             }
         }
-        Kind::Bcast => {
+        Algorithm::Bcast(algo) => {
             let buf = bound(recv);
-            match profile.selection.bcast {
+            match algo {
                 BcastAlgo::Binomial => binomial::bcast_binomial(comm, buf, root, tag),
                 BcastAlgo::Hierarchical => hierarchical::bcast_hierarchical(comm, buf, root, tag),
                 BcastAlgo::MultiObject => multi_object::bcast_multi_object(comm, buf, root, tag),
             }
         }
-        Kind::Gather => {
+        Algorithm::Gather(algo) => {
             let send = bound(send);
-            match profile.selection.gather {
+            match algo {
                 GatherAlgo::Binomial => binomial::gather_binomial(comm, send, recv, root, tag),
                 GatherAlgo::MultiObject => {
                     multi_object::gather_multi_object(comm, send, recv, root, tag)
                 }
             }
         }
-        Kind::Allreduce => {
+        Algorithm::Allreduce(algo) => {
             let (buf, f) = (bound(recv), bound(op));
             match shape.layout.map(|l| l.scaled(elem)) {
                 Some(l) => {
@@ -116,24 +119,28 @@ pub fn execute<C: Comm>(
                     // scatter the result back without disturbing the gaps.
                     let mut packed = Vec::with_capacity(l.packed_len());
                     l.pack_bytes(buf, &mut packed);
-                    allreduce_bytes(profile, comm, &mut packed, elem, f, tag);
+                    debug_assert_eq!(packed.len(), shape.block, "the shape keys packed bytes");
+                    allreduce_bytes(algo, comm, &mut packed, elem, f, tag);
                     l.unpack_bytes(&packed, buf);
                 }
-                None => allreduce_bytes(profile, comm, buf, elem, f, tag),
+                None => {
+                    debug_assert_eq!(buf.len(), shape.block, "the shape keys packed bytes");
+                    allreduce_bytes(algo, comm, buf, elem, f, tag)
+                }
             }
         }
-        Kind::Reduce => {
+        Algorithm::Reduce(algo) => {
             let (send, f) = (bound(send), bound(op));
-            match profile.selection.reduce {
+            match algo {
                 ReduceAlgo::Binomial => binomial::reduce_binomial(comm, send, recv, f, root, tag),
                 ReduceAlgo::MultiObject => {
                     multi_object::reduce_multi_object(comm, send, recv, elem, f, root, tag)
                 }
             }
         }
-        Kind::ReduceScatter => {
+        Algorithm::ReduceScatter(algo) => {
             let (send, recv, f) = (bound(send), bound(recv), bound(op));
-            match profile.selection.reduce_scatter_for(block) {
+            match algo {
                 ReduceScatterAlgo::RecursiveHalving => {
                     recursive_halving::reduce_scatter_recursive_halving(comm, send, recv, f, tag)
                 }
@@ -143,30 +150,30 @@ pub fn execute<C: Comm>(
                 }
             }
         }
-        Kind::Scan => {
+        Algorithm::Scan(algo) => {
             let (buf, f) = (bound(recv), bound(op));
-            match profile.selection.scan {
+            match algo {
                 ScanAlgo::RecursiveDoubling => scan::scan_recursive_doubling(comm, buf, f, tag),
                 ScanAlgo::Linear => scan::scan_linear(comm, buf, f, tag),
             }
         }
-        Kind::Exscan => {
+        Algorithm::Exscan(algo) => {
             let (buf, f) = (bound(recv), bound(op));
-            match profile.selection.scan {
+            match algo {
                 ScanAlgo::RecursiveDoubling => scan::exscan_recursive_doubling(comm, buf, f, tag),
                 ScanAlgo::Linear => scan::exscan_linear(comm, buf, f, tag),
             }
         }
-        Kind::Alltoall => {
+        Algorithm::Alltoall(algo) => {
             let (send, recv) = (bound(send), bound(recv));
-            match profile.selection.alltoall {
+            match algo {
                 AlltoallAlgo::Bruck => bruck::alltoall_bruck(comm, send, recv, tag),
                 AlltoallAlgo::MultiObject => {
                     multi_object::alltoall_multi_object(comm, send, recv, tag)
                 }
             }
         }
-        Kind::Barrier => recursive_doubling::barrier_dissemination(comm, tag),
+        Algorithm::Barrier => recursive_doubling::barrier_dissemination(comm, tag),
     }
 }
 
@@ -175,20 +182,17 @@ fn bound<T>(slot: Option<T>) -> T {
     slot.expect("the collective's shape binds this slot")
 }
 
-/// Run the selected allreduce algorithm over a contiguous byte vector —
-/// the common tail of the contiguous and packed (derived-datatype) paths.
+/// Run allreduce algorithm `algo` over a contiguous byte vector — the
+/// common tail of the contiguous and packed (derived-datatype) paths.
 fn allreduce_bytes<C: Comm>(
-    profile: &LibraryProfile,
+    algo: AllreduceAlgo,
     comm: &C,
     buf: &mut [u8],
     elem_size: usize,
     f: &ReduceFn<'_>,
     tag: u64,
 ) {
-    match profile
-        .selection
-        .allreduce_for_fabric(buf.len(), profile.fabric)
-    {
+    match algo {
         AllreduceAlgo::RecursiveDoubling => {
             recursive_doubling::allreduce_recursive_doubling(comm, buf, f, tag)
         }
@@ -415,7 +419,8 @@ pub fn run_blocking<C: NonBlockingComm>(
         cache.note_bypass();
         let (send, mut recv) = request.into_io(&shape.io_for(comm.rank(), world));
         execute(
-            profile,
+            profile.algorithm_for(&shape, world),
+            profile.per_collective_setup,
             comm,
             &shape,
             send.as_deref(),
@@ -498,7 +503,8 @@ mod tests {
                 let sendbuf = oracle::rank_payload(comm.rank(), block);
                 let mut recvbuf = vec![0u8; world * block];
                 execute(
-                    &profile,
+                    profile.algorithm_for(&shape, world),
+                    profile.per_collective_setup,
                     &comm,
                     &shape,
                     Some(&sendbuf),
@@ -530,7 +536,18 @@ mod tests {
                 let comm = ThreadComm::new(ctx);
                 let mut recvbuf = vec![0u8; block];
                 let send = (comm.rank() == 0).then_some(sendbuf_ref.as_slice());
-                execute(&profile, &comm, &shape, send, Some(&mut recvbuf), None, 1);
+                let algorithm = profile.algorithm_for(&shape, world);
+                let setup = profile.per_collective_setup;
+                execute(
+                    algorithm,
+                    setup,
+                    &comm,
+                    &shape,
+                    send,
+                    Some(&mut recvbuf),
+                    None,
+                    1,
+                );
                 recvbuf
             })
             .unwrap();
@@ -556,7 +573,9 @@ mod tests {
                 let comm = ThreadComm::new(ctx);
                 let mut buf = oracle::rank_payload(comm.rank(), len);
                 let op = Some(kernel.as_fn());
-                execute(&profile, &comm, &shape, None, Some(&mut buf), op, 1);
+                let algorithm = profile.algorithm_for(&shape, world);
+                let setup = profile.per_collective_setup;
+                execute(algorithm, setup, &comm, &shape, None, Some(&mut buf), op, 1);
                 buf
             })
             .unwrap();

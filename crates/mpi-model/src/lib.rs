@@ -32,8 +32,8 @@ pub use plan::{
     compile_folded, ClusterPlanCache, CollectiveShape, CompressSpec, PlanCache, PlanKey,
 };
 pub use selection::{
-    AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, FabricCondition, GatherAlgo, ReduceAlgo,
-    ReduceScatterAlgo, ScanAlgo, ScatterAlgo, SelectionTable, LOSSY_DROP_CROSSOVER,
+    Algorithm, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, FabricCondition, GatherAlgo,
+    ReduceAlgo, ReduceScatterAlgo, ScanAlgo, ScatterAlgo, SelectionTable, LOSSY_DROP_CROSSOVER,
 };
 
 /// The five MPI implementations evaluated in the paper's figures.
@@ -176,11 +176,35 @@ impl LibraryProfile {
     }
 
     /// This profile re-targeted at a fabric in the given condition.  The
-    /// fabric is part of the profile (not a per-call argument) so compiled
-    /// plans key on it: a lossy-fabric plan never aliases a healthy one.
+    /// fabric is part of the profile (not a per-call argument) so
+    /// [`LibraryProfile::algorithm_for`], and through it the plan key, reads
+    /// it: a lossy-fabric plan aliases a healthy one only where both select
+    /// the same allreduce.
     pub fn for_fabric(mut self, fabric: selection::FabricCondition) -> Self {
         self.fabric = fabric;
         self
+    }
+
+    /// The algorithm this profile runs for `shape` on a communicator of
+    /// `world` ranks — the one place dispatch and the plan caches decide
+    /// it.  For an allreduce `shape.block` is the packed byte count.
+    pub fn algorithm_for(&self, shape: &CollectiveShape, world: usize) -> Algorithm {
+        use pip_collectives::CollectiveKind as Kind;
+        let table = &self.selection;
+        let block = shape.block;
+        match shape.kind {
+            Kind::Allgather => Algorithm::Allgather(table.allgather_for(block, world)),
+            Kind::Scatter => Algorithm::Scatter(table.scatter),
+            Kind::Bcast => Algorithm::Bcast(table.bcast),
+            Kind::Gather => Algorithm::Gather(table.gather),
+            Kind::Allreduce => Algorithm::Allreduce(table.allreduce_for_fabric(block, self.fabric)),
+            Kind::Reduce => Algorithm::Reduce(table.reduce),
+            Kind::ReduceScatter => Algorithm::ReduceScatter(table.reduce_scatter_for(block)),
+            Kind::Scan => Algorithm::Scan(table.scan),
+            Kind::Exscan => Algorithm::Exscan(table.scan),
+            Kind::Alltoall => Algorithm::Alltoall(table.alltoall),
+            Kind::Barrier => Algorithm::Barrier,
+        }
     }
 
     /// Simulation parameters for this library on the given NIC.

@@ -2,9 +2,12 @@
 //!
 //! This is where the plan/execute split meets the library model: a
 //! [`CollectiveShape`] (collective kind, per-process block size, root,
-//! element size) plus a [`crate::LibraryProfile`] and a topology fully
-//! determine the schedule, so a compiled plan is cached under a [`PlanKey`]
-//! and reused for every later call with the same shape.
+//! element size) plus a topology and the two things a recording reads of a
+//! [`crate::LibraryProfile`] — the algorithm it selects for the shape and
+//! its per-collective setup delay — fully determine the schedule.  A
+//! compiled plan is cached under a [`PlanKey`] of exactly those and reused
+//! for every later call that resolves to it, whichever library makes the
+//! call: the key is the full functional determinant by construction.
 //!
 //! Two cache granularities exist for the two consumers:
 //!
@@ -21,6 +24,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use pip_collectives::comm::Comm as _;
 use pip_collectives::plan::{
     assemble, compile_exec, compress_rank_transfers, ranks_equal_under, schedules_equal_under,
     shared_arena, ArenaStats, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena,
@@ -32,7 +36,7 @@ use pip_runtime::Topology;
 use pip_collectives::datatype::{Layout, ReduceIdent};
 
 use crate::dispatch;
-use crate::{Library, LibraryProfile};
+use crate::{Algorithm, LibraryProfile};
 
 /// The tag base plans are compiled at; executions rebase by the invocation
 /// tag.  Zero keeps recorded tags equal to the algorithms' tag offsets.
@@ -253,16 +257,19 @@ impl CollectiveShape {
 
 /// Cache key: the full functional determinant of a compiled plan.
 ///
-/// The profile enters via a content fingerprint rather than just its
-/// [`Library`] tag: `LibraryProfile` fields are public, so a caller can run
-/// a customized profile (different selection table, different overheads)
-/// under the same library tag — those must not alias to one cached plan.
+/// A recording reads exactly two things of a [`LibraryProfile`]: the
+/// algorithm it selects for the shape ([`LibraryProfile::algorithm_for`])
+/// and its per-collective setup delay — [`dispatch::execute`] takes those
+/// two and no profile.  So the key holds them instead of the library: two
+/// libraries selecting the same algorithm share one plan, and a customized
+/// profile whose selection or setup differs never aliases the stock one.
+/// Building a key is O(1) and allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// The library whose selection tables chose the algorithm.
-    pub library: Library,
-    /// Fingerprint of the profile's full contents.
-    pub profile_fp: u64,
+    /// The algorithm the profile selects for the shape.
+    pub algorithm: Algorithm,
+    /// `f64::to_bits` of the profile's per-collective setup delay.
+    pub setup_bits: u64,
     /// Number of nodes.
     pub nodes: usize,
     /// Processes per node.
@@ -275,55 +282,8 @@ impl PlanKey {
     /// Build a key.
     pub fn new(profile: &LibraryProfile, topology: Topology, shape: CollectiveShape) -> Self {
         Self {
-            library: profile.library,
-            profile_fp: profile_fingerprint(profile),
-            nodes: topology.nodes(),
-            ppn: topology.ppn(),
-            shape,
-        }
-    }
-}
-
-/// Content fingerprint of a profile.  The `Debug` rendering covers every
-/// field (including the selection table and the float overheads, which
-/// format with round-trip precision), so distinct profiles get distinct
-/// fingerprints; the caches additionally memoize the last profile seen, so
-/// the rendering cost is only paid when the profile actually changes.
-fn profile_fingerprint(profile: &LibraryProfile) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    format!("{profile:?}").hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Memo of the last profile fingerprinted by a cache, so the hot path pays
-/// a field-wise equality check instead of a `Debug` rendering per call.
-#[derive(Debug, Default)]
-struct ProfileMemo {
-    last: Option<(LibraryProfile, u64)>,
-}
-
-impl ProfileMemo {
-    fn fingerprint(&mut self, profile: &LibraryProfile) -> u64 {
-        if let Some((memoized, fp)) = &self.last {
-            if memoized == profile {
-                return *fp;
-            }
-        }
-        let fp = profile_fingerprint(profile);
-        self.last = Some((profile.clone(), fp));
-        fp
-    }
-
-    fn key(
-        &mut self,
-        profile: &LibraryProfile,
-        topology: Topology,
-        shape: CollectiveShape,
-    ) -> PlanKey {
-        PlanKey {
-            library: profile.library,
-            profile_fp: self.fingerprint(profile),
+            algorithm: profile.algorithm_for(&shape, topology.world_size()),
+            setup_bits: profile.per_collective_setup.to_bits(),
             nodes: topology.nodes(),
             ppn: topology.ppn(),
             shape,
@@ -668,7 +628,8 @@ impl CallerBuffers {
         };
         let op = comm.reducer();
         dispatch::execute(
-            profile,
+            profile.algorithm_for(&packed, comm.world_size()),
+            profile.per_collective_setup,
             comm,
             &packed,
             send.as_deref(),
@@ -695,7 +656,6 @@ pub const EXEC_PLAN_MAX_BYTES: usize = 4 << 20;
 #[derive(Debug)]
 pub struct PlanCache {
     plans: HashMap<PlanKey, Rc<RankPlan>>,
-    memo: ProfileMemo,
     arena: SharedArena,
     hits: u64,
     misses: u64,
@@ -706,7 +666,6 @@ impl Default for PlanCache {
     fn default() -> Self {
         Self {
             plans: HashMap::new(),
-            memo: ProfileMemo::default(),
             arena: shared_arena(),
             hits: 0,
             misses: 0,
@@ -742,7 +701,7 @@ impl PlanCache {
         rank: usize,
         shape: &CollectiveShape,
     ) -> Rc<RankPlan> {
-        let key = self.memo.key(profile, topology, *shape);
+        let key = PlanKey::new(profile, topology, *shape);
         if let Some(plan) = self.plans.get(&key) {
             debug_assert_eq!(plan.rank, rank, "one cache serves one rank");
             self.hits += 1;
@@ -786,7 +745,6 @@ impl PlanCache {
 #[derive(Debug, Default)]
 pub struct ClusterPlanCache {
     plans: HashMap<PlanKey, Arc<Plan>>,
-    memo: ProfileMemo,
     hits: u64,
     misses: u64,
     ranks_compiled: u64,
@@ -828,7 +786,7 @@ impl ClusterPlanCache {
         topology: Topology,
         shape: &CollectiveShape,
     ) -> Option<Arc<Plan>> {
-        let key = self.memo.key(profile, topology, *shape);
+        let key = PlanKey::new(profile, topology, *shape);
         let plan = self.plans.get(&key).map(Arc::clone);
         if plan.is_some() {
             self.hits += 1;
@@ -846,7 +804,7 @@ impl ClusterPlanCache {
         shape: &CollectiveShape,
         plan: Arc<Plan>,
     ) -> Arc<Plan> {
-        let key = self.memo.key(profile, topology, *shape);
+        let key = PlanKey::new(profile, topology, *shape);
         self.misses += 1;
         Arc::clone(self.plans.entry(key).or_insert(plan))
     }
@@ -872,7 +830,7 @@ impl ClusterPlanCache {
 mod tests {
     use super::*;
     use crate::dispatch::OwnedCollective;
-    use pip_collectives::comm::Comm as _;
+    use crate::Library;
     use pip_collectives::oracle;
     use pip_collectives::plan::PlanCursor;
     use pip_collectives::ThreadComm;
@@ -894,7 +852,7 @@ mod tests {
     #[test]
     fn customized_profiles_do_not_alias_in_the_cache() {
         // Two profiles sharing a Library tag but differing in content must
-        // get distinct cached plans (the profile fingerprint is part of the
+        // get distinct cached plans (the selected algorithm is part of the
         // key — the tag alone is not the functional determinant).
         let stock = Library::OpenMpi.profile();
         let mut custom = Library::OpenMpi.profile();
@@ -917,6 +875,20 @@ mod tests {
         // And each profile still hits its own entry on repeat.
         cache.lookup_or_compile(&stock, topo, 0, &shape);
         assert_eq!(cache.stats(), (1, 2));
+    }
+
+    /// Open MPI and PiP-MPICH both select Bruck for a 64 B allgather on
+    /// 16×18 (288 ranks, not a power of two) and share the setup delay, so
+    /// the second library is served the first one's plan.
+    #[test]
+    fn libraries_selecting_the_same_algorithm_share_one_cluster_plan() {
+        let topo = Topology::new(16, 18);
+        let shape = CollectiveShape::plain(CollectiveKind::Allgather, 64, 0);
+        let mut cache = ClusterPlanCache::new();
+        let open_mpi = cache.lookup_or_compile(&Library::OpenMpi.profile(), topo, &shape);
+        let pip_mpich = cache.lookup_or_compile(&Library::PipMpich.profile(), topo, &shape);
+        assert!(Arc::ptr_eq(&open_mpi, &pip_mpich));
+        assert_eq!(cache.stats(), (1, 1));
     }
 
     #[test]

@@ -106,6 +106,36 @@ pub enum ScanAlgo {
     Linear,
 }
 
+/// One resolved selection: the algorithm a library runs for one collective
+/// invocation, tagged by the collective kind.  Everything a recording reads
+/// of the selection table, so it is what the plan caches key on — two
+/// libraries resolving to the same `Algorithm` share one compiled plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Algorithm {
+    /// MPI_Allgather.
+    Allgather(AllgatherAlgo),
+    /// MPI_Scatter.
+    Scatter(ScatterAlgo),
+    /// MPI_Bcast.
+    Bcast(BcastAlgo),
+    /// MPI_Gather.
+    Gather(GatherAlgo),
+    /// MPI_Allreduce.
+    Allreduce(AllreduceAlgo),
+    /// MPI_Reduce.
+    Reduce(ReduceAlgo),
+    /// MPI_Reduce_scatter_block.
+    ReduceScatter(ReduceScatterAlgo),
+    /// MPI_Scan.
+    Scan(ScanAlgo),
+    /// MPI_Exscan.
+    Exscan(ScanAlgo),
+    /// MPI_Alltoall.
+    Alltoall(AlltoallAlgo),
+    /// MPI_Barrier: every library runs the dissemination barrier.
+    Barrier,
+}
+
 /// The byte threshold (per-process message size) above which libraries
 /// switch from latency-oriented to bandwidth-oriented algorithms.
 pub const LARGE_MESSAGE_THRESHOLD: usize = 32 * 1024;

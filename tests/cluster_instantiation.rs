@@ -274,14 +274,17 @@ fn counts_tell_instantiation_from_the_fallback() {
     assert_eq!(cache.compile_counts(), (16 + world, world - 16));
 }
 
-/// The 30 cells of `bench_all`'s `sim_sweep` at paper scale: same plans as
-/// rank-by-rank compilation, and exactly 12 of them instantiate.
+/// The 30 cells of `bench_all`'s `sim_sweep` at paper scale: every
+/// library's plan equals rank-by-rank compilation, and the cache compiles
+/// only the 16 distinct schedules behind them, 6 of which instantiate.  A
+/// library that selects an algorithm an earlier library already compiled
+/// for the cell shares that plan and compiles nothing.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "records 2 304 ranks per cell for the reference; CI runs this suite in release"
 )]
-fn the_paper_scale_sweep_instantiates_twelve_of_its_thirty_cells() {
+fn the_paper_scale_sweep_compiles_sixteen_of_its_thirty_cells_and_instantiates_six() {
     let topology = ClusterSpec::hpdc23().topology();
     let mut cache = ClusterPlanCache::new();
     for kind in [
@@ -297,6 +300,14 @@ fn the_paper_scale_sweep_instantiates_twelve_of_its_thirty_cells() {
             };
             for library in Library::ALL {
                 assert_equals_rank_by_rank(library, topology, &cell, Fidelity::Schedule);
+                // Bruck allgather: all four comparators.  Binomial scatter
+                // and recursive-doubling allreduce: Open MPI, Intel MPI and
+                // PiP-MPICH.
+                let shared = match library {
+                    Library::IntelMpi | Library::PipMpich => true,
+                    Library::Mvapich2 => kind == CollectiveKind::Allgather,
+                    Library::OpenMpi | Library::PipMColl => false,
+                };
                 let instantiates = match kind {
                     CollectiveKind::Allgather => library != Library::PipMColl,
                     CollectiveKind::Allreduce => {
@@ -309,7 +320,9 @@ fn the_paper_scale_sweep_instantiates_twelve_of_its_thirty_cells() {
                 let after = cache.compile_counts();
                 assert_eq!(
                     (after.0 - before.0, after.1 - before.1),
-                    if instantiates {
+                    if shared {
+                        (0, 0)
+                    } else if instantiates {
                         (72, 2_232)
                     } else {
                         (2_304, 0)
@@ -322,9 +335,10 @@ fn the_paper_scale_sweep_instantiates_twelve_of_its_thirty_cells() {
     }
     assert_eq!(
         cache.compile_counts(),
-        (12 * 72 + 18 * 2_304, 12 * 2_232),
+        (6 * 72 + 10 * 2_304, 6 * 2_232),
         "one sweep's totals"
     );
+    assert_eq!(cache.stats(), (14, 16), "14 shared cells, 16 compiles");
 }
 
 /// Probing samples the symmetry; it does not prove it.  This hand-built

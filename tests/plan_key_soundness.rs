@@ -1,0 +1,201 @@
+//! The plan caches key on what a recording reads of a library — the
+//! algorithm it selects for the shape and its per-collective setup delay —
+//! not on the library.  That is only sound if the key is the plan's full
+//! functional determinant: two cells with equal [`PlanKey`]s must compile
+//! to equal plans, whichever libraries and fabric conditions they came
+//! from.  The sweep below compiles every cell without a cache and checks
+//! that, then checks that [`ClusterPlanCache`] shares a plan between two
+//! cells exactly when their keys are equal.
+//!
+//! Self-consistency cannot see a key that is sound but selects the wrong
+//! algorithm, so the fabric dimension is also checked against the
+//! selection table directly: a lossy profile's allreduce plan differs from
+//! the healthy one exactly when the table's lossy choice differs.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use pip_mcoll::collectives::datatype::{DtypeId, ReduceIdent, ReduceOp};
+use pip_mcoll::collectives::plan::{Fidelity, Plan, PlanOp};
+use pip_mcoll::collectives::CollectiveKind;
+use pip_mcoll::model::plan::compile_cluster;
+use pip_mcoll::model::{
+    ClusterPlanCache, CollectiveShape, CompressSpec, FabricCondition, Library, LibraryProfile,
+    PlanKey,
+};
+use pip_mcoll::runtime::Topology;
+
+/// 4×4 has a power-of-two world, so the recursive-doubling allgather rule
+/// fires; 3×3 has not.
+const TOPOLOGIES: [(usize, usize); 2] = [(4, 4), (3, 3)];
+
+/// Both sides of the 32 KiB large-message switch.
+const BLOCKS: [usize; 2] = [64, 40_960];
+
+const FABRICS: [FabricCondition; 2] = [FabricCondition::Healthy, FabricCondition::Lossy];
+
+const F32_SUM: ReduceIdent = ReduceIdent::Builtin {
+    dtype: DtypeId::F32,
+    op: ReduceOp::Sum,
+};
+
+fn reduces(kind: CollectiveKind) -> bool {
+    matches!(
+        kind,
+        CollectiveKind::Allreduce
+            | CollectiveKind::Reduce
+            | CollectiveKind::ReduceScatter
+            | CollectiveKind::Scan
+            | CollectiveKind::Exscan
+    )
+}
+
+/// Every shape of the sweep for `profile`: each kind at each block (the
+/// barrier once), plus the error-bounded compressed allreduce.
+fn shapes(profile: &LibraryProfile) -> Vec<CollectiveShape> {
+    let mut shapes = Vec::new();
+    for kind in CollectiveKind::ALL {
+        if kind == CollectiveKind::Barrier {
+            shapes.push(CollectiveShape::plain(kind, 0, 0));
+            continue;
+        }
+        for block in BLOCKS {
+            shapes.push(if reduces(kind) {
+                CollectiveShape::reduction(kind, block, 0, 4, Some(F32_SUM))
+            } else {
+                CollectiveShape::plain(kind, block, 0)
+            });
+        }
+    }
+    for block in BLOCKS {
+        let spec = CompressSpec::from_bound(1e-3, profile.selection.compress_min_bytes);
+        shapes.push(CollectiveShape::allreduce(
+            block,
+            4,
+            Some(F32_SUM),
+            None,
+            Some(spec),
+        ));
+    }
+    shapes
+}
+
+struct Cell {
+    label: String,
+    key: PlanKey,
+    plan: Plan,
+    cached: Arc<Plan>,
+}
+
+#[test]
+fn equal_keys_mean_equal_plans_and_the_cache_shares_exactly_those() {
+    for (nodes, ppn) in TOPOLOGIES {
+        let topology = Topology::new(nodes, ppn);
+        let mut cache = ClusterPlanCache::new();
+        let mut cells: Vec<Cell> = Vec::new();
+        for library in Library::ALL {
+            for fabric in FABRICS {
+                let profile = library.profile().for_fabric(fabric);
+                for shape in shapes(&profile) {
+                    cells.push(Cell {
+                        label: format!("{} {fabric:?} {shape:?} on {nodes}x{ppn}", library.name()),
+                        key: PlanKey::new(&profile, topology, shape),
+                        plan: compile_cluster(&profile, topology, &shape, Fidelity::Schedule),
+                        cached: cache.lookup_or_compile(&profile, topology, &shape),
+                    });
+                }
+            }
+        }
+
+        let mut first_of_key: HashMap<PlanKey, &Cell> = HashMap::new();
+        for cell in &cells {
+            assert_eq!(*cell.cached, cell.plan, "{}: cached plan", cell.label);
+            let first = first_of_key.entry(cell.key).or_insert(cell);
+            assert!(
+                first.plan == cell.plan,
+                "{} and {} share a key but compile to different plans",
+                first.label,
+                cell.label
+            );
+        }
+        let (hits, misses) = cache.stats();
+        assert_eq!(misses as usize, first_of_key.len(), "one compile per key");
+        assert_eq!((hits + misses) as usize, cells.len());
+        assert!(
+            hits > 0,
+            "libraries selecting the same algorithm must share plans"
+        );
+
+        for (i, a) in cells.iter().enumerate() {
+            for b in &cells[i + 1..] {
+                assert_eq!(
+                    Arc::ptr_eq(&a.cached, &b.cached),
+                    a.key == b.key,
+                    "{} vs {}: the cache must share a plan exactly when the keys are equal",
+                    a.label,
+                    b.label
+                );
+            }
+        }
+
+        // The fabric condition reaches the plan through the allreduce
+        // selection and nowhere else.
+        for library in Library::ALL {
+            let table = library.profile().selection;
+            for block in BLOCKS {
+                let shape = CollectiveShape::reduction(
+                    CollectiveKind::Allreduce,
+                    block,
+                    0,
+                    4,
+                    Some(F32_SUM),
+                );
+                let [healthy, lossy] = FABRICS.map(|fabric| {
+                    let profile = library.profile().for_fabric(fabric);
+                    compile_cluster(&profile, topology, &shape, Fidelity::Schedule)
+                });
+                assert_eq!(
+                    healthy == lossy,
+                    table.allreduce_lossy == table.allreduce_for(block),
+                    "{} allreduce {block} B on {nodes}x{ppn}: a lossy fabric must select \
+                     the table's lossy algorithm",
+                    library.name()
+                );
+            }
+        }
+    }
+}
+
+/// The setup delay of the rank's first `Delay` op.
+fn first_delay(plan: &Plan) -> f64 {
+    plan.ranks[0]
+        .ops
+        .iter()
+        .find_map(|op| match op {
+            PlanOp::Delay { nanos } => Some(*nanos),
+            _ => None,
+        })
+        .expect("every recording opens with the setup delay")
+}
+
+#[test]
+fn a_different_setup_delay_is_a_different_key_and_plan() {
+    let topology = Topology::new(3, 3);
+    let shape = CollectiveShape::plain(CollectiveKind::Allgather, 64, 0);
+    let stock = Library::OpenMpi.profile();
+    let slower = LibraryProfile {
+        per_collective_setup: stock.per_collective_setup + 1_000.0,
+        ..stock.clone()
+    };
+    assert_ne!(
+        PlanKey::new(&stock, topology, shape),
+        PlanKey::new(&slower, topology, shape)
+    );
+    let mut cache = ClusterPlanCache::new();
+    let a = cache.lookup_or_compile(&stock, topology, &shape);
+    let b = cache.lookup_or_compile(&slower, topology, &shape);
+    assert!(!Arc::ptr_eq(&a, &b));
+    assert_eq!(cache.stats(), (0, 2));
+    assert_eq!(first_delay(&a), stock.per_collective_setup);
+    assert_eq!(first_delay(&b), slower.per_collective_setup);
+}
