@@ -11,10 +11,8 @@
 //!   execution time*, normalized to PiP-MColl, with values above the
 //!   clipping threshold marked the way Figure 1 annotates them.
 //!
-//! The `src/bin/*` binaries print one figure or claim each; the Criterion
-//! benches under `benches/` measure the same workloads (plus the real
-//! thread-runtime collectives at laptop scale) so `cargo bench` exercises
-//! every experiment end to end.
+//! The `src/bin/*` binaries print one figure or claim each.  Timing the
+//! real thread-runtime collectives is the `bench_all` package's job.
 
 pub mod fabric_bench;
 pub mod figures;

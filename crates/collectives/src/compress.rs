@@ -121,18 +121,6 @@ pub struct Codec {
     pub bound: f64,
 }
 
-/// User-facing compression policy for a collective: the end-to-end error
-/// bound on the *result* and the message size below which transfers stay
-/// exact.  The per-hop codec bound is derived from `bound` by dividing by
-/// the schedule's worst-case hop count (see the plan rewrite pass).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressionPolicy {
-    /// Absolute element-wise error bound on the collective's result.
-    pub bound: f64,
-    /// Messages smaller than this many bytes are sent uncompressed.
-    pub min_wire_bytes: usize,
-}
-
 /// Elements per encoded block.
 const BLOCK: usize = 256;
 /// Block type byte: raw little-endian element bytes follow.

@@ -65,7 +65,7 @@ pub mod ring;
 pub mod scan;
 
 pub use comm::{Comm, NonBlockingComm, ReduceFn, ThreadComm};
-pub use compress::{Codec, CompressionPolicy, FloatDatatype, FloatElem};
+pub use compress::{Codec, FloatDatatype, FloatElem};
 pub use datatype::{
     Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp,
 };

@@ -31,10 +31,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Condvar;
 
 use crate::error::{Result, RuntimeError};
 use crate::sync::ContendedMutex;
@@ -429,7 +427,11 @@ impl Fabric {
                     tag: spec.tag,
                 });
             }
-            shard.condvar.wait_for(&mut state, deadline - now);
+            state = shard
+                .condvar
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 

@@ -17,9 +17,7 @@
 //! impossible even if an algorithm gets its synchronization wrong — a buggy
 //! schedule produces wrong bytes, never undefined behaviour.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{Result, RuntimeError};
 
@@ -92,6 +90,24 @@ impl ExposedRegion {
         self.len() == 0
     }
 
+    /// The bytes, read-locked.  Like every lock in this crate the region
+    /// never poisons: a panic inside [`ExposedRegion::with_slice_mut`] leaves
+    /// the bytes usable by every other handle.
+    fn bytes(&self) -> RwLockReadGuard<'_, Box<[u8]>> {
+        self.inner
+            .data
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The bytes, write-locked (see [`ExposedRegion::bytes`]).
+    fn bytes_mut(&self) -> RwLockWriteGuard<'_, Box<[u8]>> {
+        self.inner
+            .data
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn check_bounds(&self, offset: usize, len: usize) -> Result<()> {
         let capacity = self.len();
         if offset.checked_add(len).is_none_or(|end| end > capacity) {
@@ -108,7 +124,7 @@ impl ExposedRegion {
     /// Write `src` into the region starting at `offset`.
     pub fn try_write(&self, offset: usize, src: &[u8]) -> Result<()> {
         self.check_bounds(offset, src.len())?;
-        let mut guard = self.inner.data.write();
+        let mut guard = self.bytes_mut();
         guard[offset..offset + src.len()].copy_from_slice(src);
         Ok(())
     }
@@ -124,7 +140,7 @@ impl ExposedRegion {
     /// Read `dst.len()` bytes starting at `offset` into `dst`.
     pub fn try_read(&self, offset: usize, dst: &mut [u8]) -> Result<()> {
         self.check_bounds(offset, dst.len())?;
-        let guard = self.inner.data.read();
+        let guard = self.bytes();
         dst.copy_from_slice(&guard[offset..offset + dst.len()]);
         Ok(())
     }
@@ -139,7 +155,7 @@ impl ExposedRegion {
     /// Copy out a sub-range as a fresh `Vec`.
     pub fn read_vec(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
         self.check_bounds(offset, len)?;
-        let guard = self.inner.data.read();
+        let guard = self.bytes();
         Ok(guard[offset..offset + len].to_vec())
     }
 
@@ -148,7 +164,7 @@ impl ExposedRegion {
     /// capacity (the plan executor's arena-backed shared reads).
     pub fn try_read_into_vec(&self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<()> {
         self.check_bounds(offset, len)?;
-        let guard = self.inner.data.read();
+        let guard = self.bytes();
         out.clear();
         out.extend_from_slice(&guard[offset..offset + len]);
         Ok(())
@@ -163,49 +179,24 @@ impl ExposedRegion {
 
     /// Snapshot the full contents.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.data.read().to_vec()
+        self.bytes().to_vec()
     }
 
     /// Overwrite the whole region with zeroes.
     pub fn clear(&self) {
-        let mut guard = self.inner.data.write();
+        let mut guard = self.bytes_mut();
         guard.fill(0);
-    }
-
-    /// Direct region-to-region copy (`len` bytes from `self[src_offset]` to
-    /// `dst[dst_offset]`), the PiP analogue of a peer-to-peer `memcpy`.
-    pub fn copy_to(
-        &self,
-        src_offset: usize,
-        dst: &ExposedRegion,
-        dst_offset: usize,
-        len: usize,
-    ) -> Result<()> {
-        self.check_bounds(src_offset, len)?;
-        dst.check_bounds(dst_offset, len)?;
-        if Arc::ptr_eq(&self.inner, &dst.inner) {
-            // Same region: copy within one buffer (ranges may not overlap in
-            // any schedule we generate, but copy_within handles it anyway).
-            let mut guard = self.inner.data.write();
-            guard.copy_within(src_offset..src_offset + len, dst_offset);
-            return Ok(());
-        }
-        let src_guard = self.inner.data.read();
-        let mut dst_guard = dst.inner.data.write();
-        dst_guard[dst_offset..dst_offset + len]
-            .copy_from_slice(&src_guard[src_offset..src_offset + len]);
-        Ok(())
     }
 
     /// Run `f` with a read-only view of the full region, avoiding a copy.
     pub fn with_slice<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let guard = self.inner.data.read();
+        let guard = self.bytes();
         f(&guard)
     }
 
     /// Run `f` with a mutable view of the full region, avoiding a copy.
     pub fn with_slice_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let mut guard = self.inner.data.write();
+        let mut guard = self.bytes_mut();
         f(&mut guard)
     }
 }
@@ -240,23 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_to_between_regions() {
-        let a = ExposedRegion::allocate("a", 8);
-        let b = ExposedRegion::allocate("b", 8);
-        a.write(0, &[9, 8, 7, 6]);
-        a.copy_to(1, &b, 4, 3).unwrap();
-        assert_eq!(b.read_vec(4, 3).unwrap(), vec![8, 7, 6]);
-    }
-
-    #[test]
-    fn copy_to_same_region() {
-        let a = ExposedRegion::allocate("a", 8);
-        a.write(0, &[1, 2, 3, 4]);
-        a.copy_to(0, &a.clone(), 4, 4).unwrap();
-        assert_eq!(a.to_vec(), vec![1, 2, 3, 4, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn clones_share_storage() {
         let a = ExposedRegion::allocate("a", 4);
         let b = a.clone();
@@ -278,6 +252,22 @@ mod tests {
         a.write(0, &[1, 2, 3, 4]);
         a.with_slice_mut(|s| s.iter_mut().for_each(|b| *b *= 2));
         assert_eq!(a.to_vec(), vec![2, 4, 6, 8]);
+    }
+
+    #[test]
+    fn a_panic_inside_with_slice_mut_does_not_poison_the_region() {
+        let a = ExposedRegion::allocate("a", 4);
+        let panicked = std::panic::catch_unwind(|| {
+            a.with_slice_mut(|s| {
+                s[0] = 1;
+                panic!("rank dies mid-write");
+            })
+        });
+        assert!(panicked.is_err());
+        a.write(0, &[5, 6, 7, 8]);
+        let mut out = [0u8; 4];
+        a.read(0, &mut out);
+        assert_eq!(out, [5, 6, 7, 8]);
     }
 
     proptest! {

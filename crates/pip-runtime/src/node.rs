@@ -4,10 +4,8 @@
 //! objects the intra-node collective phases need.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, RuntimeError};
 use crate::memory::{ExposedRegion, RegionKey};
@@ -53,6 +51,11 @@ impl NodeSpace {
         self.ppn
     }
 
+    /// The region registry, locked; never poisons (see [`crate::sync`]).
+    fn regions(&self) -> MutexGuard<'_, HashMap<RegionKey, ExposedRegion>> {
+        self.regions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Expose (or re-open) a region named `name` owned by `owner_local_rank`.
     ///
     /// Exposing the same name twice with the same length returns the existing
@@ -72,7 +75,7 @@ impl NodeSpace {
         }
         let name = name.into();
         let key = RegionKey::new(owner_local_rank, name.clone());
-        let mut regions = self.regions.lock();
+        let mut regions = self.regions();
         if let Some(existing) = regions.get(&key) {
             if existing.len() != len {
                 return Err(RuntimeError::RegionSizeMismatch {
@@ -100,7 +103,7 @@ impl NodeSpace {
         }
         let key = RegionKey::new(owner_local_rank, name);
         let deadline = Instant::now() + ATTACH_TIMEOUT;
-        let mut regions = self.regions.lock();
+        let mut regions = self.regions();
         loop {
             if let Some(region) = regions.get(&key) {
                 return Ok(region.clone());
@@ -112,27 +115,31 @@ impl NodeSpace {
                     name: name.to_string(),
                 });
             }
-            self.region_published.wait_for(&mut regions, deadline - now);
+            regions = self
+                .region_published
+                .wait_timeout(regions, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
     /// Attach without blocking; `None` when the region is not yet exposed.
     pub fn try_attach(&self, owner_local_rank: usize, name: &str) -> Option<ExposedRegion> {
         let key = RegionKey::new(owner_local_rank, name);
-        self.regions.lock().get(&key).cloned()
+        self.regions().get(&key).cloned()
     }
 
     /// Drop a region from the registry (e.g. at the end of a communicator's
     /// lifetime).  Outstanding handles keep the storage alive.
     pub fn unexpose(&self, owner_local_rank: usize, name: &str) -> bool {
         let key = RegionKey::new(owner_local_rank, name);
-        self.regions.lock().remove(&key).is_some()
+        self.regions().remove(&key).is_some()
     }
 
     /// Number of regions currently exposed on the node: the named ones plus
     /// those held by live invocation scopes (see [`crate::scope`]).
     pub fn exposed_count(&self) -> usize {
-        self.regions.lock().len() + self.scopes.exposed_count()
+        self.regions().len() + self.scopes.exposed_count()
     }
 
     /// Accounting of the pool invocation scopes draw their regions from.

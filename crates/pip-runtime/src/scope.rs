@@ -38,9 +38,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{Result, RuntimeError};
 use crate::memory::ExposedRegion;
@@ -67,6 +65,13 @@ struct InvocationScope {
     /// lives: episode `k` is complete once the count reaches `(k + 1) * ppn`,
     /// because no rank arrives at episode `k + 1` before `k` completed.
     arrivals: AtomicUsize,
+}
+
+impl InvocationScope {
+    /// The region table, locked; never poisons (see [`crate::sync`]).
+    fn table(&self) -> MutexGuard<'_, ScopeTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -126,21 +131,31 @@ pub(crate) struct ScopeRegistry {
 }
 
 impl ScopeRegistry {
+    /// The live scopes, locked; never poisons (see [`crate::sync`]).
+    fn live(&self) -> MutexGuard<'_, Vec<LiveScope>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The pool, locked; never poisons.
+    fn pool(&self) -> MutexGuard<'_, ScopePool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn exposed_count(&self) -> usize {
         self.exposed.load(Ordering::Relaxed)
     }
 
     pub(crate) fn pool_stats(&self) -> RegionPoolStats {
-        self.pool.lock().stats
+        self.pool().stats
     }
 
     /// Find the scope of `tag`, creating it when this is the first rank in.
     fn enter(&self, tag: u64) -> Arc<InvocationScope> {
-        let mut live = self.live.lock();
+        let mut live = self.live();
         if let Some(entry) = live.iter().find(|entry| entry.tag == tag) {
             return Arc::clone(&entry.scope);
         }
-        let scope = self.pool.lock().scopes.pop().unwrap_or_else(|| {
+        let scope = self.pool().scopes.pop().unwrap_or_else(|| {
             Arc::new(InvocationScope {
                 table: Mutex::default(),
                 arrivals: AtomicUsize::new(0),
@@ -157,7 +172,7 @@ impl ScopeRegistry {
     /// One rank leaves the scope of `tag`; the last of `ppn` recycles it.
     fn leave(&self, tag: u64, ppn: usize) {
         let scope = {
-            let mut live = self.live.lock();
+            let mut live = self.live();
             let Some(index) = live.iter().position(|entry| entry.tag == tag) else {
                 return;
             };
@@ -170,8 +185,8 @@ impl ScopeRegistry {
         // Every rank has left, so nobody reads the table or the counter
         // any more and no region handle is out.  (Table before pool, the
         // order `ScopeHandle::expose` takes them in.)
-        let mut table = scope.table.lock();
-        let mut pool = self.pool.lock();
+        let mut table = scope.table();
+        let mut pool = self.pool();
         table.live_names = 0;
         for region in table.slots.drain(..).flatten() {
             self.exposed.fetch_sub(1, Ordering::Relaxed);
@@ -189,7 +204,7 @@ impl ScopeRegistry {
     }
 
     fn acquire_region(&self, len: usize) -> ExposedRegion {
-        let mut pool = self.pool.lock();
+        let mut pool = self.pool();
         if let Some(region) = pool.regions.get_mut(&len).and_then(Vec::pop) {
             pool.stats.hits += 1;
             return region;
@@ -235,7 +250,7 @@ impl NodeSpace {
         let scope = self.scopes().enter(tag);
         let mut remap: Option<Box<[u32]>> = None;
         if !names.is_empty() {
-            let mut table = scope.table.lock();
+            let mut table = scope.table();
             for (mine, name) in names.iter().enumerate() {
                 let id = table.intern(name, ppn);
                 if id as usize != mine {
@@ -274,7 +289,7 @@ impl ScopeHandle {
     /// error.
     pub fn expose(&self, name: u32, len: usize) -> Result<ExposedRegion> {
         let slot = self.slot(self.local_rank, name);
-        let mut table = self.scope.table.lock();
+        let mut table = self.scope.table();
         if let Some(existing) = &table.slots[slot] {
             if existing.len() != len {
                 return Err(RuntimeError::RegionSizeMismatch {
@@ -296,7 +311,7 @@ impl ScopeHandle {
     /// owner has not exposed it yet.  Never blocks: the plan cursor polls.
     pub fn try_region(&self, owner_local: usize, name: u32) -> Option<ExposedRegion> {
         let slot = self.slot(owner_local, name);
-        self.scope.table.lock().slots[slot].clone()
+        self.scope.table().slots[slot].clone()
     }
 
     /// Arrive at the invocation's next node barrier.  Returns the arrival

@@ -1,16 +1,19 @@
-//! Intra-node synchronization primitives used by the collectives' shared
-//! memory phases: a reusable sense-reversing barrier, a broadcast cell, an
-//! atomic arrival counter, and a contention-accounting mutex.
+//! Intra-node synchronization primitives: a reusable sense-reversing
+//! barrier and a contention-accounting mutex.
 //!
 //! These are the userspace primitives a PiP-based MPI implementation would
 //! use inside a node (no futex round-trips on the fast path, no kernel
 //! objects shared across process boundaries — everything lives in the shared
 //! address space).
+//!
+//! Both build on `std::sync` and never poison: a guard taken from a lock
+//! whose previous holder panicked is used as is
+//! (`unwrap_or_else(PoisonError::into_inner)`), so a panicking rank cannot
+//! wedge the ranks that survive it.  Every lock in this crate follows the
+//! same rule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// A mutex that counts how often an acquisition found the lock already held.
 ///
@@ -39,11 +42,14 @@ impl<T> ContendedMutex<T> {
 
     /// Acquire the lock, counting one contention event if it was held.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        if let Some(guard) = self.inner.try_lock() {
-            return guard;
+        match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                self.contended.fetch_add(1, Ordering::Relaxed);
+                self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+            }
         }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock()
     }
 
     /// Number of acquisitions that found the lock held.
@@ -102,7 +108,7 @@ impl SenseBarrier {
     /// Block until all participants have arrived.  Returns the generation
     /// that was completed (starting at 0 for the first barrier episode).
     pub fn wait(&self) -> u64 {
-        let mut state = self.inner.state.lock();
+        let mut state = self.state();
         let generation = state.generation;
         state.arrived += 1;
         if state.arrived == self.inner.parties {
@@ -112,111 +118,25 @@ impl SenseBarrier {
             return generation;
         }
         while state.generation == generation {
-            self.inner.condvar.wait(&mut state);
+            state = self
+                .inner
+                .condvar
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         generation
     }
 
     /// The number of completed barrier episodes so far.
     pub fn completed_generations(&self) -> u64 {
-        self.inner.state.lock().generation
-    }
-}
-
-/// A single-producer broadcast cell: the root stores a value, every consumer
-/// blocks until the value for the requested epoch is available.
-///
-/// Used by the intra-node broadcast step of the hierarchical collectives and
-/// by PiP-MPICH's "message size synchronization" (the overhead the paper
-/// calls out in §3).
-#[derive(Debug, Clone)]
-pub struct BroadcastCell<T: Clone> {
-    inner: Arc<BroadcastInner<T>>,
-}
-
-#[derive(Debug)]
-struct BroadcastInner<T> {
-    state: Mutex<BroadcastState<T>>,
-    condvar: Condvar,
-}
-
-#[derive(Debug)]
-struct BroadcastState<T> {
-    epoch: u64,
-    value: Option<T>,
-}
-
-impl<T: Clone> Default for BroadcastCell<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Clone> BroadcastCell<T> {
-    /// Create an empty cell at epoch 0.
-    pub fn new() -> Self {
-        Self {
-            inner: Arc::new(BroadcastInner {
-                state: Mutex::new(BroadcastState {
-                    epoch: 0,
-                    value: None,
-                }),
-                condvar: Condvar::new(),
-            }),
-        }
+        self.state().generation
     }
 
-    /// Publish `value` for epoch `epoch`.  Epochs must be published in
-    /// increasing order by a single producer.
-    pub fn publish(&self, epoch: u64, value: T) {
-        let mut state = self.inner.state.lock();
-        debug_assert!(
-            epoch >= state.epoch,
-            "epochs must be published in increasing order"
-        );
-        state.epoch = epoch;
-        state.value = Some(value);
-        self.inner.condvar.notify_all();
-    }
-
-    /// Block until a value for an epoch `>= epoch` has been published and
-    /// return a clone of it.
-    pub fn wait_for(&self, epoch: u64) -> T {
-        let mut state = self.inner.state.lock();
-        while state.value.is_none() || state.epoch < epoch {
-            self.inner.condvar.wait(&mut state);
-        }
-        state.value.clone().expect("value present after wait")
-    }
-}
-
-/// A shared monotonically increasing counter, used to count arrivals in the
-/// multi-sender phases and to generate unique identifiers for exposed
-/// regions created on the fly.
-#[derive(Debug, Clone, Default)]
-pub struct ArrivalCounter {
-    inner: Arc<AtomicUsize>,
-}
-
-impl ArrivalCounter {
-    /// Create a counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increment and return the *previous* value.
-    pub fn arrive(&self) -> usize {
-        self.inner.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Current value.
-    pub fn value(&self) -> usize {
-        self.inner.load(Ordering::Acquire)
-    }
-
-    /// Reset to zero (only safe between synchronized phases).
-    pub fn reset(&self) {
-        self.inner.store(0, Ordering::Release);
+    fn state(&self) -> MutexGuard<'_, BarrierState> {
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -249,19 +169,33 @@ mod tests {
     }
 
     #[test]
+    fn contended_mutex_survives_a_panicking_holder() {
+        let lock = Arc::new(ContendedMutex::new(7u64));
+        let holder = Arc::clone(&lock);
+        let panicked = thread::spawn(move || {
+            let _guard = holder.lock();
+            panic!("rank dies holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(*lock.lock(), 7, "the survivor still gets the value");
+        assert_eq!(lock.contended(), 0);
+    }
+
+    #[test]
     fn barrier_synchronizes_all_threads() {
         let parties = 8;
         let barrier = SenseBarrier::new(parties);
-        let counter = ArrivalCounter::new();
+        let arrivals = AtomicUsize::new(0);
         thread::scope(|scope| {
             for _ in 0..parties {
                 let barrier = barrier.clone();
-                let counter = counter.clone();
+                let arrivals = &arrivals;
                 scope.spawn(move || {
-                    counter.arrive();
+                    arrivals.fetch_add(1, Ordering::Relaxed);
                     barrier.wait();
                     // After the barrier every arrival must be visible.
-                    assert_eq!(counter.value(), parties);
+                    assert_eq!(arrivals.load(Ordering::Relaxed), parties);
                 });
             }
         });
@@ -299,52 +233,5 @@ mod tests {
     #[should_panic(expected = "at least one participant")]
     fn zero_party_barrier_panics() {
         let _ = SenseBarrier::new(0);
-    }
-
-    #[test]
-    fn broadcast_cell_delivers_to_all_waiters() {
-        let cell: BroadcastCell<Vec<u8>> = BroadcastCell::new();
-        let consumers = 6;
-        thread::scope(|scope| {
-            for _ in 0..consumers {
-                let cell = cell.clone();
-                scope.spawn(move || {
-                    let value = cell.wait_for(1);
-                    assert_eq!(value, vec![7, 7, 7]);
-                });
-            }
-            let producer = cell.clone();
-            scope.spawn(move || {
-                producer.publish(1, vec![7, 7, 7]);
-            });
-        });
-    }
-
-    #[test]
-    fn broadcast_cell_epoch_ordering() {
-        let cell: BroadcastCell<u32> = BroadcastCell::new();
-        cell.publish(1, 10);
-        cell.publish(2, 20);
-        // A waiter that only needs epoch 1 sees the latest value.
-        assert_eq!(cell.wait_for(1), 20);
-        assert_eq!(cell.wait_for(2), 20);
-    }
-
-    #[test]
-    fn arrival_counter_counts_concurrent_arrivals() {
-        let counter = ArrivalCounter::new();
-        thread::scope(|scope| {
-            for _ in 0..16 {
-                let counter = counter.clone();
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        counter.arrive();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.value(), 1600);
-        counter.reset();
-        assert_eq!(counter.value(), 0);
     }
 }
