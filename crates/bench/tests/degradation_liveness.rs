@@ -19,7 +19,7 @@ use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
 use pip_mpi_model::plan::compile_cluster;
 use pip_mpi_model::{
-    AllreduceAlgo, CollectiveShape, FabricCondition, Library, LibraryProfile, LOSSY_DROP_CROSSOVER,
+    Algorithm, CollectiveShape, FabricCondition, Library, LibraryProfile, LOSSY_DROP_CROSSOVER,
 };
 use pip_netsim::cluster::ClusterSpec;
 use pip_netsim::{DropSpec, LinkSpec, Perturbation, RunOptions, SimEngine, SimError};
@@ -163,15 +163,16 @@ fn lossy_fabric_reselection_beats_stock_choices_under_drops() {
         .for_fabric(FabricCondition::Lossy);
     assert_eq!(healthy.fabric, FabricCondition::Healthy);
     assert_eq!(lossy.fabric, FabricCondition::Lossy);
+    let topology = Topology::new(16, 18);
+    let shape = CollectiveShape::plain(CollectiveKind::Allreduce, BLOCK, 0);
+    let world = topology.world_size();
     assert_eq!(
-        healthy
-            .selection
-            .allreduce_for_fabric(BLOCK, healthy.fabric),
-        AllreduceAlgo::MultiObject
+        healthy.algorithm_for(&shape, world),
+        Algorithm::AllreduceMultiObject
     );
     assert_eq!(
-        lossy.selection.allreduce_for_fabric(BLOCK, lossy.fabric),
-        AllreduceAlgo::Hierarchical
+        lossy.algorithm_for(&shape, world),
+        Algorithm::AllreduceHierarchical
     );
 
     // Replay all three schedules under exactly-crossover drops.  The
@@ -179,7 +180,6 @@ fn lossy_fabric_reselection_beats_stock_choices_under_drops() {
     // adaptation helps) and the stock MVAPICH2 hierarchy (the PiP intra-node
     // path still wins once the schedules match shape).
     let nic = ClusterSpec::hpdc23().nic;
-    let topology = Topology::new(16, 18);
     let perturbation = Perturbation {
         seed: 0x4852_5043_2023,
         drop: DropSpec {
@@ -191,7 +191,6 @@ fn lossy_fabric_reselection_beats_stock_choices_under_drops() {
         ..Perturbation::NONE
     };
     let options = RunOptions::summary().with_perturbation(perturbation);
-    let shape = CollectiveShape::plain(CollectiveKind::Allreduce, BLOCK, 0);
     let run = |profile: &LibraryProfile, label: &str| {
         let trace = compile_cluster(profile, topology, &shape, Fidelity::Schedule).to_trace(1);
         let engine = SimEngine::new(profile.sim_params(nic));

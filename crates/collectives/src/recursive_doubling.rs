@@ -12,7 +12,7 @@ pub fn largest_pow2_leq(n: usize) -> usize {
 
 /// Recursive-doubling allgather.  Requires a power-of-two world size (the
 /// MPI libraries fall back to Bruck otherwise; callers should do the same —
-/// see `pip-mpi-model`'s selection tables).
+/// see the `SmallPow2` rows of `pip-mpi-model`'s rule lists).
 pub fn allgather_recursive_doubling<C: Comm>(
     comm: &C,
     sendbuf: &[u8],

@@ -27,10 +27,7 @@ use pip_collectives::CollectiveKind;
 use pip_transport::cost::Nanos;
 
 use crate::plan::{CollectiveShape, CompressSpec, PlanCache, EXEC_PLAN_MAX_BYTES};
-use crate::selection::{
-    Algorithm, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, GatherAlgo, ReduceAlgo,
-    ReduceScatterAlgo, ScanAlgo, ScatterAlgo,
-};
+use crate::selection::Algorithm;
 use crate::LibraryProfile;
 
 /// Execute one invocation of `shape` on `comm` with `algorithm`, the
@@ -58,150 +55,114 @@ pub fn execute<C: Comm>(
     op: Option<&ReduceFn<'_>>,
     tag: u64,
 ) {
+    use Algorithm as A;
     comm.delay(setup);
     let CollectiveShape {
         root,
         elem_size: elem,
         ..
     } = *shape;
-    match algorithm {
-        Algorithm::Allgather(algo) => {
-            let (send, recv) = (bound(send), bound(recv));
-            match algo {
-                AllgatherAlgo::Bruck => bruck::allgather_bruck(comm, send, recv, tag),
-                AllgatherAlgo::RecursiveDoubling => {
-                    recursive_doubling::allgather_recursive_doubling(comm, send, recv, tag)
-                }
-                AllgatherAlgo::Ring => ring::allgather_ring(comm, send, recv, tag),
-                AllgatherAlgo::Hierarchical => {
-                    hierarchical::allgather_hierarchical(comm, send, recv, tag)
-                }
-                AllgatherAlgo::MultiObject => {
-                    multi_object::allgather_multi_object(comm, send, recv, tag)
-                }
-            }
-        }
-        Algorithm::Scatter(algo) => {
-            let recv = bound(recv);
-            match algo {
-                ScatterAlgo::Binomial => binomial::scatter_binomial(comm, send, recv, root, tag),
-                ScatterAlgo::Hierarchical => {
-                    hierarchical::scatter_hierarchical(comm, send, recv, root, tag)
-                }
-                ScatterAlgo::MultiObject => {
-                    multi_object::scatter_multi_object(comm, send, recv, root, tag)
-                }
-            }
-        }
-        Algorithm::Bcast(algo) => {
+    // Derived datatype (only an allreduce sets one): gather the strided
+    // elements into a packed scratch vector, run the algorithm on that
+    // contiguously, then scatter the result back without disturbing the
+    // gaps.
+    let mut packed = Vec::new();
+    let mut strided = None;
+    let recv = match shape.layout.map(|l| l.scaled(elem)) {
+        Some(l) => {
             let buf = bound(recv);
-            match algo {
-                BcastAlgo::Binomial => binomial::bcast_binomial(comm, buf, root, tag),
-                BcastAlgo::Hierarchical => hierarchical::bcast_hierarchical(comm, buf, root, tag),
-                BcastAlgo::MultiObject => multi_object::bcast_multi_object(comm, buf, root, tag),
-            }
+            l.pack_bytes(buf, &mut packed);
+            strided = Some((l, buf));
+            Some(packed.as_mut_slice())
         }
-        Algorithm::Gather(algo) => {
-            let send = bound(send);
-            match algo {
-                GatherAlgo::Binomial => binomial::gather_binomial(comm, send, recv, root, tag),
-                GatherAlgo::MultiObject => {
-                    multi_object::gather_multi_object(comm, send, recv, root, tag)
-                }
-            }
+        None => recv,
+    };
+    if algorithm.kind() == CollectiveKind::Allreduce {
+        let len = recv.as_deref().map(<[u8]>::len);
+        debug_assert_eq!(len, Some(shape.block), "the shape keys packed bytes");
+    }
+    match algorithm {
+        A::AllgatherBruck => bruck::allgather_bruck(comm, bound(send), bound(recv), tag),
+        A::AllgatherRecursiveDoubling => {
+            recursive_doubling::allgather_recursive_doubling(comm, bound(send), bound(recv), tag)
         }
-        Algorithm::Allreduce(algo) => {
-            let (buf, f) = (bound(recv), bound(op));
-            match shape.layout.map(|l| l.scaled(elem)) {
-                Some(l) => {
-                    // Derived datatype: gather the strided elements into a
-                    // packed scratch vector, reduce that contiguously, then
-                    // scatter the result back without disturbing the gaps.
-                    let mut packed = Vec::with_capacity(l.packed_len());
-                    l.pack_bytes(buf, &mut packed);
-                    debug_assert_eq!(packed.len(), shape.block, "the shape keys packed bytes");
-                    allreduce_bytes(algo, comm, &mut packed, elem, f, tag);
-                    l.unpack_bytes(&packed, buf);
-                }
-                None => {
-                    debug_assert_eq!(buf.len(), shape.block, "the shape keys packed bytes");
-                    allreduce_bytes(algo, comm, buf, elem, f, tag)
-                }
-            }
+        A::AllgatherRing => ring::allgather_ring(comm, bound(send), bound(recv), tag),
+        A::AllgatherHierarchical => {
+            hierarchical::allgather_hierarchical(comm, bound(send), bound(recv), tag)
         }
-        Algorithm::Reduce(algo) => {
-            let (send, f) = (bound(send), bound(op));
-            match algo {
-                ReduceAlgo::Binomial => binomial::reduce_binomial(comm, send, recv, f, root, tag),
-                ReduceAlgo::MultiObject => {
-                    multi_object::reduce_multi_object(comm, send, recv, elem, f, root, tag)
-                }
-            }
+        A::AllgatherMultiObject => {
+            multi_object::allgather_multi_object(comm, bound(send), bound(recv), tag)
         }
-        Algorithm::ReduceScatter(algo) => {
-            let (send, recv, f) = (bound(send), bound(recv), bound(op));
-            match algo {
-                ReduceScatterAlgo::RecursiveHalving => {
-                    recursive_halving::reduce_scatter_recursive_halving(comm, send, recv, f, tag)
-                }
-                ReduceScatterAlgo::Ring => ring::reduce_scatter_ring(comm, send, recv, f, tag),
-                ReduceScatterAlgo::MultiObject => {
-                    multi_object::reduce_scatter_multi_object(comm, send, recv, elem, f, tag)
-                }
-            }
+        A::ScatterBinomial => binomial::scatter_binomial(comm, send, bound(recv), root, tag),
+        A::ScatterHierarchical => {
+            hierarchical::scatter_hierarchical(comm, send, bound(recv), root, tag)
         }
-        Algorithm::Scan(algo) => {
-            let (buf, f) = (bound(recv), bound(op));
-            match algo {
-                ScanAlgo::RecursiveDoubling => scan::scan_recursive_doubling(comm, buf, f, tag),
-                ScanAlgo::Linear => scan::scan_linear(comm, buf, f, tag),
-            }
+        A::ScatterMultiObject => {
+            multi_object::scatter_multi_object(comm, send, bound(recv), root, tag)
         }
-        Algorithm::Exscan(algo) => {
-            let (buf, f) = (bound(recv), bound(op));
-            match algo {
-                ScanAlgo::RecursiveDoubling => scan::exscan_recursive_doubling(comm, buf, f, tag),
-                ScanAlgo::Linear => scan::exscan_linear(comm, buf, f, tag),
-            }
+        A::BcastBinomial => binomial::bcast_binomial(comm, bound(recv), root, tag),
+        A::BcastHierarchical => hierarchical::bcast_hierarchical(comm, bound(recv), root, tag),
+        A::BcastMultiObject => multi_object::bcast_multi_object(comm, bound(recv), root, tag),
+        A::GatherBinomial => binomial::gather_binomial(comm, bound(send), recv, root, tag),
+        A::GatherMultiObject => {
+            multi_object::gather_multi_object(comm, bound(send), recv, root, tag)
         }
-        Algorithm::Alltoall(algo) => {
-            let (send, recv) = (bound(send), bound(recv));
-            match algo {
-                AlltoallAlgo::Bruck => bruck::alltoall_bruck(comm, send, recv, tag),
-                AlltoallAlgo::MultiObject => {
-                    multi_object::alltoall_multi_object(comm, send, recv, tag)
-                }
-            }
+        A::AllreduceRecursiveDoubling => {
+            recursive_doubling::allreduce_recursive_doubling(comm, bound(recv), bound(op), tag)
         }
-        Algorithm::Barrier => recursive_doubling::barrier_dissemination(comm, tag),
+        A::AllreduceRing => ring::allreduce_ring(comm, bound(recv), elem, bound(op), tag),
+        A::AllreduceHierarchical => {
+            hierarchical::allreduce_hierarchical(comm, bound(recv), bound(op), tag)
+        }
+        A::AllreduceMultiObject => {
+            multi_object::allreduce_multi_object(comm, bound(recv), elem, bound(op), tag)
+        }
+        A::ReduceBinomial => {
+            binomial::reduce_binomial(comm, bound(send), recv, bound(op), root, tag)
+        }
+        A::ReduceMultiObject => {
+            multi_object::reduce_multi_object(comm, bound(send), recv, elem, bound(op), root, tag)
+        }
+        A::ReduceScatterRecursiveHalving => recursive_halving::reduce_scatter_recursive_halving(
+            comm,
+            bound(send),
+            bound(recv),
+            bound(op),
+            tag,
+        ),
+        A::ReduceScatterRing => {
+            ring::reduce_scatter_ring(comm, bound(send), bound(recv), bound(op), tag)
+        }
+        A::ReduceScatterMultiObject => multi_object::reduce_scatter_multi_object(
+            comm,
+            bound(send),
+            bound(recv),
+            elem,
+            bound(op),
+            tag,
+        ),
+        A::ScanRecursiveDoubling => {
+            scan::scan_recursive_doubling(comm, bound(recv), bound(op), tag)
+        }
+        A::ScanLinear => scan::scan_linear(comm, bound(recv), bound(op), tag),
+        A::ExscanRecursiveDoubling => {
+            scan::exscan_recursive_doubling(comm, bound(recv), bound(op), tag)
+        }
+        A::ExscanLinear => scan::exscan_linear(comm, bound(recv), bound(op), tag),
+        A::AlltoallBruck => bruck::alltoall_bruck(comm, bound(send), bound(recv), tag),
+        A::AlltoallMultiObject => {
+            multi_object::alltoall_multi_object(comm, bound(send), bound(recv), tag)
+        }
+        A::Barrier => recursive_doubling::barrier_dissemination(comm, tag),
+    }
+    if let Some((l, buf)) = strided {
+        l.unpack_bytes(&packed, buf);
     }
 }
 
 /// A buffer or operator the shape's kind always binds.
 fn bound<T>(slot: Option<T>) -> T {
     slot.expect("the collective's shape binds this slot")
-}
-
-/// Run allreduce algorithm `algo` over a contiguous byte vector — the
-/// common tail of the contiguous and packed (derived-datatype) paths.
-fn allreduce_bytes<C: Comm>(
-    algo: AllreduceAlgo,
-    comm: &C,
-    buf: &mut [u8],
-    elem_size: usize,
-    f: &ReduceFn<'_>,
-    tag: u64,
-) {
-    match algo {
-        AllreduceAlgo::RecursiveDoubling => {
-            recursive_doubling::allreduce_recursive_doubling(comm, buf, f, tag)
-        }
-        AllreduceAlgo::Ring => ring::allreduce_ring(comm, buf, elem_size, f, tag),
-        AllreduceAlgo::Hierarchical => hierarchical::allreduce_hierarchical(comm, buf, f, tag),
-        AllreduceAlgo::MultiObject => {
-            multi_object::allreduce_multi_object(comm, buf, elem_size, f, tag)
-        }
-    }
 }
 
 /// A collective invocation over owned byte buffers — the one request type

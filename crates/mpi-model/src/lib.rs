@@ -31,10 +31,7 @@ pub use dispatch::OwnedCollective;
 pub use plan::{
     compile_folded, ClusterPlanCache, CollectiveShape, CompressSpec, PlanCache, PlanKey,
 };
-pub use selection::{
-    Algorithm, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, FabricCondition, GatherAlgo,
-    ReduceAlgo, ReduceScatterAlgo, ScanAlgo, ScatterAlgo, SelectionTable, LOSSY_DROP_CROSSOVER,
-};
+pub use selection::{Algorithm, FabricCondition, Selection, LOSSY_DROP_CROSSOVER};
 
 /// The five MPI implementations evaluated in the paper's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,10 +100,12 @@ pub struct LibraryProfile {
     /// Fixed cost paid once per collective invocation (communicator setup,
     /// schedule selection).
     pub per_collective_setup: Nanos,
-    /// Algorithm selection table.
-    pub selection: SelectionTable,
-    /// Observed fabric condition this profile selects for.  `Healthy` in
-    /// every stock profile; flip to `Lossy` (see
+    /// Algorithm selection: the library's ordered rule list, read through
+    /// [`LibraryProfile::algorithm_for`].
+    pub selection: Selection,
+    /// Observed fabric condition this profile selects for: the selection's
+    /// [`selection::When::Lossy`] rows fire only on a `Lossy` fabric.
+    /// `Healthy` in every stock profile; flip to `Lossy` (see
     /// [`LibraryProfile::for_fabric`]) when the configured drop rate
     /// crosses [`selection::LOSSY_DROP_CROSSOVER`].
     pub fabric: selection::FabricCondition,
@@ -124,7 +123,7 @@ impl LibraryProfile {
                 software_recv_overhead: cal::OPENMPI_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
-                selection: SelectionTable::open_mpi(),
+                selection: Selection::new(selection::OPEN_MPI),
                 fabric: selection::FabricCondition::Healthy,
             },
             Library::IntelMpi => Self {
@@ -134,7 +133,7 @@ impl LibraryProfile {
                 software_recv_overhead: cal::INTELMPI_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
-                selection: SelectionTable::intel_mpi(),
+                selection: Selection::new(selection::INTEL_MPI),
                 fabric: selection::FabricCondition::Healthy,
             },
             Library::Mvapich2 => Self {
@@ -144,7 +143,7 @@ impl LibraryProfile {
                 software_recv_overhead: cal::MVAPICH2_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
-                selection: SelectionTable::mvapich2(),
+                selection: Selection::new(selection::MVAPICH2),
                 fabric: selection::FabricCondition::Healthy,
             },
             Library::PipMpich => Self {
@@ -154,7 +153,7 @@ impl LibraryProfile {
                 software_recv_overhead: cal::PIPMPICH_RECV_OVERHEAD,
                 per_message_sync: cal::PIPMPICH_SIZE_SYNC,
                 per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
-                selection: SelectionTable::pip_mpich(),
+                selection: Selection::new(selection::PIP_MPICH),
                 fabric: selection::FabricCondition::Healthy,
             },
             Library::PipMColl => Self {
@@ -164,7 +163,7 @@ impl LibraryProfile {
                 software_recv_overhead: cal::PIPMCOLL_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
-                selection: SelectionTable::pip_mcoll(),
+                selection: Selection::new(selection::PIP_MCOLL),
                 fabric: selection::FabricCondition::Healthy,
             },
         }
@@ -189,22 +188,8 @@ impl LibraryProfile {
     /// `world` ranks — the one place dispatch and the plan caches decide
     /// it.  For an allreduce `shape.block` is the packed byte count.
     pub fn algorithm_for(&self, shape: &CollectiveShape, world: usize) -> Algorithm {
-        use pip_collectives::CollectiveKind as Kind;
-        let table = &self.selection;
-        let block = shape.block;
-        match shape.kind {
-            Kind::Allgather => Algorithm::Allgather(table.allgather_for(block, world)),
-            Kind::Scatter => Algorithm::Scatter(table.scatter),
-            Kind::Bcast => Algorithm::Bcast(table.bcast),
-            Kind::Gather => Algorithm::Gather(table.gather),
-            Kind::Allreduce => Algorithm::Allreduce(table.allreduce_for_fabric(block, self.fabric)),
-            Kind::Reduce => Algorithm::Reduce(table.reduce),
-            Kind::ReduceScatter => Algorithm::ReduceScatter(table.reduce_scatter_for(block)),
-            Kind::Scan => Algorithm::Scan(table.scan),
-            Kind::Exscan => Algorithm::Exscan(table.scan),
-            Kind::Alltoall => Algorithm::Alltoall(table.alltoall),
-            Kind::Barrier => Algorithm::Barrier,
-        }
+        self.selection
+            .algorithm(shape.kind, shape.block, world, self.fabric)
     }
 
     /// Simulation parameters for this library on the given NIC.

@@ -263,7 +263,8 @@ impl CollectiveShape {
 /// two and no profile.  So the key holds them instead of the library: two
 /// libraries selecting the same algorithm share one plan, and a customized
 /// profile whose selection or setup differs never aliases the stock one.
-/// Building a key is O(1) and allocation-free.
+/// Building a key scans the profile's rule list (at most 16 rows) and
+/// allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// The algorithm the profile selects for the shape.
@@ -856,7 +857,7 @@ mod tests {
         // key — the tag alone is not the functional determinant).
         let stock = Library::OpenMpi.profile();
         let mut custom = Library::OpenMpi.profile();
-        custom.selection = crate::selection::SelectionTable::pip_mcoll();
+        custom.selection.rules = crate::selection::PIP_MCOLL;
         let topo = Topology::new(2, 2);
         let shape = CollectiveShape {
             kind: CollectiveKind::Allgather,
@@ -867,11 +868,16 @@ mod tests {
             layout: None,
             compress: None,
         };
+        let world = topo.world_size();
+        assert_ne!(
+            stock.algorithm_for(&shape, world),
+            custom.algorithm_for(&shape, world)
+        );
         let mut cache = PlanCache::new();
         let a = cache.lookup_or_compile(&stock, topo, 0, &shape);
         let b = cache.lookup_or_compile(&custom, topo, 0, &shape);
         assert_eq!(cache.stats(), (0, 2), "distinct profiles must both compile");
-        assert_ne!(a.ops, b.ops, "different selection tables, different plans");
+        assert_ne!(a.ops, b.ops, "different rule lists, different plans");
         // And each profile still hits its own entry on repeat.
         cache.lookup_or_compile(&stock, topo, 0, &shape);
         assert_eq!(cache.stats(), (1, 2));

@@ -1,139 +1,115 @@
-//! Per-library algorithm selection tables.
+//! Per-library algorithm selection: one ordered rule list per library.
 //!
 //! MPI libraries pick a collective algorithm from the message size, the
 //! communicator size and (for node-aware libraries) the topology.  The
-//! tables below reproduce the choices the comparators make in the regime the
+//! lists below reproduce the choices the comparators make in the regime the
 //! paper evaluates (small and medium messages, large communicators), plus
 //! the large-message switch points so that the "larger messages" experiments
 //! exercise the same crossovers real libraries have.
+//!
+//! Every switch here keys on the *per-rank block* against
+//! [`LARGE_MESSAGE_THRESHOLD`].  That is this model's simplification: the
+//! real libraries' documented rules mostly key on total bytes (and some on
+//! processes per node), which a rule list can express once a [`When`]
+//! reads them.
 
-/// Allgather algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AllgatherAlgo {
-    /// Bruck's algorithm (small messages, any rank count).
-    Bruck,
-    /// Recursive doubling (small messages, power-of-two ranks).
-    RecursiveDoubling,
-    /// Ring (large messages).
-    Ring,
-    /// Single-leader two-level algorithm.
-    Hierarchical,
-    /// PiP-MColl multi-object Bruck with base P+1.
-    MultiObject,
-}
+use pip_collectives::CollectiveKind;
 
-/// Scatter algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ScatterAlgo {
-    /// Binomial tree over all ranks.
-    Binomial,
-    /// Single-leader two-level algorithm.
-    Hierarchical,
-    /// PiP-MColl multi-object scatter.
-    MultiObject,
-}
-
-/// Broadcast algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BcastAlgo {
-    /// Binomial tree over all ranks.
-    Binomial,
-    /// Single-leader two-level algorithm.
-    Hierarchical,
-    /// PiP-MColl multi-object broadcast.
-    MultiObject,
-}
-
-/// Gather algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GatherAlgo {
-    /// Binomial tree over all ranks.
-    Binomial,
-    /// PiP-MColl multi-object gather.
-    MultiObject,
-}
-
-/// Allreduce algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AllreduceAlgo {
-    /// Recursive doubling (small messages).
-    RecursiveDoubling,
-    /// Ring reduce-scatter + allgather (large messages).
-    Ring,
-    /// Single-leader two-level algorithm.
-    Hierarchical,
-    /// PiP-MColl multi-object chunked allreduce.
-    MultiObject,
-}
-
-/// Alltoall algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlltoallAlgo {
-    /// Bruck's algorithm (small messages).
-    Bruck,
-    /// PiP-MColl multi-object node-aware pairwise exchange.
-    MultiObject,
-}
-
-/// Reduce algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReduceAlgo {
-    /// Binomial tree over all ranks (MPICH-derived small-message default).
-    Binomial,
-    /// PiP-MColl multi-object chunk-ownership reduce.
-    MultiObject,
-}
-
-/// Reduce_scatter algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReduceScatterAlgo {
-    /// Recursive halving (MPICH default for commutative operators at small
-    /// and medium sizes).
-    RecursiveHalving,
-    /// Ring pipeline (bandwidth-optimal large-message choice).
-    Ring,
-    /// PiP-MColl multi-object chunk-ownership reduce_scatter.
-    MultiObject,
-}
-
-/// Scan / exscan algorithm choices (the prefix collectives share one
-/// switch, as the real libraries do).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ScanAlgo {
-    /// Recursive doubling (MPICH default).
-    RecursiveDoubling,
-    /// Linear pipeline (Open MPI's base implementation).
-    Linear,
-}
-
-/// One resolved selection: the algorithm a library runs for one collective
-/// invocation, tagged by the collective kind.  Everything a recording reads
-/// of the selection table, so it is what the plan caches key on — two
-/// libraries resolving to the same `Algorithm` share one compiled plan.
+/// One algorithm a library can run, named by its collective and its
+/// schedule.  Everything a recording reads of the selection, so it is what
+/// the plan caches key on — two libraries resolving to the same `Algorithm`
+/// share one compiled plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// MPI_Allgather.
-    Allgather(AllgatherAlgo),
-    /// MPI_Scatter.
-    Scatter(ScatterAlgo),
-    /// MPI_Bcast.
-    Bcast(BcastAlgo),
-    /// MPI_Gather.
-    Gather(GatherAlgo),
-    /// MPI_Allreduce.
-    Allreduce(AllreduceAlgo),
-    /// MPI_Reduce.
-    Reduce(ReduceAlgo),
-    /// MPI_Reduce_scatter_block.
-    ReduceScatter(ReduceScatterAlgo),
-    /// MPI_Scan.
-    Scan(ScanAlgo),
-    /// MPI_Exscan.
-    Exscan(ScanAlgo),
-    /// MPI_Alltoall.
-    Alltoall(AlltoallAlgo),
-    /// MPI_Barrier: every library runs the dissemination barrier.
+    /// Allgather by Bruck's algorithm (any rank count).
+    AllgatherBruck,
+    /// Allgather by recursive doubling (power-of-two rank counts).
+    AllgatherRecursiveDoubling,
+    /// Allgather by ring (large messages).
+    AllgatherRing,
+    /// Single-leader two-level allgather.
+    AllgatherHierarchical,
+    /// PiP-MColl multi-object Bruck allgather with base P+1.
+    AllgatherMultiObject,
+    /// Scatter by a binomial tree over all ranks.
+    ScatterBinomial,
+    /// Single-leader two-level scatter.
+    ScatterHierarchical,
+    /// PiP-MColl multi-object scatter.
+    ScatterMultiObject,
+    /// Broadcast by a binomial tree over all ranks.
+    BcastBinomial,
+    /// Single-leader two-level broadcast.
+    BcastHierarchical,
+    /// PiP-MColl multi-object broadcast.
+    BcastMultiObject,
+    /// Gather by a binomial tree over all ranks.
+    GatherBinomial,
+    /// PiP-MColl multi-object gather.
+    GatherMultiObject,
+    /// Allreduce by recursive doubling (small messages).
+    AllreduceRecursiveDoubling,
+    /// Allreduce by ring reduce-scatter + allgather (large messages).
+    AllreduceRing,
+    /// Single-leader two-level allreduce.
+    AllreduceHierarchical,
+    /// PiP-MColl multi-object chunked allreduce.
+    AllreduceMultiObject,
+    /// Reduce by a binomial tree over all ranks (MPICH-derived default).
+    ReduceBinomial,
+    /// PiP-MColl multi-object chunk-ownership reduce.
+    ReduceMultiObject,
+    /// Reduce_scatter by recursive halving (MPICH default for commutative
+    /// operators at small and medium sizes).
+    ReduceScatterRecursiveHalving,
+    /// Reduce_scatter by ring pipeline (bandwidth-optimal at large sizes).
+    ReduceScatterRing,
+    /// PiP-MColl multi-object chunk-ownership reduce_scatter.
+    ReduceScatterMultiObject,
+    /// Scan by recursive doubling (MPICH default).
+    ScanRecursiveDoubling,
+    /// Scan by linear pipeline (Open MPI's base implementation).
+    ScanLinear,
+    /// Exscan by recursive doubling (MPICH default).
+    ExscanRecursiveDoubling,
+    /// Exscan by linear pipeline (Open MPI's base implementation).
+    ExscanLinear,
+    /// Alltoall by Bruck's algorithm (small messages).
+    AlltoallBruck,
+    /// PiP-MColl multi-object node-aware pairwise exchange.
+    AlltoallMultiObject,
+    /// The dissemination barrier every library runs.
     Barrier,
+}
+
+impl Algorithm {
+    /// The collective this algorithm implements.
+    pub fn kind(self) -> CollectiveKind {
+        use Algorithm as A;
+        use CollectiveKind as K;
+        match self {
+            A::AllgatherBruck
+            | A::AllgatherRecursiveDoubling
+            | A::AllgatherRing
+            | A::AllgatherHierarchical
+            | A::AllgatherMultiObject => K::Allgather,
+            A::ScatterBinomial | A::ScatterHierarchical | A::ScatterMultiObject => K::Scatter,
+            A::BcastBinomial | A::BcastHierarchical | A::BcastMultiObject => K::Bcast,
+            A::GatherBinomial | A::GatherMultiObject => K::Gather,
+            A::AllreduceRecursiveDoubling
+            | A::AllreduceRing
+            | A::AllreduceHierarchical
+            | A::AllreduceMultiObject => K::Allreduce,
+            A::ReduceBinomial | A::ReduceMultiObject => K::Reduce,
+            A::ReduceScatterRecursiveHalving
+            | A::ReduceScatterRing
+            | A::ReduceScatterMultiObject => K::ReduceScatter,
+            A::ScanRecursiveDoubling | A::ScanLinear => K::Scan,
+            A::ExscanRecursiveDoubling | A::ExscanLinear => K::Exscan,
+            A::AlltoallBruck | A::AlltoallMultiObject => K::Alltoall,
+            A::Barrier => K::Barrier,
+        }
+    }
 }
 
 /// The byte threshold (per-process message size) above which libraries
@@ -147,9 +123,10 @@ pub const LARGE_MESSAGE_THRESHOLD: usize = 32 * 1024;
 /// should trade parallelism for fewer, larger transfers.
 pub const LOSSY_DROP_CROSSOVER: f64 = 0.05;
 
-/// Observed fabric health, as a selection dimension.  Libraries that adapt
-/// (PiP-MColl) switch their allreduce to a shallower schedule on a lossy
-/// fabric; the comparators' tables keep their stock choice in both states.
+/// Observed fabric health, as a selection dimension: a list's
+/// [`When::Lossy`] rows fire on a lossy fabric only.  PiP-MColl's list
+/// switches its allreduce to a shallower schedule there; the comparators'
+/// lossy rows name their stock small-message choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FabricCondition {
     /// Nominal fabric: negligible drops, selection by message size alone.
@@ -170,40 +147,149 @@ impl FabricCondition {
     }
 }
 
-/// Per-collective algorithm selection for one library.
+/// The condition under which a [`Rule`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectionTable {
-    /// Allgather for small messages (below [`LARGE_MESSAGE_THRESHOLD`]).
-    pub allgather_small: AllgatherAlgo,
-    /// Allgather for large messages.
-    pub allgather_large: AllgatherAlgo,
-    /// Scatter (same algorithm across the sizes studied).
-    pub scatter: ScatterAlgo,
-    /// Broadcast.
-    pub bcast: BcastAlgo,
-    /// Gather.
-    pub gather: GatherAlgo,
-    /// Allreduce for small messages.
-    pub allreduce_small: AllreduceAlgo,
-    /// Allreduce for large messages.
-    pub allreduce_large: AllreduceAlgo,
-    /// Allreduce on a [`FabricCondition::Lossy`] fabric (any size): the
-    /// schedule with the fewest inter-node messages the library offers.
-    pub allreduce_lossy: AllreduceAlgo,
-    /// Alltoall.
-    pub alltoall: AlltoallAlgo,
-    /// Reduce (same algorithm across the sizes studied).
-    pub reduce: ReduceAlgo,
-    /// Reduce_scatter for small messages (per-rank block below
-    /// [`LARGE_MESSAGE_THRESHOLD`]).
-    pub reduce_scatter_small: ReduceScatterAlgo,
-    /// Reduce_scatter for large messages.
-    pub reduce_scatter_large: ReduceScatterAlgo,
-    /// Scan and exscan.
-    pub scan: ScanAlgo,
-    /// Whether recursive doubling replaces Bruck when the rank count is a
-    /// power of two (MPICH-derived behaviour).
-    pub prefer_recursive_doubling_pow2: bool,
+pub enum When {
+    /// Unconditionally: the last row of each kind.
+    Always,
+    /// The per-rank block is below [`LARGE_MESSAGE_THRESHOLD`].
+    Small,
+    /// Small, on a power-of-two world.
+    SmallPow2,
+    /// The fabric is [`FabricCondition::Lossy`].
+    Lossy,
+}
+
+impl When {
+    fn holds(self, block: usize, world: usize, fabric: FabricCondition) -> bool {
+        let small = block < LARGE_MESSAGE_THRESHOLD;
+        match self {
+            When::Always => true,
+            When::Small => small,
+            When::SmallPow2 => small && world.is_power_of_two(),
+            When::Lossy => fabric == FabricCondition::Lossy,
+        }
+    }
+}
+
+/// One row of a rule list: run the algorithm when the condition holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rule(pub When, pub Algorithm);
+
+/// Open MPI, simplified: flat algorithms throughout, Bruck allgather on any
+/// world, the linear scan pipeline, and ring allgather, allreduce and
+/// reduce_scatter from a 32 KiB per-rank block.  Open MPI's tuned decision
+/// rules key on total bytes and communicator size instead.
+pub const OPEN_MPI: &[Rule] = &[
+    Rule(When::Small, Algorithm::AllgatherBruck),
+    Rule(When::Always, Algorithm::AllgatherRing),
+    Rule(When::Always, Algorithm::ScatterBinomial),
+    Rule(When::Always, Algorithm::BcastBinomial),
+    Rule(When::Always, Algorithm::GatherBinomial),
+    Rule(When::Lossy, Algorithm::AllreduceRecursiveDoubling),
+    Rule(When::Small, Algorithm::AllreduceRecursiveDoubling),
+    Rule(When::Always, Algorithm::AllreduceRing),
+    Rule(When::Always, Algorithm::ReduceBinomial),
+    Rule(When::Small, Algorithm::ReduceScatterRecursiveHalving),
+    Rule(When::Always, Algorithm::ReduceScatterRing),
+    Rule(When::Always, Algorithm::ScanLinear),
+    Rule(When::Always, Algorithm::ExscanLinear),
+    Rule(When::Always, Algorithm::AlltoallBruck),
+    Rule(When::Always, Algorithm::Barrier),
+];
+
+/// Intel MPI, simplified from its MPICH-derived defaults: recursive
+/// doubling replaces Bruck allgather on power-of-two worlds, broadcast is
+/// node-aware, and the ring switches sit at a 32 KiB per-rank block, not
+/// at MPICH's total-bytes thresholds.
+pub const INTEL_MPI: &[Rule] = &[
+    Rule(When::SmallPow2, Algorithm::AllgatherRecursiveDoubling),
+    Rule(When::Small, Algorithm::AllgatherBruck),
+    Rule(When::Always, Algorithm::AllgatherRing),
+    Rule(When::Always, Algorithm::ScatterBinomial),
+    Rule(When::Always, Algorithm::BcastHierarchical),
+    Rule(When::Always, Algorithm::GatherBinomial),
+    Rule(When::Lossy, Algorithm::AllreduceRecursiveDoubling),
+    Rule(When::Small, Algorithm::AllreduceRecursiveDoubling),
+    Rule(When::Always, Algorithm::AllreduceRing),
+    Rule(When::Always, Algorithm::ReduceBinomial),
+    Rule(When::Small, Algorithm::ReduceScatterRecursiveHalving),
+    Rule(When::Always, Algorithm::ReduceScatterRing),
+    Rule(When::Always, Algorithm::ScanRecursiveDoubling),
+    Rule(When::Always, Algorithm::ExscanRecursiveDoubling),
+    Rule(When::Always, Algorithm::AlltoallBruck),
+    Rule(When::Always, Algorithm::Barrier),
+];
+
+/// MVAPICH2, simplified: node-aware (single-leader) scatter, broadcast and
+/// small-message allreduce — its lossy-fabric choice too — with MPICH's
+/// flat allgather algorithms, switched at a 32 KiB per-rank block.
+pub const MVAPICH2: &[Rule] = &[
+    Rule(When::SmallPow2, Algorithm::AllgatherRecursiveDoubling),
+    Rule(When::Small, Algorithm::AllgatherBruck),
+    Rule(When::Always, Algorithm::AllgatherRing),
+    Rule(When::Always, Algorithm::ScatterHierarchical),
+    Rule(When::Always, Algorithm::BcastHierarchical),
+    Rule(When::Always, Algorithm::GatherBinomial),
+    Rule(When::Lossy, Algorithm::AllreduceHierarchical),
+    Rule(When::Small, Algorithm::AllreduceHierarchical),
+    Rule(When::Always, Algorithm::AllreduceRing),
+    Rule(When::Always, Algorithm::ReduceBinomial),
+    Rule(When::Small, Algorithm::ReduceScatterRecursiveHalving),
+    Rule(When::Always, Algorithm::ReduceScatterRing),
+    Rule(When::Always, Algorithm::ScanRecursiveDoubling),
+    Rule(When::Always, Algorithm::ExscanRecursiveDoubling),
+    Rule(When::Always, Algorithm::AlltoallBruck),
+    Rule(When::Always, Algorithm::Barrier),
+];
+
+/// PiP-MPICH: stock MPICH algorithms (flat, recursive doubling allgather
+/// on power-of-two worlds) over the PiP transport, switched at a 32 KiB
+/// per-rank block where MPICH's own rules key on total bytes.
+pub const PIP_MPICH: &[Rule] = &[
+    Rule(When::SmallPow2, Algorithm::AllgatherRecursiveDoubling),
+    Rule(When::Small, Algorithm::AllgatherBruck),
+    Rule(When::Always, Algorithm::AllgatherRing),
+    Rule(When::Always, Algorithm::ScatterBinomial),
+    Rule(When::Always, Algorithm::BcastBinomial),
+    Rule(When::Always, Algorithm::GatherBinomial),
+    Rule(When::Lossy, Algorithm::AllreduceRecursiveDoubling),
+    Rule(When::Small, Algorithm::AllreduceRecursiveDoubling),
+    Rule(When::Always, Algorithm::AllreduceRing),
+    Rule(When::Always, Algorithm::ReduceBinomial),
+    Rule(When::Small, Algorithm::ReduceScatterRecursiveHalving),
+    Rule(When::Always, Algorithm::ReduceScatterRing),
+    Rule(When::Always, Algorithm::ScanRecursiveDoubling),
+    Rule(When::Always, Algorithm::ExscanRecursiveDoubling),
+    Rule(When::Always, Algorithm::AlltoallBruck),
+    Rule(When::Always, Algorithm::Barrier),
+];
+
+/// PiP-MColl: the multi-object algorithms at every size wherever they
+/// exist, except that a lossy fabric trades the allreduce fan-out for the
+/// single-leader hierarchy's fewer inter-node messages.  Scan and exscan
+/// have no multi-object variant and stay MPICH's.
+pub const PIP_MCOLL: &[Rule] = &[
+    Rule(When::Always, Algorithm::AllgatherMultiObject),
+    Rule(When::Always, Algorithm::ScatterMultiObject),
+    Rule(When::Always, Algorithm::BcastMultiObject),
+    Rule(When::Always, Algorithm::GatherMultiObject),
+    Rule(When::Lossy, Algorithm::AllreduceHierarchical),
+    Rule(When::Always, Algorithm::AllreduceMultiObject),
+    Rule(When::Always, Algorithm::ReduceMultiObject),
+    Rule(When::Always, Algorithm::ReduceScatterMultiObject),
+    Rule(When::Always, Algorithm::ScanRecursiveDoubling),
+    Rule(When::Always, Algorithm::ExscanRecursiveDoubling),
+    Rule(When::Always, Algorithm::AlltoallMultiObject),
+    Rule(When::Always, Algorithm::Barrier),
+];
+
+/// A library's selection policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Selection {
+    /// The ordered rule list: the first row of the asked-for kind whose
+    /// condition holds wins.
+    pub rules: &'static [Rule],
     /// Bytes-on-wire threshold for error-bounded lossy compression: a
     /// compressed allreduce only rewrites transfers of at least this many
     /// bytes (below it, the codec's latency overhead outweighs the wire
@@ -211,191 +297,72 @@ pub struct SelectionTable {
     pub compress_min_bytes: usize,
 }
 
-impl SelectionTable {
-    /// Open MPI (tuned decision rules, flat algorithms at this scale).
-    pub fn open_mpi() -> Self {
+impl Selection {
+    /// The policy of `rules`, compressing from the large-message threshold.
+    pub fn new(rules: &'static [Rule]) -> Self {
         Self {
-            allgather_small: AllgatherAlgo::Bruck,
-            allgather_large: AllgatherAlgo::Ring,
-            scatter: ScatterAlgo::Binomial,
-            bcast: BcastAlgo::Binomial,
-            gather: GatherAlgo::Binomial,
-            allreduce_small: AllreduceAlgo::RecursiveDoubling,
-            allreduce_large: AllreduceAlgo::Ring,
-            allreduce_lossy: AllreduceAlgo::RecursiveDoubling,
-            alltoall: AlltoallAlgo::Bruck,
-            reduce: ReduceAlgo::Binomial,
-            reduce_scatter_small: ReduceScatterAlgo::RecursiveHalving,
-            reduce_scatter_large: ReduceScatterAlgo::Ring,
-            scan: ScanAlgo::Linear,
-            prefer_recursive_doubling_pow2: false,
+            rules,
             compress_min_bytes: LARGE_MESSAGE_THRESHOLD,
         }
     }
 
-    /// Intel MPI (MPICH-derived defaults).
-    pub fn intel_mpi() -> Self {
-        Self {
-            allgather_small: AllgatherAlgo::Bruck,
-            allgather_large: AllgatherAlgo::Ring,
-            scatter: ScatterAlgo::Binomial,
-            bcast: BcastAlgo::Hierarchical,
-            gather: GatherAlgo::Binomial,
-            allreduce_small: AllreduceAlgo::RecursiveDoubling,
-            allreduce_large: AllreduceAlgo::Ring,
-            allreduce_lossy: AllreduceAlgo::RecursiveDoubling,
-            alltoall: AlltoallAlgo::Bruck,
-            reduce: ReduceAlgo::Binomial,
-            reduce_scatter_small: ReduceScatterAlgo::RecursiveHalving,
-            reduce_scatter_large: ReduceScatterAlgo::Ring,
-            scan: ScanAlgo::RecursiveDoubling,
-            prefer_recursive_doubling_pow2: true,
-            compress_min_bytes: LARGE_MESSAGE_THRESHOLD,
-        }
-    }
-
-    /// MVAPICH2 (node-aware scatter/bcast/allreduce, flat small allgather).
-    pub fn mvapich2() -> Self {
-        Self {
-            allgather_small: AllgatherAlgo::Bruck,
-            allgather_large: AllgatherAlgo::Ring,
-            scatter: ScatterAlgo::Hierarchical,
-            bcast: BcastAlgo::Hierarchical,
-            gather: GatherAlgo::Binomial,
-            allreduce_small: AllreduceAlgo::Hierarchical,
-            allreduce_large: AllreduceAlgo::Ring,
-            allreduce_lossy: AllreduceAlgo::Hierarchical,
-            alltoall: AlltoallAlgo::Bruck,
-            reduce: ReduceAlgo::Binomial,
-            reduce_scatter_small: ReduceScatterAlgo::RecursiveHalving,
-            reduce_scatter_large: ReduceScatterAlgo::Ring,
-            scan: ScanAlgo::RecursiveDoubling,
-            prefer_recursive_doubling_pow2: true,
-            compress_min_bytes: LARGE_MESSAGE_THRESHOLD,
-        }
-    }
-
-    /// PiP-MPICH: stock MPICH algorithm selection over the PiP transport.
-    pub fn pip_mpich() -> Self {
-        Self {
-            allgather_small: AllgatherAlgo::Bruck,
-            allgather_large: AllgatherAlgo::Ring,
-            scatter: ScatterAlgo::Binomial,
-            bcast: BcastAlgo::Binomial,
-            gather: GatherAlgo::Binomial,
-            allreduce_small: AllreduceAlgo::RecursiveDoubling,
-            allreduce_large: AllreduceAlgo::Ring,
-            allreduce_lossy: AllreduceAlgo::RecursiveDoubling,
-            alltoall: AlltoallAlgo::Bruck,
-            reduce: ReduceAlgo::Binomial,
-            reduce_scatter_small: ReduceScatterAlgo::RecursiveHalving,
-            reduce_scatter_large: ReduceScatterAlgo::Ring,
-            scan: ScanAlgo::RecursiveDoubling,
-            prefer_recursive_doubling_pow2: true,
-            compress_min_bytes: LARGE_MESSAGE_THRESHOLD,
-        }
-    }
-
-    /// PiP-MColl: the multi-object algorithms everywhere they exist.
-    pub fn pip_mcoll() -> Self {
-        Self {
-            allgather_small: AllgatherAlgo::MultiObject,
-            allgather_large: AllgatherAlgo::MultiObject,
-            scatter: ScatterAlgo::MultiObject,
-            bcast: BcastAlgo::MultiObject,
-            gather: GatherAlgo::MultiObject,
-            allreduce_small: AllreduceAlgo::MultiObject,
-            allreduce_large: AllreduceAlgo::MultiObject,
-            allreduce_lossy: AllreduceAlgo::Hierarchical,
-            alltoall: AlltoallAlgo::MultiObject,
-            reduce: ReduceAlgo::MultiObject,
-            reduce_scatter_small: ReduceScatterAlgo::MultiObject,
-            reduce_scatter_large: ReduceScatterAlgo::MultiObject,
-            scan: ScanAlgo::RecursiveDoubling,
-            prefer_recursive_doubling_pow2: false,
-            compress_min_bytes: LARGE_MESSAGE_THRESHOLD,
-        }
-    }
-
-    /// The allgather algorithm for a per-process block of `bytes` bytes on a
-    /// communicator of `world` ranks.
-    pub fn allgather_for(&self, bytes: usize, world: usize) -> AllgatherAlgo {
-        let algo = if bytes >= LARGE_MESSAGE_THRESHOLD {
-            self.allgather_large
-        } else {
-            self.allgather_small
-        };
-        if algo == AllgatherAlgo::Bruck
-            && self.prefer_recursive_doubling_pow2
-            && world.is_power_of_two()
-        {
-            AllgatherAlgo::RecursiveDoubling
-        } else {
-            algo
-        }
-    }
-
-    /// The allreduce algorithm for a vector of `bytes` bytes.
-    pub fn allreduce_for(&self, bytes: usize) -> AllreduceAlgo {
-        if bytes >= LARGE_MESSAGE_THRESHOLD {
-            self.allreduce_large
-        } else {
-            self.allreduce_small
-        }
-    }
-
-    /// The allreduce algorithm for a vector of `bytes` bytes on a fabric in
-    /// the given condition: a lossy fabric overrides the size-based choice
-    /// with [`SelectionTable::allreduce_lossy`].
-    pub fn allreduce_for_fabric(&self, bytes: usize, fabric: FabricCondition) -> AllreduceAlgo {
-        match fabric {
-            FabricCondition::Healthy => self.allreduce_for(bytes),
-            FabricCondition::Lossy => self.allreduce_lossy,
-        }
-    }
-
-    /// The reduce_scatter algorithm for a per-rank output block of `bytes`
-    /// bytes (the same per-process message-size axis the other collectives
-    /// switch on; the ring's `p - 1` rounds only pay off once each block is
-    /// bandwidth-bound).
-    pub fn reduce_scatter_for(&self, bytes: usize) -> ReduceScatterAlgo {
-        if bytes >= LARGE_MESSAGE_THRESHOLD {
-            self.reduce_scatter_large
-        } else {
-            self.reduce_scatter_small
-        }
+    /// The algorithm for a `kind` collective with a per-rank block of
+    /// `block` bytes (an allreduce's packed vector) on `world` ranks over a
+    /// fabric in condition `fabric`.
+    ///
+    /// # Panics
+    ///
+    /// If the list has no row of `kind` that holds — every stock list ends
+    /// each kind with a [`When::Always`] row.
+    pub fn algorithm(
+        &self,
+        kind: CollectiveKind,
+        block: usize,
+        world: usize,
+        fabric: FabricCondition,
+    ) -> Algorithm {
+        self.rules
+            .iter()
+            .find(|Rule(when, algorithm)| {
+                algorithm.kind() == kind && when.holds(block, world, fabric)
+            })
+            .map(|Rule(_, algorithm)| *algorithm)
+            .unwrap_or_else(|| panic!("the rule list selects no {kind:?} algorithm"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CollectiveKind as Kind;
+    use FabricCondition::{Healthy, Lossy};
+
+    const COMPARATORS: [&[Rule]; 4] = [OPEN_MPI, INTEL_MPI, MVAPICH2, PIP_MPICH];
+
+    fn pick(rules: &'static [Rule], kind: Kind, block: usize, world: usize) -> Algorithm {
+        Selection::new(rules).algorithm(kind, block, world, Healthy)
+    }
 
     #[test]
     fn pip_mcoll_always_selects_multi_object() {
-        let table = SelectionTable::pip_mcoll();
-        assert_eq!(table.allgather_for(64, 2304), AllgatherAlgo::MultiObject);
+        let pick = |kind, block| pick(PIP_MCOLL, kind, block, 2304);
+        assert_eq!(pick(Kind::Allgather, 64), Algorithm::AllgatherMultiObject);
         assert_eq!(
-            table.allgather_for(1 << 20, 2304),
-            AllgatherAlgo::MultiObject
+            pick(Kind::Allgather, 1 << 20),
+            Algorithm::AllgatherMultiObject
         );
-        assert_eq!(table.allreduce_for(64), AllreduceAlgo::MultiObject);
-        assert_eq!(table.scatter, ScatterAlgo::MultiObject);
+        assert_eq!(pick(Kind::Allreduce, 64), Algorithm::AllreduceMultiObject);
+        assert_eq!(pick(Kind::Scatter, 64), Algorithm::ScatterMultiObject);
     }
 
     #[test]
     fn comparators_use_flat_small_message_allgather() {
-        for table in [
-            SelectionTable::open_mpi(),
-            SelectionTable::intel_mpi(),
-            SelectionTable::mvapich2(),
-            SelectionTable::pip_mpich(),
-        ] {
-            let algo = table.allgather_for(64, 2304);
+        for rules in COMPARATORS {
+            let algo = pick(rules, Kind::Allgather, 64, 2304);
             assert!(
                 matches!(
                     algo,
-                    AllgatherAlgo::Bruck | AllgatherAlgo::RecursiveDoubling
+                    Algorithm::AllgatherBruck | Algorithm::AllgatherRecursiveDoubling
                 ),
                 "expected a flat algorithm, got {algo:?}"
             );
@@ -404,74 +371,121 @@ mod tests {
 
     #[test]
     fn power_of_two_switches_bruck_to_recursive_doubling() {
-        let table = SelectionTable::pip_mpich();
         assert_eq!(
-            table.allgather_for(64, 1024),
-            AllgatherAlgo::RecursiveDoubling
+            pick(PIP_MPICH, Kind::Allgather, 64, 1024),
+            Algorithm::AllgatherRecursiveDoubling
         );
-        assert_eq!(table.allgather_for(64, 2304), AllgatherAlgo::Bruck);
+        assert_eq!(
+            pick(PIP_MPICH, Kind::Allgather, 64, 2304),
+            Algorithm::AllgatherBruck
+        );
         // Open MPI keeps Bruck regardless.
         assert_eq!(
-            SelectionTable::open_mpi().allgather_for(64, 1024),
-            AllgatherAlgo::Bruck
+            pick(OPEN_MPI, Kind::Allgather, 64, 1024),
+            Algorithm::AllgatherBruck
         );
     }
 
     #[test]
     fn large_messages_switch_to_ring() {
-        let table = SelectionTable::open_mpi();
+        for rules in COMPARATORS {
+            assert_eq!(
+                pick(rules, Kind::Allgather, LARGE_MESSAGE_THRESHOLD, 100),
+                Algorithm::AllgatherRing
+            );
+            assert_eq!(
+                pick(rules, Kind::Allreduce, 1 << 20, 100),
+                Algorithm::AllreduceRing
+            );
+            assert_ne!(
+                pick(rules, Kind::Allreduce, 256, 100),
+                Algorithm::AllreduceRing
+            );
+        }
         assert_eq!(
-            table.allgather_for(LARGE_MESSAGE_THRESHOLD, 100),
-            AllgatherAlgo::Ring
+            pick(OPEN_MPI, Kind::Allreduce, 256, 100),
+            Algorithm::AllreduceRecursiveDoubling
         );
-        assert_eq!(table.allreduce_for(1 << 20), AllreduceAlgo::Ring);
-        assert_eq!(table.allreduce_for(256), AllreduceAlgo::RecursiveDoubling);
     }
 
     #[test]
     fn mvapich2_is_node_aware_for_rooted_collectives() {
-        let table = SelectionTable::mvapich2();
-        assert_eq!(table.scatter, ScatterAlgo::Hierarchical);
-        assert_eq!(table.bcast, BcastAlgo::Hierarchical);
-    }
-
-    #[test]
-    fn pip_mcoll_selects_multi_object_for_the_reduction_family() {
-        let table = SelectionTable::pip_mcoll();
-        assert_eq!(table.reduce, ReduceAlgo::MultiObject);
-        assert_eq!(table.reduce_scatter_for(64), ReduceScatterAlgo::MultiObject);
         assert_eq!(
-            table.reduce_scatter_for(1 << 20),
-            ReduceScatterAlgo::MultiObject
+            pick(MVAPICH2, Kind::Scatter, 64, 16),
+            Algorithm::ScatterHierarchical
+        );
+        assert_eq!(
+            pick(MVAPICH2, Kind::Bcast, 64, 16),
+            Algorithm::BcastHierarchical
         );
     }
 
     #[test]
+    fn pip_mcoll_selects_multi_object_for_the_reduction_family() {
+        assert_eq!(
+            pick(PIP_MCOLL, Kind::Reduce, 64, 16),
+            Algorithm::ReduceMultiObject
+        );
+        for block in [64, 1 << 20] {
+            assert_eq!(
+                pick(PIP_MCOLL, Kind::ReduceScatter, block, 16),
+                Algorithm::ReduceScatterMultiObject
+            );
+        }
+    }
+
+    #[test]
     fn comparators_switch_reduce_scatter_to_ring_for_large_vectors() {
-        for table in [
-            SelectionTable::open_mpi(),
-            SelectionTable::intel_mpi(),
-            SelectionTable::mvapich2(),
-            SelectionTable::pip_mpich(),
-        ] {
+        for rules in COMPARATORS {
             assert_eq!(
-                table.reduce_scatter_for(256),
-                ReduceScatterAlgo::RecursiveHalving
+                pick(rules, Kind::ReduceScatter, 256, 16),
+                Algorithm::ReduceScatterRecursiveHalving
             );
             assert_eq!(
-                table.reduce_scatter_for(LARGE_MESSAGE_THRESHOLD),
-                ReduceScatterAlgo::Ring
+                pick(rules, Kind::ReduceScatter, LARGE_MESSAGE_THRESHOLD, 16),
+                Algorithm::ReduceScatterRing
             );
-            assert_eq!(table.reduce, ReduceAlgo::Binomial);
+            assert_eq!(
+                pick(rules, Kind::Reduce, 256, 16),
+                Algorithm::ReduceBinomial
+            );
         }
     }
 
     #[test]
     fn open_mpi_uses_the_linear_scan_pipeline() {
-        assert_eq!(SelectionTable::open_mpi().scan, ScanAlgo::Linear);
+        assert_eq!(pick(OPEN_MPI, Kind::Scan, 64, 16), Algorithm::ScanLinear);
         assert_eq!(
-            SelectionTable::pip_mpich().scan,
-            ScanAlgo::RecursiveDoubling
+            pick(OPEN_MPI, Kind::Exscan, 64, 16),
+            Algorithm::ExscanLinear
         );
+        assert_eq!(
+            pick(PIP_MPICH, Kind::Scan, 64, 16),
+            Algorithm::ScanRecursiveDoubling
+        );
+    }
+
+    #[test]
+    fn every_list_resolves_every_kind_to_an_algorithm_of_that_kind() {
+        let lists = [
+            ("OPEN_MPI", OPEN_MPI),
+            ("INTEL_MPI", INTEL_MPI),
+            ("MVAPICH2", MVAPICH2),
+            ("PIP_MPICH", PIP_MPICH),
+            ("PIP_MCOLL", PIP_MCOLL),
+        ];
+        for (name, rules) in lists {
+            let selection = Selection::new(rules);
+            for kind in Kind::ALL {
+                for block in [0, 64, LARGE_MESSAGE_THRESHOLD - 1, LARGE_MESSAGE_THRESHOLD] {
+                    for world in [1, 6, 16, 2304] {
+                        for fabric in [Healthy, Lossy] {
+                            let algorithm = selection.algorithm(kind, block, world, fabric);
+                            assert_eq!(algorithm.kind(), kind, "{name} {block} B on {world}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -152,7 +152,7 @@ fn alltoall_matches_oracle_everywhere() {
 
 /// Non-power-of-two worlds (9 and 10 ranks): recursive doubling cannot run
 /// pure, so these force the Bruck allgather/alltoall paths and the binomial
-/// fallback of every library's selection table.
+/// fallback of every library's rule list.
 const NONPOW2_TOPOLOGIES: [(usize, usize); 2] = [(3, 3), (5, 2)];
 
 #[test]

@@ -8,9 +8,10 @@
 //! cells exactly when their keys are equal.
 //!
 //! Self-consistency cannot see a key that is sound but selects the wrong
-//! algorithm, so the fabric dimension is also checked against the
-//! selection table directly: a lossy profile's allreduce plan differs from
-//! the healthy one exactly when the table's lossy choice differs.
+//! algorithm, so the fabric dimension is also checked against the rule
+//! list directly: a lossy profile's allreduce plan differs from the healthy
+//! one exactly when the list's own `Lossy` allreduce row names another
+//! algorithm than the healthy selection.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,6 +20,7 @@ use pip_mcoll::collectives::datatype::{DtypeId, ReduceIdent, ReduceOp};
 use pip_mcoll::collectives::plan::{Fidelity, Plan, PlanOp};
 use pip_mcoll::collectives::CollectiveKind;
 use pip_mcoll::model::plan::compile_cluster;
+use pip_mcoll::model::selection::{Rule, When};
 use pip_mcoll::model::{
     ClusterPlanCache, CollectiveShape, CompressSpec, FabricCondition, Library, LibraryProfile,
     PlanKey,
@@ -141,7 +143,16 @@ fn equal_keys_mean_equal_plans_and_the_cache_shares_exactly_those() {
         // The fabric condition reaches the plan through the allreduce
         // selection and nowhere else.
         for library in Library::ALL {
-            let table = library.profile().selection;
+            let profile = library.profile();
+            let lossy_row = profile
+                .selection
+                .rules
+                .iter()
+                .find_map(|&Rule(when, algorithm)| {
+                    (when == When::Lossy && algorithm.kind() == CollectiveKind::Allreduce)
+                        .then_some(algorithm)
+                })
+                .expect("every list has a Lossy allreduce row");
             for block in BLOCKS {
                 let shape = CollectiveShape::reduction(
                     CollectiveKind::Allreduce,
@@ -156,9 +167,9 @@ fn equal_keys_mean_equal_plans_and_the_cache_shares_exactly_those() {
                 });
                 assert_eq!(
                     healthy == lossy,
-                    table.allreduce_lossy == table.allreduce_for(block),
+                    lossy_row == profile.algorithm_for(&shape, topology.world_size()),
                     "{} allreduce {block} B on {nodes}x{ppn}: a lossy fabric must select \
-                     the table's lossy algorithm",
+                     the list's Lossy row",
                     library.name()
                 );
             }

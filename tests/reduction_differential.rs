@@ -26,7 +26,7 @@ use pip_mcoll::collectives::CollectiveKind;
 use pip_mcoll::collectives::OwnedReduction;
 use pip_mcoll::core::prelude::*;
 use pip_mcoll::model::plan::{PlanCache, PlanKey};
-use pip_mcoll::model::{CollectiveShape, OwnedCollective};
+use pip_mcoll::model::{Algorithm, CollectiveShape, OwnedCollective};
 
 const TOPOLOGIES: [(usize, usize); 5] = [(1, 1), (1, 4), (2, 3), (3, 3), (5, 2)];
 
@@ -146,12 +146,13 @@ fn large_block_reduce_scatter_crosses_the_ring_switch() {
     for library in [Library::OpenMpi, Library::PipMpich, Library::PipMColl] {
         let block = pip_mcoll::model::selection::LARGE_MESSAGE_THRESHOLD;
         let world = nodes * ppn;
+        let shape = CollectiveShape::plain(CollectiveKind::ReduceScatter, block, 0);
         assert_eq!(
-            library.profile().selection.reduce_scatter_for(block),
+            library.profile().algorithm_for(&shape, world),
             if library == Library::PipMColl {
-                pip_mcoll::model::ReduceScatterAlgo::MultiObject
+                Algorithm::ReduceScatterMultiObject
             } else {
-                pip_mcoll::model::ReduceScatterAlgo::Ring
+                Algorithm::ReduceScatterRing
             }
         );
         let topo = Topology::new(nodes, ppn);
