@@ -632,6 +632,41 @@ impl OwnedReduction {
     }
 }
 
+/// A reduction operator over elements of type `T`: the one operator argument
+/// every reduction entry point takes, as MPI passes built-in and user
+/// operators through one `MPI_Op`.
+///
+/// A built-in [`ReduceOp`] compiles to the monomorphized `(T, op)`
+/// [`ReduceKernel`].  A registered `&`[`Op`] must combine `T::SIZE`-byte
+/// elements (the conversion panics otherwise) and be **associative and
+/// commutative** over their serialized little-endian bytes — the algorithms
+/// combine contributions in topology-dependent order.  Its process-unique
+/// identity, minted by [`Op::create`], keys the plan cache, so it never
+/// shares a plan with another operator of the same width.
+pub trait Reduction<T: Datatype> {
+    /// The operator a collective request carries.
+    fn reduction(self) -> OwnedReduction;
+}
+
+impl<T: Datatype> Reduction<T> for ReduceOp {
+    fn reduction(self) -> OwnedReduction {
+        OwnedReduction::Typed(ReduceKernel::of::<T>(self))
+    }
+}
+
+impl<T: Datatype> Reduction<T> for &Op {
+    fn reduction(self) -> OwnedReduction {
+        assert_eq!(
+            self.elem_size(),
+            T::SIZE,
+            "operator element size ({}) must match the datatype width ({})",
+            self.elem_size(),
+            T::SIZE,
+        );
+        OwnedReduction::User(self.clone())
+    }
+}
+
 /// A strided (vector) derived datatype: `count` blocks of `blocklen`
 /// elements, block starts `stride` elements apart — the `MPI_Type_vector`
 /// triple. All fields are in **elements**; multiply by the element size

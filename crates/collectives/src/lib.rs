@@ -67,7 +67,7 @@ pub mod scan;
 pub use comm::{Comm, NonBlockingComm, ReduceFn, ThreadComm};
 pub use compress::{Codec, FloatDatatype, FloatElem};
 pub use datatype::{
-    Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp,
+    Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, Reduction,
 };
 pub use request::{ProgressEngine, ReqId, SharedReduceOp};
 

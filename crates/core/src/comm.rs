@@ -27,8 +27,8 @@ use pip_mpi_model::{dispatch, CompressSpec, LibraryProfile, OwnedCollective, Pla
 use pip_runtime::{TaskCtx, Topology};
 
 use crate::datatype::{
-    from_bytes, read_into, to_bytes, Datatype, FloatDatatype, Layout, Op, OwnedReduction,
-    ReduceKernel, ReduceOp,
+    from_bytes, read_into, to_bytes, Datatype, FloatDatatype, Layout, OwnedReduction, ReduceOp,
+    Reduction,
 };
 
 /// Tag space reserved for each collective invocation (rounds and phases are
@@ -57,24 +57,6 @@ fn at_root<T: Datatype>(recv: Option<&[u8]>) -> Option<Vec<T>> {
 /// The completion of a blocking in/out call: the result overwrites `buf`.
 fn written<T: Datatype>(buf: &mut [T]) -> impl FnOnce(Option<&[u8]>) + '_ {
     |recv| read_into(buf, recv.expect("the collective binds an in/out buffer"))
-}
-
-/// A built-in operator over `T`.
-fn builtin<T: Datatype>(op: ReduceOp) -> OwnedReduction {
-    OwnedReduction::Typed(ReduceKernel::of::<T>(op))
-}
-
-/// A registered user operator, checked against the element type it is
-/// applied to.
-fn user<T: Datatype>(op: &Op) -> OwnedReduction {
-    assert_eq!(
-        op.elem_size(),
-        T::SIZE,
-        "operator element size ({}) must match the datatype width ({})",
-        op.elem_size(),
-        T::SIZE,
-    );
-    OwnedReduction::User(op.clone())
 }
 
 /// An MPI-like communicator bound to one process of the launched world.
@@ -204,50 +186,11 @@ impl<'a> Communicator<'a> {
     // Strided (derived-datatype) point-to-point
     // ------------------------------------------------------------------
     //
-    // The `MPI_Type_vector` analogues: a [`Layout`] names which elements of
+    // The `MPI_Type_vector` analogue: a [`Layout`] names which elements of
     // the caller's buffer travel, the wire always carries the packed form.
-    // A strided send matches a contiguous `recv` of `layout.packed_len()`
-    // elements and vice versa, exactly as MPI datatypes match by type
-    // signature rather than by layout.
-
-    /// Send the `layout`-selected elements of `data` (which spans
-    /// `layout.extent()` elements) to `dest`; the wire carries the
-    /// `layout.packed_len()` selected elements contiguously.
-    pub fn send_strided<T: Datatype>(&self, dest: usize, tag: u64, data: &[T], layout: Layout) {
-        assert_eq!(
-            data.len(),
-            layout.extent(),
-            "send buffer must span the layout's extent"
-        );
-        let bytes = to_bytes(data);
-        let mut packed = Vec::new();
-        layout.scaled(T::SIZE).pack_bytes(&bytes, &mut packed);
-        self.inner.send(dest, P2P_TAG_BASE + tag, &packed);
-    }
-
-    /// Receive `layout.packed_len()` elements from `source` and scatter
-    /// them into the `layout`-selected positions of `buf` (which spans
-    /// `layout.extent()` elements); gap elements are left untouched.
-    pub fn recv_strided<T: Datatype>(
-        &self,
-        source: usize,
-        tag: u64,
-        layout: Layout,
-        buf: &mut [T],
-    ) {
-        assert_eq!(
-            buf.len(),
-            layout.extent(),
-            "receive buffer must span the layout's extent"
-        );
-        let byte_layout = layout.scaled(T::SIZE);
-        let packed = self
-            .inner
-            .recv(source, P2P_TAG_BASE + tag, byte_layout.packed_len());
-        let mut bytes = to_bytes(buf);
-        byte_layout.unpack_bytes(&packed, &mut bytes);
-        read_into(buf, &bytes);
-    }
+    // A strided side matches a contiguous `recv` or `sendrecv` of
+    // `layout.packed_len()` elements and vice versa, exactly as MPI
+    // datatypes match by type signature rather than by layout.
 
     /// Combined strided send and receive: ship the `send_layout`-selected
     /// elements of `send_data` to `dest` while scattering the incoming
@@ -324,10 +267,10 @@ impl<'a> Communicator<'a> {
         self.run(self.gather_request(send, root), at_root)
     }
 
-    /// MPI_Allreduce with a built-in operator; `buf` holds the reduced
-    /// vector on return at every rank.
-    pub fn allreduce<T: Datatype>(&self, buf: &mut [T], op: ReduceOp) {
-        let request = self.allreduce_request(buf, builtin::<T>(op), None, None);
+    /// MPI_Allreduce; `buf` holds the reduced vector on return at every
+    /// rank.
+    pub fn allreduce<T: Datatype>(&self, buf: &mut [T], op: impl Reduction<T>) {
+        let request = self.allreduce_request(buf, op, None, None);
         self.run(request, written(buf))
     }
 
@@ -343,79 +286,45 @@ impl<'a> Communicator<'a> {
     /// [`Communicator::iallreduce_compressed`] and
     /// [`Communicator::allreduce_compressed_init`].
     pub fn allreduce_compressed<T: FloatDatatype>(&self, buf: &mut [T], op: ReduceOp, bound: f64) {
-        let request = self.allreduce_request(buf, builtin::<T>(op), None, Some(bound));
+        let request = self.allreduce_request(buf, op, None, Some(bound));
         self.run(request, written(buf))
     }
 
-    /// MPI_Reduce with a built-in operator: every rank contributes `send`;
+    /// MPI_Reduce: every rank contributes `send`;
     /// returns `Some` of the element-wise combination at the root, `None`
     /// elsewhere.
-    pub fn reduce<T: Datatype>(&self, send: &[T], op: ReduceOp, root: usize) -> Option<Vec<T>> {
-        self.run(self.reduce_request(send, builtin::<T>(op), root), at_root)
+    pub fn reduce<T: Datatype>(
+        &self,
+        send: &[T],
+        op: impl Reduction<T>,
+        root: usize,
+    ) -> Option<Vec<T>> {
+        self.run(self.reduce_request(send, op, root), at_root)
     }
 
-    /// MPI_Reduce_scatter_block with a built-in operator: `send` holds one
-    /// block of `count` elements per rank; returns this rank's fully
-    /// reduced block.
-    pub fn reduce_scatter<T: Datatype>(&self, send: &[T], count: usize, op: ReduceOp) -> Vec<T> {
-        let request = self.reduce_scatter_request(send, count, builtin::<T>(op));
+    /// MPI_Reduce_scatter_block: `send` holds one block of `count` elements
+    /// per rank; returns this rank's fully reduced block.
+    pub fn reduce_scatter<T: Datatype>(
+        &self,
+        send: &[T],
+        count: usize,
+        op: impl Reduction<T>,
+    ) -> Vec<T> {
+        let request = self.reduce_scatter_request(send, count, op);
         self.run(request, received)
     }
 
-    /// MPI_Scan with a built-in operator; `buf` holds the inclusive prefix
-    /// (ranks `0..=rank`) on return.
-    pub fn scan<T: Datatype>(&self, buf: &mut [T], op: ReduceOp) {
-        self.run(self.scan_request(buf, builtin::<T>(op)), written(buf))
+    /// MPI_Scan; `buf` holds the inclusive prefix (ranks `0..=rank`) on
+    /// return.
+    pub fn scan<T: Datatype>(&self, buf: &mut [T], op: impl Reduction<T>) {
+        self.run(self.scan_request(buf, op), written(buf))
     }
 
-    /// MPI_Exscan with a built-in operator; `buf` holds the exclusive
-    /// prefix (ranks `0..rank`) on return.  Rank 0's buffer is left
-    /// untouched (MPI leaves it undefined).
-    pub fn exscan<T: Datatype>(&self, buf: &mut [T], op: ReduceOp) {
-        self.run(self.exscan_request(buf, builtin::<T>(op)), written(buf))
-    }
-
-    // ------------------------------------------------------------------
-    // User-defined operators (MPI_Op_create) and derived datatypes
-    // ------------------------------------------------------------------
-    //
-    // A registered [`Op`] carries a process-unique identity minted at
-    // [`Op::create`] time, so collectives run with it share plan-cache
-    // entries with each other but never with a different operator of the
-    // same element width.  The operator must be **associative and
-    // commutative** over the serialized little-endian element bytes — the
-    // algorithms combine contributions in topology-dependent order.
-
-    /// [`Communicator::allreduce`] with a registered user operator; `buf`
-    /// holds the reduced vector on return at every rank.
-    ///
-    /// Non-blocking and persistent variants: [`Communicator::iallreduce_op`]
-    /// and [`Communicator::allreduce_op_init`].
-    pub fn allreduce_op<T: Datatype>(&self, buf: &mut [T], op: &Op) {
-        let request = self.allreduce_request(buf, user::<T>(op), None, None);
-        self.run(request, written(buf))
-    }
-
-    /// [`Communicator::reduce`] with a registered user operator.
-    pub fn reduce_op<T: Datatype>(&self, send: &[T], op: &Op, root: usize) -> Option<Vec<T>> {
-        self.run(self.reduce_request(send, user::<T>(op), root), at_root)
-    }
-
-    /// [`Communicator::reduce_scatter`] with a registered user operator.
-    pub fn reduce_scatter_op<T: Datatype>(&self, send: &[T], count: usize, op: &Op) -> Vec<T> {
-        let request = self.reduce_scatter_request(send, count, user::<T>(op));
-        self.run(request, received)
-    }
-
-    /// [`Communicator::scan`] with a registered user operator.
-    pub fn scan_op<T: Datatype>(&self, buf: &mut [T], op: &Op) {
-        self.run(self.scan_request(buf, user::<T>(op)), written(buf))
-    }
-
-    /// [`Communicator::exscan`] with a registered user operator (rank 0's
-    /// buffer is left untouched).
-    pub fn exscan_op<T: Datatype>(&self, buf: &mut [T], op: &Op) {
-        self.run(self.exscan_request(buf, user::<T>(op)), written(buf))
+    /// MPI_Exscan; `buf` holds the exclusive prefix (ranks `0..rank`) on
+    /// return.  Rank 0's buffer is left untouched (MPI leaves it
+    /// undefined).
+    pub fn exscan<T: Datatype>(&self, buf: &mut [T], op: impl Reduction<T>) {
+        self.run(self.exscan_request(buf, op), written(buf))
     }
 
     /// [`Communicator::allreduce`] over a strided buffer: only the
@@ -423,70 +332,14 @@ impl<'a> Communicator<'a> {
     /// elements) participate; gap elements are left untouched at every
     /// rank.  The layout is part of the plan-cache key, so a strided and a
     /// contiguous allreduce of equal packed size never share a plan.
-    pub fn allreduce_strided<T: Datatype>(&self, buf: &mut [T], layout: Layout, op: ReduceOp) {
-        let request = self.allreduce_request(buf, builtin::<T>(op), Some(layout), None);
+    pub fn allreduce_strided<T: Datatype>(
+        &self,
+        buf: &mut [T],
+        layout: Layout,
+        op: impl Reduction<T>,
+    ) {
+        let request = self.allreduce_request(buf, op, Some(layout), None);
         self.run(request, written(buf))
-    }
-
-    /// [`Communicator::allreduce_strided`] with a registered user operator.
-    pub fn allreduce_strided_op<T: Datatype>(&self, buf: &mut [T], layout: Layout, op: &Op) {
-        let request = self.allreduce_request(buf, user::<T>(op), Some(layout), None);
-        self.run(request, written(buf))
-    }
-
-    // ------------------------------------------------------------------
-    // Typed by-value reduction entry points
-    // ------------------------------------------------------------------
-    //
-    // MPI's `(buf, count, datatype, op)` signature with the datatype as the
-    // type parameter.  `reduce` and `reduce_scatter` already take `&[T]` by
-    // value; these complete the family for the in-place calls.  Every entry
-    // compiles to a monomorphized `(T, op)` kernel (`ReduceKernel`), and
-    // `T = u8` is the trivial byte instantiation.
-
-    /// By-value [`Communicator::allreduce`]: returns the element-wise
-    /// combination of every rank's `buf`, leaving the input untouched.
-    ///
-    /// ```
-    /// use pip_mcoll_core::prelude::*;
-    ///
-    /// let totals = World::builder()
-    ///     .nodes(1)
-    ///     .ppn(2)
-    ///     .library(Library::PipMColl)
-    ///     .run(|comm| {
-    ///         let gradient = vec![comm.rank() as f32 + 0.25; 4];
-    ///         comm.allreduce_t::<f32>(&gradient, ReduceOp::Sum)
-    ///     })
-    ///     .unwrap();
-    /// assert_eq!(totals[0], vec![1.5; 4]);
-    /// ```
-    ///
-    /// Non-blocking and persistent variants: [`Communicator::iallreduce`]
-    /// and [`Communicator::allreduce_init`].
-    pub fn allreduce_t<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> Vec<T> {
-        self.run(
-            self.allreduce_request(buf, builtin::<T>(op), None, None),
-            received,
-        )
-    }
-
-    /// By-value [`Communicator::scan`]: returns the inclusive prefix
-    /// combination over ranks `0..=rank`.
-    ///
-    /// Non-blocking and persistent variants: [`Communicator::iscan`] and
-    /// [`Communicator::scan_init`].
-    pub fn scan_t<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> Vec<T> {
-        self.run(self.scan_request(buf, builtin::<T>(op)), received)
-    }
-
-    /// By-value [`Communicator::exscan`]: returns the exclusive prefix
-    /// combination over ranks `0..rank` (rank 0 gets its input back).
-    ///
-    /// Non-blocking and persistent variants: [`Communicator::iexscan`] and
-    /// [`Communicator::exscan_init`].
-    pub fn exscan_t<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> Vec<T> {
-        self.run(self.exscan_request(buf, builtin::<T>(op)), received)
     }
 
     /// MPI_Alltoall: `send` holds one block of `count` elements per
@@ -583,11 +436,12 @@ impl<'a> Communicator<'a> {
 
     /// Non-blocking [`Communicator::allreduce`]: `wait` yields the reduced
     /// vector at every rank.
-    pub fn iallreduce<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> CollRequest<'_, Vec<T>> {
-        self.submit(
-            self.allreduce_request(buf, builtin::<T>(op), None, None),
-            received,
-        )
+    pub fn iallreduce<T: Datatype>(
+        &self,
+        buf: &[T],
+        op: impl Reduction<T>,
+    ) -> CollRequest<'_, Vec<T>> {
+        self.submit(self.allreduce_request(buf, op, None, None), received)
     }
 
     /// Non-blocking [`Communicator::allreduce_compressed`]: `wait` yields
@@ -599,7 +453,7 @@ impl<'a> Communicator<'a> {
         op: ReduceOp,
         bound: f64,
     ) -> CollRequest<'_, Vec<T>> {
-        let request = self.allreduce_request(buf, builtin::<T>(op), None, Some(bound));
+        let request = self.allreduce_request(buf, op, None, Some(bound));
         self.submit(request, received)
     }
 
@@ -608,10 +462,10 @@ impl<'a> Communicator<'a> {
     pub fn ireduce<T: Datatype>(
         &self,
         send: &[T],
-        op: ReduceOp,
+        op: impl Reduction<T>,
         root: usize,
     ) -> CollRequest<'_, Option<Vec<T>>> {
-        self.submit(self.reduce_request(send, builtin::<T>(op), root), at_root)
+        self.submit(self.reduce_request(send, op, root), at_root)
     }
 
     /// Non-blocking [`Communicator::reduce_scatter`]: `send` holds one
@@ -621,22 +475,26 @@ impl<'a> Communicator<'a> {
         &self,
         send: &[T],
         count: usize,
-        op: ReduceOp,
+        op: impl Reduction<T>,
     ) -> CollRequest<'_, Vec<T>> {
-        let request = self.reduce_scatter_request(send, count, builtin::<T>(op));
+        let request = self.reduce_scatter_request(send, count, op);
         self.submit(request, received)
     }
 
     /// Non-blocking [`Communicator::scan`]: `wait` yields the inclusive
     /// prefix at every rank.
-    pub fn iscan<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> CollRequest<'_, Vec<T>> {
-        self.submit(self.scan_request(buf, builtin::<T>(op)), received)
+    pub fn iscan<T: Datatype>(&self, buf: &[T], op: impl Reduction<T>) -> CollRequest<'_, Vec<T>> {
+        self.submit(self.scan_request(buf, op), received)
     }
 
     /// Non-blocking [`Communicator::exscan`]: `wait` yields the exclusive
     /// prefix (rank 0 gets its input back, see [`Communicator::exscan`]).
-    pub fn iexscan<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> CollRequest<'_, Vec<T>> {
-        self.submit(self.exscan_request(buf, builtin::<T>(op)), received)
+    pub fn iexscan<T: Datatype>(
+        &self,
+        buf: &[T],
+        op: impl Reduction<T>,
+    ) -> CollRequest<'_, Vec<T>> {
+        self.submit(self.exscan_request(buf, op), received)
     }
 
     /// Non-blocking [`Communicator::alltoall`]: `send` holds one block of
@@ -645,56 +503,15 @@ impl<'a> Communicator<'a> {
         self.submit(self.alltoall_request(send, count), received)
     }
 
-    /// Non-blocking [`Communicator::allreduce_op`]: `wait` yields the
-    /// vector reduced with the registered user operator.
-    pub fn iallreduce_op<T: Datatype>(&self, buf: &[T], op: &Op) -> CollRequest<'_, Vec<T>> {
-        self.submit(
-            self.allreduce_request(buf, user::<T>(op), None, None),
-            received,
-        )
-    }
-
-    /// Non-blocking [`Communicator::reduce_op`]: `wait` yields `Some` of
-    /// the combination at the root, `None` elsewhere.
-    pub fn ireduce_op<T: Datatype>(
-        &self,
-        send: &[T],
-        op: &Op,
-        root: usize,
-    ) -> CollRequest<'_, Option<Vec<T>>> {
-        self.submit(self.reduce_request(send, user::<T>(op), root), at_root)
-    }
-
-    /// Non-blocking [`Communicator::reduce_scatter_op`].
-    pub fn ireduce_scatter_op<T: Datatype>(
-        &self,
-        send: &[T],
-        count: usize,
-        op: &Op,
-    ) -> CollRequest<'_, Vec<T>> {
-        let request = self.reduce_scatter_request(send, count, user::<T>(op));
-        self.submit(request, received)
-    }
-
-    /// Non-blocking [`Communicator::scan_op`].
-    pub fn iscan_op<T: Datatype>(&self, buf: &[T], op: &Op) -> CollRequest<'_, Vec<T>> {
-        self.submit(self.scan_request(buf, user::<T>(op)), received)
-    }
-
-    /// Non-blocking [`Communicator::exscan_op`].
-    pub fn iexscan_op<T: Datatype>(&self, buf: &[T], op: &Op) -> CollRequest<'_, Vec<T>> {
-        self.submit(self.exscan_request(buf, user::<T>(op)), received)
-    }
-
     /// Non-blocking [`Communicator::allreduce_strided`]: `wait` yields the
     /// full extent-length vector with the gap elements as submitted.
     pub fn iallreduce_strided<T: Datatype>(
         &self,
         buf: &[T],
         layout: Layout,
-        op: ReduceOp,
+        op: impl Reduction<T>,
     ) -> CollRequest<'_, Vec<T>> {
-        let request = self.allreduce_request(buf, builtin::<T>(op), Some(layout), None);
+        let request = self.allreduce_request(buf, op, Some(layout), None);
         self.submit(request, received)
     }
 
@@ -755,16 +572,13 @@ impl<'a> Communicator<'a> {
         self.init(self.gather_request(send, root), at_root)
     }
 
-    /// Persistent [`Communicator::allreduce`] with a built-in operator.
+    /// Persistent [`Communicator::allreduce`].
     pub fn allreduce_init<T: Datatype>(
         &self,
         buf: &[T],
-        op: ReduceOp,
+        op: impl Reduction<T>,
     ) -> PersistentColl<'_, Vec<T>> {
-        self.init(
-            self.allreduce_request(buf, builtin::<T>(op), None, None),
-            received,
-        )
+        self.init(self.allreduce_request(buf, op, None, None), received)
     }
 
     /// Persistent [`Communicator::allreduce_compressed`]: the compiled
@@ -776,85 +590,50 @@ impl<'a> Communicator<'a> {
         op: ReduceOp,
         bound: f64,
     ) -> PersistentColl<'_, Vec<T>> {
-        let request = self.allreduce_request(buf, builtin::<T>(op), None, Some(bound));
+        let request = self.allreduce_request(buf, op, None, Some(bound));
         self.init(request, received)
     }
 
-    /// Persistent [`Communicator::reduce`] to `root` with a built-in
-    /// operator; `wait` yields `Some` at the root, `None` elsewhere.
+    /// Persistent [`Communicator::reduce`] to `root`; `wait` yields `Some`
+    /// at the root, `None` elsewhere.
     pub fn reduce_init<T: Datatype>(
         &self,
         send: &[T],
-        op: ReduceOp,
+        op: impl Reduction<T>,
         root: usize,
     ) -> PersistentColl<'_, Option<Vec<T>>> {
-        self.init(self.reduce_request(send, builtin::<T>(op), root), at_root)
+        self.init(self.reduce_request(send, op, root), at_root)
     }
 
-    /// Persistent [`Communicator::reduce_scatter`] with a built-in operator
-    /// (one pinned block of `count` elements per rank).
+    /// Persistent [`Communicator::reduce_scatter`] (one pinned block of
+    /// `count` elements per rank).
     pub fn reduce_scatter_init<T: Datatype>(
         &self,
         send: &[T],
         count: usize,
-        op: ReduceOp,
+        op: impl Reduction<T>,
     ) -> PersistentColl<'_, Vec<T>> {
-        let request = self.reduce_scatter_request(send, count, builtin::<T>(op));
+        let request = self.reduce_scatter_request(send, count, op);
         self.init(request, received)
     }
 
-    /// Persistent [`Communicator::scan`] with a built-in operator.
-    pub fn scan_init<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> PersistentColl<'_, Vec<T>> {
-        self.init(self.scan_request(buf, builtin::<T>(op)), received)
-    }
-
-    /// Persistent [`Communicator::exscan`] with a built-in operator (rank 0
-    /// gets its pinned input back on every `wait`).
-    pub fn exscan_init<T: Datatype>(&self, buf: &[T], op: ReduceOp) -> PersistentColl<'_, Vec<T>> {
-        self.init(self.exscan_request(buf, builtin::<T>(op)), received)
-    }
-
-    /// Persistent [`Communicator::allreduce_op`] with a registered user
-    /// operator.
-    pub fn allreduce_op_init<T: Datatype>(&self, buf: &[T], op: &Op) -> PersistentColl<'_, Vec<T>> {
-        self.init(
-            self.allreduce_request(buf, user::<T>(op), None, None),
-            received,
-        )
-    }
-
-    /// Persistent [`Communicator::reduce_op`] to `root` with a registered
-    /// user operator; `wait` yields `Some` at the root, `None` elsewhere.
-    pub fn reduce_op_init<T: Datatype>(
+    /// Persistent [`Communicator::scan`].
+    pub fn scan_init<T: Datatype>(
         &self,
-        send: &[T],
-        op: &Op,
-        root: usize,
-    ) -> PersistentColl<'_, Option<Vec<T>>> {
-        self.init(self.reduce_request(send, user::<T>(op), root), at_root)
-    }
-
-    /// Persistent [`Communicator::reduce_scatter_op`] with a registered
-    /// user operator (one pinned block of `count` elements per rank).
-    pub fn reduce_scatter_op_init<T: Datatype>(
-        &self,
-        send: &[T],
-        count: usize,
-        op: &Op,
+        buf: &[T],
+        op: impl Reduction<T>,
     ) -> PersistentColl<'_, Vec<T>> {
-        let request = self.reduce_scatter_request(send, count, user::<T>(op));
-        self.init(request, received)
+        self.init(self.scan_request(buf, op), received)
     }
 
-    /// Persistent [`Communicator::scan_op`] with a registered user operator.
-    pub fn scan_op_init<T: Datatype>(&self, buf: &[T], op: &Op) -> PersistentColl<'_, Vec<T>> {
-        self.init(self.scan_request(buf, user::<T>(op)), received)
-    }
-
-    /// Persistent [`Communicator::exscan_op`] with a registered user
-    /// operator (rank 0 gets its pinned input back on every `wait`).
-    pub fn exscan_op_init<T: Datatype>(&self, buf: &[T], op: &Op) -> PersistentColl<'_, Vec<T>> {
-        self.init(self.exscan_request(buf, user::<T>(op)), received)
+    /// Persistent [`Communicator::exscan`] (rank 0 gets its pinned input
+    /// back on every `wait`).
+    pub fn exscan_init<T: Datatype>(
+        &self,
+        buf: &[T],
+        op: impl Reduction<T>,
+    ) -> PersistentColl<'_, Vec<T>> {
+        self.init(self.exscan_request(buf, op), received)
     }
 
     /// Persistent [`Communicator::allreduce_strided`]: the pinned buffer
@@ -864,9 +643,9 @@ impl<'a> Communicator<'a> {
         &self,
         buf: &[T],
         layout: Layout,
-        op: ReduceOp,
+        op: impl Reduction<T>,
     ) -> PersistentColl<'_, Vec<T>> {
-        let request = self.allreduce_request(buf, builtin::<T>(op), Some(layout), None);
+        let request = self.allreduce_request(buf, op, Some(layout), None);
         self.init(request, received)
     }
 
@@ -901,10 +680,12 @@ impl<'a> Communicator<'a> {
         count: usize,
         root: usize,
     ) -> OwnedCollective {
-        if let Some(send) = send {
+        // Significant only at the root, as in MPI: a non-root's buffer is
+        // dropped unread (see `OwnedCollective::into_io`).
+        if self.rank() == root {
             assert_eq!(
-                send.len(),
-                count * self.size(),
+                send.map(<[T]>::len),
+                Some(count * self.size()),
                 "root must supply count * size elements"
             );
         }
@@ -938,7 +719,7 @@ impl<'a> Communicator<'a> {
     fn allreduce_request<T: Datatype>(
         &self,
         buf: &[T],
-        op: OwnedReduction,
+        op: impl Reduction<T>,
         layout: Option<Layout>,
         bound: Option<f64>,
     ) -> OwnedCollective {
@@ -958,7 +739,7 @@ impl<'a> Communicator<'a> {
         });
         OwnedCollective::Allreduce {
             buf: to_bytes(buf),
-            op,
+            op: op.reduction(),
             layout,
             compress,
         }
@@ -967,13 +748,13 @@ impl<'a> Communicator<'a> {
     fn reduce_request<T: Datatype>(
         &self,
         send: &[T],
-        op: OwnedReduction,
+        op: impl Reduction<T>,
         root: usize,
     ) -> OwnedCollective {
         OwnedCollective::Reduce {
             sendbuf: to_bytes(send),
             root,
-            op,
+            op: op.reduction(),
         }
     }
 
@@ -981,7 +762,7 @@ impl<'a> Communicator<'a> {
         &self,
         send: &[T],
         count: usize,
-        op: OwnedReduction,
+        op: impl Reduction<T>,
     ) -> OwnedCollective {
         assert_eq!(
             send.len(),
@@ -990,21 +771,21 @@ impl<'a> Communicator<'a> {
         );
         OwnedCollective::ReduceScatter {
             sendbuf: to_bytes(send),
-            op,
+            op: op.reduction(),
         }
     }
 
-    fn scan_request<T: Datatype>(&self, buf: &[T], op: OwnedReduction) -> OwnedCollective {
+    fn scan_request<T: Datatype>(&self, buf: &[T], op: impl Reduction<T>) -> OwnedCollective {
         OwnedCollective::Scan {
             buf: to_bytes(buf),
-            op,
+            op: op.reduction(),
         }
     }
 
-    fn exscan_request<T: Datatype>(&self, buf: &[T], op: OwnedReduction) -> OwnedCollective {
+    fn exscan_request<T: Datatype>(&self, buf: &[T], op: impl Reduction<T>) -> OwnedCollective {
         OwnedCollective::Exscan {
             buf: to_bytes(buf),
-            op,
+            op: op.reduction(),
         }
     }
 
@@ -1192,8 +973,11 @@ impl<O> std::fmt::Debug for PersistentColl<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::Op;
     use crate::world::World;
     use pip_mpi_model::Library;
+    use pip_runtime::Cluster;
+    use std::time::Duration;
 
     #[test]
     fn typed_point_to_point_round_trip() {
@@ -1356,9 +1140,9 @@ mod tests {
         (0..n).map(|i| (comm.rank() * n + i) as f32 * 0.5).collect()
     }
 
-    /// One case per collective kind plus the allreduce `_op`, `_strided` and
-    /// `_compressed` variants: rank `comm`'s call at `style`.  The shapes of
-    /// the cases are pairwise distinct.
+    /// One case per collective kind plus the allreduce user-operator,
+    /// `_strided` and `_compressed` variants: rank `comm`'s call at
+    /// `style`.  The shapes of the cases are pairwise distinct.
     type Case = (&'static str, fn(&Communicator<'_>, Style, &Op) -> Vec<f32>);
     const CASES: [Case; 14] = [
         ("allgather", |c, s, _| {
@@ -1420,13 +1204,13 @@ mod tests {
         }),
         ("scan", |c, s, _| {
             let x = data(c, 7);
-            let blocking = || c.scan_t(&x, ReduceOp::Sum);
-            run_as(
-                s,
-                blocking,
-                || c.iscan(&x, ReduceOp::Sum),
-                || c.scan_init(&x, ReduceOp::Sum),
-            )
+            let blocking = || {
+                let mut buf = x.clone();
+                c.scan(&mut buf, ReduceOp::Sum);
+                buf
+            };
+            let request = || c.iscan(&x, ReduceOp::Sum);
+            run_as(s, blocking, request, || c.scan_init(&x, ReduceOp::Sum))
         }),
         ("exscan", |c, s, _| {
             let x = data(c, 7);
@@ -1453,18 +1237,18 @@ mod tests {
             c.barrier();
             Vec::new()
         }),
-        ("allreduce_op", |c, s, op| {
+        ("allreduce_user_op", |c, s, op| {
             let x = data(c, 5);
             let blocking = || {
                 let mut buf = x.clone();
-                c.allreduce_op(&mut buf, op);
+                c.allreduce(&mut buf, op);
                 buf
             };
             run_as(
                 s,
                 blocking,
-                || c.iallreduce_op(&x, op),
-                || c.allreduce_op_init(&x, op),
+                || c.iallreduce(&x, op),
+                || c.allreduce_init(&x, op),
             )
         }),
         ("allreduce_strided", |c, s, _| {
@@ -1540,6 +1324,42 @@ mod tests {
             .ppn(2)
             .run(|comm| comm.alltoall(&[1u32, 2, 3], 2))
             .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "root must supply count * size elements")]
+    fn scatter_rejects_a_root_without_a_send_buffer() {
+        // The non-root waits for the root that panicked; a short deadline
+        // ends its wait.
+        let topo = Topology::new(1, 2);
+        Cluster::launch_with_timeout(topo, Duration::from_millis(100), |ctx| {
+            Communicator::new(ctx, Library::PipMColl.profile()).scatter::<u32>(None, 2, 0)
+        })
+        .unwrap();
+    }
+
+    /// The send buffer is significant only at the root: a non-root's
+    /// wrong-length buffer is ignored at every entry style.
+    #[test]
+    fn scatter_ignores_a_non_root_send_buffer() {
+        let (topo, root) = (Topology::new(2, 2), 1);
+        World::run_with_profile(topo, Library::PipMColl.profile(), |comm| {
+            let rank = comm.rank();
+            let blocks = data(comm, 3 * comm.size());
+            let clean = comm.scatter((rank == root).then_some(&blocks[..]), 3, root);
+            let junk = [7.0f32; 5];
+            let send = Some(if rank == root { &blocks[..] } else { &junk[..] });
+            for style in [Style::Blocking, Style::Request, Style::Persistent] {
+                let result = run_as(
+                    style,
+                    || comm.scatter(send, 3, root),
+                    || comm.iscatter(send, 3, root),
+                    || comm.scatter_init(send, 3, root),
+                );
+                assert_eq!(result, clean, "{style:?} at rank {rank}");
+            }
+        })
+        .unwrap();
     }
 
     #[test]

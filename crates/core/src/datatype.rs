@@ -15,3 +15,25 @@ pub use pip_collectives::datatype::{
 };
 
 pub use pip_collectives::compress::FloatDatatype;
+
+/// Built-in and registered operators go through the same entry points:
+///
+/// ```
+/// use pip_mcoll_core::prelude::*;
+///
+/// let abs_max = Op::of_typed::<f32>(|a, b| a.abs().max(b.abs()));
+/// let results = World::builder()
+///     .nodes(1)
+///     .ppn(2)
+///     .library(Library::PipMColl)
+///     .run(|comm| {
+///         let mut totals = vec![comm.rank() as f32 + 0.25; 4];
+///         comm.allreduce(&mut totals, ReduceOp::Sum);
+///         let mut peaks = vec![-(comm.rank() as f32) - 0.5; 4];
+///         comm.allreduce(&mut peaks, &abs_max);
+///         (totals, peaks)
+///     })
+///     .unwrap();
+/// assert_eq!(results[0], (vec![1.5; 4], vec![1.5; 4]));
+/// ```
+pub use pip_collectives::datatype::Reduction;

@@ -37,7 +37,9 @@
 //! `reduce_scatter_init`, …) that pin a compiled plan to pre-bound buffers
 //! and can be started any number of times ([`comm::PersistentColl`]).
 //! The reduction family — `reduce`, `reduce_scatter`, `scan`, `exscan` —
-//! shares all three entry styles with the original six collectives.
+//! shares all three entry styles with the original six collectives, and
+//! every reduction takes its operator as one argument: a built-in
+//! `ReduceOp` or a registered `&Op` ([`datatype::Reduction`]).
 
 #![warn(missing_docs)]
 
@@ -56,6 +58,6 @@ pub mod prelude {
 
 pub use comm::{wait_all, CollRequest, Communicator, PersistentColl};
 pub use datatype::{
-    Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp,
+    Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, Reduction,
 };
 pub use world::{World, WorldBuilder};

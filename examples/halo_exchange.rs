@@ -150,7 +150,7 @@ fn main() {
                 // Global residual: abs-max across ranks via the user
                 // operator.
                 let mut acc = [local_delta];
-                comm.allreduce_op(&mut acc, &abs_max);
+                comm.allreduce(&mut acc, &abs_max);
                 residual = acc[0];
             }
 

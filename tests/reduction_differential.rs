@@ -478,9 +478,9 @@ fn assert_close<T: TestValue>(got: &[T], want: &[T], ctx: &str) {
     }
 }
 
-/// Blocking typed entries — reduce, reduce_scatter, in-place allreduce, and
-/// the by-value allreduce_t/scan_t/exscan_t — against the typed oracle, for
-/// one `(T, op)` on one library × topology.
+/// Blocking typed entries — reduce, reduce_scatter, in-place allreduce —
+/// and the by-value `iallreduce`/`iscan`/`iexscan(..).wait()` against the
+/// typed oracle, for one `(T, op)` on one library × topology.
 fn check_typed_case<T: TestValue>(
     library: Library,
     nodes: usize,
@@ -507,9 +507,9 @@ fn check_typed_case<T: TestValue>(
         let scattered = comm.reduce_scatter(&vectors_ref[rank], block, op);
         let mut inplace = blocks_ref[rank].clone();
         comm.allreduce(&mut inplace, op);
-        let byvalue = comm.allreduce_t(&blocks_ref[rank], op);
-        let scanned = comm.scan_t(&blocks_ref[rank], op);
-        let exclusive = comm.exscan_t(&blocks_ref[rank], op);
+        let byvalue = comm.iallreduce(&blocks_ref[rank], op).wait();
+        let scanned = comm.iscan(&blocks_ref[rank], op).wait();
+        let exclusive = comm.iexscan(&blocks_ref[rank], op).wait();
         (reduced, scattered, inplace, byvalue, scanned, exclusive)
     })
     .unwrap();

@@ -55,136 +55,172 @@ fn seeded_fold(values: impl IntoIterator<Item = u64>, c: u64) -> u64 {
     sum.wrapping_add(c.wrapping_mul(n.saturating_sub(1)))
 }
 
-/// Expected allreduce of the seeded operator over every rank's payload.
-fn expected_allreduce(world: usize, len: usize, round: usize, c: u64) -> Vec<u64> {
+/// Closed form of the seeded operator over the round-`round` payloads of
+/// `ranks`, element by element.
+fn seeded_reduce(
+    ranks: impl Iterator<Item = usize> + Clone,
+    len: usize,
+    round: usize,
+    c: u64,
+) -> Vec<u64> {
     (0..len)
-        .map(|i| seeded_fold((0..world).map(|r| payload_u64(r, len, round)[i]), c))
-        .collect()
-}
-
-/// Expected inclusive scan (per rank) of the seeded operator.
-fn expected_scan(world: usize, len: usize, round: usize, c: u64) -> Vec<Vec<u64>> {
-    (0..world)
-        .map(|upto| {
-            (0..len)
-                .map(|i| seeded_fold((0..=upto).map(|r| payload_u64(r, len, round)[i]), c))
-                .collect()
-        })
+        .map(|i| seeded_fold(ranks.clone().map(|r| payload_u64(r, len, round)[i]), c))
         .collect()
 }
 
 const BLOCK: usize = 6;
 const SEED_C: u64 = 0x0123_4567_89ab_cdef;
 
-/// Blocking entry style: `allreduce_op`, `reduce_op` and `scan_op` with the
-/// seeded operator match the closed form for every library × topology.
+/// One rank's results of the five reductions with one operator, each over
+/// its own payload round: allreduce (0), reduce to rank 0 (1),
+/// reduce_scatter of `BLOCK` elements per rank (2), scan (3) and exscan (4).
+type Reductions = (Vec<u64>, Option<Vec<u64>>, Vec<u64>, Vec<u64>, Vec<u64>);
+
+/// The input of round `round` at `rank`: one `BLOCK` per rank for
+/// reduce_scatter, one `BLOCK` for the others.
+fn input(rank: usize, world: usize, round: usize) -> Vec<u64> {
+    let len = if round == 2 { BLOCK * world } else { BLOCK };
+    payload_u64(rank, len, round)
+}
+
+/// [`Reductions`] of the seeded operator in closed form.  Rank 0's exscan
+/// gets its input back (the blocking call leaves its buffer untouched).
+fn expected_reductions(world: usize, rank: usize, c: u64) -> Reductions {
+    let scattered = seeded_reduce(0..world, BLOCK * world, 2, c);
+    let exclusive = match rank {
+        0 => input(0, world, 4),
+        _ => seeded_reduce(0..rank, BLOCK, 4, c),
+    };
+    (
+        seeded_reduce(0..world, BLOCK, 0, c),
+        (rank == 0).then(|| seeded_reduce(0..world, BLOCK, 1, c)),
+        scattered[rank * BLOCK..(rank + 1) * BLOCK].to_vec(),
+        seeded_reduce(0..=rank, BLOCK, 3, c),
+        exclusive,
+    )
+}
+
+/// Run `program` with the seeded operator on every library × topology and
+/// check each rank's [`Reductions`] against the closed form.
+fn check_user_op_reductions(
+    style: &str,
+    program: impl Fn(&Communicator, &Op) -> Reductions + Sync,
+) {
+    for library in Library::ALL {
+        for (nodes, ppn) in TOPOLOGIES {
+            let topo = Topology::new(nodes, ppn);
+            let op = seeded_op(SEED_C);
+            let results =
+                World::run_with_profile(topo, library.profile(), |comm| program(comm, &op))
+                    .unwrap();
+            for (rank, got) in results.into_iter().enumerate() {
+                let ctx = format!("{style} on {} {nodes}x{ppn} rank {rank}", library.name());
+                let want = expected_reductions(topo.world_size(), rank, SEED_C);
+                assert_eq!(got.0, want.0, "allreduce {ctx}");
+                assert_eq!(got.1, want.1, "reduce {ctx}");
+                assert_eq!(got.2, want.2, "reduce_scatter {ctx}");
+                assert_eq!(got.3, want.3, "scan {ctx}");
+                assert_eq!(got.4, want.4, "exscan {ctx}");
+            }
+        }
+    }
+}
+
+/// Blocking entry style: the five reductions with the seeded operator match
+/// the closed form for every library × topology.
 #[test]
 fn blocking_user_operator_matches_closed_form_everywhere() {
-    for library in Library::ALL {
-        for (nodes, ppn) in TOPOLOGIES {
-            let topo = Topology::new(nodes, ppn);
-            let world = topo.world_size();
-            let op = seeded_op(SEED_C);
-            let results = World::run_with_profile(topo, library.profile(), |comm| {
-                let rank = comm.rank();
-                let mut all = payload_u64(rank, BLOCK, 0);
-                comm.allreduce_op(&mut all, &op);
-                let reduced = comm.reduce_op(&payload_u64(rank, BLOCK, 1), &op, 0);
-                let mut prefix = payload_u64(rank, BLOCK, 2);
-                comm.scan_op(&mut prefix, &op);
-                (all, reduced, prefix)
-            })
-            .unwrap();
-            let want_all = expected_allreduce(world, BLOCK, 0, SEED_C);
-            let want_red = expected_allreduce(world, BLOCK, 1, SEED_C);
-            let want_scan = expected_scan(world, BLOCK, 2, SEED_C);
-            for (rank, (all, reduced, prefix)) in results.iter().enumerate() {
-                let ctx = format!("{} on {nodes}x{ppn} rank {rank}", library.name());
-                assert_eq!(all, &want_all, "allreduce_op {ctx}");
-                if rank == 0 {
-                    assert_eq!(reduced.as_ref().unwrap(), &want_red, "reduce_op {ctx}");
-                } else {
-                    assert!(reduced.is_none(), "reduce_op off-root {ctx}");
-                }
-                assert_eq!(prefix, &want_scan[rank], "scan_op {ctx}");
-            }
-        }
-    }
+    check_user_op_reductions("blocking", |comm, op| {
+        let (rank, world) = (comm.rank(), comm.size());
+        let mut all = input(rank, world, 0);
+        comm.allreduce(&mut all, op);
+        let reduced = comm.reduce(&input(rank, world, 1), op, 0);
+        let scattered = comm.reduce_scatter(&input(rank, world, 2), BLOCK, op);
+        let mut prefix = input(rank, world, 3);
+        comm.scan(&mut prefix, op);
+        let mut exclusive = input(rank, world, 4);
+        comm.exscan(&mut exclusive, op);
+        (all, reduced, scattered, prefix, exclusive)
+    });
 }
 
-/// Non-blocking entry style: two seeded requests submitted together and
-/// waited in reverse order still match the closed form.
+/// Non-blocking entry style: the five seeded requests submitted together
+/// and waited in reverse order still match the closed form.
 #[test]
 fn nonblocking_user_operator_matches_closed_form_everywhere() {
-    for library in Library::ALL {
-        for (nodes, ppn) in TOPOLOGIES {
-            let topo = Topology::new(nodes, ppn);
-            let world = topo.world_size();
-            let op = seeded_op(SEED_C);
-            let results = World::run_with_profile(topo, library.profile(), |comm| {
-                let rank = comm.rank();
-                let r_all = comm.iallreduce_op(&payload_u64(rank, BLOCK, 0), &op);
-                let r_scan = comm.iscan_op(&payload_u64(rank, BLOCK, 2), &op);
-                let prefix = r_scan.wait();
-                let all = r_all.wait();
-                (all, prefix)
-            })
-            .unwrap();
-            let want_all = expected_allreduce(world, BLOCK, 0, SEED_C);
-            let want_scan = expected_scan(world, BLOCK, 2, SEED_C);
-            for (rank, (all, prefix)) in results.iter().enumerate() {
-                let ctx = format!("{} on {nodes}x{ppn} rank {rank}", library.name());
-                assert_eq!(all, &want_all, "iallreduce_op {ctx}");
-                assert_eq!(prefix, &want_scan[rank], "iscan_op {ctx}");
-            }
-        }
-    }
+    check_user_op_reductions("non-blocking", |comm, op| {
+        let (rank, world) = (comm.rank(), comm.size());
+        let r_all = comm.iallreduce(&input(rank, world, 0), op);
+        let r_reduced = comm.ireduce(&input(rank, world, 1), op, 0);
+        let r_scattered = comm.ireduce_scatter(&input(rank, world, 2), BLOCK, op);
+        let r_prefix = comm.iscan(&input(rank, world, 3), op);
+        let r_exclusive = comm.iexscan(&input(rank, world, 4), op);
+        let exclusive = r_exclusive.wait();
+        let prefix = r_prefix.wait();
+        let scattered = r_scattered.wait();
+        let reduced = r_reduced.wait();
+        (r_all.wait(), reduced, scattered, prefix, exclusive)
+    });
 }
 
-/// Persistent entry style: repeated starts with the pinned input yield the
-/// closed form every round, and the starts never recompile.
+/// Persistent entry style: repeated starts of the five handles with the
+/// pinned inputs yield the closed form every round, and the starts never
+/// recompile.
 #[test]
 fn persistent_user_operator_matches_closed_form_and_never_recompiles() {
-    for library in Library::ALL {
-        for (nodes, ppn) in TOPOLOGIES {
-            let topo = Topology::new(nodes, ppn);
-            let world = topo.world_size();
-            let op = seeded_op(SEED_C);
-            let results = World::run_with_profile(topo, library.profile(), |comm| {
-                let rank = comm.rank();
-                let mut handle = comm.allreduce_op_init(&payload_u64(rank, BLOCK, 0), &op);
-                let (_, misses_after_init) = comm.plan_stats();
-                let mut rounds = Vec::new();
-                for round in 0..3 {
-                    if round > 0 {
-                        // The in/out buffer holds the previous result;
-                        // re-pin the input, as MPI applications do.
-                        handle.write_send(&payload_u64(rank, BLOCK, 0));
-                    }
-                    handle.start();
-                    rounds.push(handle.wait());
-                }
-                let (_, misses_after_rounds) = comm.plan_stats();
-                assert_eq!(
-                    misses_after_init, misses_after_rounds,
-                    "persistent user-operator starts must never recompile"
-                );
-                rounds
-            })
-            .unwrap();
-            let want = expected_allreduce(world, BLOCK, 0, SEED_C);
-            for (rank, rounds) in results.iter().enumerate() {
-                for (round, got) in rounds.iter().enumerate() {
-                    assert_eq!(
-                        got,
-                        &want,
-                        "{} on {nodes}x{ppn} rank {rank} round {round}",
-                        library.name()
-                    );
-                }
+    check_user_op_reductions("persistent", |comm, op| {
+        let (rank, world) = (comm.rank(), comm.size());
+        let mut all = comm.allreduce_init(&input(rank, world, 0), op);
+        let mut reduced = comm.reduce_init(&input(rank, world, 1), op, 0);
+        let mut scattered = comm.reduce_scatter_init(&input(rank, world, 2), BLOCK, op);
+        let mut prefix = comm.scan_init(&input(rank, world, 3), op);
+        let mut exclusive = comm.exscan_init(&input(rank, world, 4), op);
+        let (_, misses_after_init) = comm.plan_stats();
+        let mut rounds = Vec::new();
+        for round in 0..3 {
+            if round > 0 {
+                // The in/out buffers hold the previous results; re-pin the
+                // inputs, as MPI applications do.
+                all.write_send(&input(rank, world, 0));
+                prefix.write_send(&input(rank, world, 3));
+                exclusive.write_send(&input(rank, world, 4));
             }
+            all.start();
+            reduced.start();
+            scattered.start();
+            prefix.start();
+            exclusive.start();
+            rounds.push((
+                all.wait(),
+                reduced.wait(),
+                scattered.wait(),
+                prefix.wait(),
+                exclusive.wait(),
+            ));
         }
-    }
+        let (_, misses_after_rounds) = comm.plan_stats();
+        assert_eq!(
+            misses_after_init, misses_after_rounds,
+            "persistent user-operator starts must never recompile"
+        );
+        assert!(
+            rounds.windows(2).all(|w| w[0] == w[1]),
+            "rounds differ at rank {rank}"
+        );
+        rounds.swap_remove(0)
+    });
+}
+
+/// A user operator applies only to elements of its own width.
+#[test]
+#[should_panic(expected = "operator element size")]
+fn user_operator_rejects_a_datatype_of_another_width() {
+    let xor = Op::of_typed::<u32>(|x, y| x ^ y);
+    World::builder()
+        .nodes(1)
+        .ppn(2)
+        .run(|comm| comm.allreduce(&mut [1u64, 2], &xor))
+        .unwrap();
 }
 
 /// Two *distinct* seeded operators used back to back in one world: if their
@@ -204,18 +240,18 @@ fn distinct_seeded_operators_in_one_world_never_cross_results() {
         let results = World::run_with_profile(topo, library.profile(), |comm| {
             let rank = comm.rank();
             let mut first = payload_u64(rank, BLOCK, 0);
-            comm.allreduce_op(&mut first, &op1);
+            comm.allreduce(&mut first, &op1);
             let mut second = payload_u64(rank, BLOCK, 0);
-            comm.allreduce_op(&mut second, &op2);
+            comm.allreduce(&mut second, &op2);
             // Same shape again with op1: must be a cache hit *of op1's
             // plan*, not op2's.
             let mut third = payload_u64(rank, BLOCK, 0);
-            comm.allreduce_op(&mut third, &op1);
+            comm.allreduce(&mut third, &op1);
             (first, second, third)
         })
         .unwrap();
-        let want1 = expected_allreduce(world, BLOCK, 0, C1);
-        let want2 = expected_allreduce(world, BLOCK, 0, C2);
+        let want1 = seeded_reduce(0..world, BLOCK, 0, C1);
+        let want2 = seeded_reduce(0..world, BLOCK, 0, C2);
         assert_ne!(want1, want2, "seeds must separate the closed forms");
         for (rank, (first, second, third)) in results.iter().enumerate() {
             let ctx = format!("{} rank {rank}", library.name());
@@ -327,7 +363,7 @@ fn strided_allreduce_with_user_operator_matches_closed_form() {
         let results = World::run_with_profile(topo, library.profile(), |comm| {
             let rank = comm.rank();
             let mut buf = payload_u64(rank, layout.extent(), 0);
-            comm.allreduce_strided_op(&mut buf, layout, &op);
+            comm.allreduce_strided(&mut buf, layout, &op);
             buf
         })
         .unwrap();
