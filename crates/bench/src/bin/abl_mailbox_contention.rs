@@ -38,7 +38,6 @@ fn main() {
     println!("| Shards | M msg/s | Speedup vs 1 shard | Lock contentions | Scanned/msg |");
     println!("|---|---|---|---|---|");
 
-    let mut json_lines = Vec::new();
     let mut single_lock_rate = None;
     for shards in SHARD_AXIS {
         let point = run_mailbox_workload(HPDC23_PPN, OUTSTANDING, rounds, shards);
@@ -56,17 +55,8 @@ fn main() {
             point.lock_contentions,
             point.messages_scanned as f64 / point.messages as f64
         );
-        json_lines.push(format!(
-            "{{\"bench\":\"abl_mailbox_contention\",\"point\":{},\"speedup_vs_one_shard\":{:.3}}}",
-            point.to_json(),
-            speedup
-        ));
     }
 
-    println!("\nJSON report:");
-    for line in &json_lines {
-        println!("{line}");
-    }
     println!(
         "\nSharding the mailbox splits the shared lock, and exact lanes leave nothing to scan — \
          the multi-object technique applied to the simulated substrate."

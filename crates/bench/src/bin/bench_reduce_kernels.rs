@@ -11,8 +11,6 @@
 //!
 //! The headline assertion pins the point of the optimisation: the chunked
 //! f32 Sum kernel must be at least 2x the scalar path at 64 KiB and above.
-//! Everything lands in `BENCH_reduce_kernels.json` (schema 1), uploaded as
-//! a CI artifact next to the fabric numbers.
 //!
 //! ```text
 //! cargo run --release -p pip-mcoll-bench --bin bench_reduce_kernels
@@ -42,21 +40,6 @@ struct KernelPoint {
     scalar_gbs: f64,
     chunked_gbs: f64,
     speedup: f64,
-}
-
-impl KernelPoint {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"dtype\":\"{}\",\"op\":\"{}\",\"bytes\":{},\"scalar_gbs\":{:.3},\
-             \"chunked_gbs\":{:.3},\"speedup\":{:.3}}}",
-            self.dtype,
-            self.op.name(),
-            self.bytes,
-            self.scalar_gbs,
-            self.chunked_gbs,
-            self.speedup
-        )
-    }
 }
 
 /// Deterministic non-degenerate inputs: small positive values so Prod stays
@@ -213,27 +196,5 @@ fn main() {
     assert!(
         headline >= 2.0,
         "chunked f32 Sum kernel regressed below 2x the scalar path ({headline:.2}x)"
-    );
-
-    let mut json = String::from("{\n  \"bench\": \"reduce_kernels\",\n  \"schema\": 1,\n");
-    json.push_str(&format!(
-        "  \"samples\": {SAMPLES},\n  \"work_bytes_per_sample\": {WORK_BYTES},\n"
-    ));
-    json.push_str("  \"grid\": [\n");
-    for (idx, point) in grid.iter().enumerate() {
-        let comma = if idx + 1 == grid.len() { "" } else { "," };
-        json.push_str(&format!("    {}{comma}\n", point.to_json()));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"headline\": {{\"dtype\": \"f32\", \"op\": \"MPI_SUM\", \
-         \"min_bytes\": 65536, \"speedup\": {headline:.3}, \
-         \"baseline\": \"apply_bytes_scalar\"}}\n"
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_reduce_kernels.json", &json).expect("write BENCH_reduce_kernels.json");
-    println!(
-        "\nWrote BENCH_reduce_kernels.json ({} grid points).",
-        grid.len()
     );
 }

@@ -29,11 +29,12 @@
 //!   default.
 //!
 //! The sweep is deterministic: the wire model compresses a fixed
-//! calibration stream, so the artifact is reproducible bit-for-bit.
+//! calibration stream, so the table is reproducible bit-for-bit; the
+//! `--small` grid's output is committed as `docs/figures/fig_compression.txt`.
 //!
 //! ```text
 //! cargo run --release -p pip-mcoll-bench --bin fig_compression            # hpdc23 scale
-//! cargo run --release -p pip-mcoll-bench --bin fig_compression -- --small # CI smoke grid
+//! cargo run --release -p pip-mcoll-bench --bin fig_compression -- --small # docs/figures grid
 //! ```
 
 use pip_collectives::plan::Fidelity;
@@ -56,13 +57,12 @@ const MIN_WIRE: usize = 256;
 /// worst-case hop count (`2 * (world - 1)` for the ring).
 const BOUNDS: [f64; 3] = [1e-2, 1e-4, 1e-6];
 
+/// One compressed cell of the sweep, kept for the headline asserts.
 struct Point {
     fabric: &'static str,
     library: &'static str,
     block: usize,
     bound: f64,
-    makespan_us: f64,
-    wire_bytes: usize,
     bytes_ratio: f64,
     speedup: f64,
 }
@@ -138,16 +138,6 @@ fn main() {
                     "| {fabric} | {} | {block} | exact | {exact_wire} | 1.00x | {exact_us:.1} | 1.00x |",
                     library.name()
                 );
-                points.push(Point {
-                    fabric,
-                    library: library.name(),
-                    block,
-                    bound: 0.0,
-                    makespan_us: exact_us,
-                    wire_bytes: exact_wire,
-                    bytes_ratio: 1.0,
-                    speedup: 1.0,
-                });
                 for &bound in &BOUNDS {
                     let (us, wire) = replay(library, topology, &shape_for(block, Some(bound)), nic);
                     let bytes_ratio = exact_wire as f64 / wire as f64;
@@ -161,8 +151,6 @@ fn main() {
                         library: library.name(),
                         block,
                         bound,
-                        makespan_us: us,
-                        wire_bytes: wire,
                         bytes_ratio,
                         speedup,
                     });
@@ -216,44 +204,5 @@ fn main() {
          commodity 25G fabric: {:.2}x fewer bytes-on-wire, {:.2}x faster than the exact \
          schedule.",
         BOUNDS[0], loose.bytes_ratio, loose.speedup
-    );
-
-    let mut json = String::from("{\n  \"bench\": \"compression\",\n  \"schema\": 1,\n");
-    json.push_str(&format!(
-        "  \"topology\": \"{}x{}\",\n  \"min_wire_bytes\": {MIN_WIRE},\n  \"elem\": \"f64\",\n",
-        topology.nodes(),
-        topology.ppn()
-    ));
-    json.push_str("  \"points\": [\n");
-    for (idx, p) in points.iter().enumerate() {
-        let comma = if idx + 1 == points.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"fabric\":\"{}\",\"library\":\"{}\",\"block\":{},\"bound\":{:e},\
-             \"makespan_us\":{:.3},\"wire_bytes\":{},\"bytes_ratio\":{:.4},\
-             \"speedup\":{:.4}}}{comma}\n",
-            p.fabric,
-            p.library,
-            p.block,
-            p.bound,
-            p.makespan_us,
-            p.wire_bytes,
-            p.bytes_ratio,
-            p.speedup
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"headline\": {{\"fabric\":\"commodity-25g\",\"library\":\"Open MPI\",\
-         \"block\":{headline_block},\"bound\":{:e},\"bytes_ratio\":{:.4},\
-         \"speedup\":{:.4}}}\n}}\n",
-        BOUNDS[0], loose.bytes_ratio, loose.speedup
-    ));
-    std::fs::write("BENCH_compression.json", &json).expect("write BENCH_compression.json");
-    println!(
-        "\nWrote BENCH_compression.json ({} points across {} fabrics x {} libraries x {} blocks x {} bounds).",
-        points.len(),
-        fabrics.len(),
-        Library::ALL.len(),
-        blocks.len(),
-        BOUNDS.len() + 1
     );
 }

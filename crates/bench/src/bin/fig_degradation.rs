@@ -16,11 +16,12 @@
 //! Reported per (drop rate, jitter) grid point and library: simulated
 //! makespan, inflation over that library's own healthy baseline, retry
 //! count, and retransmitted bytes.  The sweep is deterministic — one seed,
-//! pure-hash draws — so the artifact is reproducible bit-for-bit.
+//! pure-hash draws — so the tables are reproducible bit-for-bit; the
+//! `--small` grid's output is committed as `docs/figures/fig_degradation.txt`.
 //!
 //! ```text
 //! cargo run --release -p pip-mcoll-bench --bin fig_degradation            # hpdc23 scale
-//! cargo run --release -p pip-mcoll-bench --bin fig_degradation -- --small # CI smoke grid
+//! cargo run --release -p pip-mcoll-bench --bin fig_degradation -- --small # docs/figures grid
 //! ```
 
 use pip_collectives::plan::Fidelity;
@@ -34,7 +35,7 @@ use pip_runtime::Topology;
 /// Per-process block size: the paper's medium-message Allreduce point.
 const BLOCK: usize = 4096;
 
-/// One seed for the whole figure; the artifact is a pure function of it.
+/// One seed for the whole figure; the tables are a pure function of it.
 const SEED: u64 = 0x4852_5043_2023;
 
 struct Point {
@@ -162,6 +163,24 @@ fn main() {
         }
     }
 
+    println!("\nRetries and retransmitted bytes per point:\n");
+    let mut header = String::from("| drop rate | jitter (ns) |");
+    for library in Library::ALL {
+        header.push_str(&format!(" {} (retries, B) |", library.name()));
+    }
+    println!("{header}");
+    println!("{rule}");
+    for row_points in points.chunks(Library::ALL.len()) {
+        let mut row = format!(
+            "| {} | {} |",
+            row_points[0].drop_rate, row_points[0].jitter_ns
+        );
+        for p in row_points {
+            row.push_str(&format!(" {}, {} |", p.retries, p.retransmitted_bytes));
+        }
+        println!("{row}");
+    }
+
     // Headline: relative inflation at the harshest grid point (worst fabric
     // vs each library's own healthy run), plus the absolute winner there —
     // the two can disagree, and that disagreement is the figure's finding.
@@ -186,45 +205,5 @@ fn main() {
     println!(
         "Absolute winner at the harshest point: {} at {:.1} us.",
         fastest.0, fastest.2
-    );
-
-    let mut json = String::from("{\n  \"bench\": \"degradation\",\n  \"schema\": 1,\n");
-    json.push_str(&format!(
-        "  \"topology\": \"{}x{}\",\n  \"block\": {BLOCK},\n  \"seed\": {SEED},\n",
-        topology.nodes(),
-        topology.ppn()
-    ));
-    json.push_str("  \"points\": [\n");
-    for (idx, p) in points.iter().enumerate() {
-        let comma = if idx + 1 == points.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"library\":\"{}\",\"drop_rate\":{},\"jitter_ns\":{},\
-             \"makespan_us\":{:.3},\"inflation\":{:.4},\"retries\":{},\
-             \"retransmitted_bytes\":{}}}{comma}\n",
-            p.library,
-            p.drop_rate,
-            p.jitter_ns,
-            p.makespan_us,
-            p.inflation,
-            p.retries,
-            p.retransmitted_bytes
-        ));
-    }
-    json.push_str("  ],\n  \"harshest\": [\n");
-    for (idx, (library, inflation, makespan_us)) in harshest.iter().enumerate() {
-        let comma = if idx + 1 == harshest.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"library\":\"{library}\",\"inflation\":{inflation:.4},\
-             \"makespan_us\":{makespan_us:.3}}}{comma}\n"
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"absolute_winner_at_harshest\": \"{}\"\n}}\n",
-        fastest.0
-    ));
-    std::fs::write("BENCH_degradation.json", &json).expect("write BENCH_degradation.json");
-    println!(
-        "\nWrote BENCH_degradation.json ({} points, harshest = rate {worst_rate} x jitter {worst_jitter} ns).",
-        points.len()
     );
 }

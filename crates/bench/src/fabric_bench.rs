@@ -52,26 +52,6 @@ pub struct MailboxPoint {
 /// single-lock baseline) up to 8 (the fabric's default).
 pub const SHARD_AXIS: [usize; 4] = [1, 2, 4, 8];
 
-impl MailboxPoint {
-    /// Render as a JSON object (hand-rolled; the workspace has no JSON
-    /// dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shards\":{},\"ranks\":{},\"outstanding\":{},\
-             \"messages\":{},\"seconds\":{:.6},\"msgs_per_sec\":{:.0},\
-             \"lock_contentions\":{},\"messages_scanned\":{}}}",
-            self.shards,
-            self.ranks,
-            self.outstanding,
-            self.messages,
-            self.seconds,
-            self.msgs_per_sec,
-            self.lock_contentions,
-            self.messages_scanned
-        )
-    }
-}
-
 /// Run the mixed-tag exchange on `ranks` live threads for `rounds` rounds
 /// with `outstanding` messages per (sender, peer) pair per round.
 ///
@@ -162,9 +142,6 @@ mod tests {
             assert_eq!(point.messages, 4 * 3 * 8 * 2);
             assert!(point.seconds > 0.0);
             assert!(point.msgs_per_sec > 0.0);
-            let json = point.to_json();
-            assert!(json.starts_with('{') && json.ends_with('}'));
-            assert!(json.contains(&format!("\"shards\":{shards}")));
         }
     }
 

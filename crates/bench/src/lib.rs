@@ -11,8 +11,12 @@
 //!   execution time*, normalized to PiP-MColl, with values above the
 //!   clipping threshold marked the way Figure 1 annotates them.
 //!
-//! The `src/bin/*` binaries print one figure or claim each.  Timing the
-//! real thread-runtime collectives is the `bench_all` package's job.
+//! The `src/bin/*` binaries print one figure or claim each to stdout.  The
+//! deterministic ones' output is committed under `docs/figures/` and
+//! checked by `tests/figure_golden.rs`; the host-timed ones
+//! (`bench_netsim`, `bench_reduce_kernels`, `abl_mailbox_contention`)
+//! only assert their headline.  Timing the real thread-runtime
+//! collectives is the `bench_all` package's job.
 
 pub mod fabric_bench;
 pub mod figures;

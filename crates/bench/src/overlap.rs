@@ -66,24 +66,6 @@ pub struct OverlapPoint {
     pub efficiency: f64,
 }
 
-impl OverlapPoint {
-    /// Render as a JSON object (hand-rolled; the workspace has no JSON
-    /// dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"library\":\"{}\",\"bytes\":{},\"compute_ns\":{:.1},\"collective_ns\":{:.1},\
-             \"blocking_ns\":{:.1},\"overlapped_ns\":{:.1},\"overlap_efficiency\":{:.4}}}",
-            self.library.name(),
-            self.bytes,
-            self.compute_ns,
-            self.collective_ns,
-            self.blocking_ns,
-            self.overlapped_ns,
-            self.efficiency
-        )
-    }
-}
-
 /// Insert a compute interval of `nanos` into every rank of `trace`.
 ///
 /// With `overlap` false the interval goes first (compute, then the whole
@@ -238,22 +220,5 @@ mod tests {
         let trace = plan.to_trace(1);
         with_compute(&trace, 5_000.0, false).validate().unwrap();
         with_compute(&trace, 5_000.0, true).validate().unwrap();
-    }
-
-    #[test]
-    fn point_renders_as_json() {
-        let point = OverlapPoint {
-            library: Library::PipMColl,
-            bytes: 64,
-            compute_ns: 1000.0,
-            collective_ns: 2000.0,
-            blocking_ns: 3000.0,
-            overlapped_ns: 2200.0,
-            efficiency: 0.8,
-        };
-        let json = point.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"library\":\"PiP-MColl\""));
-        assert!(json.contains("\"overlap_efficiency\":0.8000"));
     }
 }

@@ -81,23 +81,6 @@ pub fn render_scaled_table(table: &ComparisonTable) -> String {
     out
 }
 
-/// Render a CSV version of the absolute times (one row per library).
-pub fn render_csv(table: &ComparisonTable) -> String {
-    let mut out = String::from("library");
-    for size in &table.sizes {
-        out.push_str(&format!(",{size}"));
-    }
-    out.push('\n');
-    for library in Library::ALL {
-        out.push_str(library.name());
-        for idx in 0..table.sizes.len() {
-            out.push_str(&format!(",{:.3}", table.series_for(library).time_us[idx]));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,13 +100,5 @@ mod tests {
         assert!(rendered.contains("64 B"));
         assert!(rendered.contains("MPI_Scatter"));
         assert!(rendered.contains("Best PiP-MColl speedup"));
-    }
-
-    #[test]
-    fn csv_has_header_plus_one_row_per_library() {
-        let table = collective_comparison(CollectiveKind::Allgather, ClusterSpec::new(4, 2), &[32]);
-        let csv = render_csv(&table);
-        assert_eq!(csv.lines().count(), 1 + Library::ALL.len());
-        assert!(csv.starts_with("library,32"));
     }
 }

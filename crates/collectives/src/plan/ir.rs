@@ -811,11 +811,6 @@ impl Plan {
         }
         Ok(())
     }
-
-    /// Total number of ops across all ranks.
-    pub fn total_ops(&self) -> usize {
-        self.ranks.iter().map(|r| r.ops.len()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,8 @@
 use pip_transport::cost::Nanos;
 
 /// Fixed cost charged once per collective invocation (argument checking,
-/// schedule selection), identical for all libraries.
+/// schedule selection), identical for all libraries:
+/// [`crate::dispatch::execute`] opens every recording with it.
 pub const GENERIC_COLLECTIVE_SETUP: Nanos = 150.0;
 
 /// Open MPI per-send software overhead beyond the NIC host overhead.

@@ -24,17 +24,17 @@ use pip_collectives::{
 };
 
 use pip_collectives::CollectiveKind;
-use pip_transport::cost::Nanos;
 
+use crate::calibration::GENERIC_COLLECTIVE_SETUP;
 use crate::plan::{CollectiveShape, CompressSpec, PlanCache, EXEC_PLAN_MAX_BYTES};
 use crate::selection::Algorithm;
 use crate::LibraryProfile;
 
 /// Execute one invocation of `shape` on `comm` with `algorithm`, the
 /// library's resolved choice for it ([`crate::LibraryProfile::algorithm_for`]),
-/// after the library's per-collective `setup` delay.  Those two are all a
-/// recording reads of a library, which is why they, not the library, key
-/// the plan caches.
+/// after the per-collective setup delay every library pays
+/// ([`GENERIC_COLLECTIVE_SETUP`]).  The algorithm is all a recording reads
+/// of a library, which is why it, not the library, keys the plan caches.
 ///
 /// The buffers fill the slots of the shape's [`IoShape`]: `send` is the
 /// send buffer and `recv` the receive buffer or, for the in/out kinds
@@ -44,10 +44,8 @@ use crate::LibraryProfile;
 ///
 /// `tag` must be unique per outstanding collective on the communicator
 /// (callers typically use a per-communicator sequence number shifted left).
-#[allow(clippy::too_many_arguments)]
 pub fn execute<C: Comm>(
     algorithm: Algorithm,
-    setup: Nanos,
     comm: &C,
     shape: &CollectiveShape,
     send: Option<&[u8]>,
@@ -56,7 +54,7 @@ pub fn execute<C: Comm>(
     tag: u64,
 ) {
     use Algorithm as A;
-    comm.delay(setup);
+    comm.delay(GENERIC_COLLECTIVE_SETUP);
     let CollectiveShape {
         root,
         elem_size: elem,
@@ -381,7 +379,6 @@ pub fn run_blocking<C: NonBlockingComm>(
         let (send, mut recv) = request.into_io(&shape.io_for(comm.rank(), world));
         execute(
             profile.algorithm_for(&shape, world),
-            profile.per_collective_setup,
             comm,
             &shape,
             send.as_deref(),
@@ -465,7 +462,6 @@ mod tests {
                 let mut recvbuf = vec![0u8; world * block];
                 execute(
                     profile.algorithm_for(&shape, world),
-                    profile.per_collective_setup,
                     &comm,
                     &shape,
                     Some(&sendbuf),
@@ -498,17 +494,7 @@ mod tests {
                 let mut recvbuf = vec![0u8; block];
                 let send = (comm.rank() == 0).then_some(sendbuf_ref.as_slice());
                 let algorithm = profile.algorithm_for(&shape, world);
-                let setup = profile.per_collective_setup;
-                execute(
-                    algorithm,
-                    setup,
-                    &comm,
-                    &shape,
-                    send,
-                    Some(&mut recvbuf),
-                    None,
-                    1,
-                );
+                execute(algorithm, &comm, &shape, send, Some(&mut recvbuf), None, 1);
                 recvbuf
             })
             .unwrap();
@@ -535,8 +521,7 @@ mod tests {
                 let mut buf = oracle::rank_payload(comm.rank(), len);
                 let op = Some(kernel.as_fn());
                 let algorithm = profile.algorithm_for(&shape, world);
-                let setup = profile.per_collective_setup;
-                execute(algorithm, setup, &comm, &shape, None, Some(&mut buf), op, 1);
+                execute(algorithm, &comm, &shape, None, Some(&mut buf), op, 1);
                 buf
             })
             .unwrap();

@@ -97,9 +97,6 @@ pub struct LibraryProfile {
     /// by PiP-MPICH: the "message size synchronization before
     /// communications" the paper identifies (§3).
     pub per_message_sync: Nanos,
-    /// Fixed cost paid once per collective invocation (communicator setup,
-    /// schedule selection).
-    pub per_collective_setup: Nanos,
     /// Algorithm selection: the library's ordered rule list, read through
     /// [`LibraryProfile::algorithm_for`].
     pub selection: Selection,
@@ -122,7 +119,6 @@ impl LibraryProfile {
                 software_send_overhead: cal::OPENMPI_SEND_OVERHEAD,
                 software_recv_overhead: cal::OPENMPI_RECV_OVERHEAD,
                 per_message_sync: 0.0,
-                per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
                 selection: Selection::new(selection::OPEN_MPI),
                 fabric: selection::FabricCondition::Healthy,
             },
@@ -132,7 +128,6 @@ impl LibraryProfile {
                 software_send_overhead: cal::INTELMPI_SEND_OVERHEAD,
                 software_recv_overhead: cal::INTELMPI_RECV_OVERHEAD,
                 per_message_sync: 0.0,
-                per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
                 selection: Selection::new(selection::INTEL_MPI),
                 fabric: selection::FabricCondition::Healthy,
             },
@@ -142,7 +137,6 @@ impl LibraryProfile {
                 software_send_overhead: cal::MVAPICH2_SEND_OVERHEAD,
                 software_recv_overhead: cal::MVAPICH2_RECV_OVERHEAD,
                 per_message_sync: 0.0,
-                per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
                 selection: Selection::new(selection::MVAPICH2),
                 fabric: selection::FabricCondition::Healthy,
             },
@@ -152,7 +146,6 @@ impl LibraryProfile {
                 software_send_overhead: cal::PIPMPICH_SEND_OVERHEAD,
                 software_recv_overhead: cal::PIPMPICH_RECV_OVERHEAD,
                 per_message_sync: cal::PIPMPICH_SIZE_SYNC,
-                per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
                 selection: Selection::new(selection::PIP_MPICH),
                 fabric: selection::FabricCondition::Healthy,
             },
@@ -162,7 +155,6 @@ impl LibraryProfile {
                 software_send_overhead: cal::PIPMCOLL_SEND_OVERHEAD,
                 software_recv_overhead: cal::PIPMCOLL_RECV_OVERHEAD,
                 per_message_sync: 0.0,
-                per_collective_setup: cal::GENERIC_COLLECTIVE_SETUP,
                 selection: Selection::new(selection::PIP_MCOLL),
                 fabric: selection::FabricCondition::Healthy,
             },

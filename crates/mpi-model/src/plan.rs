@@ -2,12 +2,12 @@
 //!
 //! This is where the plan/execute split meets the library model: a
 //! [`CollectiveShape`] (collective kind, per-process block size, root,
-//! element size) plus a topology and the two things a recording reads of a
-//! [`crate::LibraryProfile`] — the algorithm it selects for the shape and
-//! its per-collective setup delay — fully determine the schedule.  A
-//! compiled plan is cached under a [`PlanKey`] of exactly those and reused
-//! for every later call that resolves to it, whichever library makes the
-//! call: the key is the full functional determinant by construction.
+//! element size) plus a topology and the one thing a recording reads of a
+//! [`crate::LibraryProfile`] — the algorithm it selects for the shape —
+//! fully determine the schedule.  A compiled plan is cached under a
+//! [`PlanKey`] of exactly those and reused for every later call that
+//! resolves to it, whichever library makes the call: the key is the full
+//! functional determinant by construction.
 //!
 //! Two cache granularities exist for the two consumers:
 //!
@@ -257,20 +257,20 @@ impl CollectiveShape {
 
 /// Cache key: the full functional determinant of a compiled plan.
 ///
-/// A recording reads exactly two things of a [`LibraryProfile`]: the
+/// A recording reads exactly one thing of a [`LibraryProfile`]: the
 /// algorithm it selects for the shape ([`LibraryProfile::algorithm_for`])
-/// and its per-collective setup delay — [`dispatch::execute`] takes those
-/// two and no profile.  So the key holds them instead of the library: two
-/// libraries selecting the same algorithm share one plan, and a customized
-/// profile whose selection or setup differs never aliases the stock one.
+/// — [`dispatch::execute`] takes that and no profile, and charges every
+/// library the same setup delay
+/// ([`crate::calibration::GENERIC_COLLECTIVE_SETUP`]).  So the key holds
+/// the algorithm instead of the library: two libraries selecting the same
+/// algorithm share one plan, and a customized profile whose selection
+/// differs never aliases the stock one.
 /// Building a key scans the profile's rule list (at most 16 rows) and
 /// allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// The algorithm the profile selects for the shape.
     pub algorithm: Algorithm,
-    /// `f64::to_bits` of the profile's per-collective setup delay.
-    pub setup_bits: u64,
     /// Number of nodes.
     pub nodes: usize,
     /// Processes per node.
@@ -284,7 +284,6 @@ impl PlanKey {
     pub fn new(profile: &LibraryProfile, topology: Topology, shape: CollectiveShape) -> Self {
         Self {
             algorithm: profile.algorithm_for(&shape, topology.world_size()),
-            setup_bits: profile.per_collective_setup.to_bits(),
             nodes: topology.nodes(),
             ppn: topology.ppn(),
             shape,
@@ -630,7 +629,6 @@ impl CallerBuffers {
         let op = comm.reducer();
         dispatch::execute(
             profile.algorithm_for(&packed, comm.world_size()),
-            profile.per_collective_setup,
             comm,
             &packed,
             send.as_deref(),
@@ -884,8 +882,8 @@ mod tests {
     }
 
     /// Open MPI and PiP-MPICH both select Bruck for a 64 B allgather on
-    /// 16×18 (288 ranks, not a power of two) and share the setup delay, so
-    /// the second library is served the first one's plan.
+    /// 16×18 (288 ranks, not a power of two), so the second library is
+    /// served the first one's plan.
     #[test]
     fn libraries_selecting_the_same_algorithm_share_one_cluster_plan() {
         let topo = Topology::new(16, 18);

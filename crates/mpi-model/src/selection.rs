@@ -117,10 +117,10 @@ impl Algorithm {
 pub const LARGE_MESSAGE_THRESHOLD: usize = 32 * 1024;
 
 /// The message-drop rate at which the degradation sweep
-/// (`BENCH_degradation.json`) shows deep multi-leader fan-outs starting to
-/// lose to the single-leader hierarchy: every extra inter-node message is
-/// another retransmission lottery ticket, so above this rate selection
-/// should trade parallelism for fewer, larger transfers.
+/// (`docs/figures/fig_degradation.txt`) shows deep multi-leader fan-outs
+/// starting to lose to the single-leader hierarchy: every extra inter-node
+/// message is another retransmission lottery ticket, so above this rate
+/// selection should trade parallelism for fewer, larger transfers.
 pub const LOSSY_DROP_CROSSOVER: f64 = 0.05;
 
 /// Observed fabric health, as a selection dimension: a list's

@@ -169,13 +169,6 @@ impl RunOptions {
         }
     }
 
-    /// Enable or disable per-rank finish recording for this sub-run.
-    #[must_use]
-    pub fn with_rank_finish(mut self, record: bool) -> Self {
-        self.record_rank_finish = record;
-        self
-    }
-
     /// Attach a degraded-fabric config to this sub-run.
     #[must_use]
     pub fn with_perturbation(mut self, perturbation: Perturbation) -> Self {

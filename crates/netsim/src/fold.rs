@@ -292,22 +292,6 @@ impl FoldedTrace {
         self.reps.iter().map(|ops| ops.len()).sum::<usize>() * self.topology.nodes()
     }
 
-    /// Total payload bytes the projected schedule sends across the network.
-    pub fn projected_internode_bytes(&self) -> usize {
-        let mut bytes = 0usize;
-        for (l, ops) in self.reps.iter().enumerate() {
-            let rank = l;
-            for op in ops {
-                if let TraceOp::Send { dest, bytes: b, .. } = *op {
-                    if !self.topology.same_node(rank, dest) {
-                        bytes += b;
-                    }
-                }
-            }
-        }
-        bytes * self.topology.nodes()
-    }
-
     /// Materialize the full per-rank trace by relabeling every class
     /// representative onto every node.  Intended for tests and small
     /// topologies; at projection scale this is exactly the allocation the

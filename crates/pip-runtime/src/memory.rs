@@ -188,12 +188,6 @@ impl ExposedRegion {
         guard.fill(0);
     }
 
-    /// Run `f` with a read-only view of the full region, avoiding a copy.
-    pub fn with_slice<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let guard = self.bytes();
-        f(&guard)
-    }
-
     /// Run `f` with a mutable view of the full region, avoiding a copy.
     pub fn with_slice_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut guard = self.bytes_mut();

@@ -108,11 +108,6 @@ impl TaskCtx {
             .expect("expose failed")
     }
 
-    /// Fallible variant of [`TaskCtx::expose`].
-    pub fn try_expose(&self, name: &str, len: usize) -> Result<ExposedRegion> {
-        self.node.expose(self.local_rank(), name, len)
-    }
-
     /// Attach to a region exposed by local rank `owner_local_rank`.
     pub fn attach(&self, owner_local_rank: usize, name: &str) -> ExposedRegion {
         self.node

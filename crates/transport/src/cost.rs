@@ -181,12 +181,6 @@ impl IntranodeCost {
         }
         cost
     }
-
-    /// Latency of a zero-byte synchronization through this mechanism
-    /// (flag write + flag read).
-    pub fn signal_cost(&self) -> Nanos {
-        self.per_transfer_overhead + self.syscall_cost * self.syscalls_per_transfer as Nanos
-    }
 }
 
 #[cfg(test)]

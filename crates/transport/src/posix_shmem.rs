@@ -37,11 +37,6 @@ impl PosixShmemEngine {
         }
     }
 
-    /// Size of the staging segment.
-    pub fn segment_size(&self) -> usize {
-        self.segment.len()
-    }
-
     /// Cumulative statistics.
     pub fn totals(&self) -> CopyStats {
         self.total

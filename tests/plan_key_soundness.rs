@@ -1,7 +1,6 @@
 //! The plan caches key on what a recording reads of a library — the
-//! algorithm it selects for the shape and its per-collective setup delay —
-//! not on the library.  That is only sound if the key is the plan's full
-//! functional determinant: two cells with equal [`PlanKey`]s must compile
+//! algorithm it selects for the shape — not on the library.  That is only
+//! sound if the key is the plan's full functional determinant: two cells with equal [`PlanKey`]s must compile
 //! to equal plans, whichever libraries and fabric conditions they came
 //! from.  The sweep below compiles every cell without a cache and checks
 //! that, then checks that [`ClusterPlanCache`] shares a plan between two
@@ -17,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pip_mcoll::collectives::datatype::{DtypeId, ReduceIdent, ReduceOp};
-use pip_mcoll::collectives::plan::{Fidelity, Plan, PlanOp};
+use pip_mcoll::collectives::plan::{Fidelity, Plan};
 use pip_mcoll::collectives::CollectiveKind;
 use pip_mcoll::model::plan::compile_cluster;
 use pip_mcoll::model::selection::{Rule, When};
@@ -175,38 +174,4 @@ fn equal_keys_mean_equal_plans_and_the_cache_shares_exactly_those() {
             }
         }
     }
-}
-
-/// The setup delay of the rank's first `Delay` op.
-fn first_delay(plan: &Plan) -> f64 {
-    plan.ranks[0]
-        .ops
-        .iter()
-        .find_map(|op| match op {
-            PlanOp::Delay { nanos } => Some(*nanos),
-            _ => None,
-        })
-        .expect("every recording opens with the setup delay")
-}
-
-#[test]
-fn a_different_setup_delay_is_a_different_key_and_plan() {
-    let topology = Topology::new(3, 3);
-    let shape = CollectiveShape::plain(CollectiveKind::Allgather, 64, 0);
-    let stock = Library::OpenMpi.profile();
-    let slower = LibraryProfile {
-        per_collective_setup: stock.per_collective_setup + 1_000.0,
-        ..stock.clone()
-    };
-    assert_ne!(
-        PlanKey::new(&stock, topology, shape),
-        PlanKey::new(&slower, topology, shape)
-    );
-    let mut cache = ClusterPlanCache::new();
-    let a = cache.lookup_or_compile(&stock, topology, &shape);
-    let b = cache.lookup_or_compile(&slower, topology, &shape);
-    assert!(!Arc::ptr_eq(&a, &b));
-    assert_eq!(cache.stats(), (0, 2));
-    assert_eq!(first_delay(&a), stock.per_collective_setup);
-    assert_eq!(first_delay(&b), slower.per_collective_setup);
 }
