@@ -69,7 +69,6 @@ fn exchange_trace(nodes: usize, ppn: usize, rounds: usize) -> Trace {
                         TraceOp::CopyIntra {
                             bytes: 4096,
                             mechanism: None,
-                            first_use: false,
                         },
                     );
                 }

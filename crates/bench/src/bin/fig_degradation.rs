@@ -29,7 +29,7 @@ use pip_collectives::CollectiveKind;
 use pip_mpi_model::plan::compile_cluster;
 use pip_mpi_model::{CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;
-use pip_netsim::{DropSpec, LinkSpec, Perturbation, RunOptions, SimEngine, Trace};
+use pip_netsim::{DropSpec, Perturbation, RunOptions, SimEngine, Trace};
 use pip_runtime::Topology;
 
 /// Per-process block size: the paper's medium-message Allreduce point.
@@ -51,19 +51,13 @@ struct Point {
 fn perturbation(drop_rate: f64, jitter_ns: f64) -> Perturbation {
     Perturbation {
         seed: SEED,
-        link: LinkSpec {
-            latency_pad: 0.0,
-            latency_jitter: jitter_ns,
-            occupancy_factor: 1.0,
-            occupancy_jitter: 0.0,
-        },
+        latency_jitter: jitter_ns,
         drop: DropSpec {
             rate: drop_rate,
             max_retries: 8,
             timeout: 2_000.0,
             backoff: 2.0,
         },
-        ..Perturbation::NONE
     }
 }
 

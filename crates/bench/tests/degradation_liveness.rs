@@ -22,7 +22,7 @@ use pip_mpi_model::{
     Algorithm, CollectiveShape, FabricCondition, Library, LibraryProfile, LOSSY_DROP_CROSSOVER,
 };
 use pip_netsim::cluster::ClusterSpec;
-use pip_netsim::{DropSpec, LinkSpec, Perturbation, RunOptions, SimEngine, SimError};
+use pip_netsim::{DropSpec, Perturbation, RunOptions, SimEngine, SimError};
 use pip_runtime::Topology;
 
 /// A drop rate an 10-deep retry budget absorbs: exhaustion needs 11
@@ -31,19 +31,13 @@ use pip_runtime::Topology;
 fn sub_budget(seed: u64) -> Perturbation {
     Perturbation {
         seed,
-        link: LinkSpec {
-            latency_pad: 50.0,
-            latency_jitter: 200.0,
-            occupancy_factor: 1.1,
-            occupancy_jitter: 0.0,
-        },
+        latency_jitter: 200.0,
         drop: DropSpec {
             rate: 0.05,
             max_retries: 10,
             timeout: 1_500.0,
             backoff: 2.0,
         },
-        ..Perturbation::NONE
     }
 }
 
@@ -228,19 +222,13 @@ fn paper_scale_degradation_headline() {
     let topology = Topology::new(128, 18);
     let perturbation = Perturbation {
         seed: 0x4852_5043_2023,
-        link: LinkSpec {
-            latency_pad: 0.0,
-            latency_jitter: 500.0,
-            occupancy_factor: 1.0,
-            occupancy_jitter: 0.0,
-        },
+        latency_jitter: 500.0,
         drop: DropSpec {
             rate: 0.01,
             max_retries: 8,
             timeout: 2_000.0,
             backoff: 2.0,
         },
-        ..Perturbation::NONE
     };
     let options = RunOptions::summary().with_perturbation(perturbation);
     let shape = CollectiveShape::plain(CollectiveKind::Allreduce, 4_096, 0);

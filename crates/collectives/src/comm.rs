@@ -26,6 +26,8 @@
 //! ranks, sizes and topology — so that a trace recorded without real data is
 //! faithful to the real execution.
 
+use std::cell::RefCell;
+
 use pip_runtime::{ScopeHandle, TaskCtx, Topology};
 
 /// A commutative reduction operator over raw bytes.
@@ -235,6 +237,14 @@ pub trait NonBlockingComm: Comm {
     /// How long the wait loop ([`crate::request::drive_to_done`]) polls
     /// without observing any progress before declaring the schedule broken.
     fn progress_timeout(&self) -> std::time::Duration;
+
+    /// Retire the regions this rank exposed by name
+    /// ([`Comm::shared_alloc`], [`Comm::shared_publish`]) since the last
+    /// call: the node's ranks pass a barrier, so no peer still has to
+    /// attach, and each then unexposes its own.  Ends an algorithm run
+    /// directly on the communicator rather than through a plan's scope;
+    /// every rank of the node calls it.
+    fn release_shared(&self);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,17 +255,32 @@ pub trait NonBlockingComm: Comm {
 /// moves real bytes.  Used by the correctness tests and the examples.
 pub struct ThreadComm<'a> {
     ctx: &'a TaskCtx,
+    /// Region names this rank exposed since the last
+    /// [`NonBlockingComm::release_shared`].
+    exposed: RefCell<Vec<String>>,
 }
 
 impl<'a> ThreadComm<'a> {
     /// Wrap a task context.
     pub fn new(ctx: &'a TaskCtx) -> Self {
-        Self { ctx }
+        Self {
+            ctx,
+            exposed: RefCell::new(Vec::new()),
+        }
     }
 
     /// The underlying task context.
     pub fn ctx(&self) -> &TaskCtx {
         self.ctx
+    }
+
+    /// Expose `name` and remember it for [`NonBlockingComm::release_shared`].
+    fn expose(&self, name: &str, len: usize) -> pip_runtime::ExposedRegion {
+        let mut exposed = self.exposed.borrow_mut();
+        if !exposed.iter().any(|n| n == name) {
+            exposed.push(name.to_string());
+        }
+        self.ctx.expose(name, len)
     }
 }
 
@@ -295,11 +320,11 @@ impl Comm for ThreadComm<'_> {
     }
 
     fn shared_alloc(&self, name: &str, len: usize) {
-        self.ctx.expose(name, len);
+        self.expose(name, len);
     }
 
     fn shared_publish(&self, name: &str, data: &[u8]) {
-        let region = self.ctx.expose(name, data.len());
+        let region = self.expose(name, data.len());
         region.write(0, data);
     }
 
@@ -395,6 +420,14 @@ impl NonBlockingComm for ThreadComm<'_> {
         // The blocking receive's deadline, so a broken schedule fails after
         // the same grace period whichever way a rank waits.
         self.ctx.fabric().recv_timeout()
+    }
+
+    fn release_shared(&self) {
+        self.ctx.node_barrier();
+        let local = self.local_rank();
+        for name in self.exposed.take() {
+            self.ctx.node().unexpose(local, &name);
+        }
     }
 }
 

@@ -665,18 +665,15 @@ impl RankPlan {
                 PlanOp::SharedWrite { src, .. } => ops.push(TraceOp::CopyIntra {
                     bytes: src.len(),
                     mechanism: None,
-                    first_use: false,
                 }),
                 PlanOp::SharedRead { len, .. } => ops.push(TraceOp::CopyIntra {
                     bytes: *len,
                     mechanism: None,
-                    first_use: false,
                 }),
                 PlanOp::NodeBarrier => ops.push(TraceOp::LocalBarrier),
                 PlanOp::ChargeCopy { bytes } => ops.push(TraceOp::CopyIntra {
                     bytes: *bytes,
                     mechanism: Some(IntranodeMechanism::Pip),
-                    first_use: false,
                 }),
                 PlanOp::ChargeReduce { bytes } => ops.push(TraceOp::Reduce { bytes: *bytes }),
                 PlanOp::Delay { nanos } => ops.push(TraceOp::Delay { nanos: *nanos }),

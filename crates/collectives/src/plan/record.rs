@@ -1390,18 +1390,15 @@ mod tests {
                 TraceOp::CopyIntra {
                     bytes: 8,
                     mechanism: None,
-                    first_use: false
                 },
                 TraceOp::CopyIntra {
                     bytes: 12,
                     mechanism: None,
-                    first_use: false
                 },
                 TraceOp::LocalBarrier,
                 TraceOp::CopyIntra {
                     bytes: 40,
                     mechanism: Some(IntranodeMechanism::Pip),
-                    first_use: false
                 },
                 TraceOp::Reduce { bytes: 64 },
                 TraceOp::Delay { nanos: 123.0 },

@@ -362,7 +362,8 @@ impl OwnedCollective {
 /// plan path and [`execute`] the algorithm directly: the fingerprint
 /// compile's recording passes each cost time in proportion to the buffer
 /// bytes, and large messages are bandwidth-bound, so compiling them buys
-/// nothing.
+/// nothing.  The regions such a call exposes by name are retired before it
+/// returns ([`NonBlockingComm::release_shared`]).
 pub fn run_blocking<C: NonBlockingComm>(
     profile: &LibraryProfile,
     comm: &C,
@@ -386,6 +387,7 @@ pub fn run_blocking<C: NonBlockingComm>(
             op,
             tag,
         );
+        comm.release_shared();
         return recv;
     }
     let (plan, send, recv) = plan_owned(profile, comm, request, cache);

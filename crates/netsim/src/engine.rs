@@ -86,14 +86,14 @@
 //!
 //! ## Perturbation
 //!
-//! A [`Perturbation`] in [`RunOptions`] degrades the fabric: straggler
-//! start delays and compute slowdowns, per-link latency jitter and
-//! bandwidth derating, and probabilistic message drops with a
+//! A [`Perturbation`] in [`RunOptions`] degrades the fabric by two
+//! settings: per-link latency jitter and probabilistic message drops with a
 //! retry/timeout/backoff model (see [`crate::perturb`]).  All draws are
-//! pure hashes of static identifiers, so the calendar engine, the seed
-//! reference engine and (for node-symmetric configs) the folded replay
-//! produce bit-identical perturbed timings.  A message whose retry budget
-//! is exhausted starves its receive and the run reports a structured
+//! pure hashes of static identifiers, so the calendar engine and the seed
+//! reference engine produce bit-identical perturbed timings.  Both settings
+//! draw per link or per message, so a perturbed run is replayed in full:
+//! only the identity config folds.  A message whose retry budget is
+//! exhausted starves its receive and the run reports a structured
 //! [`SimFailure`] naming the starved `(rank, tag)` pairs instead of an
 //! undiagnosable deadlock.
 
@@ -628,16 +628,13 @@ pub struct SimStats {
     /// Number of node-local barrier episodes completed.
     pub barrier_episodes: usize,
     /// Total application compute time ([`TraceOp::Compute`]) summed over
-    /// ranks, *including* straggler-induced inflation.
+    /// ranks.
     pub compute_total: Nanos,
     /// Retransmissions performed by the drop/retry model (0 on a healthy
     /// fabric).
     pub retries: usize,
     /// Payload bytes retransmitted by the drop/retry model.
     pub retransmitted_bytes: usize,
-    /// Time injected into rank timelines by the straggler model: start
-    /// delays plus compute-slowdown inflation, summed over ranks.
-    pub straggler_idle_total: Nanos,
     /// Median rank-finish skew: the median of `finish - earliest_finish`
     /// over ranks (0 when every rank finishes together).
     pub finish_skew_p50: Nanos,
@@ -722,10 +719,10 @@ pub enum SimError {
     /// the starved `(rank, tag)` pairs, distinguishing fabric loss from a
     /// schedule bug.
     Failure(SimFailure),
-    /// A directly-replayed folded trace was given a node-asymmetric
-    /// [`Perturbation`]: per-rank or per-link draws make node 0
+    /// A directly-replayed folded trace was given a non-identity
+    /// [`Perturbation`]: its per-link and per-message draws make node 0
     /// unrepresentative and the full trace is not available to fall back
-    /// to.  Use [`SimEngine::run_with`] (or a symmetric config) instead.
+    /// to.  Use [`SimEngine::run_with`] instead.
     AsymmetricPerturbation,
 }
 
@@ -754,7 +751,7 @@ impl std::fmt::Display for SimError {
             }
             SimError::AsymmetricPerturbation => write!(
                 f,
-                "folded replay requires a node-symmetric perturbation; \
+                "folded replay requires an unperturbed fabric; \
                  replay the full trace instead"
             ),
         }
@@ -835,10 +832,9 @@ impl SimEngine {
 
     /// [`Self::run_folded`] with explicit recording options.
     ///
-    /// A node-asymmetric [`Perturbation`] (per-rank straggler draws,
-    /// per-link jitter, or drops) makes node 0 unrepresentative, so
-    /// detection refuses to fold and the full world is replayed; symmetric
-    /// configs still fold.  The trace is validated once, whichever replay
+    /// A non-identity [`Perturbation`] (per-link jitter or drops) makes
+    /// node 0 unrepresentative, so detection refuses to fold and the full
+    /// world is replayed.  The trace is validated once, whichever replay
     /// runs.
     pub fn run_folded_with(
         &self,
@@ -866,9 +862,9 @@ impl SimEngine {
     /// deadlock names node-0 ranks only — one representative per stuck
     /// equivalence class.
     ///
-    /// Only node-symmetric perturbations are accepted: the full trace is
-    /// not available to fall back to, so a config with per-rank or
-    /// per-link draws is rejected with
+    /// Only the identity perturbation is accepted: the full trace is not
+    /// available to fall back to, so any config with per-link or
+    /// per-message draws is rejected with
     /// [`SimError::AsymmetricPerturbation`] rather than silently producing
     /// a node-0-only approximation.
     pub fn run_folded_trace(
@@ -879,7 +875,7 @@ impl SimEngine {
         if options
             .perturbation
             .as_ref()
-            .is_some_and(|p| !p.is_node_symmetric())
+            .is_some_and(|p| !p.is_identity())
         {
             return Err(SimError::AsymmetricPerturbation);
         }
@@ -920,17 +916,17 @@ impl SimEngine {
 
         let mut stats = SimStats::default();
         let mut queue = CalendarQueue::new(self.bucket_width(), sim_ranks);
-        // Only node-symmetric configs are folded (asymmetric ones are
-        // rejected or replayed in full), so every draw node 0's ranks see
-        // is exactly what every node's ranks see.
+        // Only unperturbed runs are folded (perturbed ones are rejected or
+        // replayed in full): every perturbation draws per link or per
+        // message, so node 0 would not stand for every node.
         debug_assert!(
             folded.is_none()
                 || options
                     .perturbation
                     .as_ref()
-                    .is_none_or(Perturbation::is_node_symmetric)
+                    .is_none_or(Perturbation::is_identity)
         );
-        let perturb = PerturbState::new(options.perturbation.as_ref(), sim_ranks);
+        let perturb = PerturbState::new(options.perturbation.as_ref());
         // Receives starved by messages whose retry budget was exhausted.
         let mut starved: Vec<StarvedRecv> = Vec::new();
         // Folded replay only: the mirror arrivals owed to node 0, all
@@ -943,14 +939,10 @@ impl SimEngine {
         // evaluation into a compare and an add.
         let mut reduce_memo: (usize, Nanos) = (usize::MAX, 0.0);
         let mut codec_memo: (usize, Nanos) = (usize::MAX, 0.0);
-        let mut copy_memo: (usize, Option<IntranodeMechanism>, bool, Nanos) =
-            (usize::MAX, None, false, 0.0);
+        let mut copy_memo: (usize, Option<IntranodeMechanism>, Nanos) = (usize::MAX, None, 0.0);
 
-        for (rank, state) in ranks.iter_mut().enumerate() {
-            let delay = perturb.start_delay(rank);
-            state.ready_time = delay;
-            stats.straggler_idle_total += delay;
-            queue.push(delay, rank as u32, 0);
+        for rank in 0..sim_ranks {
+            queue.push(0.0, rank as u32, 0);
         }
 
         loop {
@@ -1021,9 +1013,8 @@ impl SimEngine {
                         // Same timeline effect as a delay; accounted
                         // separately so overlap efficiency can be derived
                         // from the stats.
-                        let (busy, extra) = perturb.compute(rank, nanos);
+                        let busy = nanos.max(0.0);
                         stats.compute_total += busy;
-                        stats.straggler_idle_total += extra;
                         now += busy;
                         ranks[rank].pc += 1;
                         chained = true;
@@ -1046,24 +1037,14 @@ impl SimEngine {
                         ranks[rank].pc += 1;
                         chained = true;
                     }
-                    TraceOp::CopyIntra {
-                        bytes,
-                        mechanism,
-                        first_use,
-                    } => {
-                        let cold = first_use && !self.params.warm_buffers;
-                        if copy_memo.0 != bytes || copy_memo.1 != mechanism || copy_memo.2 != cold {
+                    TraceOp::CopyIntra { bytes, mechanism } => {
+                        if copy_memo.0 != bytes || copy_memo.1 != mechanism {
                             let cost_model = mechanism
                                 .map(IntranodeCost::defaults_for)
                                 .unwrap_or(intranode);
-                            copy_memo = (
-                                bytes,
-                                mechanism,
-                                cold,
-                                cost_model.transfer_cost(bytes, cold),
-                            );
+                            copy_memo = (bytes, mechanism, cost_model.transfer_cost(bytes, false));
                         }
-                        now += copy_memo.3;
+                        now += copy_memo.2;
                         ranks[rank].pc += 1;
                         chained = true;
                     }
@@ -1076,7 +1057,7 @@ impl SimEngine {
                             (done, Some(done))
                         } else if src_node == dst_node {
                             stats.intranode_messages += 1;
-                            let cost = intranode.transfer_cost(bytes, !self.params.warm_buffers)
+                            let cost = intranode.transfer_cost(bytes, false)
                                 + self.params.software_send_overhead;
                             let done = now + cost;
                             (done, Some(done))
@@ -1086,8 +1067,7 @@ impl SimEngine {
                             let sender_done = now
                                 + nic.host_send_overhead(bytes)
                                 + self.params.software_send_overhead;
-                            let occupancy =
-                                perturb.occupancy(nic.nic_occupancy(bytes), src_node, dst_node);
+                            let occupancy = nic.nic_occupancy(bytes);
                             // The drop fate is a pure hash of (rank, pc), so
                             // both engines agree on it regardless of event
                             // order.  Retransmissions serialize on the
@@ -1253,7 +1233,6 @@ impl SimEngine {
         stats.internode_bytes *= copies;
         stats.barrier_episodes *= copies;
         stats.compute_total *= n;
-        stats.straggler_idle_total *= n;
         stats.nic_busy_total = nic_busy.iter().sum::<Nanos>() * n;
         stats.nic_busy_max = nic_busy.iter().copied().fold(0.0, Nanos::max);
 
@@ -1999,7 +1978,6 @@ mod tests {
                 TraceOp::CopyIntra {
                     bytes: 2048,
                     mechanism: None,
-                    first_use: true,
                 },
             );
             trace.push(rank, TraceOp::LocalBarrier);

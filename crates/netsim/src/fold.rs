@@ -176,14 +176,12 @@ impl FoldedTrace {
         })
     }
 
-    /// [`FoldedTrace::detect`], additionally refusing to fold when a
-    /// perturbation distinguishes nodes: per-node stragglers, per-link
-    /// jitter, and message drops all break the mirror-image contention
-    /// argument, so such runs must be replayed in full.  Node-symmetric
-    /// perturbations (uniform start delays, uniform derating) preserve the
-    /// equivalence classes and may still fold.
+    /// [`FoldedTrace::detect`], additionally refusing to fold a perturbed
+    /// run: per-link jitter and message drops both distinguish nodes and
+    /// break the mirror-image contention argument, so only the identity
+    /// perturbation may fold.
     pub fn detect_with(trace: &Trace, perturbation: Option<&Perturbation>) -> Option<FoldedTrace> {
-        if perturbation.is_some_and(|p| !p.is_node_symmetric()) {
+        if perturbation.is_some_and(|p| !p.is_identity()) {
             return None;
         }
         Self::detect(trace)

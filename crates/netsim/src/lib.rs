@@ -42,7 +42,7 @@ pub mod trace;
 pub use cluster::ClusterSpec;
 pub use engine::{RunOptions, SimEngine, SimError, SimFailure, SimOutcome, SimStats, StarvedRecv};
 pub use fold::{FoldGroup, FoldedTrace};
-pub use network::{simulate, simulate_degraded, simulate_folded, SimulationReport};
+pub use network::{simulate, simulate_degraded, SimulationReport};
 pub use params::SimParams;
-pub use perturb::{DropSpec, LinkSpec, Perturbation, SendFate, StragglerSpec};
+pub use perturb::{DropSpec, Perturbation, SendFate};
 pub use trace::{OpVec, RankTrace, Trace, TraceOp};

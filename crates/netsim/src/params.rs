@@ -4,8 +4,6 @@ use pip_transport::cost::{IntranodeCost, IntranodeMechanism, Nanos};
 use pip_transport::memcpy::MemcpyModel;
 use pip_transport::netcard::{NicModel, NicParams};
 
-use crate::cluster::ClusterSpec;
-
 /// Parameters of one simulation run.
 ///
 /// A comparator MPI library is expressed as a `SimParams`: its intra-node
@@ -30,10 +28,6 @@ pub struct SimParams {
     pub software_send_overhead: Nanos,
     /// Library software overhead added to every receive.
     pub software_recv_overhead: Nanos,
-    /// Whether intra-node copies are treated as warm (registration caches
-    /// populated, pages touched).  Benchmark loops are warm; one-shot
-    /// collectives are not.
-    pub warm_buffers: bool,
 }
 
 impl SimParams {
@@ -48,15 +42,6 @@ impl SimParams {
             local_barrier_per_rank: 18.0,
             software_send_overhead: 0.0,
             software_recv_overhead: 0.0,
-            warm_buffers: true,
-        }
-    }
-
-    /// Parameters for a cluster spec (copies its NIC model).
-    pub fn for_cluster(spec: &ClusterSpec) -> Self {
-        Self {
-            nic: spec.nic,
-            ..Self::pip_defaults()
         }
     }
 
@@ -70,12 +55,6 @@ impl SimParams {
     pub fn with_software_overhead(mut self, send: Nanos, recv: Nanos) -> Self {
         self.software_send_overhead = send;
         self.software_recv_overhead = recv;
-        self
-    }
-
-    /// Set cold-buffer behaviour (first-use attach / page-fault charges).
-    pub fn with_cold_buffers(mut self) -> Self {
-        self.warm_buffers = false;
         self
     }
 
@@ -104,31 +83,21 @@ mod tests {
     fn defaults_use_pip_transport() {
         let params = SimParams::default();
         assert_eq!(params.intranode.mechanism, IntranodeMechanism::Pip);
-        assert!(params.warm_buffers);
     }
 
     #[test]
     fn builders_modify_fields() {
         let params = SimParams::pip_defaults()
             .with_intranode(IntranodeMechanism::Cma)
-            .with_software_overhead(100.0, 120.0)
-            .with_cold_buffers();
+            .with_software_overhead(100.0, 120.0);
         assert_eq!(params.intranode.mechanism, IntranodeMechanism::Cma);
         assert_eq!(params.software_send_overhead, 100.0);
         assert_eq!(params.software_recv_overhead, 120.0);
-        assert!(!params.warm_buffers);
     }
 
     #[test]
     fn barrier_cost_grows_with_ppn() {
         let params = SimParams::default();
         assert!(params.barrier_cost(18) > params.barrier_cost(2));
-    }
-
-    #[test]
-    fn for_cluster_copies_nic() {
-        let spec = ClusterSpec::small().with_nic(NicParams::commodity_25g());
-        let params = SimParams::for_cluster(&spec);
-        assert_eq!(params.nic, spec.nic);
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! The scheduler is untouched from the seed; see [`crate::engine`] for the
 //! documented cost model both engines implement.  The perturbation plane
-//! ([`crate::perturb`]) was added to both engines simultaneously — every
-//! draw is a pure hash of static identifiers, so the two engines stay
+//! ([`crate::perturb`]: link jitter and drops) is applied by both engines —
+//! every draw is a pure hash of static identifiers, so the two engines stay
 //! bit-for-bit comparable under every perturbation config, which is what
 //! the chaos-differential suite pins.
 
@@ -110,7 +110,7 @@ pub(crate) fn replay(
         (0..topology.nodes()).map(|_| HashMap::new()).collect();
 
     let mut stats = SimStats::default();
-    let perturb = PerturbState::new(options.perturbation.as_ref(), world);
+    let perturb = PerturbState::new(options.perturbation.as_ref());
     let mut starved: Vec<StarvedRecv> = Vec::new();
 
     // Event queue: (time, seq, rank).
@@ -124,11 +124,8 @@ pub(crate) fn replay(
         *seq += 1;
     };
 
-    for (rank, state) in ranks.iter_mut().enumerate() {
-        let delay = perturb.start_delay(rank);
-        state.ready_time = delay;
-        stats.straggler_idle_total += delay;
-        push_event(&mut queue, &mut seq, delay, rank);
+    for rank in 0..world {
+        push_event(&mut queue, &mut seq, 0.0, rank);
     }
 
     while let Some(Reverse((TimeKey(now), _, rank))) = queue.pop() {
@@ -159,8 +156,8 @@ pub(crate) fn replay(
                     (done, Some(done))
                 } else if src_node == dst_node {
                     stats.intranode_messages += 1;
-                    let cost = intranode.transfer_cost(bytes, !params.warm_buffers)
-                        + params.software_send_overhead;
+                    let cost =
+                        intranode.transfer_cost(bytes, false) + params.software_send_overhead;
                     let done = now + cost;
                     (done, Some(done))
                 } else {
@@ -168,7 +165,7 @@ pub(crate) fn replay(
                     stats.internode_bytes += bytes;
                     let sender_done =
                         now + nic.host_send_overhead(bytes) + params.software_send_overhead;
-                    let occupancy = perturb.occupancy(nic.nic_occupancy(bytes), src_node, dst_node);
+                    let occupancy = nic.nic_occupancy(bytes);
                     // Same pure-hash fate as the calendar engine: the draw
                     // depends only on (rank, pc), never on event order.
                     let fate = perturb.send_fate(rank, pc);
@@ -237,16 +234,11 @@ pub(crate) fn replay(
                     }
                 }
             }
-            TraceOp::CopyIntra {
-                bytes,
-                mechanism,
-                first_use,
-            } => {
+            TraceOp::CopyIntra { bytes, mechanism } => {
                 let cost_model = mechanism
                     .map(IntranodeCost::defaults_for)
                     .unwrap_or(intranode);
-                let cold = first_use && !params.warm_buffers;
-                let done = now + cost_model.transfer_cost(bytes, cold);
+                let done = now + cost_model.transfer_cost(bytes, false);
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = done;
                 push_event(&mut queue, &mut seq, done, rank);
@@ -272,9 +264,8 @@ pub(crate) fn replay(
             TraceOp::Compute { nanos } => {
                 // Same timeline effect as a delay; accounted separately
                 // so overlap efficiency can be derived from the stats.
-                let (busy, extra) = perturb.compute(rank, nanos);
+                let busy = nanos.max(0.0);
                 stats.compute_total += busy;
-                stats.straggler_idle_total += extra;
                 let done = now + busy;
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = done;

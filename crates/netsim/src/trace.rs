@@ -32,9 +32,6 @@ pub enum TraceOp {
         /// Mechanism override; `None` uses the simulation's configured
         /// intra-node transport.
         mechanism: Option<IntranodeMechanism>,
-        /// Whether this is the first use of the peer buffer (charges attach
-        /// and page-fault costs where the mechanism has them).
-        first_use: bool,
     },
     /// Apply a reduction over `bytes` bytes of local data.
     Reduce { bytes: usize },
@@ -180,14 +177,6 @@ impl RankTrace {
             })
             .sum()
     }
-
-    /// Number of node-local barrier episodes this rank participates in.
-    pub fn barrier_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TraceOp::LocalBarrier))
-            .count()
-    }
 }
 
 /// A whole-cluster trace: one [`RankTrace`] per rank plus the topology it was
@@ -309,27 +298,9 @@ impl Trace {
         trace
     }
 
-    /// Number of distinct op-vector allocations behind this trace's ranks.
-    /// Equal to `world_size` for a fully asymmetric trace; much smaller for
-    /// symmetric schedules built via [`Trace::from_rank_ops`].
-    pub fn distinct_rank_programs(&self) -> usize {
-        let mut firsts: Vec<&RankTrace> = Vec::new();
-        for rt in &self.ranks {
-            if !firsts.iter().any(|f| f.ops.shares_storage_with(&rt.ops)) {
-                firsts.push(rt);
-            }
-        }
-        firsts.len()
-    }
-
     /// Total messages sent across all ranks.
     pub fn total_messages(&self) -> usize {
         self.ranks.iter().map(RankTrace::send_count).sum()
-    }
-
-    /// Total payload bytes sent across all ranks.
-    pub fn total_bytes(&self) -> usize {
-        self.ranks.iter().map(RankTrace::bytes_sent).sum()
     }
 
     /// Messages whose source and destination live on different nodes.
@@ -517,15 +488,10 @@ fn hash_ops(ops: &[TraceOp]) -> u64 {
                 mix(bytes as u64);
                 mix(tag);
             }
-            TraceOp::CopyIntra {
-                bytes,
-                mechanism,
-                first_use,
-            } => {
+            TraceOp::CopyIntra { bytes, mechanism } => {
                 mix(3);
                 mix(bytes as u64);
                 mix(mechanism.map(|m| m as u64 + 1).unwrap_or(0));
-                mix(first_use as u64);
             }
             TraceOp::Reduce { bytes } => {
                 mix(4);
@@ -562,7 +528,6 @@ mod tests {
         let trace = Trace::empty(tiny_topology());
         assert!(trace.validate().is_ok());
         assert_eq!(trace.total_messages(), 0);
-        assert_eq!(trace.total_bytes(), 0);
     }
 
     #[test]
@@ -586,7 +551,6 @@ mod tests {
         );
         assert!(trace.validate().is_ok());
         assert_eq!(trace.total_messages(), 1);
-        assert_eq!(trace.total_bytes(), 64);
         assert_eq!(trace.internode_messages(), 1);
     }
 
@@ -696,7 +660,6 @@ mod tests {
         assert_eq!(rt.send_count(), 2);
         assert_eq!(rt.recv_count(), 1);
         assert_eq!(rt.bytes_sent(), 30);
-        assert_eq!(rt.barrier_count(), 1);
     }
 
     #[test]
@@ -714,7 +677,6 @@ mod tests {
             TraceOp::CopyIntra {
                 bytes: 64,
                 mechanism: None,
-                first_use: false,
             },
             TraceOp::LocalBarrier,
         ];
@@ -733,9 +695,12 @@ mod tests {
         }
         let trace = Trace::from_rank_ops(topo, rank_ops);
         // 4 distinct leader programs + 1 shared follower program.
-        assert_eq!(trace.distinct_rank_programs(), 5);
-        assert!(trace.ranks[1].ops.shares_storage_with(&trace.ranks[3].ops));
-        assert!(!trace.ranks[0].ops.shares_storage_with(&trace.ranks[2].ops));
+        let shares =
+            |a: usize, b: usize| trace.ranks[a].ops.shares_storage_with(&trace.ranks[b].ops);
+        assert!([3, 5, 7].into_iter().all(|follower| shares(1, follower)));
+        assert!(![(0, 2), (2, 4), (4, 6), (0, 1)]
+            .into_iter()
+            .any(|(a, b)| shares(a, b)));
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn local_op(rng: &mut Lcg, kind: u64) -> TraceOp {
         3 => TraceOp::CopyIntra {
             bytes: 1 + rng.below(65_536) as usize,
             mechanism: None,
-            first_use: rng.below(2) == 0,
         },
         _ => TraceOp::Codec {
             bytes: 1 + rng.below(65_536) as usize,

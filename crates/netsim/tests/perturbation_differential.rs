@@ -1,14 +1,17 @@
 //! Chaos-differential pin for the perturbation plane.
 //!
 //! Every random draw in [`pip_netsim::perturb`] is a pure hash of static
-//! identifiers — (seed, rank), (seed, src-node, dst-node), (seed, rank, pc,
-//! attempt) — so the calendar-queue engine and the seed reference engine
+//! identifiers — (seed, src-node, dst-node) for link jitter, (seed, rank,
+//! pc, attempt) for drops — so the calendar-queue engine and the seed
+//! reference engine
 //! must agree *bit-for-bit* on every perturbed run, exactly as they do on
 //! healthy ones.  This suite pins that property over random traces × random
 //! perturbation configs, plus the surrounding invariants:
 //!
 //! * **identity** — a zero-magnitude config reproduces the unperturbed run
 //!   exactly on every path (full, folded, reference);
+//! * **no perturbed fold** — every other config draws per link or per
+//!   message, so a folded entry point replays it in full or rejects it;
 //! * **determinism** — same seed, same outcome; different seed, different
 //!   timeline; distribution sanity for the draws;
 //! * **liveness** — drop rates below the retry budget always complete,
@@ -16,8 +19,7 @@
 //!   starved `(rank, tag)` pairs — never a hang, never a bare deadlock.
 
 use pip_netsim::{
-    DropSpec, FoldedTrace, LinkSpec, Perturbation, RunOptions, SimEngine, SimError, SimParams,
-    StragglerSpec, Trace, TraceOp,
+    DropSpec, FoldedTrace, Perturbation, RunOptions, SimEngine, SimError, SimParams, Trace, TraceOp,
 };
 use pip_runtime::Topology;
 use proptest::prelude::*;
@@ -26,25 +28,14 @@ mod common;
 use common::{random_trace, symmetric_trace, Lcg};
 
 /// A random perturbation drawn from small discrete sets so every regime —
-/// inert, straggler-only, jitter-only, lossy, combined — shows up across
-/// the proptest cases.  Retry budgets are deep enough that sub-unity drop
-/// rates practically always deliver, keeping most cases on the `Ok` path.
+/// inert, jitter-only, lossy, combined — shows up across the proptest
+/// cases.  Retry budgets are deep enough that sub-unity drop rates
+/// practically always deliver, keeping most cases on the `Ok` path.
 fn random_perturbation(seed: u64) -> Perturbation {
     let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9) | 1);
     Perturbation {
         seed: rng.next(),
-        straggler: StragglerSpec {
-            fraction: rng.pick(&[0.0, 0.25, 0.5, 1.0]),
-            start_delay: rng.pick(&[0.0, 500.0, 2_000.0]),
-            start_delay_jitter: rng.pick(&[0.0, 300.0]),
-            compute_slowdown: rng.pick(&[1.0, 1.25, 2.0]),
-        },
-        link: LinkSpec {
-            latency_pad: rng.pick(&[0.0, 100.0]),
-            latency_jitter: rng.pick(&[0.0, 250.0]),
-            occupancy_factor: rng.pick(&[1.0, 1.5]),
-            occupancy_jitter: rng.pick(&[0.0, 0.2]),
-        },
+        latency_jitter: rng.pick(&[0.0, 250.0]),
         drop: DropSpec {
             rate: rng.pick(&[0.0, 0.02, 0.1]),
             max_retries: 6 + rng.below(4) as u32,
@@ -54,40 +45,22 @@ fn random_perturbation(seed: u64) -> Perturbation {
     }
 }
 
-/// A node-symmetric perturbation: uniform across ranks and links, no drops.
-/// These are exactly the configs folded replay accepts.
-fn random_symmetric_perturbation(seed: u64) -> Perturbation {
-    let mut rng = Lcg(seed.wrapping_mul(0x517c_c1b7) | 1);
-    Perturbation {
-        seed: rng.next(),
-        straggler: StragglerSpec {
-            fraction: 1.0,
-            start_delay: rng.pick(&[0.0, 500.0, 2_000.0]),
-            start_delay_jitter: 0.0,
-            compute_slowdown: rng.pick(&[1.0, 1.5, 2.0]),
-        },
-        link: LinkSpec {
-            latency_pad: rng.pick(&[0.0, 100.0, 400.0]),
-            latency_jitter: 0.0,
-            occupancy_factor: rng.pick(&[1.0, 1.25, 2.0]),
-            occupancy_jitter: 0.0,
-        },
-        drop: DropSpec::NONE,
+/// [`random_perturbation`] with the inert draws made non-identity: a
+/// 250 ns jitter bound wherever the draw came out jitter-free and lossless.
+fn random_active_perturbation(seed: u64) -> Perturbation {
+    let mut perturbation = random_perturbation(seed);
+    if perturbation.is_identity() {
+        perturbation.latency_jitter = 250.0;
     }
+    perturbation
 }
 
 /// A config with every magnitude at its neutral element: active in shape
-/// (non-zero fraction, non-zero retry budget) but an arithmetic identity.
+/// (non-zero retry budget) but an arithmetic identity.
 fn zero_magnitude_perturbation(seed: u64) -> Perturbation {
     Perturbation {
         seed,
-        straggler: StragglerSpec {
-            fraction: 1.0,
-            start_delay: 0.0,
-            start_delay_jitter: 0.0,
-            compute_slowdown: 1.0,
-        },
-        link: LinkSpec::NONE,
+        latency_jitter: 0.0,
         drop: DropSpec {
             rate: 0.0,
             max_retries: 8,
@@ -154,12 +127,6 @@ fn assert_outcomes_agree(
         a.stats.nic_busy_max,
         b.stats.nic_busy_max
     );
-    assert!(
-        close(a.stats.straggler_idle_total, b.stats.straggler_idle_total),
-        "{label}: straggler_idle_total {} vs {}",
-        a.stats.straggler_idle_total,
-        b.stats.straggler_idle_total
-    );
 }
 
 proptest! {
@@ -217,47 +184,33 @@ proptest! {
     }
 
     #[test]
-    fn symmetric_perturbations_still_fold(
+    fn perturbed_symmetric_traces_replay_in_full(
         nodes in 2usize..6,
         ppn in 1usize..5,
         rounds in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let trace = random_trace(nodes, ppn, rounds, seed);
-        let perturbation = random_symmetric_perturbation(seed);
-        prop_assert!(perturbation.is_node_symmetric());
-        let options = RunOptions::default().with_perturbation(perturbation);
-        let engine = SimEngine::new(SimParams::default());
-        let full = engine.run_with(&trace, options).expect("full replay");
-        let folded = engine.run_folded_with(&trace, options).expect("folded replay");
-        assert_outcomes_agree(
-            &format!("sym {nodes}x{ppn} rounds={rounds} seed={seed}"),
-            &folded,
-            &full,
-        );
-    }
-
-    #[test]
-    fn symmetric_perturbations_fold_node_symmetric_traces(
-        nodes in 2usize..6,
-        ppn in 1usize..5,
-        rounds in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        // Unlike `random_trace`, every one of these traces folds, so the
-        // folded replay's local-op arms and each symmetric perturbation
-        // are compared against the full replay on every case.
+        // Every one of these traces folds unperturbed; under any
+        // non-identity config `run_folded_with` must replay the full world
+        // (bit-identical to `run_with`) and the direct folded entry point,
+        // with no full trace to fall back to, must refuse.
         let trace = symmetric_trace(nodes, ppn, rounds, seed);
-        let perturbation = random_symmetric_perturbation(seed);
-        prop_assert!(FoldedTrace::detect_with(&trace, Some(&perturbation)).is_some());
+        let folded = FoldedTrace::detect(&trace).expect("symmetric traces fold");
+        let perturbation = random_active_perturbation(seed);
+        prop_assert!(FoldedTrace::detect_with(&trace, Some(&perturbation)).is_none());
         let options = RunOptions::default().with_perturbation(perturbation);
         let engine = SimEngine::new(SimParams::default());
-        let full = engine.run_with(&trace, options).expect("full replay");
-        let folded = engine.run_folded_with(&trace, options).expect("folded replay");
-        assert_outcomes_agree(
-            &format!("sym-trace {nodes}x{ppn} rounds={rounds} seed={seed}"),
-            &folded,
-            &full,
+        match (
+            engine.run_with(&trace, options),
+            engine.run_folded_with(&trace, options),
+        ) {
+            (Ok(full), Ok(folded)) => prop_assert_eq!(full, folded),
+            (Err(full), Err(folded)) => prop_assert_eq!(full, folded),
+            (a, b) => panic!("fallback mismatch: {a:?} vs {b:?}"),
+        }
+        prop_assert_eq!(
+            engine.run_folded_trace(&folded, options),
+            Err(SimError::AsymmetricPerturbation)
         );
     }
 
@@ -270,10 +223,8 @@ proptest! {
         // `run_folded_with` must notice the asymmetry and silently replay
         // in full, so its outcome equals `run_with` bit-for-bit.
         let trace = random_trace(nodes, ppn, 2, seed);
-        let mut perturbation = random_perturbation(seed);
-        perturbation.straggler.fraction = 0.5;
-        perturbation.straggler.start_delay = 1_000.0;
-        prop_assert!(!perturbation.is_node_symmetric());
+        let perturbation = random_active_perturbation(seed);
+        prop_assert!(!perturbation.is_identity());
         let options = RunOptions::default().with_perturbation(perturbation);
         let engine = SimEngine::new(SimParams::default());
         match (
@@ -302,20 +253,8 @@ fn same_seed_reproduces_the_exact_outcome() {
 fn different_seeds_move_the_timeline() {
     let trace = random_trace(4, 3, 3, 42);
     let base = Perturbation {
-        straggler: StragglerSpec {
-            fraction: 0.5,
-            start_delay: 2_000.0,
-            start_delay_jitter: 1_000.0,
-            compute_slowdown: 1.5,
-        },
-        link: LinkSpec {
-            latency_pad: 0.0,
-            latency_jitter: 500.0,
-            occupancy_factor: 1.0,
-            occupancy_jitter: 0.1,
-        },
-        drop: DropSpec::NONE,
-        seed: 0,
+        latency_jitter: 500.0,
+        ..Perturbation::NONE
     };
     let engine = SimEngine::new(SimParams::default());
     let makespans: Vec<f64> = (0..4u64)
@@ -356,36 +295,10 @@ fn perturbed_summary_runs_skip_rank_finish_but_keep_the_stats() {
 // --- distribution sanity (different seeds, public draw API) -------------
 
 #[test]
-fn straggler_fraction_matches_the_configured_probability() {
-    let perturbation = Perturbation {
-        seed: 99,
-        straggler: StragglerSpec {
-            fraction: 0.25,
-            start_delay: 100.0,
-            start_delay_jitter: 0.0,
-            compute_slowdown: 1.0,
-        },
-        ..Perturbation::NONE
-    };
-    let hits = (0..10_000)
-        .filter(|&rank| perturbation.rank_is_straggler(rank))
-        .count();
-    assert!(
-        (2_200..=2_800).contains(&hits),
-        "expected ~2500/10000 stragglers, got {hits}"
-    );
-}
-
-#[test]
 fn mean_link_jitter_is_within_tolerance() {
     let perturbation = Perturbation {
         seed: 123,
-        link: LinkSpec {
-            latency_pad: 100.0,
-            latency_jitter: 1_000.0,
-            occupancy_factor: 1.0,
-            occupancy_jitter: 0.0,
-        },
+        latency_jitter: 1_000.0,
         ..Perturbation::NONE
     };
     let n = 200usize;
@@ -396,10 +309,10 @@ fn mean_link_jitter_is_within_tolerance() {
         }
     }
     let mean = sum / (n * n) as f64;
-    // Uniform on [pad, pad + jitter): mean = pad + jitter / 2 = 600.
+    // Uniform on [0, jitter): mean = jitter / 2 = 500.
     assert!(
-        (550.0..=650.0).contains(&mean),
-        "mean link latency extra {mean} outside [550, 650]"
+        (450.0..=550.0).contains(&mean),
+        "mean link latency extra {mean} outside [450, 550]"
     );
 }
 

@@ -6,7 +6,9 @@
 //! leave retires.  Pinned here, for every library:
 //!
 //! * (a) scopes never leak: `NodeSpace::exposed_count()` returns to where it
-//!   was, whatever mix of blocking, `i*` and persistent calls ran;
+//!   was, whatever mix of blocking, `i*` and persistent calls ran — blocking
+//!   calls too large for a plan, which run the algorithm directly and
+//!   expose its regions by name, included;
 //! * (b) the region pool reaches its steady state after one round;
 //! * (c) six requests outstanding at once, completed in a different order on
 //!   every rank, never see each other's regions or barrier arrivals — and
@@ -204,6 +206,52 @@ fn scopes_are_retired_and_the_pool_reaches_a_steady_state() {
                 }
             }
         }
+    }
+}
+
+/// (a) past the plan path: blocking calls whose buffers exceed
+/// `EXEC_PLAN_MAX_BYTES` (4 MiB) run the algorithm on the communicator
+/// itself, and its named regions (`mo_ag_{tag}`, `mo_ar_out_{tag}`, …)
+/// must be retired when the call returns, not kept one per call.
+#[test]
+fn oversized_blocking_calls_release_their_regions() {
+    const CALLS: usize = 2;
+    // 2 MiB per rank (8 MiB gathered) and 5 MiB reduced.
+    const GATHER: usize = (2 << 20) / 4;
+    const REDUCE: usize = (5 << 20) / 4;
+    let topo = Topology::new(1, 4);
+    let world = topo.world_size();
+    let counts = Cluster::launch(topo, |ctx| {
+        let comm = Communicator::new(ctx, Library::PipMColl.profile());
+        let rank = comm.rank() as u32;
+        // Read between two barriers: no rank is inside a call meanwhile.
+        let settled = || {
+            ctx.node_barrier();
+            let count = ctx.node().exposed_count();
+            ctx.node_barrier();
+            count
+        };
+        let mut counts = vec![settled()];
+        for call in 0..CALLS as u32 {
+            let got = comm.allgather(&vec![rank + call; GATHER]);
+            assert!((0..world).all(|r| got[r * GATHER..(r + 1) * GATHER]
+                .iter()
+                .all(|&v| v == r as u32 + call)));
+            counts.push(settled());
+            let mut buf = vec![rank + call; REDUCE];
+            comm.allreduce(&mut buf, ReduceOp::Sum);
+            let sum = (0..world as u32).map(|r| r + call).sum::<u32>();
+            assert!(buf.iter().all(|&v| v == sum));
+            counts.push(settled());
+        }
+        counts
+    })
+    .unwrap();
+    for (rank, counts) in counts.iter().enumerate() {
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "rank {rank}: exposed regions after each call {counts:?}"
+        );
     }
 }
 
