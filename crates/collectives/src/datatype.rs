@@ -25,8 +25,9 @@
 //! decode, combine and re-encode as straight-line code — a shape LLVM
 //! auto-vectorizes — with an explicitly unrolled path for the `f32`/`f64`
 //! Sum kernels that dominate gradient workloads. The historical per-element
-//! path survives as [`ReduceOp::apply_bytes_scalar`], the baseline for
-//! `bench_reduce_kernels` and the differential tests.
+//! path survives as [`ReduceOp::apply_bytes_scalar`], the reference of the
+//! differential tests; since `read_le` is `#[inline]` it vectorizes too
+//! where the operator allows (f32 Sum within ≈ 20 % of the chunked fold).
 //!
 //! ## Float semantics
 //!
@@ -121,6 +122,17 @@ impl DtypeId {
 ///   host endianness;
 /// * `read_le(write_le(x)) == x` bit-for-bit (floats round-trip NaN
 ///   payloads unchanged).
+///
+/// # Performance
+///
+/// Mark every `read_le` and `write_le` impl `#[inline]`, user impls
+/// included.  [`to_bytes`], [`from_bytes`], [`read_into`] and the
+/// [`Op::of_typed`] fold are generic, so they are instantiated in the
+/// calling crate, where a non-`#[inline]` impl is one out-of-line call per
+/// element and nothing vectorizes: warm 64 KiB `f32` decoding measured
+/// 1.6–2.1 GB/s without the hint against 20–29 GB/s with it, a typed user
+/// Sum 0.8 against 15 GB/s (`bench_reduce_kernels` asserts the decode
+/// rate).
 pub trait Datatype: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Size of one element in bytes.
     const SIZE: usize;
@@ -209,6 +221,10 @@ macro_rules! impl_datatype_int {
                 out.copy_from_slice(&self.to_le_bytes());
             }
 
+            // `from_bytes`, `read_into` and user-operator folds are
+            // instantiated in the calling crate too; without the hint they
+            // decode one call per element at about 2 GB/s.
+            #[inline]
             fn read_le(src: &[u8]) -> Self {
                 <$ty>::from_le_bytes(src.try_into().expect("element size"))
             }
@@ -245,6 +261,10 @@ macro_rules! impl_datatype_float {
                 out.copy_from_slice(&self.to_le_bytes());
             }
 
+            // `from_bytes`, `read_into` and user-operator folds are
+            // instantiated in the calling crate too; without the hint they
+            // decode one call per element at about 2 GB/s.
+            #[inline]
             fn read_le(src: &[u8]) -> Self {
                 <$ty>::from_le_bytes(src.try_into().expect("element size"))
             }

@@ -2,11 +2,14 @@
 //! plane.
 //!
 //! Every run of a compiled plan materializes the same multiset of scratch
-//! buffers: one per value slot it fills (received messages, shared reads,
-//! reduction accumulators), one per operand it materializes (sent payloads,
-//! published or written regions, reduction and codec inputs), and one per
-//! output write of the caller's own bytes.  Output writes of value slots
-//! take none: the drain copies them straight from the slots.
+//! buffers: one per value slot it fills (received messages, shared reads
+//! that do not land directly, reduction accumulators), one per operand it
+//! materializes (sent payloads, published or written regions, reduction
+//! and codec inputs), and one per output write of the caller's own bytes.
+//! Output writes of value slots take none: the drain copies them straight
+//! from the slots.  A shared read whose value only fills one range of the
+//! output takes none either: it lands in the receive buffer directly (see
+//! [`crate::plan::cursor`] for the four conditions).
 //! Allocating those from the global allocator on every invocation is
 //! exactly the per-call overhead persistent collectives (`*_init` →
 //! repeated `start()`) exist to avoid, so the

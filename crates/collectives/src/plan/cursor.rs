@@ -38,7 +38,24 @@
 //! only after the flush.  A `CopyOut` that reads the caller's buffers
 //! (`SendBuf`/`RecvInit`) is still copied when it runs, because the flush
 //! overwrites what it reads.
+//!
+//! **Direct shared reads take no slot either.**  A `SharedRead` copies the
+//! peer's region straight into the receive buffer at the offset its
+//! `CopyOut` would have written, and that `CopyOut` does nothing, so each
+//! byte moves once.  A read qualifies when all four hold:
+//!
+//! 1. its value is read exactly once, by one `CopyOut` of the whole value;
+//! 2. that `CopyOut` overlaps no other `CopyOut` (the flush applies them in
+//!    program order, after the read landed);
+//! 3. no later op reads the caller's bytes of that range — a `RecvInit`
+//!    segment, or a `SendBuf` segment of an in/out plan;
+//! 4. the receive buffer is not staged (strided): staging is unpacked at
+//!    the drain.
+//!
+//! [`ExecPlan`] decides this once per plan, when the plan enters a cache;
+//! every other value keeps its slot.
 
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::comm::{NonBlockingComm, ReduceFn};
@@ -63,6 +80,144 @@ pub enum StepOutcome {
     Done,
 }
 
+/// A rank's compiled plan together with what every execution of it derives
+/// from its ops alone: which shared reads land straight in the receive
+/// buffer ([`ExecPlan::direct_reads`]).
+///
+/// The table is computed once, when the plan enters a cache, and kept
+/// beside the [`RankPlan`] rather than in it, so the plan's own form (its
+/// `Debug` rendering is what `tests/plan_golden.rs` hashes) does not
+/// change.  Dereferences to the plan.
+#[derive(Debug)]
+pub struct ExecPlan {
+    plan: RankPlan,
+    /// Per value: the receive-buffer offset a direct `SharedRead` of it
+    /// lands at; `None` for a value that takes a slot.
+    direct: Vec<Option<usize>>,
+}
+
+impl ExecPlan {
+    /// Wrap `plan`, deciding which of its shared reads land directly.
+    pub fn new(plan: RankPlan) -> Self {
+        let direct = direct_offsets(&plan);
+        Self { plan, direct }
+    }
+
+    /// How many `SharedRead`s land straight in the receive buffer, each
+    /// skipping a value slot and the `CopyOut` that would flush it.
+    pub fn direct_reads(&self) -> usize {
+        self.direct.iter().flatten().count()
+    }
+
+    /// Whether `CopyOut` source `src` is a value already read into place.
+    fn landed(&self, src: &Src) -> bool {
+        matches!(src.segs[..], [SrcSeg::Val { id, .. }] if self.direct[id as usize].is_some())
+    }
+}
+
+impl Deref for ExecPlan {
+    type Target = RankPlan;
+
+    fn deref(&self) -> &RankPlan {
+        &self.plan
+    }
+}
+
+/// The receive-buffer offset each value's `SharedRead` may land at
+/// directly (see the module docs for the four conditions).  Linear in the
+/// ops apart from sorting the output writes and checking each candidate
+/// against the later reads of the caller's bytes.
+fn direct_offsets(plan: &RankPlan) -> Vec<Option<usize>> {
+    let vals = plan.val_lens.len();
+    let mut direct = vec![None; vals];
+    // Condition 4: staged output is unpacked at the drain, so a direct
+    // write into the caller's buffer would land at the wrong offsets.
+    if plan.fidelity != Fidelity::Exec || plan.io.recv_layout.is_some() {
+        return direct;
+    }
+    let mut uses = vec![0usize; vals];
+    let mut read_at = vec![None; vals];
+    // (start, end, op) of every output write, and of every read of the
+    // receive buffer's caller bytes.
+    let mut outs = Vec::new();
+    let mut caller_reads = Vec::new();
+    for (pc, op) in plan.ops.iter().enumerate() {
+        for seg in sources(op).flat_map(|src| &src.segs) {
+            match *seg {
+                SrcSeg::Val { id, .. } => uses[id as usize] += 1,
+                SrcSeg::RecvInit { offset, len } => caller_reads.push((offset, offset + len, pc)),
+                SrcSeg::SendBuf { offset, len } if plan.io.inout => {
+                    caller_reads.push((offset, offset + len, pc))
+                }
+                _ => {}
+            }
+        }
+        match op {
+            PlanOp::SharedRead { dst, .. } => read_at[*dst as usize] = Some(pc),
+            PlanOp::CopyOut { offset, src } => outs.push((*offset, offset + src.len(), pc)),
+            _ => {}
+        }
+    }
+    // Condition 2: mark the output writes that overlap another one.  Sorted
+    // by start, a write overlaps an earlier one iff it starts before the
+    // furthest end so far, and a later one iff the next start is before
+    // its own end.
+    outs.sort_unstable();
+    let mut shared_range = vec![false; plan.ops.len()];
+    let mut furthest = 0;
+    for (k, &(start, end, pc)) in outs.iter().enumerate() {
+        let next_start = outs.get(k + 1).map_or(usize::MAX, |next| next.0);
+        shared_range[pc] = start < furthest || next_start < end;
+        furthest = furthest.max(end);
+    }
+    for &(start, end, pc) in &outs {
+        let PlanOp::CopyOut { src, .. } = &plan.ops[pc] else {
+            unreachable!("outs holds CopyOut ops only");
+        };
+        // Condition 1: the whole value, read by this write alone.
+        let [SrcSeg::Val { id, len, .. }] = src.segs[..] else {
+            continue;
+        };
+        let id = id as usize;
+        let Some(read) = read_at[id] else { continue };
+        if uses[id] != 1 || len != plan.val_lens[id] || shared_range[pc] {
+            continue;
+        }
+        // Condition 3: nothing after the read looks at the caller's bytes
+        // it overwrites.
+        let clobbers =
+            |&(from, to, at): &(usize, usize, usize)| at > read && from < end && start < to;
+        if !caller_reads.iter().any(clobbers) {
+            direct[id] = Some(start);
+        }
+    }
+    direct
+}
+
+/// The sources op `op` reads.
+fn sources(op: &PlanOp) -> impl Iterator<Item = &Src> {
+    let (first, second) = match op {
+        PlanOp::SharedPublish { src, .. }
+        | PlanOp::SharedWrite { src, .. }
+        | PlanOp::Send { src, .. }
+        | PlanOp::Compress { src, .. }
+        | PlanOp::CopyOut { src, .. } => (Some(src), None),
+        PlanOp::Reduce { acc, other, .. } => (Some(acc), Some(other)),
+        PlanOp::SharedAlloc { .. }
+        | PlanOp::SharedCollect { .. }
+        | PlanOp::SharedRead { .. }
+        | PlanOp::Recv { .. }
+        | PlanOp::Decompress { .. }
+        | PlanOp::SendFromShared { .. }
+        | PlanOp::RecvIntoShared { .. }
+        | PlanOp::NodeBarrier
+        | PlanOp::ChargeCopy { .. }
+        | PlanOp::ChargeReduce { .. }
+        | PlanOp::Delay { .. } => (None, None),
+    };
+    first.into_iter().chain(second)
+}
+
 /// A resumable execution of one rank's compiled plan.
 ///
 /// Created from a cached plan, the caller's buffers and the invocation tag;
@@ -76,7 +231,7 @@ pub enum StepOutcome {
 /// are the same buffer.
 #[derive(Debug)]
 pub struct PlanCursor {
-    plan: Rc<RankPlan>,
+    plan: Rc<ExecPlan>,
     tag: u64,
     /// This rank's membership of the invocation's node-local scope; `None`
     /// before the first step and after the program drained.
@@ -133,7 +288,7 @@ impl PlanCursor {
     /// disagree with the plan's [`crate::plan::ir::IoShape`] — caller bugs,
     /// not data-dependent failures.
     pub fn new(
-        plan: Rc<RankPlan>,
+        plan: Rc<ExecPlan>,
         sendbuf: Option<Vec<u8>>,
         recvbuf: Option<Vec<u8>>,
         tag: u64,
@@ -402,9 +557,17 @@ impl PlanCursor {
                 let Some(region) = self.region(*owner_local, *name) else {
                     return StepOutcome::Blocked;
                 };
-                let mut data = self.arena.borrow_mut().acquire(*len);
-                region.read_into_vec(*offset, *len, &mut data);
-                self.store_val(*dst, data);
+                if let Some(at) = self.plan.direct[*dst as usize] {
+                    let out = self
+                        .recvbuf
+                        .as_deref_mut()
+                        .expect("direct reads need a buffer");
+                    region.read(*offset, &mut out[at..at + *len]);
+                } else {
+                    let mut data = self.arena.borrow_mut().acquire(*len);
+                    region.read_into_vec(*offset, *len, &mut data);
+                    self.store_val(*dst, data);
+                }
             }
             PlanOp::Send { dest, tag: t, src } => {
                 let data = self.materialize(src);
@@ -512,6 +675,8 @@ impl PlanCursor {
                 self.arena.borrow_mut().release(other_bytes);
                 self.store_val(*dst, acc_bytes);
             }
+            // A value read straight into place has nothing left to write.
+            PlanOp::CopyOut { src, .. } if self.plan.landed(src) => {}
             PlanOp::CopyOut { src, .. } => {
                 // Bytes of the caller's buffers are copied now, before the
                 // flush overwrites them; value slots and literals are read
@@ -619,8 +784,8 @@ mod tests {
         topo: Topology,
         io: IoShape,
         body: impl Fn(&PlanComm) -> Option<Vec<u8>>,
-    ) -> Rc<RankPlan> {
-        Rc::new(compile_exec(rank, topo, io, body))
+    ) -> Rc<ExecPlan> {
+        Rc::new(ExecPlan::new(compile_exec(rank, topo, io, body)))
     }
 
     fn io(sendbuf: usize, recvbuf: usize) -> IoShape {
@@ -631,7 +796,7 @@ mod tests {
         }
     }
 
-    fn compile_exchange(rank: usize, topo: Topology) -> Rc<RankPlan> {
+    fn compile_exchange(rank: usize, topo: Topology) -> Rc<ExecPlan> {
         compile(rank, topo, io(4, 4), |comm| {
             let mut sendbuf = vec![0u8; 4];
             comm.fill_sendbuf(&mut sendbuf);
@@ -842,7 +1007,7 @@ mod tests {
             };
             let arena = shared_arena();
             let buf = (1..=16).collect();
-            let plan = Rc::new(plan.clone());
+            let plan = Rc::new(ExecPlan::new(plan.clone()));
             let mut cursor = PlanCursor::new(plan, None, Some(buf), 1 << 16, Rc::clone(&arena));
             cursor.run(&comm, Some(&add));
             let stats = arena.borrow().stats();
@@ -861,6 +1026,225 @@ mod tests {
         assert_eq!(stats.released, 5, "{stats:?}");
     }
 
+    /// A one-rank plan whose first op publishes `region` as region 0, so
+    /// the rest can read it back with `SharedRead`s.
+    fn hand_plan(io: IoShape, region: &[u8], val_lens: Vec<usize>, ops: Vec<PlanOp>) -> RankPlan {
+        let publish = PlanOp::SharedPublish {
+            name: 0,
+            src: Src {
+                segs: vec![SrcSeg::Lit(region.to_vec())],
+            },
+        };
+        let plan = RankPlan {
+            rank: 0,
+            topology: Topology::new(1, 1),
+            fidelity: Fidelity::Exec,
+            io: IoShape {
+                needs_reduce_op: true,
+                ..io
+            },
+            names: vec!["region".to_string()],
+            val_lens,
+            ops: std::iter::once(publish).chain(ops).collect(),
+        };
+        plan.validate().unwrap();
+        plan
+    }
+
+    /// Run `plan` on one rank, with byte-wise wrapping addition as the
+    /// reduction operator: the receive buffer afterwards, the arena
+    /// buffers the run acquired and the plan's direct reads.
+    fn run_hand_plan(
+        plan: &RankPlan,
+        sendbuf: Option<Vec<u8>>,
+        recvbuf: Vec<u8>,
+    ) -> (Vec<u8>, u64, usize) {
+        let results = Cluster::launch(plan.topology, |ctx| {
+            let comm = ThreadComm::new(ctx);
+            let add = |acc: &mut [u8], other: &[u8]| {
+                for (a, b) in acc.iter_mut().zip(other) {
+                    *a = a.wrapping_add(*b);
+                }
+            };
+            let arena = shared_arena();
+            let plan = Rc::new(ExecPlan::new(plan.clone()));
+            let direct = plan.direct_reads();
+            let mut cursor = PlanCursor::new(
+                plan,
+                sendbuf.clone(),
+                Some(recvbuf.clone()),
+                1 << 16,
+                Rc::clone(&arena),
+            );
+            cursor.run(&comm, Some(&add));
+            let stats = arena.borrow().stats();
+            assert_eq!(stats.hits + stats.misses, stats.released, "{stats:?}");
+            let out = cursor.into_output().recvbuf.unwrap();
+            (out, stats.hits + stats.misses, direct)
+        })
+        .unwrap();
+        results.into_iter().next().unwrap()
+    }
+
+    fn read(offset: usize, len: usize, dst: u32) -> PlanOp {
+        PlanOp::SharedRead {
+            owner_local: 0,
+            name: 0,
+            offset,
+            len,
+            dst,
+        }
+    }
+
+    fn copy_out(offset: usize, seg: SrcSeg) -> PlanOp {
+        PlanOp::CopyOut {
+            offset,
+            src: Src { segs: vec![seg] },
+        }
+    }
+
+    fn val(id: u32, offset: usize, len: usize) -> SrcSeg {
+        SrcSeg::Val { id, offset, len }
+    }
+
+    const REGION: [u8; 16] = [
+        100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115,
+    ];
+
+    /// The caller's receive buffer on entry: `1..=len`.
+    fn initial(len: usize) -> Vec<u8> {
+        (1..=len as u8).collect()
+    }
+
+    /// Two shared reads that each fill one range of the output land there
+    /// directly: the result is the one the value slots give, and the run
+    /// acquires exactly one buffer fewer per direct read.  Neither a
+    /// `RecvInit` read of the range before the reads nor a `SendBuf` read
+    /// after them stops the rule: the first sees the entry bytes anyway,
+    /// and the send buffer is not the output.  The twin writes each value
+    /// out in two halves, which keeps both reads in slots.
+    #[test]
+    fn direct_reads_land_in_place_and_take_no_buffer() {
+        let reduce = |dst, seg| PlanOp::Reduce {
+            dst,
+            acc: Src { segs: vec![seg] },
+            other: Src {
+                segs: vec![SrcSeg::Lit(vec![1; 8])],
+            },
+        };
+        let plan = |copy_outs: Vec<PlanOp>| {
+            let ops = [
+                vec![
+                    reduce(2, SrcSeg::RecvInit { offset: 4, len: 8 }),
+                    read(0, 8, 0),
+                    read(8, 8, 1),
+                ],
+                copy_outs,
+                vec![reduce(3, SrcSeg::SendBuf { offset: 0, len: 8 })],
+            ];
+            hand_plan(io(8, 16), &REGION, vec![8; 4], ops.concat())
+        };
+        let whole = plan(vec![copy_out(8, val(0, 0, 8)), copy_out(0, val(1, 0, 8))]);
+        let halves = plan(vec![
+            copy_out(8, val(0, 0, 4)),
+            copy_out(12, val(0, 4, 4)),
+            copy_out(0, val(1, 0, 4)),
+            copy_out(4, val(1, 4, 4)),
+        ]);
+        let expected = [&REGION[8..], &REGION[..8]].concat();
+        let sendbuf = Some(vec![7; 8]);
+        let (out, acquired, direct) = run_hand_plan(&whole, sendbuf.clone(), initial(16));
+        let (slot_out, slot_acquired, slot_direct) = run_hand_plan(&halves, sendbuf, initial(16));
+        assert_eq!((direct, slot_direct), (2, 0));
+        assert_eq!(out, expected);
+        assert_eq!(slot_out, expected);
+        assert_eq!(slot_acquired - acquired, direct as u64);
+    }
+
+    /// Every condition of the direct-read rule, broken once: each read
+    /// keeps its slot, and the output is what the slots give.
+    #[test]
+    fn reads_that_break_a_condition_keep_their_slots() {
+        let entry = initial(16);
+        let inout = IoShape {
+            recvbuf: Some(16),
+            inout: true,
+            ..IoShape::default()
+        };
+        let staged = IoShape {
+            recv_layout: Some(Layout::vector(2, 8, 12)),
+            ..io(0, 16)
+        };
+        let mut part = entry.clone();
+        part[4..8].copy_from_slice(&REGION[..4]);
+        let cases: Vec<(&str, IoShape, Vec<PlanOp>, Vec<u8>)> = vec![
+            (
+                "a later RecvInit read of the range must see the entry bytes",
+                io(0, 16),
+                vec![
+                    read(0, 8, 0),
+                    copy_out(0, val(0, 0, 8)),
+                    copy_out(8, SrcSeg::RecvInit { offset: 4, len: 8 }),
+                ],
+                [&REGION[..8], &entry[4..12]].concat(),
+            ),
+            (
+                "an in/out plan's later SendBuf read is the output's entry bytes",
+                inout,
+                vec![
+                    read(8, 8, 0),
+                    copy_out(0, val(0, 0, 8)),
+                    copy_out(8, SrcSeg::SendBuf { offset: 0, len: 8 }),
+                ],
+                [&REGION[8..], &entry[..8]].concat(),
+            ),
+            (
+                "an earlier overlapping write is flushed after the read landed",
+                io(0, 16),
+                vec![
+                    copy_out(4, SrcSeg::Lit(vec![9; 8])),
+                    read(0, 8, 0),
+                    copy_out(0, val(0, 0, 8)),
+                ],
+                [&REGION[..8], &[9; 4][..], &entry[12..]].concat(),
+            ),
+            (
+                "a value read twice",
+                io(0, 16),
+                vec![
+                    read(0, 8, 0),
+                    copy_out(0, val(0, 0, 8)),
+                    copy_out(8, val(0, 0, 8)),
+                ],
+                [&REGION[..8], &REGION[..8]].concat(),
+            ),
+            (
+                "a value written out in part",
+                io(0, 16),
+                vec![read(0, 8, 0), copy_out(4, val(0, 0, 4))],
+                part,
+            ),
+            (
+                "a staged receive buffer is unpacked at the drain, gaps kept",
+                staged,
+                vec![
+                    read(0, 8, 0),
+                    copy_out(0, val(0, 0, 8)),
+                    copy_out(8, SrcSeg::Lit(vec![9; 8])),
+                ],
+                [&REGION[..8], &initial(20)[8..12], &[9; 8][..]].concat(),
+            ),
+        ];
+        for (case, io, ops, expected) in cases {
+            let plan = hand_plan(io, &REGION, vec![8], ops);
+            let sendbuf = (!io.inout).then(Vec::new);
+            let recvbuf = initial(io.recv_layout.map_or(16, |l| l.extent()));
+            let (out, _, direct) = run_hand_plan(&plan, sendbuf, recvbuf);
+            assert_eq!(direct, 0, "{case}");
+            assert_eq!(out, expected, "{case}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "schedule-fidelity")]
     fn cursor_refuses_schedule_fidelity_plans() {
@@ -874,7 +1258,8 @@ mod tests {
             IoShape::default(),
             vec![comm.finish(None)],
         );
-        let _ = PlanCursor::new(Rc::new(plan), None, None, 1 << 16, shared_arena());
+        let plan = Rc::new(ExecPlan::new(plan));
+        let _ = PlanCursor::new(plan, None, None, 1 << 16, shared_arena());
     }
 
     #[test]

@@ -225,23 +225,24 @@ mod tests {
     use crate::comm::{Comm, ThreadComm};
     use crate::plan::ir::IoShape;
     use crate::plan::record::compile_exec;
-    use crate::plan::shared_arena;
+    use crate::plan::{shared_arena, ExecPlan};
     use pip_runtime::{Cluster, Topology};
 
     /// Compile a two-rank ping with a per-invocation distinct tag space.
-    fn compile_exchange(rank: usize, topo: Topology) -> Rc<crate::plan::RankPlan> {
+    fn compile_exchange(rank: usize, topo: Topology) -> Rc<ExecPlan> {
         let io = IoShape {
             sendbuf: Some(2),
             recvbuf: Some(2),
             ..IoShape::default()
         };
-        Rc::new(compile_exec(rank, topo, io, |comm| {
+        let plan = compile_exec(rank, topo, io, |comm| {
             let mut sendbuf = vec![0u8; 2];
             comm.fill_sendbuf(&mut sendbuf);
             let peer = 1 - rank;
             comm.send(peer, 0, &sendbuf);
             Some(comm.recv(peer, 0, 2))
-        }))
+        });
+        Rc::new(ExecPlan::new(plan))
     }
 
     /// Several outstanding executions of the same plan complete out of

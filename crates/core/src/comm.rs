@@ -21,7 +21,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use pip_collectives::comm::{Comm as _, ThreadComm};
-use pip_collectives::plan::{ArenaStats, PlanCursor, RankPlan, SharedArena};
+use pip_collectives::plan::{ArenaStats, ExecPlan, PlanCursor, SharedArena};
 use pip_collectives::request::{ProgressEngine, ReqId, SharedReduceOp};
 use pip_mpi_model::{dispatch, CompressSpec, LibraryProfile, OwnedCollective, PlanCache};
 use pip_runtime::{TaskCtx, Topology};
@@ -863,7 +863,7 @@ pub fn wait_all<'c, O>(requests: impl IntoIterator<Item = CollRequest<'c, O>>) -
 /// [`wait`]: PersistentColl::wait
 pub struct PersistentColl<'c, O> {
     comm: &'c Communicator<'c>,
-    plan: Rc<RankPlan>,
+    plan: Rc<ExecPlan>,
     sendbuf: Option<Vec<u8>>,
     recvbuf: Option<Vec<u8>>,
     /// The communicator's shared scratch arena: every start after the first

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use pip_collectives::comm::{Comm, NonBlockingComm, ReduceFn};
 use pip_collectives::datatype::{Layout, OwnedReduction};
-use pip_collectives::plan::{IoShape, PlanCursor, RankPlan};
+use pip_collectives::plan::{ExecPlan, IoShape, PlanCursor};
 use pip_collectives::{
     binomial, bruck, hierarchical, multi_object, recursive_doubling, recursive_halving, ring, scan,
 };
@@ -407,7 +407,7 @@ pub fn plan_owned<C: Comm>(
     comm: &C,
     request: OwnedCollective,
     cache: &mut PlanCache,
-) -> (Rc<RankPlan>, Option<Vec<u8>>, Option<Vec<u8>>) {
+) -> (Rc<ExecPlan>, Option<Vec<u8>>, Option<Vec<u8>>) {
     let shape = request.shape(comm.world_size());
     let plan = cache.lookup_or_compile(profile, comm.topology(), comm.rank(), &shape);
     let (sendbuf, recvbuf) = request.into_io(&plan.io);

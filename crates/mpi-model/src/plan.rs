@@ -27,7 +27,7 @@ use std::sync::Arc;
 use pip_collectives::comm::Comm as _;
 use pip_collectives::plan::{
     assemble, compile_exec, compress_rank_transfers, ranks_equal_under, schedules_equal_under,
-    shared_arena, ArenaStats, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena,
+    shared_arena, ArenaStats, ExecPlan, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena,
 };
 use pip_collectives::CollectiveKind;
 use pip_netsim::{FoldGroup, FoldedTrace};
@@ -654,7 +654,7 @@ pub const EXEC_PLAN_MAX_BYTES: usize = 4 << 20;
 /// repeat-dispatch hot path both compile-free and allocation-free.
 #[derive(Debug)]
 pub struct PlanCache {
-    plans: HashMap<PlanKey, Rc<RankPlan>>,
+    plans: HashMap<PlanKey, Rc<ExecPlan>>,
     arena: SharedArena,
     hits: u64,
     misses: u64,
@@ -692,14 +692,16 @@ impl PlanCache {
     }
 
     /// Look the key up, compiling (and remembering) the rank's plan on a
-    /// miss.
+    /// miss.  A compiled plan enters the cache as an [`ExecPlan`], so the
+    /// analysis of which shared reads land directly in the receive buffer
+    /// runs once per plan, not once per call.
     pub fn lookup_or_compile(
         &mut self,
         profile: &LibraryProfile,
         topology: Topology,
         rank: usize,
         shape: &CollectiveShape,
-    ) -> Rc<RankPlan> {
+    ) -> Rc<ExecPlan> {
         let key = PlanKey::new(profile, topology, *shape);
         if let Some(plan) = self.plans.get(&key) {
             debug_assert_eq!(plan.rank, rank, "one cache serves one rank");
@@ -707,7 +709,8 @@ impl PlanCache {
             return Rc::clone(plan);
         }
         self.misses += 1;
-        let plan = Rc::new(compile_rank(profile, topology, rank, shape, Fidelity::Exec));
+        let plan = compile_rank(profile, topology, rank, shape, Fidelity::Exec);
+        let plan = Rc::new(ExecPlan::new(plan));
         self.plans.insert(key, Rc::clone(&plan));
         plan
     }
@@ -1037,7 +1040,7 @@ mod tests {
             let comm = ThreadComm::new(ctx);
             let plan = compile_rank(&profile, topo, comm.rank(), &shape, Fidelity::Exec);
             let mut cursor = PlanCursor::new(
-                Rc::new(plan),
+                Rc::new(ExecPlan::new(plan)),
                 Some(oracle::rank_payload(comm.rank(), block)),
                 Some(vec![0u8; world * block]),
                 1 << 16,
