@@ -7,6 +7,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin abl_large_messages
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_collectives::CollectiveKind;
 use pip_mcoll_bench::figures::{collective_comparison, LARGE_SIZES};
 use pip_mcoll_bench::report::render_scaled_table;

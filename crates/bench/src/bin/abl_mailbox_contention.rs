@@ -17,6 +17,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin abl_mailbox_contention
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll_bench::fabric_bench::{
     rounds_for_budget, run_mailbox_workload, MAILBOX_PAYLOAD_BYTES, SHARD_AXIS,
 };

@@ -11,6 +11,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin abl_message_rate
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_netsim::params::SimParams;
 use pip_netsim::trace::{Trace, TraceOp};
 use pip_netsim::SimEngine;

@@ -6,6 +6,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin abl_node_scaling
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_collectives::CollectiveKind;
 use pip_mcoll_bench::figures::collective_comparison;
 use pip_mpi_model::Library;

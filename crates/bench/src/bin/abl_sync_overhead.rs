@@ -7,6 +7,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin abl_sync_overhead
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
 use pip_mcoll_bench::figures::collective_comparison;

@@ -7,6 +7,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin abl_transport_latency
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_transport::cost::{IntranodeCost, IntranodeMechanism};
 
 fn main() {

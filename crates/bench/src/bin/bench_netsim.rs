@@ -19,6 +19,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin bench_netsim
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use pip_netsim::trace::{Trace, TraceOp};

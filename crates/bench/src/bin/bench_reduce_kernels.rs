@@ -13,18 +13,24 @@
 //! wire bytes — `to_bytes`, `from_bytes` and `read_into` — for f32, f64
 //! and i32 on warm buffers.
 //!
-//! Two headline assertions, each relative to `to_bytes::<f32>` at the same
-//! size on the same host: the chunked f32 Sum kernel must run at least
+//! Three headline assertions.  Two are relative to `to_bytes::<f32>` at the
+//! same size on the same host: the chunked f32 Sum kernel must run at least
 //! 0.5x its rate at 64 KiB and above, and `from_bytes::<f32>` and
 //! `read_into::<f32>` at least 0.5x at 64 KiB.  The first fails when the
 //! kernel stops vectorising, the second when `Datatype::read_le` loses its
 //! `#[inline]`: every decoded element then pays an out-of-line call
-//! (measured ≈ 0.1x).  The per-element scalar path is printed but is no
-//! reference: with the hint it vectorises too.
+//! (measured ≈ 0.1x).  The per-element scalar path is no reference for Sum:
+//! with the hint it vectorises too.  It is the reference for the float
+//! Max/Min folds, whose NaN and signed-zero rules are easy to write in a
+//! shape that does not vectorise: the third assertion wants every chunked
+//! f32/f64 Max/Min at least 0.8x the scalar path at 64 KiB and above
+//! (branchy lanes measured 0.5-0.9x, the branch-free folds 1.5-3x).
 //!
 //! ```text
 //! cargo run --release -p pip-mcoll-bench --bin bench_reduce_kernels
 //! ```
+
+#![forbid(unsafe_code)]
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -296,6 +302,25 @@ fn main() {
     assert!(
         kernel >= 0.5,
         "chunked f32 Sum kernel fell below 0.5x to_bytes::<f32> ({kernel:.2}x)"
+    );
+    // The float Max/Min folds keep up with the per-element reference: their
+    // NaN and signed-zero handling must not cost them vectorization
+    // (compare-and-branch lanes measured 0.5-0.9x).
+    let extremum = grid
+        .iter()
+        .filter(|p| {
+            matches!(p.dtype, "f32" | "f64")
+                && matches!(p.op, ReduceOp::Max | ReduceOp::Min)
+                && p.bytes >= 64 * 1024
+        })
+        .map(|p| p.speedup)
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "Headline: chunked float Max/Min run at >= {extremum:.2}x the scalar path at 64 KiB+."
+    );
+    assert!(
+        extremum >= 0.8,
+        "a chunked float Max/Min kernel fell below 0.8x the scalar path ({extremum:.2}x)"
     );
     // Decoding is as fast as encoding: an out-of-line `read_le` costs one
     // call per element, about 0.1x.

@@ -37,6 +37,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin fig_compression -- --small # docs/figures grid
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
 use pip_mpi_model::plan::compile_cluster;

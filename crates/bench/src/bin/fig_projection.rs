@@ -25,6 +25,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin fig_projection
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_collectives::CollectiveKind;
 use pip_mpi_model::{compile_folded, CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;

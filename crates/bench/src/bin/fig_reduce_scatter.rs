@@ -11,6 +11,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin fig_reduce_scatter
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_collectives::CollectiveKind;
 use pip_mcoll_bench::figures::{collective_comparison, PAPER_SMALL_SIZES};
 use pip_mcoll_bench::report::render_scaled_table;

@@ -14,6 +14,8 @@
 //! cargo run --release -p pip-mcoll-bench --bin overlap_allreduce
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll_bench::overlap::{allreduce_overlap_sweep, OVERLAP_MODEL_SLACK};
 use pip_netsim::cluster::ClusterSpec;
 

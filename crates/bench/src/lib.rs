@@ -18,6 +18,8 @@
 //! only assert their headline.  Timing the real thread-runtime
 //! collectives is the `bench_all` package's job.
 
+#![forbid(unsafe_code)]
+
 pub mod fabric_bench;
 pub mod figures;
 pub mod overlap;

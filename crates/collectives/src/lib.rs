@@ -48,6 +48,10 @@
 //! collectives.
 
 #![warn(missing_docs)]
+// The one exception is `datatype::elem_buf`, the byte views of typed
+// buffers; every `unsafe` block there documents why it is sound.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod binomial;
 pub mod bruck;

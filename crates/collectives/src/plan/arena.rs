@@ -9,7 +9,9 @@
 //! Output writes of value slots take none: the drain copies them straight
 //! from the slots.  A shared read whose value only fills one range of the
 //! output takes none either: it lands in the receive buffer directly (see
-//! [`crate::plan::cursor`] for the four conditions).
+//! [`crate::plan::cursor`] for the four conditions).  Nor does a region
+//! published or written from one range of the caller's buffer: it is
+//! filled from the caller's bytes in place.
 //! Allocating those from the global allocator on every invocation is
 //! exactly the per-call overhead persistent collectives (`*_init` →
 //! repeated `start()`) exist to avoid, so the

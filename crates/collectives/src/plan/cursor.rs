@@ -25,10 +25,21 @@
 //! keyed by the invocation tag, so out-of-order progress of interleaved
 //! collectives cannot pair arrivals or regions of different collectives.
 //!
-//! Scratch buffers (materialized operands, value slots, output writes of the
-//! caller's own bytes, strided staging, compressed frames) come from the
-//! communicator's [`crate::plan::arena::BufferArena`], so repeat executions
-//! of one shape stop allocating — whatever the entry style.
+//! The caller's buffers are held as [`ElemBuf`]s — the caller's own typed
+//! vectors, read and written as their bytes — so a finished cursor hands
+//! back the very allocation the result was computed in.  Scratch buffers
+//! (materialized operands, value slots, output writes of the caller's own
+//! bytes, strided staging, compressed frames) come from the communicator's
+//! [`crate::plan::arena::BufferArena`], so repeat executions of one shape
+//! stop allocating — whatever the entry style.
+//!
+//! **Regions are filled from the caller's bytes in place.**  A
+//! `SharedPublish` or `SharedWrite` whose source is one `SendBuf`/`RecvInit`
+//! segment copies straight from the caller's buffer (or its packed staging,
+//! when strided) into the region — the bytes `materialize` would have
+//! copied at that step, since output writes are deferred to the drain and
+//! a direct read never lands in a range a later op reads.  Sources with
+//! value slots or literals are still materialized.
 //!
 //! **Output writes of value slots take no buffer.**  A `CopyOut` whose
 //! bytes are all value slots or literals records only its op index; the
@@ -60,7 +71,7 @@ use std::rc::Rc;
 
 use crate::comm::{NonBlockingComm, ReduceFn};
 use crate::compress::{compress_into, decompress_into, max_frame_len};
-use crate::datatype::Layout;
+use crate::datatype::{ElemBuf, Layout};
 use crate::plan::arena::SharedArena;
 use crate::plan::ir::{Fidelity, NameId, PlanOp, RankPlan, Src, SrcSeg};
 use crate::request::drive_to_done;
@@ -243,10 +254,12 @@ pub struct PlanCursor {
     /// overwrites) and so had to be copied when the op ran.  `None` means
     /// the bytes are value slots or literals, read at flush time.
     pending_out: Vec<(usize, Option<Vec<u8>>)>,
-    /// The caller's buffers: extent-length when the plan declares a layout,
-    /// otherwise exactly the packed length the plan was recorded with.
-    sendbuf: Option<Vec<u8>>,
-    recvbuf: Option<Vec<u8>>,
+    /// The caller's buffers, typed as the caller made them and read and
+    /// written as their bytes: extent-length when the plan declares a
+    /// layout, otherwise exactly the packed length the plan was recorded
+    /// with.
+    sendbuf: Option<ElemBuf>,
+    recvbuf: Option<ElemBuf>,
     /// Packed staging of a strided caller buffer (`Some` only when the plan
     /// declares the layout).  The plan body was recorded against packed
     /// bytes and reads these instead of the caller's buffer, so it never
@@ -268,9 +281,9 @@ pub struct PlanCursor {
 #[derive(Debug)]
 pub struct CursorOutput {
     /// The send buffer the cursor was created with, unchanged.
-    pub sendbuf: Option<Vec<u8>>,
+    pub sendbuf: Option<ElemBuf>,
     /// The receive (or in/out) buffer, now holding the collective's result.
-    pub recvbuf: Option<Vec<u8>>,
+    pub recvbuf: Option<ElemBuf>,
 }
 
 impl PlanCursor {
@@ -289,8 +302,8 @@ impl PlanCursor {
     /// not data-dependent failures.
     pub fn new(
         plan: Rc<ExecPlan>,
-        sendbuf: Option<Vec<u8>>,
-        recvbuf: Option<Vec<u8>>,
+        sendbuf: Option<ElemBuf>,
+        recvbuf: Option<ElemBuf>,
         tag: u64,
         arena: SharedArena,
     ) -> Self {
@@ -522,9 +535,7 @@ impl PlanCursor {
                 self.expose(*name, *len);
             }
             PlanOp::SharedPublish { name, src } => {
-                let data = self.materialize(src);
-                self.expose(*name, data.len()).write(0, &data);
-                self.arena.borrow_mut().release(data);
+                self.with_src(src, |bytes| self.expose(*name, bytes.len()).write(0, bytes));
             }
             PlanOp::SharedCollect { name, len, dst } => {
                 let Some(region) = self.region(self.scope().local_rank(), *name) else {
@@ -543,9 +554,7 @@ impl PlanCursor {
                 let Some(region) = self.region(*owner_local, *name) else {
                     return StepOutcome::Blocked;
                 };
-                let data = self.materialize(src);
-                region.write(*offset, &data);
-                self.arena.borrow_mut().release(data);
+                self.with_src(src, |bytes| region.write(*offset, bytes));
             }
             PlanOp::SharedRead {
                 owner_local,
@@ -721,33 +730,59 @@ impl PlanCursor {
         self.scope().try_region(owner_local, name)
     }
 
-    /// Resolve a symbolic source against the caller's buffers (their packed
-    /// staging when strided) and the runtime values into an arena-backed
-    /// buffer.
+    /// The bytes of `seg` when it names the caller's buffers — their
+    /// packed staging when strided, the receive buffer for an in/out
+    /// plan's `SendBuf`; `None` for a value slot or a literal.
+    fn caller_bytes(&self, seg: &SrcSeg) -> Option<&[u8]> {
+        let recvbuf = || {
+            self.recv_stage
+                .as_deref()
+                .or(self.recvbuf.as_deref())
+                .expect("receive buffer present")
+        };
+        match *seg {
+            SrcSeg::SendBuf { offset, len } => {
+                let buf = if self.plan.io.inout {
+                    recvbuf()
+                } else {
+                    self.send_stage
+                        .as_deref()
+                        .or(self.sendbuf.as_deref())
+                        .expect("send buffer present")
+                };
+                Some(&buf[offset..offset + len])
+            }
+            SrcSeg::RecvInit { offset, len } => Some(&recvbuf()[offset..offset + len]),
+            _ => None,
+        }
+    }
+
+    /// Resolve a symbolic source against the caller's buffers and the
+    /// runtime values into an arena-backed buffer.
     fn materialize(&self, src: &Src) -> Vec<u8> {
         let mut out = self.arena.borrow_mut().acquire(src.len());
-        let sendbuf = self.send_stage.as_deref().or(self.sendbuf.as_deref());
-        let recvbuf = self.recv_stage.as_deref().or(self.recvbuf.as_deref());
         for seg in &src.segs {
-            match seg {
-                SrcSeg::SendBuf { offset, len } => {
-                    let buf = if self.plan.io.inout {
-                        recvbuf.expect("in/out buffer present")
-                    } else {
-                        sendbuf.expect("send buffer present")
-                    };
-                    out.extend_from_slice(&buf[*offset..*offset + *len]);
-                }
-                SrcSeg::RecvInit { offset, len } => {
-                    let buf = recvbuf.expect("receive buffer present");
-                    out.extend_from_slice(&buf[*offset..*offset + *len]);
-                }
-                _ => {
-                    out.extend_from_slice(held_bytes(&self.vals, seg).expect("held by the cursor"))
-                }
-            }
+            let bytes = self
+                .caller_bytes(seg)
+                .or_else(|| held_bytes(&self.vals, seg));
+            out.extend_from_slice(bytes.expect("held by the cursor"));
         }
         out
+    }
+
+    /// Run `f` on the bytes `src` names.  A source that is one segment of
+    /// the caller's buffers is read in place — the bytes `materialize`
+    /// would copy at this step; any other is materialized into an arena
+    /// buffer, released afterwards.
+    fn with_src(&self, src: &Src, f: impl FnOnce(&[u8])) {
+        if let [seg] = &src.segs[..] {
+            if let Some(bytes) = self.caller_bytes(seg) {
+                return f(bytes);
+            }
+        }
+        let data = self.materialize(src);
+        f(&data);
+        self.arena.borrow_mut().release(data);
     }
 }
 
@@ -817,15 +852,15 @@ mod tests {
             let comm = ThreadComm::new(ctx);
             let mut cursor = PlanCursor::new(
                 compile_exchange(comm.rank(), topo),
-                Some(vec![10 + comm.rank() as u8; 4]),
-                Some(vec![0u8; 4]),
+                Some(vec![10 + comm.rank() as u8; 4].into()),
+                Some(vec![0u8; 4].into()),
                 7 << 16,
                 shared_arena(),
             );
             cursor.run(&comm, None);
             let output = cursor.into_output();
-            assert_eq!(output.sendbuf.unwrap(), vec![10 + comm.rank() as u8; 4]);
-            output.recvbuf.unwrap()
+            assert_eq!(&output.sendbuf.unwrap()[..], &[10 + comm.rank() as u8; 4]);
+            output.recvbuf.unwrap().to_vec()
         })
         .unwrap();
         assert_eq!(results[0], vec![11; 4]);
@@ -839,7 +874,7 @@ mod tests {
     /// with the same `(datatype, op)` key.
     #[test]
     fn recorded_reduce_plan_executes_with_a_typed_kernel() {
-        use crate::datatype::{from_bytes, to_bytes, ReduceKernel, ReduceOp};
+        use crate::datatype::{Datatype, ReduceKernel, ReduceOp};
         let topo = Topology::new(1, 2);
         let inout = IoShape {
             sendbuf: None,
@@ -860,11 +895,11 @@ mod tests {
                 comm.charge_reduce(8);
                 Some(buf)
             });
-            let buf = to_bytes(&[rank as i32 + 1, -(rank as i32) - 10]);
+            let buf = i32::into_elem_buf(vec![rank as i32 + 1, -(rank as i32) - 10]);
             let kernel = ReduceKernel::of::<i32>(ReduceOp::Sum);
             let mut cursor = PlanCursor::new(plan, None, Some(buf), 9 << 16, shared_arena());
             cursor.run(&comm, Some(kernel.as_fn()));
-            from_bytes::<i32>(&cursor.into_output().recvbuf.unwrap())
+            i32::from_elem_buf(cursor.into_output().recvbuf.unwrap())
         })
         .unwrap();
         for (rank, out) in results.iter().enumerate() {
@@ -895,13 +930,13 @@ mod tests {
             [1u8, 2].map(|call| {
                 let mut cursor = PlanCursor::new(
                     Rc::clone(&plan),
-                    Some(vec![call * (10 + rank as u8); 2]),
-                    Some(vec![0u8; 4]),
+                    Some(vec![call * (10 + rank as u8); 2].into()),
+                    Some(vec![0u8; 4].into()),
                     (call as u64) << 16,
                     Rc::clone(&arena),
                 );
                 cursor.run(&comm, None);
-                cursor.into_output().recvbuf.unwrap()
+                cursor.into_output().recvbuf.unwrap().to_vec()
             })
         })
         .unwrap();
@@ -934,8 +969,8 @@ mod tests {
         let mut cursors = [0, 1].map(|rank| {
             PlanCursor::new(
                 compile(rank),
-                Some(vec![40 + rank as u8; 4]),
-                Some(vec![0u8; 4]),
+                Some(vec![40 + rank as u8; 4].into()),
+                Some(vec![0u8; 4].into()),
                 3 << 16,
                 shared_arena(),
             )
@@ -954,7 +989,7 @@ mod tests {
         assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Done);
         assert_eq!(node.exposed_count(), 0, "the last leaver retired the scope");
         let [_, consumer] = cursors;
-        assert_eq!(consumer.into_output().recvbuf.unwrap(), vec![40; 4]);
+        assert_eq!(&consumer.into_output().recvbuf.unwrap()[..], &[40; 4]);
     }
 
     /// Output writes of value slots are flushed from the slots, writes of
@@ -1006,12 +1041,12 @@ mod tests {
                 }
             };
             let arena = shared_arena();
-            let buf = (1..=16).collect();
+            let buf = ElemBuf::U8((1..=16).collect());
             let plan = Rc::new(ExecPlan::new(plan.clone()));
             let mut cursor = PlanCursor::new(plan, None, Some(buf), 1 << 16, Rc::clone(&arena));
             cursor.run(&comm, Some(&add));
             let stats = arena.borrow().stats();
-            (cursor.into_output().recvbuf.unwrap(), stats)
+            (cursor.into_output().recvbuf.unwrap().to_vec(), stats)
         })
         .unwrap();
         let (out, stats) = &results[0];
@@ -1071,15 +1106,15 @@ mod tests {
             let direct = plan.direct_reads();
             let mut cursor = PlanCursor::new(
                 plan,
-                sendbuf.clone(),
-                Some(recvbuf.clone()),
+                sendbuf.clone().map(ElemBuf::from),
+                Some(recvbuf.clone().into()),
                 1 << 16,
                 Rc::clone(&arena),
             );
             cursor.run(&comm, Some(&add));
             let stats = arena.borrow().stats();
             assert_eq!(stats.hits + stats.misses, stats.released, "{stats:?}");
-            let out = cursor.into_output().recvbuf.unwrap();
+            let out = cursor.into_output().recvbuf.unwrap().to_vec();
             (out, stats.hits + stats.misses, direct)
         })
         .unwrap();
@@ -1269,8 +1304,8 @@ mod tests {
         let plan = compile_exchange(0, Topology::new(1, 2));
         let _ = PlanCursor::new(
             plan,
-            Some(short),
-            Some(vec![0u8; 4]),
+            Some(short.into()),
+            Some(vec![0u8; 4].into()),
             1 << 16,
             shared_arena(),
         );

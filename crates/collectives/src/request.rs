@@ -258,8 +258,8 @@ mod tests {
                 .map(|call| {
                     let cursor = PlanCursor::new(
                         Rc::clone(&plan),
-                        Some(vec![call * 10 + comm.rank() as u8; 2]),
-                        Some(vec![0u8; 2]),
+                        Some(vec![call * 10 + comm.rank() as u8; 2].into()),
+                        Some(vec![0u8; 2].into()),
                         (call as u64 + 1) << 16,
                         shared_arena(),
                     );
@@ -270,7 +270,7 @@ mod tests {
             // Collect in reverse order of submission.
             let mut outputs = vec![Vec::new(); 4];
             for (call, &id) in ids.iter().enumerate().rev() {
-                outputs[call] = engine.wait(&comm, id).recvbuf.unwrap();
+                outputs[call] = engine.wait(&comm, id).recvbuf.unwrap().to_vec();
             }
             assert_eq!(engine.outstanding(), 0);
             outputs

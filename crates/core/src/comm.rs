@@ -27,8 +27,8 @@ use pip_mpi_model::{dispatch, CompressSpec, LibraryProfile, OwnedCollective, Pla
 use pip_runtime::{TaskCtx, Topology};
 
 use crate::datatype::{
-    from_bytes, read_into, to_bytes, Datatype, FloatDatatype, Layout, OwnedReduction, ReduceOp,
-    Reduction,
+    as_bytes, as_bytes_mut, from_bytes, Datatype, DtypeId, ElemBuf, FloatDatatype, Layout,
+    OwnedReduction, ReduceOp, Reduction,
 };
 
 /// Tag space reserved for each collective invocation (rounds and phases are
@@ -40,24 +40,36 @@ const P2P_TAG_BASE: u64 = 1 << 48;
 
 /// Completion mapping of a request or persistent handle: turns the receive
 /// buffer (`None` where this rank binds none, e.g. off-root gather) into the
-/// call's typed result.
-type Finish<O> = fn(Option<&[u8]>) -> O;
+/// call's typed result.  The buffer is the typed vector the request
+/// allocated or the caller handed in, so the mapping unwraps it: no decode,
+/// no second allocation.
+type Finish<O> = fn(Option<ElemBuf>) -> O;
 
 /// The typed result of a collective that binds a receive (or in/out) buffer
 /// at every rank.
-fn received<T: Datatype>(recv: Option<&[u8]>) -> Vec<T> {
-    from_bytes(recv.expect("the collective binds a receive buffer at every rank"))
+fn received<T: Datatype>(recv: Option<ElemBuf>) -> Vec<T> {
+    T::from_elem_buf(recv.expect("the collective binds a receive buffer at every rank"))
 }
 
 /// The typed result of a rooted collective: `Some` at the root only.
-fn at_root<T: Datatype>(recv: Option<&[u8]>) -> Option<Vec<T>> {
-    recv.map(from_bytes)
+fn at_root<T: Datatype>(recv: Option<ElemBuf>) -> Option<Vec<T>> {
+    recv.map(T::from_elem_buf)
 }
 
 /// The completion of a blocking in/out call: the result overwrites `buf`.
-fn written<T: Datatype>(buf: &mut [T]) -> impl FnOnce(Option<&[u8]>) + '_ {
-    |recv| read_into(buf, recv.expect("the collective binds an in/out buffer"))
+fn written<T: Datatype>(buf: &mut [T]) -> impl FnOnce(Option<ElemBuf>) + '_ {
+    |recv| buf.copy_from_slice(&received::<T>(recv))
 }
+
+/// The request's copy of the caller's `values`, as the buffer the plan
+/// reads.
+fn owned<T: Datatype>(values: &[T]) -> ElemBuf {
+    T::into_elem_buf(values.to_vec())
+}
+
+/// A collective request together with the element type of its receive
+/// buffer, which the request allocates when it is split for execution.
+type Request = (OwnedCollective<ElemBuf>, DtypeId);
 
 /// An MPI-like communicator bound to one process of the launched world.
 pub struct Communicator<'a> {
@@ -138,15 +150,16 @@ impl<'a> Communicator<'a> {
 
     /// The blocking runner: run `request` to completion through the plan
     /// cache and map its receive buffer to the call's result.
-    fn run<O>(&self, request: OwnedCollective, finish: impl FnOnce(Option<&[u8]>) -> O) -> O {
+    fn run<O>(&self, (request, dtype): Request, finish: impl FnOnce(Option<ElemBuf>) -> O) -> O {
         let recv = dispatch::run_blocking(
             &self.profile,
             &self.inner,
             request,
+            dtype,
             self.next_tag(),
             &mut self.plans.borrow_mut(),
         );
-        finish(recv.as_deref())
+        finish(recv)
     }
 
     // ------------------------------------------------------------------
@@ -155,7 +168,7 @@ impl<'a> Communicator<'a> {
 
     /// Send a typed message to `dest` with a user `tag`.
     pub fn send<T: Datatype>(&self, dest: usize, tag: u64, data: &[T]) {
-        self.inner.send(dest, P2P_TAG_BASE + tag, &to_bytes(data));
+        self.inner.send(dest, P2P_TAG_BASE + tag, as_bytes(data));
     }
 
     /// Receive exactly `count` typed elements from `source` with `tag`.
@@ -175,7 +188,7 @@ impl<'a> Communicator<'a> {
         from_bytes(&self.inner.sendrecv(
             dest,
             P2P_TAG_BASE + tag,
-            &to_bytes(send_data),
+            as_bytes(send_data),
             source,
             P2P_TAG_BASE + tag,
             recv_count * T::SIZE,
@@ -217,11 +230,10 @@ impl<'a> Communicator<'a> {
             recv_layout.extent(),
             "receive buffer must span the layout's extent"
         );
-        let send_bytes = to_bytes(send_data);
         let mut packed = Vec::new();
         send_layout
             .scaled(T::SIZE)
-            .pack_bytes(&send_bytes, &mut packed);
+            .pack_bytes(as_bytes(send_data), &mut packed);
         let recv_byte_layout = recv_layout.scaled(T::SIZE);
         let incoming = self.inner.sendrecv(
             dest,
@@ -231,9 +243,7 @@ impl<'a> Communicator<'a> {
             P2P_TAG_BASE + tag,
             recv_byte_layout.packed_len(),
         );
-        let mut bytes = to_bytes(recv_buf);
-        recv_byte_layout.unpack_bytes(&incoming, &mut bytes);
-        read_into(recv_buf, &bytes);
+        recv_byte_layout.unpack_bytes(&incoming, as_bytes_mut(recv_buf));
     }
 
     // ------------------------------------------------------------------
@@ -350,7 +360,7 @@ impl<'a> Communicator<'a> {
 
     /// MPI_Barrier.
     pub fn barrier(&self) {
-        self.run(OwnedCollective::Barrier, |_| ())
+        self.run((OwnedCollective::Barrier, DtypeId::U8), |_| ())
     }
 
     // ------------------------------------------------------------------
@@ -377,12 +387,13 @@ impl<'a> Communicator<'a> {
 
     /// The non-blocking runner: register a cursor for `request` with the
     /// progress engine and kick it to its first blocking point.
-    fn submit<O>(&self, request: OwnedCollective, finish: Finish<O>) -> CollRequest<'_, O> {
+    fn submit<O>(&self, (request, dtype): Request, finish: Finish<O>) -> CollRequest<'_, O> {
         let op = request.op().map(OwnedReduction::shared);
         let cursor = dispatch::begin_planned(
             &self.profile,
             &self.inner,
             request,
+            dtype,
             self.next_tag(),
             &mut self.plans.borrow_mut(),
         );
@@ -522,11 +533,11 @@ impl<'a> Communicator<'a> {
     /// The persistent runner: resolve `request` against the plan cache
     /// exactly as the other entry styles do, and pin the plan to the
     /// request's buffers.
-    fn init<O>(&self, request: OwnedCollective, finish: Finish<O>) -> PersistentColl<'_, O> {
+    fn init<O>(&self, (request, dtype): Request, finish: Finish<O>) -> PersistentColl<'_, O> {
         let op = request.op().map(OwnedReduction::shared);
         let mut plans = self.plans.borrow_mut();
         let (plan, sendbuf, recvbuf) =
-            dispatch::plan_owned(&self.profile, &self.inner, request, &mut plans);
+            dispatch::plan_owned(&self.profile, &self.inner, request, dtype, &mut plans);
         PersistentColl {
             comm: self,
             plan,
@@ -668,10 +679,13 @@ impl<'a> Communicator<'a> {
     // the invocation with the same request, so they share its plan-cache
     // shape.
 
-    fn allgather_request<T: Datatype>(&self, send: &[T]) -> OwnedCollective {
-        OwnedCollective::Allgather {
-            sendbuf: to_bytes(send),
-        }
+    fn allgather_request<T: Datatype>(&self, send: &[T]) -> Request {
+        (
+            OwnedCollective::Allgather {
+                sendbuf: owned(send),
+            },
+            T::ID,
+        )
     }
 
     fn scatter_request<T: Datatype>(
@@ -679,7 +693,7 @@ impl<'a> Communicator<'a> {
         send: Option<&[T]>,
         count: usize,
         root: usize,
-    ) -> OwnedCollective {
+    ) -> Request {
         // Significant only at the root, as in MPI: a non-root's buffer is
         // dropped unread (see `OwnedCollective::into_io`).
         if self.rank() == root {
@@ -689,25 +703,34 @@ impl<'a> Communicator<'a> {
                 "root must supply count * size elements"
             );
         }
-        OwnedCollective::Scatter {
-            sendbuf: send.map(to_bytes),
-            block: count * T::SIZE,
-            root,
-        }
+        (
+            OwnedCollective::Scatter {
+                sendbuf: send.map(owned),
+                block: count * T::SIZE,
+                root,
+            },
+            T::ID,
+        )
     }
 
-    fn bcast_request<T: Datatype>(&self, buf: &[T], root: usize) -> OwnedCollective {
-        OwnedCollective::Bcast {
-            buf: to_bytes(buf),
-            root,
-        }
+    fn bcast_request<T: Datatype>(&self, buf: &[T], root: usize) -> Request {
+        (
+            OwnedCollective::Bcast {
+                buf: owned(buf),
+                root,
+            },
+            T::ID,
+        )
     }
 
-    fn gather_request<T: Datatype>(&self, send: &[T], root: usize) -> OwnedCollective {
-        OwnedCollective::Gather {
-            sendbuf: to_bytes(send),
-            root,
-        }
+    fn gather_request<T: Datatype>(&self, send: &[T], root: usize) -> Request {
+        (
+            OwnedCollective::Gather {
+                sendbuf: owned(send),
+                root,
+            },
+            T::ID,
+        )
     }
 
     /// An allreduce of `buf`, over the `layout`-selected elements when one
@@ -722,7 +745,7 @@ impl<'a> Communicator<'a> {
         op: impl Reduction<T>,
         layout: Option<Layout>,
         bound: Option<f64>,
-    ) -> OwnedCollective {
+    ) -> Request {
         if let Some(layout) = layout {
             assert_eq!(
                 buf.len(),
@@ -737,12 +760,15 @@ impl<'a> Communicator<'a> {
             );
             CompressSpec::from_bound(bound, self.profile.selection.compress_min_bytes)
         });
-        OwnedCollective::Allreduce {
-            buf: to_bytes(buf),
-            op: op.reduction(),
-            layout,
-            compress,
-        }
+        (
+            OwnedCollective::Allreduce {
+                buf: owned(buf),
+                op: op.reduction(),
+                layout,
+                compress,
+            },
+            T::ID,
+        )
     }
 
     fn reduce_request<T: Datatype>(
@@ -750,12 +776,15 @@ impl<'a> Communicator<'a> {
         send: &[T],
         op: impl Reduction<T>,
         root: usize,
-    ) -> OwnedCollective {
-        OwnedCollective::Reduce {
-            sendbuf: to_bytes(send),
-            root,
-            op: op.reduction(),
-        }
+    ) -> Request {
+        (
+            OwnedCollective::Reduce {
+                sendbuf: owned(send),
+                root,
+                op: op.reduction(),
+            },
+            T::ID,
+        )
     }
 
     fn reduce_scatter_request<T: Datatype>(
@@ -763,41 +792,53 @@ impl<'a> Communicator<'a> {
         send: &[T],
         count: usize,
         op: impl Reduction<T>,
-    ) -> OwnedCollective {
+    ) -> Request {
         assert_eq!(
             send.len(),
             count * self.size(),
             "sendbuf must hold count * size elements"
         );
-        OwnedCollective::ReduceScatter {
-            sendbuf: to_bytes(send),
-            op: op.reduction(),
-        }
+        (
+            OwnedCollective::ReduceScatter {
+                sendbuf: owned(send),
+                op: op.reduction(),
+            },
+            T::ID,
+        )
     }
 
-    fn scan_request<T: Datatype>(&self, buf: &[T], op: impl Reduction<T>) -> OwnedCollective {
-        OwnedCollective::Scan {
-            buf: to_bytes(buf),
-            op: op.reduction(),
-        }
+    fn scan_request<T: Datatype>(&self, buf: &[T], op: impl Reduction<T>) -> Request {
+        (
+            OwnedCollective::Scan {
+                buf: owned(buf),
+                op: op.reduction(),
+            },
+            T::ID,
+        )
     }
 
-    fn exscan_request<T: Datatype>(&self, buf: &[T], op: impl Reduction<T>) -> OwnedCollective {
-        OwnedCollective::Exscan {
-            buf: to_bytes(buf),
-            op: op.reduction(),
-        }
+    fn exscan_request<T: Datatype>(&self, buf: &[T], op: impl Reduction<T>) -> Request {
+        (
+            OwnedCollective::Exscan {
+                buf: owned(buf),
+                op: op.reduction(),
+            },
+            T::ID,
+        )
     }
 
-    fn alltoall_request<T: Datatype>(&self, send: &[T], count: usize) -> OwnedCollective {
+    fn alltoall_request<T: Datatype>(&self, send: &[T], count: usize) -> Request {
         assert_eq!(
             send.len(),
             count * self.size(),
             "sendbuf must hold count * size elements"
         );
-        OwnedCollective::Alltoall {
-            sendbuf: to_bytes(send),
-        }
+        (
+            OwnedCollective::Alltoall {
+                sendbuf: owned(send),
+            },
+            T::ID,
+        )
     }
 }
 
@@ -832,7 +873,7 @@ impl<O> CollRequest<'_, O> {
     pub fn wait(self) -> O {
         let comm = self.comm;
         let output = comm.engine.borrow_mut().wait(&comm.inner, self.id);
-        (self.finish)(output.recvbuf.as_deref())
+        (self.finish)(output.recvbuf)
     }
 }
 
@@ -864,8 +905,8 @@ pub fn wait_all<'c, O>(requests: impl IntoIterator<Item = CollRequest<'c, O>>) -
 pub struct PersistentColl<'c, O> {
     comm: &'c Communicator<'c>,
     plan: Rc<ExecPlan>,
-    sendbuf: Option<Vec<u8>>,
-    recvbuf: Option<Vec<u8>>,
+    sendbuf: Option<ElemBuf>,
+    recvbuf: Option<ElemBuf>,
     /// The communicator's shared scratch arena: every start after the first
     /// reacquires the buffers the previous execution released.
     arena: SharedArena,
@@ -919,6 +960,8 @@ impl<O> PersistentColl<'_, O> {
 
     /// Complete the in-flight execution and return its result; the pinned
     /// buffers return to the handle for the next [`PersistentColl::start`].
+    /// The result is one copy of the pinned receive buffer, which the
+    /// handle keeps.
     pub fn wait(&mut self) -> O {
         let id = self
             .active
@@ -927,7 +970,7 @@ impl<O> PersistentColl<'_, O> {
         let output = self.comm.engine.borrow_mut().wait(&self.comm.inner, id);
         self.sendbuf = output.sendbuf;
         self.recvbuf = output.recvbuf;
-        (self.finish)(self.recvbuf.as_deref())
+        (self.finish)(self.recvbuf.clone())
     }
 
     /// Overwrite the pinned input buffer with `data` (the persistent
@@ -956,9 +999,7 @@ impl<O> PersistentColl<'_, O> {
             target.len(),
             "input length must match the pinned buffer"
         );
-        for (value, chunk) in data.iter().zip(target.chunks_exact_mut(T::SIZE)) {
-            value.write_le(chunk);
-        }
+        target.copy_from_slice(as_bytes(data));
     }
 }
 

@@ -6,12 +6,13 @@
 //! monomorphized [`ReduceKernel`]s; this module re-exports it under the
 //! historical `pip_mcoll_core::datatype` path.
 //!
-//! See the source module for the wire-format stability rules, the
-//! NaN-propagating float semantics and the chunked kernel design.
+//! See the source module for the wire-format stability rules (the wire
+//! bytes are the host bytes, so only little-endian hosts are supported),
+//! the NaN-propagating float semantics and the chunked kernel design.
 
 pub use pip_collectives::datatype::{
-    from_bytes, read_into, to_bytes, Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent,
-    ReduceKernel, ReduceOp, LANES,
+    as_bytes, as_bytes_mut, from_bytes, read_into, to_bytes, Datatype, DtypeId, ElemBuf, Layout,
+    Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, LANES,
 };
 
 pub use pip_collectives::compress::FloatDatatype;

@@ -41,6 +41,7 @@
 //! every reduction takes its operator as one argument: a built-in
 //! `ReduceOp` or a registered `&Op` ([`datatype::Reduction`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod comm;

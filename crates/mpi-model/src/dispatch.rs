@@ -17,7 +17,7 @@
 use std::rc::Rc;
 
 use pip_collectives::comm::{Comm, NonBlockingComm, ReduceFn};
-use pip_collectives::datatype::{Layout, OwnedReduction};
+use pip_collectives::datatype::{DtypeId, ElemBuf, Layout, OwnedReduction};
 use pip_collectives::plan::{ExecPlan, IoShape, PlanCursor};
 use pip_collectives::{
     binomial, bruck, hierarchical, multi_object, recursive_doubling, recursive_halving, ring, scan,
@@ -163,26 +163,29 @@ fn bound<T>(slot: Option<T>) -> T {
     slot.expect("the collective's shape binds this slot")
 }
 
-/// A collective invocation over owned byte buffers — the one request type
-/// every entry style builds (the `core` crate layers typed buffers on top).
+/// A collective invocation over owned buffers — the one request type every
+/// entry style builds.
 ///
 /// Owned, because a non-blocking request or persistent handle outlives the
 /// call frame that created it; a blocking call builds the same request and
-/// runs it in place.  Receive buffers are not part of the request:
-/// [`OwnedCollective::into_io`] allocates them to the shape the plan
-/// declares, so ranks where a buffer is insignificant (non-root gather and
-/// reduce) allocate nothing.
+/// runs it in place.  The buffer type `B` is anything that reads as bytes:
+/// what is executed holds the caller's typed vectors as [`ElemBuf`]s, so the
+/// plan reads and writes the caller's own allocation; the byte-vector
+/// default is what shape-only callers build.  Receive buffers are not part
+/// of the request: [`OwnedCollective::into_io`] allocates them to the shape
+/// the plan declares, so ranks where a buffer is insignificant (non-root
+/// gather and reduce) allocate nothing.
 #[derive(Debug)]
-pub enum OwnedCollective {
+pub enum OwnedCollective<B = Vec<u8>> {
     /// MPI_Allgather: one block per rank on return.
     Allgather {
         /// Contribution of the calling rank.
-        sendbuf: Vec<u8>,
+        sendbuf: B,
     },
     /// MPI_Scatter from `root`.
     Scatter {
         /// Root's send buffer (one block per rank); `None` on other ranks.
-        sendbuf: Option<Vec<u8>>,
+        sendbuf: Option<B>,
         /// Per-rank block size in bytes.
         block: usize,
         /// Root rank.
@@ -191,14 +194,14 @@ pub enum OwnedCollective {
     /// MPI_Bcast from `root`.
     Bcast {
         /// In/out payload; significant at the root on entry.
-        buf: Vec<u8>,
+        buf: B,
         /// Root rank.
         root: usize,
     },
     /// MPI_Gather to `root`.
     Gather {
         /// Contribution of the calling rank.
-        sendbuf: Vec<u8>,
+        sendbuf: B,
         /// Root rank.
         root: usize,
     },
@@ -207,7 +210,7 @@ pub enum OwnedCollective {
         /// In/out contribution.  With a non-contiguous `layout` this is the
         /// strided caller buffer of `layout.extent() * op.elem_size()`
         /// bytes; elements in the layout's gaps are left untouched.
-        buf: Vec<u8>,
+        buf: B,
         /// The reduction operator; its identity (builtin `(datatype, op)`
         /// pair or registered user-op id) keys the plan cache, its byte
         /// closure is what the plan runs.
@@ -225,7 +228,7 @@ pub enum OwnedCollective {
     /// MPI_Reduce to `root` with a commutative operator.
     Reduce {
         /// Contribution of the calling rank.
-        sendbuf: Vec<u8>,
+        sendbuf: B,
         /// Root rank.
         root: usize,
         /// The reduction operator; see [`OwnedCollective::Allreduce`].
@@ -234,14 +237,14 @@ pub enum OwnedCollective {
     /// MPI_Reduce_scatter_block with a commutative operator.
     ReduceScatter {
         /// One block per rank (`world * block` bytes).
-        sendbuf: Vec<u8>,
+        sendbuf: B,
         /// The reduction operator; see [`OwnedCollective::Allreduce`].
         op: OwnedReduction,
     },
     /// MPI_Scan (inclusive prefix) with a commutative operator.
     Scan {
         /// Contribution on entry; combination of ranks `0..=rank` on return.
-        buf: Vec<u8>,
+        buf: B,
         /// The reduction operator; see [`OwnedCollective::Allreduce`].
         op: OwnedReduction,
     },
@@ -249,20 +252,20 @@ pub enum OwnedCollective {
     /// buffer comes back untouched (MPI leaves it undefined).
     Exscan {
         /// Contribution on entry; combination of ranks `0..rank` on return.
-        buf: Vec<u8>,
+        buf: B,
         /// The reduction operator; see [`OwnedCollective::Allreduce`].
         op: OwnedReduction,
     },
     /// MPI_Alltoall.
     Alltoall {
         /// One block per destination rank.
-        sendbuf: Vec<u8>,
+        sendbuf: B,
     },
     /// MPI_Barrier.
     Barrier,
 }
 
-impl OwnedCollective {
+impl<B: std::ops::Deref<Target = [u8]>> OwnedCollective<B> {
     /// The [`CollectiveShape`] of this invocation on a world of `world`
     /// ranks — the plan-cache key component.
     pub fn shape(&self, world: usize) -> CollectiveShape {
@@ -320,15 +323,17 @@ impl OwnedCollective {
             _ => None,
         }
     }
+}
 
+impl OwnedCollective<ElemBuf> {
     /// Split into the `(sendbuf, recvbuf)` pair a [`PlanCursor`] (or
-    /// [`execute`]) takes, allocating the receive buffer to the length `io`
-    /// declares.  In/out collectives (bcast, allreduce, scans) travel in the
-    /// receive slot, and buffers that are insignificant at this rank
-    /// (non-root scatter send, non-root gather and reduce receive) come out
-    /// as `None`.
-    pub fn into_io(self, io: &IoShape) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
-        let recvbuf = || io.recvbuf.map(|len| vec![0u8; len]);
+    /// [`execute`]) takes, allocating a zeroed receive buffer of `dtype`
+    /// elements to the length `io` declares.  In/out collectives (bcast,
+    /// allreduce, scans) travel in the receive slot, and buffers that are
+    /// insignificant at this rank (non-root scatter send, non-root gather
+    /// and reduce receive) come out as `None`.
+    pub fn into_io(self, io: &IoShape, dtype: DtypeId) -> (Option<ElemBuf>, Option<ElemBuf>) {
+        let recvbuf = || io.recvbuf.map(|len| ElemBuf::zeroed(dtype, len));
         match self {
             OwnedCollective::Allgather { sendbuf }
             | OwnedCollective::Gather { sendbuf, .. }
@@ -351,7 +356,9 @@ impl OwnedCollective {
 
 /// Run `request` to completion before returning — the blocking entry style
 /// — and hand back its receive (or in/out) buffer, now holding the result
-/// (`None` where this rank binds none, e.g. off-root gather).
+/// (`None` where this rank binds none, e.g. off-root gather).  `dtype` is
+/// the element type of the receive buffer [`OwnedCollective::into_io`]
+/// allocates.
 ///
 /// The request takes the plan-cache path a non-blocking or persistent one
 /// takes ([`plan_owned`]), then its cursor runs in place on the calling
@@ -367,17 +374,18 @@ impl OwnedCollective {
 pub fn run_blocking<C: NonBlockingComm>(
     profile: &LibraryProfile,
     comm: &C,
-    request: OwnedCollective,
+    request: OwnedCollective<ElemBuf>,
+    dtype: DtypeId,
     tag: u64,
     cache: &mut PlanCache,
-) -> Option<Vec<u8>> {
+) -> Option<ElemBuf> {
     let world = comm.world_size();
     let shape = request.shape(world);
     let op = request.op().cloned();
     let op = op.as_ref().map(OwnedReduction::as_fn);
     if shape.buffer_footprint(world) > EXEC_PLAN_MAX_BYTES {
         cache.note_bypass();
-        let (send, mut recv) = request.into_io(&shape.io_for(comm.rank(), world));
+        let (send, mut recv) = request.into_io(&shape.io_for(comm.rank(), world), dtype);
         execute(
             profile.algorithm_for(&shape, world),
             comm,
@@ -390,14 +398,15 @@ pub fn run_blocking<C: NonBlockingComm>(
         comm.release_shared();
         return recv;
     }
-    let (plan, send, recv) = plan_owned(profile, comm, request, cache);
+    let (plan, send, recv) = plan_owned(profile, comm, request, dtype, cache);
     let mut cursor = PlanCursor::new(plan, send, recv, tag, cache.arena());
     cursor.run(comm, op);
     cursor.into_output().recvbuf
 }
 
 /// Resolve `request` against the plan cache: the compiled plan plus the
-/// owned `(sendbuf, recvbuf)` pair split to its shape.  The single source
+/// owned `(sendbuf, recvbuf)` pair split to its shape, the receive buffer
+/// of `dtype` elements.  The single source
 /// of the shape → lookup-or-compile → buffer-split sequence, shared by all
 /// three entry styles, so they can never populate different cache entries
 /// or split buffers differently.
@@ -405,12 +414,13 @@ pub fn run_blocking<C: NonBlockingComm>(
 pub fn plan_owned<C: Comm>(
     profile: &LibraryProfile,
     comm: &C,
-    request: OwnedCollective,
+    request: OwnedCollective<ElemBuf>,
+    dtype: DtypeId,
     cache: &mut PlanCache,
-) -> (Rc<ExecPlan>, Option<Vec<u8>>, Option<Vec<u8>>) {
+) -> (Rc<ExecPlan>, Option<ElemBuf>, Option<ElemBuf>) {
     let shape = request.shape(comm.world_size());
     let plan = cache.lookup_or_compile(profile, comm.topology(), comm.rank(), &shape);
-    let (sendbuf, recvbuf) = request.into_io(&plan.io);
+    let (sendbuf, recvbuf) = request.into_io(&plan.io, dtype);
     (plan, sendbuf, recvbuf)
 }
 
@@ -425,11 +435,12 @@ pub fn plan_owned<C: Comm>(
 pub fn begin_planned<C: Comm>(
     profile: &LibraryProfile,
     comm: &C,
-    request: OwnedCollective,
+    request: OwnedCollective<ElemBuf>,
+    dtype: DtypeId,
     tag: u64,
     cache: &mut PlanCache,
 ) -> PlanCursor {
-    let (plan, sendbuf, recvbuf) = plan_owned(profile, comm, request, cache);
+    let (plan, sendbuf, recvbuf) = plan_owned(profile, comm, request, dtype, cache);
     PlanCursor::new(plan, sendbuf, recvbuf, tag, cache.arena())
 }
 
@@ -534,41 +545,48 @@ mod tests {
     }
 
     /// `into_io` allocates exactly the receive buffers the shape's `IoShape`
-    /// declares at each rank: nothing where a buffer is insignificant, the
-    /// caller's own buffer for the in/out kinds.
+    /// declares at each rank, of the element type asked for: nothing where
+    /// a buffer is insignificant, the caller's own buffer for the in/out
+    /// kinds.
     #[test]
     fn into_io_allocates_only_what_the_io_shape_declares() {
         let world = 4;
-        let split = |request: OwnedCollective, rank: usize| {
+        let split = |request: OwnedCollective<ElemBuf>, rank: usize, dtype| {
             let io = request.shape(world).io_for(rank, world);
-            request.into_io(&io)
+            request.into_io(&io, dtype)
         };
+        let bytes = |byte, len| Some(ElemBuf::U8(vec![byte; len]));
         let gather = || OwnedCollective::Gather {
-            sendbuf: vec![7; 8],
+            sendbuf: ElemBuf::U8(vec![7; 8]),
             root: 2,
         };
-        assert_eq!(split(gather(), 1), (Some(vec![7; 8]), None));
-        assert_eq!(split(gather(), 2), (Some(vec![7; 8]), Some(vec![0; 32])));
+        assert_eq!(split(gather(), 1, DtypeId::U8), (bytes(7, 8), None));
+        assert_eq!(split(gather(), 2, DtypeId::U8), (bytes(7, 8), bytes(0, 32)));
         let scatter = || OwnedCollective::Scatter {
-            sendbuf: Some(vec![1; 32]),
+            sendbuf: Some(ElemBuf::F64(vec![1.0; 4])),
             block: 8,
             root: 0,
         };
-        assert_eq!(split(scatter(), 3), (None, Some(vec![0; 8])));
-        assert_eq!(split(scatter(), 0), (Some(vec![1; 32]), Some(vec![0; 8])));
+        let f64s = |value, len| Some(ElemBuf::F64(vec![value; len]));
+        assert_eq!(split(scatter(), 3, DtypeId::F64), (None, f64s(0.0, 1)));
+        assert_eq!(
+            split(scatter(), 0, DtypeId::F64),
+            (f64s(1.0, 4), f64s(0.0, 1))
+        );
         // A strided allreduce keeps its extent-length buffer; the cursor
         // packs it.
         let strided = OwnedCollective::Allreduce {
-            buf: vec![5; 40],
+            buf: ElemBuf::F32(vec![5.0; 10]),
             op: OwnedReduction::Typed(ReduceKernel::of::<f32>(ReduceOp::Sum)),
             layout: Some(Layout::vector(3, 2, 4)),
             compress: None,
         };
         assert!(strided.op().is_some());
-        assert_eq!(split(strided, 1), (None, Some(vec![5; 40])));
+        let (send, recv) = split(strided, 1, DtypeId::F32);
+        assert_eq!((send, recv), (None, Some(ElemBuf::F32(vec![5.0; 10]))));
         let barrier = OwnedCollective::Barrier;
         assert!(barrier.op().is_none());
-        assert_eq!(split(barrier, 0), (None, None));
+        assert_eq!(split(barrier, 0, DtypeId::U8), (None, None));
     }
 
     /// The owned request derives exactly the shape a caller of [`execute`]
@@ -656,22 +674,23 @@ mod tests {
         let results = Cluster::launch(topo, |ctx| {
             let comm = ThreadComm::new(ctx);
             let request = || OwnedCollective::Allgather {
-                sendbuf: oracle::rank_payload(comm.rank(), block),
+                sendbuf: oracle::rank_payload(comm.rank(), block).into(),
             };
             let mut cache = crate::plan::PlanCache::new();
-            let mut cursor = begin_planned(&profile, &comm, request(), 1 << 16, &mut cache);
+            let u8s = DtypeId::U8;
+            let mut cursor = begin_planned(&profile, &comm, request(), u8s, 1 << 16, &mut cache);
             assert!(!cursor.is_finished());
             assert_eq!(cache.stats(), (0, 1));
             cursor.run(&comm, None);
             let planned = cursor.into_output().recvbuf;
-            let blocking = run_blocking(&profile, &comm, request(), 2 << 16, &mut cache);
+            let blocking = run_blocking(&profile, &comm, request(), u8s, 2 << 16, &mut cache);
             assert_eq!(cache.stats(), (1, 1));
             (planned, blocking)
         })
         .unwrap();
         for (planned, blocking) in results {
-            assert_eq!(planned.as_ref(), Some(&expected));
-            assert_eq!(blocking.as_ref(), Some(&expected));
+            assert_eq!(planned, Some(expected.clone().into()));
+            assert_eq!(blocking, Some(expected.clone().into()));
         }
     }
 

@@ -19,6 +19,8 @@
 //! Calibration constants and their provenance are documented in
 //! [`calibration`].
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod dispatch;
 pub mod plan;

@@ -833,6 +833,7 @@ mod tests {
     use super::*;
     use crate::dispatch::OwnedCollective;
     use crate::Library;
+    use pip_collectives::datatype::DtypeId;
     use pip_collectives::oracle;
     use pip_collectives::plan::PlanCursor;
     use pip_collectives::ThreadComm;
@@ -840,7 +841,7 @@ mod tests {
 
     #[test]
     fn shape_of_extracts_block_and_root() {
-        let request = OwnedCollective::Scatter {
+        let request: OwnedCollective = OwnedCollective::Scatter {
             sendbuf: None,
             block: 8,
             root: 3,
@@ -1041,13 +1042,13 @@ mod tests {
             let plan = compile_rank(&profile, topo, comm.rank(), &shape, Fidelity::Exec);
             let mut cursor = PlanCursor::new(
                 Rc::new(ExecPlan::new(plan)),
-                Some(oracle::rank_payload(comm.rank(), block)),
-                Some(vec![0u8; world * block]),
+                Some(oracle::rank_payload(comm.rank(), block).into()),
+                Some(vec![0u8; world * block].into()),
                 1 << 16,
                 shared_arena(),
             );
             cursor.run(&comm, None);
-            cursor.into_output().recvbuf.unwrap()
+            cursor.into_output().recvbuf.unwrap().to_vec()
         })
         .unwrap();
         for buf in &results {
@@ -1072,11 +1073,14 @@ mod tests {
             let mut cache = PlanCache::new();
             let request = OwnedCollective::Scatter {
                 // Every rank supplies the buffer, not just the root.
-                sendbuf: Some(sendbuf_ref.clone()),
+                sendbuf: Some(sendbuf_ref.clone().into()),
                 block,
                 root: 0,
             };
-            dispatch::run_blocking(&profile, &comm, request, 1 << 16, &mut cache).unwrap()
+            let u8s = DtypeId::U8;
+            let recvbuf =
+                dispatch::run_blocking(&profile, &comm, request, u8s, 1 << 16, &mut cache);
+            recvbuf.unwrap().to_vec()
         })
         .unwrap();
         for (rank, buf) in results.iter().enumerate() {
@@ -1101,10 +1105,17 @@ mod tests {
             let comm = ThreadComm::new(ctx);
             let mut cache = PlanCache::new();
             let request = OwnedCollective::Allgather {
-                sendbuf: oracle::rank_payload(comm.rank(), block),
+                sendbuf: oracle::rank_payload(comm.rank(), block).into(),
             };
-            let recvbuf = dispatch::run_blocking(&profile, &comm, request, 1 << 16, &mut cache);
-            (recvbuf, cache.len(), cache.stats(), cache.bypasses())
+            let u8s = DtypeId::U8;
+            let recvbuf =
+                dispatch::run_blocking(&profile, &comm, request, u8s, 1 << 16, &mut cache);
+            (
+                recvbuf.map(|buf| buf.to_vec()),
+                cache.len(),
+                cache.stats(),
+                cache.bypasses(),
+            )
         })
         .unwrap();
         for (recvbuf, entries, stats, bypasses) in results {

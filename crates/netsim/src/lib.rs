@@ -30,6 +30,8 @@
 //! classes and [`engine::SimEngine::run_folded`] replays one representative
 //! per class, which is what makes million-rank projections tractable.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod engine;
 pub mod fold;

@@ -52,6 +52,8 @@
 //! assert_eq!(results[3], 3 + 4 + 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod fabric;
 pub mod memory;

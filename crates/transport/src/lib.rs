@@ -19,6 +19,8 @@
 //!
 //! All costs are expressed in nanoseconds ([`Nanos`]) of simulated time.
 
+#![forbid(unsafe_code)]
+
 pub mod cma;
 pub mod cost;
 pub mod memcpy;

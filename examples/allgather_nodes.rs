@@ -8,6 +8,8 @@
 //! cargo run --release --example allgather_nodes
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll::collectives::comm::Comm;
 use pip_mcoll::collectives::multi_object::allgather_multi_object;
 use pip_mcoll::collectives::plan::{record_trace, PlanComm};

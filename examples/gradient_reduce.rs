@@ -18,6 +18,8 @@
 //! 3. **`scan`/`exscan`** — prefix sums over per-rank batch counts, the
 //!    standard way to compute global sample offsets in a data pipeline.
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll::core::prelude::*;
 
 fn main() {

@@ -21,6 +21,8 @@
 //! cargo run --release --example halo_exchange
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll::core::prelude::*;
 
 /// Process grid: PX × PY ranks on 2 nodes × 4 processes.

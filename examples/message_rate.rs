@@ -7,6 +7,8 @@
 //! cargo run --release --example message_rate
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll::netsim::params::SimParams;
 use pip_mcoll::netsim::trace::{Trace, TraceOp};
 use pip_mcoll::netsim::SimEngine;

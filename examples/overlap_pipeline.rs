@@ -17,6 +17,8 @@
 //! moving, and any `test`/`wait` on the communicator advances *every*
 //! outstanding request — so interleaving several requests works too.
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll::core::prelude::*;
 
 /// Stand-in for application compute: a little arithmetic the optimizer

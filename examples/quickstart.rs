@@ -6,6 +6,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll::core::prelude::*;
 
 fn main() {

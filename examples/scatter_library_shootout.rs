@@ -9,6 +9,8 @@
 //! cargo run --release --example scatter_library_shootout [-- --paper]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pip_mcoll::collectives::plan::Fidelity;
 use pip_mcoll::collectives::CollectiveKind;
 use pip_mcoll::model::plan::compile_cluster;

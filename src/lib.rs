@@ -27,6 +27,8 @@
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for the reproduction of every figure in the paper.
 
+#![forbid(unsafe_code)]
+
 pub use pip_collectives as collectives;
 pub use pip_mcoll_core as core;
 pub use pip_mpi_model as model;

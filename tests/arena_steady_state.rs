@@ -205,10 +205,11 @@ fn acquisitions_per_start(comm: &Communicator, mut start: impl FnMut()) -> u64 {
 /// Copy-count guard: exactly how many scratch buffers one steady-state
 /// start of PiP-MColl's persistent allgather, allreduce and compressed
 /// allreduce takes from the arena on 2×2, per rank.  Output writes of value
-/// slots are flushed straight from the slots and take no buffer, and a
-/// shared read whose value fills one range of the output and nothing else
-/// lands there directly and takes none either; a stray copy shows up here
-/// as a larger count.
+/// slots are flushed straight from the slots and take no buffer, a shared
+/// read whose value fills one range of the output and nothing else lands
+/// there directly and takes none either, and a region published or written
+/// from one range of the caller's buffer is filled from it in place; a
+/// stray copy shows up here as a larger count.
 #[test]
 fn pip_mcoll_steady_state_starts_acquire_a_pinned_number_of_buffers() {
     let library = Library::PipMColl;
@@ -243,10 +244,12 @@ fn pip_mcoll_steady_state_starts_acquire_a_pinned_number_of_buffers() {
     // A cursor that also copied every value-slot output write took
     // [4, 11, 13], [3, 11, 13], [6, 11, 13] and [5, 11, 13]; one that read
     // every shared region into a value slot took [3, 9, 11], [2, 9, 11],
-    // [4, 9, 11] and [3, 9, 11].
+    // [4, 9, 11] and [3, 9, 11]; one that staged every published or
+    // written region in a buffer took [2, 8, 10], [1, 8, 10], [2, 8, 10]
+    // and [1, 8, 10].
     assert_eq!(
         results,
-        vec![[2, 8, 10], [1, 8, 10], [2, 8, 10], [1, 8, 10]],
+        vec![[1, 7, 9], [0, 7, 9], [1, 7, 9], [0, 7, 9]],
         "arena acquisitions per start of [allgather, allreduce, compressed allreduce], by rank"
     );
 }

@@ -13,7 +13,7 @@
 
 use std::cell::RefCell;
 
-use pip_mcoll::collectives::datatype::to_bytes;
+use pip_mcoll::collectives::datatype::{DtypeId, ElemBuf};
 use pip_mcoll::collectives::oracle;
 use pip_mcoll::collectives::plan::{Fidelity, PlanOp};
 use pip_mcoll::collectives::request::ProgressEngine;
@@ -58,10 +58,13 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
                 let rank = ctx.rank();
                 let cache = RefCell::new(PlanCache::new());
                 let mut tag = 0u64;
-                let mut run = |request: OwnedCollective| {
+                let mut run = |request: OwnedCollective<ElemBuf>| {
                     tag += 1 << 16;
                     let mut cache = cache.borrow_mut();
-                    dispatch::run_blocking(&profile, &comm, request, tag, &mut cache)
+                    let u8s = DtypeId::U8;
+                    let recv =
+                        dispatch::run_blocking(&profile, &comm, request, u8s, tag, &mut cache);
+                    recv.map(|buf| buf.to_vec())
                 };
 
                 // Allgather, twice (the repeat must be served by the cache).
@@ -69,13 +72,13 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
                 let mut allgather_out = None;
                 for _ in 0..2 {
                     allgather_out = run(OwnedCollective::Allgather {
-                        sendbuf: sendbuf.clone(),
+                        sendbuf: sendbuf.clone().into(),
                     });
                 }
 
                 // Scatter from a mid-world root.
                 let scatter_out = run(OwnedCollective::Scatter {
-                    sendbuf: (rank == root).then(|| scatter_src_ref.clone()),
+                    sendbuf: (rank == root).then(|| scatter_src_ref.clone().into()),
                     block,
                     root,
                 });
@@ -83,22 +86,22 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
                 // Bcast from the same root.
                 let bcast_out = run(OwnedCollective::Bcast {
                     buf: if rank == root {
-                        bcast_src_ref.clone()
+                        bcast_src_ref.clone().into()
                     } else {
-                        vec![0u8; block]
+                        vec![0u8; block].into()
                     },
                     root,
                 });
 
                 // Gather to the root.
                 let gather_out = run(OwnedCollective::Gather {
-                    sendbuf: sendbuf.clone(),
+                    sendbuf: sendbuf.clone().into(),
                     root,
                 });
 
                 // Allreduce (byte-wise wrapping sum).
                 let allreduce_out = run(OwnedCollective::Allreduce {
-                    buf: oracle::rank_payload(rank, block),
+                    buf: oracle::rank_payload(rank, block).into(),
                     op: OwnedReduction::Typed(ReduceKernel::of::<u8>(ReduceOp::Sum)),
                     layout: None,
                     compress: None,
@@ -106,7 +109,7 @@ fn plan_executor_matches_oracle_for_every_collective_and_library() {
 
                 // Alltoall.
                 let alltoall_out = run(OwnedCollective::Alltoall {
-                    sendbuf: oracle::rank_payload(rank, world * block),
+                    sendbuf: oracle::rank_payload(rank, world * block).into(),
                 });
 
                 // Barrier.
@@ -173,13 +176,13 @@ const STRIDED: Layout = Layout {
 /// What the gap elements of the strided buffer hold before and after.
 const GAP: i32 = 0x0EEE_EEEE;
 
-/// Rank `rank`'s `blocks` blocks, as `f32` bytes (the compressed row needs
-/// floats; every row's operator is the `f32` sum).
-fn floats(rank: usize, blocks: usize) -> Vec<u8> {
+/// Rank `rank`'s `blocks` blocks of `f32`s (the compressed row needs
+/// floats; every row's operator is the `f32` sum but the strided row's).
+fn floats(rank: usize, blocks: usize) -> ElemBuf {
     let values: Vec<f32> = (0..blocks * COUNT)
         .map(|i| ((rank * 5 + i * 3) % 17) as f32 * 0.25)
         .collect();
-    to_bytes(&values)
+    ElemBuf::F32(values)
 }
 
 fn f32_sum() -> OwnedReduction {
@@ -191,7 +194,10 @@ fn f32_sum() -> OwnedReduction {
 /// their own route through the cursor: strided (packed staging) and
 /// compressed (unsized receives).  Each builds rank `rank`'s invocation on
 /// a `world`-rank world rooted at `root`.
-type Row = (&'static str, fn(usize, usize, usize) -> OwnedCollective);
+type Row = (
+    &'static str,
+    fn(usize, usize, usize) -> OwnedCollective<ElemBuf>,
+);
 const ROWS: [Row; 12] = [
     ("allgather", |rank, _, _| OwnedCollective::Allgather {
         sendbuf: floats(rank, 1),
@@ -246,7 +252,7 @@ const ROWS: [Row; 12] = [
             }
         }
         OwnedCollective::Allreduce {
-            buf: to_bytes(&elems),
+            buf: ElemBuf::I32(elems),
             op: OwnedReduction::Typed(ReduceKernel::of::<i32>(ReduceOp::Sum)),
             layout: Some(STRIDED),
             compress: None,
@@ -299,19 +305,46 @@ fn in_place_and_engine_driven_cursors_agree_for_every_collective_and_library() {
                     tag
                 };
                 for (name, build) in ROWS {
+                    let strided = name == "strided allreduce";
+                    let dtype = if strided { DtypeId::I32 } else { DtypeId::F32 };
                     let request = build(rank, world, root);
-                    let in_place =
-                        dispatch::run_blocking(&profile, &comm, request, next_tag(), &mut cache);
+                    let in_place = dispatch::run_blocking(
+                        &profile,
+                        &comm,
+                        request,
+                        dtype,
+                        next_tag(),
+                        &mut cache,
+                    );
                     let request = build(rank, world, root);
                     let op = request.op().map(OwnedReduction::shared);
-                    let cursor =
-                        dispatch::begin_planned(&profile, &comm, request, next_tag(), &mut cache);
+                    let cursor = dispatch::begin_planned(
+                        &profile,
+                        &comm,
+                        request,
+                        dtype,
+                        next_tag(),
+                        &mut cache,
+                    );
                     let id = engine.submit(cursor, op);
                     let driven = engine.wait(&comm, id).recvbuf;
-                    assert_eq!(in_place, driven, "{name}, {what}, rank {rank}");
-                    if name == "strided allreduce" {
-                        let elems: Vec<i32> =
-                            pip_mcoll::collectives::datatype::from_bytes(&driven.unwrap());
+                    // Equal bytes; the typed results keep the element type.
+                    let bytes = |buf: &Option<ElemBuf>| buf.as_deref().map(<[u8]>::to_vec);
+                    assert_eq!(
+                        bytes(&in_place),
+                        bytes(&driven),
+                        "{name}, {what}, rank {rank}"
+                    );
+                    let dtypes = (
+                        in_place.map(|b| b.dtype()),
+                        driven.as_ref().map(ElemBuf::dtype),
+                    );
+                    assert_eq!(dtypes.0, dtypes.1, "{name}, {what}, rank {rank}");
+                    if strided {
+                        let elems = match driven {
+                            Some(ElemBuf::I32(elems)) => elems,
+                            other => panic!("strided result {other:?}"),
+                        };
                         for (i, elem) in elems.into_iter().enumerate() {
                             let in_gap = i % STRIDED.stride >= STRIDED.blocklen;
                             assert_eq!(elem == GAP, in_gap, "element {i}, {what}, rank {rank}");
@@ -319,7 +352,8 @@ fn in_place_and_engine_driven_cursors_agree_for_every_collective_and_library() {
                     }
                 }
                 let barrier = OwnedCollective::Barrier;
-                dispatch::run_blocking(&profile, &comm, barrier, next_tag(), &mut cache);
+                let u8s = DtypeId::U8;
+                dispatch::run_blocking(&profile, &comm, barrier, u8s, next_tag(), &mut cache);
                 let rows = ROWS.len() as u64;
                 assert_eq!(
                     cache.stats(),
