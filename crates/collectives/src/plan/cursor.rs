@@ -71,7 +71,7 @@ use std::rc::Rc;
 
 use crate::comm::{NonBlockingComm, ReduceFn};
 use crate::compress::{compress_into, decompress_into, max_frame_len};
-use crate::datatype::{ElemBuf, Layout};
+use crate::datatype::ElemBuf;
 use crate::plan::arena::SharedArena;
 use crate::plan::ir::{Fidelity, NameId, PlanOp, RankPlan, Src, SrcSeg};
 use crate::request::drive_to_done;
@@ -153,7 +153,7 @@ fn direct_offsets(plan: &RankPlan) -> Vec<Option<usize>> {
     let mut outs = Vec::new();
     let mut caller_reads = Vec::new();
     for (pc, op) in plan.ops.iter().enumerate() {
-        for seg in sources(op).flat_map(|src| &src.segs) {
+        for seg in op.sources().flat_map(|src| &src.segs) {
             match *seg {
                 SrcSeg::Val { id, .. } => uses[id as usize] += 1,
                 SrcSeg::RecvInit { offset, len } => caller_reads.push((offset, offset + len, pc)),
@@ -205,30 +205,6 @@ fn direct_offsets(plan: &RankPlan) -> Vec<Option<usize>> {
     direct
 }
 
-/// The sources op `op` reads.
-fn sources(op: &PlanOp) -> impl Iterator<Item = &Src> {
-    let (first, second) = match op {
-        PlanOp::SharedPublish { src, .. }
-        | PlanOp::SharedWrite { src, .. }
-        | PlanOp::Send { src, .. }
-        | PlanOp::Compress { src, .. }
-        | PlanOp::CopyOut { src, .. } => (Some(src), None),
-        PlanOp::Reduce { acc, other, .. } => (Some(acc), Some(other)),
-        PlanOp::SharedAlloc { .. }
-        | PlanOp::SharedCollect { .. }
-        | PlanOp::SharedRead { .. }
-        | PlanOp::Recv { .. }
-        | PlanOp::Decompress { .. }
-        | PlanOp::SendFromShared { .. }
-        | PlanOp::RecvIntoShared { .. }
-        | PlanOp::NodeBarrier
-        | PlanOp::ChargeCopy { .. }
-        | PlanOp::ChargeReduce { .. }
-        | PlanOp::Delay { .. } => (None, None),
-    };
-    first.into_iter().chain(second)
-}
-
 /// A resumable execution of one rank's compiled plan.
 ///
 /// Created from a cached plan, the caller's buffers and the invocation tag;
@@ -255,17 +231,16 @@ pub struct PlanCursor {
     /// the bytes are value slots or literals, read at flush time.
     pending_out: Vec<(usize, Option<Vec<u8>>)>,
     /// The caller's buffers, typed as the caller made them and read and
-    /// written as their bytes: extent-length when the plan declares a
-    /// layout, otherwise exactly the packed length the plan was recorded
-    /// with.
+    /// written as their bytes: the receive buffer is extent-length when the
+    /// plan declares its layout; otherwise each is exactly the packed length
+    /// the plan was recorded with.
     sendbuf: Option<ElemBuf>,
     recvbuf: Option<ElemBuf>,
-    /// Packed staging of a strided caller buffer (`Some` only when the plan
-    /// declares the layout).  The plan body was recorded against packed
-    /// bytes and reads these instead of the caller's buffer, so it never
+    /// Packed staging of a strided receive buffer (`Some` only when the
+    /// plan declares its layout).  The plan body was recorded against packed
+    /// bytes and reads this instead of the caller's buffer, so it never
     /// sees a gap byte; staged output is unpacked into the caller's buffer
     /// (gaps preserved) when the program drains.
-    send_stage: Option<Vec<u8>>,
     recv_stage: Option<Vec<u8>>,
     /// Scratch-buffer pool, shared with the communicator and hence with
     /// every other cursor of the same rank, so repeat invocations reuse each
@@ -315,7 +290,7 @@ impl PlanCursor {
         let expect_send = if plan.io.inout { None } else { plan.io.sendbuf };
         assert_eq!(
             sendbuf.as_deref().map(<[u8]>::len),
-            expect_send.map(|len| plan.io.send_layout.map_or(len, |l| l.extent())),
+            expect_send,
             "send buffer does not match the plan's shape"
         );
         assert_eq!(
@@ -325,15 +300,12 @@ impl PlanCursor {
                 .map(|len| plan.io.recv_layout.map_or(len, |l| l.extent())),
             "receive buffer does not match the plan's shape"
         );
-        let stage = |layout: Option<Layout>, buf: Option<&[u8]>| {
-            layout.zip(buf).map(|(layout, buf)| {
-                let mut stage = arena.borrow_mut().acquire(layout.packed_len());
-                layout.pack_bytes(buf, &mut stage);
-                stage
-            })
-        };
-        let send_stage = stage(plan.io.send_layout, sendbuf.as_deref());
-        let recv_stage = stage(plan.io.recv_layout, recvbuf.as_deref());
+        let layout = plan.io.recv_layout;
+        let recv_stage = layout.zip(recvbuf.as_deref()).map(|(layout, buf)| {
+            let mut stage = arena.borrow_mut().acquire(layout.packed_len());
+            layout.pack_bytes(buf, &mut stage);
+            stage
+        });
         let vals = vec![None; plan.val_lens.len()];
         Self {
             plan,
@@ -344,7 +316,6 @@ impl PlanCursor {
             pending_out: Vec::new(),
             sendbuf,
             recvbuf,
-            send_stage,
             recv_stage,
             arena,
             barrier_target: None,
@@ -511,9 +482,6 @@ impl PlanCursor {
             let layout = self.plan.io.recv_layout.expect("staging implies a layout");
             let out = self.recvbuf.as_deref_mut().expect("staged receive buffer");
             layout.unpack_bytes(&stage, out);
-            arena.release(stage);
-        }
-        if let Some(stage) = self.send_stage.take() {
             arena.release(stage);
         }
         drop(arena);
@@ -730,9 +698,9 @@ impl PlanCursor {
         self.scope().try_region(owner_local, name)
     }
 
-    /// The bytes of `seg` when it names the caller's buffers — their
-    /// packed staging when strided, the receive buffer for an in/out
-    /// plan's `SendBuf`; `None` for a value slot or a literal.
+    /// The bytes of `seg` when it names the caller's buffers — the receive
+    /// buffer's packed staging when strided, the receive buffer for an
+    /// in/out plan's `SendBuf`; `None` for a value slot or a literal.
     fn caller_bytes(&self, seg: &SrcSeg) -> Option<&[u8]> {
         let recvbuf = || {
             self.recv_stage
@@ -745,10 +713,7 @@ impl PlanCursor {
                 let buf = if self.plan.io.inout {
                     recvbuf()
                 } else {
-                    self.send_stage
-                        .as_deref()
-                        .or(self.sendbuf.as_deref())
-                        .expect("send buffer present")
+                    self.sendbuf.as_deref().expect("send buffer present")
                 };
                 Some(&buf[offset..offset + len])
             }
@@ -806,6 +771,7 @@ fn held_bytes<'a>(vals: &'a [Option<Vec<u8>>], seg: &'a SrcSeg) -> Option<&'a [u
 mod tests {
     use super::*;
     use crate::comm::{Comm, ThreadComm};
+    use crate::datatype::Layout;
     use crate::plan::arena::shared_arena;
     use crate::plan::ir::IoShape;
     use crate::plan::record::{assemble, compile_exec, PlanComm};

@@ -324,13 +324,55 @@ pub enum PlanOp {
     },
 }
 
+/// The sources `$op` reads, as a pair of options in field order — the one
+/// list of the ops that read a [`Src`].  Expands to shared or mutable
+/// borrows as `$op` is a `&PlanOp` or a `&mut PlanOp`.
+macro_rules! sources_of {
+    ($op:expr) => {
+        match $op {
+            PlanOp::SharedPublish { src, .. }
+            | PlanOp::SharedWrite { src, .. }
+            | PlanOp::Send { src, .. }
+            | PlanOp::Compress { src, .. }
+            | PlanOp::CopyOut { src, .. } => (Some(src), None),
+            PlanOp::Reduce { acc, other, .. } => (Some(acc), Some(other)),
+            PlanOp::SharedAlloc { .. }
+            | PlanOp::SharedCollect { .. }
+            | PlanOp::SharedRead { .. }
+            | PlanOp::Recv { .. }
+            | PlanOp::Decompress { .. }
+            | PlanOp::SendFromShared { .. }
+            | PlanOp::RecvIntoShared { .. }
+            | PlanOp::NodeBarrier
+            | PlanOp::ChargeCopy { .. }
+            | PlanOp::ChargeReduce { .. }
+            | PlanOp::Delay { .. } => (None, None),
+        }
+    };
+}
+
+impl PlanOp {
+    /// The sources the op reads, in field order (a reduction's accumulator
+    /// first).
+    pub(crate) fn sources(&self) -> impl Iterator<Item = &Src> {
+        let (first, second) = sources_of!(self);
+        first.into_iter().chain(second)
+    }
+
+    /// [`PlanOp::sources`], mutably.
+    pub(crate) fn sources_mut(&mut self) -> impl Iterator<Item = &mut Src> {
+        let (first, second) = sources_of!(self);
+        first.into_iter().chain(second)
+    }
+}
+
 /// Buffer shapes a plan expects from its caller.
 ///
 /// `sendbuf`/`recvbuf` are always the **packed** lengths the plan's ops were
-/// recorded against. When a layout is present, the *caller's* buffer spans
-/// the layout extent instead; the executor packs it into packed-length
-/// scratch before replay and unpacks afterwards, so the plan body never sees
-/// a gap byte.
+/// recorded against. When the receive layout is present, the *caller's*
+/// buffer spans the layout extent instead; the executor packs it into
+/// packed-length scratch before replay and unpacks afterwards, so the plan
+/// body never sees a gap byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoShape {
     /// Required send-buffer length in packed bytes (`None`: no send buffer,
@@ -343,14 +385,12 @@ pub struct IoShape {
     /// allreduce).  The executor then reads [`SrcSeg::SendBuf`] from the
     /// receive buffer's pre-execution contents.
     pub inout: bool,
-    /// The plan contains [`PlanOp::Reduce`] and needs a reduction operator.
+    /// The plan contains [`PlanOp::Reduce`] and needs a reduction operator
+    /// (set by [`crate::plan::record::assemble`] from the ops).
     pub needs_reduce_op: bool,
-    /// Strided layout of the caller's send buffer, in **bytes**
-    /// ([`crate::datatype::Layout::scaled`]). `None`: contiguous.
-    pub send_layout: Option<crate::datatype::Layout>,
-    /// Strided layout of the caller's receive buffer, in **bytes**.
-    /// `None`: contiguous. For `inout` plans this is the layout of the
-    /// single caller buffer.
+    /// Strided layout of the caller's receive buffer, in **bytes**
+    /// ([`crate::datatype::Layout::scaled`]). `None`: contiguous. For
+    /// `inout` plans this is the layout of the single caller buffer.
     pub recv_layout: Option<crate::datatype::Layout>,
 }
 

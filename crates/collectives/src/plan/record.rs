@@ -2,19 +2,31 @@
 //!
 //! [`PlanComm`] is the recording [`Comm`] implementation, beside the
 //! executing `ThreadComm`: it runs the unmodified algorithm once per rank
-//! without moving real data and captures a full symbolic program, which
-//! executes later or lowers to a simulator trace ([`record_trace`] records
-//! and lowers an ad-hoc schedule in one call).  The hard part is *data
-//! provenance*: algorithms privately copy, slice and concatenate the byte
-//! buffers the `Comm` surface hands them, so the recorder cannot see where an
-//! outgoing payload came from.  The compiler recovers provenance with **fingerprint taint**:
+//! without moving real data and writes the plan's ops as the algorithm
+//! calls it, which execute later or lower to a simulator trace
+//! ([`record_trace`] records and lowers an ad-hoc schedule in one call).
+//!
+//! **One op type.**  The recorder pushes [`PlanOp`]s: region names are
+//! interned into the pass's name table on first use, values are numbered
+//! densely from 0, and every payload is recorded as [`Src::opaque`] of its
+//! length — the final form of a schedule-fidelity plan — with its bytes
+//! captured under exec fidelity.  [`assemble`] then *agrees* (every pass
+//! recorded equal ops, names, value lengths and location tables),
+//! *resolves* each captured payload into its source in place, in op order
+//! (`PlanOp::sources`), *derives* the trailing [`PlanOp::CopyOut`]s from
+//! the output buffer and *validates* the plan.
+//!
+//! The hard part is *data provenance*: algorithms privately copy, slice and
+//! concatenate the byte buffers the `Comm` surface hands them, so the
+//! recorder cannot see where an outgoing payload came from.  The compiler
+//! recovers provenance with **fingerprint taint**:
 //!
 //! * every byte the recorder hands to the algorithm has a dense *location
 //!   number*: each buffer it taints — the caller's send and receive
 //!   buffers, then every receive, shared read or collect and reduction
 //!   result, in recording order — takes the next `len` numbers of a running
-//!   counter, and the pass recording keeps a `(first location, value, len)`
-//!   table of them;
+//!   counter, and the pass recording keeps a `(first location, buffer,
+//!   len)` table of them;
 //! * the *fingerprint key* of location `L` is `L + C`, with
 //!   `C = 0x8080_8080_8080_8081`, and in recording pass *p* every tainted
 //!   byte is byte *p* of its key — a fill is the counter loop
@@ -27,8 +39,8 @@
 //!   ≈ 64 KiB, four up to ≈ 16 MiB, at most eight.  Carries only propagate
 //!   upward, so the byte a pass shows does not depend on `k`.  Running the
 //!   algorithm repeatedly is sound because algorithms never branch on
-//!   payload contents — the op skeleton and the location table are asserted
-//!   identical across passes;
+//!   payload contents — which is what [`assemble`]'s agreement check
+//!   asserts;
 //! * reductions are intercepted by a compiler-provided operator
 //!   ([`PlanComm::reducer`]) that records a [`PlanOp::Reduce`] and rewrites
 //!   the accumulator with the fingerprints of a fresh value, so reduced data
@@ -37,7 +49,7 @@
 //!   output buffer) is resolved by stacking the `k` bytes its position
 //!   showed into a key and subtracting `C` modulo `256^k`: the result is a
 //!   location below `T`, which a binary search of the table names as a
-//!   `(value, offset)`, or the byte cannot be attributed.
+//!   `(buffer, offset)`, or the byte cannot be attributed.
 //!
 //! **Literal rule.**  A byte that is identical in all `k` passes is a
 //! constant the algorithm wrote itself and becomes [`SrcSeg::Lit`].  Such a
@@ -63,13 +75,13 @@
 //! would get, so the location table, the output bytes and the plan do not
 //! depend on which of the two the algorithm called.
 //!
-//! Schedule-fidelity compiles skip all of this: one pass and
-//! [`SrcSeg::Opaque`] payloads, and the recorder writes no byte — no fill,
-//! no taint, no capture — so the buffers' contents are dead and a driver may
-//! record every rank into one reused, never re-zeroed pair of caller
-//! buffers.  What is left is the cost of running the algorithm once: O(ops)
-//! plus the algorithm's own private copies, producing a cacheable
-//! [`RankPlan`].
+//! Schedule-fidelity compiles skip all of this: one pass, and the recorder
+//! writes no byte — no fill, no taint, no capture — so the buffers'
+//! contents are dead and a driver may record every rank into one reused,
+//! never re-zeroed pair of caller buffers.  What is left is the cost of
+//! running the algorithm once: O(ops) plus the algorithm's own private
+//! copies, producing a cacheable [`RankPlan`] that [`assemble`] only
+//! validates.
 
 use std::fmt;
 use std::sync::Mutex;
@@ -83,14 +95,6 @@ use crate::plan::ir::{Fidelity, IoShape, NameId, Plan, PlanOp, RankPlan, Src, Sr
 /// Most recording passes an exec-fidelity compile can run: a 64-bit key has
 /// eight bytes to show.
 const MAX_PASSES: usize = 8;
-
-/// Pseudo-value standing for the caller's send buffer in the internal value
-/// numbering (mapped to [`SrcSeg::SendBuf`] on emission).
-const VAL_SENDBUF: ValId = 0;
-/// Pseudo-value standing for the receive buffer's initial contents.
-const VAL_RECVINIT: ValId = 1;
-/// First id for values that materialize during execution.
-const FIRST_RUNTIME_VAL: ValId = 2;
 
 /// `C`: added to a location to make its key.  Every byte is `0x80` but the
 /// lowest, so the keys of `0..T` sit just above the equal-byte key
@@ -148,12 +152,23 @@ fn fill_keys(pass: usize, first: u64, buf: &mut [u8]) {
     }
 }
 
+/// The buffer a tainted range belongs to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tainted {
+    /// The caller's send buffer.
+    SendBuf,
+    /// The receive buffer's initial contents.
+    RecvInit,
+    /// A runtime value.
+    Val(ValId),
+}
+
 /// One tainted buffer: locations `first..first + len` are offsets `0..len`
-/// of internal value `val`.
+/// of `buf`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Taint {
     first: u64,
-    val: ValId,
+    buf: Tainted,
     len: usize,
 }
 
@@ -162,100 +177,33 @@ impl Taint {
     fn end(&self) -> u64 {
         self.first + self.len as u64
     }
-}
 
-/// Index of a captured payload within a pass recording.
-type SiteId = u32;
-
-/// The op skeleton recorded during one pass: identical to [`PlanOp`] except
-/// that payloads are capture-site indices and names are still strings.
-#[derive(Debug, Clone, PartialEq)]
-enum RecOp {
-    SharedAlloc {
-        name: String,
-        len: usize,
-    },
-    SharedPublish {
-        name: String,
-        site: SiteId,
-    },
-    SharedCollect {
-        name: String,
-        len: usize,
-        dst: ValId,
-    },
-    SharedWrite {
-        owner_local: usize,
-        name: String,
-        offset: usize,
-        site: SiteId,
-    },
-    SharedRead {
-        owner_local: usize,
-        name: String,
-        offset: usize,
-        len: usize,
-        dst: ValId,
-    },
-    Send {
-        dest: usize,
-        tag: u64,
-        site: SiteId,
-    },
-    Recv {
-        source: usize,
-        tag: u64,
-        len: usize,
-        dst: ValId,
-    },
-    SendFromShared {
-        owner_local: usize,
-        name: String,
-        offset: usize,
-        len: usize,
-        dest: usize,
-        tag: u64,
-    },
-    RecvIntoShared {
-        owner_local: usize,
-        name: String,
-        offset: usize,
-        source: usize,
-        tag: u64,
-        len: usize,
-    },
-    NodeBarrier,
-    Reduce {
-        dst: ValId,
-        acc: SiteId,
-        other: SiteId,
-    },
-    ChargeCopy {
-        bytes: usize,
-    },
-    ChargeReduce {
-        bytes: usize,
-    },
-    Delay {
-        nanos: f64,
-    },
+    /// Bytes `offset..offset + len` of the buffer, as a source segment.
+    fn seg(&self, offset: usize, len: usize) -> SrcSeg {
+        match self.buf {
+            Tainted::SendBuf => SrcSeg::SendBuf { offset, len },
+            Tainted::RecvInit => SrcSeg::RecvInit { offset, len },
+            Tainted::Val(id) => SrcSeg::Val { id, offset, len },
+        }
+    }
 }
 
 /// Everything one pass recorded: filled through [`PlanComm`], extracted with
 /// [`PlanComm::finish`].
 #[derive(Debug, Default)]
 pub struct PassRecording {
-    ops: Vec<RecOp>,
-    /// Length of each runtime value (ids offset by [`FIRST_RUNTIME_VAL`]).
+    /// The plan's ops so far, every payload [`Src::opaque`] of its length.
+    ops: Vec<PlanOp>,
+    /// Region names, interned in first-use order.
+    names: Vec<String>,
+    /// Length of each value.
     val_lens: Vec<usize>,
     /// The location table: every tainted buffer in taint order (empty under
     /// schedule fidelity).
     locations: Vec<Taint>,
-    /// Captured payload bytes, one entry per resolution site (empty vectors
-    /// under schedule fidelity, where only the length matters).
-    sites: Vec<Vec<u8>>,
-    /// Length of each resolution site.
-    site_lens: Vec<usize>,
+    /// Captured bytes of every payload, in the order the ops read them
+    /// (exec fidelity only).
+    payloads: Vec<Vec<u8>>,
     /// Final contents of the caller-visible output buffer, if any.
     out: Option<Vec<u8>>,
 }
@@ -264,6 +212,21 @@ impl PassRecording {
     /// `T`: how many location numbers the pass handed out.
     fn total(&self) -> u64 {
         self.locations.last().map_or(0, Taint::end)
+    }
+
+    /// The id of region `name`, interned on first use.
+    fn intern(&mut self, name: &str) -> NameId {
+        if let Some(id) = self.names.iter().position(|n| n == name) {
+            return id as NameId;
+        }
+        self.names.push(name.to_owned());
+        (self.names.len() - 1) as NameId
+    }
+
+    /// A fresh value of `len` bytes.
+    fn new_val(&mut self, len: usize) -> ValId {
+        self.val_lens.push(len);
+        (self.val_lens.len() - 1) as ValId
     }
 }
 
@@ -308,34 +271,34 @@ impl PlanComm {
     /// buffers before running the algorithm.  Under schedule fidelity `buf`
     /// is left as it is: nothing reads its bytes, so it may hold anything.
     pub fn fill_sendbuf(&self, buf: &mut [u8]) {
-        self.fill(VAL_SENDBUF, buf);
+        self.fill(Tainted::SendBuf, buf);
     }
 
     /// As [`PlanComm::fill_sendbuf`] for the receive buffer's initial
     /// contents.
     pub fn fill_recvbuf(&self, buf: &mut [u8]) {
-        self.fill(VAL_RECVINIT, buf);
+        self.fill(Tainted::RecvInit, buf);
     }
 
-    /// Overwrite `buf` with the fingerprints of `val` for this pass (exec
+    /// Overwrite `bytes` with the fingerprints of `buf` for this pass (exec
     /// fidelity only).
-    fn fill(&self, val: ValId, buf: &mut [u8]) {
+    fn fill(&self, buf: Tainted, bytes: &mut [u8]) {
         if self.fidelity == Fidelity::Exec {
-            self.taint(&mut self.state.lock().unwrap(), val, buf);
+            self.taint(&mut self.state.lock().unwrap(), buf, bytes);
         }
     }
 
-    /// Give `buf` the next `buf.len()` location numbers, as offsets of
-    /// `val`, and overwrite it with their key bytes for this pass (exec
+    /// Give `bytes` the next `bytes.len()` location numbers, as offsets of
+    /// `buf`, and overwrite them with their key bytes for this pass (exec
     /// fidelity only).
-    fn taint(&self, state: &mut PassRecording, val: ValId, buf: &mut [u8]) {
+    fn taint(&self, state: &mut PassRecording, buf: Tainted, bytes: &mut [u8]) {
         let first = state.total();
         state.locations.push(Taint {
             first,
-            val,
-            len: buf.len(),
+            buf,
+            len: bytes.len(),
         });
-        fill_keys(self.pass as usize, first, buf);
+        fill_keys(self.pass as usize, first, bytes);
     }
 
     /// A reduction operator that records [`PlanOp::Reduce`] and re-taints
@@ -349,17 +312,14 @@ impl PlanComm {
     pub fn reducer(&self) -> impl Fn(&mut [u8], &[u8]) + Sync + '_ {
         move |acc: &mut [u8], other: &[u8]| {
             let mut state = self.state.lock().unwrap();
-            let acc_site = Self::capture(&mut state, acc, self.fidelity);
-            let other_site = Self::capture(&mut state, other, self.fidelity);
-            let dst = Self::new_val(&mut state, acc.len());
-            state.ops.push(RecOp::Reduce {
+            let acc_src = self.payload(&mut state, acc);
+            let other = self.payload(&mut state, other);
+            drop(state);
+            self.define_val(acc, |_, dst| PlanOp::Reduce {
                 dst,
-                acc: acc_site,
-                other: other_site,
+                acc: acc_src,
+                other,
             });
-            if self.fidelity == Fidelity::Exec {
-                self.taint(&mut state, dst, acc);
-            }
         }
     }
 
@@ -372,46 +332,37 @@ impl PlanComm {
         recording
     }
 
-    fn capture(state: &mut PassRecording, data: &[u8], fidelity: Fidelity) -> SiteId {
-        let id = state.sites.len() as SiteId;
-        // Under schedule fidelity only the length matters; never copy (or
-        // even allocate for) the payload bytes.
-        state.site_lens.push(data.len());
-        match fidelity {
-            Fidelity::Exec => state.sites.push(data.to_vec()),
-            Fidelity::Schedule => state.sites.push(Vec::new()),
+    /// The source to record for payload `data`: opaque, of its length, with
+    /// its bytes captured for [`assemble`] under exec fidelity.
+    fn payload(&self, state: &mut PassRecording, data: &[u8]) -> Src {
+        if self.fidelity == Fidelity::Exec {
+            state.payloads.push(data.to_vec());
         }
-        id
+        Src::opaque(data.len())
     }
 
-    fn new_val(state: &mut PassRecording, len: usize) -> ValId {
-        let id = FIRST_RUNTIME_VAL + state.val_lens.len() as ValId;
-        state.val_lens.push(len);
-        id
+    /// Record the op `make_op` builds against the pass state.
+    fn push(&self, make_op: impl FnOnce(&mut PassRecording) -> PlanOp) {
+        let mut state = self.state.lock().unwrap();
+        let op = make_op(&mut state);
+        state.ops.push(op);
     }
 
     /// Record `op`, which defines a new value of `out.len()` bytes that the
     /// algorithm receives in `out`: tainted in place under exec fidelity,
     /// left as it is under schedule fidelity, where nothing reads it.
-    fn define_val(&self, out: &mut [u8], make_op: impl FnOnce(ValId) -> RecOp) {
+    fn define_val(
+        &self,
+        out: &mut [u8],
+        make_op: impl FnOnce(&mut PassRecording, ValId) -> PlanOp,
+    ) {
         let mut state = self.state.lock().unwrap();
-        let dst = Self::new_val(&mut state, out.len());
-        let op = make_op(dst);
+        let dst = state.new_val(out.len());
+        let op = make_op(&mut state, dst);
         state.ops.push(op);
         if self.fidelity == Fidelity::Exec {
-            self.taint(&mut state, dst, out);
+            self.taint(&mut state, Tainted::Val(dst), out);
         }
-    }
-
-    fn push(&self, op: RecOp) {
-        self.state.lock().unwrap().ops.push(op);
-    }
-
-    fn push_with_site(&self, data: &[u8], make_op: impl FnOnce(SiteId) -> RecOp) {
-        let mut state = self.state.lock().unwrap();
-        let site = Self::capture(&mut state, data, self.fidelity);
-        let op = make_op(site);
-        state.ops.push(op);
     }
 }
 
@@ -425,7 +376,11 @@ impl Comm for PlanComm {
     }
 
     fn send(&self, dest: usize, tag: u64, data: &[u8]) {
-        self.push_with_site(data, |site| RecOp::Send { dest, tag, site });
+        self.push(|state| PlanOp::Send {
+            dest,
+            tag,
+            src: self.payload(state, data),
+        });
     }
 
     fn recv(&self, source: usize, tag: u64, len: usize) -> Vec<u8> {
@@ -436,7 +391,7 @@ impl Comm for PlanComm {
 
     fn recv_into(&self, source: usize, tag: u64, out: &mut [u8]) {
         let len = out.len();
-        self.define_val(out, |dst| RecOp::Recv {
+        self.define_val(out, |_, dst| PlanOp::Recv {
             source,
             tag,
             len,
@@ -445,23 +400,23 @@ impl Comm for PlanComm {
     }
 
     fn shared_alloc(&self, name: &str, len: usize) {
-        self.push(RecOp::SharedAlloc {
-            name: name.to_string(),
+        self.push(|state| PlanOp::SharedAlloc {
+            name: state.intern(name),
             len,
         });
     }
 
     fn shared_publish(&self, name: &str, data: &[u8]) {
-        self.push_with_site(data, |site| RecOp::SharedPublish {
-            name: name.to_string(),
-            site,
+        self.push(|state| PlanOp::SharedPublish {
+            name: state.intern(name),
+            src: self.payload(state, data),
         });
     }
 
     fn shared_collect(&self, name: &str, len: usize) -> Vec<u8> {
         let mut bytes = vec![0u8; len];
-        self.define_val(&mut bytes, |dst| RecOp::SharedCollect {
-            name: name.to_string(),
+        self.define_val(&mut bytes, |state, dst| PlanOp::SharedCollect {
+            name: state.intern(name),
             len,
             dst,
         });
@@ -469,11 +424,11 @@ impl Comm for PlanComm {
     }
 
     fn shared_write(&self, owner_local: usize, name: &str, offset: usize, data: &[u8]) {
-        self.push_with_site(data, |site| RecOp::SharedWrite {
+        self.push(|state| PlanOp::SharedWrite {
             owner_local,
-            name: name.to_string(),
+            name: state.intern(name),
             offset,
-            site,
+            src: self.payload(state, data),
         });
     }
 
@@ -485,9 +440,9 @@ impl Comm for PlanComm {
 
     fn shared_read_into(&self, owner_local: usize, name: &str, offset: usize, out: &mut [u8]) {
         let len = out.len();
-        self.define_val(out, |dst| RecOp::SharedRead {
+        self.define_val(out, |state, dst| PlanOp::SharedRead {
             owner_local,
-            name: name.to_string(),
+            name: state.intern(name),
             offset,
             len,
             dst,
@@ -503,9 +458,9 @@ impl Comm for PlanComm {
         dest: usize,
         tag: u64,
     ) {
-        self.push(RecOp::SendFromShared {
+        self.push(|state| PlanOp::SendFromShared {
             owner_local,
-            name: name.to_string(),
+            name: state.intern(name),
             offset,
             len,
             dest,
@@ -522,9 +477,9 @@ impl Comm for PlanComm {
         tag: u64,
         len: usize,
     ) {
-        self.push(RecOp::RecvIntoShared {
+        self.push(|state| PlanOp::RecvIntoShared {
             owner_local,
-            name: name.to_string(),
+            name: state.intern(name),
             offset,
             source,
             tag,
@@ -533,19 +488,19 @@ impl Comm for PlanComm {
     }
 
     fn node_barrier(&self) {
-        self.push(RecOp::NodeBarrier);
+        self.push(|_| PlanOp::NodeBarrier);
     }
 
     fn charge_copy(&self, bytes: usize) {
-        self.push(RecOp::ChargeCopy { bytes });
+        self.push(|_| PlanOp::ChargeCopy { bytes });
     }
 
     fn charge_reduce(&self, bytes: usize) {
-        self.push(RecOp::ChargeReduce { bytes });
+        self.push(|_| PlanOp::ChargeReduce { bytes });
     }
 
     fn delay(&self, nanos: f64) {
-        self.push(RecOp::Delay { nanos });
+        self.push(|_| PlanOp::Delay { nanos });
     }
 }
 
@@ -629,17 +584,7 @@ fn resolve_site(passes: &[&[u8]], table: &[Taint]) -> Result<Src, usize> {
         // The run lasts while successive positions show successive
         // locations, up to the end of the buffer.
         let len = run_length(passes, i, location, (taint.len - offset).min(end - i));
-        // Map the pseudo-values to their caller-buffer segments and shift
-        // runtime ids down to a dense 0-based numbering.
-        segs.push(match taint.val {
-            VAL_SENDBUF => SrcSeg::SendBuf { offset, len },
-            VAL_RECVINIT => SrcSeg::RecvInit { offset, len },
-            val => SrcSeg::Val {
-                id: val - FIRST_RUNTIME_VAL,
-                offset,
-                len,
-            },
-        });
+        segs.push(taint.seg(offset, len));
         i += len;
     }
     Ok(Src { segs })
@@ -669,19 +614,21 @@ pub fn compile_exec(
     assemble(rank, topology, Fidelity::Exec, io, passes)
 }
 
-/// Fuse the recordings of all passes into a [`RankPlan`].
+/// Fuse the recordings of all passes into a [`RankPlan`]: check that they
+/// agree, resolve every captured payload (exec fidelity), derive the
+/// trailing [`PlanOp::CopyOut`]s from the output buffer and validate.
 ///
 /// Panics if the number of passes is not the one the fidelity and the
-/// location table need, if the passes recorded different op skeletons or
-/// location tables (which would mean an algorithm branched on payload
-/// contents, violating the `Comm` contract) or if a payload byte cannot be
-/// attributed to any source.
+/// location table need, if the passes recorded different ops, names, value
+/// lengths or location tables (which would mean an algorithm branched on
+/// payload contents, violating the `Comm` contract) or if a payload byte
+/// cannot be attributed to any source.
 pub fn assemble(
     rank: usize,
     topology: Topology,
     fidelity: Fidelity,
     io: IoShape,
-    passes: Vec<PassRecording>,
+    mut passes: Vec<PassRecording>,
 ) -> RankPlan {
     let first = passes.first().expect("at least one recording pass");
     let exec = fidelity == Fidelity::Exec;
@@ -699,7 +646,8 @@ pub fn assemble(
     );
     for pass in &passes[1..] {
         assert_eq!(
-            pass.ops, first.ops,
+            (&pass.ops, &pass.names),
+            (&first.ops, &first.names),
             "rank {rank}: op skeleton diverged between recording passes — \
              an algorithm branched on payload contents"
         );
@@ -709,6 +657,10 @@ pub fn assemble(
             "rank {rank}: location table diverged between recording passes"
         );
     }
+    let mut ops = std::mem::take(&mut passes[0].ops);
+    let names = std::mem::take(&mut passes[0].names);
+    let mut val_lens = std::mem::take(&mut passes[0].val_lens);
+    let first = &passes[0];
 
     // Attribute the payload whose bytes in each pass `bytes_of` selects.
     let attribute = |what: &dyn fmt::Display, bytes_of: &dyn Fn(&PassRecording) -> &[u8]| -> Src {
@@ -722,125 +674,14 @@ pub fn assemble(
             )
         })
     };
-    let resolve = |site: SiteId| -> Src {
-        let site = site as usize;
-        if exec {
-            attribute(&format_args!("payload site {site}"), &|pass| {
-                &pass.sites[site]
-            })
-        } else {
-            Src::opaque(first.site_lens[site])
-        }
-    };
 
-    let mut names: Vec<String> = Vec::new();
-    let intern = |name: &str, names: &mut Vec<String>| -> NameId {
-        match names.iter().position(|n| n == name) {
-            Some(i) => i as NameId,
-            None => {
-                names.push(name.to_string());
-                (names.len() - 1) as NameId
-            }
+    if exec {
+        // The payloads were captured in the order the ops read them.
+        for (site, src) in ops.iter_mut().flat_map(PlanOp::sources_mut).enumerate() {
+            *src = attribute(&format_args!("payload {site}"), &|pass| {
+                &pass.payloads[site]
+            });
         }
-    };
-
-    let shift = |val: ValId| -> ValId { val - FIRST_RUNTIME_VAL };
-    let mut ops: Vec<PlanOp> = Vec::with_capacity(first.ops.len() + 2);
-    for op in &first.ops {
-        ops.push(match op {
-            RecOp::SharedAlloc { name, len } => PlanOp::SharedAlloc {
-                name: intern(name, &mut names),
-                len: *len,
-            },
-            RecOp::SharedPublish { name, site } => PlanOp::SharedPublish {
-                name: intern(name, &mut names),
-                src: resolve(*site),
-            },
-            RecOp::SharedCollect { name, len, dst } => PlanOp::SharedCollect {
-                name: intern(name, &mut names),
-                len: *len,
-                dst: shift(*dst),
-            },
-            RecOp::SharedWrite {
-                owner_local,
-                name,
-                offset,
-                site,
-            } => PlanOp::SharedWrite {
-                owner_local: *owner_local,
-                name: intern(name, &mut names),
-                offset: *offset,
-                src: resolve(*site),
-            },
-            RecOp::SharedRead {
-                owner_local,
-                name,
-                offset,
-                len,
-                dst,
-            } => PlanOp::SharedRead {
-                owner_local: *owner_local,
-                name: intern(name, &mut names),
-                offset: *offset,
-                len: *len,
-                dst: shift(*dst),
-            },
-            RecOp::Send { dest, tag, site } => PlanOp::Send {
-                dest: *dest,
-                tag: *tag,
-                src: resolve(*site),
-            },
-            RecOp::Recv {
-                source,
-                tag,
-                len,
-                dst,
-            } => PlanOp::Recv {
-                source: *source,
-                tag: *tag,
-                len: *len,
-                dst: shift(*dst),
-            },
-            RecOp::SendFromShared {
-                owner_local,
-                name,
-                offset,
-                len,
-                dest,
-                tag,
-            } => PlanOp::SendFromShared {
-                owner_local: *owner_local,
-                name: intern(name, &mut names),
-                offset: *offset,
-                len: *len,
-                dest: *dest,
-                tag: *tag,
-            },
-            RecOp::RecvIntoShared {
-                owner_local,
-                name,
-                offset,
-                source,
-                tag,
-                len,
-            } => PlanOp::RecvIntoShared {
-                owner_local: *owner_local,
-                name: intern(name, &mut names),
-                offset: *offset,
-                source: *source,
-                tag: *tag,
-                len: *len,
-            },
-            RecOp::NodeBarrier => PlanOp::NodeBarrier,
-            RecOp::Reduce { dst, acc, other } => PlanOp::Reduce {
-                dst: shift(*dst),
-                acc: resolve(*acc),
-                other: resolve(*other),
-            },
-            RecOp::ChargeCopy { bytes } => PlanOp::ChargeCopy { bytes: *bytes },
-            RecOp::ChargeReduce { bytes } => PlanOp::ChargeReduce { bytes: *bytes },
-            RecOp::Delay { nanos } => PlanOp::Delay { nanos: *nanos },
-        });
     }
 
     // Derive the trailing CopyOut ops from the final output buffer: resolve
@@ -869,10 +710,10 @@ pub fn assemble(
         }
     }
 
-    let needs_reduce_op = first
-        .ops
-        .iter()
-        .any(|op| matches!(op, RecOp::Reduce { .. }));
+    // Plans live in caches: keep none of the recording's growth slack.
+    ops.shrink_to_fit();
+    val_lens.shrink_to_fit();
+    let needs_reduce_op = ops.iter().any(|op| matches!(op, PlanOp::Reduce { .. }));
     let plan = RankPlan {
         rank,
         topology,
@@ -882,7 +723,7 @@ pub fn assemble(
             ..io
         },
         names,
-        val_lens: first.val_lens.clone(),
+        val_lens,
         ops,
     };
     plan.validate().unwrap_or_else(|e| {
@@ -923,15 +764,19 @@ mod tests {
     use pip_transport::cost::IntranodeMechanism;
     use proptest::prelude::*;
 
-    /// The location table of consecutive buffers of lengths `lens`, with
-    /// internal value ids from 0 (so the first two are the caller's
-    /// buffers).
+    /// The location table of consecutive buffers of lengths `lens`: the
+    /// caller's send and receive buffers, then values 0, 1, ...
     fn table(lens: &[usize]) -> Vec<Taint> {
         let mut first = 0;
         lens.iter()
-            .zip(0..)
-            .map(|(&len, val)| {
-                let taint = Taint { first, val, len };
+            .enumerate()
+            .map(|(i, &len)| {
+                let buf = match i {
+                    0 => Tainted::SendBuf,
+                    1 => Tainted::RecvInit,
+                    _ => Tainted::Val(i as ValId - 2),
+                };
+                let taint = Taint { first, buf, len };
                 first = taint.end();
                 taint
             })
@@ -1098,8 +943,8 @@ mod tests {
 
             // Build a payload from random runs of locations, some across a
             // carry, and random literal runs, as an algorithm's private
-            // copying would.  `expected` uses internal value ids until the
-            // final mapping.
+            // copying would.  `expected` names buffers by their index in
+            // the table until the final mapping.
             let mut expected: Vec<SrcSeg> = Vec::new();
             let mut payload = vec![Vec::new(); passes];
             for draw in draws.chunks_exact(3) {
@@ -1129,29 +974,26 @@ mod tests {
                 }
                 let mut location = lo;
                 while location < hi {
-                    let taint = table.iter().find(|taint| location < taint.end()).unwrap();
+                    let index = table.iter().position(|taint| location < taint.end()).unwrap();
+                    let taint = table[index];
                     let offset = (location - taint.first) as usize;
                     let len = (taint.end().min(hi) - location) as usize;
                     match expected.last_mut() {
                         // A run that starts where the previous one ended
                         // continues it.
                         Some(SrcSeg::Val { id, offset: start, len: run })
-                            if *id == taint.val && *start + *run == offset =>
+                            if *id as usize == index && *start + *run == offset =>
                         {
                             *run += len
                         }
-                        _ => expected.push(SrcSeg::Val { id: taint.val, offset, len }),
+                        _ => expected.push(SrcSeg::Val { id: index as ValId, offset, len }),
                     }
                     location += len as u64;
                 }
             }
             for seg in &mut expected {
                 if let SrcSeg::Val { id, offset, len } = *seg {
-                    *seg = match id {
-                        VAL_SENDBUF => SrcSeg::SendBuf { offset, len },
-                        VAL_RECVINIT => SrcSeg::RecvInit { offset, len },
-                        _ => SrcSeg::Val { id: id - FIRST_RUNTIME_VAL, offset, len },
-                    };
+                    *seg = table[id as usize].seg(offset, len);
                 }
             }
             prop_assert_eq!(resolve(&payload, &table), Ok(Src { segs: expected }));
@@ -1217,6 +1059,39 @@ mod tests {
         assemble(0, topo, Fidelity::Exec, exchange_io(), passes);
     }
 
+    /// Rank 0's half of the exchange, then an op that depends on the
+    /// first send-buffer byte: 0x81 in pass 0, 0x80 in pass 1.
+    fn record_branching(comm: &PlanComm, op: impl Fn(&PlanComm, u8)) -> Option<Vec<u8>> {
+        let mut sendbuf = vec![0u8; 4];
+        comm.fill_sendbuf(&mut sendbuf);
+        comm.send(1, 0, &sendbuf);
+        op(comm, sendbuf[0]);
+        None
+    }
+
+    /// Both passes allocate their first region, so both intern its name
+    /// as 0: only the name tables tell the passes apart.
+    #[test]
+    #[should_panic(expected = "an algorithm branched on payload contents")]
+    fn assemble_rejects_passes_that_name_a_region_by_payload() {
+        compile_exec(0, Topology::new(1, 2), exchange_io(), |comm| {
+            record_branching(comm, |comm, byte| {
+                comm.shared_alloc(if byte == 0x81 { "a" } else { "b" }, 4)
+            })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "an algorithm branched on payload contents")]
+    fn assemble_rejects_passes_that_pick_an_op_by_payload() {
+        compile_exec(0, Topology::new(1, 2), exchange_io(), |comm| {
+            record_branching(comm, |comm, byte| match byte {
+                0x81 => comm.shared_alloc("a", 4),
+                _ => comm.node_barrier(),
+            })
+        });
+    }
+
     #[test]
     fn schedule_fidelity_produces_opaque_payloads_in_one_pass() {
         let topo = Topology::new(1, 2);
@@ -1252,22 +1127,23 @@ mod tests {
         assert_eq!(
             in_place.ops,
             vec![
-                RecOp::Recv {
+                PlanOp::Recv {
                     source: 1,
                     tag: 3,
                     len: 16,
-                    dst: FIRST_RUNTIME_VAL
+                    dst: 0
                 },
-                RecOp::SharedRead {
+                PlanOp::SharedRead {
                     owner_local: 1,
-                    name: "x".to_string(),
+                    name: 0,
                     offset: 8,
                     len: 8,
-                    dst: FIRST_RUNTIME_VAL + 1
+                    dst: 1
                 },
             ]
         );
-        assert_eq!(in_place.ops, twins.ops);
+        assert_eq!(in_place.names, ["x"]);
+        assert_eq!((&in_place.ops, &in_place.names), (&twins.ops, &twins.names));
         assert_eq!(in_place.val_lens, twins.val_lens);
         assert!(in_place.locations.is_empty());
     }
@@ -1321,7 +1197,6 @@ mod tests {
             sendbuf: None,
             recvbuf: Some(8),
             inout: true,
-            needs_reduce_op: true,
             ..IoShape::default()
         };
         let plan = compile_exec(0, topo, io, |comm| {

@@ -193,7 +193,8 @@ impl CollectiveShape {
     ///
     /// `sendbuf`/`recvbuf` are packed byte counts; a strided shape
     /// additionally carries its byte-scaled layout so the executor packs
-    /// the caller's extent-length buffer before replay.
+    /// the caller's extent-length buffer before replay.  `needs_reduce_op`
+    /// is left unset: `assemble` derives it from the recorded ops.
     pub(crate) fn io_for(&self, rank: usize, world: usize) -> IoShape {
         let b = self.block;
         match self.kind {
@@ -222,27 +223,23 @@ impl CollectiveShape {
                 sendbuf: None,
                 recvbuf: Some(b),
                 inout: true,
-                needs_reduce_op: true,
                 recv_layout: self.layout.map(|l| l.scaled(self.elem_size)),
                 ..IoShape::default()
             },
             CollectiveKind::Reduce => IoShape {
                 sendbuf: Some(b),
                 recvbuf: (rank == self.root).then_some(b),
-                needs_reduce_op: true,
                 ..IoShape::default()
             },
             CollectiveKind::ReduceScatter => IoShape {
                 sendbuf: Some(world * b),
                 recvbuf: Some(b),
-                needs_reduce_op: true,
                 ..IoShape::default()
             },
             CollectiveKind::Scan | CollectiveKind::Exscan => IoShape {
                 sendbuf: None,
                 recvbuf: Some(b),
                 inout: true,
-                needs_reduce_op: true,
                 ..IoShape::default()
             },
             CollectiveKind::Alltoall => IoShape {
