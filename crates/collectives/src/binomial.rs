@@ -229,7 +229,6 @@ pub fn reduce_binomial<C: Comm>(
                 let src = rank_of(vrank + mask, root, p);
                 let data = comm.recv(src, tag, bytes);
                 op(&mut acc, &data);
-                comm.charge_reduce(bytes);
             }
         } else {
             let dst = rank_of(vrank - mask, root, p);

@@ -17,10 +17,10 @@
 //!   pattern PiP-MColl relies on: a process injects a message straight out
 //!   of (or receives straight into) a peer's exposed buffer, so only the
 //!   network transfer is charged.
-//! * [`Comm::charge_copy`] / [`Comm::charge_reduce`] / [`Comm::delay`] —
-//!   local work annotations; the thread implementation performs no
-//!   additional movement (the algorithm already did the work on its own
-//!   buffers), the recorder notes the corresponding cost.
+//! * [`Comm::charge_copy`] / [`Comm::delay`] — local work no call shows (a
+//!   reduction is priced from the [`crate::plan::PlanOp::Reduce`] its `op`
+//!   records); the thread implementation moves nothing more (the algorithm
+//!   did the work on its own buffers), the recorder notes the cost.
 //!
 //! Algorithms must never branch on *received payload contents* — only on
 //! ranks, sizes and topology — so that a trace recorded without real data is
@@ -197,9 +197,6 @@ pub trait Comm {
     /// Account for a local copy of `bytes` bytes the algorithm performed on
     /// its private buffers (e.g. the final Bruck shift).
     fn charge_copy(&self, bytes: usize);
-
-    /// Account for a local reduction over `bytes` bytes.
-    fn charge_reduce(&self, bytes: usize);
 
     /// Account for fixed software overhead (e.g. PiP-MPICH's size
     /// synchronization).
@@ -385,8 +382,6 @@ impl Comm for ThreadComm<'_> {
     }
 
     fn charge_copy(&self, _bytes: usize) {}
-
-    fn charge_reduce(&self, _bytes: usize) {}
 
     fn delay(&self, _nanos: f64) {}
 }

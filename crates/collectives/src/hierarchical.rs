@@ -277,7 +277,6 @@ pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'
         for peer in 1..ppn {
             let contribution = comm.shared_read(0, &slots, peer * len, len);
             op(buf, &contribution);
-            comm.charge_reduce(len);
         }
 
         // Step 2: recursive-doubling allreduce among leaders.
@@ -292,7 +291,6 @@ pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'
                 } else {
                     let data = comm.recv(leader_of(node - 1), tag, len);
                     op(buf, &data);
-                    comm.charge_reduce(len);
                     (node / 2) as isize
                 }
             } else {
@@ -308,7 +306,6 @@ pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'
                     let received =
                         comm.sendrecv(partner, tag + round, buf, partner, tag + round, len);
                     op(buf, &received);
-                    comm.charge_reduce(len);
                     mask <<= 1;
                     round += 1;
                 }

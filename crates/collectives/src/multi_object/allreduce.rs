@@ -239,7 +239,6 @@ mod tests {
             }
             let contribution = comm.shared_read(peer, &in_name, start, end - start);
             op(&mut chunk, &contribution);
-            comm.charge_reduce(end - start);
         }
 
         if nodes > 1 && !chunk.is_empty() {
@@ -254,7 +253,6 @@ mod tests {
                 } else {
                     let data = comm.recv(peer_rank(node - 1), tag, bytes);
                     op(&mut chunk, &data);
-                    comm.charge_reduce(bytes);
                     (node / 2) as isize
                 }
             } else {
@@ -270,7 +268,6 @@ mod tests {
                     let received =
                         comm.sendrecv(partner, tag + round, &chunk, partner, tag + round, bytes);
                     op(&mut chunk, &received);
-                    comm.charge_reduce(bytes);
                     mask <<= 1;
                     round += 1;
                 }

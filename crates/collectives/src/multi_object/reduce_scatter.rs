@@ -86,7 +86,6 @@ pub fn reduce_owned_chunk<C: Comm>(
         }
         let contribution = comm.shared_read(peer, &in_name, start, end - start);
         op(&mut chunk, &contribution);
-        comm.charge_reduce(end - start);
     }
 
     // Inter-node recursive doubling among the processes with the same local
@@ -103,7 +102,6 @@ pub fn reduce_owned_chunk<C: Comm>(
             } else {
                 let data = comm.recv(peer_rank(node - 1), tag, bytes);
                 op(&mut chunk, &data);
-                comm.charge_reduce(bytes);
                 (node / 2) as isize
             }
         } else {
@@ -119,7 +117,6 @@ pub fn reduce_owned_chunk<C: Comm>(
                 let received =
                     comm.sendrecv(partner, tag + round, &chunk, partner, tag + round, bytes);
                 op(&mut chunk, &received);
-                comm.charge_reduce(bytes);
                 mask <<= 1;
                 round += 1;
             }

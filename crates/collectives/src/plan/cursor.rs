@@ -666,7 +666,6 @@ impl PlanCursor {
                 self.pending_out.push((self.pc, copied));
             }
             PlanOp::ChargeCopy { bytes } => comm.charge_copy(*bytes),
-            PlanOp::ChargeReduce { bytes } => comm.charge_reduce(*bytes),
             PlanOp::Delay { nanos } => comm.delay(*nanos),
         }
         self.pc += 1;
@@ -858,7 +857,6 @@ mod tests {
                 comm.send(1 - rank, 0, &buf);
                 let incoming = comm.recv(1 - rank, 0, 8);
                 comm.reducer()(&mut buf, &incoming);
-                comm.charge_reduce(8);
                 Some(buf)
             });
             let buf = i32::into_elem_buf(vec![rank as i32 + 1, -(rank as i32) - 10]);

@@ -142,8 +142,8 @@ impl Src {
 /// one-for-one (so lowering to a trace is mechanical); [`PlanOp::Reduce`]
 /// and [`PlanOp::CopyOut`] are *data* operations the compiler derived from
 /// the algorithm's private buffer manipulation — they move bytes at
-/// execution time but are invisible to the trace, exactly like the private
-/// manipulation they replace.
+/// execution time.  A reduction lowers to the trace's reduction cost; a
+/// `CopyOut` is invisible to it, like the private copy it replaces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
     /// Expose a shared region of `len` bytes owned by this rank.
@@ -286,9 +286,9 @@ pub enum PlanOp {
     NodeBarrier,
     /// Apply the caller's reduction operator: `dst = op(acc, other)`.
     ///
-    /// Data operation — replaces the algorithm's private `op(...)` call;
-    /// does not lower to a trace op (the matching cost is recorded
-    /// separately by [`PlanOp::ChargeReduce`]).
+    /// Data operation that replaces the algorithm's private `op(...)` call,
+    /// and the reduction's one cost record: it lowers to a trace reduction
+    /// over `other`'s bytes, at its own position.
     Reduce {
         /// Value receiving the reduced bytes.
         dst: ValId,
@@ -310,11 +310,6 @@ pub enum PlanOp {
     /// Cost annotation: a private copy of `bytes` bytes.
     ChargeCopy {
         /// Bytes copied.
-        bytes: usize,
-    },
-    /// Cost annotation: a private reduction over `bytes` bytes.
-    ChargeReduce {
-        /// Bytes reduced.
         bytes: usize,
     },
     /// Cost annotation: fixed software overhead.
@@ -345,7 +340,6 @@ macro_rules! sources_of {
             | PlanOp::RecvIntoShared { .. }
             | PlanOp::NodeBarrier
             | PlanOp::ChargeCopy { .. }
-            | PlanOp::ChargeReduce { .. }
             | PlanOp::Delay { .. } => (None, None),
         }
     };
@@ -627,7 +621,7 @@ impl RankPlan {
                         return Err(PlanError::OutOfBoundsOutput { rank, op: i });
                     }
                 }
-                PlanOp::ChargeCopy { .. } | PlanOp::ChargeReduce { .. } | PlanOp::Delay { .. } => {}
+                PlanOp::ChargeCopy { .. } | PlanOp::Delay { .. } => {}
             }
         }
         Ok(())
@@ -715,14 +709,13 @@ impl RankPlan {
                     bytes: *bytes,
                     mechanism: Some(IntranodeMechanism::Pip),
                 }),
-                PlanOp::ChargeReduce { bytes } => ops.push(TraceOp::Reduce { bytes: *bytes }),
+                PlanOp::Reduce { other, .. } => ops.push(TraceOp::Reduce { bytes: other.len() }),
                 PlanOp::Delay { nanos } => ops.push(TraceOp::Delay { nanos: *nanos }),
                 // Free under PiP (a peer addresses the buffer in place) or
                 // pure data ops the trace never sees.
                 PlanOp::SharedAlloc { .. }
                 | PlanOp::SharedPublish { .. }
                 | PlanOp::SharedCollect { .. }
-                | PlanOp::Reduce { .. }
                 | PlanOp::CopyOut { .. } => {}
             }
         }
@@ -1042,7 +1035,6 @@ mod tests {
                     }],
                 },
             },
-            PlanOp::ChargeReduce { bytes: 4 },
             PlanOp::CopyOut {
                 offset: 0,
                 src: Src {

@@ -8,10 +8,10 @@
 //!
 //! **One op type.**  The recorder pushes [`PlanOp`]s: region names are
 //! interned into the pass's name table on first use, values are numbered
-//! densely from 0, and every payload is recorded as [`Src::opaque`] of its
-//! length — the final form of a schedule-fidelity plan — with its bytes
-//! captured under exec fidelity.  [`assemble`] then *agrees* (every pass
-//! recorded equal ops, names, value lengths and location tables),
+//! densely from 0, and a payload is [`Src::opaque`] of its length — the
+//! final form — under schedule fidelity, an empty placeholder and captured
+//! bytes under exec fidelity.  [`assemble`] then *agrees* (every pass
+//! recorded equal ops, names, value and payload lengths and locations),
 //! *resolves* each captured payload into its source in place, in op order
 //! (`PlanOp::sources`), *derives* the trailing [`PlanOp::CopyOut`]s from
 //! the output buffer and *validates* the plan.
@@ -192,7 +192,7 @@ impl Taint {
 /// [`PlanComm::finish`].
 #[derive(Debug, Default)]
 pub struct PassRecording {
-    /// The plan's ops so far, every payload [`Src::opaque`] of its length.
+    /// The plan's ops so far, payloads as the recorder writes them.
     ops: Vec<PlanOp>,
     /// Region names, interned in first-use order.
     names: Vec<String>,
@@ -332,11 +332,12 @@ impl PlanComm {
         recording
     }
 
-    /// The source to record for payload `data`: opaque, of its length, with
-    /// its bytes captured for [`assemble`] under exec fidelity.
+    /// The source to record for payload `data`: opaque, of its length, under
+    /// schedule fidelity; under exec an empty one, its bytes captured.
     fn payload(&self, state: &mut PassRecording, data: &[u8]) -> Src {
         if self.fidelity == Fidelity::Exec {
             state.payloads.push(data.to_vec());
+            return Src::empty();
         }
         Src::opaque(data.len())
     }
@@ -495,10 +496,6 @@ impl Comm for PlanComm {
         self.push(|_| PlanOp::ChargeCopy { bytes });
     }
 
-    fn charge_reduce(&self, bytes: usize) {
-        self.push(|_| PlanOp::ChargeReduce { bytes });
-    }
-
     fn delay(&self, nanos: f64) {
         self.push(|_| PlanOp::Delay { nanos });
     }
@@ -555,10 +552,6 @@ fn run_length(passes: &[&[u8]], i: usize, location: u64, limit: usize) -> usize 
 /// that is neither a literal nor a location below the table's total.
 fn resolve_site(passes: &[&[u8]], table: &[Taint]) -> Result<Src, usize> {
     let end = passes[0].len();
-    assert!(
-        passes.iter().all(|bytes| bytes.len() == end),
-        "payload length diverged between passes"
-    );
     let total = table.last().map_or(0, Taint::end);
     // Identical in every pass: a constant the algorithm wrote itself.
     let is_literal = |i: usize| passes[1..].iter().all(|bytes| bytes[i] == passes[0][i]);
@@ -644,6 +637,10 @@ pub fn assemble(
         passes.len(),
         first.total()
     );
+    // Exec ops hold empty placeholders: only the captures show lengths.
+    let lens = |p: &PassRecording| -> Vec<usize> {
+        p.payloads.iter().chain(&p.out).map(Vec::len).collect()
+    };
     for pass in &passes[1..] {
         assert_eq!(
             (&pass.ops, &pass.names),
@@ -652,6 +649,11 @@ pub fn assemble(
              an algorithm branched on payload contents"
         );
         assert_eq!(pass.val_lens, first.val_lens, "value table diverged");
+        assert_eq!(
+            lens(pass),
+            lens(first),
+            "rank {rank}: payload lengths diverged between recording passes"
+        );
         assert_eq!(
             pass.locations, first.locations,
             "rank {rank}: location table diverged between recording passes"
@@ -1092,6 +1094,18 @@ mod tests {
         });
     }
 
+    /// Exec-fidelity ops hold empty placeholders, so a payload whose length
+    /// follows a payload byte is caught by the payload-length comparison.
+    #[test]
+    #[should_panic(expected = "rank 0: payload lengths diverged between recording passes")]
+    fn assemble_rejects_passes_that_size_a_payload_by_payload() {
+        compile_exec(0, Topology::new(1, 2), exchange_io(), |comm| {
+            record_branching(comm, |comm, byte| {
+                comm.send(1, 1, &[0u8; 8][..if byte == 0x81 { 4 } else { 8 }])
+            })
+        });
+    }
+
     #[test]
     fn schedule_fidelity_produces_opaque_payloads_in_one_pass() {
         let topo = Topology::new(1, 2);
@@ -1205,30 +1219,32 @@ mod tests {
             let other = comm.recv(0, 0, 8);
             let op = comm.reducer();
             op(&mut buf, &other);
-            comm.charge_reduce(8);
             drop(op);
             comm.send(0, 1, &buf);
             Some(buf)
         });
-        // Recv, Reduce, ChargeReduce, Send, CopyOut.
+        // Recv, Reduce, Send, CopyOut.
+        assert_eq!(plan.ops.len(), 4);
         assert!(matches!(plan.ops[1], PlanOp::Reduce { dst: 1, .. }));
         assert!(matches!(
-            &plan.ops[3],
+            &plan.ops[2],
             PlanOp::Send { src, .. }
                 if src.segs == vec![SrcSeg::Val { id: 1, offset: 0, len: 8 }]
         ));
         assert!(matches!(
-            &plan.ops[4],
+            &plan.ops[3],
             PlanOp::CopyOut { offset: 0, src }
                 if src.segs == vec![SrcSeg::Val { id: 1, offset: 0, len: 8 }]
         ));
         assert!(plan.io.needs_reduce_op);
     }
 
-    /// Every `Comm` method reaches the trace through assemble and lowering:
-    /// messages keep their peers, sizes and tags, shared reads and writes
-    /// become transport-priced copies, `charge_copy` a PiP copy, and the
-    /// free PiP operations (alloc, publish, collect) vanish.
+    /// Every `Comm` method and the recorder's reduction operator reach the
+    /// trace through assemble and lowering: messages keep their peers, sizes
+    /// and tags, shared reads and writes become transport-priced copies,
+    /// `charge_copy` a PiP copy, a reduction a reduction over its second
+    /// operand, and the free PiP operations (alloc, publish, collect)
+    /// vanish.
     #[test]
     fn record_trace_lowers_every_comm_method() {
         let trace = record_trace(Topology::new(2, 2), |comm| {
@@ -1244,7 +1260,7 @@ mod tests {
             assert_eq!(comm.shared_read(0, "x", 8, 12), vec![0u8; 12]);
             comm.node_barrier();
             comm.charge_copy(40);
-            comm.charge_reduce(64);
+            comm.reducer()(&mut [0u8; 64], &[0u8; 64]);
             comm.delay(123.0);
             comm.send_from_shared(0, "x", 0, 24, 2, 9);
             comm.recv_into_shared(0, "x", 24, 2, 10, 20);
@@ -1290,6 +1306,40 @@ mod tests {
             ][..]
         );
         assert!(trace.ranks[0].ops.is_empty());
+    }
+
+    /// A reduction needs no cost hook: the `Reduce` the recorder's operator
+    /// writes lowers to a trace reduction over its second operand's bytes,
+    /// at its own position.
+    #[test]
+    fn record_trace_prices_a_reduction_where_it_is_recorded() {
+        let trace = record_trace(Topology::new(1, 2), |comm| {
+            if comm.rank() == 1 {
+                comm.send(0, 0, &[0u8; 24]);
+                comm.recv(0, 1, 24);
+                return;
+            }
+            let mut acc = vec![0u8; 24];
+            let other = comm.recv(1, 0, 24);
+            comm.reducer()(&mut acc, &other);
+            comm.send(1, 1, &acc);
+        });
+        assert_eq!(
+            &trace.ranks[0].ops[..],
+            &[
+                TraceOp::Recv {
+                    source: 1,
+                    bytes: 24,
+                    tag: 0
+                },
+                TraceOp::Reduce { bytes: 24 },
+                TraceOp::Send {
+                    dest: 1,
+                    bytes: 24,
+                    tag: 1
+                },
+            ][..]
+        );
     }
 
     #[test]

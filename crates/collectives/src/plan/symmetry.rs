@@ -113,7 +113,6 @@ fn peer_mut(op: &mut PlanOp) -> Option<&mut usize> {
         | PlanOp::Reduce { .. }
         | PlanOp::CopyOut { .. }
         | PlanOp::ChargeCopy { .. }
-        | PlanOp::ChargeReduce { .. }
         | PlanOp::Delay { .. } => None,
     }
 }

@@ -74,7 +74,6 @@ pub fn allreduce_recursive_doubling<C: Comm>(
         } else {
             let data = comm.recv(rank - 1, tag, bytes);
             op(buf, &data);
-            comm.charge_reduce(bytes);
             (rank / 2) as isize
         }
     } else {
@@ -97,7 +96,6 @@ pub fn allreduce_recursive_doubling<C: Comm>(
             let partner = to_real(newrank ^ mask);
             let received = comm.sendrecv(partner, tag + round, buf, partner, tag + round, bytes);
             op(buf, &received);
-            comm.charge_reduce(bytes);
             mask <<= 1;
             round += 1;
         }

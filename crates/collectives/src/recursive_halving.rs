@@ -59,7 +59,6 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
         } else {
             let data = comm.recv(rank - 1, tag, buf.len());
             op(&mut buf, &data);
-            comm.charge_reduce(buf.len());
             (rank / 2) as isize
         }
     } else {
@@ -107,7 +106,6 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
                 ke - ks,
             );
             op(&mut buf[ks..ke], &incoming);
-            comm.charge_reduce(ke - ks);
             lo = keep.0;
             hi = keep.1;
             mask >>= 1;

@@ -92,7 +92,6 @@ pub fn allreduce_ring<C: Comm>(
             re - rs,
         );
         op(&mut buf[rs..re], &incoming);
-        comm.charge_reduce(re - rs);
     }
 
     // Allgather phase: circulate the reduced chunks.
@@ -154,7 +153,6 @@ pub fn reduce_scatter_ring<C: Comm>(
             &mut buf[recv_block * block..(recv_block + 1) * block],
             &incoming,
         );
-        comm.charge_reduce(block);
     }
     recvbuf.copy_from_slice(&buf[rank * block..(rank + 1) * block]);
 }

@@ -38,10 +38,8 @@ pub fn scan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<
             let received =
                 comm.sendrecv(partner, tag + round, &partial, partner, tag + round, bytes);
             op(&mut partial, &received);
-            comm.charge_reduce(bytes);
             if partner < rank {
                 op(buf, &received);
-                comm.charge_reduce(bytes);
             }
         }
         mask <<= 1;
@@ -71,13 +69,9 @@ pub fn exscan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceF
             let received =
                 comm.sendrecv(partner, tag + round, &partial, partner, tag + round, bytes);
             op(&mut partial, &received);
-            comm.charge_reduce(bytes);
             if partner < rank {
                 match prefix.as_mut() {
-                    Some(prefix) => {
-                        op(prefix, &received);
-                        comm.charge_reduce(bytes);
-                    }
+                    Some(prefix) => op(prefix, &received),
                     None => prefix = Some(received),
                 }
             }
@@ -104,7 +98,6 @@ pub fn scan_linear<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: u6
     if rank > 0 {
         let prefix = comm.recv(rank - 1, tag, bytes);
         op(buf, &prefix);
-        comm.charge_reduce(bytes);
     }
     if rank + 1 < p {
         comm.send(rank + 1, tag, buf);
@@ -129,7 +122,6 @@ pub fn exscan_linear<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: 
     if rank + 1 < p {
         let mut inclusive = prefix.clone();
         op(&mut inclusive, buf);
-        comm.charge_reduce(bytes);
         comm.send_owned(rank + 1, tag, inclusive);
     }
     buf.copy_from_slice(&prefix);

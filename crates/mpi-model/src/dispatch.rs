@@ -85,9 +85,6 @@ pub fn execute<C: Comm>(
             recursive_doubling::allgather_recursive_doubling(comm, bound(send), bound(recv), tag)
         }
         A::AllgatherRing => ring::allgather_ring(comm, bound(send), bound(recv), tag),
-        A::AllgatherHierarchical => {
-            hierarchical::allgather_hierarchical(comm, bound(send), bound(recv), tag)
-        }
         A::AllgatherMultiObject => {
             multi_object::allgather_multi_object(comm, bound(send), bound(recv), tag)
         }

@@ -27,8 +27,6 @@ pub enum Algorithm {
     AllgatherRecursiveDoubling,
     /// Allgather by ring (large messages).
     AllgatherRing,
-    /// Single-leader two-level allgather.
-    AllgatherHierarchical,
     /// PiP-MColl multi-object Bruck allgather with base P+1.
     AllgatherMultiObject,
     /// Scatter by a binomial tree over all ranks.
@@ -91,7 +89,6 @@ impl Algorithm {
             A::AllgatherBruck
             | A::AllgatherRecursiveDoubling
             | A::AllgatherRing
-            | A::AllgatherHierarchical
             | A::AllgatherMultiObject => K::Allgather,
             A::ScatterBinomial | A::ScatterHierarchical | A::ScatterMultiObject => K::Scatter,
             A::BcastBinomial | A::BcastHierarchical | A::BcastMultiObject => K::Bcast,
@@ -463,6 +460,67 @@ mod tests {
             pick(PIP_MPICH, Kind::Scan, 64, 16),
             Algorithm::ScanRecursiveDoubling
         );
+    }
+
+    /// No variant is dead: some library chooses each, for a block below or
+    /// at [`LARGE_MESSAGE_THRESHOLD`], a power-of-two or other world and
+    /// either fabric condition.  One list of names makes both the array and
+    /// an exhaustive match, so a new variant must be listed to compile.
+    #[test]
+    fn every_algorithm_is_selected_by_some_library() {
+        macro_rules! every {
+            ($($variant:ident),* $(,)?) => {{
+                let _exhaustive = |algorithm: Algorithm| match algorithm {
+                    $(Algorithm::$variant => ()),*
+                };
+                [$(Algorithm::$variant),*]
+            }};
+        }
+        let every = every![
+            AllgatherBruck,
+            AllgatherRecursiveDoubling,
+            AllgatherRing,
+            AllgatherMultiObject,
+            ScatterBinomial,
+            ScatterHierarchical,
+            ScatterMultiObject,
+            BcastBinomial,
+            BcastHierarchical,
+            BcastMultiObject,
+            GatherBinomial,
+            GatherMultiObject,
+            AllreduceRecursiveDoubling,
+            AllreduceRing,
+            AllreduceHierarchical,
+            AllreduceMultiObject,
+            ReduceBinomial,
+            ReduceMultiObject,
+            ReduceScatterRecursiveHalving,
+            ReduceScatterRing,
+            ReduceScatterMultiObject,
+            ScanRecursiveDoubling,
+            ScanLinear,
+            ExscanRecursiveDoubling,
+            ExscanLinear,
+            AlltoallBruck,
+            AlltoallMultiObject,
+            Barrier,
+        ];
+        let mut chosen = std::collections::HashSet::new();
+        for rules in [OPEN_MPI, INTEL_MPI, MVAPICH2, PIP_MPICH, PIP_MCOLL] {
+            let selection = Selection::new(rules);
+            for kind in Kind::ALL {
+                for block in [64, LARGE_MESSAGE_THRESHOLD] {
+                    for world in [16, 18] {
+                        for fabric in [Healthy, Lossy] {
+                            chosen.insert(selection.algorithm(kind, block, world, fabric));
+                        }
+                    }
+                }
+            }
+        }
+        let dead: Vec<_> = every.iter().filter(|a| !chosen.contains(a)).collect();
+        assert!(dead.is_empty(), "no library chooses {dead:?}");
     }
 
     #[test]
