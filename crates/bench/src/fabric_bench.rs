@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use pip_runtime::fabric::MatchSpec;
 use pip_runtime::Fabric;
 
-/// Payload size used by the mailbox workloads: small enough that matching
+/// Message size used by the mailbox workloads: small enough that matching
 /// and locking — not memcpy — dominate, as in the paper's small-message
 /// regime.
 pub const MAILBOX_PAYLOAD_BYTES: usize = 8;

@@ -28,7 +28,7 @@
 
 use std::cell::RefCell;
 
-use pip_runtime::{ScopeHandle, TaskCtx, Topology};
+use pip_runtime::{TaskCtx, Topology};
 
 /// A commutative reduction operator over raw bytes.
 ///
@@ -203,57 +203,21 @@ pub trait Comm {
     fn delay(&self, nanos: f64);
 }
 
-/// A live [`Comm`]: one that can *poll* for completion instead of blocking
-/// and has a node address space to execute plans in — everything the plan
-/// cursor needs beyond [`Comm`].
-///
-/// The recording communicator ([`crate::plan::PlanComm`]) materializes
-/// receives immediately and never executes a plan, so it does not implement
-/// this; handing it to an executor is a compile error.
-pub trait NonBlockingComm: Comm {
-    /// Non-blocking matched receive: returns the payload when a message from
-    /// `source` with `tag` has arrived, `None` otherwise.
-    ///
-    /// When a message is returned its length must equal `len`
-    /// (implementations assert this — a mismatch is a schedule bug, not a
-    /// data-dependent failure).
-    fn try_recv(&self, source: usize, tag: u64, len: usize) -> Option<Vec<u8>>;
-
-    /// As [`NonBlockingComm::try_recv`] for a message of *unknown* length —
-    /// the receive side of a compressed transfer, whose frame length depends
-    /// on the sender's payload and so cannot be asserted.
-    fn try_recv_unsized(&self, source: usize, tag: u64) -> Option<Vec<u8>>;
-
-    /// Enter the node-local scope of the plan invocation tagged `tag`: the
-    /// one place the plan cursor resolves a plan's shared-region ops and its
-    /// node barriers, by index into `names` — see [`pip_runtime::scope`].
-    /// Every rank of a node enters every invocation once and leaves by
-    /// dropping the handle.
-    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle;
-
-    /// How long the wait loop ([`crate::request::drive_to_done`]) polls
-    /// without observing any progress before declaring the schedule broken.
-    fn progress_timeout(&self) -> std::time::Duration;
-
-    /// Retire the regions this rank exposed by name
-    /// ([`Comm::shared_alloc`], [`Comm::shared_publish`]) since the last
-    /// call: the node's ranks pass a barrier, so no peer still has to
-    /// attach, and each then unexposes its own.  Ends an algorithm run
-    /// directly on the communicator rather than through a plan's scope;
-    /// every rank of the node calls it.
-    fn release_shared(&self);
-}
-
 // ---------------------------------------------------------------------------
 // Real execution on the PiP thread runtime.
 // ---------------------------------------------------------------------------
 
 /// [`Comm`] implementation that runs on the thread-based PiP runtime and
 /// moves real bytes.  Used by the correctness tests and the examples.
+///
+/// A compiled plan does not run through [`Comm`]: the plan cursor
+/// ([`crate::plan::PlanCursor`]) drives the task context itself, so the
+/// recording communicator ([`crate::plan::PlanComm`]) can never be handed to
+/// an executor.
 pub struct ThreadComm<'a> {
     ctx: &'a TaskCtx,
     /// Region names this rank exposed since the last
-    /// [`NonBlockingComm::release_shared`].
+    /// [`ThreadComm::release_shared`].
     exposed: RefCell<Vec<String>>,
 }
 
@@ -271,7 +235,21 @@ impl<'a> ThreadComm<'a> {
         self.ctx
     }
 
-    /// Expose `name` and remember it for [`NonBlockingComm::release_shared`].
+    /// Retire the regions this rank exposed by name
+    /// ([`Comm::shared_alloc`], [`Comm::shared_publish`]) since the last
+    /// call: the node's ranks pass a barrier, so no peer still has to
+    /// attach, and each then unexposes its own.  Ends an algorithm run
+    /// directly on the communicator rather than through a plan's scope;
+    /// every rank of the node calls it.
+    pub fn release_shared(&self) {
+        self.ctx.node_barrier();
+        let local = self.local_rank();
+        for name in self.exposed.take() {
+            self.ctx.node().unexpose(local, &name);
+        }
+    }
+
+    /// Expose `name` and remember it for [`ThreadComm::release_shared`].
     fn expose(&self, name: &str, len: usize) -> pip_runtime::ExposedRegion {
         let mut exposed = self.exposed.borrow_mut();
         if !exposed.iter().any(|n| n == name) {
@@ -313,7 +291,7 @@ impl Comm for ThreadComm<'_> {
             tag,
             msg.payload.len()
         );
-        msg.payload.into_vec()
+        msg.payload
     }
 
     fn shared_alloc(&self, name: &str, len: usize) {
@@ -384,46 +362,6 @@ impl Comm for ThreadComm<'_> {
     fn charge_copy(&self, _bytes: usize) {}
 
     fn delay(&self, _nanos: f64) {}
-}
-
-impl NonBlockingComm for ThreadComm<'_> {
-    fn try_recv(&self, source: usize, tag: u64, len: usize) -> Option<Vec<u8>> {
-        let msg = self.ctx.try_recv(source, tag).expect("try_recv failed")?;
-        assert_eq!(
-            msg.payload.len(),
-            len,
-            "rank {} expected {} bytes from {} (tag {}), got {}",
-            self.rank(),
-            len,
-            source,
-            tag,
-            msg.payload.len()
-        );
-        Some(msg.payload.into_vec())
-    }
-
-    fn try_recv_unsized(&self, source: usize, tag: u64) -> Option<Vec<u8>> {
-        let msg = self.ctx.try_recv(source, tag).expect("try_recv failed")?;
-        Some(msg.payload.into_vec())
-    }
-
-    fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
-        self.ctx.enter_scope(tag, names)
-    }
-
-    fn progress_timeout(&self) -> std::time::Duration {
-        // The blocking receive's deadline, so a broken schedule fails after
-        // the same grace period whichever way a rank waits.
-        self.ctx.fabric().recv_timeout()
-    }
-
-    fn release_shared(&self) {
-        self.ctx.node_barrier();
-        let local = self.local_rank();
-        for name in self.exposed.take() {
-            self.ctx.node().unexpose(local, &name);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -54,12 +54,10 @@
 //! zeros are ordered like [`f32::total_cmp`]: `max(-0.0, +0.0) == +0.0` and
 //! `min(-0.0, +0.0) == -0.0`, again independent of combine order.
 
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::comm::ReduceFn;
-use crate::request::SharedReduceOp;
 
 #[allow(unsafe_code)]
 mod elem_buf;
@@ -704,13 +702,6 @@ impl Op {
         // dropping the auto trait.
         &*self.f
     }
-
-    /// Owned, shareable form for the progress engine (non-blocking and
-    /// persistent entry points).
-    pub fn shared(&self) -> SharedReduceOp {
-        let f = Arc::clone(&self.f);
-        Rc::new(move |acc: &mut [u8], other: &[u8]| f(acc, other))
-    }
 }
 
 impl std::fmt::Debug for Op {
@@ -756,14 +747,6 @@ impl OwnedReduction {
         match self {
             OwnedReduction::Typed(kernel) => kernel.as_fn(),
             OwnedReduction::User(op) => op.as_fn(),
-        }
-    }
-
-    /// Owned, shareable operator form for the progress engine.
-    pub fn shared(&self) -> SharedReduceOp {
-        match self {
-            OwnedReduction::Typed(kernel) => kernel.shared(),
-            OwnedReduction::User(op) => op.shared(),
         }
     }
 }
@@ -937,9 +920,8 @@ impl Layout {
 /// its identity.
 ///
 /// `Copy` and `'static`, so it can be stored in owned collective
-/// descriptors, turned into the `&ReduceFn` the algorithms take
-/// ([`ReduceKernel::as_fn`]), or into the shared handle the progress engine
-/// holds ([`ReduceKernel::shared`]).
+/// descriptors and plan cursors, and turned into the `&ReduceFn` the
+/// algorithms take ([`ReduceKernel::as_fn`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ReduceKernel {
     ident: ReduceIdent,
@@ -984,12 +966,6 @@ impl ReduceKernel {
     /// Borrow as the `&ReduceFn` form every collective algorithm accepts.
     pub fn as_fn(&self) -> &ReduceFn<'static> {
         &self.kernel
-    }
-
-    /// Owned, shareable form for the progress engine (non-blocking and
-    /// persistent entry points).
-    pub fn shared(&self) -> SharedReduceOp {
-        Rc::new(self.kernel)
     }
 }
 
@@ -1313,7 +1289,8 @@ mod tests {
         // The erased forms keep working as plain byte operators.
         let mut acc = to_bytes(&[1.0f32]);
         (kernel.as_fn())(&mut acc, &to_bytes(&[2.0f32]));
-        (kernel.shared())(&mut acc, &to_bytes(&[4.0f32]));
+        let copy = kernel;
+        (copy.as_fn())(&mut acc, &to_bytes(&[4.0f32]));
         assert_eq!(from_bytes::<f32>(&acc), vec![7.0]);
     }
 
@@ -1349,7 +1326,7 @@ mod tests {
         assert_eq!(user.ident(), xor.ident());
         let mut acc = vec![0b1010u8, 0xFF];
         (user.as_fn())(&mut acc, &[0b0110, 0x0F]);
-        (user.shared())(&mut acc, &[0b0001, 0x00]);
+        (user.clone().as_fn())(&mut acc, &[0b0001, 0x00]);
         assert_eq!(acc, vec![0b1101, 0xF0]);
     }
 
@@ -1388,7 +1365,7 @@ mod tests {
         op.apply(&mut acc, &to_bytes(&[5u32, 6]));
         assert_eq!(from_bytes::<u32>(&acc), vec![16, 18]);
         (op.as_fn())(&mut acc, &to_bytes(&[0u32, 0]));
-        (op.shared())(&mut acc, &to_bytes(&[1u32, 1]));
+        (op.clone().as_fn())(&mut acc, &to_bytes(&[1u32, 1]));
         assert_eq!(from_bytes::<u32>(&acc), vec![37, 39]);
     }
 

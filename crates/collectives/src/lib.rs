@@ -68,12 +68,12 @@ pub mod request;
 pub mod ring;
 pub mod scan;
 
-pub use comm::{Comm, NonBlockingComm, ReduceFn, ThreadComm};
+pub use comm::{Comm, ReduceFn, ThreadComm};
 pub use compress::{Codec, FloatDatatype, FloatElem};
 pub use datatype::{
     Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, Reduction,
 };
-pub use request::{ProgressEngine, ReqId, SharedReduceOp};
+pub use request::{ProgressEngine, ReqId};
 
 /// Identifies a collective operation (used by the library presets and the
 /// benchmark harness to name what they are measuring).

@@ -1,13 +1,13 @@
 //! The plan interpreter: the one piece of code that executes a compiled
-//! [`RankPlan`] against a live communicator.
+//! [`RankPlan`], on the PiP thread runtime's task context ([`TaskCtx`]).
 //!
 //! A [`PlanCursor`] walks one rank's program incrementally: every call to
 //! [`PlanCursor::step`] executes ops until it reaches one whose completion
 //! is not yet available (a receive whose message has not arrived, a region a
 //! peer has not exposed, a node barrier a peer has not reached) and then
 //! returns [`StepOutcome::Blocked`] instead of waiting.  A cursor owns the
-//! caller's buffers and hands them back through [`PlanCursor::into_output`];
-//! all three entry styles run on it:
+//! caller's buffers and the reduction operator, and hands the buffers back
+//! through [`PlanCursor::into_output`]; all three entry styles run on it:
 //!
 //! * a **blocking** collective drives its cursor to [`StepOutcome::Done`] in
 //!   place ([`PlanCursor::run`]) before the call returns;
@@ -15,7 +15,8 @@
 //!   created it: its cursor sits in a [`crate::request::ProgressEngine`]
 //!   beside the communicator's other outstanding collectives — the MPI
 //!   `MPI_I*` / persistent execution model.  Persistent handles send the same
-//!   buffers into a fresh cursor on every `start()`.
+//!   buffers (and a clone of their operator) into a fresh cursor on every
+//!   `start()`.
 //!
 //! **Nothing parks the thread.**  Shared regions and node barriers live in
 //! the invocation's node-local scope ([`pip_runtime::scope`], entered on the
@@ -69,13 +70,12 @@
 use std::ops::Deref;
 use std::rc::Rc;
 
-use crate::comm::{NonBlockingComm, ReduceFn};
 use crate::compress::{compress_into, decompress_into, max_frame_len};
-use crate::datatype::ElemBuf;
+use crate::datatype::{ElemBuf, OwnedReduction};
 use crate::plan::arena::SharedArena;
 use crate::plan::ir::{Fidelity, NameId, PlanOp, RankPlan, Src, SrcSeg};
 use crate::request::drive_to_done;
-use pip_runtime::{ExposedRegion, ScopeHandle};
+use pip_runtime::{ExposedRegion, ScopeHandle, TaskCtx};
 
 /// What one [`PlanCursor::step`] call achieved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,6 +246,9 @@ pub struct PlanCursor {
     /// every other cursor of the same rank, so repeat invocations reuse each
     /// other's buffers (`tests/arena_steady_state.rs` pins this).
     arena: SharedArena,
+    /// The operator of the plan's reductions; `Some` whenever the plan has
+    /// any ([`crate::plan::ir::IoShape::needs_reduce_op`]).
+    op: Option<OwnedReduction>,
     /// Arrival count that completes the node barrier at `pc`, once arrived.
     barrier_target: Option<usize>,
     finished: bool,
@@ -262,8 +265,8 @@ pub struct CursorOutput {
 }
 
 impl PlanCursor {
-    /// Wrap `plan` with the caller's buffers for one invocation tagged
-    /// `tag`, drawing every scratch buffer from `arena`.
+    /// Wrap `plan` with the caller's buffers and reduction operator for one
+    /// invocation tagged `tag`, drawing every scratch buffer from `arena`.
     ///
     /// For in/out collectives (bcast, allreduce) pass the single caller
     /// buffer as `recvbuf` and `None` for `sendbuf`: the plan's
@@ -272,20 +275,26 @@ impl PlanCursor {
     ///
     /// # Panics
     ///
-    /// Panics when the plan is schedule-fidelity or the buffer lengths
-    /// disagree with the plan's [`crate::plan::ir::IoShape`] — caller bugs,
-    /// not data-dependent failures.
+    /// Panics when the plan is schedule-fidelity, the buffer lengths
+    /// disagree with the plan's [`crate::plan::ir::IoShape`], or the plan
+    /// reduces and `op` is `None` — caller bugs, not data-dependent
+    /// failures.
     pub fn new(
         plan: Rc<ExecPlan>,
         sendbuf: Option<ElemBuf>,
         recvbuf: Option<ElemBuf>,
         tag: u64,
         arena: SharedArena,
+        op: Option<OwnedReduction>,
     ) -> Self {
         assert_eq!(
             plan.fidelity,
             Fidelity::Exec,
             "schedule-fidelity plans cannot be executed"
+        );
+        assert!(
+            !plan.io.needs_reduce_op || op.is_some(),
+            "plan requires a reduction operator"
         );
         let expect_send = if plan.io.inout { None } else { plan.io.sendbuf };
         assert_eq!(
@@ -318,24 +327,15 @@ impl PlanCursor {
             recvbuf,
             recv_stage,
             arena,
+            op,
             barrier_target: None,
             finished: false,
         }
     }
 
-    /// The invocation tag this cursor executes under.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
     /// Whether the program has fully executed.
     pub fn is_finished(&self) -> bool {
         self.finished
-    }
-
-    /// Whether the plan requires a reduction operator at step time.
-    pub fn needs_reduce_op(&self) -> bool {
-        self.plan.io.needs_reduce_op
     }
 
     /// Recover the buffers after the program finished; the receive buffer
@@ -398,34 +398,33 @@ impl PlanCursor {
         format!("invocation tag {:#x}, op {pc}/{len}: {op}", self.tag)
     }
 
-    /// Execute ops until the next one would block, the program ends, or
-    /// nothing can be done.  `op` must be `Some` whenever the plan contains
-    /// reductions ([`PlanCursor::needs_reduce_op`]).
+    /// Execute ops on `ctx` until the next one would block, the program
+    /// ends, or nothing can be done.
     ///
     /// Returns [`StepOutcome::Advanced`] when any forward progress happened
     /// (including consuming barrier arrivals without passing the barrier),
     /// [`StepOutcome::Blocked`] when the cursor is waiting on peers, and
     /// [`StepOutcome::Done`] once the output buffer holds the result.
-    pub fn step<C: NonBlockingComm>(&mut self, comm: &C, op: Option<&ReduceFn<'_>>) -> StepOutcome {
+    pub fn step(&mut self, ctx: &TaskCtx) -> StepOutcome {
         if self.finished {
             return StepOutcome::Done;
         }
         if self.scope.is_none() {
             assert_eq!(
-                comm.rank(),
+                ctx.rank(),
                 self.plan.rank,
                 "plan compiled for a different rank"
             );
             assert_eq!(
-                comm.topology(),
+                ctx.topology(),
                 self.plan.topology,
                 "plan compiled for a different topology"
             );
-            self.scope = Some(comm.enter_scope(self.tag, &self.plan.names));
+            self.scope = Some(ctx.enter_scope(self.tag, &self.plan.names));
         }
         let mut advanced = false;
         while self.pc < self.plan.ops.len() {
-            match self.step_one(comm, op) {
+            match self.step_one(ctx) {
                 StepOutcome::Advanced => advanced = true,
                 StepOutcome::Blocked => {
                     return if advanced {
@@ -492,12 +491,12 @@ impl PlanCursor {
     /// Drive the cursor to [`StepOutcome::Done`] before returning — what
     /// makes a collective *blocking*.  Fails as
     /// [`crate::request::drive_to_done`] states.
-    pub fn run<C: NonBlockingComm>(&mut self, comm: &C, op: Option<&ReduceFn<'_>>) {
-        drive_to_done(comm, self, |cursor| cursor.step(comm, op), Self::blocked_on);
+    pub fn run(&mut self, ctx: &TaskCtx) {
+        drive_to_done(ctx, self, |cursor| cursor.step(ctx), Self::blocked_on);
     }
 
     /// Attempt exactly the op at `pc`; advances `pc` on completion.
-    fn step_one<C: NonBlockingComm>(&mut self, comm: &C, op: Option<&ReduceFn<'_>>) -> StepOutcome {
+    fn step_one(&mut self, ctx: &TaskCtx) -> StepOutcome {
         match &self.plan.ops[self.pc] {
             PlanOp::SharedAlloc { name, len } => {
                 self.expose(*name, *len);
@@ -548,15 +547,18 @@ impl PlanCursor {
             }
             PlanOp::Send { dest, tag: t, src } => {
                 let data = self.materialize(src);
-                comm.send_owned(*dest, self.tag + t, data);
+                ctx.send(*dest, self.tag + t, data).expect("send failed");
             }
             PlanOp::Recv {
                 source,
                 tag: t,
                 len,
                 dst,
-            } => match comm.try_recv(*source, self.tag + t, *len) {
-                Some(data) => self.store_val(*dst, data),
+            } => match self.try_recv(ctx, *source, *t) {
+                Some(data) => {
+                    self.assert_len(ctx, *source, *t, *len, &data);
+                    self.store_val(*dst, data);
+                }
                 None => return StepOutcome::Blocked,
             },
             PlanOp::Compress {
@@ -575,7 +577,7 @@ impl PlanCursor {
                 compress_into(&data, *codec, &mut frame);
                 arena.release(data);
                 drop(arena);
-                comm.send_owned(*dest, self.tag + t, frame);
+                ctx.send(*dest, self.tag + t, frame).expect("send failed");
             }
             PlanOp::Decompress {
                 source,
@@ -584,7 +586,7 @@ impl PlanCursor {
                 dst,
                 codec,
                 ..
-            } => match comm.try_recv_unsized(*source, self.tag + t) {
+            } => match self.try_recv(ctx, *source, *t) {
                 Some(frame) => {
                     let mut arena = self.arena.borrow_mut();
                     let mut data = arena.acquire(*raw_len);
@@ -612,7 +614,7 @@ impl PlanCursor {
                 // the buffer then moves into the fabric.
                 let mut data = self.arena.borrow_mut().acquire(*len);
                 region.read_into_vec(*offset, *len, &mut data);
-                comm.send_owned(*dest, self.tag + t, data);
+                ctx.send(*dest, self.tag + t, data).expect("send failed");
             }
             PlanOp::RecvIntoShared {
                 owner_local,
@@ -627,9 +629,10 @@ impl PlanCursor {
                 let Some(region) = self.region(*owner_local, *name) else {
                     return StepOutcome::Blocked;
                 };
-                let Some(data) = comm.try_recv(*source, self.tag + t, *len) else {
+                let Some(data) = self.try_recv(ctx, *source, *t) else {
                     return StepOutcome::Blocked;
                 };
+                self.assert_len(ctx, *source, *t, *len, &data);
                 region.write(*offset, &data);
                 self.arena.borrow_mut().release(data);
             }
@@ -647,8 +650,8 @@ impl PlanCursor {
             PlanOp::Reduce { dst, acc, other } => {
                 let mut acc_bytes = self.materialize(acc);
                 let other_bytes = self.materialize(other);
-                let op = op.expect("plan requires a reduction operator");
-                op(&mut acc_bytes, &other_bytes);
+                let op = self.op.as_ref().expect("checked by PlanCursor::new");
+                op.as_fn()(&mut acc_bytes, &other_bytes);
                 self.arena.borrow_mut().release(other_bytes);
                 self.store_val(*dst, acc_bytes);
             }
@@ -665,11 +668,35 @@ impl PlanCursor {
                 let copied = (!by_ref).then(|| self.materialize(src));
                 self.pending_out.push((self.pc, copied));
             }
-            PlanOp::ChargeCopy { bytes } => comm.charge_copy(*bytes),
-            PlanOp::Delay { nanos } => comm.delay(*nanos),
+            // Modelled costs only: the thread runtime has no clock to charge.
+            PlanOp::ChargeCopy { .. } | PlanOp::Delay { .. } => {}
         }
         self.pc += 1;
         StepOutcome::Advanced
+    }
+
+    /// The message from `source` tagged `t` past the invocation tag, once it
+    /// has arrived.
+    fn try_recv(&self, ctx: &TaskCtx, source: usize, t: u64) -> Option<Vec<u8>> {
+        let msg = ctx
+            .try_recv(source, self.tag + t)
+            .expect("try_recv failed")?;
+        Some(msg.payload)
+    }
+
+    /// A received message must be exactly the length the plan recorded: a
+    /// mismatch is a schedule bug, not a data-dependent failure.
+    fn assert_len(&self, ctx: &TaskCtx, source: usize, t: u64, len: usize, data: &[u8]) {
+        assert_eq!(
+            data.len(),
+            len,
+            "rank {} expected {} bytes from {} (tag {}), got {}",
+            ctx.rank(),
+            len,
+            source,
+            self.tag + t,
+            data.len()
+        );
     }
 
     /// Store `data` into value slot `dst`.  A validated plan defines every
@@ -769,8 +796,8 @@ fn held_bytes<'a>(vals: &'a [Option<Vec<u8>>], seg: &'a SrcSeg) -> Option<&'a [u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{Comm, ThreadComm};
-    use crate::datatype::Layout;
+    use crate::comm::Comm;
+    use crate::datatype::{Layout, ReduceKernel, ReduceOp};
     use crate::plan::arena::shared_arena;
     use crate::plan::ir::IoShape;
     use crate::plan::record::{assemble, compile_exec, PlanComm};
@@ -808,28 +835,53 @@ mod tests {
         })
     }
 
+    /// Byte-wise wrapping addition, the `u8` instantiation of `Sum`.
+    fn byte_add() -> Option<OwnedReduction> {
+        Some(OwnedReduction::Typed(ReduceKernel::of::<u8>(ReduceOp::Sum)))
+    }
+
     /// A cursor completes an exchange (send, recv, node barrier) with real
     /// bytes and returns the buffers.
     #[test]
     fn cursor_completes_an_exchange_incrementally() {
         let topo = Topology::new(1, 2);
         let results = Cluster::launch(topo, |ctx| {
-            let comm = ThreadComm::new(ctx);
             let mut cursor = PlanCursor::new(
-                compile_exchange(comm.rank(), topo),
-                Some(vec![10 + comm.rank() as u8; 4].into()),
+                compile_exchange(ctx.rank(), topo),
+                Some(vec![10 + ctx.rank() as u8; 4].into()),
                 Some(vec![0u8; 4].into()),
                 7 << 16,
                 shared_arena(),
+                None,
             );
-            cursor.run(&comm, None);
+            cursor.run(ctx);
             let output = cursor.into_output();
-            assert_eq!(&output.sendbuf.unwrap()[..], &[10 + comm.rank() as u8; 4]);
+            assert_eq!(&output.sendbuf.unwrap()[..], &[10 + ctx.rank() as u8; 4]);
             output.recvbuf.unwrap().to_vec()
         })
         .unwrap();
         assert_eq!(results[0], vec![11; 4]);
         assert_eq!(results[1], vec![10; 4]);
+    }
+
+    /// An 8-byte in/out allreduce of two ranks, recorded through the opaque
+    /// reducer interception.
+    fn compile_reduce_exchange(rank: usize, topo: Topology) -> Rc<ExecPlan> {
+        let inout = IoShape {
+            sendbuf: None,
+            recvbuf: Some(8),
+            inout: true,
+            needs_reduce_op: true,
+            ..IoShape::default()
+        };
+        compile(rank, topo, inout, |comm| {
+            let mut buf = vec![0u8; 8];
+            comm.fill_sendbuf(&mut buf);
+            comm.send(1 - rank, 0, &buf);
+            let incoming = comm.recv(1 - rank, 0, 8);
+            comm.reducer()(&mut buf, &incoming);
+            Some(buf)
+        })
     }
 
     /// A reduce plan recorded through the opaque interception executes, on
@@ -839,30 +891,16 @@ mod tests {
     /// with the same `(datatype, op)` key.
     #[test]
     fn recorded_reduce_plan_executes_with_a_typed_kernel() {
-        use crate::datatype::{Datatype, ReduceKernel, ReduceOp};
+        use crate::datatype::Datatype;
         let topo = Topology::new(1, 2);
-        let inout = IoShape {
-            sendbuf: None,
-            recvbuf: Some(8),
-            inout: true,
-            needs_reduce_op: true,
-            ..IoShape::default()
-        };
         let results = Cluster::launch(topo, |ctx| {
-            let comm = ThreadComm::new(ctx);
-            let rank = comm.rank();
-            let plan = compile(rank, topo, inout, |comm| {
-                let mut buf = vec![0u8; 8];
-                comm.fill_sendbuf(&mut buf);
-                comm.send(1 - rank, 0, &buf);
-                let incoming = comm.recv(1 - rank, 0, 8);
-                comm.reducer()(&mut buf, &incoming);
-                Some(buf)
-            });
+            let rank = ctx.rank();
+            let plan = compile_reduce_exchange(rank, topo);
             let buf = i32::into_elem_buf(vec![rank as i32 + 1, -(rank as i32) - 10]);
-            let kernel = ReduceKernel::of::<i32>(ReduceOp::Sum);
-            let mut cursor = PlanCursor::new(plan, None, Some(buf), 9 << 16, shared_arena());
-            cursor.run(&comm, Some(kernel.as_fn()));
+            let kernel = OwnedReduction::Typed(ReduceKernel::of::<i32>(ReduceOp::Sum));
+            let arena = shared_arena();
+            let mut cursor = PlanCursor::new(plan, None, Some(buf), 9 << 16, arena, Some(kernel));
+            cursor.run(ctx);
             i32::from_elem_buf(cursor.into_output().recvbuf.unwrap())
         })
         .unwrap();
@@ -877,8 +915,7 @@ mod tests {
     fn repeated_execution_of_one_plan_does_not_collide() {
         let topo = Topology::new(1, 2);
         let results = Cluster::launch(topo, |ctx| {
-            let comm = ThreadComm::new(ctx);
-            let rank = comm.rank();
+            let rank = ctx.rank();
             let plan = compile(rank, topo, io(2, 4), |comm| {
                 let mut sendbuf = vec![0u8; 2];
                 comm.fill_sendbuf(&mut sendbuf);
@@ -898,8 +935,9 @@ mod tests {
                     Some(vec![0u8; 4].into()),
                     (call as u64) << 16,
                     Rc::clone(&arena),
+                    None,
                 );
-                cursor.run(&comm, None);
+                cursor.run(ctx);
                 cursor.into_output().recvbuf.unwrap().to_vec()
             })
         })
@@ -929,7 +967,6 @@ mod tests {
         let node = NodeSpace::new(0, 2);
         let fabric = Fabric::new(2);
         let ctxs = [0, 1].map(|rank| TaskCtx::new(rank, topo, node.clone(), fabric.clone()));
-        let comms = [ThreadComm::new(&ctxs[0]), ThreadComm::new(&ctxs[1])];
         let mut cursors = [0, 1].map(|rank| {
             PlanCursor::new(
                 compile(rank),
@@ -937,10 +974,11 @@ mod tests {
                 Some(vec![0u8; 4].into()),
                 3 << 16,
                 shared_arena(),
+                None,
             )
         });
-        assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Blocked);
-        assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Blocked);
+        assert_eq!(cursors[1].step(&ctxs[1]), StepOutcome::Blocked);
+        assert_eq!(cursors[1].step(&ctxs[1]), StepOutcome::Blocked);
         assert!(
             cursors[1]
                 .blocked_on()
@@ -948,9 +986,9 @@ mod tests {
             "{}",
             cursors[1].blocked_on()
         );
-        assert_eq!(cursors[0].step(&comms[0], None), StepOutcome::Done);
+        assert_eq!(cursors[0].step(&ctxs[0]), StepOutcome::Done);
         assert_eq!(node.exposed_count(), 1, "the consumer is still inside");
-        assert_eq!(cursors[1].step(&comms[1], None), StepOutcome::Done);
+        assert_eq!(cursors[1].step(&ctxs[1]), StepOutcome::Done);
         assert_eq!(node.exposed_count(), 0, "the last leaver retired the scope");
         let [_, consumer] = cursors;
         assert_eq!(&consumer.into_output().recvbuf.unwrap()[..], &[40; 4]);
@@ -998,17 +1036,18 @@ mod tests {
         };
         plan.validate().unwrap();
         let results = Cluster::launch(topo, |ctx| {
-            let comm = ThreadComm::new(ctx);
-            let add = |acc: &mut [u8], other: &[u8]| {
-                for (a, b) in acc.iter_mut().zip(other) {
-                    *a = a.wrapping_add(*b);
-                }
-            };
             let arena = shared_arena();
             let buf = ElemBuf::U8((1..=16).collect());
             let plan = Rc::new(ExecPlan::new(plan.clone()));
-            let mut cursor = PlanCursor::new(plan, None, Some(buf), 1 << 16, Rc::clone(&arena));
-            cursor.run(&comm, Some(&add));
+            let mut cursor = PlanCursor::new(
+                plan,
+                None,
+                Some(buf),
+                1 << 16,
+                Rc::clone(&arena),
+                byte_add(),
+            );
+            cursor.run(ctx);
             let stats = arena.borrow().stats();
             (cursor.into_output().recvbuf.unwrap().to_vec(), stats)
         })
@@ -1059,12 +1098,6 @@ mod tests {
         recvbuf: Vec<u8>,
     ) -> (Vec<u8>, u64, usize) {
         let results = Cluster::launch(plan.topology, |ctx| {
-            let comm = ThreadComm::new(ctx);
-            let add = |acc: &mut [u8], other: &[u8]| {
-                for (a, b) in acc.iter_mut().zip(other) {
-                    *a = a.wrapping_add(*b);
-                }
-            };
             let arena = shared_arena();
             let plan = Rc::new(ExecPlan::new(plan.clone()));
             let direct = plan.direct_reads();
@@ -1074,8 +1107,9 @@ mod tests {
                 Some(recvbuf.clone().into()),
                 1 << 16,
                 Rc::clone(&arena),
+                byte_add(),
             );
-            cursor.run(&comm, Some(&add));
+            cursor.run(ctx);
             let stats = arena.borrow().stats();
             assert_eq!(stats.hits + stats.misses, stats.released, "{stats:?}");
             let out = cursor.into_output().recvbuf.unwrap().to_vec();
@@ -1258,7 +1292,18 @@ mod tests {
             vec![comm.finish(None)],
         );
         let plan = Rc::new(ExecPlan::new(plan));
-        let _ = PlanCursor::new(plan, None, None, 1 << 16, shared_arena());
+        let _ = PlanCursor::new(plan, None, None, 1 << 16, shared_arena(), None);
+    }
+
+    /// A plan that reduces is refused without an operator when the cursor
+    /// is built, before any op runs or any peer is involved.
+    #[test]
+    #[should_panic(expected = "plan requires a reduction operator")]
+    fn cursor_refuses_a_reduction_plan_without_an_operator() {
+        let plan = compile_reduce_exchange(0, Topology::new(1, 2));
+        assert!(plan.io.needs_reduce_op);
+        let buf = ElemBuf::from(vec![0u8; 8]);
+        let _ = PlanCursor::new(plan, None, Some(buf), 1 << 16, shared_arena(), None);
     }
 
     #[test]
@@ -1272,6 +1317,7 @@ mod tests {
             Some(vec![0u8; 4].into()),
             1 << 16,
             shared_arena(),
+            None,
         );
     }
 }

@@ -10,9 +10,8 @@
 //! shared-memory reads, reduction results).  Because every reference is
 //! symbolic, the same plan can be
 //!
-//! * **executed** against any live communicator
-//!   ([`crate::comm::NonBlockingComm`]) with fresh caller buffers
-//!   ([`crate::plan::cursor::PlanCursor`]), or
+//! * **executed** on the PiP thread runtime's task context with fresh
+//!   caller buffers ([`crate::plan::cursor::PlanCursor`]), or
 //! * **lowered** straight to a `pip-netsim` [`Trace`] without running the
 //!   algorithm again ([`Plan::to_trace`]).
 //!
@@ -199,7 +198,7 @@ pub enum PlanOp {
         dest: usize,
         /// Tag offset from the invocation tag.
         tag: u64,
-        /// Payload.
+        /// The bytes sent.
         src: Src,
     },
     /// Receive `len` bytes from `source` into value `dst`.

@@ -14,38 +14,31 @@
 //!
 //! The engine is deliberately single-threaded (one engine per communicator,
 //! one communicator per rank thread): progress happens inside the caller's
-//! `wait`/`test`, exactly like an MPI implementation progressing from within
-//! completion calls.
+//! `wait`/`test`, on that rank's [`TaskCtx`], exactly like an MPI
+//! implementation progressing from within completion calls.
 //!
 //! A request's cursor is the same kind of cursor a blocking collective runs:
-//! both own the invocation's buffers and differ only in who drives them.
+//! both own the invocation's buffers and operator and differ only in who
+//! drives them.
 //! [`drive_to_done`] is the one wait loop of the execute plane: a blocking
 //! collective drives its own cursor with it, [`ProgressEngine::wait`] drives
 //! the whole engine with it.
 
-use std::rc::Rc;
 use std::time::Instant;
 
-use crate::comm::{NonBlockingComm, ReduceFn};
+use pip_runtime::TaskCtx;
+
 use crate::plan::cursor::{CursorOutput, PlanCursor, StepOutcome};
 
 /// Identifier of one submitted collective within its engine.
 pub type ReqId = u64;
 
-/// An owned, shareable reduction operator (the `Rc` lets a persistent
-/// handle keep the operator across repeated starts while the engine holds
-/// it for the active execution).
-pub type SharedReduceOp = Rc<ReduceFn<'static>>;
-
 /// One submitted collective: either still executing or finished with its
 /// output parked.
 enum Slot {
-    Running {
-        // Boxed: a cursor (plan handle, buffers, staging) dwarfs the
-        // parked output, and slots outlive many step() passes.
-        cursor: Box<PlanCursor>,
-        op: Option<SharedReduceOp>,
-    },
+    // Boxed: a cursor (plan handle, buffers, staging) dwarfs the parked
+    // output, and slots outlive many step() passes.
+    Running(Box<PlanCursor>),
     Finished(CursorOutput),
 }
 
@@ -71,47 +64,36 @@ impl ProgressEngine {
         Self::default()
     }
 
-    /// Register a cursor (with its reduction operator, when the plan needs
-    /// one) and return the id its completion will be reported under.
-    pub fn submit(&mut self, cursor: PlanCursor, op: Option<SharedReduceOp>) -> ReqId {
-        assert!(
-            !cursor.needs_reduce_op() || op.is_some(),
-            "plan requires a reduction operator"
-        );
+    /// Register a cursor and return the id its completion will be reported
+    /// under.
+    pub fn submit(&mut self, cursor: PlanCursor) -> ReqId {
         let id = self.next_id;
         self.next_id += 1;
-        self.slots.push((
-            id,
-            Slot::Running {
-                cursor: Box::new(cursor),
-                op,
-            },
-        ));
+        self.slots.push((id, Slot::Running(Box::new(cursor))));
         id
     }
 
-    /// Step every outstanding cursor once; returns whether *any* of them
-    /// made forward progress.
-    pub fn progress<C: NonBlockingComm>(&mut self, comm: &C) -> bool {
+    /// Step every outstanding cursor once on `ctx`; returns whether *any* of
+    /// them made forward progress.
+    pub fn progress(&mut self, ctx: &TaskCtx) -> bool {
         let mut advanced = false;
         for (_, slot) in self.slots.iter_mut() {
-            if let Slot::Running { cursor, op } = slot {
-                match cursor.step(comm, op.as_deref()) {
-                    StepOutcome::Advanced | StepOutcome::Done => advanced = true,
-                    StepOutcome::Blocked => {}
-                }
-                if cursor.is_finished() {
-                    let finished = match std::mem::replace(
-                        slot,
-                        Slot::Finished(CursorOutput {
-                            sendbuf: None,
-                            recvbuf: None,
-                        }),
-                    ) {
-                        Slot::Running { cursor, .. } => cursor.into_output(),
-                        Slot::Finished(_) => unreachable!("slot was running"),
+            let Slot::Running(cursor) = slot else {
+                continue;
+            };
+            match cursor.step(ctx) {
+                StepOutcome::Advanced => advanced = true,
+                StepOutcome::Blocked => {}
+                StepOutcome::Done => {
+                    advanced = true;
+                    let parked = Slot::Finished(CursorOutput {
+                        sendbuf: None,
+                        recvbuf: None,
+                    });
+                    let Slot::Running(cursor) = std::mem::replace(slot, parked) else {
+                        unreachable!("slot was running");
                     };
-                    *slot = Slot::Finished(finished);
+                    *slot = Slot::Finished(cursor.into_output());
                 }
             }
         }
@@ -129,9 +111,9 @@ impl ProgressEngine {
     /// Drive every outstanding request until request `id` completes, then
     /// remove it and return its buffers ([`drive_to_done`] states how the
     /// wait fails).
-    pub fn wait<C: NonBlockingComm>(&mut self, comm: &C, id: ReqId) -> CursorOutput {
+    pub fn wait(&mut self, ctx: &TaskCtx, id: ReqId) -> CursorOutput {
         let step = |engine: &mut Self| {
-            let advanced = engine.progress(comm);
+            let advanced = engine.progress(ctx);
             if engine.is_complete(id) {
                 StepOutcome::Done
             } else if advanced {
@@ -143,11 +125,11 @@ impl ProgressEngine {
         let blocked_on = |engine: &Self| {
             let waited = engine.slots.iter().find(|(slot_id, _)| *slot_id == id);
             match waited {
-                Some((_, Slot::Running { cursor, .. })) => cursor.blocked_on(),
+                Some((_, Slot::Running(cursor))) => cursor.blocked_on(),
                 _ => format!("request {id}, which is not outstanding"),
             }
         };
-        drive_to_done(comm, self, step, blocked_on);
+        drive_to_done(ctx, self, step, blocked_on);
         self.take_output(id)
     }
 
@@ -164,21 +146,13 @@ impl ProgressEngine {
             .expect("request id is outstanding");
         match self.slots.remove(index).1 {
             Slot::Finished(output) => output,
-            Slot::Running { .. } => panic!("request {id} has not completed"),
+            Slot::Running(_) => panic!("request {id} has not completed"),
         }
     }
 
     /// Number of submitted requests not yet taken (running or parked).
     pub fn outstanding(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Number of requests still executing.
-    pub fn running(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|(_, slot)| matches!(slot, Slot::Running { .. }))
-            .count()
     }
 }
 
@@ -188,17 +162,19 @@ impl ProgressEngine {
 /// # Panics
 ///
 /// Panics — surfacing as `RuntimeError::TaskPanicked` from the launch — once
-/// `step` has reported nothing but [`StepOutcome::Blocked`] for
-/// [`NonBlockingComm::progress_timeout`]: a peer that never issues the
-/// matching collective becomes a bounded failure naming this rank and what
-/// it is `blocked_on`, never a hang.
-pub fn drive_to_done<C: NonBlockingComm, S>(
-    comm: &C,
+/// `step` has reported nothing but [`StepOutcome::Blocked`] for the
+/// fabric's receive timeout ([`pip_runtime::Fabric::recv_timeout`], so a
+/// broken schedule fails after the same grace period whichever way a rank
+/// waits): a peer that never issues the matching collective becomes a
+/// bounded failure naming this rank and what it is `blocked_on`, never a
+/// hang.
+pub fn drive_to_done<S>(
+    ctx: &TaskCtx,
     state: &mut S,
     mut step: impl FnMut(&mut S) -> StepOutcome,
     blocked_on: impl Fn(&S) -> String,
 ) {
-    let timeout = comm.progress_timeout();
+    let timeout = ctx.fabric().recv_timeout();
     // The clock is read only while blocked.
     let mut blocked_since = None;
     loop {
@@ -210,7 +186,7 @@ pub fn drive_to_done<C: NonBlockingComm, S>(
                     blocked_since.get_or_insert_with(Instant::now).elapsed() < timeout,
                     "rank {}: no progress for {timeout:?} at {} — every rank must issue the \
                      matching collective",
-                    comm.rank(),
+                    ctx.rank(),
                     blocked_on(state),
                 );
                 std::thread::yield_now();
@@ -221,8 +197,10 @@ pub fn drive_to_done<C: NonBlockingComm, S>(
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use super::*;
-    use crate::comm::{Comm, ThreadComm};
+    use crate::comm::Comm;
     use crate::plan::ir::IoShape;
     use crate::plan::record::compile_exec;
     use crate::plan::{shared_arena, ExecPlan};
@@ -251,26 +229,26 @@ mod tests {
     fn engine_completes_interleaved_requests_out_of_order() {
         let topo = Topology::new(1, 2);
         let results = Cluster::launch(topo, |ctx| {
-            let comm = ThreadComm::new(ctx);
-            let plan = compile_exchange(comm.rank(), topo);
+            let plan = compile_exchange(ctx.rank(), topo);
             let mut engine = ProgressEngine::new();
             let ids: Vec<ReqId> = (0..4u8)
                 .map(|call| {
                     let cursor = PlanCursor::new(
                         Rc::clone(&plan),
-                        Some(vec![call * 10 + comm.rank() as u8; 2].into()),
+                        Some(vec![call * 10 + ctx.rank() as u8; 2].into()),
                         Some(vec![0u8; 2].into()),
                         (call as u64 + 1) << 16,
                         shared_arena(),
+                        None,
                     );
-                    engine.submit(cursor, None)
+                    engine.submit(cursor)
                 })
                 .collect();
             assert_eq!(engine.outstanding(), 4);
             // Collect in reverse order of submission.
             let mut outputs = vec![Vec::new(); 4];
             for (call, &id) in ids.iter().enumerate().rev() {
-                outputs[call] = engine.wait(&comm, id).recvbuf.unwrap().to_vec();
+                outputs[call] = engine.wait(ctx, id).recvbuf.unwrap().to_vec();
             }
             assert_eq!(engine.outstanding(), 0);
             outputs

@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use pip_collectives::comm::{Comm as _, ThreadComm};
 use pip_collectives::plan::{ArenaStats, ExecPlan, PlanCursor, SharedArena};
-use pip_collectives::request::{ProgressEngine, ReqId, SharedReduceOp};
+use pip_collectives::request::{ProgressEngine, ReqId};
 use pip_mpi_model::{dispatch, CompressSpec, LibraryProfile, OwnedCollective, PlanCache};
 use pip_runtime::{TaskCtx, Topology};
 
@@ -388,7 +388,6 @@ impl<'a> Communicator<'a> {
     /// The non-blocking runner: register a cursor for `request` with the
     /// progress engine and kick it to its first blocking point.
     fn submit<O>(&self, (request, dtype): Request, finish: Finish<O>) -> CollRequest<'_, O> {
-        let op = request.op().map(OwnedReduction::shared);
         let cursor = dispatch::begin_planned(
             &self.profile,
             &self.inner,
@@ -397,7 +396,7 @@ impl<'a> Communicator<'a> {
             self.next_tag(),
             &mut self.plans.borrow_mut(),
         );
-        let id = self.engine.borrow_mut().submit(cursor, op);
+        let id = self.engine.borrow_mut().submit(cursor);
         self.progress();
         CollRequest {
             comm: self,
@@ -408,7 +407,7 @@ impl<'a> Communicator<'a> {
 
     /// Step every outstanding request once; returns whether any advanced.
     fn progress(&self) -> bool {
-        self.engine.borrow_mut().progress(&self.inner)
+        self.engine.borrow_mut().progress(self.inner.ctx())
     }
 
     /// Requests submitted but not yet completed-and-collected.
@@ -534,7 +533,7 @@ impl<'a> Communicator<'a> {
     /// exactly as the other entry styles do, and pin the plan to the
     /// request's buffers.
     fn init<O>(&self, (request, dtype): Request, finish: Finish<O>) -> PersistentColl<'_, O> {
-        let op = request.op().map(OwnedReduction::shared);
+        let op = request.op().cloned();
         let mut plans = self.plans.borrow_mut();
         let (plan, sendbuf, recvbuf) =
             dispatch::plan_owned(&self.profile, &self.inner, request, dtype, &mut plans);
@@ -872,7 +871,7 @@ impl<O> CollRequest<'_, O> {
     /// [`pip_collectives::request::drive_to_done`]).
     pub fn wait(self) -> O {
         let comm = self.comm;
-        let output = comm.engine.borrow_mut().wait(&comm.inner, self.id);
+        let output = comm.engine.borrow_mut().wait(comm.inner.ctx(), self.id);
         (self.finish)(output.recvbuf)
     }
 }
@@ -910,7 +909,9 @@ pub struct PersistentColl<'c, O> {
     /// The communicator's shared scratch arena: every start after the first
     /// reacquires the buffers the previous execution released.
     arena: SharedArena,
-    op: Option<SharedReduceOp>,
+    /// The reduction operator; each start hands its cursor a clone (a copy
+    /// of a built-in kernel, an `Arc` clone of a user operator).
+    op: Option<OwnedReduction>,
     active: Option<ReqId>,
     finish: Finish<O>,
 }
@@ -933,12 +934,9 @@ impl<O> PersistentColl<'_, O> {
             self.recvbuf.take(),
             self.comm.next_tag(),
             Rc::clone(&self.arena),
+            self.op.clone(),
         );
-        let id = self
-            .comm
-            .engine
-            .borrow_mut()
-            .submit(cursor, self.op.clone());
+        let id = self.comm.engine.borrow_mut().submit(cursor);
         self.active = Some(id);
         // Kick to the first blocking point so the leading posts go out at
         // start time, as with the one-shot `i*` calls.
@@ -967,7 +965,8 @@ impl<O> PersistentColl<'_, O> {
             .active
             .take()
             .expect("persistent collective not started");
-        let output = self.comm.engine.borrow_mut().wait(&self.comm.inner, id);
+        let ctx = self.comm.inner.ctx();
+        let output = self.comm.engine.borrow_mut().wait(ctx, id);
         self.sendbuf = output.sendbuf;
         self.recvbuf = output.recvbuf;
         (self.finish)(self.recvbuf.clone())

@@ -1,4 +1,5 @@
-//! What completing a collective allocates.
+//! What completing a collective allocates, and what a message costs the
+//! fabric.
 //!
 //! The receive buffer a request executes on is the typed vector its `wait`
 //! returns, so completing a finished non-blocking collective allocates
@@ -9,6 +10,9 @@
 //! completion with `test`, so the measured call does no progress work.  The
 //! counter is per thread, so the other rank's thread cannot disturb it.
 //!
+//! Underneath, a message is the sender's owned vector: an owned send and
+//! its matched receive on a warm fabric allocate nothing at all.
+//!
 //! This file is its own test binary because the counting allocator is
 //! global to the binary it is linked into.
 
@@ -17,6 +21,8 @@ use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use pip_mcoll_core::prelude::*;
+use pip_runtime::fabric::MatchSpec;
+use pip_runtime::Fabric;
 
 thread_local! {
     /// `(allocations, bytes)` the thread asked the allocator for.
@@ -167,5 +173,36 @@ fn a_persistent_wait_allocates_one_result_vector() {
                 "rank {rank}, round {round}: allreduce_init's wait allocated (count, bytes)"
             );
         }
+    }
+}
+
+#[test]
+fn an_owned_send_and_its_receive_allocate_nothing() {
+    let fabric = Fabric::new(2);
+    let lane = MatchSpec::exact(0, 7);
+    let mut measured = Vec::new();
+    // The first round creates the lane; the later ones find it warm.
+    for round in 0..3u8 {
+        let payload = vec![round; 64];
+        let address = payload.as_ptr();
+        let (msg, allocated) = allocated_during(|| {
+            fabric.send(0, 1, lane.tag, payload).unwrap();
+            fabric.try_recv(1, lane).unwrap()
+        });
+        let msg = msg.expect("the message was just sent");
+        assert_eq!(msg.payload, vec![round; 64]);
+        assert_eq!(
+            msg.payload.as_ptr(),
+            address,
+            "the receiver holds the sent vector"
+        );
+        measured.push(allocated);
+    }
+    for (round, &allocated) in measured.iter().enumerate().skip(1) {
+        assert_eq!(
+            allocated,
+            (0, 0),
+            "round {round}: an owned send and its receive allocated (count, bytes)"
+        );
     }
 }

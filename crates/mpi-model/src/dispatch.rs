@@ -9,14 +9,15 @@
 //!
 //! [`execute`] is generic over the communicator, so the same code path runs
 //! a collective for real on the thread runtime (the oversized-message
-//! bypass of [`run_blocking`]) and records it into a plan
+//! bypass of [`run_blocking`], which takes the runtime's [`ThreadComm`]
+//! because a cursor runs only there) and records it into a plan
 //! (`crate::plan::compile_rank` drives it against the recording `PlanComm`);
 //! the simulator's traces are those plans lowered
 //! (`crate::plan::compile_cluster`, then `Plan::to_trace`).
 
 use std::rc::Rc;
 
-use pip_collectives::comm::{Comm, NonBlockingComm, ReduceFn};
+use pip_collectives::comm::{Comm, ReduceFn, ThreadComm};
 use pip_collectives::datatype::{DtypeId, ElemBuf, Layout, OwnedReduction};
 use pip_collectives::plan::{ExecPlan, IoShape, PlanCursor};
 use pip_collectives::{
@@ -357,8 +358,8 @@ impl OwnedCollective<ElemBuf> {
 /// the element type of the receive buffer [`OwnedCollective::into_io`]
 /// allocates.
 ///
-/// The request takes the plan-cache path a non-blocking or persistent one
-/// takes ([`plan_owned`]), then its cursor runs in place on the calling
+/// The request builds the cursor a non-blocking one builds
+/// ([`begin_planned`]), then the cursor runs in place on the calling
 /// thread: a blocking call does not drive the communicator's progress
 /// engine.
 ///
@@ -367,10 +368,10 @@ impl OwnedCollective<ElemBuf> {
 /// compile's recording passes each cost time in proportion to the buffer
 /// bytes, and large messages are bandwidth-bound, so compiling them buys
 /// nothing.  The regions such a call exposes by name are retired before it
-/// returns ([`NonBlockingComm::release_shared`]).
-pub fn run_blocking<C: NonBlockingComm>(
+/// returns ([`ThreadComm::release_shared`]).
+pub fn run_blocking(
     profile: &LibraryProfile,
-    comm: &C,
+    comm: &ThreadComm<'_>,
     request: OwnedCollective<ElemBuf>,
     dtype: DtypeId,
     tag: u64,
@@ -378,10 +379,9 @@ pub fn run_blocking<C: NonBlockingComm>(
 ) -> Option<ElemBuf> {
     let world = comm.world_size();
     let shape = request.shape(world);
-    let op = request.op().cloned();
-    let op = op.as_ref().map(OwnedReduction::as_fn);
     if shape.buffer_footprint(world) > EXEC_PLAN_MAX_BYTES {
         cache.note_bypass();
+        let op = request.op().cloned();
         let (send, mut recv) = request.into_io(&shape.io_for(comm.rank(), world), dtype);
         execute(
             profile.algorithm_for(&shape, world),
@@ -389,15 +389,14 @@ pub fn run_blocking<C: NonBlockingComm>(
             &shape,
             send.as_deref(),
             recv.as_deref_mut(),
-            op,
+            op.as_ref().map(OwnedReduction::as_fn),
             tag,
         );
         comm.release_shared();
         return recv;
     }
-    let (plan, send, recv) = plan_owned(profile, comm, request, dtype, cache);
-    let mut cursor = PlanCursor::new(plan, send, recv, tag, cache.arena());
-    cursor.run(comm, op);
+    let mut cursor = begin_planned(profile, comm, request, dtype, tag, cache);
+    cursor.run(comm.ctx());
     cursor.into_output().recvbuf
 }
 
@@ -423,8 +422,9 @@ pub fn plan_owned<C: Comm>(
 
 /// Begin a non-blocking collective: resolve the request against the plan
 /// cache ([`plan_owned`]) and wrap the compiled plan plus the owned buffers
-/// into a resumable [`PlanCursor`] ready to be driven by a
-/// `pip_collectives::request::ProgressEngine`.
+/// and operator into a resumable [`PlanCursor`] ready to be driven by a
+/// `pip_collectives::request::ProgressEngine` (or run in place, as
+/// [`run_blocking`] does).
 ///
 /// Unlike the blocking path there is no large-message bypass: a request
 /// *requires* a compiled program to be resumable, so oversized shapes pay
@@ -437,8 +437,9 @@ pub fn begin_planned<C: Comm>(
     tag: u64,
     cache: &mut PlanCache,
 ) -> PlanCursor {
+    let op = request.op().cloned();
     let (plan, sendbuf, recvbuf) = plan_owned(profile, comm, request, dtype, cache);
-    PlanCursor::new(plan, sendbuf, recvbuf, tag, cache.arena())
+    PlanCursor::new(plan, sendbuf, recvbuf, tag, cache.arena(), op)
 }
 
 #[cfg(test)]
@@ -678,7 +679,7 @@ mod tests {
             let mut cursor = begin_planned(&profile, &comm, request(), u8s, 1 << 16, &mut cache);
             assert!(!cursor.is_finished());
             assert_eq!(cache.stats(), (0, 1));
-            cursor.run(&comm, None);
+            cursor.run(ctx);
             let planned = cursor.into_output().recvbuf;
             let blocking = run_blocking(&profile, &comm, request(), u8s, 2 << 16, &mut cache);
             assert_eq!(cache.stats(), (1, 1));

@@ -1043,8 +1043,9 @@ mod tests {
                 Some(vec![0u8; world * block].into()),
                 1 << 16,
                 shared_arena(),
+                None,
             );
-            cursor.run(&comm, None);
+            cursor.run(ctx);
             cursor.into_output().recvbuf.unwrap().to_vec()
         })
         .unwrap();

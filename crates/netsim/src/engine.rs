@@ -619,7 +619,7 @@ pub struct SimStats {
     pub internode_messages: usize,
     /// Messages whose endpoints shared a node.
     pub intranode_messages: usize,
-    /// Payload bytes that crossed the network.
+    /// Message bytes that crossed the network.
     pub internode_bytes: usize,
     /// Total simulated NIC injection occupancy summed over nodes.
     pub nic_busy_total: Nanos,
@@ -633,7 +633,7 @@ pub struct SimStats {
     /// Retransmissions performed by the drop/retry model (0 on a healthy
     /// fabric).
     pub retries: usize,
-    /// Payload bytes retransmitted by the drop/retry model.
+    /// Message bytes retransmitted by the drop/retry model.
     pub retransmitted_bytes: usize,
     /// Median rank-finish skew: the median of `finish - earliest_finish`
     /// over ranks (0 when every rank finishes together).

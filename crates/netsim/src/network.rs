@@ -24,7 +24,7 @@ pub struct SimulationReport {
     pub intranode_messages: usize,
     /// Bytes that crossed the network.
     pub internode_bytes: usize,
-    /// Payload bytes retransmitted by the drop/retry model (zero on a
+    /// Message bytes retransmitted by the drop/retry model (zero on a
     /// healthy fabric).
     pub retransmitted_bytes: usize,
     /// Total bytes-on-wire: every internode payload byte including

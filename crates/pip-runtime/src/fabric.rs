@@ -58,70 +58,6 @@ impl MatchSpec {
     }
 }
 
-/// Reference-counted message payload.
-///
-/// A payload built from an owned `Vec<u8>` is a pointer move — the sender's
-/// allocation travels through the fabric and arrives at the receiver
-/// untouched, so an owned send is zero-copy end to end and a borrowed send
-/// ([`Fabric::send_bytes`]) is exactly one copy.  Cloning shares the
-/// allocation, which lets a single buffer back multiple in-flight messages
-/// ([`Fabric::send_payload`] forwards a received payload without any copy at
-/// all).
-#[derive(Debug, Clone)]
-pub struct Payload(Arc<Vec<u8>>);
-
-impl Payload {
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The payload bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Recover the owned byte vector.  Free when this handle is the only
-    /// one referencing the allocation (the common case: one sender, one
-    /// receiver); clones otherwise.
-    pub fn into_vec(self) -> Vec<u8> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| shared.as_ref().clone())
-    }
-}
-
-impl From<Vec<u8>> for Payload {
-    fn from(bytes: Vec<u8>) -> Self {
-        Payload(Arc::new(bytes))
-    }
-}
-
-impl std::ops::Deref for Payload {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl PartialEq for Payload {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Payload {}
-
-impl PartialEq<Vec<u8>> for Payload {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
 /// A delivered message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
@@ -129,8 +65,8 @@ pub struct Message {
     pub source: usize,
     /// Tag attached by the sender.
     pub tag: Tag,
-    /// Payload bytes.
-    pub payload: Payload,
+    /// The message bytes: the sender's allocation, moved, never copied.
+    pub payload: Vec<u8>,
 }
 
 /// Default shard count per destination rank: enough that the senders of a
@@ -143,9 +79,8 @@ pub const DEFAULT_MAILBOX_SHARDS: usize = 8;
 pub struct FabricStats {
     /// Messages that entered the fabric.
     pub sends: usize,
-    /// Payload copies the fabric performed to take ownership of borrowed
-    /// bytes ([`Fabric::send_bytes`]).  Owned and forwarded sends contribute
-    /// zero.
+    /// Copies the fabric performed to take ownership of borrowed bytes
+    /// ([`Fabric::send_bytes`]).  Owned sends contribute zero.
     pub payload_copies: usize,
     /// Bytes those copies moved.
     pub bytes_copied: usize,
@@ -352,16 +287,11 @@ impl Fabric {
 
     /// Deliver `payload` from `source` to `dest` with `tag`.
     ///
-    /// Taking any `Into<Payload>` means an owned `Vec<u8>` (or an existing
-    /// [`Payload`]) moves through the fabric without being copied; use
+    /// The owned vector moves through the fabric and reaches the receiver
+    /// as the same allocation — the PiP "pass a pointer, not the bytes"
+    /// hand-off — so relaying a received message is a move too; use
     /// [`Fabric::send_bytes`] for borrowed data (one accounted copy).
-    pub fn send(
-        &self,
-        source: usize,
-        dest: usize,
-        tag: Tag,
-        payload: impl Into<Payload>,
-    ) -> Result<()> {
+    pub fn send(&self, source: usize, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<()> {
         // Validate the source too so a typo'd rank id fails loudly.
         self.inbox(source)?;
         let inbox = self.inbox(dest)?;
@@ -370,7 +300,7 @@ impl Fabric {
         let message = Message {
             source,
             tag,
-            payload: payload.into(),
+            payload,
         };
         let shard = inbox.shard_for(key);
         shard.state.lock().push(key, message);
@@ -386,23 +316,6 @@ impl Fabric {
             .bytes_copied
             .fetch_add(data.len(), Ordering::Relaxed);
         self.send(source, dest, tag, data.to_vec())
-    }
-
-    /// Forward an existing [`Payload`] from `source` to `dest` with `tag`
-    /// without copying: the receiver shares the sender's allocation.
-    ///
-    /// This is the API for relaying a received message (clone its payload
-    /// handle and pass it here) or fanning one buffer out to several
-    /// destinations — zero accounted copies either way, the PiP "pass a
-    /// pointer, not the bytes" property applied to the fabric.
-    pub fn send_payload(
-        &self,
-        source: usize,
-        dest: usize,
-        tag: Tag,
-        payload: Payload,
-    ) -> Result<()> {
-        self.send(source, dest, tag, payload)
     }
 
     /// Blocking matched receive for rank `receiver`: waits on the shard of
@@ -599,8 +512,6 @@ mod tests {
             ptr,
             "owned payload must not be copied"
         );
-        let recovered = msg.payload.into_vec();
-        assert_eq!(recovered.as_ptr(), ptr, "unique payload unwraps in place");
         assert_eq!(fabric.stats().payload_copies, 0);
         fabric.send_bytes(1, 0, 3, &[7, 8]).unwrap();
         let stats = fabric.stats();
@@ -609,9 +520,8 @@ mod tests {
         assert_eq!(stats.bytes_copied, 2);
     }
 
-    /// Forwarding a received payload to another rank shares the original
-    /// allocation: no accounted copy, and with a single remaining reference
-    /// the final receiver recovers the sender's allocation in place.
+    /// Relaying a received message moves its vector on: no accounted copy,
+    /// and the final receiver holds the original sender's allocation.
     #[test]
     fn forwarded_payloads_share_the_allocation() {
         let fabric = Fabric::new(3);
@@ -619,9 +529,9 @@ mod tests {
         let ptr = payload.as_ptr();
         fabric.send(0, 1, 4, payload).unwrap();
         let msg = fabric.recv(1, MatchSpec::exact(0, 4)).unwrap();
-        fabric.send_payload(1, 2, 4, msg.payload).unwrap();
+        fabric.send(1, 2, 4, msg.payload).unwrap();
         let relayed = fabric.recv(2, MatchSpec::exact(1, 4)).unwrap();
-        assert_eq!(relayed.payload.as_ptr(), ptr, "forwarding must not copy");
+        assert_eq!(relayed.payload.as_ptr(), ptr, "relaying must not copy");
         assert_eq!(fabric.stats().payload_copies, 0);
         assert_eq!(fabric.stats().sends, 2);
     }

@@ -64,7 +64,7 @@ pub mod task;
 pub mod topology;
 
 pub use error::{Result, RuntimeError};
-pub use fabric::{Fabric, FabricStats, Message, Payload, Tag, DEFAULT_MAILBOX_SHARDS};
+pub use fabric::{Fabric, FabricStats, Message, Tag, DEFAULT_MAILBOX_SHARDS};
 pub use memory::{ExposedRegion, RegionKey};
 pub use node::NodeSpace;
 pub use scope::{RegionPoolStats, ScopeHandle};

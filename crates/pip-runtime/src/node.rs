@@ -123,12 +123,6 @@ impl NodeSpace {
         }
     }
 
-    /// Attach without blocking; `None` when the region is not yet exposed.
-    pub fn try_attach(&self, owner_local_rank: usize, name: &str) -> Option<ExposedRegion> {
-        let key = RegionKey::new(owner_local_rank, name);
-        self.regions().get(&key).cloned()
-    }
-
     /// Drop a region from the registry (e.g. at the end of a communicator's
     /// lifetime).  Outstanding handles keep the storage alive.
     pub fn unexpose(&self, owner_local_rank: usize, name: &str) -> bool {
@@ -199,14 +193,6 @@ mod tests {
         region.write(0, &[5]);
         let attached = handle.join().unwrap();
         assert_eq!(attached.read_vec(0, 1).unwrap(), vec![5]);
-    }
-
-    #[test]
-    fn try_attach_returns_none_before_expose() {
-        let node = NodeSpace::new(0, 2);
-        assert!(node.try_attach(0, "missing").is_none());
-        node.expose(0, "missing", 1).unwrap();
-        assert!(node.try_attach(0, "missing").is_some());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::{Result, RuntimeError};
-use crate::fabric::{Fabric, MatchSpec, Message, Payload, Tag};
+use crate::fabric::{Fabric, MatchSpec, Message, Tag};
 use crate::memory::ExposedRegion;
 use crate::node::NodeSpace;
 use crate::scope::ScopeHandle;
@@ -115,11 +115,6 @@ impl TaskCtx {
             .expect("attach failed")
     }
 
-    /// Fallible variant of [`TaskCtx::attach`].
-    pub fn try_attach(&self, owner_local_rank: usize, name: &str) -> Result<ExposedRegion> {
-        self.node.attach(owner_local_rank, name)
-    }
-
     /// Enter the node-local scope of the collective invocation tagged `tag`
     /// (see [`NodeSpace::enter_scope`]); dropping the handle leaves it.
     pub fn enter_scope(&self, tag: u64, names: &[String]) -> ScopeHandle {
@@ -138,9 +133,9 @@ impl TaskCtx {
     // Fabric operations (inter-node, also usable intra-node).
     // ------------------------------------------------------------------
 
-    /// Send `payload` to `dest` with `tag`.  An owned `Vec<u8>` (or an
-    /// existing [`Payload`]) moves into the fabric without being copied.
-    pub fn send(&self, dest: usize, tag: Tag, payload: impl Into<Payload>) -> Result<()> {
+    /// Send `payload` to `dest` with `tag`.  The owned vector moves into
+    /// the fabric without being copied.
+    pub fn send(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> Result<()> {
         self.fabric.send(self.rank, dest, tag, payload)
     }
 
@@ -148,13 +143,6 @@ impl TaskCtx {
     /// in [`Fabric::stats`].
     pub fn send_bytes(&self, dest: usize, tag: Tag, data: &[u8]) -> Result<()> {
         self.fabric.send_bytes(self.rank, dest, tag, data)
-    }
-
-    /// Forward an existing [`Payload`] to `dest` with `tag` without copying:
-    /// the receiver shares the allocation (see [`Fabric::send_payload`]).
-    /// Clone a received message's payload handle to relay or fan it out.
-    pub fn send_payload(&self, dest: usize, tag: Tag, payload: Payload) -> Result<()> {
-        self.fabric.send_payload(self.rank, dest, tag, payload)
     }
 
     /// Blocking receive from `source` with `tag`.
@@ -176,7 +164,7 @@ impl TaskCtx {
         &self,
         dest: usize,
         send_tag: Tag,
-        payload: impl Into<Payload>,
+        payload: Vec<u8>,
         source: usize,
         recv_tag: Tag,
     ) -> Result<Message> {

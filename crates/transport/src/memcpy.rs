@@ -13,7 +13,7 @@ pub struct MemcpyModel {
     pub per_byte_cached: Nanos,
     /// Per-byte cost once the payload spills to DRAM.
     pub per_byte_dram: Nanos,
-    /// Payload size at which the DRAM rate takes over.
+    /// Transfer size at which the DRAM rate takes over.
     pub llc_bytes: usize,
     /// Extra per-byte cost of applying an arithmetic reduction (e.g. f64 sum)
     /// while streaming, on top of the copy cost.

@@ -2,11 +2,10 @@
 //! the same (shared) address space.  No staging, no system call, no
 //! first-touch penalty beyond the ordinary memory system.
 //!
-//! PiP additionally allows the *zero*-copy hand-off the fabric's
-//! payload-forwarding path models (`Fabric::send_payload`): because peers
-//! share one address space, a producer can pass a pointer instead of the
-//! bytes.  [`PipCopyEngine::forward`] accounts that path — bytes logically
-//! transferred with no copy performed.
+//! A transfer that needs no copy at all — a producer handing its buffer to
+//! a consumer — is not a copy engine's business: the fabric moves the
+//! owned vector (`Fabric::send`), which is the PiP "pass a pointer, not the
+//! bytes" hand-off.
 
 use crate::cost::{CopyStats, IntranodeMechanism};
 use crate::CopyEngine;
@@ -15,8 +14,6 @@ use crate::CopyEngine;
 #[derive(Debug, Default, Clone)]
 pub struct PipCopyEngine {
     total: CopyStats,
-    forwards: usize,
-    bytes_forwarded: usize,
 }
 
 impl PipCopyEngine {
@@ -28,21 +25,6 @@ impl PipCopyEngine {
     /// Cumulative statistics over the engine's lifetime.
     pub fn totals(&self) -> CopyStats {
         self.total
-    }
-
-    /// Account a pointer hand-off of `len` bytes: the consumer reads the
-    /// producer's buffer in place, so no copy, no syscall, no staging —
-    /// the transport-level twin of forwarding a reference-counted fabric
-    /// payload.
-    pub fn forward(&mut self, len: usize) -> CopyStats {
-        self.forwards += 1;
-        self.bytes_forwarded += len;
-        CopyStats::default()
-    }
-
-    /// `(transfers, bytes)` moved by pointer hand-off rather than copying.
-    pub fn forwarded(&self) -> (usize, usize) {
-        (self.forwards, self.bytes_forwarded)
     }
 }
 
@@ -93,16 +75,6 @@ mod tests {
         }
         assert_eq!(engine.totals().bytes_moved, 400);
         assert_eq!(engine.totals().copies, 4);
-    }
-
-    #[test]
-    fn forwarding_accounts_no_copies() {
-        let mut engine = PipCopyEngine::new();
-        let stats = engine.forward(4096);
-        assert_eq!(stats, CopyStats::default(), "a hand-off performs no work");
-        engine.forward(1024);
-        assert_eq!(engine.forwarded(), (2, 5120));
-        assert_eq!(engine.totals().copies, 0, "forwards never count as copies");
     }
 
     #[test]

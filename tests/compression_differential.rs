@@ -4,7 +4,7 @@
 //! 1. **Bounded error everywhere**: `allreduce_compressed` (blocking,
 //!    non-blocking and persistent) stays within `bound` of the exact
 //!    oracle **element-wise on every rank**, across libraries ×
-//!    multi-node topologies × swept bounds.  Payloads are multiples of
+//!    multi-node topologies × swept bounds.  Inputs are multiples of
 //!    `0.25` with small magnitude, so the exact sum is representable and
 //!    reassociation-free — the oracle is bit-defined and the only
 //!    admissible deviation is the codec's.

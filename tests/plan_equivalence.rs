@@ -317,7 +317,6 @@ fn in_place_and_engine_driven_cursors_agree_for_every_collective_and_library() {
                         &mut cache,
                     );
                     let request = build(rank, world, root);
-                    let op = request.op().map(OwnedReduction::shared);
                     let cursor = dispatch::begin_planned(
                         &profile,
                         &comm,
@@ -326,8 +325,8 @@ fn in_place_and_engine_driven_cursors_agree_for_every_collective_and_library() {
                         next_tag(),
                         &mut cache,
                     );
-                    let id = engine.submit(cursor, op);
-                    let driven = engine.wait(&comm, id).recvbuf;
+                    let id = engine.submit(cursor);
+                    let driven = engine.wait(ctx, id).recvbuf;
                     // Equal bytes; the typed results keep the element type.
                     let bytes = |buf: &Option<ElemBuf>| buf.as_deref().map(<[u8]>::to_vec);
                     assert_eq!(

@@ -18,7 +18,7 @@ use pip_mcoll::transport::posix_shmem::{PosixShmemEngine, DEFAULT_SEGMENT_BYTES}
 use pip_mcoll::transport::xpmem::XpmemEngine;
 use pip_mcoll::transport::{engine_for, CopyEngine, IntranodeMechanism};
 
-/// Payload that fits one SHMEM segment and one CMA syscall but spans
+/// A message that fits one SHMEM segment and one CMA syscall but spans
 /// multiple pages, so every accounting dimension is exercised at once.
 const PAYLOAD: usize = 10_000;
 
@@ -195,39 +195,47 @@ fn owned_sends_cross_the_fabric_with_zero_copies() {
     assert_eq!(stats.bytes_copied, 0);
 }
 
-/// Relaying a received message by forwarding its `Payload` handle
-/// (`TaskCtx::send_payload`) shares the original allocation: zero
-/// additional accounted copies, even when one buffer fans out to several
-/// destinations.  This pins the fix for the old borrow-and-recopy relay
-/// path (`send_bytes` on a payload the rank already owned).
+/// Relaying a received message by moving its vector on (`TaskCtx::send`)
+/// costs zero additional accounted copies, and the final receiver holds the
+/// original sender's allocation: peers in one address space hand each other
+/// the pointer, not the bytes.  This pins the fix for the old
+/// borrow-and-recopy relay path (`send_bytes` on a payload the rank already
+/// owned).
 #[test]
 fn forwarded_payloads_cost_zero_extra_copies() {
     let topo = Topology::new(1, 3);
     let fabric = Fabric::new(topo.world_size());
-    Cluster::launch_with_fabric(topo, fabric.clone(), |ctx| match ctx.rank() {
+    let addresses = Cluster::launch_with_fabric(topo, fabric.clone(), |ctx| match ctx.rank() {
         0 => {
             // The only allocation in the whole relay: the original owned send.
-            ctx.send(1, 1, vec![7u8; PAYLOAD]).unwrap();
+            let payload = vec![7u8; PAYLOAD];
+            let address = payload.as_ptr() as usize;
+            ctx.send(1, 1, payload).unwrap();
+            address
         }
         1 => {
             let msg = ctx.recv(0, 1).unwrap();
-            // Fan the received payload out twice without copying it.
-            ctx.send_payload(2, 2, msg.payload.clone()).unwrap();
-            ctx.send_payload(2, 3, msg.payload).unwrap();
+            let address = msg.payload.as_ptr() as usize;
+            ctx.send(2, 2, msg.payload).unwrap();
+            address
         }
         _ => {
-            for tag in [2u64, 3] {
-                let msg = ctx.recv(1, tag).unwrap();
-                assert_eq!(msg.payload.as_slice(), &[7u8; PAYLOAD]);
-            }
+            let msg = ctx.recv(1, 2).unwrap();
+            assert_eq!(msg.payload, [7u8; PAYLOAD]);
+            msg.payload.as_ptr() as usize
         }
     })
     .unwrap();
+    assert_eq!(
+        addresses,
+        vec![addresses[0]; 3],
+        "the relayed message must be the sender's allocation"
+    );
     let stats = fabric.stats();
-    assert_eq!(stats.sends, 3);
+    assert_eq!(stats.sends, 2);
     assert_eq!(
         stats.payload_copies, 0,
-        "forwarded payloads must share the allocation, not copy it"
+        "relayed payloads must move, not copy"
     );
     assert_eq!(stats.bytes_copied, 0);
 }
