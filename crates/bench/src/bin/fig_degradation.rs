@@ -1,27 +1,28 @@
 //! **Degradation figure**: MPI_Allreduce (4 KiB per process) on a degraded
-//! fabric — drop-rate × latency-jitter sweep across the three libraries.
+//! fabric — drop-rate × latency-jitter sweep across the five libraries.
 //!
 //! The healthy-fabric figures show PiP-MColl winning on per-node software
 //! overhead.  This figure asks what happens when the fabric misbehaves:
 //! every inter-node message is exposed to a seeded drop model (retry after
 //! a timeout with exponential backoff) and per-link latency jitter.  The
-//! measured answer is two-sided — PiP-MColl keeps its absolute win through
-//! moderate degradation (<= 1% drops, any swept jitter), but its
-//! multi-leader fan-out exposes *more concurrent* inter-node messages than
-//! a single-leader schedule, so at extreme drop rates (5%) the
-//! lower-message-count MVAPICH2 schedule overtakes it in absolute time and
-//! every library's relative inflation inverts with its healthy baseline
-//! (a fixed retry timeout is a larger fraction of a faster collective).
+//! measured answer at 128×18 is two-sided — PiP-MColl keeps its absolute
+//! win through moderate degradation (<= 1% drops, any swept jitter), but
+//! its multi-leader fan-out exposes *more concurrent* inter-node messages
+//! than a single-leader schedule, so at extreme drop rates (5%) the
+//! lower-message-count MVAPICH2 schedule overtakes it in absolute time.
+//! Relative inflation follows the retry count and the healthy baseline:
+//! MVAPICH2's single leader retries the fewest messages and inflates
+//! least, and PiP-MColl, the fastest healthy run, inflates most (a fixed
+//! retry timeout is a larger fraction of a faster collective).
 //!
 //! Reported per (drop rate, jitter) grid point and library: simulated
 //! makespan, inflation over that library's own healthy baseline, retry
 //! count, and retransmitted bytes.  The sweep is deterministic — one seed,
-//! pure-hash draws — so the tables are reproducible bit-for-bit; the
-//! `--small` grid's output is committed as `docs/figures/fig_degradation.txt`.
+//! pure-hash draws — so the tables are reproducible bit-for-bit; the output
+//! is committed as `docs/figures/fig_degradation.txt`.
 //!
 //! ```text
-//! cargo run --release -p pip-mcoll-bench --bin fig_degradation            # hpdc23 scale
-//! cargo run --release -p pip-mcoll-bench --bin fig_degradation -- --small # docs/figures grid
+//! cargo run --release -p pip-mcoll-bench --bin fig_degradation
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,6 +40,13 @@ const BLOCK: usize = 4096;
 
 /// One seed for the whole figure; the tables are a pure function of it.
 const SEED: u64 = 0x4852_5043_2023;
+
+/// Drop rates swept, from a healthy fabric to one the retry budget still
+/// absorbs.
+const RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
+
+/// Per-link latency jitter swept, in nanoseconds.
+const JITTERS: [f64; 3] = [0.0, 500.0, 2_000.0];
 
 struct Point {
     library: &'static str,
@@ -64,16 +72,7 @@ fn perturbation(drop_rate: f64, jitter_ns: f64) -> Perturbation {
 }
 
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
-    let (topology, rates, jitters): (Topology, &[f64], &[f64]) = if small {
-        (Topology::new(16, 8), &[0.0, 0.01, 0.05], &[0.0, 1_000.0])
-    } else {
-        (
-            Topology::new(128, 18),
-            &[0.0, 0.001, 0.01, 0.05],
-            &[0.0, 500.0, 2_000.0],
-        )
-    };
+    let topology = Topology::new(128, 18);
     let nic = ClusterSpec::hpdc23().nic;
 
     println!(
@@ -107,8 +106,8 @@ fn main() {
 
     let mut points: Vec<Point> = Vec::new();
     let mut baselines = vec![0.0f64; Library::ALL.len()];
-    for &rate in rates {
-        for &jitter in jitters {
+    for rate in RATES {
+        for jitter in JITTERS {
             let mut row = format!("| {rate} | {jitter} |");
             for (idx, (library, trace, engine)) in traces.iter().enumerate() {
                 let config = perturbation(rate, jitter);
@@ -181,10 +180,7 @@ fn main() {
     // vs each library's own healthy run), plus the absolute winner there —
     // the two can disagree, and that disagreement is the figure's finding.
     println!("\nInflation at the harshest point (lower inflates less):");
-    let (&worst_rate, &worst_jitter) = (
-        rates.last().expect("rates"),
-        jitters.last().expect("jitters"),
-    );
+    let (worst_rate, worst_jitter) = (RATES[RATES.len() - 1], JITTERS[JITTERS.len() - 1]);
     let mut harshest: Vec<(&'static str, f64, f64)> = points
         .iter()
         .filter(|p| p.drop_rate == worst_rate && p.jitter_ns == worst_jitter)

@@ -18,9 +18,7 @@
 use pip_collectives::plan::Fidelity;
 use pip_collectives::CollectiveKind;
 use pip_mpi_model::plan::compile_cluster;
-use pip_mpi_model::{
-    Algorithm, CollectiveShape, FabricCondition, Library, LibraryProfile, LOSSY_DROP_CROSSOVER,
-};
+use pip_mpi_model::{CollectiveShape, Library};
 use pip_netsim::cluster::ClusterSpec;
 use pip_netsim::{DropSpec, Perturbation, RunOptions, SimEngine, SimError};
 use pip_runtime::Topology;
@@ -127,90 +125,6 @@ fn over_budget_drops_fail_structurally_on_real_schedules() {
             other => panic!("{}: expected Failure, got {other:?}", library.name()),
         }
     }
-}
-
-/// The lossy-fabric selection dimension: at the 5% crossover PiP-MColl
-/// re-selects its allreduce from the deep multi-object fan-out to the
-/// single-leader hierarchy (fewest inter-node messages), and that choice —
-/// not just the calibration — is what keeps it ahead once every inter-node
-/// message is a retransmission lottery ticket.
-#[test]
-fn lossy_fabric_reselection_beats_stock_choices_under_drops() {
-    const BLOCK: usize = 4_096;
-
-    // Classification pins around the crossover.
-    assert_eq!(
-        FabricCondition::from_drop_rate(0.01),
-        FabricCondition::Healthy
-    );
-    assert_eq!(
-        FabricCondition::from_drop_rate(LOSSY_DROP_CROSSOVER),
-        FabricCondition::Lossy
-    );
-
-    // Selection flip: the healthy PiP-MColl profile picks the multi-object
-    // fan-out, the lossy one trades it for the hierarchy.  The fabric is
-    // part of the profile, so the recorded schedule flips with it.
-    let healthy = Library::PipMColl.profile();
-    let lossy = Library::PipMColl
-        .profile()
-        .for_fabric(FabricCondition::Lossy);
-    assert_eq!(healthy.fabric, FabricCondition::Healthy);
-    assert_eq!(lossy.fabric, FabricCondition::Lossy);
-    let topology = Topology::new(16, 18);
-    let shape = CollectiveShape::plain(CollectiveKind::Allreduce, BLOCK, 0);
-    let world = topology.world_size();
-    assert_eq!(
-        healthy.algorithm_for(&shape, world),
-        Algorithm::AllreduceMultiObject
-    );
-    assert_eq!(
-        lossy.algorithm_for(&shape, world),
-        Algorithm::AllreduceHierarchical
-    );
-
-    // Replay all three schedules under exactly-crossover drops.  The
-    // re-selected PiP-MColl must beat both its own healthy schedule (the
-    // adaptation helps) and the stock MVAPICH2 hierarchy (the PiP intra-node
-    // path still wins once the schedules match shape).
-    let nic = ClusterSpec::hpdc23().nic;
-    let perturbation = Perturbation {
-        seed: 0x4852_5043_2023,
-        drop: DropSpec {
-            rate: LOSSY_DROP_CROSSOVER,
-            max_retries: 8,
-            timeout: 2_000.0,
-            backoff: 2.0,
-        },
-        ..Perturbation::NONE
-    };
-    let options = RunOptions::summary().with_perturbation(perturbation);
-    let run = |profile: &LibraryProfile, label: &str| {
-        let trace = compile_cluster(profile, topology, &shape, Fidelity::Schedule).to_trace(1);
-        let engine = SimEngine::new(profile.sim_params(nic));
-        let outcome = engine
-            .run_with(&trace, options)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert!(outcome.stats.retries > 0, "{label}: drops must engage");
-        outcome.makespan
-    };
-    let adaptive = run(&lossy, "pip-mcoll/lossy");
-    let stubborn = run(&healthy, "pip-mcoll/healthy");
-    let stock = run(&Library::Mvapich2.profile(), "mvapich2/stock");
-    assert!(
-        adaptive < stubborn,
-        "lossy re-selection must beat the healthy schedule at {:.0}% drops: {:.1} vs {:.1} us",
-        LOSSY_DROP_CROSSOVER * 100.0,
-        adaptive / 1e3,
-        stubborn / 1e3
-    );
-    assert!(
-        adaptive < stock,
-        "lossy-selected PiP-MColl must beat stock MVAPICH2 at {:.0}% drops: {:.1} vs {:.1} us",
-        LOSSY_DROP_CROSSOVER * 100.0,
-        adaptive / 1e3,
-        stock / 1e3
-    );
 }
 
 /// Paper-scale headline: the multi-object schedule keeps its absolute win

@@ -80,7 +80,7 @@ golden! {
     fig_reduce_scatter;
     fig_projection;
     fig_compression, "--small";
-    fig_degradation, "--small";
+    fig_degradation;
     abl_large_messages;
     abl_node_scaling;
     abl_message_rate;

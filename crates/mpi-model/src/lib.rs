@@ -33,7 +33,7 @@ pub use dispatch::OwnedCollective;
 pub use plan::{
     compile_folded, ClusterPlanCache, CollectiveShape, CompressSpec, PlanCache, PlanKey,
 };
-pub use selection::{Algorithm, FabricCondition, Selection, LOSSY_DROP_CROSSOVER};
+pub use selection::{Algorithm, Selection};
 
 /// The five MPI implementations evaluated in the paper's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,12 +102,6 @@ pub struct LibraryProfile {
     /// Algorithm selection: the library's ordered rule list, read through
     /// [`LibraryProfile::algorithm_for`].
     pub selection: Selection,
-    /// Observed fabric condition this profile selects for: the selection's
-    /// [`selection::When::Lossy`] rows fire only on a `Lossy` fabric.
-    /// `Healthy` in every stock profile; flip to `Lossy` (see
-    /// [`LibraryProfile::for_fabric`]) when the configured drop rate
-    /// crosses [`selection::LOSSY_DROP_CROSSOVER`].
-    pub fabric: selection::FabricCondition,
 }
 
 impl LibraryProfile {
@@ -122,7 +116,6 @@ impl LibraryProfile {
                 software_recv_overhead: cal::OPENMPI_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 selection: Selection::new(selection::OPEN_MPI),
-                fabric: selection::FabricCondition::Healthy,
             },
             Library::IntelMpi => Self {
                 library,
@@ -131,7 +124,6 @@ impl LibraryProfile {
                 software_recv_overhead: cal::INTELMPI_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 selection: Selection::new(selection::INTEL_MPI),
-                fabric: selection::FabricCondition::Healthy,
             },
             Library::Mvapich2 => Self {
                 library,
@@ -140,7 +132,6 @@ impl LibraryProfile {
                 software_recv_overhead: cal::MVAPICH2_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 selection: Selection::new(selection::MVAPICH2),
-                fabric: selection::FabricCondition::Healthy,
             },
             Library::PipMpich => Self {
                 library,
@@ -149,7 +140,6 @@ impl LibraryProfile {
                 software_recv_overhead: cal::PIPMPICH_RECV_OVERHEAD,
                 per_message_sync: cal::PIPMPICH_SIZE_SYNC,
                 selection: Selection::new(selection::PIP_MPICH),
-                fabric: selection::FabricCondition::Healthy,
             },
             Library::PipMColl => Self {
                 library,
@@ -158,7 +148,6 @@ impl LibraryProfile {
                 software_recv_overhead: cal::PIPMCOLL_RECV_OVERHEAD,
                 per_message_sync: 0.0,
                 selection: Selection::new(selection::PIP_MCOLL),
-                fabric: selection::FabricCondition::Healthy,
             },
         }
     }
@@ -168,22 +157,11 @@ impl LibraryProfile {
         self.library.name()
     }
 
-    /// This profile re-targeted at a fabric in the given condition.  The
-    /// fabric is part of the profile (not a per-call argument) so
-    /// [`LibraryProfile::algorithm_for`], and through it the plan key, reads
-    /// it: a lossy-fabric plan aliases a healthy one only where both select
-    /// the same allreduce.
-    pub fn for_fabric(mut self, fabric: selection::FabricCondition) -> Self {
-        self.fabric = fabric;
-        self
-    }
-
     /// The algorithm this profile runs for `shape` on a communicator of
     /// `world` ranks — the one place dispatch and the plan caches decide
     /// it.  For an allreduce `shape.block` is the packed byte count.
     pub fn algorithm_for(&self, shape: &CollectiveShape, world: usize) -> Algorithm {
-        self.selection
-            .algorithm(shape.kind, shape.block, world, self.fabric)
+        self.selection.algorithm(shape.kind, shape.block, world)
     }
 
     /// Simulation parameters for this library on the given NIC.

@@ -113,37 +113,6 @@ impl Algorithm {
 /// switch from latency-oriented to bandwidth-oriented algorithms.
 pub const LARGE_MESSAGE_THRESHOLD: usize = 32 * 1024;
 
-/// The message-drop rate at which the degradation sweep
-/// (`docs/figures/fig_degradation.txt`) shows deep multi-leader fan-outs
-/// starting to lose to the single-leader hierarchy: every extra inter-node
-/// message is another retransmission lottery ticket, so above this rate
-/// selection should trade parallelism for fewer, larger transfers.
-pub const LOSSY_DROP_CROSSOVER: f64 = 0.05;
-
-/// Observed fabric health, as a selection dimension: a list's
-/// [`When::Lossy`] rows fire on a lossy fabric only.  PiP-MColl's list
-/// switches its allreduce to a shallower schedule there; the comparators'
-/// lossy rows name their stock small-message choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FabricCondition {
-    /// Nominal fabric: negligible drops, selection by message size alone.
-    Healthy,
-    /// Drop rate at or above [`LOSSY_DROP_CROSSOVER`]: prefer schedules
-    /// with fewer inter-node messages.
-    Lossy,
-}
-
-impl FabricCondition {
-    /// Classify a measured (or configured) message-drop rate.
-    pub fn from_drop_rate(rate: f64) -> Self {
-        if rate >= LOSSY_DROP_CROSSOVER {
-            FabricCondition::Lossy
-        } else {
-            FabricCondition::Healthy
-        }
-    }
-}
-
 /// The condition under which a [`Rule`] fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum When {
@@ -153,18 +122,15 @@ pub enum When {
     Small,
     /// Small, on a power-of-two world.
     SmallPow2,
-    /// The fabric is [`FabricCondition::Lossy`].
-    Lossy,
 }
 
 impl When {
-    fn holds(self, block: usize, world: usize, fabric: FabricCondition) -> bool {
+    fn holds(self, block: usize, world: usize) -> bool {
         let small = block < LARGE_MESSAGE_THRESHOLD;
         match self {
             When::Always => true,
             When::Small => small,
             When::SmallPow2 => small && world.is_power_of_two(),
-            When::Lossy => fabric == FabricCondition::Lossy,
         }
     }
 }
@@ -183,7 +149,6 @@ pub const OPEN_MPI: &[Rule] = &[
     Rule(When::Always, Algorithm::ScatterBinomial),
     Rule(When::Always, Algorithm::BcastBinomial),
     Rule(When::Always, Algorithm::GatherBinomial),
-    Rule(When::Lossy, Algorithm::AllreduceRecursiveDoubling),
     Rule(When::Small, Algorithm::AllreduceRecursiveDoubling),
     Rule(When::Always, Algorithm::AllreduceRing),
     Rule(When::Always, Algorithm::ReduceBinomial),
@@ -206,7 +171,6 @@ pub const INTEL_MPI: &[Rule] = &[
     Rule(When::Always, Algorithm::ScatterBinomial),
     Rule(When::Always, Algorithm::BcastHierarchical),
     Rule(When::Always, Algorithm::GatherBinomial),
-    Rule(When::Lossy, Algorithm::AllreduceRecursiveDoubling),
     Rule(When::Small, Algorithm::AllreduceRecursiveDoubling),
     Rule(When::Always, Algorithm::AllreduceRing),
     Rule(When::Always, Algorithm::ReduceBinomial),
@@ -219,8 +183,8 @@ pub const INTEL_MPI: &[Rule] = &[
 ];
 
 /// MVAPICH2, simplified: node-aware (single-leader) scatter, broadcast and
-/// small-message allreduce — its lossy-fabric choice too — with MPICH's
-/// flat allgather algorithms, switched at a 32 KiB per-rank block.
+/// small-message allreduce, with MPICH's flat allgather algorithms,
+/// switched at a 32 KiB per-rank block.
 pub const MVAPICH2: &[Rule] = &[
     Rule(When::SmallPow2, Algorithm::AllgatherRecursiveDoubling),
     Rule(When::Small, Algorithm::AllgatherBruck),
@@ -228,7 +192,6 @@ pub const MVAPICH2: &[Rule] = &[
     Rule(When::Always, Algorithm::ScatterHierarchical),
     Rule(When::Always, Algorithm::BcastHierarchical),
     Rule(When::Always, Algorithm::GatherBinomial),
-    Rule(When::Lossy, Algorithm::AllreduceHierarchical),
     Rule(When::Small, Algorithm::AllreduceHierarchical),
     Rule(When::Always, Algorithm::AllreduceRing),
     Rule(When::Always, Algorithm::ReduceBinomial),
@@ -250,7 +213,6 @@ pub const PIP_MPICH: &[Rule] = &[
     Rule(When::Always, Algorithm::ScatterBinomial),
     Rule(When::Always, Algorithm::BcastBinomial),
     Rule(When::Always, Algorithm::GatherBinomial),
-    Rule(When::Lossy, Algorithm::AllreduceRecursiveDoubling),
     Rule(When::Small, Algorithm::AllreduceRecursiveDoubling),
     Rule(When::Always, Algorithm::AllreduceRing),
     Rule(When::Always, Algorithm::ReduceBinomial),
@@ -263,15 +225,12 @@ pub const PIP_MPICH: &[Rule] = &[
 ];
 
 /// PiP-MColl: the multi-object algorithms at every size wherever they
-/// exist, except that a lossy fabric trades the allreduce fan-out for the
-/// single-leader hierarchy's fewer inter-node messages.  Scan and exscan
-/// have no multi-object variant and stay MPICH's.
+/// exist.  Scan and exscan have no multi-object variant and stay MPICH's.
 pub const PIP_MCOLL: &[Rule] = &[
     Rule(When::Always, Algorithm::AllgatherMultiObject),
     Rule(When::Always, Algorithm::ScatterMultiObject),
     Rule(When::Always, Algorithm::BcastMultiObject),
     Rule(When::Always, Algorithm::GatherMultiObject),
-    Rule(When::Lossy, Algorithm::AllreduceHierarchical),
     Rule(When::Always, Algorithm::AllreduceMultiObject),
     Rule(When::Always, Algorithm::ReduceMultiObject),
     Rule(When::Always, Algorithm::ReduceScatterMultiObject),
@@ -304,25 +263,16 @@ impl Selection {
     }
 
     /// The algorithm for a `kind` collective with a per-rank block of
-    /// `block` bytes (an allreduce's packed vector) on `world` ranks over a
-    /// fabric in condition `fabric`.
+    /// `block` bytes (an allreduce's packed vector) on `world` ranks.
     ///
     /// # Panics
     ///
     /// If the list has no row of `kind` that holds — every stock list ends
     /// each kind with a [`When::Always`] row.
-    pub fn algorithm(
-        &self,
-        kind: CollectiveKind,
-        block: usize,
-        world: usize,
-        fabric: FabricCondition,
-    ) -> Algorithm {
+    pub fn algorithm(&self, kind: CollectiveKind, block: usize, world: usize) -> Algorithm {
         self.rules
             .iter()
-            .find(|Rule(when, algorithm)| {
-                algorithm.kind() == kind && when.holds(block, world, fabric)
-            })
+            .find(|Rule(when, algorithm)| algorithm.kind() == kind && when.holds(block, world))
             .map(|Rule(_, algorithm)| *algorithm)
             .unwrap_or_else(|| panic!("the rule list selects no {kind:?} algorithm"))
     }
@@ -332,12 +282,11 @@ impl Selection {
 mod tests {
     use super::*;
     use CollectiveKind as Kind;
-    use FabricCondition::{Healthy, Lossy};
 
     const COMPARATORS: [&[Rule]; 4] = [OPEN_MPI, INTEL_MPI, MVAPICH2, PIP_MPICH];
 
     fn pick(rules: &'static [Rule], kind: Kind, block: usize, world: usize) -> Algorithm {
-        Selection::new(rules).algorithm(kind, block, world, Healthy)
+        Selection::new(rules).algorithm(kind, block, world)
     }
 
     #[test]
@@ -463,8 +412,7 @@ mod tests {
     }
 
     /// No variant is dead: some library chooses each, for a block below or
-    /// at [`LARGE_MESSAGE_THRESHOLD`], a power-of-two or other world and
-    /// either fabric condition.  One list of names makes both the array and
+    /// at [`LARGE_MESSAGE_THRESHOLD`] and a power-of-two or other world.  One list of names makes both the array and
     /// an exhaustive match, so a new variant must be listed to compile.
     #[test]
     fn every_algorithm_is_selected_by_some_library() {
@@ -512,9 +460,7 @@ mod tests {
             for kind in Kind::ALL {
                 for block in [64, LARGE_MESSAGE_THRESHOLD] {
                     for world in [16, 18] {
-                        for fabric in [Healthy, Lossy] {
-                            chosen.insert(selection.algorithm(kind, block, world, fabric));
-                        }
+                        chosen.insert(selection.algorithm(kind, block, world));
                     }
                 }
             }
@@ -537,10 +483,8 @@ mod tests {
             for kind in Kind::ALL {
                 for block in [0, 64, LARGE_MESSAGE_THRESHOLD - 1, LARGE_MESSAGE_THRESHOLD] {
                     for world in [1, 6, 16, 2304] {
-                        for fabric in [Healthy, Lossy] {
-                            let algorithm = selection.algorithm(kind, block, world, fabric);
-                            assert_eq!(algorithm.kind(), kind, "{name} {block} B on {world}");
-                        }
+                        let algorithm = selection.algorithm(kind, block, world);
+                        assert_eq!(algorithm.kind(), kind, "{name} {block} B on {world}");
                     }
                 }
             }

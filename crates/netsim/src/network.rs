@@ -29,8 +29,7 @@ pub struct SimulationReport {
     pub retransmitted_bytes: usize,
     /// Total bytes-on-wire: every internode payload byte including
     /// retransmissions (`internode_bytes + retransmitted_bytes`).  The axis
-    /// the compression figures report, and the quantity the lossy-fabric
-    /// selection dimension minimizes.
+    /// the compression figures report.
     pub wire_bytes: usize,
     /// Largest per-node NIC occupancy, as a fraction of the makespan
     /// (how close the busiest adapter came to saturation).

@@ -42,11 +42,6 @@ impl Topology {
         Ok(Self { nodes, ppn })
     }
 
-    /// A single-node topology (pure intra-node runs).
-    pub fn single_node(ppn: usize) -> Self {
-        Self::new(1, ppn)
-    }
-
     /// Number of nodes in the cluster.
     #[inline]
     pub fn nodes(&self) -> usize {

@@ -56,11 +56,6 @@ impl IntranodeMechanism {
             _ => 1,
         }
     }
-
-    /// Whether every transfer costs at least one system call.
-    pub fn syscall_per_transfer(&self) -> bool {
-        matches!(self, IntranodeMechanism::Cma)
-    }
 }
 
 /// What a functional copy engine actually did for one transfer.
@@ -71,10 +66,6 @@ pub struct CopyStats {
     pub bytes_moved: usize,
     /// Number of distinct copy passes over the payload.
     pub copies: usize,
-    /// System calls performed (CMA reads, XPMEM attach, …).
-    pub syscalls: usize,
-    /// Page faults taken (XPMEM first touch).
-    pub page_faults: usize,
     /// Bytes staged through an intermediate buffer (POSIX-SHMEM segment).
     pub staged_bytes: usize,
 }
@@ -84,8 +75,6 @@ impl CopyStats {
     pub fn merge(&mut self, other: &CopyStats) {
         self.bytes_moved += other.bytes_moved;
         self.copies += other.copies;
-        self.syscalls += other.syscalls;
-        self.page_faults += other.page_faults;
         self.staged_bytes += other.staged_bytes;
     }
 }
@@ -240,10 +229,6 @@ mod tests {
         for mechanism in IntranodeMechanism::ALL {
             let cost = IntranodeCost::defaults_for(mechanism);
             assert_eq!(cost.copies, mechanism.copies_per_transfer());
-            assert_eq!(
-                cost.syscalls_per_transfer > 0,
-                mechanism.syscall_per_transfer()
-            );
         }
     }
 
@@ -252,22 +237,16 @@ mod tests {
         let mut a = CopyStats {
             bytes_moved: 10,
             copies: 1,
-            syscalls: 1,
-            page_faults: 0,
             staged_bytes: 0,
         };
         let b = CopyStats {
             bytes_moved: 20,
             copies: 2,
-            syscalls: 0,
-            page_faults: 3,
             staged_bytes: 20,
         };
         a.merge(&b);
         assert_eq!(a.bytes_moved, 30);
         assert_eq!(a.copies, 3);
-        assert_eq!(a.syscalls, 1);
-        assert_eq!(a.page_faults, 3);
         assert_eq!(a.staged_bytes, 20);
     }
 

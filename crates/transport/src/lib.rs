@@ -1,15 +1,16 @@
 //! # pip-transport
 //!
 //! The data-movement substrates that PiP-MColl and its comparators are built
-//! on, reproduced as two complementary artefacts per mechanism:
+//! on.  Each mechanism is a **cost model** ([`IntranodeCost`]) that charges
+//! the latency the mechanism would incur on the paper's testbed: system
+//! calls for CMA, attach + page-fault costs for XPMEM, the double copy of
+//! POSIX shared memory, and the plain load/store copy of PiP.  The
+//! simulator prices every intra-node transfer with it.
 //!
-//! 1. a **functional copy engine** that performs the same number of copies
-//!    through the same kind of staging the real mechanism performs (so the
-//!    correctness runtime exercises honest data paths), and
-//! 2. a **cost model** that charges the latency the mechanism would incur on
-//!    the paper's testbed: system calls for CMA, attach + page-fault costs
-//!    for XPMEM, the double copy of POSIX shared memory, and the plain
-//!    load/store copy of PiP.
+//! Beside the models, one **functional copy engine** per data path moves
+//! real bytes the way the mechanism does: a single copy for PiP, CMA and
+//! XPMEM ([`pip::SingleCopyEngine`]), and a double copy through a bounded
+//! segment for POSIX-SHMEM ([`posix_shmem::PosixShmemEngine`]).
 //!
 //! The crate also hosts the [`netcard`] model — a LogGP-style description of
 //! the Omni-Path adapter with separate *per-process* and *per-NIC* message
@@ -21,13 +22,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cma;
 pub mod cost;
 pub mod memcpy;
 pub mod netcard;
 pub mod pip;
 pub mod posix_shmem;
-pub mod xpmem;
 
 pub use cost::{CopyStats, IntranodeCost, IntranodeMechanism, Nanos};
 pub use netcard::{NicModel, NicParams};
@@ -35,31 +34,25 @@ pub use netcard::{NicModel, NicParams};
 /// A functional intra-node copy engine.
 ///
 /// Engines move real bytes between buffers exactly the way the mechanism
-/// they model would (single copy, double copy through a bounded segment, …)
+/// they model would (single copy, double copy through a bounded segment)
 /// and report what they did in a [`CopyStats`], which the tests use to check
-/// that each mechanism performs the copy count and system-call count the
-/// paper attributes to it.
+/// that each mechanism performs the copy count its cost model charges.
 pub trait CopyEngine {
     /// The mechanism this engine implements.
     fn mechanism(&self) -> IntranodeMechanism;
 
     /// Copy `src` into `dst` (same length) and report the work performed.
     fn copy(&mut self, src: &[u8], dst: &mut [u8]) -> CopyStats;
-
-    /// The cost model matching this engine's mechanism with default
-    /// calibration.
-    fn cost_model(&self) -> IntranodeCost {
-        IntranodeCost::defaults_for(self.mechanism())
-    }
 }
 
-/// Build the default copy engine for a mechanism.
+/// Build the default copy engine for a mechanism: POSIX-SHMEM stages
+/// through a segment, every other mechanism moves the payload once.
 pub fn engine_for(mechanism: IntranodeMechanism) -> Box<dyn CopyEngine + Send> {
     match mechanism {
-        IntranodeMechanism::Pip => Box::new(pip::PipCopyEngine::new()),
         IntranodeMechanism::PosixShmem => Box::new(posix_shmem::PosixShmemEngine::default()),
-        IntranodeMechanism::Cma => Box::new(cma::CmaEngine::new()),
-        IntranodeMechanism::Xpmem => Box::new(xpmem::XpmemEngine::new()),
+        IntranodeMechanism::Pip | IntranodeMechanism::Cma | IntranodeMechanism::Xpmem => {
+            Box::new(pip::SingleCopyEngine::new(mechanism))
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! A small memory-system model shared by the copy engines and the simulator:
+//! A small memory-system model the simulator prices local work with:
 //! piecewise copy bandwidth (cache-resident vs. DRAM-resident payloads) and
 //! the cost of applying a reduction operator while streaming.
 
@@ -51,32 +51,6 @@ impl MemcpyModel {
     }
 }
 
-/// Copy `src` into `dst` through chunks of at most `chunk` bytes, invoking
-/// `per_chunk` before each chunk copy.  Returns the number of chunks.
-///
-/// The POSIX-SHMEM and CMA engines use this helper to reproduce the chunked
-/// data paths of the real mechanisms (bounded shared segments, bounded iovec
-/// batches).
-pub fn copy_chunked(
-    src: &[u8],
-    dst: &mut [u8],
-    chunk: usize,
-    mut per_chunk: impl FnMut(usize),
-) -> usize {
-    assert_eq!(src.len(), dst.len(), "copy_chunked requires equal lengths");
-    assert!(chunk > 0, "chunk size must be positive");
-    let mut chunks = 0;
-    let mut offset = 0;
-    while offset < src.len() {
-        let len = chunk.min(src.len() - offset);
-        per_chunk(len);
-        dst[offset..offset + len].copy_from_slice(&src[offset..offset + len]);
-        offset += len;
-        chunks += 1;
-    }
-    chunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,41 +79,7 @@ mod tests {
         assert!(model.reduce_cost(1 << 16) > model.copy_cost(1 << 16));
     }
 
-    #[test]
-    fn copy_chunked_copies_everything() {
-        let src: Vec<u8> = (0..100u8).collect();
-        let mut dst = vec![0u8; 100];
-        let mut seen = Vec::new();
-        let chunks = copy_chunked(&src, &mut dst, 32, |len| seen.push(len));
-        assert_eq!(dst, src);
-        assert_eq!(chunks, 4);
-        assert_eq!(seen, vec![32, 32, 32, 4]);
-    }
-
-    #[test]
-    fn copy_chunked_handles_exact_multiple() {
-        let src = vec![7u8; 64];
-        let mut dst = vec![0u8; 64];
-        let chunks = copy_chunked(&src, &mut dst, 16, |_| {});
-        assert_eq!(chunks, 4);
-        assert_eq!(dst, src);
-    }
-
-    #[test]
-    fn copy_chunked_empty_is_zero_chunks() {
-        let chunks = copy_chunked(&[], &mut [], 16, |_| panic!("no chunks expected"));
-        assert_eq!(chunks, 0);
-    }
-
     proptest! {
-        #[test]
-        fn prop_chunked_copy_is_lossless(payload in proptest::collection::vec(any::<u8>(), 0..2048), chunk in 1usize..512) {
-            let mut dst = vec![0u8; payload.len()];
-            let chunks = copy_chunked(&payload, &mut dst, chunk, |_| {});
-            prop_assert_eq!(&dst, &payload);
-            prop_assert_eq!(chunks, payload.len().div_ceil(chunk));
-        }
-
         #[test]
         fn prop_copy_cost_monotone(a in 0usize..(1 << 26), b in 0usize..(1 << 26)) {
             let model = MemcpyModel::default();

@@ -1,16 +1,10 @@
 //! The plan caches key on what a recording reads of a library — the
 //! algorithm it selects for the shape — not on the library.  That is only
-//! sound if the key is the plan's full functional determinant: two cells with equal [`PlanKey`]s must compile
-//! to equal plans, whichever libraries and fabric conditions they came
-//! from.  The sweep below compiles every cell without a cache and checks
-//! that, then checks that [`ClusterPlanCache`] shares a plan between two
-//! cells exactly when their keys are equal.
-//!
-//! Self-consistency cannot see a key that is sound but selects the wrong
-//! algorithm, so the fabric dimension is also checked against the rule
-//! list directly: a lossy profile's allreduce plan differs from the healthy
-//! one exactly when the list's own `Lossy` allreduce row names another
-//! algorithm than the healthy selection.
+//! sound if the key is the plan's full functional determinant: two cells
+//! with equal [`PlanKey`]s must compile to equal plans, whichever libraries
+//! they came from.  The sweep below compiles every cell without a cache and
+//! checks that, then checks that [`ClusterPlanCache`] shares a plan between
+//! two cells exactly when their keys are equal.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,10 +13,8 @@ use pip_mcoll::collectives::datatype::{DtypeId, ReduceIdent, ReduceOp};
 use pip_mcoll::collectives::plan::{Fidelity, Plan};
 use pip_mcoll::collectives::CollectiveKind;
 use pip_mcoll::model::plan::compile_cluster;
-use pip_mcoll::model::selection::{Rule, When};
 use pip_mcoll::model::{
-    ClusterPlanCache, CollectiveShape, CompressSpec, FabricCondition, Library, LibraryProfile,
-    PlanKey,
+    ClusterPlanCache, CollectiveShape, CompressSpec, Library, LibraryProfile, PlanKey,
 };
 use pip_mcoll::runtime::Topology;
 
@@ -32,8 +24,6 @@ const TOPOLOGIES: [(usize, usize); 2] = [(4, 4), (3, 3)];
 
 /// Both sides of the 32 KiB large-message switch.
 const BLOCKS: [usize; 2] = [64, 40_960];
-
-const FABRICS: [FabricCondition; 2] = [FabricCondition::Healthy, FabricCondition::Lossy];
 
 const F32_SUM: ReduceIdent = ReduceIdent::Builtin {
     dtype: DtypeId::F32,
@@ -95,16 +85,14 @@ fn equal_keys_mean_equal_plans_and_the_cache_shares_exactly_those() {
         let mut cache = ClusterPlanCache::new();
         let mut cells: Vec<Cell> = Vec::new();
         for library in Library::ALL {
-            for fabric in FABRICS {
-                let profile = library.profile().for_fabric(fabric);
-                for shape in shapes(&profile) {
-                    cells.push(Cell {
-                        label: format!("{} {fabric:?} {shape:?} on {nodes}x{ppn}", library.name()),
-                        key: PlanKey::new(&profile, topology, shape),
-                        plan: compile_cluster(&profile, topology, &shape, Fidelity::Schedule),
-                        cached: cache.lookup_or_compile(&profile, topology, &shape),
-                    });
-                }
+            let profile = library.profile();
+            for shape in shapes(&profile) {
+                cells.push(Cell {
+                    label: format!("{} {shape:?} on {nodes}x{ppn}", library.name()),
+                    key: PlanKey::new(&profile, topology, shape),
+                    plan: compile_cluster(&profile, topology, &shape, Fidelity::Schedule),
+                    cached: cache.lookup_or_compile(&profile, topology, &shape),
+                });
             }
         }
 
@@ -135,41 +123,6 @@ fn equal_keys_mean_equal_plans_and_the_cache_shares_exactly_those() {
                     "{} vs {}: the cache must share a plan exactly when the keys are equal",
                     a.label,
                     b.label
-                );
-            }
-        }
-
-        // The fabric condition reaches the plan through the allreduce
-        // selection and nowhere else.
-        for library in Library::ALL {
-            let profile = library.profile();
-            let lossy_row = profile
-                .selection
-                .rules
-                .iter()
-                .find_map(|&Rule(when, algorithm)| {
-                    (when == When::Lossy && algorithm.kind() == CollectiveKind::Allreduce)
-                        .then_some(algorithm)
-                })
-                .expect("every list has a Lossy allreduce row");
-            for block in BLOCKS {
-                let shape = CollectiveShape::reduction(
-                    CollectiveKind::Allreduce,
-                    block,
-                    0,
-                    4,
-                    Some(F32_SUM),
-                );
-                let [healthy, lossy] = FABRICS.map(|fabric| {
-                    let profile = library.profile().for_fabric(fabric);
-                    compile_cluster(&profile, topology, &shape, Fidelity::Schedule)
-                });
-                assert_eq!(
-                    healthy == lossy,
-                    lossy_row == profile.algorithm_for(&shape, topology.world_size()),
-                    "{} allreduce {block} B on {nodes}x{ppn}: a lossy fabric must select \
-                     the list's Lossy row",
-                    library.name()
                 );
             }
         }
