@@ -5,26 +5,29 @@
 //!
 //! - **scalar** — `ReduceOp::apply_bytes_scalar`, the per-element
 //!   decode/combine/encode reference loop;
-//! - **chunked** — `ReduceOp::apply_bytes`, the production kernel that
-//!   reduces `LANES`-element groups as typed slices (auto-vectorizable,
-//!   with an explicitly unrolled f32/f64 Sum path).
+//! - **kernel** — `ReduceOp::apply_bytes`, the production kernel: the
+//!   operator matched once per call, then one monomorphized per-element
+//!   loop (a branch-free one for the float Max/Min), which LLVM
+//!   auto-vectorizes.
 //!
 //! A second table times the conversions between typed slices and their
 //! wire bytes — `to_bytes`, `from_bytes` and `read_into` — for f32, f64
 //! and i32 on warm buffers.
 //!
 //! Three headline assertions.  Two are relative to `to_bytes::<f32>` at the
-//! same size on the same host: the chunked f32 Sum kernel must run at least
+//! same size on the same host: the f32 Sum kernel must run at least
 //! 0.5x its rate at 64 KiB and above, and `from_bytes::<f32>` and
 //! `read_into::<f32>` at least 0.5x at 64 KiB.  The first fails when the
 //! kernel stops vectorising, the second when `Datatype::read_le` loses its
 //! `#[inline]`: every decoded element then pays an out-of-line call
 //! (measured ≈ 0.1x).  The per-element scalar path is no reference for Sum:
-//! with the hint it vectorises too.  It is the reference for the float
-//! Max/Min folds, whose NaN and signed-zero rules are easy to write in a
-//! shape that does not vectorise: the third assertion wants every chunked
-//! f32/f64 Max/Min at least 0.8x the scalar path at 64 KiB and above
-//! (branchy lanes measured 0.5-0.9x, the branch-free folds 1.5-3x).
+//! with the hint it vectorises too, and for Sum, Prod and the integer ops it
+//! compiles to the kernel's own loop, so their speedup column reads ≈ 1x.
+//! It is the reference for the float Max/Min folds, whose NaN and
+//! signed-zero rules are easy to write in a shape that does not vectorise:
+//! the third assertion wants every f32/f64 Max/Min kernel at least 0.8x the
+//! scalar path at 64 KiB and above (branchy lanes measured 0.5-0.9x, the
+//! branch-free folds 1.5-3x).
 //!
 //! ```text
 //! cargo run --release -p pip-mcoll-bench --bin bench_reduce_kernels
@@ -55,7 +58,7 @@ struct KernelPoint {
     op: ReduceOp,
     bytes: usize,
     scalar_gbs: f64,
-    chunked_gbs: f64,
+    kernel_gbs: f64,
     speedup: f64,
 }
 
@@ -140,19 +143,19 @@ fn bench_cell<T: BenchValue>(op: ReduceOp, bytes: usize) -> KernelPoint {
     }
 
     let scalar_gbs = median_gbs(|a, b| op.apply_bytes_scalar::<T>(a, b), &acc, &other, iters);
-    let chunked_gbs = median_gbs(|a, b| op.apply_bytes::<T>(a, b), &acc, &other, iters);
+    let kernel_gbs = median_gbs(|a, b| op.apply_bytes::<T>(a, b), &acc, &other, iters);
 
     // Sanity: the two paths must produce identical bytes (the differential
     // tests pin this exhaustively; here it guards the benchmark itself
     // against measuring two different computations).
     let mut via_scalar = acc.clone();
-    let mut via_chunked = acc;
+    let mut via_kernel = acc;
     op.apply_bytes_scalar::<T>(&mut via_scalar, &other);
-    op.apply_bytes::<T>(&mut via_chunked, &other);
+    op.apply_bytes::<T>(&mut via_kernel, &other);
     assert_eq!(
         via_scalar,
-        via_chunked,
-        "{} {} {} B: scalar and chunked kernels disagree",
+        via_kernel,
+        "{} {} {} B: scalar path and kernel disagree",
         T::NAME,
         op.name(),
         bytes
@@ -163,8 +166,8 @@ fn bench_cell<T: BenchValue>(op: ReduceOp, bytes: usize) -> KernelPoint {
         op,
         bytes,
         scalar_gbs,
-        chunked_gbs,
-        speedup: chunked_gbs / scalar_gbs,
+        kernel_gbs,
+        speedup: kernel_gbs / scalar_gbs,
     }
 }
 
@@ -178,7 +181,7 @@ fn bench_type<T: BenchValue>(grid: &mut Vec<KernelPoint>) {
                 point.op.name(),
                 point.bytes,
                 point.scalar_gbs,
-                point.chunked_gbs,
+                point.kernel_gbs,
                 point.speedup
             );
             grid.push(point);
@@ -260,13 +263,13 @@ fn conversion_type<T: BenchValue>(grid: &mut Vec<ConversionPoint>) {
 }
 
 fn main() {
-    println!("=== BENCH-REDUCE-KERNELS: chunked typed reduction vs per-element scalar ===\n");
+    println!("=== BENCH-REDUCE-KERNELS: typed reduction kernel vs per-element scalar ===\n");
     println!(
         "{} samples per cell, ~{} MiB per sample, median reported.\n",
         SAMPLES,
         WORK_BYTES / (1024 * 1024)
     );
-    println!("| Type | Op | Bytes | Scalar GB/s | Chunked GB/s | Speedup |");
+    println!("| Type | Op | Bytes | Scalar GB/s | Kernel GB/s | Speedup |");
     println!("|---|---|---|---|---|---|");
 
     let mut grid: Vec<KernelPoint> = Vec::new();
@@ -284,24 +287,24 @@ fn main() {
 
     // Headlines, each against `to_bytes` of the same type and size on the
     // same host, a vectorised streaming encode.  The per-element scalar
-    // path is no reference for the chunked kernel: with `read_le` inlined
-    // it vectorises too (f32 Sum ≈ 0.8–1.0x the chunked kernel).
+    // path is no reference for the Sum kernel: with `read_le` inlined it
+    // vectorises too (f32 Sum ≈ 1x the kernel).
     let f32_at = |bytes: usize| {
         conversions
             .iter()
             .find(|p| p.dtype == "f32" && p.bytes == bytes)
             .expect("f32 conversions are measured at every conversion size")
     };
-    // The chunked f32 Sum kernel stays vectorised at 64 KiB and above.
+    // The f32 Sum kernel stays vectorised at 64 KiB and above.
     let kernel = grid
         .iter()
         .filter(|p| p.dtype == "f32" && p.op == ReduceOp::Sum && p.bytes >= 64 * 1024)
-        .map(|p| p.chunked_gbs / f32_at(p.bytes).to_bytes_gbs)
+        .map(|p| p.kernel_gbs / f32_at(p.bytes).to_bytes_gbs)
         .fold(f64::INFINITY, f64::min);
-    println!("\nHeadline: chunked f32 Sum runs at >= {kernel:.2}x to_bytes::<f32> at 64 KiB+.");
+    println!("\nHeadline: the f32 Sum kernel runs at >= {kernel:.2}x to_bytes::<f32> at 64 KiB+.");
     assert!(
         kernel >= 0.5,
-        "chunked f32 Sum kernel fell below 0.5x to_bytes::<f32> ({kernel:.2}x)"
+        "the f32 Sum kernel fell below 0.5x to_bytes::<f32> ({kernel:.2}x)"
     );
     // The float Max/Min folds keep up with the per-element reference: their
     // NaN and signed-zero handling must not cost them vectorization
@@ -316,11 +319,11 @@ fn main() {
         .map(|p| p.speedup)
         .fold(f64::INFINITY, f64::min);
     println!(
-        "Headline: chunked float Max/Min run at >= {extremum:.2}x the scalar path at 64 KiB+."
+        "Headline: the float Max/Min kernels run at >= {extremum:.2}x the scalar path at 64 KiB+."
     );
     assert!(
         extremum >= 0.8,
-        "a chunked float Max/Min kernel fell below 0.8x the scalar path ({extremum:.2}x)"
+        "a float Max/Min kernel fell below 0.8x the scalar path ({extremum:.2}x)"
     );
     // Decoding is as fast as encoding: an out-of-line `read_le` costs one
     // call per element, about 0.1x.

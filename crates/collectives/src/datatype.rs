@@ -31,19 +31,18 @@
 //!
 //! ## Kernel performance
 //!
-//! [`ReduceOp::apply_bytes`] no longer round-trips every element through
-//! `read_le`/`write_le` with a per-element operator dispatch. The operator
-//! match is hoisted out of the loop (one monomorphized fold per `(type,
-//! op)`), and each fold walks the buffers in [`LANES`]-element groups that
-//! decode, combine and re-encode as straight-line code — a shape LLVM
-//! auto-vectorizes — with an explicitly unrolled path for the `f32`/`f64`
-//! Sum kernels that dominate gradient workloads. The historical per-element
-//! path survives as [`ReduceOp::apply_bytes_scalar`], the reference of the
-//! differential tests; since `read_le` is `#[inline]` it vectorizes too
-//! where the operator allows (f32 Sum within ≈ 20 % of the chunked fold).
-//! The float Max/Min folds are a plain loop of branch-free selections
-//! instead, a shape that vectorizes where the NaN and signed-zero branches
-//! of the per-element operator do not (1.5–3x the reference).
+//! [`ReduceOp::apply_bytes`] hoists the operator match out of the loop: each
+//! `(type, op)` gets one monomorphized per-element fold, which LLVM
+//! auto-vectorizes because `read_le`/`write_le` and the `op_*` impls are
+//! `#[inline]`. Hand-shaped variants (eight-element groups, an unrolled
+//! float Sum) measured no faster for f32 Sum, nor at 64 KiB and above
+//! except for u64 Prod (≈ 1.3x); their other gains (1.15–1.5x) were on
+//! cache-resident 4 KiB buffers of other types. The per-element
+//! path with the operator matched per element survives as
+//! [`ReduceOp::apply_bytes_scalar`], the reference of the differential
+//! tests. Only the float Max/Min folds have a shape of their own, a loop of
+//! branch-free selections that vectorizes where the NaN and signed-zero
+//! branches of the per-element operator do not (1.5–3x the reference).
 //!
 //! ## Float semantics
 //!
@@ -63,12 +62,6 @@ use crate::comm::ReduceFn;
 mod elem_buf;
 
 pub use elem_buf::{as_bytes, as_bytes_mut, ElemBuf};
-
-/// Elements per group in the chunked reduction kernels.
-///
-/// Eight elements is wide enough to fill a 256-bit vector with `f32` and to
-/// give the compiler independent lanes to schedule for the 8-byte types.
-pub const LANES: usize = 8;
 
 /// Wire identity of a [`Datatype`] implementation.
 ///
@@ -149,8 +142,8 @@ impl DtypeId {
 /// # Performance
 ///
 /// Every `read_le`, `write_le` and `op_*` impl is `#[inline]`.
-/// [`to_bytes`], [`from_bytes`], [`read_into`], the [`Op::of_typed`] fold
-/// and the default chunked folds are generic, so they are instantiated in
+/// [`to_bytes`], [`from_bytes`], [`read_into`] and the reduction folds
+/// ([`Op::of_typed`]'s included) are generic, so they are instantiated in
 /// the calling crate, where a non-`#[inline]` impl is one out-of-line call
 /// per element and nothing vectorizes: warm 64 KiB `f32` decoding measured
 /// 1.6–2.1 GB/s without the hint against 20–29 GB/s with it, a typed user
@@ -192,56 +185,30 @@ pub trait Datatype:
     /// `min(a, b)` for the MIN operator (NaN-propagating for floats).
     fn op_min(a: Self, b: Self) -> Self;
 
-    /// Chunked `acc[i] += other[i]` over serialized buffers.
-    ///
-    /// The default walks [`LANES`]-element groups with the operator fixed at
-    /// monomorphization time; the float impls override it with an explicitly
-    /// unrolled version. Callers go through [`ReduceOp::apply_bytes`], which
-    /// validates lengths first.
-    fn fold_sum(acc: &mut [u8], other: &[u8]) {
-        fold_chunked(Self::op_sum, acc, other);
-    }
-
-    /// Chunked `acc[i] *= other[i]` over serialized buffers.
-    fn fold_prod(acc: &mut [u8], other: &[u8]) {
-        fold_chunked(Self::op_prod, acc, other);
-    }
-
-    /// Chunked `acc[i] = max(acc[i], other[i])` over serialized buffers.
+    /// `acc[i] = max(acc[i], other[i])` over serialized buffers; the float
+    /// impls override it with a branch-free loop. Callers go through
+    /// [`ReduceOp::apply_bytes`], which validates lengths first.
     fn fold_max(acc: &mut [u8], other: &[u8]) {
-        fold_chunked(Self::op_max, acc, other);
+        fold(Self::op_max, acc, other);
     }
 
-    /// Chunked `acc[i] = min(acc[i], other[i])` over serialized buffers.
+    /// `acc[i] = min(acc[i], other[i])` over serialized buffers.
     fn fold_min(acc: &mut [u8], other: &[u8]) {
-        fold_chunked(Self::op_min, acc, other);
+        fold(Self::op_min, acc, other);
     }
 }
 
-/// Shared loop shape of the chunked kernels: decode a [`LANES`]-element
-/// group from each side, combine lane-wise, re-encode, then finish the tail
-/// element by element. `combine` is a concrete `fn`/closure per `(type,
-/// op)`, so the whole body monomorphizes without per-element dispatch.
-fn fold_chunked<T: Datatype>(combine: impl Fn(T, T) -> T + Copy, acc: &mut [u8], other: &[u8]) {
-    let stride = T::SIZE * LANES;
-    let mut acc_runs = acc.chunks_exact_mut(stride);
-    let mut other_runs = other.chunks_exact(stride);
-    for (acc_run, other_run) in acc_runs.by_ref().zip(other_runs.by_ref()) {
-        let a: [T; LANES] =
-            std::array::from_fn(|l| T::read_le(&acc_run[l * T::SIZE..(l + 1) * T::SIZE]));
-        let b: [T; LANES] =
-            std::array::from_fn(|l| T::read_le(&other_run[l * T::SIZE..(l + 1) * T::SIZE]));
-        for l in 0..LANES {
-            combine(a[l], b[l]).write_le(&mut acc_run[l * T::SIZE..(l + 1) * T::SIZE]);
-        }
-    }
-    let acc_tail = acc_runs.into_remainder();
-    let other_tail = other_runs.remainder();
-    for (acc_el, other_el) in acc_tail
+/// The reduction kernels' loop: `acc[i] = combine(acc[i], other[i])` over
+/// serialized buffers, one element at a time. `combine` is a concrete
+/// `fn`/closure per `(type, op)`, so the loop monomorphizes without
+/// per-element dispatch, and with `read_le`/`write_le` inlined LLVM
+/// vectorizes it.
+fn fold<T: Datatype>(combine: impl Fn(T, T) -> T, acc: &mut [u8], other: &[u8]) {
+    for (a, b) in acc
         .chunks_exact_mut(T::SIZE)
-        .zip(other_tail.chunks_exact(T::SIZE))
+        .zip(other.chunks_exact(T::SIZE))
     {
-        combine(T::read_le(acc_el), T::read_le(other_el)).write_le(acc_el);
+        combine(T::read_le(a), T::read_le(b)).write_le(a);
     }
 }
 
@@ -414,44 +381,6 @@ macro_rules! impl_datatype_float {
                     (if x < y { x } else { y }).to_bits() | (if y < x { y } else { x }).to_bits()
                 })
             }
-
-            // Explicitly unrolled Sum: the dominant kernel of gradient
-            // workloads gets straight-line lane adds instead of trusting the
-            // optimizer to unroll the generic loop.
-            fn fold_sum(acc: &mut [u8], other: &[u8]) {
-                const S: usize = std::mem::size_of::<$ty>();
-                let stride = S * LANES;
-                let mut acc_runs = acc.chunks_exact_mut(stride);
-                let mut other_runs = other.chunks_exact(stride);
-                for (acc_run, other_run) in acc_runs.by_ref().zip(other_runs.by_ref()) {
-                    let a: [$ty; LANES] =
-                        std::array::from_fn(|l| <$ty>::read_le(&acc_run[l * S..(l + 1) * S]));
-                    let b: [$ty; LANES] =
-                        std::array::from_fn(|l| <$ty>::read_le(&other_run[l * S..(l + 1) * S]));
-                    let r = [
-                        a[0] + b[0],
-                        a[1] + b[1],
-                        a[2] + b[2],
-                        a[3] + b[3],
-                        a[4] + b[4],
-                        a[5] + b[5],
-                        a[6] + b[6],
-                        a[7] + b[7],
-                    ];
-                    for l in 0..LANES {
-                        acc_run[l * S..(l + 1) * S].copy_from_slice(&r[l].to_le_bytes());
-                    }
-                }
-                let acc_tail = acc_runs.into_remainder();
-                let other_tail = other_runs.remainder();
-                for (acc_el, other_el) in acc_tail
-                    .chunks_exact_mut(S)
-                    .zip(other_tail.chunks_exact(S))
-                {
-                    let r = <$ty>::read_le(acc_el) + <$ty>::read_le(other_el);
-                    acc_el.copy_from_slice(&r.to_le_bytes());
-                }
-            }
         }
     )*};
 }
@@ -509,8 +438,9 @@ impl ReduceOp {
     /// Element-wise combine over serialized buffers (`acc ⊕= other`), the
     /// form the byte-level collective algorithms consume.
     ///
-    /// Dispatches once to the chunked `(type, op)` fold (see the module
-    /// docs); use [`ReduceKernel::of`] to fix the dispatch ahead of time.
+    /// Dispatches once to the monomorphized `(type, op)` fold (see the
+    /// module docs); use [`ReduceKernel::of`] to fix the dispatch ahead of
+    /// time.
     ///
     /// # Panics
     ///
@@ -522,8 +452,8 @@ impl ReduceOp {
     pub fn apply_bytes<T: Datatype>(&self, acc: &mut [u8], other: &[u8]) {
         validate_reduce_buffers::<T>(acc, other);
         match self {
-            ReduceOp::Sum => T::fold_sum(acc, other),
-            ReduceOp::Prod => T::fold_prod(acc, other),
+            ReduceOp::Sum => fold(T::op_sum, acc, other),
+            ReduceOp::Prod => fold(T::op_prod, acc, other),
             ReduceOp::Max => T::fold_max(acc, other),
             ReduceOp::Min => T::fold_min(acc, other),
         }
@@ -664,12 +594,7 @@ impl Op {
     pub fn of_typed<T: Datatype>(combine: impl Fn(T, T) -> T + Send + Sync + 'static) -> Self {
         Op::create(T::SIZE, move |acc, other| {
             validate_reduce_buffers::<T>(acc, other);
-            for (acc_el, other_el) in acc
-                .chunks_exact_mut(T::SIZE)
-                .zip(other.chunks_exact(T::SIZE))
-            {
-                combine(T::read_le(acc_el), T::read_le(other_el)).write_le(acc_el);
-            }
+            fold(&combine, acc, other);
         })
     }
 
@@ -1154,8 +1079,10 @@ mod tests {
         let _ = from_bytes::<i32>(&[0u8; 6]);
     }
 
-    /// Chunked and scalar kernels agree bit-for-bit, across the lane
-    /// boundary (lengths around multiples of LANES) and for every op.
+    /// The production kernels and a typed user operator built from the
+    /// same `combine` agree bit-for-bit with the scalar reference, for every
+    /// op and at lengths around the vector widths (so the vectorized body
+    /// and its scalar tail both run).
     #[test]
     fn chunked_kernels_match_the_scalar_reference() {
         fn check<T: Datatype>(values: impl Fn(usize) -> T) {
@@ -1163,19 +1090,23 @@ mod tests {
                 let a: Vec<T> = (0..count).map(&values).collect();
                 let b: Vec<T> = (0..count).map(|i| values(i + 3)).collect();
                 for op in ReduceOp::ALL {
-                    let mut chunked = to_bytes(&a);
-                    let mut scalar = chunked.clone();
                     let other = to_bytes(&b);
-                    op.apply_bytes::<T>(&mut chunked, &other);
+                    let mut scalar = to_bytes(&a);
                     op.apply_bytes_scalar::<T>(&mut scalar, &other);
-                    assert_eq!(
-                        chunked,
-                        scalar,
-                        "{:?} over {} x {}",
-                        op,
-                        count,
-                        std::any::type_name::<T>()
-                    );
+                    let mut kernel = to_bytes(&a);
+                    op.apply_bytes::<T>(&mut kernel, &other);
+                    let mut user = to_bytes(&a);
+                    Op::of_typed::<T>(move |x, y| op.combine(x, y)).apply(&mut user, &other);
+                    for (route, bytes) in [("apply_bytes", kernel), ("Op::of_typed", user)] {
+                        assert_eq!(
+                            bytes,
+                            scalar,
+                            "{route} {:?} over {} x {}",
+                            op,
+                            count,
+                            std::any::type_name::<T>()
+                        );
+                    }
                 }
             }
         }

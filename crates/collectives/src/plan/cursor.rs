@@ -60,7 +60,7 @@
 //! 2. that `CopyOut` overlaps no other `CopyOut` (the flush applies them in
 //!    program order, after the read landed);
 //! 3. no later op reads the caller's bytes of that range — a `RecvInit`
-//!    segment, or a `SendBuf` segment of an in/out plan;
+//!    segment (an in/out plan's input is one too: it has no `SendBuf`);
 //! 4. the receive buffer is not staged (strided): staging is unpacked at
 //!    the drain.
 //!
@@ -157,9 +157,6 @@ fn direct_offsets(plan: &RankPlan) -> Vec<Option<usize>> {
             match *seg {
                 SrcSeg::Val { id, .. } => uses[id as usize] += 1,
                 SrcSeg::RecvInit { offset, len } => caller_reads.push((offset, offset + len, pc)),
-                SrcSeg::SendBuf { offset, len } if plan.io.inout => {
-                    caller_reads.push((offset, offset + len, pc))
-                }
                 _ => {}
             }
         }
@@ -213,9 +210,8 @@ fn direct_offsets(plan: &RankPlan) -> Vec<Option<usize>> {
 /// collective's result.
 ///
 /// Output writes ([`PlanOp::CopyOut`]) are deferred until the program
-/// finishes so `SendBuf`/`RecvInit` reads always observe the caller's
-/// pre-execution bytes, even for in/out collectives where input and output
-/// are the same buffer.
+/// finishes so `RecvInit` reads always observe the receive buffer's
+/// pre-execution bytes — for in/out collectives, the caller's input.
 #[derive(Debug)]
 pub struct PlanCursor {
     plan: Rc<ExecPlan>,
@@ -269,9 +265,9 @@ impl PlanCursor {
     /// invocation tagged `tag`, drawing every scratch buffer from `arena`.
     ///
     /// For in/out collectives (bcast, allreduce) pass the single caller
-    /// buffer as `recvbuf` and `None` for `sendbuf`: the plan's
-    /// [`crate::plan::ir::IoShape::inout`] flag makes [`SrcSeg::SendBuf`]
-    /// read the receive buffer's pre-output contents.
+    /// buffer as `recvbuf` and `None` for `sendbuf`: the plan reads its
+    /// input as [`SrcSeg::RecvInit`], the receive buffer's pre-output
+    /// contents.
     ///
     /// # Panics
     ///
@@ -296,10 +292,9 @@ impl PlanCursor {
             !plan.io.needs_reduce_op || op.is_some(),
             "plan requires a reduction operator"
         );
-        let expect_send = if plan.io.inout { None } else { plan.io.sendbuf };
         assert_eq!(
             sendbuf.as_deref().map(<[u8]>::len),
-            expect_send,
+            plan.io.sendbuf,
             "send buffer does not match the plan's shape"
         );
         assert_eq!(
@@ -724,28 +719,20 @@ impl PlanCursor {
         self.scope().try_region(owner_local, name)
     }
 
-    /// The bytes of `seg` when it names the caller's buffers — the receive
-    /// buffer's packed staging when strided, the receive buffer for an
-    /// in/out plan's `SendBuf`; `None` for a value slot or a literal.
+    /// The bytes of `seg` when it names the caller's buffers — for
+    /// `RecvInit`, the receive buffer's packed staging when strided; `None`
+    /// for a value slot or a literal.
     fn caller_bytes(&self, seg: &SrcSeg) -> Option<&[u8]> {
-        let recvbuf = || {
-            self.recv_stage
-                .as_deref()
-                .or(self.recvbuf.as_deref())
-                .expect("receive buffer present")
+        let (buf, offset, len) = match *seg {
+            SrcSeg::SendBuf { offset, len } => (self.sendbuf.as_deref(), offset, len),
+            SrcSeg::RecvInit { offset, len } => (
+                self.recv_stage.as_deref().or(self.recvbuf.as_deref()),
+                offset,
+                len,
+            ),
+            _ => return None,
         };
-        match *seg {
-            SrcSeg::SendBuf { offset, len } => {
-                let buf = if self.plan.io.inout {
-                    recvbuf()
-                } else {
-                    self.sendbuf.as_deref().expect("send buffer present")
-                };
-                Some(&buf[offset..offset + len])
-            }
-            SrcSeg::RecvInit { offset, len } => Some(&recvbuf()[offset..offset + len]),
-            _ => None,
-        }
+        Some(&buf.expect("the plan's buffers are present")[offset..offset + len])
     }
 
     /// Resolve a symbolic source against the caller's buffers and the
@@ -876,7 +863,7 @@ mod tests {
         };
         compile(rank, topo, inout, |comm| {
             let mut buf = vec![0u8; 8];
-            comm.fill_sendbuf(&mut buf);
+            comm.fill_recvbuf(&mut buf);
             comm.send(1 - rank, 0, &buf);
             let incoming = comm.recv(1 - rank, 0, 8);
             comm.reducer()(&mut buf, &incoming);
@@ -996,8 +983,8 @@ mod tests {
 
     /// Output writes of value slots are flushed from the slots, writes of
     /// the caller's buffer are copied when their op runs: on an in/out
-    /// buffer, `SendBuf`/`RecvInit` writes that follow a by-reference write
-    /// to the range they read still see the pre-execution bytes, the flush
+    /// buffer, `RecvInit` writes that follow a write to the range they read
+    /// (by reference or copied) still see the pre-execution bytes, the flush
     /// applies both kinds in program order, and a source mixing a value with
     /// the caller's buffer is copied too.
     #[test]
@@ -1024,14 +1011,14 @@ mod tests {
             ops: vec![
                 PlanOp::Reduce {
                     dst: 0,
-                    acc: src(vec![SrcSeg::SendBuf { offset: 0, len: 4 }]),
+                    acc: src(vec![SrcSeg::RecvInit { offset: 0, len: 4 }]),
                     other: src(vec![SrcSeg::Lit(vec![10; 4])]),
                 },
                 copy_out(0, vec![val(0, 4)]),
-                copy_out(4, vec![SrcSeg::SendBuf { offset: 0, len: 4 }]),
-                copy_out(8, vec![SrcSeg::RecvInit { offset: 0, len: 4 }]),
+                copy_out(4, vec![SrcSeg::RecvInit { offset: 0, len: 4 }]),
+                copy_out(8, vec![SrcSeg::RecvInit { offset: 4, len: 4 }]),
                 copy_out(10, vec![val(2, 2)]),
-                copy_out(12, vec![val(0, 2), SrcSeg::SendBuf { offset: 0, len: 2 }]),
+                copy_out(12, vec![val(0, 2), SrcSeg::RecvInit { offset: 0, len: 2 }]),
             ],
         };
         plan.validate().unwrap();
@@ -1055,11 +1042,11 @@ mod tests {
         let (out, stats) = &results[0];
         assert_eq!(
             out,
-            &[11, 12, 13, 14, 1, 2, 3, 4, 1, 2, 13, 14, 11, 12, 1, 2],
+            &[11, 12, 13, 14, 1, 2, 3, 4, 5, 6, 13, 14, 11, 12, 1, 2],
             "value writes from the slots, caller-buffer writes from pre-execution bytes"
         );
-        // The two reduction operands, the SendBuf and RecvInit writes and
-        // the mixed write take a buffer; the two value writes do not.
+        // The two reduction operands, the two RecvInit writes and the mixed
+        // write take a buffer; the two value writes do not.
         assert_eq!(stats.hits + stats.misses, 5, "{stats:?}");
         assert_eq!(stats.released, 5, "{stats:?}");
     }
@@ -1222,12 +1209,12 @@ mod tests {
                 [&REGION[..8], &entry[4..12]].concat(),
             ),
             (
-                "an in/out plan's later SendBuf read is the output's entry bytes",
+                "an in/out plan's later read of its input sees the entry bytes",
                 inout,
                 vec![
                     read(8, 8, 0),
                     copy_out(0, val(0, 0, 8)),
-                    copy_out(8, SrcSeg::SendBuf { offset: 0, len: 8 }),
+                    copy_out(8, SrcSeg::RecvInit { offset: 0, len: 8 }),
                 ],
                 [&REGION[8..], &entry[..8]].concat(),
             ),
@@ -1270,7 +1257,7 @@ mod tests {
         ];
         for (case, io, ops, expected) in cases {
             let plan = hand_plan(io, &REGION, vec![8], ops);
-            let sendbuf = (!io.inout).then(Vec::new);
+            let sendbuf = io.sendbuf.map(|len| vec![0; len]);
             let recvbuf = initial(io.recv_layout.map_or(16, |l| l.extent()));
             let (out, _, direct) = run_hand_plan(&plan, sendbuf, recvbuf);
             assert_eq!(direct, 0, "{case}");

@@ -375,8 +375,9 @@ pub struct IoShape {
     /// buffer, e.g. a non-root gather rank).
     pub recvbuf: Option<usize>,
     /// The send and receive buffer are the *same* caller buffer (bcast,
-    /// allreduce).  The executor then reads [`SrcSeg::SendBuf`] from the
-    /// receive buffer's pre-execution contents.
+    /// allreduce, scan, exscan): the plan has no send buffer and reads its input as
+    /// [`SrcSeg::RecvInit`].  Entry points read the flag to know which
+    /// buffer takes the caller's input.
     pub inout: bool,
     /// The plan contains [`PlanOp::Reduce`] and needs a reduction operator
     /// (set by [`crate::plan::record::assemble`] from the ops).
@@ -517,18 +518,15 @@ impl RankPlan {
                 Err(PlanError::BadName { rank, op })
             }
         };
-        let sendbuf_len = if self.io.inout {
-            self.io.recvbuf
-        } else {
-            self.io.sendbuf
-        };
         for (i, op) in self.ops.iter().enumerate() {
             let check_src = |src: &Src, defined: &[bool]| -> Result<(), PlanError> {
                 for seg in &src.segs {
                     match *seg {
                         SrcSeg::SendBuf { offset, len } => {
-                            let limit =
-                                sendbuf_len.ok_or(PlanError::SrcOutOfBounds { rank, op: i })?;
+                            let limit = self
+                                .io
+                                .sendbuf
+                                .ok_or(PlanError::SrcOutOfBounds { rank, op: i })?;
                             if offset + len > limit {
                                 return Err(PlanError::SrcOutOfBounds { rank, op: i });
                             }
@@ -960,6 +958,30 @@ mod tests {
             plan.validate().unwrap_err(),
             PlanError::SrcOutOfBounds { .. }
         ));
+    }
+
+    /// An in/out plan has no send buffer: its input is `RecvInit`, so a
+    /// `SendBuf` read is out of bounds however long the receive buffer is.
+    #[test]
+    fn validate_rejects_a_sendbuf_read_in_an_in_out_plan() {
+        let topo = Topology::new(1, 2);
+        let mut plan = leaf_plan(0, topo);
+        plan.io = IoShape {
+            recvbuf: Some(8),
+            inout: true,
+            ..IoShape::default()
+        };
+        plan.ops = vec![PlanOp::Send {
+            dest: 1,
+            tag: 0,
+            src: Src {
+                segs: vec![SrcSeg::SendBuf { offset: 0, len: 4 }],
+            },
+        }];
+        assert_eq!(
+            plan.validate().unwrap_err(),
+            PlanError::SrcOutOfBounds { rank: 0, op: 0 }
+        );
     }
 
     #[test]

@@ -699,7 +699,6 @@ pub fn assemble(
             let len = seg.len();
             let identity = match seg {
                 SrcSeg::RecvInit { offset, .. } => offset == cursor,
-                SrcSeg::SendBuf { offset, .. } => io.inout && offset == cursor,
                 _ => false,
             };
             if !identity && len > 0 {
@@ -1215,7 +1214,7 @@ mod tests {
         };
         let plan = compile_exec(0, topo, io, |comm| {
             let mut buf = vec![0u8; 8];
-            comm.fill_sendbuf(&mut buf);
+            comm.fill_recvbuf(&mut buf);
             let other = comm.recv(0, 0, 8);
             let op = comm.reducer();
             op(&mut buf, &other);
@@ -1225,7 +1224,12 @@ mod tests {
         });
         // Recv, Reduce, Send, CopyOut.
         assert_eq!(plan.ops.len(), 4);
-        assert!(matches!(plan.ops[1], PlanOp::Reduce { dst: 1, .. }));
+        // The in/out buffer's input is the receive buffer's entry bytes.
+        assert!(matches!(
+            &plan.ops[1],
+            PlanOp::Reduce { dst: 1, acc, .. }
+                if acc.segs == vec![SrcSeg::RecvInit { offset: 0, len: 8 }]
+        ));
         assert!(matches!(
             &plan.ops[2],
             PlanOp::Send { src, .. }

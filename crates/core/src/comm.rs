@@ -943,11 +943,6 @@ impl<O> PersistentColl<'_, O> {
         self.comm.progress();
     }
 
-    /// Whether an execution is in flight (started but not waited).
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// Poll the in-flight execution; `true` once it can be waited without
     /// blocking.
     pub fn test(&mut self) -> bool {

@@ -8,11 +8,11 @@
 //!
 //! See the source module for the wire-format stability rules (the wire
 //! bytes are the host bytes, so only little-endian hosts are supported),
-//! the NaN-propagating float semantics and the chunked kernel design.
+//! the NaN-propagating float semantics and the reduction kernels' loop.
 
 pub use pip_collectives::datatype::{
     as_bytes, as_bytes_mut, from_bytes, read_into, to_bytes, Datatype, DtypeId, ElemBuf, Layout,
-    Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, LANES,
+    Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp,
 };
 
 pub use pip_collectives::compress::FloatDatatype;

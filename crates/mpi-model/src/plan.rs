@@ -599,22 +599,15 @@ impl CallerBuffers {
             }
             &mut buf[..len]
         }
-        // An in/out collective's one buffer is its input, read through the
-        // send slot.
-        let mut send = io
-            .sendbuf
-            .filter(|_| !io.inout)
-            .map(|len| grown(&mut self.send, len));
+        // An in/out collective's one buffer is its receive buffer, so its
+        // input is recorded as `RecvInit`.
+        let mut send = io.sendbuf.map(|len| grown(&mut self.send, len));
         let mut recv = io.recvbuf.map(|len| grown(&mut self.recv, len));
         if let Some(buf) = send.as_deref_mut() {
             comm.fill_sendbuf(buf);
         }
         if let Some(buf) = recv.as_deref_mut() {
-            if io.inout {
-                comm.fill_sendbuf(buf);
-            } else {
-                comm.fill_recvbuf(buf);
-            }
+            comm.fill_recvbuf(buf);
         }
         // Recording always runs on packed contiguous buffers; a layout lives
         // in the plan's IoShape (`io_for`), where the executor packs and

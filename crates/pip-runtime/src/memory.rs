@@ -182,12 +182,6 @@ impl ExposedRegion {
         self.bytes().to_vec()
     }
 
-    /// Overwrite the whole region with zeroes.
-    pub fn clear(&self) {
-        let mut guard = self.bytes_mut();
-        guard.fill(0);
-    }
-
     /// Run `f` with a mutable view of the full region, avoiding a copy.
     pub fn with_slice_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut guard = self.bytes_mut();
@@ -230,14 +224,6 @@ mod tests {
         let b = a.clone();
         a.write(0, &[42; 4]);
         assert_eq!(b.to_vec(), vec![42; 4]);
-    }
-
-    #[test]
-    fn clear_zeroes_everything() {
-        let a = ExposedRegion::allocate("a", 4);
-        a.write(0, &[1, 2, 3, 4]);
-        a.clear();
-        assert_eq!(a.to_vec(), vec![0; 4]);
     }
 
     #[test]

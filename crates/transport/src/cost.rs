@@ -66,17 +66,6 @@ pub struct CopyStats {
     pub bytes_moved: usize,
     /// Number of distinct copy passes over the payload.
     pub copies: usize,
-    /// Bytes staged through an intermediate buffer (POSIX-SHMEM segment).
-    pub staged_bytes: usize,
-}
-
-impl CopyStats {
-    /// Merge another transfer's stats into this one.
-    pub fn merge(&mut self, other: &CopyStats) {
-        self.bytes_moved += other.bytes_moved;
-        self.copies += other.copies;
-        self.staged_bytes += other.staged_bytes;
-    }
 }
 
 /// Cost model for one intra-node mechanism.
@@ -230,24 +219,6 @@ mod tests {
             let cost = IntranodeCost::defaults_for(mechanism);
             assert_eq!(cost.copies, mechanism.copies_per_transfer());
         }
-    }
-
-    #[test]
-    fn copy_stats_merge_accumulates() {
-        let mut a = CopyStats {
-            bytes_moved: 10,
-            copies: 1,
-            staged_bytes: 0,
-        };
-        let b = CopyStats {
-            bytes_moved: 20,
-            copies: 2,
-            staged_bytes: 20,
-        };
-        a.merge(&b);
-        assert_eq!(a.bytes_moved, 30);
-        assert_eq!(a.copies, 3);
-        assert_eq!(a.staged_bytes, 20);
     }
 
     proptest! {

@@ -18,7 +18,6 @@ use crate::CopyEngine;
 #[derive(Debug, Clone)]
 pub struct SingleCopyEngine {
     mechanism: IntranodeMechanism,
-    total: CopyStats,
 }
 
 impl SingleCopyEngine {
@@ -33,15 +32,7 @@ impl SingleCopyEngine {
             1,
             "{mechanism:?} is not a single-copy mechanism"
         );
-        Self {
-            mechanism,
-            total: CopyStats::default(),
-        }
-    }
-
-    /// Cumulative statistics over the engine's lifetime.
-    pub fn totals(&self) -> CopyStats {
-        self.total
+        Self { mechanism }
     }
 }
 
@@ -53,13 +44,10 @@ impl CopyEngine for SingleCopyEngine {
     fn copy(&mut self, src: &[u8], dst: &mut [u8]) -> CopyStats {
         assert_eq!(src.len(), dst.len(), "single copy requires equal lengths");
         dst.copy_from_slice(src);
-        let stats = CopyStats {
+        CopyStats {
             bytes_moved: src.len(),
             copies: 1,
-            staged_bytes: 0,
-        };
-        self.total.merge(&stats);
-        stats
+        }
     }
 }
 
@@ -76,22 +64,9 @@ mod tests {
         let stats = engine.copy(&src, &mut dst);
         assert_eq!(dst, src);
         assert_eq!(stats.copies, 1);
-        assert_eq!(stats.staged_bytes, 0);
         assert_eq!(stats.bytes_moved, 512);
         let cost = IntranodeCost::defaults_for(engine.mechanism());
         assert_eq!(cost.syscalls_per_transfer, 0);
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let mut engine = SingleCopyEngine::new(IntranodeMechanism::Pip);
-        for _ in 0..4 {
-            let src = vec![1u8; 100];
-            let mut dst = vec![0u8; 100];
-            engine.copy(&src, &mut dst);
-        }
-        assert_eq!(engine.totals().bytes_moved, 400);
-        assert_eq!(engine.totals().copies, 4);
     }
 
     #[test]

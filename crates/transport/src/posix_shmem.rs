@@ -18,7 +18,6 @@ pub const DEFAULT_SEGMENT_BYTES: usize = 64 * 1024;
 #[derive(Debug, Clone)]
 pub struct PosixShmemEngine {
     segment: Vec<u8>,
-    total: CopyStats,
 }
 
 impl Default for PosixShmemEngine {
@@ -33,13 +32,7 @@ impl PosixShmemEngine {
         assert!(segment_bytes > 0, "segment must be non-empty");
         Self {
             segment: vec![0u8; segment_bytes],
-            total: CopyStats::default(),
         }
-    }
-
-    /// Cumulative statistics.
-    pub fn totals(&self) -> CopyStats {
-        self.total
     }
 }
 
@@ -60,7 +53,6 @@ impl CopyEngine for PosixShmemEngine {
             // Copy-out: shared segment -> receiver.
             dst[offset..offset + len].copy_from_slice(&self.segment[..len]);
             stats.bytes_moved += 2 * len;
-            stats.staged_bytes += len;
             stats.copies += 2;
             offset += len;
         }
@@ -68,7 +60,6 @@ impl CopyEngine for PosixShmemEngine {
             // A zero-byte message still performs the handshake (no data).
             stats.copies = 2;
         }
-        self.total.merge(&stats);
         stats
     }
 }
@@ -86,7 +77,7 @@ mod tests {
         let stats = engine.copy(&src, &mut dst);
         assert_eq!(dst, src);
         assert_eq!(stats.bytes_moved, 2000);
-        assert_eq!(stats.staged_bytes, 1000);
+        assert_eq!(stats.copies, 2);
     }
 
     #[test]

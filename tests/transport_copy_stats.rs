@@ -40,7 +40,6 @@ fn pip_is_one_copy_zero_syscalls() {
     let stats = engine.copy(&src, &mut dst);
     assert_eq!(dst, src);
     assert_eq!(stats.copies, 1);
-    assert_eq!(stats.staged_bytes, 0);
     assert_eq!(stats.bytes_moved, PAYLOAD);
     let cost = IntranodeCost::defaults_for(IntranodeMechanism::Pip);
     assert_eq!(cost.syscalls_per_transfer, 0, "PiP never enters the kernel");
@@ -57,7 +56,6 @@ fn posix_shmem_is_a_double_copy_through_the_segment() {
     const { assert!(PAYLOAD <= DEFAULT_SEGMENT_BYTES) };
     assert_eq!(stats.copies, 2);
     assert_eq!(stats.bytes_moved, 2 * PAYLOAD);
-    assert_eq!(stats.staged_bytes, PAYLOAD);
 }
 
 #[test]
@@ -71,7 +69,6 @@ fn posix_shmem_pipelines_messages_larger_than_the_segment() {
     assert_eq!(dst, src);
     assert_eq!(stats.copies, 2 * 4, "copy-in + copy-out per chunk");
     assert_eq!(stats.bytes_moved, 2 * len);
-    assert_eq!(stats.staged_bytes, len);
 }
 
 // ---------------------------------------------------------------------------
