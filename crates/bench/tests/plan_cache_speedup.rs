@@ -59,7 +59,7 @@ fn repeated_figure_cell_compiles_once_and_shares_the_plan() {
         let profile = library.profile();
         let mut cache = ClusterPlanCache::new();
         let first = cache.lookup_or_compile(&profile, topology, &shape);
-        assert_eq!(first.ranks.len(), topology.world_size());
+        assert_eq!(first.ranks().len(), topology.world_size());
         assert_eq!(cache.stats(), (0, 1));
         let compiled = cache.compile_counts();
 

@@ -3,7 +3,9 @@
 //! references.
 //!
 //! A [`Plan`] is what a collective algorithm compiles to: one [`RankPlan`]
-//! per rank, each an ordered list of [`PlanOp`]s.  Data-carrying operations
+//! per rank, each an ordered list of [`PlanOp`]s, with each distinct program
+//! stored once (a node-symmetric plan keeps node 0's programs and relabels
+//! the other ranks' from them).  Data-carrying operations
 //! reference bytes through [`Src`] — a concatenation of ranges over the
 //! caller's send buffer, the initial contents of the receive buffer, or
 //! *values* (bytes that materialize during execution: received messages,
@@ -20,7 +22,10 @@
 //! namespaced per invocation so back-to-back executions of the same cached
 //! plan never collide.
 
+use std::borrow::Cow;
+
 use pip_netsim::trace::{Trace, TraceOp};
+use pip_netsim::FoldGroup;
 use pip_runtime::Topology;
 use pip_transport::cost::IntranodeMechanism;
 
@@ -720,37 +725,157 @@ impl RankPlan {
     }
 }
 
-/// A whole-cluster plan: one [`RankPlan`] per rank.
-#[derive(Debug, Clone, PartialEq)]
+/// A whole-cluster plan: every rank's program, each distinct program stored
+/// once.
+///
+/// A node-symmetric plan stores node 0's `ppn` programs plus the node group
+/// that carries them onto every other node: rank `(n, l)` runs node 0's
+/// program of local rank `l` with its global-rank peers relabeled by the
+/// group element carrying node 0 to node `n` ([`RankPlan::relabeled`]).  Any
+/// other plan stores all `world` programs and no group.  The representation
+/// cannot be seen from outside: [`Plan::rank`] materialises an instantiated
+/// rank only when asked, and equality is rank by rank.
+#[derive(Debug, Clone)]
 pub struct Plan {
     /// The topology the plan was compiled for.
     pub topology: Topology,
-    /// Per-rank programs, indexed by rank.
-    pub ranks: Vec<RankPlan>,
+    /// The stored programs: node 0's, indexed by local rank, when `group`
+    /// is set; every rank's, indexed by rank, otherwise.
+    programs: Vec<RankPlan>,
+    /// The node group instantiating every other node from node 0.
+    group: Option<FoldGroup>,
 }
 
 impl Plan {
+    /// A plan of one stored program per rank, indexed by rank.
+    pub fn from_ranks(topology: Topology, ranks: Vec<RankPlan>) -> Self {
+        assert_eq!(ranks.len(), topology.world_size(), "one program per rank");
+        Self {
+            topology,
+            programs: ranks,
+            group: None,
+        }
+    }
+
+    /// A node-symmetric plan: node 0's programs `reps`, one per local rank,
+    /// and the node group carrying them onto every other node.  The caller
+    /// vouches for the symmetry at whole-program strength
+    /// ([`crate::plan::ranks_equal_under`]); `pip-mpi-model`'s
+    /// `compile_cluster` checks it on probe nodes.
+    pub fn from_representatives(topology: Topology, group: FoldGroup, reps: Vec<RankPlan>) -> Self {
+        assert_eq!(
+            reps.len(),
+            topology.ppn(),
+            "one representative per local rank"
+        );
+        assert!(
+            reps.iter()
+                .enumerate()
+                .all(|(local, rep)| rep.rank == local),
+            "representatives are node 0's ranks in order"
+        );
+        assert!(
+            group != FoldGroup::Xor || topology.nodes().is_power_of_two(),
+            "the XOR group needs a power-of-two node count"
+        );
+        Self {
+            topology,
+            programs: reps,
+            group: Some(group),
+        }
+    }
+
+    /// The node group instantiating the plan from node 0's programs, or
+    /// `None` when every rank's program is stored.
+    pub fn group(&self) -> Option<FoldGroup> {
+        self.group
+    }
+
+    /// The stored programs: node 0's when [`Plan::group`] is set, every
+    /// rank's otherwise.
+    pub fn programs(&self) -> &[RankPlan] {
+        &self.programs
+    }
+
+    /// Index of the stored program rank `rank` runs, and the node delta its
+    /// peers are relabeled by (0: the program is the rank's own).
+    fn program_of(&self, rank: usize) -> (usize, usize) {
+        assert!(
+            rank < self.topology.world_size(),
+            "rank {rank} out of range"
+        );
+        match self.group {
+            Some(_) => (
+                self.topology.local_rank_of(rank),
+                self.topology.node_of(rank),
+            ),
+            None => (rank, 0),
+        }
+    }
+
+    /// Rank `rank`'s program: borrowed when it is stored, relabeled from its
+    /// node-0 representative otherwise.
+    pub fn rank(&self, rank: usize) -> Cow<'_, RankPlan> {
+        let (program, delta) = self.program_of(rank);
+        let program = &self.programs[program];
+        match self.group {
+            Some(group) if delta != 0 => Cow::Owned(program.relabeled(group, delta, rank)),
+            _ => Cow::Borrowed(program),
+        }
+    }
+
+    /// Every rank's program in rank order (see [`Plan::rank`]).
+    pub fn ranks(&self) -> impl ExactSizeIterator<Item = Cow<'_, RankPlan>> {
+        (0..self.topology.world_size()).map(|rank| self.rank(rank))
+    }
+
     /// Lower the whole plan to a validated-shape [`Trace`] with tags rebased
     /// by `tag` — the one way a simulator trace is made.
+    ///
+    /// Each stored program is lowered once; a rank takes its program's trace
+    /// ops with their peers relabeled by its node (the identity at delta 0,
+    /// so a plan storing every rank lowers each program as it stands).
     pub fn to_trace(&self, tag: u64) -> Trace {
+        let world = self.topology.world_size();
+        let mut lowered: Vec<Vec<TraceOp>> = self
+            .programs
+            .iter()
+            .map(|plan| plan.to_trace_ops(tag))
+            .collect();
+        let stored = lowered.len();
+        let rank_ops = (0..world)
+            .map(|rank| {
+                let (program, delta) = self.program_of(rank);
+                // The last rank running a program takes its ops.
+                let mut ops = if rank + stored >= world {
+                    std::mem::take(&mut lowered[program])
+                } else {
+                    lowered[program].clone()
+                };
+                if let Some(group) = self.group.filter(|_| delta != 0) {
+                    for op in &mut ops {
+                        *op = group.relabel_op(*op, self.topology, delta);
+                    }
+                }
+                ops
+            })
+            .collect();
         // `from_rank_ops` aliases identical programs, so symmetric plans
         // (every non-leader of a hierarchical schedule, say) lower to one
         // stored op vector per equivalence class instead of one per rank.
-        Trace::from_rank_ops(
-            self.topology,
-            self.ranks
-                .iter()
-                .map(|plan| plan.to_trace_ops(tag))
-                .collect(),
-        )
+        Trace::from_rank_ops(self.topology, rank_ops)
     }
 
     /// Validate every rank's program plus the cross-rank invariants: matched
     /// send/receive multisets, consistent barrier counts, and in-bounds
     /// shared-region accesses against the regions the owning ranks allocate.
+    ///
+    /// [`RankPlan::validate`] reads no peer field, so a relabeled rank
+    /// validates exactly as its representative: each stored program is
+    /// checked once.
     pub fn validate(&self) -> Result<(), PlanError> {
         use std::collections::HashMap;
-        for plan in &self.ranks {
+        for plan in &self.programs {
             plan.validate()?;
         }
         // Message matching and barrier consistency: reuse the trace
@@ -758,9 +883,13 @@ impl Plan {
         self.to_trace(0)
             .validate()
             .map_err(|e| PlanError::InvalidSchedule(e.to_string()))?;
+        // Region accesses name node-local owners, which relabeling fixes:
+        // each rank is checked through its stored program.
+        let stored = |rank: usize| &self.programs[self.program_of(rank).0];
         // Region registry: (node, owner_local, name) -> len.
         let mut regions: HashMap<(usize, usize, String), usize> = HashMap::new();
-        for (rank, plan) in self.ranks.iter().enumerate() {
+        for rank in 0..self.topology.world_size() {
+            let plan = stored(rank);
             let node = self.topology.node_of(rank);
             let local = self.topology.local_rank_of(rank);
             for op in &plan.ops {
@@ -785,7 +914,8 @@ impl Plan {
         let region_len = |node: usize, owner: usize, name: &str| -> Option<usize> {
             regions.get(&(node, owner, name.to_string())).copied()
         };
-        for (rank, plan) in self.ranks.iter().enumerate() {
+        for rank in 0..self.topology.world_size() {
+            let plan = stored(rank);
             let node = self.topology.node_of(rank);
             for (i, op) in plan.ops.iter().enumerate() {
                 let access = match op {
@@ -837,6 +967,20 @@ impl Plan {
             }
         }
         Ok(())
+    }
+}
+
+/// Rank-by-rank equality: two plans are equal when every rank runs the same
+/// program, however each stores it.
+impl PartialEq for Plan {
+    fn eq(&self, other: &Self) -> bool {
+        self.topology == other.topology
+            && if self.group == other.group {
+                // The same group derives equal ranks from equal programs.
+                self.programs == other.programs
+            } else {
+                self.ranks().eq(other.ranks())
+            }
     }
 }
 
@@ -996,10 +1140,7 @@ mod tests {
             },
         }];
         let b = leaf_plan(1, topo);
-        let plan = Plan {
-            topology: topo,
-            ranks: vec![a, b],
-        };
+        let plan = Plan::from_ranks(topo, vec![a, b]);
         assert!(matches!(
             plan.validate().unwrap_err(),
             PlanError::InvalidSchedule(_)
@@ -1020,10 +1161,7 @@ mod tests {
                 segs: vec![SrcSeg::SendBuf { offset: 0, len: 4 }],
             },
         }];
-        let plan = Plan {
-            topology: topo,
-            ranks: vec![a, b],
-        };
+        let plan = Plan::from_ranks(topo, vec![a, b]);
         assert!(matches!(
             plan.validate().unwrap_err(),
             PlanError::BadRegionAccess { rank: 1, .. }

@@ -755,7 +755,7 @@ pub fn record_trace(topology: Topology, per_rank: impl Fn(&PlanComm)) -> Trace {
             )
         })
         .collect();
-    Plan { topology, ranks }.to_trace(0)
+    Plan::from_ranks(topology, ranks).to_trace(0)
 }
 
 #[cfg(test)]

@@ -90,11 +90,11 @@ mod tests {
         }
     }
 
-    fn exchange_plan() -> Plan {
-        exchange_plan_on(Topology::new(2, 1))
+    fn exchange_ranks() -> Vec<RankPlan> {
+        exchange_ranks_on(Topology::new(2, 1))
     }
 
-    fn exchange_plan_on(topo: Topology) -> Plan {
+    fn exchange_ranks_on(topo: Topology) -> Vec<RankPlan> {
         let big = 1024usize;
         let small = 16usize;
         let mk = |rank: usize, peer: usize| RankPlan {
@@ -143,35 +143,37 @@ mod tests {
                 },
             ],
         };
-        Plan {
-            topology: topo,
-            ranks: vec![mk(0, 1), mk(1, 0)],
-        }
+        vec![mk(0, 1), mk(1, 0)]
+    }
+
+    /// The whole-cluster plan of `ranks`, all compiled for one topology.
+    fn plan_of(ranks: Vec<RankPlan>) -> Plan {
+        Plan::from_ranks(ranks[0].topology, ranks)
     }
 
     #[test]
     fn rewrites_only_transfers_above_the_threshold() {
-        let mut plan = exchange_plan();
-        for rank in &mut plan.ranks {
+        let mut ranks = exchange_ranks();
+        for rank in &mut ranks {
             assert_eq!(compress_rank_transfers(rank, codec(), 512), 2);
         }
-        plan.validate().unwrap();
-        let rank0 = &plan.ranks[0].ops;
+        let rank0 = &ranks[0].ops;
         assert!(matches!(rank0[0], PlanOp::Compress { .. }));
         assert!(matches!(rank0[1], PlanOp::Decompress { .. }));
         assert!(matches!(rank0[2], PlanOp::Send { .. }), "small send exact");
         assert!(matches!(rank0[3], PlanOp::Recv { .. }), "small recv exact");
+        plan_of(ranks).validate().unwrap();
     }
 
     #[test]
     fn lowered_trace_prices_the_calibrated_wire_size_on_both_ends() {
-        let mut plan = exchange_plan();
-        for rank in &mut plan.ranks {
+        let mut ranks = exchange_ranks();
+        for rank in &mut ranks {
             compress_rank_transfers(rank, codec(), 512);
         }
         let wire = calibrated_wire_bytes(1024, codec());
         assert!(wire < 1024, "calibration stream must compress");
-        let trace = plan.to_trace(0);
+        let trace = plan_of(ranks).to_trace(0);
         trace.validate().unwrap();
         let sent: Vec<usize> = trace.ranks[0]
             .ops
@@ -188,32 +190,31 @@ mod tests {
     fn node_local_transfers_stay_exact() {
         // Same exchange, but both ranks share one node: a shared-memory
         // copy has no wire to save, so nothing rewrites.
-        let mut plan = exchange_plan_on(Topology::new(1, 2));
-        for rank in &mut plan.ranks {
+        let mut ranks = exchange_ranks_on(Topology::new(1, 2));
+        for rank in &mut ranks {
             assert_eq!(compress_rank_transfers(rank, codec(), 0), 0);
         }
-        plan.validate().unwrap();
-        assert!(plan.ranks[0]
+        assert!(ranks[0]
             .ops
             .iter()
             .all(|op| matches!(op, PlanOp::Send { .. } | PlanOp::Recv { .. })));
+        plan_of(ranks).validate().unwrap();
     }
 
     #[test]
     fn zero_bound_rewrites_nothing() {
-        let mut plan = exchange_plan();
         let exact = Codec {
             elem: FloatElem::F64,
             bound: 0.0,
         };
-        for rank in &mut plan.ranks {
+        for rank in &mut exchange_ranks() {
             assert_eq!(compress_rank_transfers(rank, exact, 0), 0);
         }
     }
 
     #[test]
     fn misaligned_lengths_stay_exact() {
-        let mut plan = exchange_plan();
+        let mut ranks = exchange_ranks();
         // f64 codec, but pretend the big transfer were 1023 bytes: simulate
         // by using a codec whose element width does not divide the length.
         let wide = Codec {
@@ -226,9 +227,9 @@ mod tests {
         assert!(eligible(1024, wide, 512));
         assert!(!eligible(1023, wide, 512));
         assert!(!eligible(0, wide, 0));
-        for rank in &mut plan.ranks {
+        for rank in &mut ranks {
             assert_eq!(compress_rank_transfers(rank, wide, 0), 4);
         }
-        plan.validate().unwrap();
+        plan_of(ranks).validate().unwrap();
     }
 }

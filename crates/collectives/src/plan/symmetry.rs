@@ -6,10 +6,14 @@
 //! [`pip_netsim::FoldGroup`], whose node map
 //! ([`FoldGroup::relabel_rank`]) is the one used everywhere — carries node
 //! 0's programs onto the probes'.  That lets it reach 10^5–10^6-rank
-//! projections without an O(world) compile, and *instantiate* a
-//! whole-cluster plan's remaining ranks from node 0's
-//! ([`RankPlan::relabeled`]).  Whole traces are folded by
-//! [`pip_netsim::FoldedTrace::detect`], not here.
+//! projections without an O(world) compile, and store a whole-cluster plan
+//! as node 0's programs plus the group
+//! ([`Plan::from_representatives`](super::Plan::from_representatives)):
+//! [`Plan::rank`](super::Plan::rank) *instantiates* any other rank from its
+//! representative ([`RankPlan::relabeled`]) only when asked, and
+//! [`Plan::to_trace`](super::Plan::to_trace) relabels the representative's
+//! trace ops instead, since lowering commutes with relabeling.  Whole traces
+//! are folded by [`pip_netsim::FoldedTrace::detect`], not here.
 //!
 //! Two comparison strengths are exposed, because a plan op carries fields a
 //! trace op does not:
@@ -128,11 +132,12 @@ mod tests {
     use super::*;
     use crate::plan::ir::{Fidelity, IoShape, Plan};
     use pip_netsim::FoldedTrace;
+    use std::borrow::Cow;
 
     /// A hand-built node ring at fixed local rank: rotation-symmetric.
-    fn ring_plan(nodes: usize, ppn: usize, bytes: usize) -> Plan {
+    fn ring_ranks(nodes: usize, ppn: usize, bytes: usize) -> Vec<RankPlan> {
         let topology = Topology::new(nodes, ppn);
-        let ranks = (0..topology.world_size())
+        (0..topology.world_size())
             .map(|rank| {
                 let node = topology.node_of(rank);
                 let local = topology.local_rank_of(rank);
@@ -160,16 +165,15 @@ mod tests {
                     ],
                 }
             })
-            .collect();
-        Plan { topology, ranks }
+            .collect()
     }
 
     /// Recursive doubling over nodes: XOR-symmetric, not rotation-symmetric
     /// for nodes > 2.
-    fn doubling_plan(nodes: usize, ppn: usize) -> Plan {
+    fn doubling_ranks(nodes: usize, ppn: usize) -> Vec<RankPlan> {
         assert!(nodes.is_power_of_two());
         let topology = Topology::new(nodes, ppn);
-        let ranks = (0..topology.world_size())
+        (0..topology.world_size())
             .map(|rank| {
                 let node = topology.node_of(rank);
                 let local = topology.local_rank_of(rank);
@@ -202,14 +206,13 @@ mod tests {
                     ops,
                 }
             })
-            .collect();
-        Plan { topology, ranks }
+            .collect()
     }
 
     /// Everyone sends to rank 0: rooted, no node group closes.
-    fn rooted_plan(nodes: usize, ppn: usize) -> Plan {
+    fn rooted_ranks(nodes: usize, ppn: usize) -> Vec<RankPlan> {
         let topology = Topology::new(nodes, ppn);
-        let ranks = (0..topology.world_size())
+        (0..topology.world_size())
             .map(|rank| {
                 let (ops, val_lens) = if rank == 0 {
                     let ops = (1..topology.world_size())
@@ -241,73 +244,116 @@ mod tests {
                     ops,
                 }
             })
-            .collect();
-        Plan { topology, ranks }
+            .collect()
     }
 
     /// Whether the group element `delta` carries every rank's schedule onto
     /// its image's — the whole-plan version of what the class compiler
     /// samples with probes.
-    fn closes(plan: &Plan, group: FoldGroup, delta: usize) -> bool {
-        let topology = plan.topology;
-        plan.ranks.iter().all(|base| {
-            let image = &plan.ranks[group.relabel_rank(base.rank, topology, delta)];
+    fn closes(ranks: &[RankPlan], group: FoldGroup, delta: usize) -> bool {
+        let topology = ranks[0].topology;
+        ranks.iter().all(|base| {
+            let image = &ranks[group.relabel_rank(base.rank, topology, delta)];
             schedules_equal_under(topology, group, delta, base, image)
         })
     }
 
     /// Node 0's lowered programs as a folded trace under `group`, the way
     /// `compile_folded` builds one.
-    fn fold_node0(plan: &Plan, group: FoldGroup, tag: u64) -> FoldedTrace {
-        let reps = plan.ranks[..plan.topology.ppn()]
+    fn fold_node0(ranks: &[RankPlan], group: FoldGroup, tag: u64) -> FoldedTrace {
+        let topology = ranks[0].topology;
+        let reps = ranks[..topology.ppn()]
             .iter()
             .map(|rank_plan| rank_plan.to_trace_ops(tag).into())
             .collect();
-        FoldedTrace::from_representatives(plan.topology, group, reps).unwrap()
+        FoldedTrace::from_representatives(topology, group, reps).unwrap()
+    }
+
+    /// The whole-cluster plan storing every one of `ranks`.
+    fn plan_of(ranks: Vec<RankPlan>) -> Plan {
+        Plan::from_ranks(ranks[0].topology, ranks)
     }
 
     #[test]
     fn ring_plan_closes_under_rotation() {
-        let plan = ring_plan(5, 3, 64);
-        assert!(closes(&plan, FoldGroup::Rotation, 1));
-        let folded = FoldedTrace::detect(&plan.to_trace(0)).expect("ring folds");
+        let ranks = ring_ranks(5, 3, 64);
+        assert!(closes(&ranks, FoldGroup::Rotation, 1));
+        let folded = FoldedTrace::detect(&plan_of(ranks).to_trace(0)).expect("ring folds");
         assert_eq!(folded.group(), FoldGroup::Rotation);
         assert_eq!(folded.classes()[1], vec![1, 4, 7, 10, 13]);
     }
 
     #[test]
     fn doubling_plan_closes_under_xor() {
-        let plan = doubling_plan(8, 2);
-        assert!(!closes(&plan, FoldGroup::Rotation, 1));
+        let ranks = doubling_ranks(8, 2);
+        assert!(!closes(&ranks, FoldGroup::Rotation, 1));
         assert!([1, 2, 4]
             .into_iter()
-            .all(|mask| closes(&plan, FoldGroup::Xor, mask)));
-        let folded = FoldedTrace::detect(&plan.to_trace(0)).expect("doubling folds");
+            .all(|mask| closes(&ranks, FoldGroup::Xor, mask)));
+        let folded = FoldedTrace::detect(&plan_of(ranks).to_trace(0)).expect("doubling folds");
         assert_eq!(folded.group(), FoldGroup::Xor);
         assert_eq!(folded.representatives().len(), 2);
     }
 
     #[test]
     fn folded_trace_matches_full_lowering() {
-        for (plan, group) in [
-            (ring_plan(6, 2, 512), FoldGroup::Rotation),
-            (doubling_plan(4, 3), FoldGroup::Xor),
+        for (ranks, group) in [
+            (ring_ranks(6, 2, 512), FoldGroup::Rotation),
+            (doubling_ranks(4, 3), FoldGroup::Xor),
         ] {
-            assert_eq!(fold_node0(&plan, group, 7).expand(), plan.to_trace(7));
+            assert_eq!(
+                fold_node0(&ranks, group, 7).expand(),
+                plan_of(ranks).to_trace(7)
+            );
         }
+    }
+
+    /// A plan of node 0's programs and their group is the plan of every
+    /// rank, seen from outside: rank by rank, lowered, validated and
+    /// compared.  Only the non-zero nodes' ranks are materialised.
+    #[test]
+    fn a_plan_of_representatives_equals_the_plan_of_every_rank() {
+        for (ranks, group) in [
+            (ring_ranks(6, 2, 512), FoldGroup::Rotation),
+            (doubling_ranks(4, 3), FoldGroup::Xor),
+        ] {
+            let topology = ranks[0].topology;
+            let reps = ranks[..topology.ppn()].to_vec();
+            let instantiated = Plan::from_representatives(topology, group, reps);
+            assert_eq!(instantiated.group(), Some(group));
+            assert_eq!(instantiated.programs().len(), topology.ppn());
+            for (rank, expected) in ranks.iter().enumerate() {
+                let materialised = instantiated.rank(rank);
+                assert_eq!(&*materialised, expected, "rank {rank}");
+                let stored = matches!(materialised, Cow::Borrowed(_));
+                assert_eq!(stored, topology.node_of(rank) == 0, "rank {rank}");
+            }
+            assert_eq!(instantiated.ranks().len(), topology.world_size());
+            instantiated.validate().unwrap();
+            let full = plan_of(ranks);
+            assert_eq!(instantiated.to_trace(7), full.to_trace(7));
+            assert_eq!(instantiated, full);
+            assert_eq!(full, instantiated);
+        }
+        // The wrong group instantiates other ranks, and equality sees it.
+        let ranks = doubling_ranks(4, 3);
+        let topology = ranks[0].topology;
+        let rotated =
+            Plan::from_representatives(topology, FoldGroup::Rotation, ranks[..3].to_vec());
+        assert_ne!(rotated, plan_of(ranks));
     }
 
     #[test]
     fn folded_trace_is_none_for_rooted_plans() {
-        let plan = rooted_plan(3, 2);
-        assert!(!closes(&plan, FoldGroup::Rotation, 1));
-        assert!(FoldedTrace::detect(&plan.to_trace(0)).is_none());
+        let ranks = rooted_ranks(3, 2);
+        assert!(!closes(&ranks, FoldGroup::Rotation, 1));
+        assert!(FoldedTrace::detect(&plan_of(ranks).to_trace(0)).is_none());
     }
 
     #[test]
     fn probe_comparison_matches_relabeled_ranks() {
-        let plan = ring_plan(5, 2, 32);
-        let topology = plan.topology;
+        let ranks = ring_ranks(5, 2, 32);
+        let topology = ranks[0].topology;
         // Node 0 local 1 relabeled by delta 3 should equal node 3 local 1,
         // at both comparison strengths (this plan has no data ops that
         // vary by rank).
@@ -316,16 +362,16 @@ mod tests {
                 topology,
                 FoldGroup::Rotation,
                 3,
-                &plan.ranks[1],
-                &plan.ranks[topology.rank_of(3, 1)],
+                &ranks[1],
+                &ranks[topology.rank_of(3, 1)],
             ));
             // ... and must not equal a different local rank's program.
             assert!(!check(
                 topology,
                 FoldGroup::Rotation,
                 3,
-                &plan.ranks[0],
-                &plan.ranks[topology.rank_of(3, 1)],
+                &ranks[0],
+                &ranks[topology.rank_of(3, 1)],
             ));
         }
     }
@@ -336,37 +382,25 @@ mod tests {
         // Compress/Decompress, which address their peer by global rank just
         // like Send/Recv: a symmetric schedule must stay symmetric at
         // whole-program strength once compressed.
-        let mut plan = ring_plan(5, 2, 1024);
+        let mut ranks = ring_ranks(5, 2, 1024);
         let codec = crate::compress::Codec {
             elem: crate::compress::FloatElem::F64,
             bound: 1e-3,
         };
-        for rank_plan in &mut plan.ranks {
+        for rank_plan in &mut ranks {
             assert_eq!(
                 crate::plan::compress_rank_transfers(rank_plan, codec, 512),
                 2
             );
         }
-        let topology = plan.topology;
-        let image = &plan.ranks[topology.rank_of(3, 1)];
+        let topology = ranks[0].topology;
+        let image = &ranks[topology.rank_of(3, 1)];
         for check in [ranks_equal_under, schedules_equal_under] {
-            assert!(check(
-                topology,
-                FoldGroup::Rotation,
-                3,
-                &plan.ranks[1],
-                image
-            ));
-            assert!(!check(
-                topology,
-                FoldGroup::Rotation,
-                2,
-                &plan.ranks[1],
-                image
-            ));
+            assert!(check(topology, FoldGroup::Rotation, 3, &ranks[1], image));
+            assert!(!check(topology, FoldGroup::Rotation, 2, &ranks[1], image));
         }
         assert_eq!(
-            &plan.ranks[1].relabeled(FoldGroup::Rotation, 3, image.rank),
+            &ranks[1].relabeled(FoldGroup::Rotation, 3, image.rank),
             image
         );
     }
@@ -375,32 +409,32 @@ mod tests {
     fn rank_dependent_data_ops_fold_at_schedule_strength_only() {
         // An allgather-like plan: the communication schedule is a node
         // ring, but each rank writes its output at a rank-dependent offset.
-        let mut plan = ring_plan(4, 2, 16);
-        for (rank, rank_plan) in plan.ranks.iter_mut().enumerate() {
+        let mut ranks = ring_ranks(4, 2, 16);
+        for (rank, rank_plan) in ranks.iter_mut().enumerate() {
             rank_plan.io.recvbuf = Some(8 * 16);
             rank_plan.ops.push(PlanOp::CopyOut {
                 offset: rank * 16,
                 src: crate::plan::ir::Src::opaque(16),
             });
         }
-        let topology = plan.topology;
+        let topology = ranks[0].topology;
         let image = topology.rank_of(1, 0);
         assert!(!ranks_equal_under(
             topology,
             FoldGroup::Rotation,
             1,
-            &plan.ranks[0],
-            &plan.ranks[image],
+            &ranks[0],
+            &ranks[image],
         ));
         assert!(schedules_equal_under(
             topology,
             FoldGroup::Rotation,
             1,
-            &plan.ranks[0],
-            &plan.ranks[image],
+            &ranks[0],
+            &ranks[image],
         ));
-        assert!(closes(&plan, FoldGroup::Rotation, 1));
-        let folded = fold_node0(&plan, FoldGroup::Rotation, 0);
-        assert_eq!(folded.expand(), plan.to_trace(0));
+        assert!(closes(&ranks, FoldGroup::Rotation, 1));
+        let folded = fold_node0(&ranks, FoldGroup::Rotation, 0);
+        assert_eq!(folded.expand(), plan_of(ranks).to_trace(0));
     }
 }

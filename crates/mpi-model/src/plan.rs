@@ -450,14 +450,17 @@ fn compile_classes(
 ///
 /// A thin user of the class compiler at **whole-program strength**
 /// ([`ranks_equal_under`]): when a node group carries node 0's programs
-/// onto every probe node, each remaining rank is *instantiated* — node 0's
-/// program of the same local rank with its peers relabeled, O(ops) instead
-/// of a recording run — so a node-symmetric schedule costs
-/// `(1 + probes) × ppn` compilations whatever the node count.  Otherwise
-/// (rooted collectives, scans, schedules with node-dependent data
-/// movement) the remaining ranks are recorded one by one.  Either way the
-/// representatives and probes already compiled are part of the result, and
-/// the result is the plan rank-by-rank compilation produces.
+/// onto every probe node, the plan stores node 0's programs and the group
+/// ([`Plan::from_representatives`]) and every other rank is an
+/// *instantiation* — node 0's program of the same local rank with its peers
+/// relabeled, made only when a caller asks for that rank — so a
+/// node-symmetric schedule costs `(1 + probes) × ppn` compilations and
+/// `ppn` stored programs whatever the node count.  The probes only witness
+/// the symmetry and are dropped.  Otherwise (rooted collectives, scans,
+/// schedules with node-dependent data movement) the remaining ranks are
+/// recorded one by one, the representatives and probes already compiled
+/// included.  Either way the result equals, rank by rank, the plan
+/// rank-by-rank compilation produces.
 pub fn compile_cluster(
     profile: &LibraryProfile,
     topology: Topology,
@@ -469,9 +472,9 @@ pub fn compile_cluster(
 
 /// [`compile_cluster`], also reporting `(ranks_compiled,
 /// ranks_instantiated)`: how many ranks were recorded through the algorithm
-/// and how many relabeled from a representative.  The two sum to the world
-/// size; no instantiated rank means the symmetry did not verify and the
-/// compile was O(world).
+/// and how many are relabeled from a representative.  The two sum to the
+/// world size; no instantiated rank means the symmetry did not verify and
+/// the compile was O(world).
 fn compile_cluster_counted(
     profile: &LibraryProfile,
     topology: Topology,
@@ -492,32 +495,24 @@ fn compile_cluster_counted(
         ranks_equal_under,
         &mut scratch,
     );
+    if let Some(group) = group {
+        // Every recorded rank passed `assemble`'s validation, and a
+        // relabeled rank validates as its representative does.
+        let compiled = reps.len() + probed.len();
+        let counts = (compiled as u64, (world - compiled) as u64);
+        return (Plan::from_representatives(topology, group, reps), counts);
+    }
+    // Node 0's ranks first; the probes and the rest follow in rank order.
     let mut probed = probed.into_iter().peekable();
-    let mut ranks_instantiated = 0;
-    // Node 0's ranks are the representatives; the rest follow in rank order.
     let mut ranks = reps;
     ranks.reserve_exact(world - ranks.len());
     for rank in ranks.len()..world {
-        let plan = match (probed.next_if(|plan| plan.rank == rank), group) {
-            (Some(plan), _) => plan,
-            (None, Some(group)) => {
-                ranks_instantiated += 1;
-                let rep = &ranks[topology.local_rank_of(rank)];
-                let plan = rep.relabeled(group, topology.node_of(rank), rank);
-                // The gate `assemble` puts every recorded rank through.
-                plan.validate().unwrap_or_else(|e| {
-                    panic!("rank {rank}: instantiated plan failed validation: {e}");
-                });
-                plan
-            }
-            (None, None) => {
-                compile_rank_with(profile, topology, rank, shape, fidelity, &mut scratch)
-            }
-        };
+        let plan = probed.next_if(|plan| plan.rank == rank).unwrap_or_else(|| {
+            compile_rank_with(profile, topology, rank, shape, fidelity, &mut scratch)
+        });
         ranks.push(plan);
     }
-    let counts = (world as u64 - ranks_instantiated, ranks_instantiated);
-    (Plan { topology, ranks }, counts)
+    (Plan::from_ranks(topology, ranks), (world as u64, 0))
 }
 
 /// Compile a symmetry-folded trace without compiling the whole world.
@@ -808,11 +803,11 @@ impl ClusterPlanCache {
 
     /// `(ranks_compiled, ranks_instantiated)` summed over every plan
     /// [`ClusterPlanCache::lookup_or_compile`] compiled: ranks recorded
-    /// through the algorithm vs. ranks relabeled from a node-0
-    /// representative.  A miss that adds no instantiated ranks was an
-    /// O(world) compile — the fallback that plan equality alone cannot
-    /// show.  Plans handed to [`ClusterPlanCache::insert`] arrive compiled
-    /// and are not counted.
+    /// through the algorithm vs. ranks the plan instantiates from a node-0
+    /// representative and does not store.  A miss that adds no
+    /// instantiated ranks was an O(world) compile — the fallback that plan
+    /// equality alone cannot show.  Plans handed to
+    /// [`ClusterPlanCache::insert`] arrive compiled and are not counted.
     pub fn compile_counts(&self) -> (u64, u64) {
         (self.ranks_compiled, self.ranks_instantiated)
     }

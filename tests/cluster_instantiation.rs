@@ -1,14 +1,14 @@
-//! `compile_cluster` instantiates the ranks of a verified node-symmetric
-//! schedule from node 0's programs instead of recording them.  That must be
-//! invisible: the plan it returns has to equal the plan rank-by-rank
-//! compilation produces, field for field, whether or not the schedule
-//! instantiates.
+//! For a verified node-symmetric schedule, `compile_cluster` stores node 0's
+//! programs and the node group instead of recording the other ranks;
+//! `Plan::rank` instantiates them on demand.  That must be invisible: every
+//! rank the plan hands out has to equal the one rank-by-rank compilation
+//! produces, field for field, whether or not the schedule instantiates.
 //!
 //! The reference is built here as `(0..world).map(compile_rank)` — never
 //! through `compile_cluster` — so the oracle shares nothing with the class
-//! compiler but the per-rank recorder.  Plan equality cannot tell
+//! compiler but the per-rank recorder.  Rank equality cannot tell
 //! "instantiated" from "fell back to O(world)", so the instantiated-rank
-//! counts are asserted separately.
+//! counts and the stored programs are asserted separately.
 
 use pip_mcoll::collectives::plan::symmetry::ranks_equal_under;
 use pip_mcoll::collectives::plan::{Fidelity, IoShape, Plan, PlanOp, RankPlan, Src};
@@ -77,7 +77,7 @@ fn rank_by_rank(
     let ranks = (0..topology.world_size())
         .map(|rank| compile_rank(&profile, topology, rank, shape, fidelity))
         .collect();
-    Plan { topology, ranks }
+    Plan::from_ranks(topology, ranks)
 }
 
 fn assert_equals_rank_by_rank(
@@ -88,14 +88,15 @@ fn assert_equals_rank_by_rank(
 ) {
     let compiled = compile_cluster(&library.profile(), topology, shape, fidelity);
     let reference = rank_by_rank(library, topology, shape, fidelity);
-    // Not `assert_eq!`: a failure would print two whole-cluster plans.
-    let differing: Vec<usize> = (0..reference.ranks.len())
-        .filter(|&rank| compiled.ranks.get(rank) != reference.ranks.get(rank))
+    assert_eq!(compiled.topology, reference.topology);
+    // Not `assert_eq!`: a failure would print two whole-cluster plans.  Each
+    // rank is compared as `Plan::rank` hands it out, so an instantiated rank
+    // is materialised from its representative here.
+    let differing: Vec<usize> = (0..topology.world_size())
+        .filter(|&rank| compiled.rank(rank) != reference.rank(rank))
         .collect();
     assert!(
-        compiled.topology == reference.topology
-            && compiled.ranks.len() == reference.ranks.len()
-            && differing.is_empty(),
+        differing.is_empty(),
         "{} {:?} {} B root {} on {}x{} at {fidelity:?}: compile_cluster differs from \
          rank-by-rank compilation at ranks {differing:?}",
         library.name(),
@@ -199,11 +200,11 @@ fn compressed_allreduce_instantiates_like_the_exact_plan() {
             &compressed,
             Fidelity::Schedule,
         );
-        let rewritten = plan
-            .ranks
-            .iter()
-            .flat_map(|rank| &rank.ops)
-            .any(|op| matches!(op, PlanOp::Compress { .. } | PlanOp::Decompress { .. }));
+        let rewritten = plan.ranks().any(|rank| {
+            rank.ops
+                .iter()
+                .any(|op| matches!(op, PlanOp::Compress { .. } | PlanOp::Decompress { .. }))
+        });
         assert!(rewritten, "{}: nothing was compressed", library.name());
         let compressed_counts = counts(library, topology, &compressed);
         assert_eq!(
@@ -316,7 +317,7 @@ fn the_paper_scale_sweep_compiles_sixteen_of_its_thirty_cells_and_instantiates_s
                     _ => false,
                 };
                 let before = cache.compile_counts();
-                cache.lookup_or_compile(&library.profile(), topology, &cell);
+                let plan = cache.lookup_or_compile(&library.profile(), topology, &cell);
                 let after = cache.compile_counts();
                 assert_eq!(
                     (after.0 - before.0, after.1 - before.1),
@@ -328,6 +329,18 @@ fn the_paper_scale_sweep_compiles_sixteen_of_its_thirty_cells_and_instantiates_s
                         (2_304, 0)
                     },
                     "{} {kind:?} {block} B",
+                    library.name()
+                );
+                // An instantiating cell stores node 0's 18 programs, a
+                // fallback cell all 2 304.
+                assert_eq!(
+                    (plan.group().is_some(), plan.programs().len()),
+                    if instantiates {
+                        (true, topology.ppn())
+                    } else {
+                        (false, topology.world_size())
+                    },
+                    "{} {kind:?} {block} B: stored programs",
                     library.name()
                 );
             }
@@ -382,25 +395,19 @@ fn probes_sample_the_symmetry_they_do_not_prove_it() {
             }
         })
         .collect();
-    let plan = Plan { topology, ranks };
+    let plan = Plan::from_ranks(topology, ranks.clone());
     plan.validate().unwrap();
 
     let carried = |node: usize| {
-        ranks_equal_under(
-            topology,
-            FoldGroup::Rotation,
-            node,
-            &plan.ranks[0],
-            &plan.ranks[node],
-        )
+        ranks_equal_under(topology, FoldGroup::Rotation, node, &ranks[0], &ranks[node])
     };
     for probe in [1, nodes / 2, nodes - 1] {
         assert!(carried(probe), "probe node {probe} looks symmetric");
     }
     assert!(!carried(3), "node 3 is not node 0's image");
     assert_ne!(
-        plan.ranks[0].relabeled(FoldGroup::Rotation, 3, 3),
-        plan.ranks[3],
+        ranks[0].relabeled(FoldGroup::Rotation, 3, 3),
+        ranks[3],
         "instantiating node 3 from node 0 would be wrong"
     );
     assert!(FoldedTrace::detect(&plan.to_trace(0)).is_none());
@@ -536,5 +543,51 @@ proptest! {
             *peer = (*peer + 1) % topology.world_size();
             prop_assert!(!ranks_equal_under(topology, group, delta, &base, &nudged));
         }
+    }
+
+    /// The two facts a stored representative stands on for its instantiated
+    /// ranks: lowering commutes with relabeling, so `Plan::to_trace` may
+    /// relabel a representative's trace ops instead of lowering each
+    /// instantiated rank; and validation reads no peer, so the
+    /// representative's result is every instantiation's.
+    #[test]
+    fn relabeling_commutes_with_lowering_and_keeps_validation(
+        log_nodes in 1usize..6,
+        any_nodes in 2usize..40,
+        ppn in 1usize..5,
+        xor in any::<bool>(),
+        rank_seed in any::<usize>(),
+        delta_seed in any::<usize>(),
+        tag in 0u64..1 << 20,
+        seeds in collection::vec(any::<u64>(), 0..24),
+    ) {
+        let (group, nodes) = if xor {
+            (FoldGroup::Xor, 1 << log_nodes)
+        } else {
+            (FoldGroup::Rotation, any_nodes)
+        };
+        let topology = Topology::new(nodes, ppn);
+        let rep = program(rank_seed % topology.world_size(), topology, &seeds);
+        let delta = delta_seed % nodes;
+        let image_node = match group {
+            FoldGroup::Rotation => (topology.node_of(rep.rank) + delta) % nodes,
+            FoldGroup::Xor => topology.node_of(rep.rank) ^ delta,
+        };
+        let image_rank = topology.rank_of(image_node, topology.local_rank_of(rep.rank));
+        let image = rep.relabeled(group, delta, image_rank);
+
+        let relabeled_ops: Vec<_> = rep
+            .to_trace_ops(tag)
+            .into_iter()
+            .map(|op| group.relabel_op(op, topology, delta))
+            .collect();
+        prop_assert_eq!(image.to_trace_ops(tag), relabeled_ops);
+        // The rank number is only reported in an error; renumber the
+        // representative alone to compare the results whole.
+        let renumbered = RankPlan {
+            rank: image_rank,
+            ..rep.clone()
+        };
+        prop_assert_eq!(image.validate(), renumbered.validate());
     }
 }
