@@ -16,8 +16,9 @@
 //! * `LocalBarrier` releases all ranks of the node at the time the last of
 //!   them arrives plus the barrier cost.
 //!
-//! The engine is deterministic: ties in time are broken by a monotonically
-//! increasing sequence number.
+//! The engine is deterministic: events at equal times are ordered by a
+//! static tie class and then by a monotonically increasing insertion
+//! sequence number (see "Tie order" below).
 //!
 //! ## Scheduler
 //!
@@ -31,7 +32,7 @@
 //!   auto-tuned to the NIC injection gap (the dominant event spacing), with
 //!   a spill heap for far-future events (long `Delay`s).  Pushes are O(1);
 //!   pops sort one small bucket at a time, preserving the exact global
-//!   `(time, seq)` order of the heap version.
+//!   `(time, tie key)` order of the heap version.
 //! * **flat mailboxes**: one list of pending `(source, tag, arrival)`
 //!   messages per receiver, scanned linearly and matched per key in
 //!   delivery order, plus the one key the (sequential) receiver is blocked
@@ -47,8 +48,34 @@
 //!   burst without a queue round-trip per op.  The chain breaks before any
 //!   op that reads or writes shared state (`Send`, `Recv`, `LocalBarrier`),
 //!   which is re-queued at the advanced clock so node-level resources are
-//!   still claimed in global time order — unless nothing else is scheduled
-//!   first, in which case the rank runs ahead without the round-trip.
+//!   still claimed in global `(time, class)` order — unless nothing else is
+//!   scheduled first, in which case the rank runs ahead without the
+//!   round-trip.
+//!
+//! ## Tie order
+//!
+//! Both engines pack an event's tie key as `class << 40 | seq` above its
+//! time.  A replay decides once per call whether its trace folds: a full
+//! trace by [`FoldedTrace::detect_with`] under the run's perturbation, a
+//! folded trace by its own group.  A trace that does not fold has class 0
+//! everywhere, so its ties break in insertion order alone.  In a trace that
+//! folds, a rank's event takes the class `1 + local·N + offset` of the op
+//! it runs next, where `offset` is the node an internode send goes to, seen
+//! from the rank's own node under the group (`(dst − src) mod N` for a
+//! rotation, `src ⊕ dst` for XOR), and 0 for any other op.
+//!
+//! Neither term changes under the group, so every node breaks its ties
+//! alike.  Two events of one time and one class on different nodes belong
+//! to one local rank whose next op either sends to one relative node or
+//! stays on its own node, so they touch disjoint adapters, mailboxes and
+//! barriers, and commute.  The full replay of a trace that folds is
+//! therefore node-symmetric, and folded replay reproduces it bit for bit.
+//!
+//! The classes are read from a `[local][pc]` table of node 0's programs, so
+//! a push costs one lookup; the event loop is generic over the tie order,
+//! so a replay in insertion order has no lookups at all.  A class takes the
+//! key's top 24 bits, so a replay of a trace that folds over 2^24 ranks or
+//! more panics.
 //!
 //! ## Folded replay
 //!
@@ -70,19 +97,13 @@
 //!   maps onto node 0, with the same injection-complete time);
 //! * **the mirror flush**: those pending arrivals are applied to node 0's
 //!   adapter as soon as simulated time advances past the instant they were
-//!   registered, in the order the full replay would process them;
+//!   registered, sorted by the tie class each mirror sender shares with its
+//!   node-0 image — the order the full replay processes them in;
 //! * **the run-ahead gate**: pending arrivals are not queue events, so a
 //!   rank only runs ahead when none are pending;
 //! * **the projection**: counters scale by the node count, the skew
-//!   percentiles stride by it, and per-rank finish times are broadcast
-//!   across each equivalence class.
-//!
-//! Folding is exact when the full replay is itself node-symmetric.  Its
-//! tie-break (rank order at equal times) can break that symmetry when a
-//! node takes tied arrivals from several source nodes, e.g. when each local
-//! rank sends to a different node offset at the same instant;
-//! [`FoldedTrace::detect`] does not look at timing and still folds such
-//! traces.
+//!   percentiles stride by it, and per-rank finish times — and a deadlock's
+//!   stuck ranks — are broadcast across each equivalence class.
 //!
 //! ## Perturbation
 //!
@@ -97,12 +118,13 @@
 //! [`SimFailure`] naming the starved `(rank, tag)` pairs instead of an
 //! undiagnosable deadlock.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
+use pip_runtime::Topology;
 use pip_transport::cost::{IntranodeCost, IntranodeMechanism, Nanos};
 
-use crate::fold::FoldedTrace;
+use crate::fold::{FoldGroup, FoldedTrace};
 use crate::params::SimParams;
 use crate::perturb::{PerturbState, Perturbation};
 use crate::trace::{Trace, TraceError, TraceOp};
@@ -192,13 +214,31 @@ impl Default for RunOptions {
 const CALENDAR_BUCKETS: usize = 1024;
 const CALENDAR_MASK: u64 = CALENDAR_BUCKETS as u64 - 1;
 
+/// Bits of an event's tie key below its tie class: the insertion sequence.
+pub(crate) const TIE_SEQ_BITS: u32 = 40;
+
 /// A scheduled wakeup for one rank.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     time: Nanos,
+    /// The tie key, `class << TIE_SEQ_BITS | insertion sequence`: events
+    /// at equal times pop by class, then in insertion order.
     seq: u64,
     rank: u32,
     gen: u32,
+}
+
+impl Event {
+    /// Whether this event pops after one pushed now at `(t, tie)`, which
+    /// would take the next sequence number: a later time or a larger class.
+    #[inline]
+    fn after(&self, t: Nanos, tie: u64) -> bool {
+        match self.time.total_cmp(&t) {
+            Ordering::Greater => true,
+            Ordering::Less => false,
+            Ordering::Equal => self.seq >> TIE_SEQ_BITS > tie >> TIE_SEQ_BITS,
+        }
+    }
 }
 
 /// Ordering adapter for the overflow heap (min-heap via `Reverse`).
@@ -260,7 +300,7 @@ struct CalendarQueue {
     current: Vec<Event>,
     /// Read position within `current`.
     cursor: usize,
-    /// Next sequence number (the deterministic tie-break).
+    /// Next insertion sequence number (the tie-break below the class).
     seq: u64,
     /// Total events stored across `current`, `ring`, and `overflow`.
     len: usize,
@@ -298,10 +338,12 @@ impl CalendarQueue {
         (time * self.inv_width) as u64
     }
 
-    /// Schedule a fresh event (assigns the next sequence number).
+    /// Schedule a fresh event of tie class `tie` (already shifted into
+    /// place; see [`TieClasses`]), assigning the next sequence number.
     #[inline]
-    fn push(&mut self, time: Nanos, rank: u32, gen: u32) {
-        let seq = self.seq;
+    fn push(&mut self, time: Nanos, tie: u64, rank: u32, gen: u32) {
+        debug_assert!(self.seq < 1 << TIE_SEQ_BITS);
+        let seq = tie | self.seq;
         self.seq += 1;
         self.insert(Event {
             time,
@@ -375,17 +417,20 @@ impl CalendarQueue {
         }
     }
 
-    /// True when an event pushed *now* at time `t` would be the very next
-    /// pop — i.e. every queued event is strictly later than `t` (a fresh
-    /// push always receives the largest sequence number, so it loses any
-    /// tie at equal times).  This is what lets the replay loop continue a
-    /// rank inline instead of a push immediately followed by a pop.
-    fn next_is_after(&mut self, t: Nanos) -> bool {
+    /// True when an event pushed *now* at `(t, tie)` would be the very next
+    /// pop — i.e. every queued event is strictly later than `t` or of a
+    /// larger class (a fresh push always receives the largest sequence
+    /// number, so it loses any tie of time and class).  This is what lets
+    /// the replay loop continue a rank inline instead of a push immediately
+    /// followed by a pop.
+    fn next_is_after(&mut self, t: Nanos, tie: u64) -> bool {
         loop {
-            let head = match (self.current.get(self.cursor), self.incoming.peek()) {
-                (Some(cur), Some(Reverse(OverflowEvent(inc)))) => cur.time.min(inc.time),
-                (Some(cur), None) => cur.time,
-                (None, Some(Reverse(OverflowEvent(inc)))) => inc.time,
+            return match (self.current.get(self.cursor), self.incoming.peek()) {
+                (Some(cur), Some(Reverse(OverflowEvent(inc)))) => {
+                    cur.after(t, tie) && inc.after(t, tie)
+                }
+                (Some(cur), None) => cur.after(t, tie),
+                (None, Some(Reverse(OverflowEvent(inc)))) => inc.after(t, tie),
                 (None, None) => {
                     if self.len == 0 {
                         return true;
@@ -394,7 +439,6 @@ impl CalendarQueue {
                     continue;
                 }
             };
-            return head.total_cmp(&t).is_gt();
         }
     }
 
@@ -539,6 +583,91 @@ impl RankRuntime {
     }
 }
 
+/// The tie class of `rank` about to run `op` (`None` once its program is
+/// done) in a replay of a trace that folds under `group`:
+/// `1 + local·N + offset`, where `offset` is the node an internode send
+/// goes to, seen from the rank's own node under the group
+/// ([`FoldGroup::delta`]), and 0 for any other op.  Both terms are
+/// invariant under the group, so every node breaks its ties alike.
+pub(crate) fn tie_class(
+    group: FoldGroup,
+    topology: Topology,
+    rank: usize,
+    op: Option<&TraceOp>,
+) -> u64 {
+    let offset = match op {
+        Some(&TraceOp::Send { dest, .. }) if !topology.same_node(rank, dest) => group.delta(
+            topology.node_of(rank),
+            topology.node_of(dest),
+            topology.nodes(),
+        ),
+        _ => 0,
+    };
+    (1 + topology.local_rank_of(rank) * topology.nodes() + offset) as u64
+}
+
+/// How one replay breaks time ties above insertion order.  The event loop
+/// is generic over it, so a replay in insertion order compiles the class
+/// lookups away.
+trait TieOrder {
+    /// The tie class of `rank`'s event at `pc`, shifted into tie-key
+    /// position.
+    fn of(&self, rank: usize, pc: usize) -> u64;
+}
+
+/// The tie order of a trace that does not fold: every event has class 0,
+/// so ties break in insertion order alone.
+struct InsertionOrder;
+
+impl TieOrder for InsertionOrder {
+    #[inline]
+    fn of(&self, _rank: usize, _pc: usize) -> u64 {
+        0
+    }
+}
+
+/// The static tie classes of a trace that folds: one row per local rank,
+/// read from node 0's programs, where entry `pc` is [`tie_class`] of that
+/// rank at `pc`, with one entry past the last op.
+#[derive(Debug)]
+struct TieClasses {
+    /// The rows, flattened and shifted into tie-key position.
+    keys: Vec<u64>,
+    /// Start of each simulated rank's row (its local rank's) in `keys`.
+    rows: Vec<usize>,
+}
+
+impl TieClasses {
+    fn new(folded: &FoldedTrace, sim_ranks: usize) -> Self {
+        let (group, topology) = (folded.group(), folded.topology());
+        assert!(
+            topology.world_size() < 1 << (64 - TIE_SEQ_BITS),
+            "a world of {} ranks has more tie classes than an event key holds",
+            topology.world_size()
+        );
+        let mut keys = Vec::new();
+        let mut starts = Vec::with_capacity(topology.ppn());
+        for (local, program) in folded.representatives().iter().enumerate() {
+            starts.push(keys.len());
+            keys.extend(
+                (0..=program.len())
+                    .map(|pc| tie_class(group, topology, local, program.get(pc)) << TIE_SEQ_BITS),
+            );
+        }
+        let rows = (0..sim_ranks)
+            .map(|rank| starts[topology.local_rank_of(rank)])
+            .collect();
+        Self { keys, rows }
+    }
+}
+
+impl TieOrder for TieClasses {
+    #[inline]
+    fn of(&self, rank: usize, pc: usize) -> u64 {
+        self.keys[self.rows[rank] + pc]
+    }
+}
+
 /// The single active barrier episode of one node.
 ///
 /// A rank can only reach its next `LocalBarrier` after the previous episode
@@ -564,7 +693,8 @@ fn land(rx_free: &mut Nanos, busy: &mut Nanos, rx_ready: Nanos, occupancy: Nanos
 /// message node 0 sent, coming from the node the group maps onto node 0.
 #[derive(Debug)]
 struct MirrorRx {
-    src_node: usize,
+    /// The tie class of the send, which the mirror sender shares.
+    tie: u64,
     source: u32,
     dest: usize,
     tag: u64,
@@ -577,7 +707,11 @@ struct MirrorRx {
 /// barrier and perturbation indexing is the same for both.
 #[derive(Debug, Clone, Copy)]
 enum Simulated<'a> {
+    /// Every rank of a trace that does not fold.
     World(&'a Trace),
+    /// Every rank of a trace that folds as given, which keys its ties.
+    Symmetric(&'a Trace, &'a FoldedTrace),
+    /// Node 0's ranks of a folded trace.
     Node0(&'a FoldedTrace),
 }
 
@@ -585,27 +719,39 @@ impl<'a> Simulated<'a> {
     #[inline]
     fn program(self, rank: usize) -> &'a [TraceOp] {
         match self {
-            Simulated::World(trace) => &trace.ranks[rank].ops,
+            Simulated::World(trace) | Simulated::Symmetric(trace, _) => &trace.ranks[rank].ops,
             Simulated::Node0(folded) => &folded.representatives()[rank],
         }
     }
 }
 
 /// Make `dest`, blocked on the message arriving at `arrival`, runnable.
-fn wake(ranks: &mut [RankRuntime], queue: &mut CalendarQueue, dest: usize, arrival: Nanos) {
+fn wake(
+    ranks: &mut [RankRuntime],
+    queue: &mut CalendarQueue,
+    ties: &impl TieOrder,
+    dest: usize,
+    arrival: Nanos,
+) {
     ranks[dest].state = RankState::Runnable;
     let wake = arrival.max(ranks[dest].ready_time);
-    queue.push(wake, dest as u32, ranks[dest].gen);
+    queue.push(
+        wake,
+        ties.of(dest, ranks[dest].pc),
+        dest as u32,
+        ranks[dest].gen,
+    );
 }
 
 /// The run-ahead gate: whether a rank may apply its next shared-state op at
-/// `t` without a queue round-trip.  That is exact when nothing else can
-/// happen before `t` — every queued event is later — and nothing is owed
-/// outside the queue: pending mirror arrivals of a folded replay are not
-/// queue events, so the rank waits until they are applied.
+/// `(t, tie)` without a queue round-trip.  That is exact when nothing else
+/// can happen first — every queued event is later or of a larger class —
+/// and nothing is owed outside the queue: pending mirror arrivals of a
+/// folded replay are not queue events, so the rank waits until they are
+/// applied.
 #[inline]
-fn may_run_ahead(queue: &mut CalendarQueue, mirror: &[MirrorRx], t: Nanos) -> bool {
-    mirror.is_empty() && queue.next_is_after(t)
+fn may_run_ahead(queue: &mut CalendarQueue, mirror: &[MirrorRx], t: Nanos, tie: u64) -> bool {
+    mirror.is_empty() && queue.next_is_after(t, tie)
 }
 
 // ---------------------------------------------------------------------------
@@ -794,9 +940,20 @@ impl SimEngine {
     }
 
     /// Replay `trace` with explicit recording options.
+    ///
+    /// Every rank is simulated.  When the trace folds under the run's
+    /// perturbation ([`FoldedTrace::detect_with`]), equal-time events are
+    /// ordered by the fold's static tie classes, so the replay is
+    /// node-symmetric and [`Self::run_folded_with`] reproduces it exactly;
+    /// otherwise ties break in insertion order.
     pub fn run_with(&self, trace: &Trace, options: RunOptions) -> Result<SimOutcome, SimError> {
         trace.validate().map_err(SimError::InvalidTrace)?;
-        self.replay(Simulated::World(trace), options)
+        let folded = FoldedTrace::detect_with(trace, options.perturbation.as_ref());
+        let simulated = match &folded {
+            Some(folded) => Simulated::Symmetric(trace, folded),
+            None => Simulated::World(trace),
+        };
+        self.replay(simulated, options)
     }
 
     /// Replay `trace` with the seed heap-based scheduler (see
@@ -820,12 +977,11 @@ impl SimEngine {
     /// Replay `trace`, folding it by symmetry when possible.
     ///
     /// When [`FoldedTrace::detect`] finds a node-transitive symmetry, only
-    /// node 0's ranks are simulated and the result is projected onto the
-    /// full world; otherwise (and whenever the folded replay itself
-    /// deadlocks, so the stuck-rank list stays authoritative) this falls
-    /// back to the full replay.  The outcome is identical to [`Self::run`]
-    /// up to float accumulation order in `compute_total`, `nic_busy_total`
-    /// and `nic_busy_max`.
+    /// node 0's ranks are simulated and the result — a deadlock's stuck
+    /// ranks included — is projected onto the full world; otherwise this is
+    /// the full replay.  The outcome is identical to [`Self::run`] up to
+    /// float accumulation order in `compute_total`, `nic_busy_total` and
+    /// `nic_busy_max`.
     pub fn run_folded(&self, trace: &Trace) -> Result<SimOutcome, SimError> {
         self.run_folded_with(trace, RunOptions::default())
     }
@@ -842,15 +998,10 @@ impl SimEngine {
         options: RunOptions,
     ) -> Result<SimOutcome, SimError> {
         trace.validate().map_err(SimError::InvalidTrace)?;
-        if let Some(folded) = FoldedTrace::detect_with(trace, options.perturbation.as_ref()) {
-            match self.replay(Simulated::Node0(&folded), options) {
-                // The folded stuck list only names node-0 ranks; rerun the
-                // full world so the caller sees every stuck rank.
-                Err(SimError::Deadlock { .. }) => {}
-                other => return other,
-            }
+        match FoldedTrace::detect_with(trace, options.perturbation.as_ref()) {
+            Some(folded) => self.replay(Simulated::Node0(&folded), options),
+            None => self.replay(Simulated::World(trace), options),
         }
-        self.replay(Simulated::World(trace), options)
     }
 
     /// Replay an already-folded trace directly.
@@ -859,8 +1010,7 @@ impl SimEngine {
     /// at projection scale (10^5–10^6 ranks) the full trace is never
     /// materialized.  The caller vouches for the symmetry (e.g. via
     /// [`FoldedTrace::detect`] or probe-verified compilation).  A reported
-    /// deadlock names node-0 ranks only — one representative per stuck
-    /// equivalence class.
+    /// deadlock names every rank of each stuck equivalence class.
     ///
     /// Only the identity perturbation is accepted: the full trace is not
     /// available to fall back to, so any config with per-link or
@@ -882,14 +1032,36 @@ impl SimEngine {
         self.replay(Simulated::Node0(folded), options)
     }
 
-    /// The one event loop.  Callers validate; this only replays.
+    /// The one event loop.  Callers validate; this only replays.  A trace
+    /// that folds is replayed with its tie classes, any other in insertion
+    /// order.
     fn replay(
         &self,
         simulated: Simulated<'_>,
         options: RunOptions,
     ) -> Result<SimOutcome, SimError> {
+        match simulated {
+            Simulated::World(_) => self.replay_in(simulated, options, &InsertionOrder),
+            Simulated::Symmetric(trace, folded) => {
+                let ties = TieClasses::new(folded, trace.topology.world_size());
+                self.replay_in(simulated, options, &ties)
+            }
+            Simulated::Node0(folded) => {
+                let ties = TieClasses::new(folded, folded.topology().ppn());
+                self.replay_in(simulated, options, &ties)
+            }
+        }
+    }
+
+    /// [`Self::replay`] under the tie order `ties`.
+    fn replay_in(
+        &self,
+        simulated: Simulated<'_>,
+        options: RunOptions,
+        ties: &impl TieOrder,
+    ) -> Result<SimOutcome, SimError> {
         let (topology, folded) = match simulated {
-            Simulated::World(trace) => (trace.topology, None),
+            Simulated::World(trace) | Simulated::Symmetric(trace, _) => (trace.topology, None),
             Simulated::Node0(folded) => (folded.topology(), Some(folded)),
         };
         let world = topology.world_size();
@@ -942,7 +1114,7 @@ impl SimEngine {
         let mut copy_memo: (usize, Option<IntranodeMechanism>, Nanos) = (usize::MAX, None, 0.0);
 
         for rank in 0..sim_ranks {
-            queue.push(0.0, rank as u32, 0);
+            queue.push(0.0, ties.of(rank, 0), rank as u32, 0);
         }
 
         loop {
@@ -950,17 +1122,17 @@ impl SimEngine {
             if !mirror.is_empty() && ev.is_none_or(|e| e.time.total_cmp(&mirror_time).is_gt()) {
                 // Time is about to move past the batch: apply it in the
                 // order the full replay's scheduler would process the
-                // mirror sends.  All of them pop at one tied instant; the
-                // global tie order there is node-major (rank order), and
-                // within one node it is the order node 0's own sends were
-                // processed — the append order of `mirror`.  A stable sort
-                // by source node therefore reproduces the full
-                // interleaving.
-                mirror.sort_by_key(|m| m.src_node);
+                // mirror sends.  All of them happen at one instant, where
+                // the full replay orders events by tie class; each mirror
+                // sender shares its node-0 image's class, and no two
+                // senders to one node share a class.  A stable sort by
+                // class (append order for one rank's sends) therefore
+                // reproduces the full interleaving.
+                mirror.sort_by_key(|m| m.tie);
                 for m in mirror.drain(..) {
                     let arrival = land(&mut rx_free[0], &mut nic_busy[0], m.rx_ready, m.occupancy);
                     if mailboxes[m.dest].deliver(m.source, m.tag, arrival) {
-                        wake(&mut ranks, &mut queue, m.dest, arrival);
+                        wake(&mut ranks, &mut queue, ties, m.dest, arrival);
                     }
                 }
                 if let Some(ev) = ev {
@@ -997,11 +1169,14 @@ impl SimEngine {
                 // clock — applying the op right away is then
                 // indistinguishable from a re-queue immediately followed by
                 // the pop of that same event.  Otherwise resume through the
-                // queue so claims happen in global time order.
-                if shared && chained && !may_run_ahead(&mut queue, &mirror, now) {
-                    ranks[rank].ready_time = now;
-                    queue.push(now, ev.rank, ranks[rank].gen);
-                    break;
+                // queue so claims happen in global `(time, class)` order.
+                if shared && chained {
+                    let tie = ties.of(rank, ranks[rank].pc);
+                    if !may_run_ahead(&mut queue, &mirror, now, tie) {
+                        ranks[rank].ready_time = now;
+                        queue.push(now, tie, ev.rank, ranks[rank].gen);
+                        break;
+                    }
                 }
                 match op {
                     TraceOp::Delay { nanos } => {
@@ -1104,7 +1279,7 @@ impl SimEngine {
                                     mirror_time = now;
                                 }
                                 mirror.push(MirrorRx {
-                                    src_node,
+                                    tie: ties.of(rank, ranks[rank].pc),
                                     source: topology.rank_of(src_node, rank) as u32,
                                     dest: topology.local_rank_of(dest),
                                     tag,
@@ -1125,7 +1300,7 @@ impl SimEngine {
                         if let Some(arrival) = arrival {
                             if mailboxes[dest].deliver(rank as u32, tag, arrival) {
                                 // Wake the receiver blocked on this message.
-                                wake(&mut ranks, &mut queue, dest, arrival);
+                                wake(&mut ranks, &mut queue, ties, dest, arrival);
                             }
                         }
                         ranks[rank].pc += 1;
@@ -1133,12 +1308,13 @@ impl SimEngine {
                         // Run-ahead: keep executing this rank if nothing
                         // else is scheduled before its send completes (the
                         // receiver wake above is already queued and counts).
-                        if may_run_ahead(&mut queue, &mirror, sender_done) {
+                        let tie = ties.of(rank, ranks[rank].pc);
+                        if may_run_ahead(&mut queue, &mirror, sender_done, tie) {
                             now = sender_done;
                             chained = false;
                             continue;
                         }
-                        queue.push(sender_done, ev.rank, ranks[rank].gen);
+                        queue.push(sender_done, tie, ev.rank, ranks[rank].gen);
                         break;
                     }
                     TraceOp::Recv { source, bytes, tag } => {
@@ -1154,12 +1330,13 @@ impl SimEngine {
                                 let done = now.max(arrival) + recv_cost;
                                 ranks[rank].pc += 1;
                                 ranks[rank].ready_time = done;
-                                if may_run_ahead(&mut queue, &mirror, done) {
+                                let tie = ties.of(rank, ranks[rank].pc);
+                                if may_run_ahead(&mut queue, &mirror, done, tie) {
                                     now = done;
                                     chained = false;
                                     continue;
                                 }
-                                queue.push(done, ev.rank, ranks[rank].gen);
+                                queue.push(done, tie, ev.rank, ranks[rank].gen);
                             }
                             None => {
                                 ranks[rank].state = RankState::BlockedOnRecv;
@@ -1188,7 +1365,7 @@ impl SimEngine {
                                 ranks[w].state = RankState::Runnable;
                                 ranks[w].pc += 1;
                                 ranks[w].ready_time = release;
-                                queue.push(release, waiter, ranks[w].gen);
+                                queue.push(release, ties.of(w, ranks[w].pc), waiter, ranks[w].gen);
                             }
                         } else {
                             slot.waiters.push(ev.rank);
@@ -1206,13 +1383,13 @@ impl SimEngine {
         // deadlocked (validation catches most causes, but e.g. circular
         // waits are only detectable here) — unless the drop model starved
         // messages, in which case the structured failure names them.
-        let stuck: Vec<usize> = ranks
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.state != RankState::Finished)
-            .map(|(rank, _)| rank)
-            .collect();
-        if !stuck.is_empty() {
+        if ranks.iter().any(|r| r.state != RankState::Finished) {
+            // World rank `r` is simulated by rank `r mod sim_ranks`, as for
+            // `rank_finish` below: a folded replay's stuck representative
+            // stands for its whole class.
+            let stuck: Vec<usize> = (0..world)
+                .filter(|&rank| ranks[rank % sim_ranks].state != RankState::Finished)
+                .collect();
             if starved.is_empty() {
                 return Err(SimError::Deadlock { stuck_ranks: stuck });
             }
@@ -1752,7 +1929,7 @@ mod tests {
             (0.0, 4),
             (55.0, 5),
         ] {
-            queue.push(time, rank, 0);
+            queue.push(time, 0, rank, 0);
         }
         let order: Vec<(Nanos, u32)> = std::iter::from_fn(|| queue.pop())
             .map(|e| (e.time, e.rank))
@@ -1775,9 +1952,9 @@ mod tests {
         let mut queue = CalendarQueue::new(1.0, 0);
         // Window is CALENDAR_BUCKETS ns wide; these are far beyond it.
         let horizon = CALENDAR_BUCKETS as f64;
-        queue.push(horizon * 1e6, 0, 0);
-        queue.push(3.0, 1, 0);
-        queue.push(horizon * 2e6, 2, 0);
+        queue.push(horizon * 1e6, 0, 0, 0);
+        queue.push(3.0, 0, 1, 0);
+        queue.push(horizon * 2e6, 0, 2, 0);
         assert_eq!(queue.overflow.len(), 2);
         assert_eq!(queue.pop().map(|e| e.rank), Some(1));
         // Popping past the near event must jump-rebase into the overflow.
@@ -1789,8 +1966,8 @@ mod tests {
     #[test]
     fn calendar_queue_reinsert_preserves_tie_order() {
         let mut queue = CalendarQueue::new(10.0, 0);
-        queue.push(7.0, 0, 0);
-        queue.push(7.0, 1, 0);
+        queue.push(7.0, 0, 0, 0);
+        queue.push(7.0, 0, 1, 0);
         let first = queue.pop().unwrap();
         assert_eq!(first.rank, 0);
         // Re-inserting the earlier-seq event puts it back ahead of the tie.
@@ -2112,39 +2289,94 @@ mod tests {
     }
 
     #[test]
-    fn folded_deadlock_falls_back_to_authoritative_stuck_list() {
-        // A symmetric trace that deadlocks: every rank receives before any
-        // send is posted.  The folded replay detects the deadlock but only
-        // sees node 0, so run_folded must re-run the full world and report
-        // every stuck rank.
+    fn folded_deadlock_expands_stuck_ranks_across_their_classes() {
+        // A symmetric trace in which local rank 0 of every node receives
+        // before any send is posted, while local rank 1 completes a ring
+        // exchange.  The folded replay only sees node 0, and its stuck list
+        // names every rank of the stuck class — the full replay's list.
         let nodes = 3usize;
-        let topology = topo(nodes, 1);
+        let topology = topo(nodes, 2);
         let mut trace = Trace::empty(topology);
-        for rank in 0..nodes {
-            let prev = (rank + nodes - 1) % nodes;
-            let next = (rank + 1) % nodes;
+        for rank in 0..topology.world_size() {
+            let (node, local) = (topology.node_of(rank), topology.local_rank_of(rank));
+            let prev = topology.rank_of((node + nodes - 1) % nodes, local);
+            let next = topology.rank_of((node + 1) % nodes, local);
+            let recv = TraceOp::Recv {
+                source: prev,
+                bytes: 8,
+                tag: 0,
+            };
+            let send = TraceOp::Send {
+                dest: next,
+                bytes: 8,
+                tag: 0,
+            };
+            let program = if local == 0 {
+                [recv, send]
+            } else {
+                [send, recv]
+            };
+            for op in program {
+                trace.push(rank, op);
+            }
+        }
+        let engine = engine();
+        let err = engine.run_folded(&trace).unwrap_err();
+        assert_eq!(err, engine.run(&trace).unwrap_err());
+        assert_eq!(
+            err,
+            SimError::Deadlock {
+                stuck_ranks: vec![0, 2, 4]
+            }
+        );
+    }
+
+    #[test]
+    fn tied_sends_from_two_source_nodes_replay_node_symmetrically() {
+        // At time 0 local rank 0 of every node sends one node on and local
+        // rank 1 two nodes on, so every adapter takes two messages sent at
+        // one instant from two source nodes.  Insertion (rank) order lands
+        // node 1's message from local rank 0 first but node 2's from local
+        // rank 1 first — not node-symmetric; the tie classes order every
+        // node alike, so the full replay is symmetric and the fold matches
+        // it.
+        let nodes = 3usize;
+        let topology = topo(nodes, 2);
+        let mut trace = Trace::empty(topology);
+        for rank in 0..topology.world_size() {
+            let (node, local) = (topology.node_of(rank), topology.local_rank_of(rank));
+            let shift = local + 1;
+            let dest = topology.rank_of((node + shift) % nodes, local);
+            let source = topology.rank_of((node + nodes - shift) % nodes, local);
             trace.push(
                 rank,
-                TraceOp::Recv {
-                    source: prev,
-                    bytes: 8,
+                TraceOp::Send {
+                    dest,
+                    bytes: 4096,
                     tag: 0,
                 },
             );
             trace.push(
                 rank,
-                TraceOp::Send {
-                    dest: next,
-                    bytes: 8,
+                TraceOp::Recv {
+                    source,
+                    bytes: 4096,
                     tag: 0,
                 },
             );
         }
-        let err = engine().run_folded(&trace).unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Deadlock { ref stuck_ranks } if *stuck_ranks == vec![0, 1, 2]
-        ));
+        let engine = engine();
+        let options = RunOptions::recorded();
+        let full = engine.run_with(&trace, options).unwrap();
+        let folded = engine.run_folded_with(&trace, options).unwrap();
+        let reference = engine.run_reference(&trace).unwrap();
+        for (rank, finish) in full.rank_finish.iter().enumerate() {
+            assert_eq!(*finish, full.rank_finish[rank % 2], "rank {rank}");
+        }
+        for other in [&folded, &reference] {
+            assert_eq!(other.makespan, full.makespan);
+            assert_eq!(other.rank_finish, full.rank_finish);
+        }
     }
 
     #[test]

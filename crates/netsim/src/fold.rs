@@ -62,14 +62,33 @@ pub enum FoldGroup {
 impl FoldGroup {
     /// The node map: the image of `rank` under the group element that
     /// carries node 0 to node `delta`.  Local ranks are fixed.
+    ///
+    /// Ranks are node-major, so a rotation moves a rank by `delta` whole
+    /// nodes modulo the world, and an XOR swaps its node term: one division
+    /// either way, on the hot path of detection and lowering.
     #[inline]
     pub fn relabel_rank(self, rank: usize, topology: Topology, delta: usize) -> usize {
-        let node = topology.node_of(rank);
-        let mapped = match self {
-            FoldGroup::Rotation => (node + delta) % topology.nodes(),
-            FoldGroup::Xor => node ^ delta,
-        };
-        topology.rank_of(mapped, topology.local_rank_of(rank))
+        debug_assert!(rank < topology.world_size());
+        let ppn = topology.ppn();
+        match self {
+            FoldGroup::Rotation => (rank + delta * ppn) % topology.world_size(),
+            FoldGroup::Xor => {
+                let node = rank / ppn;
+                rank - node * ppn + (node ^ delta) * ppn
+            }
+        }
+    }
+
+    /// Node `to` seen from node `from`: the `delta` of the element that
+    /// carries `from` to `to` — `(to − from) mod N` for a rotation,
+    /// `from ⊕ to` for XOR.  Relabeling both nodes by one element of the
+    /// group leaves it unchanged.
+    #[inline]
+    pub(crate) fn delta(self, from: usize, to: usize, nodes: usize) -> usize {
+        match self {
+            FoldGroup::Rotation => (to + nodes - from) % nodes,
+            FoldGroup::Xor => from ^ to,
+        }
     }
 
     /// `op` with its peer, if it has one, carried by [`Self::relabel_rank`].
@@ -465,6 +484,42 @@ mod tests {
         let folded = FoldedTrace::detect(&doubling_trace(4, 1)).unwrap();
         // XOR is an involution: outgoing to d mirrors an arrival from d.
         assert_eq!(folded.mirror_source_node(3), 3);
+    }
+
+    #[test]
+    fn relabel_rank_moves_the_node_and_keeps_the_local_rank() {
+        let topology = Topology::new(8, 3);
+        for group in [FoldGroup::Rotation, FoldGroup::Xor] {
+            for rank in 0..topology.world_size() {
+                for delta in 0..8 {
+                    let node = topology.node_of(rank);
+                    let mapped = match group {
+                        FoldGroup::Rotation => (node + delta) % 8,
+                        FoldGroup::Xor => node ^ delta,
+                    };
+                    assert_eq!(
+                        group.relabel_rank(rank, topology, delta),
+                        topology.rank_of(mapped, topology.local_rank_of(rank)),
+                        "{group:?} rank {rank} delta {delta}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delta_is_invariant_under_the_group() {
+        let topology = Topology::new(8, 1);
+        for group in [FoldGroup::Rotation, FoldGroup::Xor] {
+            for (from, to) in [(0, 3), (5, 2), (7, 7), (6, 1)] {
+                let delta = group.delta(from, to, 8);
+                assert_eq!(group.relabel_rank(from, topology, delta), to);
+                for g in 0..8 {
+                    let image = |n| group.relabel_rank(n, topology, g);
+                    assert_eq!(group.delta(image(from), image(to), 8), delta);
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! differential baseline behind [`engine::SimEngine::run_reference`].  For
 //! node-symmetric schedules, [`fold`] partitions ranks into equivalence
 //! classes and [`engine::SimEngine::run_folded`] replays one representative
-//! per class, which is what makes million-rank projections tractable.
+//! per class — bit-identical to the full replay, so [`network::simulate`]
+//! folds whenever it can — which is what makes million-rank projections
+//! tractable.
 
 #![forbid(unsafe_code)]
 

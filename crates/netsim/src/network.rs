@@ -75,24 +75,21 @@ impl SimulationReport {
 const SUMMARY_OPTIONS: RunOptions = RunOptions::summary();
 
 /// Simulate `trace` under `params` and label the report.
+///
+/// A node-symmetric schedule is replayed folded, from node 0's ranks
+/// ([`SimEngine::run_folded_with`]); the report is the full replay's.
 pub fn simulate(
     label: impl Into<String>,
     trace: &Trace,
     params: &SimParams,
 ) -> Result<SimulationReport, SimError> {
-    let engine = SimEngine::new(*params);
-    let outcome = engine.run_with(trace, SUMMARY_OPTIONS)?;
-    Ok(SimulationReport::from_outcome(
-        label,
-        trace.topology.world_size(),
-        &outcome,
-    ))
+    simulate_degraded(label, trace, params, Perturbation::NONE)
 }
 
 /// Like [`simulate`], but replay under a degraded fabric described by
-/// `perturbation`.  An identity perturbation of a symmetric schedule is
-/// replayed folded, so a sweep's zero-loss point stays fast; every other
-/// config is replayed in full.
+/// `perturbation`.  Like [`simulate`], an identity perturbation of a
+/// symmetric schedule is replayed folded; every other config is replayed in
+/// full.
 pub fn simulate_degraded(
     label: impl Into<String>,
     trace: &Trace,
@@ -167,9 +164,9 @@ mod tests {
 
     #[test]
     fn folded_simulation_reports_match_full_simulation() {
-        // A node-symmetric ring at 6x2: simulate_degraded folds it under
-        // the identity perturbation and must produce the report simulate
-        // does.
+        // A node-symmetric ring at 6x2: simulate and simulate_degraded fold
+        // it under the identity perturbation and must produce the report of
+        // the full replay.
         let topology = Topology::new(6, 2);
         let mut trace = Trace::empty(topology);
         for rank in 0..topology.world_size() {
@@ -195,12 +192,14 @@ mod tests {
             );
         }
         let params = SimParams::default();
-        let full = simulate("ring", &trace, &params).unwrap();
-        let folded = simulate_degraded("ring", &trace, &params, Perturbation::NONE).unwrap();
-        assert_eq!(folded.makespan_ns, full.makespan_ns);
-        assert_eq!(folded.internode_messages, full.internode_messages);
-        assert_eq!(folded.internode_bytes, full.internode_bytes);
-        assert!((folded.nic_utilization - full.nic_utilization).abs() < 1e-9);
+        let outcome = SimEngine::new(params)
+            .run_with(&trace, SUMMARY_OPTIONS)
+            .unwrap();
+        let full = SimulationReport::from_outcome("ring", topology.world_size(), &outcome);
+        let folded = simulate("ring", &trace, &params).unwrap();
+        assert_eq!(folded, full);
+        let degraded = simulate_degraded("ring", &trace, &params, Perturbation::NONE).unwrap();
+        assert_eq!(degraded, full);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The seed discrete-event engine, retained verbatim as a reference.
+//! The seed discrete-event engine, retained as a reference.
 //!
 //! This is the original `BinaryHeap` + hash-map-mailbox replay loop the
 //! calendar-queue engine in [`crate::engine`] replaced.  It stays in the
@@ -12,8 +12,12 @@
 //!   events/sec improvement against this baseline; keeping the baseline
 //!   compiled means the headline ratio is measured, not remembered.
 //!
-//! The scheduler is untouched from the seed; see [`crate::engine`] for the
-//! documented cost model both engines implement.  The perturbation plane
+//! The scheduler is the seed's, with one addition both engines share: a
+//! trace that folds breaks time ties by the static tie class of each
+//! rank's next op before insertion order (see [`crate::engine`]'s "Tie
+//! order"; here the class is read from the rank's own program, not from a
+//! table of node 0's).  See [`crate::engine`] for the documented cost model
+//! both engines implement.  The perturbation plane
 //! ([`crate::perturb`]: link jitter and drops) is applied by both engines —
 //! every draw is a pure hash of static identifiers, so the two engines stay
 //! bit-for-bit comparable under every perturbation config, which is what
@@ -25,9 +29,10 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use pip_transport::cost::{IntranodeCost, Nanos};
 
 use crate::engine::{
-    skew_percentiles, RunOptions, SimError, SimFailure, SimOutcome, SimStats, StarvedRecv,
-    INTRA_RECV_FLAG_COST,
+    skew_percentiles, tie_class, RunOptions, SimError, SimFailure, SimOutcome, SimStats,
+    StarvedRecv, INTRA_RECV_FLAG_COST, TIE_SEQ_BITS,
 };
+use crate::fold::FoldedTrace;
 use crate::params::SimParams;
 use crate::perturb::PerturbState;
 use crate::trace::{Trace, TraceOp};
@@ -113,19 +118,30 @@ pub(crate) fn replay(
     let perturb = PerturbState::new(options.perturbation.as_ref());
     let mut starved: Vec<StarvedRecv> = Vec::new();
 
-    // Event queue: (time, seq, rank).
+    // A trace that folds breaks time ties by the tie class of each rank's
+    // next op, read here from the rank's own program; any other trace by
+    // insertion order alone.
+    let group = FoldedTrace::detect_with(trace, options.perturbation.as_ref()).map(|f| f.group());
+    let class = |rank: usize, pc: usize| {
+        group.map_or(0, |group| {
+            tie_class(group, topology, rank, trace.ranks[rank].ops.get(pc)) << TIE_SEQ_BITS
+        })
+    };
+
+    // Event queue: (time, class << TIE_SEQ_BITS | seq, rank).
     let mut queue: BinaryHeap<Reverse<(TimeKey, u64, usize)>> = BinaryHeap::new();
     let mut seq = 0u64;
     let push_event = |queue: &mut BinaryHeap<Reverse<(TimeKey, u64, usize)>>,
                       seq: &mut u64,
                       time: Nanos,
-                      rank: usize| {
-        queue.push(Reverse((TimeKey(time), *seq, rank)));
+                      rank: usize,
+                      pc: usize| {
+        queue.push(Reverse((TimeKey(time), class(rank, pc) | *seq, rank)));
         *seq += 1;
     };
 
     for rank in 0..world {
-        push_event(&mut queue, &mut seq, 0.0, rank);
+        push_event(&mut queue, &mut seq, 0.0, rank, 0);
     }
 
     while let Some(Reverse((TimeKey(now), _, rank))) = queue.pop() {
@@ -204,12 +220,12 @@ pub(crate) fn replay(
                         blocked_recv.remove(&(rank, dest, tag));
                         ranks[receiver].state = RankState::Runnable;
                         let wake = arrival.max(ranks[receiver].ready_time);
-                        push_event(&mut queue, &mut seq, wake, receiver);
+                        push_event(&mut queue, &mut seq, wake, receiver, ranks[receiver].pc);
                     }
                 }
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = sender_done;
-                push_event(&mut queue, &mut seq, sender_done, rank);
+                push_event(&mut queue, &mut seq, sender_done, rank, pc + 1);
             }
             TraceOp::Recv { source, bytes, tag } => {
                 let key = (source, rank, tag);
@@ -225,7 +241,7 @@ pub(crate) fn replay(
                         let done = now.max(arrival) + recv_cost;
                         ranks[rank].pc += 1;
                         ranks[rank].ready_time = done;
-                        push_event(&mut queue, &mut seq, done, rank);
+                        push_event(&mut queue, &mut seq, done, rank, pc + 1);
                     }
                     None => {
                         ranks[rank].state = RankState::BlockedOnRecv;
@@ -241,25 +257,25 @@ pub(crate) fn replay(
                 let done = now + cost_model.transfer_cost(bytes, false);
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = done;
-                push_event(&mut queue, &mut seq, done, rank);
+                push_event(&mut queue, &mut seq, done, rank, pc + 1);
             }
             TraceOp::Reduce { bytes } => {
                 let done = now + params.memcpy.reduce_cost(bytes);
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = done;
-                push_event(&mut queue, &mut seq, done, rank);
+                push_event(&mut queue, &mut seq, done, rank, pc + 1);
             }
             TraceOp::Codec { bytes } => {
                 let done = now + params.memcpy.copy_cost(bytes);
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = done;
-                push_event(&mut queue, &mut seq, done, rank);
+                push_event(&mut queue, &mut seq, done, rank, pc + 1);
             }
             TraceOp::Delay { nanos } => {
                 let done = now + nanos.max(0.0);
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = done;
-                push_event(&mut queue, &mut seq, done, rank);
+                push_event(&mut queue, &mut seq, done, rank, pc + 1);
             }
             TraceOp::Compute { nanos } => {
                 // Same timeline effect as a delay; accounted separately
@@ -269,7 +285,7 @@ pub(crate) fn replay(
                 let done = now + busy;
                 ranks[rank].pc += 1;
                 ranks[rank].ready_time = done;
-                push_event(&mut queue, &mut seq, done, rank);
+                push_event(&mut queue, &mut seq, done, rank, pc + 1);
             }
             TraceOp::LocalBarrier => {
                 let node = topology.node_of(rank);
@@ -292,7 +308,7 @@ pub(crate) fn replay(
                         ranks[waiter].pc += 1;
                         ranks[waiter].barriers_done += 1;
                         ranks[waiter].ready_time = release;
-                        push_event(&mut queue, &mut seq, release, waiter);
+                        push_event(&mut queue, &mut seq, release, waiter, ranks[waiter].pc);
                     }
                 } else {
                     episode.waiters.push(rank);

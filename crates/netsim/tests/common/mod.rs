@@ -54,24 +54,21 @@ fn local_op(rng: &mut Lcg, kind: u64) -> TraceOp {
 
 /// A random node-symmetric trace, which always folds: local-op preludes
 /// (codec passes included) are drawn per local rank and shared by every
-/// node, and each round exchanges `(n, l) → ((n + d) mod N, (l + s) mod
-/// ppn)` — intra-node when `d == 0`, a self-send when `s == 0` too —
+/// node, and each round exchanges `(n, l) → ((n + d_l) mod N, (l + s) mod
+/// ppn)` — intra-node when `d_l == 0`, a self-send when `s == 0` too —
 /// optionally followed by a barrier.  Nothing depends on the node, so node
 /// rotation maps the trace onto itself.
 ///
-/// One node shift `d` serves every local rank on purpose.  With a shift per
-/// local rank, node `k` takes tied arrivals from several nodes, and the full
-/// replay breaks the tie in node-major order — which differs from node to
-/// node across the wrap-around — so the full replay itself stops being
-/// symmetric and no fold can match it.
+/// Each local rank `l` draws its own node shift `d_l`, so a node takes tied
+/// arrivals from several source nodes at once: the case where a tie order
+/// that is not node-symmetric would make the full replay itself asymmetric.
 pub fn symmetric_trace(nodes: usize, ppn: usize, rounds: usize, seed: u64) -> Trace {
     symmetric_trace_under(FoldGroup::Rotation, nodes, ppn, rounds, seed)
 }
 
-/// [`symmetric_trace`] under either group: each round's node shift `d` is
-/// the group element `(n, l) → (g_d(n), l)` (a rotation or, for a
-/// power-of-two node count, an XOR mask), so the trace is invariant under
-/// `group`.
+/// [`symmetric_trace`] under either group: each node shift `d_l` is the
+/// group element `(n, l) → (g_d(n), l)` (a rotation or, for a power-of-two
+/// node count, an XOR mask), so the trace is invariant under `group`.
 pub fn symmetric_trace_under(
     group: FoldGroup,
     nodes: usize,
@@ -97,12 +94,12 @@ pub fn symmetric_trace_under(
                 }
             }
         }
-        let d = rng.below(nodes as u64) as usize;
+        let d: Vec<usize> = (0..ppn).map(|_| rng.below(nodes as u64) as usize).collect();
         let s = rng.below(ppn as u64) as usize;
         let bytes = 1 + rng.below(5_000) as usize;
         let tag = round as u64;
         // The group element undoing `d`.
-        let inverse = match group {
+        let inverse = |d: usize| match group {
             FoldGroup::Rotation => nodes - d,
             FoldGroup::Xor => d,
         };
@@ -111,11 +108,13 @@ pub fn symmetric_trace_under(
             topology.rank_of(node, (topology.local_rank_of(rank) + s) % ppn)
         };
         for rank in 0..world {
-            let dest = shifted(rank, d, s);
+            let dest = shifted(rank, d[topology.local_rank_of(rank)], s);
             trace.push(rank, TraceOp::Send { dest, bytes, tag });
         }
         for rank in 0..world {
-            let source = shifted(rank, inverse, ppn - s);
+            // The sender's local rank picks the shift to undo.
+            let sender_local = (topology.local_rank_of(rank) + ppn - s) % ppn;
+            let source = shifted(rank, inverse(d[sender_local]), ppn - s);
             trace.push(rank, TraceOp::Recv { source, bytes, tag });
         }
         if rng.below(4) == 0 {
