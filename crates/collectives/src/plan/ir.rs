@@ -24,7 +24,7 @@
 
 use std::borrow::Cow;
 
-use pip_netsim::trace::{Trace, TraceOp};
+use pip_netsim::trace::{OpVec, RankTrace, Trace, TraceOp};
 use pip_netsim::FoldGroup;
 use pip_runtime::Topology;
 use pip_transport::cost::IntranodeMechanism;
@@ -37,6 +37,10 @@ pub type ValId = u32;
 
 /// Index into [`RankPlan::names`].
 pub type NameId = u32;
+
+/// How many distinct peer-free programs [`Plan::to_trace`] interns; a
+/// program beyond them keeps its own storage.
+const INTERNED_PEER_FREE: usize = 8;
 
 /// How much information a plan carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -832,38 +836,56 @@ impl Plan {
     /// Lower the whole plan to a validated-shape [`Trace`] with tags rebased
     /// by `tag` — the one way a simulator trace is made.
     ///
-    /// Each stored program is lowered once; a rank takes its program's trace
-    /// ops with their peers relabeled by its node (the identity at delta 0,
-    /// so a plan storing every rank lowers each program as it stands).
+    /// Each stored program is lowered once, and ranks share storage by
+    /// construction, never by comparing their programs:
+    ///
+    /// * a lowered program with a peer is moved into the rank that stores
+    ///   it, and each rank relabeled from it (a plan with a
+    ///   [`Plan::group`]) takes its own relabeled copy;
+    /// * a peer-free program is its own image under every relabeling, so
+    ///   every rank running it shares one [`OpVec`].  Equal peer-free
+    ///   programs are interned in a short list, so every non-leader of a
+    ///   hierarchical schedule shares one across local ranks, and across
+    ///   the nodes of a plan that stores every rank.
     pub fn to_trace(&self, tag: u64) -> Trace {
-        let world = self.topology.world_size();
-        let mut lowered: Vec<Vec<TraceOp>> = self
+        let mut peer_free: Vec<OpVec> = Vec::new();
+        let lowered: Vec<(OpVec, bool)> = self
             .programs
             .iter()
-            .map(|plan| plan.to_trace_ops(tag))
-            .collect();
-        let stored = lowered.len();
-        let rank_ops = (0..world)
-            .map(|rank| {
-                let (program, delta) = self.program_of(rank);
-                // The last rank running a program takes its ops.
-                let mut ops = if rank + stored >= world {
-                    std::mem::take(&mut lowered[program])
-                } else {
-                    lowered[program].clone()
-                };
-                if let Some(group) = self.group.filter(|_| delta != 0) {
-                    for op in &mut ops {
-                        *op = group.relabel_op(*op, self.topology, delta);
-                    }
+            .map(|plan| {
+                let ops = plan.to_trace_ops(tag);
+                if ops.iter().any(|op| op.peer().is_some()) {
+                    return (ops.into(), true);
                 }
-                ops
+                if let Some(shared) = peer_free.iter().find(|shared| ***shared == ops[..]) {
+                    return (shared.clone(), false);
+                }
+                let ops = OpVec::from(ops);
+                if peer_free.len() < INTERNED_PEER_FREE {
+                    peer_free.push(ops.clone());
+                }
+                (ops, false)
             })
             .collect();
-        // `from_rank_ops` aliases identical programs, so symmetric plans
-        // (every non-leader of a hierarchical schedule, say) lower to one
-        // stored op vector per equivalence class instead of one per rank.
-        Trace::from_rank_ops(self.topology, rank_ops)
+        let ranks = (0..self.topology.world_size())
+            .map(|rank| {
+                let (program, delta) = self.program_of(rank);
+                let (ops, has_peers) = &lowered[program];
+                let ops = match self.group {
+                    Some(group) if delta != 0 && *has_peers => ops
+                        .iter()
+                        .map(|op| group.relabel_op(*op, self.topology, delta))
+                        .collect::<Vec<_>>()
+                        .into(),
+                    _ => ops.clone(),
+                };
+                RankTrace { ops }
+            })
+            .collect();
+        Trace {
+            topology: self.topology,
+            ranks,
+        }
     }
 
     /// Validate every rank's program plus the cross-rank invariants: matched
@@ -1216,5 +1238,60 @@ mod tests {
             }
         ));
         assert!(matches!(ops[1], TraceOp::Reduce { bytes: 4 }));
+    }
+
+    /// Node `n`'s leader sends to node `n + 1`'s and receives from node
+    /// `n − 1`'s; every other rank only copies and meets the barrier.
+    fn leader_ring_rank(rank: usize, topo: Topology) -> RankPlan {
+        let (nodes, node) = (topo.nodes(), topo.node_of(rank));
+        let mut plan = leaf_plan(rank, topo);
+        plan.fidelity = Fidelity::Schedule;
+        plan.ops = if topo.is_node_root(rank) {
+            vec![
+                PlanOp::Send {
+                    dest: topo.rank_of((node + 1) % nodes, 0),
+                    tag: 0,
+                    src: Src::opaque(4),
+                },
+                PlanOp::Recv {
+                    source: topo.rank_of((node + nodes - 1) % nodes, 0),
+                    tag: 0,
+                    len: 4,
+                    dst: 0,
+                },
+                PlanOp::NodeBarrier,
+            ]
+        } else {
+            vec![PlanOp::ChargeCopy { bytes: 4 }, PlanOp::NodeBarrier]
+        };
+        plan
+    }
+
+    #[test]
+    fn lowering_shares_peer_free_programs_by_construction() {
+        let topo = Topology::new(4, 3);
+        let ranks: Vec<RankPlan> = (0..topo.world_size())
+            .map(|rank| leader_ring_rank(rank, topo))
+            .collect();
+        let reps = ranks[..topo.ppn()].to_vec();
+        for plan in [
+            Plan::from_ranks(topo, ranks.clone()),
+            Plan::from_representatives(topo, FoldGroup::Rotation, reps),
+        ] {
+            let trace = plan.to_trace(0);
+            // Every rank lowers as its own program does.
+            for (rank, rank_plan) in ranks.iter().enumerate() {
+                assert_eq!(*trace.ranks[rank].ops, rank_plan.to_trace_ops(0)[..]);
+            }
+            let shares =
+                |a: usize, b: usize| trace.ranks[a].ops.shares_storage_with(&trace.ranks[b].ops);
+            // The peer-free programs of both non-leader classes share one
+            // vector across every node; each leader keeps its own.
+            let followers = (0..topo.world_size()).filter(|&rank| !topo.is_node_root(rank));
+            assert!(followers.into_iter().all(|rank| shares(1, rank)));
+            assert!(![(0, 3), (3, 6), (6, 9), (0, 1)]
+                .into_iter()
+                .any(|(a, b)| shares(a, b)));
+        }
     }
 }

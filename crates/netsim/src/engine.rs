@@ -32,7 +32,10 @@
 //!   auto-tuned to the NIC injection gap (the dominant event spacing), with
 //!   a spill heap for far-future events (long `Delay`s).  Pushes are O(1);
 //!   pops sort one small bucket at a time, preserving the exact global
-//!   `(time, tie key)` order of the heap version.
+//!   `(time, tie key)` order of the heap version.  A bucket sorts on one
+//!   128-bit integer, the time's bit pattern above the tie key: event times
+//!   are non-negative and never NaN, so their bits order exactly as the
+//!   times do.
 //! * **flat mailboxes**: one list of pending `(source, tag, arrival)`
 //!   messages per receiver, scanned linearly and matched per key in
 //!   delivery order, plus the one key the (sequential) receiver is blocked
@@ -361,6 +364,13 @@ impl CalendarQueue {
     }
 
     fn insert(&mut self, ev: Event) {
+        // `advance` sorts on the time's bits, which order non-negative,
+        // non-NaN times exactly as `total_cmp` does.
+        debug_assert!(
+            ev.time.is_sign_positive() && !ev.time.is_nan(),
+            "event time {} is negative or NaN",
+            ev.time
+        );
         self.len += 1;
         let b = self.bucket_of(ev.time);
         if b <= self.base {
@@ -494,8 +504,9 @@ impl CalendarQueue {
                 self.spare.push(drained);
             }
             if !self.current.is_empty() {
+                // One integer key: `(time, seq)` order (see `insert`).
                 self.current
-                    .sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)));
+                    .sort_unstable_by_key(|ev| (ev.time.to_bits() as u128) << 64 | ev.seq as u128);
                 return;
             }
         }
@@ -743,6 +754,21 @@ fn wake(
     );
 }
 
+/// Detect whether `trace` folds under `perturbation` and validate it on the
+/// way: through its classes when it folds, in full otherwise.  When the
+/// class check fails — which it does exactly when the full validation
+/// fails — the full validator runs, so the error is always its own.
+fn validated_fold(
+    trace: &Trace,
+    perturbation: Option<&Perturbation>,
+) -> Result<Option<FoldedTrace>, SimError> {
+    let folded = FoldedTrace::detect_with(trace, perturbation);
+    if folded.as_ref().is_none_or(|f| f.validate().is_err()) {
+        trace.validate().map_err(SimError::InvalidTrace)?;
+    }
+    Ok(folded)
+}
+
 /// The run-ahead gate: whether a rank may apply its next shared-state op at
 /// `(t, tie)` without a queue round-trip.  That is exact when nothing else
 /// can happen first — every queued event is later or of a larger class —
@@ -946,9 +972,13 @@ impl SimEngine {
     /// ordered by the fold's static tie classes, so the replay is
     /// node-symmetric and [`Self::run_folded_with`] reproduces it exactly;
     /// otherwise ties break in insertion order.
+    ///
+    /// Detection runs first: a trace that folds is validated through its
+    /// classes ([`FoldedTrace::validate`]), any other in full
+    /// ([`Trace::validate`]), and an invalid trace is always reported with
+    /// the full validator's error.
     pub fn run_with(&self, trace: &Trace, options: RunOptions) -> Result<SimOutcome, SimError> {
-        trace.validate().map_err(SimError::InvalidTrace)?;
-        let folded = FoldedTrace::detect_with(trace, options.perturbation.as_ref());
+        let folded = validated_fold(trace, options.perturbation.as_ref())?;
         let simulated = match &folded {
             Some(folded) => Simulated::Symmetric(trace, folded),
             None => Simulated::World(trace),
@@ -990,15 +1020,15 @@ impl SimEngine {
     ///
     /// A non-identity [`Perturbation`] (per-link jitter or drops) makes
     /// node 0 unrepresentative, so detection refuses to fold and the full
-    /// world is replayed.  The trace is validated once, whichever replay
-    /// runs.
+    /// world is replayed.  Validation follows detection as in
+    /// [`Self::run_with`]: through the classes when the trace folds, in full
+    /// otherwise, with the full validator's error either way.
     pub fn run_folded_with(
         &self,
         trace: &Trace,
         options: RunOptions,
     ) -> Result<SimOutcome, SimError> {
-        trace.validate().map_err(SimError::InvalidTrace)?;
-        match FoldedTrace::detect_with(trace, options.perturbation.as_ref()) {
+        match validated_fold(trace, options.perturbation.as_ref())? {
             Some(folded) => self.replay(Simulated::Node0(&folded), options),
             None => self.replay(Simulated::World(trace), options),
         }

@@ -40,13 +40,21 @@
 //! So comparing every node with node 0 proves invariance under the whole
 //! group, where checking generators took one pass each (`log2 N` for XOR).
 //!
+//! The same regularity makes validation a node-0 question
+//! ([`FoldedTrace::validate`]): node `n`'s messages are node 0's relabeled
+//! by `g_n`, so the whole trace's sends and receives match exactly when
+//! node 0's receives match the sends the group carries into node 0.  A
+//! replay of a trace that folds checks that instead of every rank, and
+//! [`FoldedTrace::from_representatives`] checks it on every folded trace it
+//! builds.
+//!
 //! The node map is [`FoldGroup::relabel_rank`]; detection, expansion and
 //! the plan-level comparisons in `pip-collectives` all relabel through it.
 
 use pip_runtime::Topology;
 
 use crate::perturb::Perturbation;
-use crate::trace::{OpVec, Trace, TraceOp};
+use crate::trace::{match_messages, OpVec, Trace, TraceOp};
 
 /// The node-relabeling group under which a schedule is symmetric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +131,16 @@ pub enum FoldError {
     NodesNotPowerOfTwo { nodes: usize },
     /// Representatives disagree on how many barrier episodes they run.
     BarrierMismatch { min_count: usize, max_count: usize },
+    /// Node 0's rank `dest` receives a different number of messages from
+    /// `source` with `tag` than the group carries into it: the smallest such
+    /// `(source, dest, tag)` key, with both counts.
+    UnmatchedMessages {
+        source: usize,
+        dest: usize,
+        tag: u64,
+        sent: usize,
+        received: usize,
+    },
 }
 
 impl std::fmt::Display for FoldError {
@@ -146,6 +164,17 @@ impl std::fmt::Display for FoldError {
             } => write!(
                 f,
                 "representatives disagree on barrier count ({min_count}..{max_count})"
+            ),
+            FoldError::UnmatchedMessages {
+                source,
+                dest,
+                tag,
+                sent,
+                received,
+            } => write!(
+                f,
+                "messages {source}->{dest} tag {tag}: the group carries {sent} into node 0 \
+                 but {received} are received"
             ),
         }
     }
@@ -171,10 +200,23 @@ impl FoldedTrace {
     /// topologies, rooted collectives, prefix scans, and mixed-group
     /// schedules (a ring phase composed with a recursive-doubling phase)
     /// all land here and must be replayed in full.
+    ///
+    /// Detection proves invariance, not validity, and runs on unvalidated
+    /// traces: node 0's peers are range-checked before any is relabeled, so
+    /// a node 0 naming a rank outside the world does not fold.  A trace that
+    /// folds is valid exactly when [`FoldedTrace::validate`] passes.
     pub fn detect(trace: &Trace) -> Option<FoldedTrace> {
         let topology = trace.topology;
-        let nodes = topology.nodes();
-        if nodes < 2 || trace.ranks.len() != topology.world_size() {
+        let (nodes, world) = (topology.nodes(), topology.world_size());
+        if nodes < 2 || trace.ranks.len() != world {
+            return None;
+        }
+        let node0 = &trace.ranks[..topology.ppn()];
+        if node0
+            .iter()
+            .flat_map(|rt| rt.ops.iter())
+            .any(|op| op.peer().is_some_and(|peer| peer >= world))
+        {
             return None;
         }
         let group = if is_invariant(trace, FoldGroup::Rotation) {
@@ -184,14 +226,10 @@ impl FoldedTrace {
         } else {
             return None;
         };
-        let reps = trace.ranks[..topology.ppn()]
-            .iter()
-            .map(|rt| rt.ops.clone())
-            .collect();
         Some(FoldedTrace {
             topology,
             group,
-            reps,
+            reps: node0.iter().map(|rt| rt.ops.clone()).collect(),
         })
     }
 
@@ -212,7 +250,8 @@ impl FoldedTrace {
     /// projection sweeps at 10^5–10^6 ranks, where compiling every rank is
     /// itself infeasible; the caller asserts the symmetry (typically by
     /// probing a few remote nodes) instead of this constructor verifying it
-    /// against a full trace.
+    /// against a full trace.  The folded trace is validated through its
+    /// classes ([`FoldedTrace::validate`]).
     pub fn from_representatives(
         topology: Topology,
         group: FoldGroup,
@@ -229,21 +268,44 @@ impl FoldedTrace {
                 actual: reps.len(),
             });
         }
-        let world = topology.world_size();
+        let folded = FoldedTrace {
+            topology,
+            group,
+            reps,
+        };
+        folded.validate()?;
+        Ok(folded)
+    }
+
+    /// Check the trace this folds to through its classes: every peer is in
+    /// range, the representatives agree on their barrier count, and each of
+    /// node 0's ranks receives exactly the `(source, tag)` multiset the
+    /// group carries into it.
+    ///
+    /// A representative's send to node `d` reaches node 0 from the class
+    /// member the element `m` taking `d` to node 0 makes of it:
+    /// `relabel_rank(local, m)`.  Every rank runs its representative
+    /// relabeled and the group acts regularly on nodes, so each node's
+    /// messages are node 0's relabeled: this passes exactly when
+    /// [`Trace::validate`] passes on the expanded trace, at the cost of
+    /// node 0's ops.
+    pub fn validate(&self) -> Result<(), FoldError> {
+        let (topology, group) = (self.topology, self.group);
+        let (world, ppn) = (topology.world_size(), topology.ppn());
+        // One pass range-checks peers, counts the sends into each of node
+        // 0's ranks and each one's receives, and counts barriers.
+        let mut send_end = vec![0usize; ppn];
+        let mut recv_counts = vec![0usize; ppn];
         let mut barrier_counts = (usize::MAX, 0usize);
-        for (class, ops) in reps.iter().enumerate() {
+        for (class, ops) in self.reps.iter().enumerate() {
             let mut barriers = 0usize;
             for op in ops {
+                if let Some(peer) = op.peer().filter(|&peer| peer >= world) {
+                    return Err(FoldError::PeerOutOfRange { class, peer });
+                }
                 match *op {
-                    TraceOp::Send { dest, .. } if dest >= world => {
-                        return Err(FoldError::PeerOutOfRange { class, peer: dest });
-                    }
-                    TraceOp::Recv { source, .. } if source >= world => {
-                        return Err(FoldError::PeerOutOfRange {
-                            class,
-                            peer: source,
-                        });
-                    }
+                    TraceOp::Send { dest, .. } => send_end[topology.local_rank_of(dest)] += 1,
+                    TraceOp::Recv { .. } => recv_counts[class] += 1,
                     TraceOp::LocalBarrier => barriers += 1,
                     _ => {}
                 }
@@ -257,11 +319,23 @@ impl FoldedTrace {
                 max_count: barrier_counts.1,
             });
         }
-        Ok(FoldedTrace {
-            topology,
-            group,
-            reps,
-        })
+        // A send to node `d` arrives at node 0 from the class member the
+        // element taking `d` to node 0 makes of the sender.
+        let route = |class: usize, dest: usize| {
+            let m = group.delta(topology.node_of(dest), 0, topology.nodes());
+            let source = group.relabel_rank(class, topology, m);
+            (topology.local_rank_of(dest), source)
+        };
+        match match_messages(self.reps.iter(), send_end, &recv_counts, route) {
+            Some(u) => Err(FoldError::UnmatchedMessages {
+                source: u.source,
+                dest: u.dest,
+                tag: u.tag,
+                sent: u.sent,
+                received: u.received,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The full topology this folded trace projects onto.

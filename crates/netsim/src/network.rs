@@ -77,7 +77,10 @@ const SUMMARY_OPTIONS: RunOptions = RunOptions::summary();
 /// Simulate `trace` under `params` and label the report.
 ///
 /// A node-symmetric schedule is replayed folded, from node 0's ranks
-/// ([`SimEngine::run_folded_with`]); the report is the full replay's.
+/// ([`SimEngine::run_folded_with`]); the report is the full replay's.  Such
+/// a trace is also validated through node 0's programs alone
+/// ([`crate::FoldedTrace::validate`]) instead of rank by rank; an invalid
+/// trace fails with the full validator's error either way.
 pub fn simulate(
     label: impl Into<String>,
     trace: &Trace,

@@ -69,17 +69,29 @@ impl TraceOp {
             TraceOp::Delay { .. } | TraceOp::Compute { .. } | TraceOp::LocalBarrier => 0,
         }
     }
+
+    /// The rank a send goes to or a receive comes from; `None` for every
+    /// other op.
+    pub fn peer(&self) -> Option<usize> {
+        match *self {
+            TraceOp::Send { dest, .. } => Some(dest),
+            TraceOp::Recv { source, .. } => Some(source),
+            _ => None,
+        }
+    }
 }
 
 /// Copy-on-write storage for one rank's operation list.
 ///
-/// Symmetric schedules lower to *identical* op vectors for whole classes of
-/// ranks (every non-leader of a hierarchical collective, for instance), and a
-/// 10^5-rank trace must not materialize 10^5 copies of the same vector.
-/// `OpVec` therefore holds the ops behind an [`Arc`]: cloning a shared vector
-/// is a reference-count bump, and the first mutation of a shared vector
-/// transparently un-shares it (`Arc::make_mut`), so the `Vec`-style mutating
-/// API (`push`, `insert`) keeps working for trace-building callers.
+/// Whole classes of ranks can run one op vector: a program with no peer is
+/// its own image under every node relabeling, so every rank of its class
+/// runs it unchanged (every non-leader of a hierarchical collective, for
+/// instance), and a 10^5-rank trace must not materialize 10^5 copies of it.
+/// `Plan::to_trace` hands such ranks clones of one `OpVec`, which holds the
+/// ops behind an [`Arc`]: cloning a shared vector is a reference-count bump,
+/// and the first mutation of a shared vector transparently un-shares it
+/// (`Arc::make_mut`), so the `Vec`-style mutating API (`push`, `insert`)
+/// keeps working for trace-building callers.
 #[derive(Debug, Clone)]
 pub struct OpVec(Arc<Vec<TraceOp>>);
 
@@ -270,34 +282,6 @@ impl Trace {
         self.ranks[rank].ops = ops;
     }
 
-    /// Build a trace from per-rank op vectors, sharing storage between ranks
-    /// whose vectors are identical.  Lowering a symmetric plan through this
-    /// constructor stores each distinct program once, however many ranks
-    /// execute it.
-    pub fn from_rank_ops(topology: Topology, rank_ops: Vec<Vec<TraceOp>>) -> Self {
-        // Bucket by a cheap structural hash, then confirm with full equality
-        // before aliasing; collisions degrade to extra comparisons only.
-        use std::collections::HashMap;
-        let mut trace = Trace::empty(topology);
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (rank, ops) in rank_ops.into_iter().enumerate() {
-            let hash = hash_ops(&ops);
-            let candidates = buckets.entry(hash).or_default();
-            let shared = candidates
-                .iter()
-                .find(|&&prior| *trace.ranks[prior].ops == ops[..])
-                .map(|&prior| trace.ranks[prior].ops.clone());
-            match shared {
-                Some(alias) => trace.ranks[rank].ops = alias,
-                None => {
-                    trace.ranks[rank].ops = ops.into();
-                    candidates.push(rank);
-                }
-            }
-        }
-        trace
-    }
-
     /// Total messages sent across all ranks.
     pub fn total_messages(&self) -> usize {
         self.ranks.iter().map(RankTrace::send_count).sum()
@@ -360,7 +344,17 @@ impl Trace {
                 }
             }
         }
-        self.match_messages(send_end, &recv_counts)?;
+        let programs = self.ranks.iter().map(|rt| &rt.ops);
+        if let Some(u) = match_messages(programs, send_end, &recv_counts, |rank, dest| (dest, rank))
+        {
+            return Err(TraceError::UnmatchedMessages {
+                source: u.source,
+                dest: u.dest,
+                tag: u.tag,
+                sent: u.sent,
+                received: u.received,
+            });
+        }
         for node in 0..self.topology.nodes() {
             let counts = self.topology.ranks_on_node(node).map(|r| barrier_counts[r]);
             let (min, max) = counts.fold((usize::MAX, 0), |(lo, hi), c| (lo.min(c), hi.max(c)));
@@ -374,68 +368,82 @@ impl Trace {
         }
         Ok(())
     }
+}
 
-    /// Check that every receiver's sends and receives are equal
-    /// `(source, tag)` multisets, given the per-destination send counts and
-    /// the per-receiver receive counts.  Receives are already grouped by
-    /// receiver; sends are bucketed by destination with a counting sort, so
-    /// only each receiver's two small buckets are ever sorted.  A mismatch
-    /// reports the smallest `(source, dest, tag)` key over all receivers.
-    fn match_messages(
-        &self,
-        mut send_end: Vec<usize>,
-        recv_counts: &[usize],
-    ) -> Result<(), TraceError> {
-        // Exclusive prefix sums: `send_end[d]` becomes the start of bucket
-        // `d`, and the scatter advances it to the bucket's end.
-        let mut total = 0;
-        for slot in &mut send_end {
-            total += std::mem::replace(slot, total);
-        }
-        let mut sent = vec![(0usize, 0u64); total];
-        let mut received = Vec::with_capacity(recv_counts.iter().sum());
-        for (rank, trace) in self.ranks.iter().enumerate() {
-            for op in &trace.ops {
-                match *op {
-                    TraceOp::Send { dest, tag, .. } => {
-                        sent[send_end[dest]] = (rank, tag);
-                        send_end[dest] += 1;
-                    }
-                    TraceOp::Recv { source, tag, .. } => received.push((source, tag)),
-                    _ => {}
+/// A `(source, dest, tag)` message key whose send and receive counts
+/// differ, with both counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Unmatched {
+    pub source: usize,
+    pub dest: usize,
+    pub tag: u64,
+    pub sent: usize,
+    pub received: usize,
+}
+
+/// Check that every receiver's sends and receives are equal `(source, tag)`
+/// multisets and return the smallest `(source, dest, tag)` key that is not.
+///
+/// `programs` are the sending programs in order, program `i` also being
+/// receiver `i`'s; `route(i, dest)` names the receiver a send of program
+/// `i` to `dest` is counted against and the source that receiver sees (the
+/// identity `(dest, i)` for a whole trace).  The caller has range-checked
+/// every peer and counted the sends per receiver (`send_end`) and the
+/// receives per program (`recv_counts`).  Receives are already grouped by
+/// receiver; sends are bucketed by receiver with a counting sort, so only
+/// each receiver's two small buckets are ever sorted, and only when they
+/// differ as they stand.
+pub(crate) fn match_messages<'a>(
+    programs: impl Iterator<Item = &'a OpVec>,
+    mut send_end: Vec<usize>,
+    recv_counts: &[usize],
+    route: impl Fn(usize, usize) -> (usize, usize),
+) -> Option<Unmatched> {
+    // Exclusive prefix sums: `send_end[d]` becomes the start of bucket `d`,
+    // and the scatter advances it to the bucket's end.
+    let mut total = 0;
+    for slot in &mut send_end {
+        total += std::mem::replace(slot, total);
+    }
+    let mut sent = vec![(0usize, 0u64); total];
+    let mut received = Vec::with_capacity(recv_counts.iter().sum());
+    for (program, ops) in programs.enumerate() {
+        for op in ops {
+            match *op {
+                TraceOp::Send { dest, tag, .. } => {
+                    let (receiver, source) = route(program, dest);
+                    sent[send_end[receiver]] = (source, tag);
+                    send_end[receiver] += 1;
                 }
+                TraceOp::Recv { source, tag, .. } => received.push((source, tag)),
+                _ => {}
             }
-        }
-        // The smallest mismatched `(source, dest, tag)` with its counts.
-        let mut first: Option<((usize, usize, u64), usize, usize)> = None;
-        let (mut s0, mut r0) = (0, 0);
-        for (dest, (&s1, &count)) in send_end.iter().zip(recv_counts).enumerate() {
-            let r1 = r0 + count;
-            let (sent, received) = (&mut sent[s0..s1], &mut received[r0..r1]);
-            (s0, r0) = (s1, r1);
-            if sent == received {
-                continue;
-            }
-            sent.sort_unstable();
-            received.sort_unstable();
-            if let Some(((source, tag), s, r)) = first_unmatched(sent, received) {
-                let key = (source, dest, tag);
-                if first.is_none_or(|(best, _, _)| key < best) {
-                    first = Some((key, s, r));
-                }
-            }
-        }
-        match first {
-            Some(((source, dest, tag), sent, received)) => Err(TraceError::UnmatchedMessages {
-                source,
-                dest,
-                tag,
-                sent,
-                received,
-            }),
-            None => Ok(()),
         }
     }
+    let mut first: Option<Unmatched> = None;
+    let (mut s0, mut r0) = (0, 0);
+    for (dest, (&s1, &count)) in send_end.iter().zip(recv_counts).enumerate() {
+        let r1 = r0 + count;
+        let (sent, received) = (&mut sent[s0..s1], &mut received[r0..r1]);
+        (s0, r0) = (s1, r1);
+        if sent == received {
+            continue;
+        }
+        sent.sort_unstable();
+        received.sort_unstable();
+        if let Some(((source, tag), s, r)) = first_unmatched(sent, received) {
+            if first.is_none_or(|best| (source, dest, tag) < (best.source, best.dest, best.tag)) {
+                first = Some(Unmatched {
+                    source,
+                    dest,
+                    tag,
+                    sent: s,
+                    received: r,
+                });
+            }
+        }
+    }
+    first
 }
 
 /// The smallest `(source, tag)` key whose counts differ between one
@@ -463,56 +471,6 @@ fn first_unmatched(
             return Some((key, i - s0, j - r0));
         }
     }
-}
-
-/// FNV-1a over a structural encoding of the ops.  `TraceOp` holds floats, so
-/// it cannot derive `Hash`; hashing the bit patterns is fine here because the
-/// hash only pre-filters candidates for an exact `PartialEq` check.
-fn hash_ops(ops: &[TraceOp]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        hash ^= word;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for op in ops {
-        match *op {
-            TraceOp::Send { dest, bytes, tag } => {
-                mix(1);
-                mix(dest as u64);
-                mix(bytes as u64);
-                mix(tag);
-            }
-            TraceOp::Recv { source, bytes, tag } => {
-                mix(2);
-                mix(source as u64);
-                mix(bytes as u64);
-                mix(tag);
-            }
-            TraceOp::CopyIntra { bytes, mechanism } => {
-                mix(3);
-                mix(bytes as u64);
-                mix(mechanism.map(|m| m as u64 + 1).unwrap_or(0));
-            }
-            TraceOp::Reduce { bytes } => {
-                mix(4);
-                mix(bytes as u64);
-            }
-            TraceOp::Delay { nanos } => {
-                mix(5);
-                mix(nanos.to_bits());
-            }
-            TraceOp::Compute { nanos } => {
-                mix(6);
-                mix(nanos.to_bits());
-            }
-            TraceOp::LocalBarrier => mix(7),
-            TraceOp::Codec { bytes } => {
-                mix(8);
-                mix(bytes as u64);
-            }
-        }
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -660,47 +618,6 @@ mod tests {
         assert_eq!(rt.send_count(), 2);
         assert_eq!(rt.recv_count(), 1);
         assert_eq!(rt.bytes_sent(), 30);
-    }
-
-    #[test]
-    fn from_rank_ops_shares_identical_programs() {
-        let topo = Topology::new(4, 2);
-        let leader = vec![
-            TraceOp::Send {
-                dest: 2,
-                bytes: 64,
-                tag: 0,
-            },
-            TraceOp::LocalBarrier,
-        ];
-        let follower = vec![
-            TraceOp::CopyIntra {
-                bytes: 64,
-                mechanism: None,
-            },
-            TraceOp::LocalBarrier,
-        ];
-        let mut rank_ops: Vec<Vec<TraceOp>> = Vec::new();
-        for rank in 0..topo.world_size() {
-            if topo.is_node_root(rank) {
-                let mut ops = leader.clone();
-                // Leaders differ per node (distinct peers): not shareable.
-                if let TraceOp::Send { dest, .. } = &mut ops[0] {
-                    *dest = (rank + 2) % topo.world_size();
-                }
-                rank_ops.push(ops);
-            } else {
-                rank_ops.push(follower.clone());
-            }
-        }
-        let trace = Trace::from_rank_ops(topo, rank_ops);
-        // 4 distinct leader programs + 1 shared follower program.
-        let shares =
-            |a: usize, b: usize| trace.ranks[a].ops.shares_storage_with(&trace.ranks[b].ops);
-        assert!([3, 5, 7].into_iter().all(|follower| shares(1, follower)));
-        assert!(![(0, 2), (2, 4), (4, 6), (0, 1)]
-            .into_iter()
-            .any(|(a, b)| shares(a, b)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Oracles for the two structural checks every replay entry runs.
+//! Oracles for the structural checks every replay entry runs.
 //!
 //! `Trace::validate` matches sends to receives per receiver with a counting
 //! sort, and `FoldedTrace::detect` checks each node against node 0 in one
@@ -7,9 +7,20 @@
 //! and one relabel-and-compare pass per group generator.  Both are proptested
 //! against the library on random traces with one injected defect each: the
 //! result must be equal, down to which message key a mismatch names.
+//!
+//! `FoldedTrace::validate` checks a trace that folds through node 0's
+//! programs alone, and the replay entries skip the full validation when it
+//! passes.  `Trace::validate` on the expanded trace is its oracle: on
+//! node-symmetric traces with one mutated representative, the class check
+//! must pass exactly when the full one does, and every replay entry must
+//! report the full validator's error.
 
+use pip_netsim::fold::FoldError;
 use pip_netsim::trace::TraceError;
-use pip_netsim::{FoldGroup, FoldedTrace, Trace, TraceOp};
+use pip_netsim::{
+    simulate, FoldGroup, FoldedTrace, OpVec, RunOptions, SimEngine, SimError, SimParams, Trace,
+    TraceOp,
+};
 use proptest::prelude::*;
 
 mod common;
@@ -264,8 +275,111 @@ fn perturb_off_node_zero(trace: &mut Trace, kind: u64, rng: &mut Lcg) {
     });
 }
 
+/// Mutate one representative of node 0 by `kind`: 0 drops a receive, 1
+/// changes the tag of one message op, 2 adds a barrier, 3 points one peer
+/// outside the world, anything else leaves it as it is.
+fn mutate_representative(reps: &mut [Vec<TraceOp>], world: usize, kind: u64, rng: &mut Lcg) {
+    let ops = &mut reps[rng.below(reps.len() as u64) as usize];
+    // Every representative sends and receives once per round.
+    let at = |keep: fn(&TraceOp) -> bool, rng: &mut Lcg| {
+        let at: Vec<usize> = (0..ops.len()).filter(|&i| keep(&ops[i])).collect();
+        at[rng.below(at.len() as u64) as usize]
+    };
+    let (receive, message) = (at(is_recv, rng), at(|op| op.peer().is_some(), rng));
+    match (kind, &mut ops[message]) {
+        (0, _) => {
+            ops.remove(receive);
+        }
+        (1, TraceOp::Send { tag, .. } | TraceOp::Recv { tag, .. }) => *tag += 1 + rng.below(3),
+        (2, _) => {
+            let at = rng.below(ops.len() as u64 + 1) as usize;
+            ops.insert(at, TraceOp::LocalBarrier);
+        }
+        (3, TraceOp::Send { dest: peer, .. } | TraceOp::Recv { source: peer, .. }) => {
+            *peer = world + rng.below(4) as usize;
+        }
+        _ => {}
+    }
+}
+
+/// Node 0's programs `reps` relabeled onto every node under `group`, as
+/// `FoldedTrace::expand` does; a peer outside the world is kept as it is.
+fn expand(topology: pip_runtime::Topology, group: FoldGroup, reps: &[OpVec]) -> Trace {
+    let world = topology.world_size();
+    let mut trace = Trace::empty(topology);
+    for node in 0..topology.nodes() {
+        for (local, rep) in reps.iter().enumerate() {
+            let image = rep.iter().map(|&op| match op.peer() {
+                Some(peer) if peer >= world => op,
+                _ => group.relabel_op(op, topology, node),
+            });
+            trace.set_rank_ops(
+                topology.rank_of(node, local),
+                image.collect::<Vec<_>>().into(),
+            );
+        }
+    }
+    trace
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn class_validation_agrees_with_full_validation(
+        nodes in 2usize..9,
+        ppn in 1usize..4,
+        rounds in 1usize..5,
+        xor in any::<bool>(),
+        kind in 0u64..5,
+        seed in any::<u64>(),
+    ) {
+        let group = if xor && nodes.is_power_of_two() {
+            FoldGroup::Xor
+        } else {
+            FoldGroup::Rotation
+        };
+        let symmetric = symmetric_trace_under(group, nodes, ppn, rounds, seed);
+        let topology = symmetric.topology;
+        let mut reps: Vec<Vec<TraceOp>> =
+            symmetric.ranks[..ppn].iter().map(|rt| rt.ops.to_vec()).collect();
+        mutate_representative(&mut reps, topology.world_size(), kind, &mut Lcg(seed ^ 0xc1a5));
+        let reps: Vec<OpVec> = reps.into_iter().map(OpVec::from).collect();
+        let trace = expand(topology, group, &reps);
+        let full = trace.validate();
+        let case = format!("{nodes}x{ppn} rounds={rounds} {group:?} mutation={kind} seed={seed}");
+        let folded = FoldedTrace::from_representatives(topology, group, reps);
+        prop_assert_eq!(folded.is_ok(), full.is_ok(), "{} {:?} {:?}", case, folded, full);
+        if let Ok(folded) = &folded {
+            prop_assert_eq!(&folded.expand(), &trace, "{}", case);
+        }
+        let detected = FoldedTrace::detect(&trace);
+        if let Some(detected) = &detected {
+            prop_assert_eq!(detected.validate().is_ok(), full.is_ok(), "{}", case);
+        }
+        let engine = SimEngine::new(SimParams::default());
+        let options = RunOptions::summary();
+        match full {
+            Err(error) => {
+                let error = SimError::InvalidTrace(error);
+                prop_assert_eq!(engine.run_with(&trace, options).unwrap_err(), error.clone());
+                prop_assert_eq!(
+                    engine.run_folded_with(&trace, options).unwrap_err(),
+                    error.clone()
+                );
+                prop_assert_eq!(
+                    simulate("case", &trace, engine.params()).unwrap_err(),
+                    error
+                );
+            }
+            Ok(()) => {
+                prop_assert!(detected.is_some(), "{}", case);
+                let run = engine.run_with(&trace, options).map(|o| o.makespan.to_bits());
+                let folded = engine.run_folded_with(&trace, options).map(|o| o.makespan.to_bits());
+                prop_assert_eq!(run, folded, "{}", case);
+            }
+        }
+    }
 
     #[test]
     fn validate_agrees_with_the_sorting_oracle(
@@ -343,4 +457,28 @@ fn the_generators_exercise_both_groups_and_every_outcome() {
         }
     }
     assert!(errors[..3].iter().all(|&n| n > 0), "{errors:?}");
+    // Every class-check outcome: passes, unmatched, barrier, out of range.
+    let mut class_checks = [0usize; 4];
+    for seed in 0..64 {
+        for kind in 0..5 {
+            let trace = symmetric_trace(3, 2, 3, seed);
+            let mut reps: Vec<Vec<TraceOp>> =
+                trace.ranks[..2].iter().map(|rt| rt.ops.to_vec()).collect();
+            mutate_representative(&mut reps, 6, kind, &mut Lcg(seed));
+            let reps = reps.into_iter().map(OpVec::from).collect();
+            let slot = match FoldedTrace::from_representatives(
+                trace.topology,
+                FoldGroup::Rotation,
+                reps,
+            ) {
+                Ok(_) => 0,
+                Err(FoldError::UnmatchedMessages { .. }) => 1,
+                Err(FoldError::BarrierMismatch { .. }) => 2,
+                Err(FoldError::PeerOutOfRange { .. }) => 3,
+                Err(other) => panic!("{other:?}"),
+            };
+            class_checks[slot] += 1;
+        }
+    }
+    assert!(class_checks.iter().all(|&n| n > 0), "{class_checks:?}");
 }

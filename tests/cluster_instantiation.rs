@@ -80,12 +80,14 @@ fn rank_by_rank(
     Plan::from_ranks(topology, ranks)
 }
 
+/// Assert that `compile_cluster` equals the rank-by-rank reference, rank by
+/// rank, and return the reference.
 fn assert_equals_rank_by_rank(
     library: Library,
     topology: Topology,
     shape: &CollectiveShape,
     fidelity: Fidelity,
-) {
+) -> Plan {
     let compiled = compile_cluster(&library.profile(), topology, shape, fidelity);
     let reference = rank_by_rank(library, topology, shape, fidelity);
     assert_eq!(compiled.topology, reference.topology);
@@ -106,6 +108,7 @@ fn assert_equals_rank_by_rank(
         topology.nodes(),
         topology.ppn(),
     );
+    reference
 }
 
 /// `(ranks_compiled, ranks_instantiated)` of compiling `shape` once through
@@ -279,7 +282,9 @@ fn counts_tell_instantiation_from_the_fallback() {
 /// library's plan equals rank-by-rank compilation, and the cache compiles
 /// only the 16 distinct schedules behind them, 6 of which instantiate.  A
 /// library that selects an algorithm an earlier library already compiled
-/// for the cell shares that plan and compiles nothing.
+/// for the cell shares that plan and compiles nothing.  Each cell's
+/// `to_trace(1)` lowers every rank as the reference's own program does, and
+/// the MVAPICH2 allreduce's peer-free non-leaders share one op vector.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -300,7 +305,8 @@ fn the_paper_scale_sweep_compiles_sixteen_of_its_thirty_cells_and_instantiates_s
                 ..shape(kind, block, 0)
             };
             for library in Library::ALL {
-                assert_equals_rank_by_rank(library, topology, &cell, Fidelity::Schedule);
+                let reference =
+                    assert_equals_rank_by_rank(library, topology, &cell, Fidelity::Schedule);
                 // Bruck allgather: all four comparators.  Binomial scatter
                 // and recursive-doubling allreduce: Open MPI, Intel MPI and
                 // PiP-MPICH.
@@ -343,6 +349,37 @@ fn the_paper_scale_sweep_compiles_sixteen_of_its_thirty_cells_and_instantiates_s
                     "{} {kind:?} {block} B: stored programs",
                     library.name()
                 );
+                // Lowering shares storage by construction; every rank must
+                // still lower as the reference's own program does.
+                let trace = plan.to_trace(1);
+                let differing: Vec<usize> = (0..topology.world_size())
+                    .filter(|&rank| {
+                        *trace.ranks[rank].ops != reference.rank(rank).to_trace_ops(1)[..]
+                    })
+                    .collect();
+                assert!(
+                    differing.is_empty(),
+                    "{} {kind:?} {block} B: to_trace differs from the reference's lowering at \
+                     ranks {differing:?}",
+                    library.name()
+                );
+                if library == Library::Mvapich2 && kind == CollectiveKind::Allreduce {
+                    // Every non-leader runs one peer-free program: one
+                    // vector across its 17 classes and 128 nodes.
+                    let peer_free: Vec<_> = trace
+                        .ranks
+                        .iter()
+                        .map(|rt| &rt.ops)
+                        .filter(|ops| ops.iter().all(|op| op.peer().is_none()))
+                        .collect();
+                    assert_eq!(peer_free.len(), topology.world_size() - topology.nodes());
+                    assert!(
+                        peer_free
+                            .iter()
+                            .all(|ops| ops.shares_storage_with(peer_free[0])),
+                        "MVAPICH2 allreduce {block} B: peer-free programs do not share one vector"
+                    );
+                }
             }
         }
     }
