@@ -8,6 +8,7 @@
 //! non-power-of-two process counts the way MPICH does (subtree sizes are
 //! clipped at the world size).
 
+use crate::buf::Buf;
 use crate::comm::{Comm, ReduceFn};
 
 fn vrank_of(rank: usize, root: usize, p: usize) -> usize {
@@ -31,7 +32,7 @@ fn subtree_size(vrank: usize, p: usize) -> usize {
 
 /// Binomial-tree broadcast: after the call every rank's `buf` equals the
 /// root's `buf`.
-pub fn bcast_binomial<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u64) {
+pub fn bcast_binomial<C: Comm>(comm: &C, buf: &mut C::Buf, root: usize, tag: u64) {
     let p = comm.world_size();
     if p == 1 {
         return;
@@ -67,8 +68,8 @@ pub fn bcast_binomial<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u64) 
 /// `sendbuf` must be `Some` at the root and is ignored elsewhere.
 pub fn scatter_binomial<C: Comm>(
     comm: &C,
-    sendbuf: Option<&[u8]>,
-    recvbuf: &mut [u8],
+    sendbuf: Option<&C::Buf>,
+    recvbuf: &mut C::Buf,
     root: usize,
     tag: u64,
 ) {
@@ -77,14 +78,14 @@ pub fn scatter_binomial<C: Comm>(
     let block = recvbuf.len();
     if p == 1 {
         let sendbuf = sendbuf.expect("root must supply a send buffer");
-        recvbuf.copy_from_slice(&sendbuf[..block]);
+        recvbuf.copy_from(0, &sendbuf.slice(0..block));
         return;
     }
     let vrank = vrank_of(rank, root, p);
 
     // Working buffer in virtual-rank order; entry i holds the block destined
     // for virtual rank vrank + i while it travels down the tree.
-    let mut tmp = vec![0u8; subtree_size(vrank, p) * block];
+    let mut tmp = C::Buf::zeroed(subtree_size(vrank, p) * block);
     let mut curr_blocks = 0usize;
     if rank == root {
         let sendbuf = sendbuf.expect("root must supply a send buffer");
@@ -95,8 +96,7 @@ pub fn scatter_binomial<C: Comm>(
         );
         for i in 0..p {
             let abs = rank_of(i, root, p);
-            tmp[i * block..(i + 1) * block]
-                .copy_from_slice(&sendbuf[abs * block..(abs + 1) * block]);
+            tmp.copy_from(i * block, &sendbuf.slice(abs * block..(abs + 1) * block));
         }
         if root != 0 {
             // MPICH copies into a rotated temporary only for non-zero roots.
@@ -111,7 +111,7 @@ pub fn scatter_binomial<C: Comm>(
         if vrank & mask != 0 {
             let src = rank_of(vrank - mask, root, p);
             let recv_blocks = mask.min(p - vrank);
-            comm.recv_into(src, tag, &mut tmp[..recv_blocks * block]);
+            tmp.with_mut(0..recv_blocks * block, |out| comm.recv_into(src, tag, out));
             curr_blocks = recv_blocks;
             break;
         }
@@ -124,13 +124,17 @@ pub fn scatter_binomial<C: Comm>(
         if vrank + mask < p {
             let dst = rank_of(vrank + mask, root, p);
             let send_blocks = curr_blocks - mask;
-            comm.send(dst, tag, &tmp[mask * block..(mask + send_blocks) * block]);
+            comm.send(
+                dst,
+                tag,
+                &tmp.slice(mask * block..(mask + send_blocks) * block),
+            );
             curr_blocks -= send_blocks;
         }
         mask >>= 1;
     }
 
-    recvbuf.copy_from_slice(&tmp[..block]);
+    recvbuf.copy_from(0, &tmp.slice(0..block));
 }
 
 /// Binomial-tree gather: every rank contributes `sendbuf`; the root's
@@ -139,8 +143,8 @@ pub fn scatter_binomial<C: Comm>(
 /// `recvbuf` must be `Some` at the root and is ignored elsewhere.
 pub fn gather_binomial<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    mut recvbuf: Option<&mut [u8]>,
+    sendbuf: &C::Buf,
+    recvbuf: Option<&mut C::Buf>,
     root: usize,
     tag: u64,
 ) {
@@ -148,15 +152,16 @@ pub fn gather_binomial<C: Comm>(
     let rank = comm.rank();
     let block = sendbuf.len();
     if p == 1 {
-        let recvbuf = recvbuf.as_deref_mut().expect("root must supply recvbuf");
-        recvbuf[..block].copy_from_slice(sendbuf);
+        recvbuf
+            .expect("root must supply recvbuf")
+            .copy_from(0, sendbuf);
         return;
     }
     let vrank = vrank_of(rank, root, p);
 
     // Own block first, then each child subtree's blocks as they arrive.
-    let mut tmp = vec![0u8; subtree_size(vrank, p) * block];
-    tmp[..block].copy_from_slice(sendbuf);
+    let mut tmp = C::Buf::zeroed(subtree_size(vrank, p) * block);
+    tmp.copy_from(0, sendbuf);
     let mut curr_blocks = 1usize;
 
     let mut mask = 1usize;
@@ -166,16 +171,14 @@ pub fn gather_binomial<C: Comm>(
                 let child_v = vrank + mask;
                 let src = rank_of(child_v, root, p);
                 let recv_blocks = mask.min(p - child_v);
-                comm.recv_into(
-                    src,
-                    tag,
-                    &mut tmp[mask * block..(mask + recv_blocks) * block],
-                );
+                tmp.with_mut(mask * block..(mask + recv_blocks) * block, |out| {
+                    comm.recv_into(src, tag, out)
+                });
                 curr_blocks += recv_blocks;
             }
         } else {
             let dst = rank_of(vrank - mask, root, p);
-            comm.send(dst, tag, &tmp[..curr_blocks * block]);
+            comm.send(dst, tag, &tmp.slice(0..curr_blocks * block));
             break;
         }
         mask <<= 1;
@@ -186,8 +189,7 @@ pub fn gather_binomial<C: Comm>(
         assert_eq!(recvbuf.len(), p * block);
         for i in 0..p {
             let abs = rank_of(i, root, p);
-            recvbuf[abs * block..(abs + 1) * block]
-                .copy_from_slice(&tmp[i * block..(i + 1) * block]);
+            recvbuf.copy_from(abs * block, &tmp.slice(i * block..(i + 1) * block));
         }
         if root != 0 {
             comm.charge_copy(p * block);
@@ -204,9 +206,9 @@ pub fn gather_binomial<C: Comm>(
 /// `recvbuf` must be `Some` at the root and is ignored elsewhere.
 pub fn reduce_binomial<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    recvbuf: Option<&mut [u8]>,
-    op: &ReduceFn<'_>,
+    sendbuf: &C::Buf,
+    recvbuf: Option<&mut C::Buf>,
+    op: &ReduceFn<'_, C::Buf>,
     root: usize,
     tag: u64,
 ) {
@@ -214,13 +216,14 @@ pub fn reduce_binomial<C: Comm>(
     let rank = comm.rank();
     let bytes = sendbuf.len();
     if p == 1 {
-        let recvbuf = recvbuf.expect("root must supply recvbuf");
-        recvbuf.copy_from_slice(sendbuf);
+        recvbuf
+            .expect("root must supply recvbuf")
+            .copy_from(0, sendbuf);
         return;
     }
     let vrank = vrank_of(rank, root, p);
 
-    let mut acc = sendbuf.to_vec();
+    let mut acc = sendbuf.to_owned();
     let mut mask = 1usize;
     while mask < p {
         if vrank & mask == 0 {
@@ -239,14 +242,16 @@ pub fn reduce_binomial<C: Comm>(
     }
 
     if rank == root {
-        let recvbuf = recvbuf.expect("root must supply recvbuf");
-        recvbuf.copy_from_slice(&acc);
+        recvbuf
+            .expect("root must supply recvbuf")
+            .copy_from(0, &acc);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -459,10 +464,10 @@ mod tests {
     fn reduce_trace_sends_exactly_p_minus_1_messages() {
         let topo = Topology::new(8, 1);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; 32];
-            let mut recvbuf = vec![0u8; 32];
-            let recv = (comm.rank() == 0).then_some(recvbuf.as_mut_slice());
-            reduce_binomial(comm, &sendbuf, recv, &oracle::wrapping_add_u8, 0, 1);
+            let sendbuf = SymBuf::zeroed(32);
+            let mut recvbuf = SymBuf::zeroed(32);
+            let recv = (comm.rank() == 0).then_some(&mut *recvbuf);
+            reduce_binomial(comm, &sendbuf, recv, &comm.reducer(), 0, 1);
         });
         trace.validate().unwrap();
         // A binomial reduce over p ranks moves exactly p-1 messages; the
@@ -475,7 +480,7 @@ mod tests {
     fn bcast_trace_has_logarithmic_depth_and_full_coverage() {
         let topo = Topology::new(16, 1);
         let trace = record_trace(topo, |comm| {
-            let mut buf = vec![0u8; 64];
+            let mut buf = SymBuf::zeroed(64);
             bcast_binomial(comm, &mut buf, 0, 1);
         });
         trace.validate().unwrap();
@@ -490,10 +495,10 @@ mod tests {
         let world = 8;
         let block = 32;
         let topo = Topology::new(world, 1);
-        let sendbuf = vec![0u8; world * block];
+        let sendbuf = SymBuf::zeroed(world * block);
         let trace = record_trace(topo, |comm| {
-            let mut recvbuf = vec![0u8; block];
-            let send = (comm.rank() == 0).then_some(sendbuf.as_slice());
+            let mut recvbuf = SymBuf::zeroed(block);
+            let send = (comm.rank() == 0).then_some(&*sendbuf);
             scatter_binomial(comm, send, &mut recvbuf, 0, 1);
         });
         trace.validate().unwrap();

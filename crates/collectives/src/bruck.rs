@@ -6,23 +6,24 @@
 //! `rank - 2^i` and receives as much from `rank + 2^i`.  The buffer is kept
 //! in *rotated* order (own block first) and shifted back at the end.
 
+use crate::buf::Buf;
 use crate::comm::Comm;
 
 /// Bruck allgather: every rank contributes `sendbuf`; `recvbuf` receives all
 /// contributions in rank order (identical on every rank).
-pub fn allgather_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag: u64) {
+pub fn allgather_bruck<C: Comm>(comm: &C, sendbuf: &C::Buf, recvbuf: &mut C::Buf, tag: u64) {
     let p = comm.world_size();
     let rank = comm.rank();
     let block = sendbuf.len();
     assert_eq!(recvbuf.len(), p * block, "recvbuf must hold world blocks");
     if p == 1 {
-        recvbuf.copy_from_slice(sendbuf);
+        recvbuf.copy_from(0, sendbuf);
         return;
     }
 
     // Rotated working buffer: position i holds the block of rank (rank + i) % p.
-    let mut tmp = vec![0u8; p * block];
-    tmp[..block].copy_from_slice(sendbuf);
+    let mut tmp = C::Buf::zeroed(p * block);
+    tmp.copy_from(0, sendbuf);
 
     let mut have = 1usize; // blocks gathered so far
     let mut step = 1usize;
@@ -32,48 +33,47 @@ pub fn allgather_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], ta
         let dst = (rank + p - step) % p;
         let src = (rank + step) % p;
         // The same op order as `sendrecv`, landing the blocks in place.
-        comm.send(dst, tag + round, &tmp[..count * block]);
-        comm.recv_into(
-            src,
-            tag + round,
-            &mut tmp[have * block..(have + count) * block],
-        );
+        comm.send(dst, tag + round, &tmp.slice(0..count * block));
+        tmp.with_mut(have * block..(have + count) * block, |out| {
+            comm.recv_into(src, tag + round, out)
+        });
         have += count;
         step <<= 1;
         round += 1;
     }
     debug_assert_eq!(have, p);
 
-    // Shift back into absolute rank order: block of rank j is at rotated
-    // position (j - rank) mod p.
-    for j in 0..p {
-        let pos = (j + p - rank) % p;
-        recvbuf[j * block..(j + 1) * block].copy_from_slice(&tmp[pos * block..(pos + 1) * block]);
-    }
+    // Shift back into absolute rank order: rotated positions 0..p - rank
+    // hold ranks rank..p, the rest ranks 0..rank — two contiguous copies.
+    let split = (p - rank) * block;
+    recvbuf.copy_from(rank * block, &tmp.slice(0..split));
+    recvbuf.copy_from(0, &tmp.slice(split..p * block));
     comm.charge_copy(p * block);
 }
 
 /// Bruck alltoall: rank `i`'s input block `j` ends up as rank `j`'s output
 /// block `i`.  Runs in `ceil(log2 p)` rounds exchanging roughly half the
 /// buffer each round — the small-message alltoall of MPICH.
-pub fn alltoall_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag: u64) {
+pub fn alltoall_bruck<C: Comm>(comm: &C, sendbuf: &C::Buf, recvbuf: &mut C::Buf, tag: u64) {
     let p = comm.world_size();
     let rank = comm.rank();
     assert_eq!(sendbuf.len(), recvbuf.len());
     assert_eq!(sendbuf.len() % p, 0, "buffers must hold world blocks");
     let block = sendbuf.len() / p;
     if p == 1 {
-        recvbuf.copy_from_slice(sendbuf);
+        recvbuf.copy_from(0, sendbuf);
         return;
     }
 
     // Phase 1: local rotation so that the block destined for rank
     // (rank + i) % p sits at position i.
-    let mut tmp = vec![0u8; p * block];
+    let mut tmp = C::Buf::zeroed(p * block);
     for i in 0..p {
         let src_block = (rank + i) % p;
-        tmp[i * block..(i + 1) * block]
-            .copy_from_slice(&sendbuf[src_block * block..(src_block + 1) * block]);
+        tmp.copy_from(
+            i * block,
+            &sendbuf.slice(src_block * block..(src_block + 1) * block),
+        );
     }
     comm.charge_copy(p * block);
 
@@ -86,9 +86,9 @@ pub fn alltoall_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
         let dst = (rank + pof2) % p;
         let src = (rank + p - pof2) % p;
         let positions: Vec<usize> = (0..p).filter(|i| i & pof2 != 0).collect();
-        let mut outgoing = Vec::with_capacity(positions.len() * block);
-        for &i in &positions {
-            outgoing.extend_from_slice(&tmp[i * block..(i + 1) * block]);
+        let mut outgoing = C::Buf::zeroed(positions.len() * block);
+        for (slot, &i) in positions.iter().enumerate() {
+            outgoing.copy_from(slot * block, &tmp.slice(i * block..(i + 1) * block));
         }
         comm.charge_copy(outgoing.len());
         let incoming = comm.sendrecv(
@@ -100,8 +100,7 @@ pub fn alltoall_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
             outgoing.len(),
         );
         for (slot, &i) in positions.iter().enumerate() {
-            tmp[i * block..(i + 1) * block]
-                .copy_from_slice(&incoming[slot * block..(slot + 1) * block]);
+            tmp.copy_from(i * block, &incoming.slice(slot * block..(slot + 1) * block));
         }
         comm.charge_copy(incoming.len());
         pof2 <<= 1;
@@ -112,8 +111,7 @@ pub fn alltoall_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
     // holds the block sent by rank (rank - i) mod p destined for us.
     for i in 0..p {
         let sender = (rank + p - i) % p;
-        recvbuf[sender * block..(sender + 1) * block]
-            .copy_from_slice(&tmp[i * block..(i + 1) * block]);
+        recvbuf.copy_from(sender * block, &tmp.slice(i * block..(i + 1) * block));
     }
     comm.charge_copy(p * block);
 }
@@ -121,6 +119,7 @@ pub fn alltoall_bruck<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -220,8 +219,8 @@ mod tests {
         let world = 12;
         let topo = Topology::new(world, 1);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; 16];
-            let mut recvbuf = vec![0u8; world * 16];
+            let sendbuf = SymBuf::zeroed(16);
+            let mut recvbuf = SymBuf::zeroed(world * 16);
             allgather_bruck(comm, &sendbuf, &mut recvbuf, 1);
         });
         trace.validate().unwrap();
@@ -235,8 +234,8 @@ mod tests {
     fn allgather_trace_at_paper_scale_validates() {
         let topo = Topology::new(128, 18);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; 64];
-            let mut recvbuf = vec![0u8; comm.world_size() * 64];
+            let sendbuf = SymBuf::zeroed(64);
+            let mut recvbuf = SymBuf::zeroed(comm.world_size() * 64);
             allgather_bruck(comm, &sendbuf, &mut recvbuf, 1);
         });
         trace.validate().unwrap();

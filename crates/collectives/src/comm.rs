@@ -22,22 +22,33 @@
 //!   records); the thread implementation moves nothing more (the algorithm
 //!   did the work on its own buffers), the recorder notes the cost.
 //!
-//! Algorithms must never branch on *received payload contents* — only on
-//! ranks, sizes and topology — so that a trace recorded without real data is
-//! faithful to the real execution.
+//! Algorithms touch payload bytes only through the communicator's
+//! [`Comm::Buf`] ([`crate::buf`]) and never branch on payload contents —
+//! only on ranks, sizes and topology — so that a plan recorded without real
+//! data is faithful to the real execution.
 
 use std::cell::RefCell;
 
 use pip_runtime::{TaskCtx, Topology};
 
-/// A commutative reduction operator over raw bytes.
+use crate::buf::Buf;
+
+/// A commutative reduction operator over the buffers `B` (raw bytes by
+/// default).
 ///
 /// The operator combines `other` into `acc` (`acc[i] ⊕= other[i]` for the
 /// element interpretation the caller chose).
-pub type ReduceFn<'a> = dyn Fn(&mut [u8], &[u8]) + Sync + 'a;
+pub type ReduceFn<'a, B = [u8]> = dyn Fn(&mut B, &B) + Sync + 'a;
+
+/// The owned buffer of communicator `C`: what a receive returns.
+pub type BufVec<C> = <<C as Comm>::Buf as Buf>::Vec;
 
 /// The communication surface available to a collective algorithm.
 pub trait Comm {
+    /// The buffers payload bytes live in: byte slices when executing,
+    /// [`crate::buf::SymBuf`]s when recording.
+    type Buf: ?Sized + Buf;
+
     /// This process's global rank.
     fn rank(&self) -> usize;
 
@@ -83,25 +94,25 @@ pub trait Comm {
     /// returns without waiting for a matching receive.  The default
     /// [`Comm::sendrecv`] and the deadlock-freedom of every symmetric
     /// exchange in the algorithms rely on this guarantee.
-    fn send(&self, dest: usize, tag: u64, data: &[u8]);
+    fn send(&self, dest: usize, tag: u64, data: &Self::Buf);
 
     /// As [`Comm::send`] but taking ownership of the payload, so
     /// implementations that can hand the buffer straight to the transport
     /// (the thread runtime's fabric) avoid re-copying it.  The default
     /// forwards to [`Comm::send`].
-    fn send_owned(&self, dest: usize, tag: u64, data: Vec<u8>) {
+    fn send_owned(&self, dest: usize, tag: u64, data: BufVec<Self>) {
         self.send(dest, tag, &data);
     }
 
     /// Receive exactly `len` bytes from `source` with `tag`.
-    fn recv(&self, source: usize, tag: u64, len: usize) -> Vec<u8>;
+    fn recv(&self, source: usize, tag: u64, len: usize) -> BufVec<Self>;
 
     /// As [`Comm::recv`] for `out.len()` bytes, landing them in `out`: the
     /// receive for a message the algorithm would otherwise copy whole into
     /// one contiguous slice of its own buffer.  Records the same operation
     /// as [`Comm::recv`]; the default receives a `Vec` and copies it.
-    fn recv_into(&self, source: usize, tag: u64, out: &mut [u8]) {
-        out.copy_from_slice(&self.recv(source, tag, out.len()));
+    fn recv_into(&self, source: usize, tag: u64, out: &mut Self::Buf) {
+        out.copy_from(0, &self.recv(source, tag, out.len()));
     }
 
     /// Send to `dest`, then receive from `source`.
@@ -117,11 +128,11 @@ pub trait Comm {
         &self,
         dest: usize,
         send_tag: u64,
-        data: &[u8],
+        data: &Self::Buf,
         source: usize,
         recv_tag: u64,
         recv_len: usize,
-    ) -> Vec<u8> {
+    ) -> BufVec<Self> {
         self.send(dest, send_tag, data);
         self.recv(source, recv_tag, recv_len)
     }
@@ -139,31 +150,37 @@ pub trait Comm {
     /// the multi-object algorithms rely on.  (The thread implementation
     /// copies into a region purely to make the bytes reachable; no cost is
     /// recorded.)
-    fn shared_publish(&self, name: &str, data: &[u8]);
+    fn shared_publish(&self, name: &str, data: &Self::Buf);
 
     /// Retrieve the contents of a region this process owns, at no cost.
     ///
     /// The inverse of [`Comm::shared_publish`]: the region served as this
     /// process's own destination buffer (peers deposited data into it), so
     /// under PiP no additional copy is needed to "collect" it.
-    fn shared_collect(&self, name: &str, len: usize) -> Vec<u8>;
+    fn shared_collect(&self, name: &str, len: usize) -> BufVec<Self>;
 
     /// Store `data` into the buffer `name` owned by local rank
     /// `owner_local`, starting at `offset` (one copy, performed by the
     /// caller).
-    fn shared_write(&self, owner_local: usize, name: &str, offset: usize, data: &[u8]);
+    fn shared_write(&self, owner_local: usize, name: &str, offset: usize, data: &Self::Buf);
 
     /// Load `len` bytes from the buffer `name` owned by local rank
     /// `owner_local`, starting at `offset` (one copy, performed by the
     /// caller).
-    fn shared_read(&self, owner_local: usize, name: &str, offset: usize, len: usize) -> Vec<u8>;
+    fn shared_read(
+        &self,
+        owner_local: usize,
+        name: &str,
+        offset: usize,
+        len: usize,
+    ) -> BufVec<Self>;
 
     /// As [`Comm::shared_read`] for `out.len()` bytes, loading them straight
     /// into `out` — the one copy PiP charges, with no intermediate buffer.
     /// Records the same operation as [`Comm::shared_read`]; the default
     /// reads a `Vec` and copies it.
-    fn shared_read_into(&self, owner_local: usize, name: &str, offset: usize, out: &mut [u8]) {
-        out.copy_from_slice(&self.shared_read(owner_local, name, offset, out.len()));
+    fn shared_read_into(&self, owner_local: usize, name: &str, offset: usize, out: &mut Self::Buf) {
+        out.copy_from(0, &self.shared_read(owner_local, name, offset, out.len()));
     }
 
     /// Send `len` bytes straight out of a peer's exposed buffer (zero-copy:
@@ -260,6 +277,8 @@ impl<'a> ThreadComm<'a> {
 }
 
 impl Comm for ThreadComm<'_> {
+    type Buf = [u8];
+
     fn rank(&self) -> usize {
         self.ctx.rank()
     }
@@ -514,7 +533,7 @@ mod tests {
     #[test]
     fn default_accessors_derive_from_topology() {
         let topo = Topology::new(3, 4);
-        let comm = PlanComm::new(7, topo, 0, Fidelity::Schedule);
+        let comm = PlanComm::new(7, topo, Fidelity::Schedule);
         assert_eq!(comm.world_size(), 12);
         assert_eq!(comm.node_id(), 1);
         assert_eq!(comm.local_rank(), 3);

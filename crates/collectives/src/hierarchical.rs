@@ -12,6 +12,7 @@
 //! so the simulator charges it at whatever transport the comparator library
 //! uses (POSIX-SHMEM double copy, CMA, XPMEM or PiP).
 
+use crate::buf::Buf;
 use crate::comm::{Comm, ReduceFn};
 use crate::recursive_doubling::largest_pow2_leq;
 
@@ -26,7 +27,7 @@ fn region(tag: u64, what: &str) -> String {
 /// 2. Bruck allgather of node blocks among the leaders, sending straight out
 ///    of / receiving straight into the staging buffer.
 /// 3. Every process copies the result out of the leader's staging buffer.
-pub fn allgather_hierarchical<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag: u64) {
+pub fn allgather_hierarchical<C: Comm>(comm: &C, sendbuf: &C::Buf, recvbuf: &mut C::Buf, tag: u64) {
     let p = comm.world_size();
     let block = sendbuf.len();
     assert_eq!(recvbuf.len(), p * block);
@@ -90,10 +91,13 @@ pub fn allgather_hierarchical<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
     // Step 3: every process copies the gathered data out, un-rotating the
     // node order (two contiguous reads).
     let split = (nodes - node) * node_block;
-    let (head, tail) = recvbuf.split_at_mut(node * node_block);
-    comm.shared_read_into(0, &name, 0, tail);
+    recvbuf.with_mut(node * node_block..p * block, |tail| {
+        comm.shared_read_into(0, &name, 0, tail)
+    });
     if node > 0 {
-        comm.shared_read_into(0, &name, split, head);
+        recvbuf.with_mut(0..node * node_block, |head| {
+            comm.shared_read_into(0, &name, split, head)
+        });
     }
     comm.node_barrier();
 }
@@ -106,8 +110,8 @@ pub fn allgather_hierarchical<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
 ///    local process copies its own block out.
 pub fn scatter_hierarchical<C: Comm>(
     comm: &C,
-    sendbuf: Option<&[u8]>,
-    recvbuf: &mut [u8],
+    sendbuf: Option<&C::Buf>,
+    recvbuf: &mut C::Buf,
     root: usize,
     tag: u64,
 ) {
@@ -135,18 +139,20 @@ pub fn scatter_hierarchical<C: Comm>(
 
     // Step 1: binomial scatter of node blocks over representatives, in
     // virtual node order rooted at the root's node.
-    let mut staged: Vec<u8> = Vec::new();
+    let mut staged = C::Buf::zeroed(0);
     if i_am_rep {
         let vnode = (node + nodes - root_node) % nodes;
-        let mut tmp = vec![0u8; nodes * node_block];
+        let mut tmp = C::Buf::zeroed(nodes * node_block);
         let mut curr_blocks = 0usize;
         if rank == root {
             let sendbuf = sendbuf.expect("root must supply a send buffer");
             assert_eq!(sendbuf.len(), comm.world_size() * block);
             for i in 0..nodes {
                 let abs_node = (root_node + i) % nodes;
-                tmp[i * node_block..(i + 1) * node_block]
-                    .copy_from_slice(&sendbuf[abs_node * node_block..(abs_node + 1) * node_block]);
+                tmp.copy_from(
+                    i * node_block,
+                    &sendbuf.slice(abs_node * node_block..(abs_node + 1) * node_block),
+                );
             }
             if root_node != 0 {
                 comm.charge_copy(nodes * node_block);
@@ -158,7 +164,9 @@ pub fn scatter_hierarchical<C: Comm>(
             if vnode & mask != 0 {
                 let src_node = ((vnode - mask) + root_node) % nodes;
                 let recv_blocks = mask.min(nodes - vnode);
-                comm.recv_into(rep_of(src_node), tag, &mut tmp[..recv_blocks * node_block]);
+                tmp.with_mut(0..recv_blocks * node_block, |out| {
+                    comm.recv_into(rep_of(src_node), tag, out)
+                });
                 curr_blocks = recv_blocks;
                 break;
             }
@@ -172,13 +180,13 @@ pub fn scatter_hierarchical<C: Comm>(
                 comm.send(
                     rep_of(dst_node),
                     tag,
-                    &tmp[mask * node_block..(mask + send_blocks) * node_block],
+                    &tmp.slice(mask * node_block..(mask + send_blocks) * node_block),
                 );
                 curr_blocks -= send_blocks;
             }
             mask >>= 1;
         }
-        staged = tmp[..node_block].to_vec();
+        staged = tmp.slice(0..node_block).into_owned();
     }
 
     // Step 2: the representative stages its node block; locals copy out.
@@ -192,7 +200,7 @@ pub fn scatter_hierarchical<C: Comm>(
 }
 
 /// Single-leader hierarchical broadcast from global rank `root`.
-pub fn bcast_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u64) {
+pub fn bcast_hierarchical<C: Comm>(comm: &C, buf: &mut C::Buf, root: usize, tag: u64) {
     let nodes = comm.num_nodes();
     let node = comm.node_id();
     let rank = comm.rank();
@@ -251,7 +259,12 @@ pub fn bcast_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u
 ///    buffer; the leader reduces the node's contributions.
 /// 2. Leaders run a recursive-doubling allreduce among themselves.
 /// 3. The leader publishes the result; locals copy it out.
-pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: u64) {
+pub fn allreduce_hierarchical<C: Comm>(
+    comm: &C,
+    buf: &mut C::Buf,
+    op: &ReduceFn<'_, C::Buf>,
+    tag: u64,
+) {
     let ppn = comm.ppn();
     let nodes = comm.num_nodes();
     let node = comm.node_id();
@@ -332,6 +345,7 @@ pub fn allreduce_hierarchical<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -519,8 +533,8 @@ mod tests {
     fn allgather_trace_only_leaders_touch_the_network() {
         let topo = Topology::new(4, 3);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; 32];
-            let mut recvbuf = vec![0u8; comm.world_size() * 32];
+            let sendbuf = SymBuf::zeroed(32);
+            let mut recvbuf = SymBuf::zeroed(comm.world_size() * 32);
             allgather_hierarchical(comm, &sendbuf, &mut recvbuf, 1);
         });
         trace.validate().unwrap();
@@ -541,10 +555,10 @@ mod tests {
     #[test]
     fn scatter_trace_single_sender_per_node_pair() {
         let topo = Topology::new(4, 2);
-        let sendbuf = vec![0u8; topo.world_size() * 16];
+        let sendbuf = SymBuf::zeroed(topo.world_size() * 16);
         let trace = record_trace(topo, |comm| {
-            let mut recvbuf = vec![0u8; 16];
-            let send = (comm.rank() == 0).then_some(sendbuf.as_slice());
+            let mut recvbuf = SymBuf::zeroed(16);
+            let send = (comm.rank() == 0).then_some(&*sendbuf);
             scatter_hierarchical(comm, send, &mut recvbuf, 0, 1);
         });
         trace.validate().unwrap();

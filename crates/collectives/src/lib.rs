@@ -2,8 +2,9 @@
 //!
 //! The collective algorithms of the PiP-MColl reproduction.
 //!
-//! Every algorithm is written once against the [`comm::Comm`] trait and can
-//! then be
+//! Every algorithm is written once against the [`comm::Comm`] trait, touching
+//! payload bytes only through its buffer type ([`buf::Buf`]), and can then
+//! be
 //!
 //! * **executed** on the thread-based PiP runtime ([`comm::ThreadComm`]),
 //!   moving real bytes — this is how correctness is established against the
@@ -55,6 +56,7 @@
 
 pub mod binomial;
 pub mod bruck;
+pub mod buf;
 pub mod comm;
 pub mod compress;
 pub mod datatype;
@@ -68,7 +70,8 @@ pub mod request;
 pub mod ring;
 pub mod scan;
 
-pub use comm::{Comm, ReduceFn, ThreadComm};
+pub use buf::{Buf, SymBuf, SymVec};
+pub use comm::{BufVec, Comm, ReduceFn, ThreadComm};
 pub use compress::{Codec, FloatDatatype, FloatElem};
 pub use datatype::{
     Datatype, DtypeId, Layout, Op, OwnedReduction, ReduceIdent, ReduceKernel, ReduceOp, Reduction,

@@ -16,12 +16,13 @@
 //!    (the "shift" plus intra-node broadcast of the paper, fused into two
 //!    contiguous PiP reads per process).
 
+use crate::buf::Buf;
 use crate::comm::Comm;
 use crate::multi_object::schedule::bruck_phases;
 
 /// Multi-object allgather: every rank contributes `sendbuf` (`C_b` bytes);
 /// `recvbuf` (world × `C_b` bytes) receives all contributions in rank order.
-pub fn allgather_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag: u64) {
+pub fn allgather_multi_object<C: Comm>(comm: &C, sendbuf: &C::Buf, recvbuf: &mut C::Buf, tag: u64) {
     let block = sendbuf.len();
     let p = comm.world_size();
     assert_eq!(recvbuf.len(), p * block, "recvbuf must hold world blocks");
@@ -63,10 +64,13 @@ pub fn allgather_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
     // Step ⑥: copy out in absolute rank order (two contiguous reads undo the
     // rotation).
     let split = (nodes - node) * node_block;
-    let (head, tail) = recvbuf.split_at_mut(node * node_block);
-    comm.shared_read_into(0, &name, 0, tail);
+    recvbuf.with_mut(node * node_block..p * block, |tail| {
+        comm.shared_read_into(0, &name, 0, tail)
+    });
     if node > 0 {
-        comm.shared_read_into(0, &name, split, head);
+        recvbuf.with_mut(0..node * node_block, |head| {
+            comm.shared_read_into(0, &name, split, head)
+        });
     }
     comm.node_barrier();
 }
@@ -74,6 +78,7 @@ pub fn allgather_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -148,8 +153,8 @@ mod tests {
         let topo = Topology::new(12, 4);
         let block = 64;
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; block];
-            let mut recvbuf = vec![0u8; comm.world_size() * block];
+            let sendbuf = SymBuf::zeroed(block);
+            let mut recvbuf = SymBuf::zeroed(comm.world_size() * block);
             allgather_multi_object(comm, &sendbuf, &mut recvbuf, 1);
         });
         trace.validate().unwrap();
@@ -167,8 +172,8 @@ mod tests {
         let topo = Topology::new(128, 18);
         let block = 64;
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; block];
-            let mut recvbuf = vec![0u8; comm.world_size() * block];
+            let sendbuf = SymBuf::zeroed(block);
+            let mut recvbuf = SymBuf::zeroed(comm.world_size() * block);
             allgather_multi_object(comm, &sendbuf, &mut recvbuf, 1);
         });
         trace.validate().unwrap();

@@ -13,6 +13,7 @@
 //! address space.  The decomposition preserves the pre-refactor schedule
 //! op-for-op — pinned by `monolithic_and_decomposed_schedules_agree` below.
 
+use crate::buf::Buf;
 use crate::comm::{Comm, ReduceFn};
 use crate::multi_object::reduce_scatter::{elem_chunk_bounds, reduce_owned_chunk};
 
@@ -23,9 +24,9 @@ use crate::multi_object::reduce_scatter::{elem_chunk_bounds, reduce_owned_chunk}
 /// partition is aligned to it so `op` always sees whole elements.
 pub fn allreduce_multi_object<C: Comm>(
     comm: &C,
-    buf: &mut [u8],
+    buf: &mut C::Buf,
     elem_size: usize,
-    op: &ReduceFn<'_>,
+    op: &ReduceFn<'_, C::Buf>,
     tag: u64,
 ) {
     let len = buf.len();
@@ -47,9 +48,9 @@ pub fn allreduce_multi_object<C: Comm>(
             continue;
         }
         if owner == local {
-            buf[s..e].copy_from_slice(&chunk.bytes);
+            buf.copy_from(s, &chunk.bytes);
         } else {
-            comm.shared_read_into(owner, &out_name, 0, &mut buf[s..e]);
+            buf.with_mut(s..e, |out| comm.shared_read_into(owner, &out_name, 0, out));
         }
     }
     comm.node_barrier();
@@ -58,6 +59,7 @@ pub fn allreduce_multi_object<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::multi_object::schedule::chunk_bounds;
     use crate::oracle;
@@ -189,8 +191,8 @@ mod tests {
     fn trace_every_local_rank_talks_to_the_network() {
         let topo = Topology::new(8, 4);
         let trace = record_trace(topo, |comm| {
-            let mut buf = vec![0u8; 4096];
-            allreduce_multi_object(comm, &mut buf, 1, &oracle::wrapping_add_u8, 1);
+            let mut buf = SymBuf::zeroed(4096);
+            allreduce_multi_object(comm, &mut buf, 1, &comm.reducer(), 1);
         });
         trace.validate().unwrap();
         // Every local rank of node 0 sends in the inter-node phase (8 nodes
@@ -207,9 +209,9 @@ mod tests {
     /// reproduce op for op.
     fn allreduce_multi_object_monolithic<C: Comm>(
         comm: &C,
-        buf: &mut [u8],
+        buf: &mut C::Buf,
         elem_size: usize,
-        op: &ReduceFn<'_>,
+        op: &ReduceFn<'_, C::Buf>,
         tag: u64,
     ) {
         let len = buf.len();
@@ -232,7 +234,7 @@ mod tests {
             (s * elem_size, e * elem_size)
         };
         let (start, end) = elem_chunk(local);
-        let mut chunk = buf[start..end].to_vec();
+        let mut chunk = buf.slice(start..end).into_owned();
         for peer in 0..ppn {
             if peer == local || chunk.is_empty() {
                 continue;
@@ -275,7 +277,7 @@ mod tests {
             if node < 2 * rem {
                 if node.is_multiple_of(2) {
                     let data = comm.recv(peer_rank(node + 1), tag + 63, bytes);
-                    chunk.copy_from_slice(&data);
+                    chunk.copy_from(0, &data);
                 } else {
                     comm.send(peer_rank(node - 1), tag + 63, &chunk);
                 }
@@ -290,10 +292,10 @@ mod tests {
                 continue;
             }
             if owner == local {
-                buf[s..e].copy_from_slice(&chunk);
+                buf.copy_from(s, &chunk);
             } else {
                 let data = comm.shared_read(owner, &out_name, 0, e - s);
-                buf[s..e].copy_from_slice(&data);
+                buf.copy_from(s, &data);
             }
         }
         comm.node_barrier();
@@ -316,12 +318,12 @@ mod tests {
         ] {
             let topo = Topology::new(nodes, ppn);
             let decomposed = record_trace(topo, |comm| {
-                let mut buf = vec![0u8; len];
-                allreduce_multi_object(comm, &mut buf, 1, &oracle::wrapping_add_u8, 77);
+                let mut buf = SymBuf::zeroed(len);
+                allreduce_multi_object(comm, &mut buf, 1, &comm.reducer(), 77);
             });
             let monolithic = record_trace(topo, |comm| {
-                let mut buf = vec![0u8; len];
-                allreduce_multi_object_monolithic(comm, &mut buf, 1, &oracle::wrapping_add_u8, 77);
+                let mut buf = SymBuf::zeroed(len);
+                allreduce_multi_object_monolithic(comm, &mut buf, 1, &comm.reducer(), 77);
             });
             assert_eq!(
                 decomposed, monolithic,

@@ -9,12 +9,13 @@
 //! those `N - 1` messages — the same multi-object principle as the other
 //! collectives.
 
+use crate::buf::Buf;
 use crate::comm::Comm;
 
 /// Multi-object alltoall: `sendbuf` holds one block per destination rank;
 /// `recvbuf` receives one block from every source rank (both world × block
 /// bytes).
-pub fn alltoall_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag: u64) {
+pub fn alltoall_multi_object<C: Comm>(comm: &C, sendbuf: &C::Buf, recvbuf: &mut C::Buf, tag: u64) {
     let p = comm.world_size();
     assert_eq!(sendbuf.len(), recvbuf.len());
     assert_eq!(sendbuf.len() % p, 0);
@@ -39,13 +40,14 @@ pub fn alltoall_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u
     // copied directly between the published buffers.
     for peer_local in 0..ppn {
         let peer_rank = topo.rank_of(node, peer_local);
+        let range = peer_rank * block..(peer_rank + 1) * block;
         if peer_local == local {
-            recvbuf[peer_rank * block..(peer_rank + 1) * block]
-                .copy_from_slice(&sendbuf[peer_rank * block..(peer_rank + 1) * block]);
+            recvbuf.copy_from(range.start, &sendbuf.slice(range));
         } else {
             // Read the block peer -> me straight from the peer's buffer.
-            let dst = &mut recvbuf[peer_rank * block..(peer_rank + 1) * block];
-            comm.shared_read_into(peer_local, &in_name, comm.rank() * block, dst);
+            recvbuf.with_mut(range, |dst| {
+                comm.shared_read_into(peer_local, &in_name, comm.rank() * block, dst)
+            });
         }
     }
 
@@ -57,15 +59,16 @@ pub fn alltoall_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u
     // the symmetric incoming tile to its peers' landing zones.
     let handler_of = |a: usize, b: usize| (a + b) % ppn;
     for remote in (0..nodes).filter(|&d| d != node && handler_of(node, d) == local) {
-        let mut tile = Vec::with_capacity(node_tile);
+        let mut tile = C::Buf::zeroed(node_tile);
         for src_local in 0..ppn {
             let range_start = topo.rank_of(remote, 0) * block;
             let range_len = ppn * block;
+            let at = src_local * range_len;
             if src_local == local {
-                tile.extend_from_slice(&sendbuf[range_start..range_start + range_len]);
+                tile.copy_from(at, &sendbuf.slice(range_start..range_start + range_len));
             } else {
                 let data = comm.shared_read(src_local, &in_name, range_start, range_len);
-                tile.extend_from_slice(&data);
+                tile.copy_from(at, &data);
             }
         }
         let partner = topo.rank_of(remote, local);
@@ -73,12 +76,13 @@ pub fn alltoall_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u
         // The incoming tile is ordered by sending local rank, then by
         // destination local rank; deliver each piece to its destination's
         // landing zone (or straight into our own recvbuf).
-        for (src_local, chunk) in incoming.chunks(ppn * block).enumerate() {
+        for src_local in 0..ppn {
             for dst_local in 0..ppn {
-                let piece = &chunk[dst_local * block..(dst_local + 1) * block];
+                let at = (src_local * ppn + dst_local) * block;
+                let piece = &incoming.slice(at..at + block);
                 if dst_local == local {
                     let src_rank = topo.rank_of(remote, src_local);
-                    recvbuf[src_rank * block..(src_rank + 1) * block].copy_from_slice(piece);
+                    recvbuf.copy_from(src_rank * block, piece);
                 } else {
                     // Deliver straight into the destination peer's landing
                     // zone through shared memory.
@@ -98,8 +102,7 @@ pub fn alltoall_multi_object<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u
         for src_local in 0..ppn {
             let src_rank = topo.rank_of(remote, src_local);
             let offset = (remote * ppn + src_local) * block;
-            recvbuf[src_rank * block..(src_rank + 1) * block]
-                .copy_from_slice(&landing[offset..offset + block]);
+            recvbuf.copy_from(src_rank * block, &landing.slice(offset..offset + block));
         }
     }
     comm.node_barrier();

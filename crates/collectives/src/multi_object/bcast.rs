@@ -3,12 +3,13 @@
 //! one process receives into shared memory from which all local processes
 //! copy the payload.
 
+use crate::buf::Buf;
 use crate::comm::Comm;
 use crate::multi_object::schedule::responsible_nodes;
 
 /// Multi-object broadcast from global rank `root`: after the call every
 /// rank's `buf` equals the root's `buf`.
-pub fn bcast_multi_object<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u64) {
+pub fn bcast_multi_object<C: Comm>(comm: &C, buf: &mut C::Buf, root: usize, tag: u64) {
     let len = buf.len();
     let ppn = comm.ppn();
     let nodes = comm.num_nodes();
@@ -53,6 +54,7 @@ pub fn bcast_multi_object<C: Comm>(comm: &C, buf: &mut [u8], root: usize, tag: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -113,7 +115,7 @@ mod tests {
         let ppn = 4;
         let topo = Topology::new(nodes, ppn);
         let trace = record_trace(topo, |comm| {
-            let mut buf = vec![0u8; 128];
+            let mut buf = SymBuf::zeroed(128);
             bcast_multi_object(comm, &mut buf, 0, 1);
         });
         trace.validate().unwrap();

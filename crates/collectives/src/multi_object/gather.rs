@@ -3,6 +3,7 @@
 //! receive work by depositing remote node-blocks straight into the root's
 //! (exposed) receive buffer.
 
+use crate::buf::Buf;
 use crate::comm::Comm;
 use crate::multi_object::schedule::responsible_nodes;
 
@@ -11,8 +12,8 @@ use crate::multi_object::schedule::responsible_nodes;
 /// in rank order.
 pub fn gather_multi_object<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    recvbuf: Option<&mut [u8]>,
+    sendbuf: &C::Buf,
+    recvbuf: Option<&mut C::Buf>,
     root: usize,
     tag: u64,
 ) {
@@ -38,7 +39,7 @@ pub fn gather_multi_object<C: Comm>(
         // deposit remote node-blocks and local contributions directly.
         if rank == root {
             assert_eq!(
-                recvbuf.as_deref().map(<[u8]>::len),
+                recvbuf.as_deref().map(Buf::len),
                 Some(comm.world_size() * block),
                 "root recvbuf must hold one block per rank"
             );
@@ -59,7 +60,7 @@ pub fn gather_multi_object<C: Comm>(
 
         if rank == root {
             let gathered = comm.shared_collect(&dst_name, comm.world_size() * block);
-            recvbuf.expect("root recvbuf").copy_from_slice(&gathered);
+            recvbuf.expect("root recvbuf").copy_from(0, &gathered);
         }
     } else {
         // Remote node: gather the node-block into the courier's staging
@@ -82,6 +83,7 @@ pub fn gather_multi_object<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -140,9 +142,9 @@ mod tests {
         let block = 32;
         let topo = Topology::new(nodes, ppn);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; block];
-            let mut recvbuf = vec![0u8; comm.world_size() * block];
-            let recv = (comm.rank() == 0).then_some(recvbuf.as_mut_slice());
+            let sendbuf = SymBuf::zeroed(block);
+            let mut recvbuf = SymBuf::zeroed(comm.world_size() * block);
+            let recv = (comm.rank() == 0).then_some(&mut *recvbuf);
             gather_multi_object(comm, &sendbuf, recv, 0, 1);
         });
         trace.validate().unwrap();

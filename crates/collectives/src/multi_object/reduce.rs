@@ -9,6 +9,7 @@
 //! local rank of every node drives the NIC during the exchange (the
 //! multi-object property); no single process funnels the vector.
 
+use crate::buf::Buf;
 use crate::comm::{Comm, ReduceFn};
 use crate::multi_object::reduce_scatter::{elem_chunk_bounds, reduce_owned_chunk};
 
@@ -20,10 +21,10 @@ use crate::multi_object::reduce_scatter::{elem_chunk_bounds, reduce_owned_chunk}
 /// `elem_size` is the size of one reduction element in bytes.
 pub fn reduce_multi_object<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    recvbuf: Option<&mut [u8]>,
+    sendbuf: &C::Buf,
+    recvbuf: Option<&mut C::Buf>,
     elem_size: usize,
-    op: &ReduceFn<'_>,
+    op: &ReduceFn<'_, C::Buf>,
     root: usize,
     tag: u64,
 ) {
@@ -47,9 +48,9 @@ pub fn reduce_multi_object<C: Comm>(
                 continue;
             }
             if owner == local {
-                recvbuf[s..e].copy_from_slice(&chunk.bytes);
+                recvbuf.copy_from(s, &chunk.bytes);
             } else {
-                comm.shared_read_into(owner, &out_name, 0, &mut recvbuf[s..e]);
+                recvbuf.with_mut(s..e, |out| comm.shared_read_into(owner, &out_name, 0, out));
             }
         }
     }
@@ -59,6 +60,7 @@ pub fn reduce_multi_object<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -177,10 +179,10 @@ mod tests {
     fn trace_every_local_rank_talks_to_the_network() {
         let topo = Topology::new(8, 4);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; 4096];
-            let mut recvbuf = vec![0u8; 4096];
-            let recv = (comm.rank() == 0).then_some(recvbuf.as_mut_slice());
-            reduce_multi_object(comm, &sendbuf, recv, 1, &oracle::wrapping_add_u8, 0, 1);
+            let sendbuf = SymBuf::zeroed(4096);
+            let mut recvbuf = SymBuf::zeroed(4096);
+            let recv = (comm.rank() == 0).then_some(&mut *recvbuf);
+            reduce_multi_object(comm, &sendbuf, recv, 1, &comm.reducer(), 0, 1);
         });
         trace.validate().unwrap();
         // The multi-object property: every local rank of every node runs

@@ -18,21 +18,21 @@
 //! node-locally and each rank extracts its own block from the chunks of its
 //! node's owners, paying at most two shared-memory reads.
 
-use crate::comm::{Comm, ReduceFn};
+use crate::buf::Buf;
+use crate::comm::{BufVec, Comm, ReduceFn};
 use crate::multi_object::schedule::chunk_bounds;
 use crate::recursive_doubling::largest_pow2_leq;
 
 /// The globally reduced chunk owned by this rank after the chunk-ownership
 /// phase: byte range `start..end` of the full vector, already combined
 /// across every rank of the world.
-#[derive(Debug, Clone)]
-pub struct OwnedChunk {
+pub struct OwnedChunk<C: Comm> {
     /// Start of the chunk within the full vector, in bytes.
     pub start: usize,
     /// End of the chunk within the full vector, in bytes.
     pub end: usize,
     /// The reduced bytes (`end - start` of them).
-    pub bytes: Vec<u8>,
+    pub bytes: BufVec<C>,
 }
 
 /// Byte bounds of local rank `index`'s chunk of a vector of `len` bytes
@@ -57,12 +57,12 @@ pub(crate) fn elem_chunk_bounds(
 /// each caller keeps its legacy region names.
 pub fn reduce_owned_chunk<C: Comm>(
     comm: &C,
-    buf: &[u8],
+    buf: &C::Buf,
     elem_size: usize,
-    op: &ReduceFn<'_>,
+    op: &ReduceFn<'_, C::Buf>,
     prefix: &str,
     tag: u64,
-) -> OwnedChunk {
+) -> OwnedChunk<C> {
     let len = buf.len();
     assert!(elem_size > 0, "element size must be positive");
     assert_eq!(len % elem_size, 0, "buffer must hold whole elements");
@@ -79,7 +79,7 @@ pub fn reduce_owned_chunk<C: Comm>(
 
     // Intra-node reduction of this process's chunk across all local peers.
     let (start, end) = elem_chunk_bounds(len, elem_size, ppn, local);
-    let mut chunk = buf[start..end].to_vec();
+    let mut chunk = buf.slice(start..end).into_owned();
     for peer in 0..ppn {
         if peer == local || chunk.is_empty() {
             continue;
@@ -146,10 +146,10 @@ pub fn reduce_owned_chunk<C: Comm>(
 /// boundaries both fall on whole elements.
 pub fn reduce_scatter_multi_object<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
+    sendbuf: &C::Buf,
+    recvbuf: &mut C::Buf,
     elem_size: usize,
-    op: &ReduceFn<'_>,
+    op: &ReduceFn<'_, C::Buf>,
     tag: u64,
 ) {
     let world = comm.world_size();
@@ -181,11 +181,12 @@ pub fn reduce_scatter_multi_object<C: Comm>(
         if lo >= hi {
             continue;
         }
-        let dst = &mut recvbuf[lo - block_start..hi - block_start];
         if owner == local {
-            dst.copy_from_slice(&chunk.bytes[lo - s..hi - s]);
+            recvbuf.copy_from(lo - block_start, &chunk.bytes.slice(lo - s..hi - s));
         } else {
-            comm.shared_read_into(owner, &out_name, lo - s, dst);
+            recvbuf.with_mut(lo - block_start..hi - block_start, |dst| {
+                comm.shared_read_into(owner, &out_name, lo - s, dst)
+            });
         }
     }
     comm.node_barrier();
@@ -194,6 +195,7 @@ pub fn reduce_scatter_multi_object<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -337,16 +339,9 @@ mod tests {
     fn trace_every_local_rank_talks_to_the_network() {
         let topo = Topology::new(8, 4);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; 4096];
-            let mut recvbuf = vec![0u8; 4096 / 32];
-            reduce_scatter_multi_object(
-                comm,
-                &sendbuf,
-                &mut recvbuf,
-                1,
-                &oracle::wrapping_add_u8,
-                1,
-            );
+            let sendbuf = SymBuf::zeroed(4096);
+            let mut recvbuf = SymBuf::zeroed(4096 / 32);
+            reduce_scatter_multi_object(comm, &sendbuf, &mut recvbuf, 1, &comm.reducer(), 1);
         });
         trace.validate().unwrap();
         // Every local rank of node 0 runs the 3 restricted recursive-

@@ -4,6 +4,7 @@
 //! receives the node-block into shared memory from which every local process
 //! copies its own block.
 
+use crate::buf::Buf;
 use crate::comm::Comm;
 use crate::multi_object::schedule::responsible_nodes;
 
@@ -12,8 +13,8 @@ use crate::multi_object::schedule::responsible_nodes;
 /// `recvbuf` receives its block.
 pub fn scatter_multi_object<C: Comm>(
     comm: &C,
-    sendbuf: Option<&[u8]>,
-    recvbuf: &mut [u8],
+    sendbuf: Option<&C::Buf>,
+    recvbuf: &mut C::Buf,
     root: usize,
     tag: u64,
 ) {
@@ -74,6 +75,7 @@ pub fn scatter_multi_object<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -142,10 +144,10 @@ mod tests {
         let ppn = 4;
         let block = 64;
         let topo = Topology::new(nodes, ppn);
-        let sendbuf = vec![0u8; topo.world_size() * block];
+        let sendbuf = SymBuf::zeroed(topo.world_size() * block);
         let trace = record_trace(topo, |comm| {
-            let mut recvbuf = vec![0u8; block];
-            let send = (comm.rank() == 0).then_some(sendbuf.as_slice());
+            let mut recvbuf = SymBuf::zeroed(block);
+            let send = (comm.rank() == 0).then_some(&*sendbuf);
             scatter_multi_object(comm, send, &mut recvbuf, 0, 1);
         });
         trace.validate().unwrap();
@@ -166,10 +168,10 @@ mod tests {
         let ppn = 3;
         let block = 16;
         let topo = Topology::new(nodes, ppn);
-        let sendbuf = vec![0u8; topo.world_size() * block];
+        let sendbuf = SymBuf::zeroed(topo.world_size() * block);
         let trace = record_trace(topo, |comm| {
-            let mut recvbuf = vec![0u8; block];
-            let send = (comm.rank() == 0).then_some(sendbuf.as_slice());
+            let mut recvbuf = SymBuf::zeroed(block);
+            let send = (comm.rank() == 0).then_some(&*sendbuf);
             scatter_multi_object(comm, send, &mut recvbuf, 0, 1);
         });
         trace.validate().unwrap();

@@ -42,14 +42,15 @@
 //! a direct read never lands in a range a later op reads.  Sources with
 //! value slots or literals are still materialized.
 //!
-//! **Output writes of value slots take no buffer.**  A `CopyOut` whose
-//! bytes are all value slots or literals records only its op index; the
-//! drain copies straight from the slots into the receive buffer.  That is
-//! sound because a validated plan defines every value once
-//! ([`crate::plan::PlanError::RedefinedValue`]) and the slots are released
-//! only after the flush.  A `CopyOut` that reads the caller's buffers
-//! (`SendBuf`/`RecvInit`) is still copied when it runs, because the flush
-//! overwrites what it reads.
+//! **Output writes take no buffer unless they read the output.**  A
+//! `CopyOut` whose bytes are value slots, literals or the send buffer
+//! records only its op index; the drain copies straight from them into the
+//! receive buffer.  That is sound because a validated plan defines every
+//! value once ([`crate::plan::PlanError::RedefinedValue`]), the slots are
+//! released only after the flush, and the send buffer is never the receive
+//! buffer.  A `CopyOut` that reads the receive buffer's entry bytes
+//! (`RecvInit`) is still copied when it runs, because the flush overwrites
+//! what it reads.
 //!
 //! **Direct shared reads take no slot either.**  A `SharedRead` copies the
 //! peer's region straight into the receive buffer at the offset its
@@ -222,9 +223,10 @@ pub struct PlanCursor {
     pc: usize,
     vals: Vec<Option<Vec<u8>>>,
     /// Deferred output writes in program order: the `CopyOut` op's index,
-    /// plus its bytes when they read the caller's buffers (which the flush
-    /// overwrites) and so had to be copied when the op ran.  `None` means
-    /// the bytes are value slots or literals, read at flush time.
+    /// plus its bytes when they read the receive buffer's entry bytes (which
+    /// the flush overwrites) and so had to be copied when the op ran.
+    /// `None` means the bytes are value slots, literals or the send buffer,
+    /// read at flush time.
     pending_out: Vec<(usize, Option<Vec<u8>>)>,
     /// The caller's buffers, typed as the caller made them and read and
     /// written as their bytes: the receive buffer is extent-length when the
@@ -461,7 +463,15 @@ impl PlanCursor {
                     }
                     None => {
                         for seg in &src.segs {
-                            write(held_bytes(&self.vals, seg).expect("deferred by reference"));
+                            let bytes = match *seg {
+                                SrcSeg::SendBuf { offset, len } => {
+                                    let sendbuf = self.sendbuf.as_deref();
+                                    &sendbuf.expect("the plan's buffers are present")
+                                        [offset..offset + len]
+                                }
+                                _ => held_bytes(&self.vals, seg).expect("deferred by reference"),
+                            };
+                            write(bytes);
                         }
                     }
                 }
@@ -653,14 +663,14 @@ impl PlanCursor {
             // A value read straight into place has nothing left to write.
             PlanOp::CopyOut { src, .. } if self.plan.landed(src) => {}
             PlanOp::CopyOut { src, .. } => {
-                // Bytes of the caller's buffers are copied now, before the
-                // flush overwrites them; value slots and literals are read
-                // at flush time.
-                let by_ref = src
+                // The receive buffer's entry bytes are copied now, before the
+                // flush overwrites them; value slots, literals and the send
+                // buffer are read at flush time.
+                let reads_output = src
                     .segs
                     .iter()
-                    .all(|seg| held_bytes(&self.vals, seg).is_some());
-                let copied = (!by_ref).then(|| self.materialize(src));
+                    .any(|seg| matches!(seg, SrcSeg::RecvInit { .. }));
+                let copied = reads_output.then(|| self.materialize(src));
                 self.pending_out.push((self.pc, copied));
             }
             // Modelled costs only: the thread runtime has no clock to charge.
@@ -783,11 +793,12 @@ fn held_bytes<'a>(vals: &'a [Option<Vec<u8>>], seg: &'a SrcSeg) -> Option<&'a [u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::Comm;
     use crate::datatype::{Layout, ReduceKernel, ReduceOp};
     use crate::plan::arena::shared_arena;
     use crate::plan::ir::IoShape;
-    use crate::plan::record::{assemble, compile_exec, PlanComm};
+    use crate::plan::record::{self, PlanComm};
     use pip_runtime::{Cluster, Fabric, NodeSpace, TaskCtx, Topology};
 
     /// Compile `rank`'s plan of `body` by recording it.  Compiling is
@@ -797,9 +808,10 @@ mod tests {
         rank: usize,
         topo: Topology,
         io: IoShape,
-        body: impl Fn(&PlanComm) -> Option<Vec<u8>>,
+        body: impl FnOnce(&PlanComm, Option<&SymBuf>, Option<&mut SymBuf>),
     ) -> Rc<ExecPlan> {
-        Rc::new(ExecPlan::new(compile_exec(rank, topo, io, body)))
+        let plan = record::compile(rank, topo, Fidelity::Exec, io, body);
+        Rc::new(ExecPlan::new(plan))
     }
 
     fn io(sendbuf: usize, recvbuf: usize) -> IoShape {
@@ -811,14 +823,12 @@ mod tests {
     }
 
     fn compile_exchange(rank: usize, topo: Topology) -> Rc<ExecPlan> {
-        compile(rank, topo, io(4, 4), |comm| {
-            let mut sendbuf = vec![0u8; 4];
-            comm.fill_sendbuf(&mut sendbuf);
+        compile(rank, topo, io(4, 4), |comm, send, recv| {
             let peer = 1 - rank;
-            comm.send(peer, 0, &sendbuf);
+            comm.send(peer, 0, send.unwrap());
             let got = comm.recv(peer, 0, 4);
             comm.node_barrier();
-            Some(got)
+            recv.unwrap().copy_from(0, &got);
         })
     }
 
@@ -861,13 +871,11 @@ mod tests {
             needs_reduce_op: true,
             ..IoShape::default()
         };
-        compile(rank, topo, inout, |comm| {
-            let mut buf = vec![0u8; 8];
-            comm.fill_recvbuf(&mut buf);
-            comm.send(1 - rank, 0, &buf);
+        compile(rank, topo, inout, |comm, _, buf| {
+            let buf = buf.unwrap();
+            comm.send(1 - rank, 0, buf);
             let incoming = comm.recv(1 - rank, 0, 8);
-            comm.reducer()(&mut buf, &incoming);
-            Some(buf)
+            comm.reducer()(buf, &incoming);
         })
     }
 
@@ -903,16 +911,15 @@ mod tests {
         let topo = Topology::new(1, 2);
         let results = Cluster::launch(topo, |ctx| {
             let rank = ctx.rank();
-            let plan = compile(rank, topo, io(2, 4), |comm| {
-                let mut sendbuf = vec![0u8; 2];
-                comm.fill_sendbuf(&mut sendbuf);
+            let plan = compile(rank, topo, io(2, 4), |comm, send, recv| {
                 if rank == 0 {
                     comm.shared_alloc("stage_0", 4);
                 }
                 comm.node_barrier();
-                comm.shared_write(0, "stage_0", rank * 2, &sendbuf);
+                comm.shared_write(0, "stage_0", rank * 2, send.unwrap());
                 comm.node_barrier();
-                Some(comm.shared_read(0, "stage_0", 0, 4))
+                recv.unwrap()
+                    .copy_from(0, &comm.shared_read(0, "stage_0", 0, 4));
             });
             let arena = shared_arena();
             [1u8, 2].map(|call| {
@@ -940,15 +947,14 @@ mod tests {
     fn unexposed_region_blocks_the_cursor_not_the_thread() {
         let topo = Topology::new(1, 2);
         let compile = |rank: usize| {
-            compile(rank, topo, io(4, 4), |comm| {
-                let mut sendbuf = vec![0u8; 4];
-                comm.fill_sendbuf(&mut sendbuf);
-                Some(if rank == 0 {
-                    comm.shared_publish("box", &sendbuf);
-                    sendbuf
+            compile(rank, topo, io(4, 4), |comm, send, recv| {
+                let (send, recv) = (send.unwrap(), recv.unwrap());
+                if rank == 0 {
+                    comm.shared_publish("box", send);
+                    recv.copy_from(0, send);
                 } else {
-                    comm.shared_read(0, "box", 0, 4)
-                })
+                    recv.copy_from(0, &comm.shared_read(0, "box", 0, 4));
+                }
             })
         };
         let node = NodeSpace::new(0, 2);
@@ -1181,6 +1187,23 @@ mod tests {
         assert_eq!(slot_acquired - acquired, direct as u64);
     }
 
+    /// A `CopyOut` of the send buffer is read at the flush, as a value slot
+    /// is: it takes no arena buffer, where one of the receive buffer's entry
+    /// bytes, which the flush overwrites, takes one.
+    #[test]
+    fn send_buffer_output_writes_take_no_buffer() {
+        let plan = |seg| hand_plan(io(8, 16), &REGION, vec![], vec![copy_out(4, seg)]);
+        let input: Vec<u8> = (21..29).collect();
+        let sent = plan(SrcSeg::SendBuf { offset: 0, len: 8 });
+        let (out, acquired, _) = run_hand_plan(&sent, Some(input.clone()), initial(16));
+        let entry = plan(SrcSeg::RecvInit { offset: 8, len: 8 });
+        let (_, entry_acquired, _) = run_hand_plan(&entry, Some(input.clone()), initial(16));
+        let mut expected = initial(16);
+        expected[4..12].copy_from_slice(&input);
+        assert_eq!(out, expected);
+        assert_eq!(entry_acquired - acquired, 1);
+    }
+
     /// Every condition of the direct-read rule, broken once: each read
     /// keeps its slot, and the output is what the slots give.
     #[test]
@@ -1268,17 +1291,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "schedule-fidelity")]
     fn cursor_refuses_schedule_fidelity_plans() {
-        let topo = Topology::new(1, 1);
-        let comm = PlanComm::new(0, topo, 0, Fidelity::Schedule);
+        let comm = PlanComm::new(0, Topology::new(1, 1), Fidelity::Schedule);
         comm.node_barrier();
-        let plan = assemble(
-            0,
-            topo,
-            Fidelity::Schedule,
-            IoShape::default(),
-            vec![comm.finish(None)],
-        );
-        let plan = Rc::new(ExecPlan::new(plan));
+        let plan = Rc::new(ExecPlan::new(comm.finish(IoShape::default(), None)));
         let _ = PlanCursor::new(plan, None, None, 1 << 16, shared_arena(), None);
     }
 

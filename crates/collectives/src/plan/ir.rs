@@ -327,12 +327,11 @@ pub enum PlanOp {
     },
 }
 
-/// The sources `$op` reads, as a pair of options in field order — the one
-/// list of the ops that read a [`Src`].  Expands to shared or mutable
-/// borrows as `$op` is a `&PlanOp` or a `&mut PlanOp`.
-macro_rules! sources_of {
-    ($op:expr) => {
-        match $op {
+impl PlanOp {
+    /// The sources the op reads, in field order (a reduction's accumulator
+    /// first) — the one list of the ops that read a [`Src`].
+    pub(crate) fn sources(&self) -> impl Iterator<Item = &Src> {
+        let (first, second) = match self {
             PlanOp::SharedPublish { src, .. }
             | PlanOp::SharedWrite { src, .. }
             | PlanOp::Send { src, .. }
@@ -349,21 +348,7 @@ macro_rules! sources_of {
             | PlanOp::NodeBarrier
             | PlanOp::ChargeCopy { .. }
             | PlanOp::Delay { .. } => (None, None),
-        }
-    };
-}
-
-impl PlanOp {
-    /// The sources the op reads, in field order (a reduction's accumulator
-    /// first).
-    pub(crate) fn sources(&self) -> impl Iterator<Item = &Src> {
-        let (first, second) = sources_of!(self);
-        first.into_iter().chain(second)
-    }
-
-    /// [`PlanOp::sources`], mutably.
-    pub(crate) fn sources_mut(&mut self) -> impl Iterator<Item = &mut Src> {
-        let (first, second) = sources_of!(self);
+        };
         first.into_iter().chain(second)
     }
 }
@@ -389,7 +374,7 @@ pub struct IoShape {
     /// buffer takes the caller's input.
     pub inout: bool,
     /// The plan contains [`PlanOp::Reduce`] and needs a reduction operator
-    /// (set by [`crate::plan::record::assemble`] from the ops).
+    /// (set by [`crate::plan::PlanComm::finish`] from the ops).
     pub needs_reduce_op: bool,
     /// Strided layout of the caller's receive buffer, in **bytes**
     /// ([`crate::datatype::Layout::scaled`]). `None`: contiguous. For

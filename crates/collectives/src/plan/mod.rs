@@ -31,6 +31,6 @@ pub mod symmetry;
 pub use arena::{shared_arena, ArenaStats, BufferArena, SharedArena};
 pub use cursor::{CursorOutput, ExecPlan, PlanCursor, StepOutcome};
 pub use ir::{Fidelity, IoShape, Plan, PlanError, PlanOp, RankPlan, Src, SrcSeg, ValId};
-pub use record::{assemble, compile_exec, record_trace, PlanComm};
+pub use record::{compile, record_trace, PlanComm};
 pub use rewrite::compress_rank_transfers;
 pub use symmetry::{ranks_equal_under, schedules_equal_under};

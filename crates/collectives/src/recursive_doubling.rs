@@ -2,6 +2,7 @@
 //! (arbitrary ranks, with the MPICH non-power-of-two pre/post step), and the
 //! dissemination barrier.
 
+use crate::buf::Buf;
 use crate::comm::{Comm, ReduceFn};
 
 /// Largest power of two that is `<= n` (`n >= 1`).
@@ -15,8 +16,8 @@ pub fn largest_pow2_leq(n: usize) -> usize {
 /// see the `SmallPow2` rows of `pip-mpi-model`'s rule lists).
 pub fn allgather_recursive_doubling<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
+    sendbuf: &C::Buf,
+    recvbuf: &mut C::Buf,
     tag: u64,
 ) {
     let p = comm.world_size();
@@ -25,7 +26,7 @@ pub fn allgather_recursive_doubling<C: Comm>(
     let block = sendbuf.len();
     assert_eq!(recvbuf.len(), p * block);
 
-    recvbuf[rank * block..(rank + 1) * block].copy_from_slice(sendbuf);
+    recvbuf.copy_from(rank * block, sendbuf);
     let mut mask = 1usize;
     let mut round = 0u64;
     while mask < p {
@@ -37,12 +38,14 @@ pub fn allgather_recursive_doubling<C: Comm>(
         let len = mask * block;
         // The same op order as `sendrecv`, landing the partner's blocks in
         // place.
-        comm.send(partner, tag + round, &recvbuf[my_start..my_start + len]);
-        comm.recv_into(
+        comm.send(
             partner,
             tag + round,
-            &mut recvbuf[partner_start..partner_start + len],
+            &recvbuf.slice(my_start..my_start + len),
         );
+        recvbuf.with_mut(partner_start..partner_start + len, |out| {
+            comm.recv_into(partner, tag + round, out)
+        });
         mask <<= 1;
         round += 1;
     }
@@ -52,8 +55,8 @@ pub fn allgather_recursive_doubling<C: Comm>(
 /// non-power-of-two world sizes with the standard fold-in/fold-out step.
 pub fn allreduce_recursive_doubling<C: Comm>(
     comm: &C,
-    buf: &mut [u8],
-    op: &ReduceFn<'_>,
+    buf: &mut C::Buf,
+    op: &ReduceFn<'_, C::Buf>,
     tag: u64,
 ) {
     let p = comm.world_size();
@@ -123,7 +126,7 @@ pub fn barrier_dissemination<C: Comm>(comm: &C, tag: u64) {
     while step < p {
         let dst = (rank + step) % p;
         let src = (rank + p - step) % p;
-        comm.sendrecv(dst, tag + round, &[], src, tag + round, 0);
+        comm.sendrecv(dst, tag + round, &C::Buf::zeroed(0), src, tag + round, 0);
         step <<= 1;
         round += 1;
     }
@@ -132,6 +135,7 @@ pub fn barrier_dissemination<C: Comm>(comm: &C, tag: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -302,8 +306,8 @@ mod tests {
     fn allreduce_trace_matches_volume_for_power_of_two() {
         let topo = Topology::new(8, 1);
         let trace = record_trace(topo, |comm| {
-            let mut buf = vec![0u8; 128];
-            allreduce_recursive_doubling(comm, &mut buf, &oracle::wrapping_add_u8, 1);
+            let mut buf = SymBuf::zeroed(128);
+            allreduce_recursive_doubling(comm, &mut buf, &comm.reducer(), 1);
         });
         trace.validate().unwrap();
         // log2(8) = 3 rounds, full buffer each round.

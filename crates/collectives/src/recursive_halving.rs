@@ -8,6 +8,7 @@
 //! remains, each surviving odd rank representing *two* real blocks through
 //! the halving and handing the even partner's block back at the end.
 
+use crate::buf::Buf;
 use crate::comm::{Comm, ReduceFn};
 use crate::recursive_doubling::largest_pow2_leq;
 
@@ -28,9 +29,9 @@ fn newrank_blocks(j: usize, rem: usize) -> (usize, usize) {
 /// `recvbuf` receives this rank's fully reduced block.
 pub fn reduce_scatter_recursive_halving<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    op: &ReduceFn<'_>,
+    sendbuf: &C::Buf,
+    recvbuf: &mut C::Buf,
+    op: &ReduceFn<'_, C::Buf>,
     tag: u64,
 ) {
     let p = comm.world_size();
@@ -42,13 +43,13 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
         "sendbuf must hold one block per rank"
     );
     if p == 1 {
-        recvbuf.copy_from_slice(sendbuf);
+        recvbuf.copy_from(0, sendbuf);
         return;
     }
 
     let pof2 = largest_pow2_leq(p);
     let rem = p - pof2;
-    let mut buf = sendbuf.to_vec();
+    let mut buf = sendbuf.to_owned();
 
     // Fold step: even ranks of the first 2*rem send their whole vector to
     // the odd partner, which then represents both ranks' blocks.
@@ -96,7 +97,7 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
             };
             let (ss, se) = byte_range(send);
             let (ks, ke) = byte_range(keep);
-            let outgoing = buf[ss..se].to_vec();
+            let outgoing = buf.slice(ss..se).into_owned();
             let incoming = comm.sendrecv(
                 partner,
                 tag + round,
@@ -105,7 +106,7 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
                 tag + round,
                 ke - ks,
             );
-            op(&mut buf[ks..ke], &incoming);
+            buf.with_mut(ks..ke, |acc| op(acc, &incoming));
             lo = keep.0;
             hi = keep.1;
             mask >>= 1;
@@ -119,11 +120,11 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
             comm.send(
                 2 * newrank,
                 tag + 63,
-                &buf[first * block..(first + 1) * block],
+                &buf.slice(first * block..(first + 1) * block),
             );
-            recvbuf.copy_from_slice(&buf[(last - 1) * block..last * block]);
+            recvbuf.copy_from(0, &buf.slice((last - 1) * block..last * block));
         } else {
-            recvbuf.copy_from_slice(&buf[first * block..last * block]);
+            recvbuf.copy_from(0, &buf.slice(first * block..last * block));
         }
     } else {
         comm.recv_into(rank + 1, tag + 63, recvbuf);
@@ -133,6 +134,7 @@ pub fn reduce_scatter_recursive_halving<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -271,15 +273,9 @@ mod tests {
         let block = 16;
         let topo = Topology::new(world, 1);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; world * block];
-            let mut recvbuf = vec![0u8; block];
-            reduce_scatter_recursive_halving(
-                comm,
-                &sendbuf,
-                &mut recvbuf,
-                &oracle::wrapping_add_u8,
-                1,
-            );
+            let sendbuf = SymBuf::zeroed(world * block);
+            let mut recvbuf = SymBuf::zeroed(block);
+            reduce_scatter_recursive_halving(comm, &sendbuf, &mut recvbuf, &comm.reducer(), 1);
         });
         trace.validate().unwrap();
         // Power of two: log2(p) exchange rounds, each halving the volume:

@@ -200,10 +200,10 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
+    use crate::buf::Buf;
     use crate::comm::Comm;
     use crate::plan::ir::IoShape;
-    use crate::plan::record::compile_exec;
-    use crate::plan::{shared_arena, ExecPlan};
+    use crate::plan::{compile, shared_arena, ExecPlan, Fidelity};
     use pip_runtime::{Cluster, Topology};
 
     /// Compile a two-rank ping with a per-invocation distinct tag space.
@@ -213,12 +213,10 @@ mod tests {
             recvbuf: Some(2),
             ..IoShape::default()
         };
-        let plan = compile_exec(rank, topo, io, |comm| {
-            let mut sendbuf = vec![0u8; 2];
-            comm.fill_sendbuf(&mut sendbuf);
+        let plan = compile(rank, topo, Fidelity::Exec, io, |comm, send, recv| {
             let peer = 1 - rank;
-            comm.send(peer, 0, &sendbuf);
-            Some(comm.recv(peer, 0, 2))
+            comm.send(peer, 0, send.unwrap());
+            recv.unwrap().copy_from(0, &comm.recv(peer, 0, 2));
         });
         Rc::new(ExecPlan::new(plan))
     }

@@ -2,16 +2,17 @@
 //! allgather, ring reduce_scatter and ring allreduce (reduce-scatter
 //! followed by allgather).
 
+use crate::buf::Buf;
 use crate::comm::{Comm, ReduceFn};
 
 /// Ring allgather: `p - 1` steps; in each step every rank forwards to its
 /// right neighbour the block it received in the previous step.
-pub fn allgather_ring<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag: u64) {
+pub fn allgather_ring<C: Comm>(comm: &C, sendbuf: &C::Buf, recvbuf: &mut C::Buf, tag: u64) {
     let p = comm.world_size();
     let rank = comm.rank();
     let block = sendbuf.len();
     assert_eq!(recvbuf.len(), p * block);
-    recvbuf[rank * block..(rank + 1) * block].copy_from_slice(sendbuf);
+    recvbuf.copy_from(rank * block, sendbuf);
     if p == 1 {
         return;
     }
@@ -26,13 +27,11 @@ pub fn allgather_ring<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
         comm.send(
             right,
             tag,
-            &recvbuf[send_block * block..(send_block + 1) * block],
+            &recvbuf.slice(send_block * block..(send_block + 1) * block),
         );
-        comm.recv_into(
-            left,
-            tag,
-            &mut recvbuf[recv_block * block..(recv_block + 1) * block],
-        );
+        recvbuf.with_mut(recv_block * block..(recv_block + 1) * block, |out| {
+            comm.recv_into(left, tag, out)
+        });
     }
 }
 
@@ -47,9 +46,9 @@ pub fn allgather_ring<C: Comm>(comm: &C, sendbuf: &[u8], recvbuf: &mut [u8], tag
 /// not be divisible by `p` (trailing chunks are smaller, possibly empty).
 pub fn allreduce_ring<C: Comm>(
     comm: &C,
-    buf: &mut [u8],
+    buf: &mut C::Buf,
     elem_size: usize,
-    op: &ReduceFn<'_>,
+    op: &ReduceFn<'_, C::Buf>,
     tag: u64,
 ) {
     let p = comm.world_size();
@@ -82,7 +81,7 @@ pub fn allreduce_ring<C: Comm>(
         let recv_chunk = (rank + p - step - 1) % p;
         let (ss, se) = chunk_bounds(send_chunk);
         let (rs, re) = chunk_bounds(recv_chunk);
-        let outgoing = buf[ss..se].to_vec();
+        let outgoing = buf.slice(ss..se).into_owned();
         let incoming = comm.sendrecv(
             right,
             tag + step as u64,
@@ -91,7 +90,7 @@ pub fn allreduce_ring<C: Comm>(
             tag + step as u64,
             re - rs,
         );
-        op(&mut buf[rs..re], &incoming);
+        buf.with_mut(rs..re, |acc| op(acc, &incoming));
     }
 
     // Allgather phase: circulate the reduced chunks.
@@ -101,8 +100,8 @@ pub fn allreduce_ring<C: Comm>(
         let (ss, se) = chunk_bounds(send_chunk);
         let (rs, re) = chunk_bounds(recv_chunk);
         let tag = tag + 1000 + step as u64;
-        comm.send(right, tag, &buf[ss..se]);
-        comm.recv_into(left, tag, &mut buf[rs..re]);
+        comm.send(right, tag, &buf.slice(ss..se));
+        buf.with_mut(rs..re, |out| comm.recv_into(left, tag, out));
     }
 }
 
@@ -115,9 +114,9 @@ pub fn allreduce_ring<C: Comm>(
 /// `recvbuf` receives this rank's fully reduced block.
 pub fn reduce_scatter_ring<C: Comm>(
     comm: &C,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    op: &ReduceFn<'_>,
+    sendbuf: &C::Buf,
+    recvbuf: &mut C::Buf,
+    op: &ReduceFn<'_, C::Buf>,
     tag: u64,
 ) {
     let p = comm.world_size();
@@ -129,10 +128,10 @@ pub fn reduce_scatter_ring<C: Comm>(
         "sendbuf must hold one block per rank"
     );
     if p == 1 {
-        recvbuf.copy_from_slice(sendbuf);
+        recvbuf.copy_from(0, sendbuf);
         return;
     }
-    let mut buf = sendbuf.to_vec();
+    let mut buf = sendbuf.to_owned();
     let right = (rank + 1) % p;
     let left = (rank + p - 1) % p;
     // Block indices are chosen so that after p-1 steps rank r has folded
@@ -140,7 +139,9 @@ pub fn reduce_scatter_ring<C: Comm>(
     for step in 0..p - 1 {
         let send_block = (rank + p - step - 1) % p;
         let recv_block = (rank + p - step - 2) % p;
-        let outgoing = buf[send_block * block..(send_block + 1) * block].to_vec();
+        let outgoing = buf
+            .slice(send_block * block..(send_block + 1) * block)
+            .into_owned();
         let incoming = comm.sendrecv(
             right,
             tag + step as u64,
@@ -149,17 +150,17 @@ pub fn reduce_scatter_ring<C: Comm>(
             tag + step as u64,
             block,
         );
-        op(
-            &mut buf[recv_block * block..(recv_block + 1) * block],
-            &incoming,
-        );
+        buf.with_mut(recv_block * block..(recv_block + 1) * block, |acc| {
+            op(acc, &incoming)
+        });
     }
-    recvbuf.copy_from_slice(&buf[rank * block..(rank + 1) * block]);
+    recvbuf.copy_from(0, &buf.slice(rank * block..(rank + 1) * block));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -274,8 +275,8 @@ mod tests {
         let world = 6;
         let topo = Topology::new(world, 1);
         let trace = record_trace(topo, |comm| {
-            let sendbuf = vec![0u8; 8];
-            let mut recvbuf = vec![0u8; world * 8];
+            let sendbuf = SymBuf::zeroed(8);
+            let mut recvbuf = SymBuf::zeroed(world * 8);
             allgather_ring(comm, &sendbuf, &mut recvbuf, 1);
         });
         trace.validate().unwrap();
@@ -288,8 +289,8 @@ mod tests {
         let len = 64;
         let topo = Topology::new(world, 1);
         let trace = record_trace(topo, |comm| {
-            let mut buf = vec![0u8; len];
-            allreduce_ring(comm, &mut buf, 1, &oracle::wrapping_add_u8, 1);
+            let mut buf = SymBuf::zeroed(len);
+            allreduce_ring(comm, &mut buf, 1, &comm.reducer(), 1);
         });
         trace.validate().unwrap();
         // Each rank sends 2 * (p-1) chunks of n/p bytes.

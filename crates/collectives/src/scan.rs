@@ -15,12 +15,18 @@
 //! undefined; this implementation pins it to the rank's own input (the
 //! buffer is left untouched), and `oracle::exscan` mirrors that.
 
-use crate::comm::{Comm, ReduceFn};
+use crate::buf::Buf;
+use crate::comm::{BufVec, Comm, ReduceFn};
 
 /// Recursive-doubling inclusive scan for a commutative `op`: on return,
 /// rank `r`'s `buf` holds the combination of the contributions of ranks
 /// `0..=r`.
-pub fn scan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: u64) {
+pub fn scan_recursive_doubling<C: Comm>(
+    comm: &C,
+    buf: &mut C::Buf,
+    op: &ReduceFn<'_, C::Buf>,
+    tag: u64,
+) {
     let p = comm.world_size();
     let rank = comm.rank();
     let bytes = buf.len();
@@ -29,7 +35,7 @@ pub fn scan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<
     }
     // `partial` accumulates every contribution seen so far (the hypercube
     // group); `buf` accumulates only those from ranks <= rank (the prefix).
-    let mut partial = buf.to_vec();
+    let mut partial = buf.to_owned();
     let mut mask = 1usize;
     let mut round = 0u64;
     while mask < p {
@@ -50,17 +56,22 @@ pub fn scan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<
 /// Recursive-doubling exclusive scan for a commutative `op`: on return,
 /// rank `r > 0`'s `buf` holds the combination of the contributions of ranks
 /// `0..r`; rank 0's `buf` is left untouched.
-pub fn exscan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: u64) {
+pub fn exscan_recursive_doubling<C: Comm>(
+    comm: &C,
+    buf: &mut C::Buf,
+    op: &ReduceFn<'_, C::Buf>,
+    tag: u64,
+) {
     let p = comm.world_size();
     let rank = comm.rank();
     let bytes = buf.len();
     if p == 1 {
         return;
     }
-    let mut partial = buf.to_vec();
+    let mut partial = buf.to_owned();
     // The exclusive prefix is built only from lower-ranked partners'
     // partials; the first such contribution seeds it.
-    let mut prefix: Option<Vec<u8>> = None;
+    let mut prefix: Option<BufVec<C>> = None;
     let mut mask = 1usize;
     let mut round = 0u64;
     while mask < p {
@@ -80,7 +91,7 @@ pub fn exscan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceF
         round += 1;
     }
     if let Some(prefix) = prefix {
-        buf.copy_from_slice(&prefix);
+        buf.copy_from(0, &prefix);
         comm.charge_copy(bytes);
     }
 }
@@ -88,7 +99,7 @@ pub fn exscan_recursive_doubling<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceF
 /// Linear-pipeline inclusive scan: rank `r` receives the prefix of `0..r`
 /// from rank `r - 1`, combines its own contribution and forwards the
 /// inclusive prefix to rank `r + 1`.
-pub fn scan_linear<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: u64) {
+pub fn scan_linear<C: Comm>(comm: &C, buf: &mut C::Buf, op: &ReduceFn<'_, C::Buf>, tag: u64) {
     let p = comm.world_size();
     let rank = comm.rank();
     let bytes = buf.len();
@@ -107,7 +118,7 @@ pub fn scan_linear<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: u6
 /// Linear-pipeline exclusive scan: rank `r > 0` receives the prefix of
 /// `0..r` (its result) and forwards the inclusive prefix; rank 0's `buf` is
 /// left untouched.
-pub fn exscan_linear<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: u64) {
+pub fn exscan_linear<C: Comm>(comm: &C, buf: &mut C::Buf, op: &ReduceFn<'_, C::Buf>, tag: u64) {
     let p = comm.world_size();
     let rank = comm.rank();
     let bytes = buf.len();
@@ -120,17 +131,18 @@ pub fn exscan_linear<C: Comm>(comm: &C, buf: &mut [u8], op: &ReduceFn<'_>, tag: 
     }
     let prefix = comm.recv(rank - 1, tag, bytes);
     if rank + 1 < p {
-        let mut inclusive = prefix.clone();
+        let mut inclusive = (*prefix).to_owned();
         op(&mut inclusive, buf);
         comm.send_owned(rank + 1, tag, inclusive);
     }
-    buf.copy_from_slice(&prefix);
+    buf.copy_from(0, &prefix);
     comm.charge_copy(bytes);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::{Buf, SymBuf};
     use crate::comm::ThreadComm;
     use crate::oracle;
     use crate::plan::record_trace;
@@ -283,8 +295,8 @@ mod tests {
     fn scan_rd_trace_has_logarithmic_rounds() {
         let topo = Topology::new(8, 1);
         let trace = record_trace(topo, |comm| {
-            let mut buf = vec![0u8; 16];
-            scan_recursive_doubling(comm, &mut buf, &oracle::wrapping_add_u8, 1);
+            let mut buf = SymBuf::zeroed(16);
+            scan_recursive_doubling(comm, &mut buf, &comm.reducer(), 1);
         });
         trace.validate().unwrap();
         // Power-of-two world: every rank exchanges in every one of the
@@ -296,8 +308,8 @@ mod tests {
     fn scan_linear_trace_is_a_chain() {
         let topo = Topology::new(6, 1);
         let trace = record_trace(topo, |comm| {
-            let mut buf = vec![0u8; 16];
-            scan_linear(comm, &mut buf, &oracle::wrapping_add_u8, 1);
+            let mut buf = SymBuf::zeroed(16);
+            scan_linear(comm, &mut buf, &comm.reducer(), 1);
         });
         trace.validate().unwrap();
         assert_eq!(trace.total_messages(), 5);

@@ -20,6 +20,7 @@ use std::rc::Rc;
 use pip_collectives::comm::{Comm, ReduceFn, ThreadComm};
 use pip_collectives::datatype::{DtypeId, ElemBuf, Layout, OwnedReduction};
 use pip_collectives::plan::{ExecPlan, IoShape, PlanCursor};
+use pip_collectives::Buf;
 use pip_collectives::{
     binomial, bruck, hierarchical, multi_object, recursive_doubling, recursive_halving, ring, scan,
 };
@@ -39,9 +40,11 @@ use crate::LibraryProfile;
 ///
 /// The buffers fill the slots of the shape's [`IoShape`]: `send` is the
 /// send buffer and `recv` the receive buffer or, for the in/out kinds
-/// (bcast, allreduce, scans), the one caller buffer; a strided allreduce's
-/// buffer spans its layout's extent.  `op` is the operator of the reduction
-/// kinds, over `shape.elem_size`-byte elements.
+/// (bcast, allreduce, scans), the one caller buffer, always packed: a
+/// strided caller buffer is packed by the caller ([`run_blocking`]).  `op`
+/// is the operator of the reduction kinds, over `shape.elem_size`-byte
+/// elements.  The buffers are the communicator's ([`Comm::Buf`]): byte
+/// slices on the thread runtime, symbolic buffers when recording.
 ///
 /// `tag` must be unique per outstanding collective on the communicator
 /// (callers typically use a per-communicator sequence number shifted left).
@@ -49,9 +52,9 @@ pub fn execute<C: Comm>(
     algorithm: Algorithm,
     comm: &C,
     shape: &CollectiveShape,
-    send: Option<&[u8]>,
-    recv: Option<&mut [u8]>,
-    op: Option<&ReduceFn<'_>>,
+    send: Option<&C::Buf>,
+    recv: Option<&mut C::Buf>,
+    op: Option<&ReduceFn<'_, C::Buf>>,
     tag: u64,
 ) {
     use Algorithm as A;
@@ -61,23 +64,8 @@ pub fn execute<C: Comm>(
         elem_size: elem,
         ..
     } = *shape;
-    // Derived datatype (only an allreduce sets one): gather the strided
-    // elements into a packed scratch vector, run the algorithm on that
-    // contiguously, then scatter the result back without disturbing the
-    // gaps.
-    let mut packed = Vec::new();
-    let mut strided = None;
-    let recv = match shape.layout.map(|l| l.scaled(elem)) {
-        Some(l) => {
-            let buf = bound(recv);
-            l.pack_bytes(buf, &mut packed);
-            strided = Some((l, buf));
-            Some(packed.as_mut_slice())
-        }
-        None => recv,
-    };
     if algorithm.kind() == CollectiveKind::Allreduce {
-        let len = recv.as_deref().map(<[u8]>::len);
+        let len = recv.as_deref().map(Buf::len);
         debug_assert_eq!(len, Some(shape.block), "the shape keys packed bytes");
     }
     match algorithm {
@@ -150,9 +138,6 @@ pub fn execute<C: Comm>(
             multi_object::alltoall_multi_object(comm, bound(send), bound(recv), tag)
         }
         A::Barrier => recursive_doubling::barrier_dissemination(comm, tag),
-    }
-    if let Some((l, buf)) = strided {
-        l.unpack_bytes(&packed, buf);
     }
 }
 
@@ -364,11 +349,11 @@ impl OwnedCollective<ElemBuf> {
 /// engine.
 ///
 /// Shapes whose buffer footprint exceeds [`EXEC_PLAN_MAX_BYTES`] skip the
-/// plan path and [`execute`] the algorithm directly: the fingerprint
-/// compile's recording passes each cost time in proportion to the buffer
-/// bytes, and large messages are bandwidth-bound, so compiling them buys
-/// nothing.  The regions such a call exposes by name are retired before it
-/// returns ([`ThreadComm::release_shared`]).
+/// plan path and [`execute`] the algorithm directly, on a packed copy of a
+/// strided buffer (the derived datatype only an allreduce carries) whose
+/// result is scattered back without disturbing the gaps.  The regions such
+/// a call exposes by name are retired before it returns
+/// ([`ThreadComm::release_shared`]).
 pub fn run_blocking(
     profile: &LibraryProfile,
     comm: &ThreadComm<'_>,
@@ -383,15 +368,26 @@ pub fn run_blocking(
         cache.note_bypass();
         let op = request.op().cloned();
         let (send, mut recv) = request.into_io(&shape.io_for(comm.rank(), world), dtype);
+        let layout = shape.layout.map(|l| l.scaled(shape.elem_size));
+        let mut packed = Vec::new();
+        if let (Some(l), Some(buf)) = (layout, recv.as_deref()) {
+            l.pack_bytes(buf, &mut packed);
+        }
         execute(
             profile.algorithm_for(&shape, world),
             comm,
             &shape,
             send.as_deref(),
-            recv.as_deref_mut(),
+            match layout {
+                Some(_) => Some(&mut packed[..]),
+                None => recv.as_deref_mut(),
+            },
             op.as_ref().map(OwnedReduction::as_fn),
             tag,
         );
+        if let (Some(l), Some(buf)) = (layout, recv.as_deref_mut()) {
+            l.unpack_bytes(&packed, buf);
+        }
         comm.release_shared();
         return recv;
     }

@@ -11,23 +11,23 @@
 //!
 //! Two cache granularities exist for the two consumers:
 //!
-//! * [`PlanCache`] holds **one rank's** plans (exec fidelity, a fingerprint
-//!   compile of as many passes as the plan's bytes need) — what a
-//!   `Communicator` embeds so its dispatch hot path becomes
-//!   *lookup-or-compile, then run*.
-//! * [`ClusterPlanCache`] holds **whole-cluster** plans (schedule fidelity,
-//!   single pass) — what figure generation uses so repeated data points
-//!   lower a cached plan to a trace instead of replaying the algorithm once
-//!   per rank.
+//! * [`PlanCache`] holds **one rank's** plans (exec fidelity: every payload
+//!   names its sources) — what a `Communicator` embeds so its dispatch hot
+//!   path becomes *lookup-or-compile, then run*.
+//! * [`ClusterPlanCache`] holds **whole-cluster** plans (schedule fidelity:
+//!   payloads are opaque) — what figure generation uses so repeated data
+//!   points lower a cached plan to a trace instead of replaying the
+//!   algorithm once per rank.
+//!
+//! Either fidelity compiles a rank by running its algorithm once.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use pip_collectives::comm::Comm as _;
 use pip_collectives::plan::{
-    assemble, compile_exec, compress_rank_transfers, ranks_equal_under, schedules_equal_under,
-    shared_arena, ArenaStats, ExecPlan, Fidelity, IoShape, Plan, PlanComm, RankPlan, SharedArena,
+    compile, compress_rank_transfers, ranks_equal_under, schedules_equal_under, shared_arena,
+    ArenaStats, ExecPlan, Fidelity, IoShape, Plan, RankPlan, SharedArena,
 };
 use pip_collectives::CollectiveKind;
 use pip_netsim::{FoldGroup, FoldedTrace};
@@ -169,10 +169,8 @@ impl CollectiveShape {
         }
     }
 
-    /// The largest single caller buffer this shape touches, in bytes — the
-    /// quantity the exec-fidelity compile's cost scales with (a few
-    /// recording passes plus one scan of the captured payloads, each linear
-    /// in the bytes).
+    /// The largest single caller buffer this shape touches, in bytes — what
+    /// [`EXEC_PLAN_MAX_BYTES`] bounds.
     pub fn buffer_footprint(&self, world: usize) -> usize {
         match self.kind {
             CollectiveKind::Allgather
@@ -194,7 +192,7 @@ impl CollectiveShape {
     /// `sendbuf`/`recvbuf` are packed byte counts; a strided shape
     /// additionally carries its byte-scaled layout so the executor packs
     /// the caller's extent-length buffer before replay.  `needs_reduce_op`
-    /// is left unset: `assemble` derives it from the recorded ops.
+    /// is left unset: `PlanComm::finish` derives it from the recorded ops.
     pub(crate) fn io_for(&self, rank: usize, world: usize) -> IoShape {
         let b = self.block;
         match self.kind {
@@ -288,12 +286,13 @@ impl PlanKey {
     }
 }
 
-/// Compile the plan of one rank by running the selected algorithm against
-/// the recording communicator — as many fingerprint passes as the plan's
-/// fingerprinted bytes need for exec fidelity
-/// ([`pip_collectives::plan::compile_exec`]: three for a 4×4 64 B
-/// allreduce, four for a 256 KiB one), a single pass for schedule fidelity,
-/// whose buffer contents nothing reads.
+/// Compile the plan of one rank by running the selected algorithm once
+/// against the recording communicator
+/// ([`pip_collectives::plan::compile`]), through the ordinary dispatcher on
+/// the caller buffers the shape declares, with the recorder standing in for
+/// the reduction operator.  Recording always runs on packed contiguous
+/// buffers; a layout lives in the plan's [`IoShape`] (`io_for`), where the
+/// executor packs and unpacks.
 pub fn compile_rank(
     profile: &LibraryProfile,
     topology: Topology,
@@ -301,34 +300,25 @@ pub fn compile_rank(
     shape: &CollectiveShape,
     fidelity: Fidelity,
 ) -> RankPlan {
-    let scratch = &mut CallerBuffers::default();
-    compile_rank_with(profile, topology, rank, shape, fidelity, scratch)
-}
-
-/// [`compile_rank`], recording a schedule-fidelity pass on `scratch`, which
-/// the compiles of one call share: its bytes are dead, so it is grown to
-/// each rank's buffers and never re-zeroed.  Exec-fidelity passes run on
-/// fresh buffers.
-fn compile_rank_with(
-    profile: &LibraryProfile,
-    topology: Topology,
-    rank: usize,
-    shape: &CollectiveShape,
-    fidelity: Fidelity,
-    scratch: &mut CallerBuffers,
-) -> RankPlan {
     let world = topology.world_size();
     let io = shape.io_for(rank, world);
-    let mut plan = match fidelity {
-        Fidelity::Exec => compile_exec(rank, topology, io, |comm| {
-            run_for_recording(profile, comm, shape, io)
-        }),
-        Fidelity::Schedule => {
-            let comm = PlanComm::new(rank, topology, 0, fidelity);
-            scratch.record(profile, &comm, shape, io);
-            assemble(rank, topology, fidelity, io, vec![comm.finish(None)])
-        }
+    let packed = CollectiveShape {
+        layout: None,
+        ..*shape
     };
+    let algorithm = profile.algorithm_for(&packed, world);
+    let mut plan = compile(rank, topology, fidelity, io, |comm, send, recv| {
+        let op = comm.reducer();
+        dispatch::execute(
+            algorithm,
+            comm,
+            &packed,
+            send,
+            recv,
+            Some(&op),
+            COMPILE_TAG_BASE,
+        );
+    });
     if let Some(spec) = shape.compress {
         if let Some(codec) = per_message_codec(spec, shape.elem_size, world) {
             compress_rank_transfers(&mut plan, codec, spec.min_wire_bytes);
@@ -409,12 +399,11 @@ fn compile_classes(
     shape: &CollectiveShape,
     fidelity: Fidelity,
     equal_under: EqualUnder,
-    scratch: &mut CallerBuffers,
 ) -> NodeClasses {
     let nodes = topology.nodes();
     let ppn = topology.ppn();
-    let mut compile = |rank| compile_rank_with(profile, topology, rank, shape, fidelity, scratch);
-    let reps: Vec<RankPlan> = (0..ppn).map(&mut compile).collect();
+    let compile = |rank| compile_rank(profile, topology, rank, shape, fidelity);
+    let reps: Vec<RankPlan> = (0..ppn).map(compile).collect();
     let mut probed: Vec<RankPlan> = Vec::new();
     let group = if nodes < 2 {
         None
@@ -482,21 +471,13 @@ fn compile_cluster_counted(
     fidelity: Fidelity,
 ) -> (Plan, (u64, u64)) {
     let world = topology.world_size();
-    let mut scratch = CallerBuffers::default();
     let NodeClasses {
         reps,
         probed,
         group,
-    } = compile_classes(
-        profile,
-        topology,
-        shape,
-        fidelity,
-        ranks_equal_under,
-        &mut scratch,
-    );
+    } = compile_classes(profile, topology, shape, fidelity, ranks_equal_under);
     if let Some(group) = group {
-        // Every recorded rank passed `assemble`'s validation, and a
+        // Every recorded rank passed `PlanComm::finish`'s validation, and a
         // relabeled rank validates as its representative does.
         let compiled = reps.len() + probed.len();
         let counts = (compiled as u64, (world - compiled) as u64);
@@ -507,9 +488,9 @@ fn compile_cluster_counted(
     let mut ranks = reps;
     ranks.reserve_exact(world - ranks.len());
     for rank in ranks.len()..world {
-        let plan = probed.next_if(|plan| plan.rank == rank).unwrap_or_else(|| {
-            compile_rank_with(profile, topology, rank, shape, fidelity, &mut scratch)
-        });
+        let plan = probed
+            .next_if(|plan| plan.rank == rank)
+            .unwrap_or_else(|| compile_rank(profile, topology, rank, shape, fidelity));
         ranks.push(plan);
     }
     (Plan::from_ranks(topology, ranks), (world as u64, 0))
@@ -540,7 +521,6 @@ pub fn compile_folded(
         shape,
         Fidelity::Schedule,
         schedules_equal_under,
-        &mut CallerBuffers::default(),
     );
     let group = classes.group?;
     let lowered = classes
@@ -551,87 +531,14 @@ pub fn compile_folded(
     FoldedTrace::from_representatives(topology, group, lowered).ok()
 }
 
-/// Run one recording pass on fresh caller buffers (see
-/// [`CallerBuffers::record`]) and return the final contents of the receive
-/// buffer.
-fn run_for_recording(
-    profile: &LibraryProfile,
-    comm: &PlanComm,
-    shape: &CollectiveShape,
-    io: IoShape,
-) -> Option<Vec<u8>> {
-    let mut buffers = CallerBuffers::default();
-    buffers.record(profile, comm, shape, io);
-    io.recvbuf.map(|len| {
-        buffers.recv.truncate(len);
-        buffers.recv
-    })
-}
-
-/// The send and receive buffers a recording pass hands the algorithm as the
-/// caller's.
-#[derive(Default)]
-struct CallerBuffers {
-    send: Vec<u8>,
-    recv: Vec<u8>,
-}
-
-impl CallerBuffers {
-    /// Run one recording pass: size the buffers as `io` declares (growing
-    /// them with zeroes, never clearing what they hold), fingerprint them
-    /// and push them through the ordinary dispatcher against the recorder,
-    /// which stands in for the reduction operator too.
-    fn record(
-        &mut self,
-        profile: &LibraryProfile,
-        comm: &PlanComm,
-        shape: &CollectiveShape,
-        io: IoShape,
-    ) {
-        fn grown(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
-            if buf.len() < len {
-                buf.resize(len, 0);
-            }
-            &mut buf[..len]
-        }
-        // An in/out collective's one buffer is its receive buffer, so its
-        // input is recorded as `RecvInit`.
-        let mut send = io.sendbuf.map(|len| grown(&mut self.send, len));
-        let mut recv = io.recvbuf.map(|len| grown(&mut self.recv, len));
-        if let Some(buf) = send.as_deref_mut() {
-            comm.fill_sendbuf(buf);
-        }
-        if let Some(buf) = recv.as_deref_mut() {
-            comm.fill_recvbuf(buf);
-        }
-        // Recording always runs on packed contiguous buffers; a layout lives
-        // in the plan's IoShape (`io_for`), where the executor packs and
-        // unpacks.
-        let packed = CollectiveShape {
-            layout: None,
-            ..*shape
-        };
-        let op = comm.reducer();
-        dispatch::execute(
-            profile.algorithm_for(&packed, comm.world_size()),
-            comm,
-            &packed,
-            send.as_deref(),
-            recv,
-            Some(&op),
-            COMPILE_TAG_BASE,
-        );
-    }
-}
-
 /// Shapes whose [`CollectiveShape::buffer_footprint`] exceeds this are not
 /// compiled on the blocking path; [`crate::dispatch::run_blocking`] falls
-/// back to direct algorithm execution instead.  The fingerprint compile
-/// pays its recording passes (four for up to ≈ 16 MiB of fingerprinted
-/// bytes) plus a scan of every captured payload byte — a great trade for
-/// the small, endlessly repeated messages the paper targets, a poor one for
-/// a one-shot multi-megabyte collective (which is bandwidth-bound anyway,
-/// so schedule interpretation is noise there).
+/// back to direct algorithm execution instead.  A compile runs the
+/// algorithm once and moves no payload bytes, so its cost follows the op
+/// count, not the block; what the bypass still skips for a one-shot
+/// multi-megabyte collective (bandwidth-bound anyway, so schedule
+/// interpretation is noise there) is that compile, the cached plan and the
+/// cursor's scratch buffers.
 pub const EXEC_PLAN_MAX_BYTES: usize = 4 << 20;
 
 /// Per-communicator cache of one rank's compiled plans (exec fidelity),
@@ -821,7 +728,7 @@ mod tests {
     use pip_collectives::datatype::DtypeId;
     use pip_collectives::oracle;
     use pip_collectives::plan::PlanCursor;
-    use pip_collectives::ThreadComm;
+    use pip_collectives::{Comm as _, ThreadComm};
     use pip_runtime::Cluster;
 
     #[test]
@@ -926,77 +833,29 @@ mod tests {
         assert_eq!(cache.stats(), (0, 3));
     }
 
-    /// An exec compile records as many passes as its fingerprinted bytes
-    /// need, counted by the body it runs: three for the 4×4 PiP-MColl 64 B
-    /// `f32` allreduce, four for the 256 KiB one, on every rank.
+    /// A compile runs the algorithm once per rank, whatever the fidelity and
+    /// the block: the recorder counts the setup delay every dispatch opens
+    /// with, on the 4×4 PiP-MColl 64 B and 256 KiB `f32` allreduce.
     #[test]
-    fn exec_compiles_record_the_passes_their_bytes_need() {
+    fn every_compile_runs_the_algorithm_once() {
         use pip_collectives::datatype::{DtypeId, ReduceOp};
+        use pip_collectives::plan::PlanOp;
         let profile = Library::PipMColl.profile();
         let topo = Topology::new(4, 4);
         let f32_sum = ReduceIdent::Builtin {
             dtype: DtypeId::F32,
             op: ReduceOp::Sum,
         };
-        for (block, expected) in [(64, 3), (256 << 10, 4)] {
+        for block in [64, 256 << 10] {
             let shape = CollectiveShape::allreduce(block, 4, Some(f32_sum), None, None);
-            for rank in 0..topo.world_size() {
-                let io = shape.io_for(rank, topo.world_size());
-                let runs = std::cell::Cell::new(0);
-                compile_exec(rank, topo, io, |comm| {
-                    runs.set(runs.get() + 1);
-                    run_for_recording(&profile, comm, &shape, io)
-                });
-                assert_eq!(runs.get(), expected, "{block} B, rank {rank}");
-            }
-        }
-    }
-
-    /// Schedule-fidelity recordings share one never re-zeroed pair of
-    /// caller buffers per compile call, so what a buffer held before a rank
-    /// was recorded must not reach its plan: ranks recorded in turn into one
-    /// scratch pair that starts as all 0xFF equal ranks recorded into fresh
-    /// buffers, for every kind and library, on both sides of the
-    /// large-message threshold.
-    #[test]
-    fn schedule_compiles_ignore_what_the_scratch_buffers_hold() {
-        use crate::selection::LARGE_MESSAGE_THRESHOLD;
-        for topology in [Topology::new(3, 2), Topology::new(5, 4)] {
-            let world = topology.world_size();
-            for kind in CollectiveKind::ALL {
-                for block in [12, LARGE_MESSAGE_THRESHOLD] {
-                    let reduces = matches!(
-                        kind,
-                        CollectiveKind::Allreduce
-                            | CollectiveKind::Reduce
-                            | CollectiveKind::ReduceScatter
-                            | CollectiveKind::Scan
-                            | CollectiveKind::Exscan
-                    );
-                    let elem_size = if reduces { 4 } else { 1 };
-                    let block = if kind == CollectiveKind::Barrier {
-                        0
-                    } else {
-                        block
-                    };
-                    let shape = CollectiveShape::reduction(kind, block, world - 1, elem_size, None);
-                    for library in Library::ALL {
-                        let profile = library.profile();
-                        let mut dirty = CallerBuffers {
-                            send: vec![0xFF; world * block],
-                            recv: vec![0xFF; world * block],
-                        };
-                        for rank in 0..world {
-                            let fidelity = Fidelity::Schedule;
-                            assert_eq!(
-                                compile_rank_with(
-                                    &profile, topology, rank, &shape, fidelity, &mut dirty
-                                ),
-                                compile_rank(&profile, topology, rank, &shape, fidelity),
-                                "{library:?} {kind:?} {block} B on {topology:?}, rank {rank}"
-                            );
-                        }
-                    }
+            for fidelity in [Fidelity::Exec, Fidelity::Schedule] {
+                for rank in 0..topo.world_size() {
+                    let plan = compile_rank(&profile, topo, rank, &shape, fidelity);
+                    let runs = plan
+                        .ops
+                        .iter()
+                        .filter(|op| matches!(op, PlanOp::Delay { .. }));
+                    assert_eq!(runs.count(), 1, "{block} B, {fidelity:?}, rank {rank}");
                 }
             }
         }

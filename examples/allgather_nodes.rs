@@ -13,7 +13,7 @@
 use pip_mcoll::collectives::comm::Comm;
 use pip_mcoll::collectives::multi_object::allgather_multi_object;
 use pip_mcoll::collectives::plan::{record_trace, PlanComm};
-use pip_mcoll::collectives::{bruck, hierarchical};
+use pip_mcoll::collectives::{bruck, hierarchical, Buf, SymBuf};
 use pip_mcoll::core::prelude::*;
 
 fn main() {
@@ -48,18 +48,18 @@ fn main() {
     };
     println!("\nschedule shape on 32 nodes x 8 ppn, 64 B per process:");
     per_rank_sends("multi-object (PiP-MColl)", &|comm| {
-        let sendbuf = vec![0u8; block];
-        let mut recvbuf = vec![0u8; comm.world_size() * block];
+        let sendbuf = SymBuf::zeroed(block);
+        let mut recvbuf = SymBuf::zeroed(comm.world_size() * block);
         allgather_multi_object(comm, &sendbuf, &mut recvbuf, 1);
     });
     per_rank_sends("single-leader hierarchical", &|comm| {
-        let sendbuf = vec![0u8; block];
-        let mut recvbuf = vec![0u8; comm.world_size() * block];
+        let sendbuf = SymBuf::zeroed(block);
+        let mut recvbuf = SymBuf::zeroed(comm.world_size() * block);
         hierarchical::allgather_hierarchical(comm, &sendbuf, &mut recvbuf, 1);
     });
     per_rank_sends("flat Bruck", &|comm| {
-        let sendbuf = vec![0u8; block];
-        let mut recvbuf = vec![0u8; comm.world_size() * block];
+        let sendbuf = SymBuf::zeroed(block);
+        let mut recvbuf = SymBuf::zeroed(comm.world_size() * block);
         bruck::allgather_bruck(comm, &sendbuf, &mut recvbuf, 1);
     });
 }

@@ -393,7 +393,7 @@ fn schedule_plans_validate_for_every_collective_and_library() {
 }
 
 /// Exec-fidelity plans carry the same schedule as schedule-fidelity ones —
-/// the extra passes and payload resolution must not perturb the op stream.
+/// tracking where payload bytes come from must not perturb the op stream.
 #[test]
 fn exec_and_schedule_fidelity_agree_on_the_schedule() {
     let topo = Topology::new(3, 2);

@@ -1,15 +1,16 @@
-//! Exec-fidelity compilation is pinned to a golden table: the recorder's
-//! provenance recovery may change how it inverts fingerprints, but never
-//! which `RankPlan` it emits.
+//! Exec-fidelity compilation is pinned to a golden table: the recorder may
+//! change how it learns where a payload's bytes come from, but never which
+//! `RankPlan` it emits.
 //!
 //! Each case compiles one collective shape on every rank of a topology and
 //! folds the `Debug` rendering of the rank plans into one FNV-1a hash.  The
 //! tables were captured at the commit *before* the fingerprint bijection
 //! replaced the per-byte provenance map (PR 14's parent) and have stayed
 //! green through every later change of fingerprint key, including the dense
-//! location keys that record only as many passes as a plan's bytes need.
-//! The cases that push megabytes of fingerprints through the recorder sit in
-//! a table of their own, [`GOLDEN_LARGE`] (a few seconds unoptimized).
+//! location keys that recorded only as many passes as a plan's bytes
+//! needed, and through the replacement of fingerprints by buffers that
+//! carry their sources (one recording run, no payload bytes).  The cases
+//! with megabyte buffers sit in a table of their own, [`GOLDEN_LARGE`].
 //! When the plan IR itself changes on purpose, regenerate both with
 //!
 //! ```text
